@@ -142,7 +142,7 @@ let with_engine config f =
   Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () -> f e)
 
 let solve_wall e f =
-  let a = ok (Server.solve e f) in
+  let a = ok (Server.solve e (Cnf.Flat.of_formula f)) in
   (verdict_name a.Server.verdict, a.Server.solve_wall)
 
 (* Best of [reps] fresh solves (the verdict is dropped between runs;
@@ -256,7 +256,9 @@ let run_eval policy =
 
 let measure_inference policy =
   let feats =
-    List.map (fun (_, f) -> Dispatch.Features.of_formula f) eval_suite
+    List.map
+      (fun (_, f) -> Dispatch.Features.of_flat (Cnf.Flat.of_formula f))
+      eval_suite
   in
   let worst = ref 0.0 and total = ref 0.0 and n = ref 0 in
   for _ = 1 to 200 do
@@ -310,7 +312,10 @@ let () =
       Printf.printf "trained %d epochs (final loss %.4f)\n%!" epochs loss;
       List.iter
         (fun (name, f) ->
-          let d = Dispatch.Policy.decide policy (Dispatch.Features.of_formula f) in
+          let d =
+            Dispatch.Policy.decide policy
+              (Dispatch.Features.of_flat (Cnf.Flat.of_formula f))
+          in
           Printf.printf
             "  decide %-13s lanes=%d simplify=%b cube=%s predicted=%.1fms\n%!"
             name d.Dispatch.Policy.lanes d.Dispatch.Policy.simplify

@@ -65,7 +65,8 @@ let jobs =
   List.concat_map
     (fun (name, f) ->
       List.init copies (fun c ->
-          (Printf.sprintf "%s#%d" name c, if c = 0 then f else shuffle c f)))
+          ( Printf.sprintf "%s#%d" name c,
+            Cnf.Flat.of_formula (if c = 0 then f else shuffle c f) )))
     suite
 
 let verdict_name = function

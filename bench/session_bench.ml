@@ -59,10 +59,11 @@ let suite =
 let query_lit f q = f.Cnf.Formula.num_vars + q
 
 let cold_formula f q =
-  if q = 0 then f
-  else
-    Cnf.Formula.create ~num_vars:(f.Cnf.Formula.num_vars + q)
-      (Array.to_list f.Cnf.Formula.clauses @ [ [| query_lit f q |] ])
+  Cnf.Flat.of_formula
+    (if q = 0 then f
+     else
+       Cnf.Formula.create ~num_vars:(f.Cnf.Formula.num_vars + q)
+         (Array.to_list f.Cnf.Formula.clauses @ [ [| query_lit f q |] ]))
 
 let verdict_of_outcome = function
   | Server.Session.Ok_done -> "OK"

@@ -70,10 +70,11 @@ let ok = function
 let run_warm_pairs engine =
   List.map
     (fun (name, f) ->
+      let f = Cnf.Flat.of_formula f in
       let cold = ok (Server.solve engine f) in
       if cold.Server.source <> Server.Solved then
         failwith (name ^ ": cold run was not a fresh solve");
-      Server.forget_verdict engine (Cnf.Fingerprint.of_formula f);
+      Server.forget_verdict engine (Cnf.Fingerprint.of_flat f);
       let warm = ok (Server.solve engine f) in
       if warm.Server.source <> Server.Solved then
         failwith (name ^ ": warm run answered from the cache");

@@ -25,13 +25,23 @@ let setup_logs verbose =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
 
+(* Malformed input is a command-line error, not a crash: one line on
+   stderr and cmdliner's CLI-error exit code, the one a missing [-i]
+   file already gets. *)
+let input_error what msg =
+  Printf.eprintf "eda4sat: %s: %s\n%!" what msg;
+  exit Cmd.Exit.cli_error
+
 let read_instance path =
-  if Filename.check_suffix path ".aag" then
-    Eda4sat.Instance.of_circuit ~name:(Filename.basename path)
-      (Aig.Aiger_io.read_file path)
-  else
-    Eda4sat.Instance.of_cnf ~name:(Filename.basename path)
-      (Cnf.Dimacs.read_file path)
+  try
+    if Filename.check_suffix path ".aag" then
+      Eda4sat.Instance.of_circuit ~name:(Filename.basename path)
+        (Aig.Aiger_io.read_file path)
+    else
+      Eda4sat.Instance.of_cnf ~name:(Filename.basename path)
+        (Cnf.Dimacs.read_file path)
+  with Cnf.Dimacs.Parse_error msg | Aig.Aiger_io.Parse_error msg ->
+    input_error path msg
 
 let limits_of_timeout timeout =
   { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
@@ -782,7 +792,8 @@ let dispatch_predict_cmd =
     let inst = read_instance input in
     let features =
       let base =
-        Dispatch.Features.of_formula (Eda4sat.Instance.direct_formula inst)
+        Dispatch.Features.of_flat
+          (Cnf.Flat.of_formula (Eda4sat.Instance.direct_formula inst))
       in
       match inst.Eda4sat.Instance.payload with
       | Eda4sat.Instance.Cnf _ -> base
@@ -940,7 +951,7 @@ let generate_cmd =
     | "roundrobin" ->
       Cnf.Dimacs.write_file (Workloads.Satcomp.round_robin ~teams:size ()) out;
       Printf.printf "wrote round-robin(%d) to %s\n" size out
-    | f -> failwith ("unknown family: " ^ f)
+    | f -> input_error "--family" ("unknown family: " ^ f)
   in
   let family =
     Arg.(

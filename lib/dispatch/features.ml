@@ -1,7 +1,5 @@
-(* Integer statistics accumulated in one pass over the clause store.
-   The two drivers (CSR walk, array-of-arrays walk) fill the same
-   record and hand it to the same float-finishing step, which is what
-   makes of_flat and of_formula bitwise-equal. *)
+(* Integer statistics accumulated in one pass over the CSR clause
+   store, then finished into floats. *)
 
 let base_dim = 16
 let embedding_dim = 16
@@ -33,20 +31,6 @@ let make_acc num_vars =
     pos = Array.make num_vars 0;
     neg = Array.make num_vars 0;
   }
-
-(* Register one clause given its length and positive-literal count
-   (per-literal counters are bumped by the drivers). *)
-let add_clause acc ~len ~npos =
-  acc.clauses <- acc.clauses + 1;
-  acc.lits <- acc.lits + len;
-  (match len with
-  | 1 -> acc.unit_c <- acc.unit_c + 1
-  | 2 -> acc.binary_c <- acc.binary_c + 1
-  | 3 -> acc.ternary_c <- acc.ternary_c + 1
-  | _ -> ());
-  if len > acc.max_len then acc.max_len <- len;
-  if npos <= 1 then acc.horn <- acc.horn + 1;
-  acc.pos_lits <- acc.pos_lits + npos
 
 let log2p1 x = Float.log2 (1.0 +. x)
 
@@ -116,26 +100,19 @@ let of_flat (fl : Cnf.Flat.t) =
       end
       else acc.neg.(-lit - 1) <- acc.neg.(-lit - 1) + 1
     done;
-    add_clause acc ~len:(hi - lo) ~npos:!npos
+    let len = hi - lo and npos = !npos in
+    acc.clauses <- acc.clauses + 1;
+    acc.lits <- acc.lits + len;
+    (match len with
+    | 1 -> acc.unit_c <- acc.unit_c + 1
+    | 2 -> acc.binary_c <- acc.binary_c + 1
+    | 3 -> acc.ternary_c <- acc.ternary_c + 1
+    | _ -> ());
+    if len > acc.max_len then acc.max_len <- len;
+    if npos <= 1 then acc.horn <- acc.horn + 1;
+    acc.pos_lits <- acc.pos_lits + npos
   done;
   finish fl.num_vars acc
-
-let of_formula (f : Cnf.Formula.t) =
-  let acc = make_acc f.num_vars in
-  Array.iter
-    (fun clause ->
-      let npos = ref 0 in
-      Array.iter
-        (fun lit ->
-          if lit > 0 then begin
-            incr npos;
-            acc.pos.(lit - 1) <- acc.pos.(lit - 1) + 1
-          end
-          else acc.neg.(-lit - 1) <- acc.neg.(-lit - 1) + 1)
-        clause;
-      add_clause acc ~len:(Array.length clause) ~npos:!npos)
-    f.clauses;
-  finish f.num_vars acc
 
 let with_embedding base emb =
   if Array.length base <> dim then

@@ -2,12 +2,9 @@
 
     One O(|F|) pass over the clause store computes the base features:
     size/ratio, clause-length histogram, variable-degree statistics,
-    positive/negative literal balance, horn fraction.  Both entry
-    points accumulate the same integer statistics and share one
-    float-finishing step, so [of_flat (Cnf.Flat.of_formula f)] and
-    [of_formula f] are equal bit-for-bit — the engine can extract
-    straight off the zero-copy CSR arrays without a formula
-    materialization.
+    positive/negative literal balance, horn fraction — read straight
+    off the zero-copy CSR arrays the engine already holds.  A caller
+    with a {!Cnf.Formula.t} extracts [of_flat (Cnf.Flat.of_formula f)].
 
     The vector has a fixed total dimension: [base_dim] base features
     followed by [embedding_dim] slots for a {!Deepgate}-style netlist
@@ -26,9 +23,6 @@ val dim : int
 
 val of_flat : Cnf.Flat.t -> float array
 (** Length-[dim] feature vector; embedding slots are zero. *)
-
-val of_formula : Cnf.Formula.t -> float array
-(** Same features as [of_flat] on the equivalent store, bit-for-bit. *)
 
 val with_embedding : float array -> float array -> float array
 (** [with_embedding base emb] returns a fresh copy of [base] with the

@@ -4,7 +4,6 @@ type config = {
   max_line : int;
   default_limits : Tenant.limits;
   tenant_limits : (string * Tenant.limits) list;
-  load : string -> Server.input;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     max_line = 1 lsl 20;
     default_limits = Tenant.unlimited;
     tenant_limits = [];
-    load = Server.Protocol.default_load_input;
   }
 
 let anon_client = "anon"
@@ -304,33 +302,20 @@ let handle_solve_file t conn ~file ~deadline ~priority =
     push_lines t conn [ header; "REJECTED quota" ]
   end
   else begin
-    let t0 = Sat.Wall.now () in
-    match t.cfg.load file with
-    | exception e ->
+    let priority = Tenant.effective_priority ten priority in
+    match Server.Protocol.submit_file t.engine ?deadline ~priority file with
+    | Error line ->
       Tenant.release t.tenants ten;
       m_rejected t client;
-      push_lines t conn
-        [ header;
-          Printf.sprintf "ERROR cannot load %s: %s" file
-            (Printexc.to_string e) ]
-    | input -> (
-      Server.Metrics.record_parse (Server.metrics t.engine)
-        ~latency_s:(Sat.Wall.now () -. t0);
-      let priority = Tenant.effective_priority ten priority in
-      match Server.submit_input t.engine ?deadline ~priority input with
-      | Error reason ->
-        Tenant.release t.tenants ten;
-        m_rejected t client;
-        push_lines t conn [ header; "REJECTED " ^ reason ]
-      | Ok ticket ->
-        let p = { Conn.lines = None } in
-        push_item t conn (Conn.Pending p);
-        let num_vars = Server.input_num_vars input in
-        Server.on_answer t.engine ticket (fun a ->
-            Tenant.release t.tenants ten;
-            m_answered t client;
-            complete t conn p
-              (Server.Protocol.answer_lines ~seq:n ~file ~num_vars a)))
+      push_lines t conn [ header; line ]
+    | Ok (ticket, num_vars) ->
+      let p = { Conn.lines = None } in
+      push_item t conn (Conn.Pending p);
+      Server.on_answer t.engine ticket (fun a ->
+          Tenant.release t.tenants ten;
+          m_answered t client;
+          complete t conn p
+            (Server.Protocol.answer_lines ~seq:n ~file ~num_vars a))
   end
 
 let handle_session t conn ~sid ~verb submit =

@@ -62,11 +62,6 @@ type config = {
   default_limits : Tenant.limits;  (** limits of undeclared tenants *)
   tenant_limits : (string * Tenant.limits) list;
       (** per-tenant overrides, applied at startup *)
-  load : string -> Server.input;
-      (** SOLVE operand loader (default
-          {!Server.Protocol.default_load_input}: zero-copy mmap DIMACS,
-          circuit pipeline for [.aag]).  Each successful load is timed
-          into {!Server.Metrics.record_parse}. *)
 }
 
 val default_config : config

@@ -767,7 +767,7 @@ let add_long s lits learnt lbd =
 
 (* [add_long] over the first [n] entries of a reusable scratch buffer:
    the literals are blitted straight into the arena, so the flat-ingest
-   path ([prepare_flat]) attaches every clause with zero per-clause
+   path ([prepare]) attaches every clause with zero per-clause
    allocation. *)
 let add_long_slice s b n learnt lbd =
   arena_ensure s (n + 2);
@@ -1418,45 +1418,12 @@ let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
 
 type prepared = Ready of t * int list (* units *) | Trivially_unsat
 
-let prepare f =
-  let nvars = f.Cnf.Formula.num_vars in
-  let s = create nvars in
-  let units = ref [] in
-  let ok = ref true in
-  Array.iter
-    (fun clause ->
-      if !ok then begin
-        (* Normalize: dedupe, detect tautology. *)
-        let lits =
-          Array.to_list clause
-          |> List.map (fun l ->
-                 let v = abs l - 1 in
-                 lit_of_var v (l < 0))
-          |> List.sort_uniq compare
-        in
-        let taut =
-          let rec check = function
-            | a :: (b :: _ as rest) -> (a lxor b) = 1 || check rest
-            | _ -> false
-          in
-          check lits
-        in
-        if not taut then
-          match lits with
-          | [] -> ok := false
-          | [ l ] -> units := l :: !units
-          | [ a; b ] -> add_binary s a b
-          | lits -> ignore (add_long s (Array.of_list lits) false 0)
-      end)
-    f.Cnf.Formula.clauses;
-  if !ok then Ready (s, !units) else Trivially_unsat
-
-(* [prepare] over a flat CSR store: the same normalization (internal
-   encoding, per-clause sort + dedupe, tautology drop) runs in one
-   reusable scratch buffer and long clauses are blitted straight into
-   the arena via [add_long_slice] — zero allocation per clause, and a
-   solver state identical to [prepare (Flat.to_formula fl)]. *)
-let prepare_flat (fl : Cnf.Flat.t) =
+(* Load a flat CSR store ({!Cnf.Flat}) into a fresh solver: each clause
+   is normalized (internal encoding, sort + dedupe, tautology drop) in
+   one reusable scratch buffer, and long clauses are blitted straight
+   into the arena via [add_long_slice] — zero allocation per clause.
+   Every entry point that solves a whole formula loads through here. *)
+let prepare (fl : Cnf.Flat.t) =
   let nvars = fl.Cnf.Flat.num_vars in
   let s = create nvars in
   let units = ref [] in
@@ -1752,7 +1719,7 @@ let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?snapshot f =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> prepare f)
+    ~snapshot (fun () -> prepare (Cnf.Flat.of_formula f))
 
 let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?inprocess
@@ -1760,7 +1727,7 @@ let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?snapshot fl =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> prepare_flat fl)
+    ~snapshot (fun () -> prepare fl)
 
 let decisions_or_max ?(limits = no_limits) f =
   let result, st = solve ~limits f in
@@ -1945,7 +1912,8 @@ end
 type prober = { ps : t; order : int array }
 
 let prober f =
-  match prepare f with
+  let fl = Cnf.Flat.of_formula f in
+  match prepare fl with
   | Trivially_unsat -> `Unsat
   | Ready (s, units) -> (
     try
@@ -1962,13 +1930,10 @@ let prober f =
          deterministic for a given formula. *)
       let occ = Array.make (max 1 s.nvars) 0 in
       Array.iter
-        (fun clause ->
-          Array.iter
-            (fun l ->
-              let v = abs l - 1 in
-              if v >= 0 && v < s.nvars then occ.(v) <- occ.(v) + 1)
-            clause)
-        f.Cnf.Formula.clauses;
+        (fun l ->
+          let v = abs l - 1 in
+          if v >= 0 && v < s.nvars then occ.(v) <- occ.(v) + 1)
+        fl.Cnf.Flat.lits;
       let order = Array.init s.nvars (fun v -> v) in
       Array.sort
         (fun a b ->

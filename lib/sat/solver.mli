@@ -245,9 +245,9 @@ val solve_flat :
   Cnf.Flat.t -> result * stats
 (** {!solve} over a flat CSR store ({!Cnf.Flat}), loading clauses
     straight from the CSR arrays into the clause arena with zero
-    per-clause allocation.  Produces a solver state — and therefore a
-    search trajectory and stats — identical to
-    [solve (Flat.to_formula fl)]. *)
+    per-clause allocation.  This is the one loader: [solve f] is
+    [solve_flat (Flat.of_formula f)], so both produce the same search
+    trajectory and stats. *)
 
 val decisions_or_max : ?limits:limits -> Cnf.Formula.t -> int
 (** Convenience for the RL reward: the decision count of a solve, or

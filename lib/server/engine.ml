@@ -83,32 +83,6 @@ let default_config =
     dispatch = None;
   }
 
-(* A submitted formula: the classic array-of-arrays view, or the flat
-   CSR store the mmap parser emits.  Flat submissions solve through
-   [Sat.Solver.solve_flat] (bytes -> arena, no per-clause allocation);
-   the Formula view is materialized only where a consumer needs it
-   (the Simplify/Portfolio pipelines). *)
-type input =
-  | Formula of Cnf.Formula.t
-  | Flat of Cnf.Flat.t
-
-let input_num_vars = function
-  | Formula f -> f.Cnf.Formula.num_vars
-  | Flat fl -> fl.Cnf.Flat.num_vars
-
-let input_eval input m =
-  match input with
-  | Formula f -> Cnf.Formula.eval f m
-  | Flat fl -> Cnf.Flat.eval fl m
-
-let input_formula = function
-  | Formula f -> f
-  | Flat fl -> Cnf.Flat.to_formula fl
-
-let input_fingerprint = function
-  | Formula f -> Cnf.Fingerprint.of_formula f
-  | Flat fl -> Cnf.Fingerprint.of_flat fl
-
 (* A relative deadline must compose into a meaningful absolute instant:
    [now +. nan] poisons every later comparison ([deadline_passed] is
    never true, so the job runs unbounded — the monitor cannot save it),
@@ -146,7 +120,7 @@ type done_core = {
 
 type job = {
   id : int;
-  input : input;
+  cnf : Cnf.Flat.t;
   fp : Cnf.Fingerprint.t;
   warm : Sat.Solver.seed option;  (* snapshot found at submit time *)
   features : float array option;  (* extracted when dispatch is on *)
@@ -335,9 +309,8 @@ let deadline_passed job now =
 (* Run one job's solve.  In [Direct] mode the solve is warm-start
    aware: a snapshot found at submit time seeds it, and the state at
    exit is captured for the warm cache (returned as the third
-   component).  Flat inputs load through [solve_flat]'s zero-copy
-   path.  [Simplify]/[Portfolio] solve a transformed formula or race
-   diversified lanes; neither seeds nor captures.  The fourth
+   component).  [Simplify]/[Portfolio] solve a transformed formula or
+   race diversified lanes; neither seeds nor captures.  The fourth
    component is the cube report when the job escalated to
    cube-and-conquer. *)
 (* The plain CDCL lane, warm-start aware, with optional hardness-
@@ -369,13 +342,8 @@ let direct_leg t pool (job : job) limits ~cube =
       { limits with Sat.Solver.max_conflicts = Some cap }
   in
   let result, stats =
-    match job.input with
-    | Formula f ->
-      Sat.Solver.solve ~limits:trigger_limits ~interrupt:job.interrupt
-        ?seed:job.warm ?snapshot f
-    | Flat fl ->
-      Sat.Solver.solve_flat ~limits:trigger_limits
-        ~interrupt:job.interrupt ?seed:job.warm ?snapshot fl
+    Sat.Solver.solve_flat ~limits:trigger_limits ~interrupt:job.interrupt
+      ?seed:job.warm ?snapshot job.cnf
   in
   match (result, cube) with
   | Sat.Solver.Unknown, Some cc
@@ -393,7 +361,7 @@ let direct_leg t pool (job : job) limits ~cube =
        cube solves bake assumption-local phases and activity into
        their state; see the warm-start soundness contract). *)
     let rep =
-      let f = input_formula job.input in
+      let f = Cnf.Flat.to_formula job.cnf in
       match pool with
       | Some p ->
         Portfolio.Cuber.solve_in ~cubes:cc.cube_count
@@ -415,7 +383,7 @@ let simplify_leg (job : job) limits =
   let inst =
     Eda4sat.Instance.of_cnf
       ~name:(Printf.sprintf "job-%d" job.id)
-      (input_formula job.input)
+      (Cnf.Flat.to_formula job.cnf)
   in
   let rep =
     Eda4sat.Pipeline.solve_direct ~limits ~interrupt:job.interrupt
@@ -430,7 +398,7 @@ let simplify_leg (job : job) limits =
    configurations the snapshot contract does not cover. *)
 let race_leg ?share_lbd (job : job) limits ~lanes ~pool =
   let strategies = Portfolio.Strategy.default_pool ~jobs:lanes in
-  let f = input_formula job.input in
+  let f = Cnf.Flat.to_formula job.cnf in
   let o =
     match pool with
     | Some p ->
@@ -472,17 +440,17 @@ let classify t job result stats solve_wall snapshot ~cube =
     | Sat.Solver.Sat m ->
       (* Normalize the model to exactly [num_vars] entries first —
          reconstruction paths (Simplify, Portfolio) may answer with
-         auxiliary variables appended, and [Formula.eval] raises on a
+         auxiliary variables appended, and [Flat.eval] raises on a
          size mismatch.  Then never serve an unverified model: the
          check is linear in the formula and turns any would-be wrong
          answer (a solver bug, a lane mix-up, a corrupt warm seed)
          into an explicit failure. *)
-      let nv = input_num_vars job.input in
+      let nv = job.cnf.Cnf.Flat.num_vars in
       let m =
         if Array.length m = nv then m
         else Array.init nv (fun i -> i < Array.length m && m.(i))
       in
-      if input_eval job.input m then Sat m
+      if Cnf.Flat.eval job.cnf m then Sat m
       else Failed "model verification failed"
     | Sat.Solver.Unsat -> (
       (* Claim→publish soundness guard: an UNSAT assembled from cube
@@ -725,9 +693,9 @@ let create ?(config = default_config) () =
   t.domains <- monitor :: workers;
   t
 
-let submit_live t ?deadline ~priority input =
+let submit_live t ?deadline ~priority cnf =
   let now = Sat.Wall.now () in
-  let fp = input_fingerprint input in
+  let fp = Cnf.Fingerprint.of_flat cnf in
   let cached =
     match Cache.find t.cache fp with
     | None -> None
@@ -739,7 +707,7 @@ let submit_live t ?deadline ~priority input =
            fingerprints guarantee equal model sets, so a failure here
            is a detected hash collision: drop the entry and fall
            through to a real solve. *)
-        if input_eval input m then Some (Sat (Array.copy m), e)
+        if Cnf.Flat.eval cnf m then Some (Sat (Array.copy m), e)
         else begin
           Cache.remove t.cache fp;
           None
@@ -767,11 +735,7 @@ let submit_live t ?deadline ~priority input =
     let t_feat = Sat.Wall.now () in
     let features =
       match t.cfg.dispatch with
-      | Some _ ->
-        Some
-          (match input with
-          | Formula f -> Dispatch.Features.of_formula f
-          | Flat fl -> Dispatch.Features.of_flat fl)
+      | Some _ -> Some (Dispatch.Features.of_flat cnf)
       | None -> None
     in
     let decision, infer_s =
@@ -847,7 +811,7 @@ let submit_live t ?deadline ~priority input =
         let job =
           {
             id;
-            input;
+            cnf;
             fp;
             warm;
             features;
@@ -896,7 +860,7 @@ let submit_live t ?deadline ~priority input =
 (* The stopping check comes before the cache lookup: a shut-down
    server rejects every submit, even one it could answer from memory
    — [shutdown] means "this instance no longer answers". *)
-let submit_input t ?deadline ?(priority = 0) input =
+let submit t ?deadline ?(priority = 0) cnf =
   if Atomic.get t.stopping then begin
     Metrics.record_rejected t.metrics;
     Error "server shutting down"
@@ -905,13 +869,7 @@ let submit_input t ?deadline ?(priority = 0) input =
     Metrics.record_rejected t.metrics;
     Error "bad-deadline"
   end
-  else submit_live t ?deadline ~priority input
-
-let submit t ?deadline ?priority formula =
-  submit_input t ?deadline ?priority (Formula formula)
-
-let submit_flat t ?deadline ?priority fl =
-  submit_input t ?deadline ?priority (Flat fl)
+  else submit_live t ?deadline ~priority cnf
 
 (* Drop a fingerprint's {e verdict} while keeping its warm snapshot —
    the next identical submit re-solves, seeded.  This is the knob the
@@ -964,11 +922,8 @@ let on_answer _t ticket k =
          :: job.waiters;
        Mutex.unlock job.jm)
 
-let solve t ?deadline ?priority formula =
-  Result.map (await t) (submit t ?deadline ?priority formula)
-
-let solve_flat t ?deadline ?priority fl =
-  Result.map (await t) (submit_flat t ?deadline ?priority fl)
+let solve t ?deadline ?priority cnf =
+  Result.map (await t) (submit t ?deadline ?priority cnf)
 
 (* --- sessions -------------------------------------------------------- *)
 

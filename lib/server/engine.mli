@@ -4,11 +4,16 @@
 
     {2 Life of a request}
 
-    [submit] fingerprints the formula ({!Cnf.Fingerprint}) and then:
+    A request is a flat CSR clause store ({!Cnf.Flat.t}) — the shape
+    the zero-copy DIMACS parser ({!Cnf.Dimacs.read_flat_file}) emits
+    and the solver loads ({!Sat.Solver.solve_flat}).  Callers holding
+    a {!Cnf.Formula.t} convert it once with {!Cnf.Flat.of_formula}.
+    [submit] fingerprints the store ({!Cnf.Fingerprint.of_flat}) and
+    then:
 
     + {b cache hit} — an earlier decisive answer for the same
       canonical formula exists: the cached model is re-verified
-      against the submitted formula ([Cnf.Formula.eval], so a
+      against the submitted formula ([Cnf.Flat.eval], so a
       fingerprint collision is detected, never served) and the ticket
       is already resolved;
     + {b dedup join} — a job with the same fingerprint is queued or
@@ -67,7 +72,7 @@
 type verdict =
   | Sat of bool array
       (** a model over the submitted formula's variables, verified
-          with [Cnf.Formula.eval] before being reported — including
+          with [Cnf.Flat.eval] before being reported — including
           when it came from the cache *)
   | Unsat
   | Timeout  (** deadline or configured resource limit hit *)
@@ -96,7 +101,9 @@ type answer = {
     {e input} formula's variables (the service never serves a model of
     a transformed formula). *)
 type mode =
-  | Direct  (** {!Sat.Solver.solve} on the submitted formula *)
+  | Direct
+      (** {!Sat.Solver.solve_flat} on the submitted store: clauses go
+          straight from the CSR arrays into the solver arena *)
   | Simplify
       (** proof-carrying CNF simplification, then solve, models
           reconstructed ({!Eda4sat.Pipeline.solve_direct}
@@ -197,44 +204,22 @@ val default_config : config
 type t
 type ticket
 
-(** A submitted formula: the array-of-arrays view, or the flat CSR
-    store the zero-copy DIMACS parser emits
-    ({!Cnf.Dimacs.read_flat_file}).  Flat submissions solve through
-    {!Sat.Solver.solve_flat} in [Direct] mode — clause bytes go
-    straight into the solver arena with no intermediate per-clause
-    arrays. *)
-type input =
-  | Formula of Cnf.Formula.t
-  | Flat of Cnf.Flat.t
-
-val input_num_vars : input -> int
-(** The submitted formula's declared variable count (either view). *)
-
 val create : ?config:config -> unit -> t
 (** Start the service: spawns the worker domains and the deadline
     monitor. *)
 
 val submit :
-  t -> ?deadline:float -> ?priority:int -> Cnf.Formula.t ->
+  t -> ?deadline:float -> ?priority:int -> Cnf.Flat.t ->
   (ticket, string) result
-(** Submit a formula.  [deadline] is in seconds from now — a negative
+(** Submit a formula.  The [Simplify], [Portfolio] and cube paths
+    build the {!Cnf.Formula.t} view they need at the point of use.
+    [deadline] is in seconds from now — a negative
     or non-finite value answers [Error "bad-deadline"] (a NaN deadline
     would otherwise compose into an absolute instant that never
     passes, i.e. an unkillable job); [priority] (default 0, higher
     pops first) orders the admission queue.  [Error reason] is the
     backpressure path: the queue is full or the server is shutting
     down — nothing was enqueued. *)
-
-val submit_flat :
-  t -> ?deadline:float -> ?priority:int -> Cnf.Flat.t ->
-  (ticket, string) result
-(** [submit] for a flat CSR formula.  Same semantics (fingerprinting,
-    caching, dedup, warm starts); in [Direct] mode the solve loads the
-    CSR store into the arena directly. *)
-
-val submit_input :
-  t -> ?deadline:float -> ?priority:int -> input -> (ticket, string) result
-(** The general form both wrappers above delegate to. *)
 
 val await : t -> ticket -> answer
 (** Block until the ticket's job resolves.  Any number of domains may
@@ -255,14 +240,9 @@ val on_answer : t -> ticket -> (answer -> unit) -> unit
     answers back without parking a domain per request. *)
 
 val solve :
-  t -> ?deadline:float -> ?priority:int -> Cnf.Formula.t ->
-  (answer, string) result
-(** [submit] then [await]. *)
-
-val solve_flat :
   t -> ?deadline:float -> ?priority:int -> Cnf.Flat.t ->
   (answer, string) result
-(** [submit_flat] then [await]. *)
+(** [submit] then [await]. *)
 
 val forget_verdict : t -> Cnf.Fingerprint.t -> unit
 (** Drop the fingerprint's verdict-cache entry (if any) while keeping

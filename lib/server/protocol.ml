@@ -1,18 +1,32 @@
-let default_load path =
+(* The [SOLVE] operand loader: AIGER goes through the circuit pipeline
+   (it needs Tseitin encoding anyway) and is flattened once; DIMACS
+   takes the zero-copy path — mmap the bytes and parse straight into
+   the flat CSR store the engine loads into the solver arena. *)
+let load path =
   if Filename.check_suffix path ".aag" then
-    Eda4sat.Instance.direct_formula
-      (Eda4sat.Instance.of_circuit ~name:(Filename.basename path)
-         (Aig.Aiger_io.read_file path))
-  else Cnf.Dimacs.read_file path
+    Cnf.Flat.of_formula
+      (Eda4sat.Instance.direct_formula
+         (Eda4sat.Instance.of_circuit ~name:(Filename.basename path)
+            (Aig.Aiger_io.read_file path)))
+  else Cnf.Dimacs.read_flat_file path
 
-(* The transport-default loader: AIGER still goes through the circuit
-   pipeline (it needs Tseitin encoding anyway), but DIMACS files take
-   the zero-copy path — mmap the bytes, parse into a flat CSR store,
-   and let the engine load that store straight into the solver arena. *)
-let default_load_input path =
-  if Filename.check_suffix path ".aag" then
-    Engine.Formula (default_load path)
-  else Engine.Flat (Cnf.Dimacs.read_flat_file path)
+(* The reason half of an [ERROR cannot load] line: the parser's own
+   message, not the OCaml exception syntax. *)
+let load_error = function
+  | Cnf.Dimacs.Parse_error m | Aig.Aiger_io.Parse_error m | Sys_error m -> m
+  | e -> Printexc.to_string e
+
+let submit_file engine ?deadline ?priority file =
+  let t0 = Sat.Wall.now () in
+  match load file with
+  | exception e ->
+    Error (Printf.sprintf "ERROR cannot load %s: %s" file (load_error e))
+  | cnf -> (
+    Metrics.record_parse (Engine.metrics engine)
+      ~latency_s:(Sat.Wall.now () -. t0);
+    match Engine.submit engine ?deadline ?priority cnf with
+    | Ok ticket -> Ok (ticket, cnf.Cnf.Flat.num_vars)
+    | Error reason -> Error ("REJECTED " ^ reason))
 
 (* The wire takes milliseconds; engine deadlines are seconds from now.
    This is the only ms→s conversion in the stack — the engine then
@@ -325,7 +339,7 @@ let printer_loop engine oc fifo () =
   in
   loop ()
 
-let serve ?(load = default_load_input) engine ic oc =
+let serve engine ic oc =
   let fifo =
     { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
   in
@@ -334,26 +348,10 @@ let serve ?(load = default_load_input) engine ic oc =
   let handle_solve ~file ~deadline ~priority =
     incr seq;
     let n = !seq in
-    let t0 = Sat.Wall.now () in
-    match load file with
-    | exception e ->
-      fifo_push fifo
-        (Lines
-           [ job_header ~seq:n ~file;
-             Printf.sprintf "ERROR cannot load %s: %s" file
-               (Printexc.to_string e) ])
-    | input -> (
-      Metrics.record_parse (Engine.metrics engine)
-        ~latency_s:(Sat.Wall.now () -. t0);
-      match Engine.submit_input engine ?deadline ?priority input with
-      | Ok ticket ->
-        fifo_push fifo
-          (Answer
-             { seq = n; file;
-               num_vars = Engine.input_num_vars input; ticket })
-      | Error reason ->
-        fifo_push fifo
-          (Lines [ job_header ~seq:n ~file; "REJECTED " ^ reason ]))
+    match submit_file engine ?deadline ?priority file with
+    | Ok (ticket, num_vars) ->
+      fifo_push fifo (Answer { seq = n; file; num_vars; ticket })
+    | Error line -> fifo_push fifo (Lines [ job_header ~seq:n ~file; line ])
   in
   let push_session_result sid verb = function
     | Ok ticket ->

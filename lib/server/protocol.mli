@@ -104,15 +104,20 @@ type request =
 
 val parse_request : string -> request
 
-val default_load : string -> Cnf.Formula.t
-(** DIMACS for [.cnf]/[.dimacs], AIGER for [.aag] — the classic
-    array-of-arrays loader. *)
-
-val default_load_input : string -> Engine.input
-(** The default [SOLVE] operand loader of both transports: AIGER files
-    load through the circuit pipeline as [Formula]; everything else is
-    treated as DIMACS and loads through the zero-copy mmap parser
-    ({!Cnf.Dimacs.read_flat_file}) as [Flat]. *)
+val submit_file :
+  Engine.t -> ?deadline:float -> ?priority:int -> string ->
+  (Engine.ticket * int, string) result
+(** The [SOLVE <file>] step of both transports: load the operand,
+    time the load into {!Metrics.record_parse} and submit it.  AIGER
+    ([.aag]) files go through the circuit pipeline (Tseitin, outputs
+    asserted) and are flattened; everything else is DIMACS, parsed by
+    the zero-copy mmap reader ({!Cnf.Dimacs.read_flat_file}) straight
+    into the {!Cnf.Flat.t} the engine solves.  [Ok (ticket, num_vars)]
+    when admitted; otherwise [Error line], the answer line to print
+    under {!job_header}: [ERROR cannot load <file>: <reason>] for an
+    unreadable or malformed file (the parser's message, e.g.
+    [bad token: x]), [REJECTED <reason>] when admission refuses the
+    job. *)
 
 val job_header : seq:int -> file:string -> string
 val open_header : seq:int -> string
@@ -128,10 +133,7 @@ val session_answer_lines :
   seq:int -> sid:int -> verb:string -> Session.answer -> string list
 (** Render a session answer: header, outcome, model or core line. *)
 
-val serve :
-  ?load:(string -> Engine.input) ->
-  Engine.t -> in_channel -> out_channel -> unit
-(** Run the protocol until EOF or [QUIT].  [load] (default
-    {!default_load_input}) maps a [SOLVE] operand to an engine input;
-    each successful load is timed into {!Metrics.record_parse}.  Does
-    {e not} shut the engine down — the caller owns its lifecycle. *)
+val serve : Engine.t -> in_channel -> out_channel -> unit
+(** Run the protocol until EOF or [QUIT]; [SOLVE <file>] goes through
+    {!submit_file}.  Does {e not} shut the engine down — the caller
+    owns its lifecycle. *)

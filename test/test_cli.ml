@@ -16,9 +16,12 @@ let cli =
 
 let dev_null_out () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0
 
-(* Run the CLI with [stdin]/[stdout] redirected to the given files
-   (or /dev/null) and return its exit code. *)
-let run_cli ?stdin_file ?stdout_file args =
+let open_out_file f =
+  Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+
+(* Run the CLI with [stdin]/[stdout]/[stderr] redirected to the given
+   files (or /dev/null) and return its exit code. *)
+let run_cli ?stdin_file ?stdout_file ?stderr_file args =
   let fd_in =
     match stdin_file with
     | Some f -> Unix.openfile f [ Unix.O_RDONLY ] 0
@@ -26,10 +29,14 @@ let run_cli ?stdin_file ?stdout_file args =
   in
   let fd_out =
     match stdout_file with
-    | Some f -> Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    | Some f -> open_out_file f
     | None -> dev_null_out ()
   in
-  let fd_err = dev_null_out () in
+  let fd_err =
+    match stderr_file with
+    | Some f -> open_out_file f
+    | None -> dev_null_out ()
+  in
   let pid =
     Unix.create_process cli (Array.of_list (cli :: args)) fd_in fd_out fd_err
   in
@@ -52,6 +59,17 @@ let file name = Filename.concat temp_dir name
 let write_cnf name f =
   Cnf.Dimacs.write_file f (file name);
   file name
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
 
 let tiny_sat =
   Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -1; 3 |]; [| -2; 3 |] ]
@@ -82,6 +100,121 @@ let test_portfolio_exit_codes () =
     (run_cli [ "portfolio"; "--jobs"; "2"; "-i"; sat ]);
   check_int "portfolio UNSAT exits 20" 20
     (run_cli [ "portfolio"; "--jobs"; "2"; "-i"; unsat ])
+
+(* --- malformed input -------------------------------------------------- *)
+
+let write_text name text =
+  let path = file name in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  path
+
+(* A malformed DIMACS or AIGER file and an unknown generator family are
+   command-line errors: exit 124 with one "eda4sat: <what>: <message>"
+   line on stderr, never an uncaught-exception crash (exit 125). *)
+let test_malformed_input_errors () =
+  let bad_cnf = write_text "bad.cnf" "p cnf 2 1\n1 x 0\n" in
+  let bad_aag = write_text "bad.aag" "aag 3 2\n" in
+  let err = file "malformed.err" in
+  let expect_error what args line =
+    check_int (what ^ " exits 124") 124 (run_cli ~stderr_file:err args);
+    Alcotest.(check (list string))
+      (what ^ " stderr") [ line ] (read_lines err)
+  in
+  expect_error "bad DIMACS" [ "solve"; "-i"; bad_cnf ]
+    ("eda4sat: " ^ bad_cnf ^ ": bad token: x");
+  expect_error "bad AIGER" [ "solve"; "-i"; bad_aag ]
+    ("eda4sat: " ^ bad_aag ^ ": expected 'aag M I L O A' header");
+  expect_error "unknown family"
+    [ "generate"; "--family"; "bogus"; "--out"; file "bogus.cnf" ]
+    "eda4sat: --family: unknown family: bogus"
+
+(* --- AIGER operands and load errors on both transports ---------------- *)
+
+(* A LEC miter as an ASCII AIGER file: the transports Tseitin-encode it
+   and flatten it before submitting. *)
+let miter_aag name =
+  let path = file name in
+  Aig.Aiger_io.write_file
+    (Workloads.Lec.generate ~seed:3 ~num_pis:8 ~num_ands:60 ())
+    path;
+  path
+
+(* The verdict line [eda4sat solve] gives for the same file, read off
+   its SAT-competition exit code. *)
+let cli_verdict path =
+  match run_cli [ "solve"; "-i"; path ] with
+  | 10 -> "SAT"
+  | 20 -> "UNSAT"
+  | code -> Alcotest.failf "eda4sat solve %s exited %d" path code
+
+let parse_count engine = (Server.stats engine).Server.Metrics.parse_count
+
+(* [SOLVE miter.aag] then [SOLVE bad.cnf]: the miter answers what the
+   CLI answers and counts one parse; the malformed file answers the
+   parser's message and counts none. *)
+let check_aiger_answers ~aag ~bad ~parses lines =
+  match lines with
+  | h1 :: verdict :: rest ->
+    check_bool "miter job header" true
+      (Test_net.starts_with "c job 1 file=" h1);
+    Alcotest.(check string)
+      "miter verdict matches eda4sat solve" (cli_verdict aag) verdict;
+    let rest =
+      match rest with v :: r when Test_net.starts_with "v " v -> r | r -> r
+    in
+    (match rest with
+     | [ h2; err ] ->
+       check_bool "bad job header" true
+         (Test_net.starts_with "c job 2 file=" h2);
+       Alcotest.(check string) "typed load error"
+         (Printf.sprintf "ERROR cannot load %s: bad token: x" bad)
+         err
+     | _ ->
+       Alcotest.failf "unexpected stream:\n%s" (String.concat "\n" lines));
+    check_int "one parse per loaded operand" 1 parses
+  | _ -> Alcotest.failf "unexpected stream:\n%s" (String.concat "\n" lines)
+
+let test_pipe_aiger_operand () =
+  let aag = miter_aag "pipe_miter.aag" in
+  let bad = write_text "pipe_bad.cnf" "p cnf 2 1\n1 x 0\n" in
+  let engine =
+    Server.create ~config:{ Server.default_config with workers = 2 } ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown engine)
+    (fun () ->
+      let r_cmd, w_cmd = Unix.pipe ~cloexec:true () in
+      let r_ans, w_ans = Unix.pipe ~cloexec:true () in
+      let server =
+        Domain.spawn (fun () ->
+            let oc = Unix.out_channel_of_descr w_ans in
+            Server.Protocol.serve engine (Unix.in_channel_of_descr r_cmd) oc;
+            close_out oc)
+      in
+      let before = parse_count engine in
+      Test_net.send (w_cmd, ref "")
+        (Printf.sprintf "SOLVE %s\nSOLVE %s\nQUIT\n" aag bad);
+      Unix.close w_cmd;
+      let lines = Test_net.read_to_eof (r_ans, ref "") in
+      Domain.join server;
+      Unix.close r_ans;
+      Unix.close r_cmd;
+      check_aiger_answers ~aag ~bad ~parses:(parse_count engine - before)
+        lines)
+
+let test_loop_aiger_operand () =
+  let aag = miter_aag "net_miter.aag" in
+  let bad = write_text "net_bad.cnf" "p cnf 2 1\n1 x 0\n" in
+  Test_net.with_loop (fun engine _loop port ->
+      let before = parse_count engine in
+      let c = Test_net.connect port in
+      Test_net.send c (Printf.sprintf "SOLVE %s\nSOLVE %s\nQUIT\n" aag bad);
+      let lines = Test_net.read_to_eof c in
+      Test_net.close_client c;
+      check_aiger_answers ~aag ~bad ~parses:(parse_count engine - before)
+        lines)
 
 (* --- serve e2e ------------------------------------------------------- *)
 
@@ -268,17 +401,6 @@ let test_serve_session () =
   check_int "nothing left in flight" 0 (g "inflight")
 
 (* --- serve: incremental session verbs -------------------------------- *)
-
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
 
 let has_sub sub l =
   let n = String.length sub in
@@ -641,6 +763,9 @@ let suite =
   [
     ("solve exit codes", `Quick, test_solve_exit_codes);
     ("portfolio exit codes", `Quick, test_portfolio_exit_codes);
+    ("malformed input is a CLI error", `Quick, test_malformed_input_errors);
+    ("pipe: AIGER operand and load error", `Quick, test_pipe_aiger_operand);
+    ("socket: AIGER operand and load error", `Quick, test_loop_aiger_operand);
     ("serve e2e session", `Quick, test_serve_session);
     ("serve session verbs", `Quick, test_serve_session_verbs);
     ("serve bad deadline rejected", `Quick, test_serve_bad_deadline);

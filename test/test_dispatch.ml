@@ -1,9 +1,9 @@
-(* Tests for the learned-dispatch subsystem: feature extraction
-   (including the CSR/formula equivalence the engine relies on), the
+(* Tests for the learned-dispatch subsystem: feature extraction, the
    JSONL trace log, and the policy's train/decide/serialize cycle. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let features f = Dispatch.Features.of_flat (Cnf.Flat.of_formula f)
 
 let feature_index name =
   let idx = ref (-1) in
@@ -28,7 +28,7 @@ let test_feature_values () =
     { Cnf.Formula.num_vars = 4;
       clauses = [| [| 1; 2 |]; [| -1; -2 |]; [| 1; -2; 3 |] |] }
   in
-  let x = Dispatch.Features.of_formula f in
+  let x = features f in
   let at name = x.(feature_index name) in
   Alcotest.(check (float 1e-12)) "binary fraction" (2.0 /. 3.0)
     (at "frac_binary");
@@ -52,7 +52,7 @@ let test_feature_values () =
 let test_feature_determinism () =
   let f = Workloads.Satcomp.pigeonhole ~pigeons:5 ~holes:4 in
   check_bool "bitwise deterministic" true
-    (Dispatch.Features.of_formula f = Dispatch.Features.of_formula f)
+    (features f = features f)
 
 let random_formula rng =
   let nv = 1 + Aig.Rng.int rng 20 in
@@ -66,22 +66,9 @@ let random_formula rng =
   in
   { Cnf.Formula.num_vars = nv; clauses }
 
-let test_flat_formula_equivalence () =
-  (* The engine extracts features straight off the mmap CSR view; the
-     trainer and tests go through Formula.t.  The two paths must agree
-     bit-for-bit or trace labels drift from serving-time inputs. *)
-  let rng = Aig.Rng.create 77 in
-  for i = 1 to 300 do
-    let f = random_formula rng in
-    let from_formula = Dispatch.Features.of_formula f in
-    let from_flat = Dispatch.Features.of_flat (Cnf.Flat.of_formula f) in
-    if from_formula <> from_flat then
-      Alcotest.failf "feature mismatch on fuzz case %d" i
-  done
-
 let test_with_embedding () =
   let f = random_formula (Aig.Rng.create 5) in
-  let base = Dispatch.Features.of_formula f in
+  let base = features f in
   let emb = Array.init 7 (fun i -> float_of_int (i + 1)) in
   let x = Dispatch.Features.with_embedding base emb in
   check_bool "base untouched" true
@@ -307,7 +294,6 @@ let suite =
     ("feature layout", `Quick, test_feature_layout);
     ("feature values", `Quick, test_feature_values);
     ("feature determinism", `Quick, test_feature_determinism);
-    ("of_flat = of_formula (fuzz)", `Quick, test_flat_formula_equivalence);
     ("embedding slots", `Quick, test_with_embedding);
     ("trace line round-trip", `Quick, test_trace_line_roundtrip);
     ("trace malformed line", `Quick, test_trace_malformed_line);

@@ -437,6 +437,43 @@ let test_cuber_jobs1_deterministic () =
     r1.Portfolio.Cuber.stats.Sat.Solver.decisions
     r2.Portfolio.Cuber.stats.Sat.Solver.decisions
 
+(* Cube partitions recorded when [Sat.Solver.prober] still loaded
+   formulas through the solver's array-of-arrays loader: the lookahead
+   runs on the one CSR loader now and must split exactly as before. *)
+let test_cuber_partition_pinned () =
+  let cubes f =
+    match Portfolio.Cuber.split ~cubes:8 f with
+    | `Cubes cs ->
+      Array.to_list
+        (Array.map
+           (fun c ->
+             (Array.to_list c.Portfolio.Cuber.lits, c.Portfolio.Cuber.dead))
+           cs)
+    | `Sat _ | `Unsat -> Alcotest.fail "expected a cube partition"
+  in
+  let pinned = Alcotest.(list (pair (list int) bool)) in
+  Alcotest.check pinned "php(6,5) partition"
+    (List.concat_map
+       (fun a ->
+         List.concat_map
+           (fun b -> List.map (fun c -> ([ a; b; c ], false)) [ 3; -3 ])
+           [ 2; -2 ])
+       [ 1; -1 ])
+    (cubes (Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5));
+  Alcotest.check pinned "LEC miter partition"
+    [
+      ([ 34; 31 ], true);
+      ([ -34; 30 ], true);
+      ([ 34; -31; -15 ], true);
+      ([ -34; -30; 31 ], true);
+      ([ 34; -31; 15; 28 ], true);
+      ([ 34; -31; 15; -28 ], true);
+      ([ -34; -30; -31; -15 ], true);
+      ([ -34; -30; -31; 15; 28 ], true);
+      ([ -34; -30; -31; 15; -28 ], true);
+    ]
+    (cubes (Workloads.Suites.miter_cnf ~seed:5 ~num_ands:40))
+
 let test_cuber_first_sat_cancels_siblings () =
   (* An under-constrained satisfiable formula: at jobs = 1 the first
      live cube answers Sat, so every later cube must be observed
@@ -508,6 +545,8 @@ let suite =
        test_cuber_php_and_lec);
       ("cuber: jobs=1 is deterministic (bit-identical cubes)", `Quick,
        test_cuber_jobs1_deterministic);
+      ("cuber: cube partitions match the pinned splits", `Quick,
+       test_cuber_partition_pinned);
       ("cuber: first SAT cancels sibling cubes", `Quick,
        test_cuber_first_sat_cancels_siblings);
       ("cuber: a dying cube never yields UNSAT", `Quick,

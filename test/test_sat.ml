@@ -945,28 +945,49 @@ let suite =
 let stats_triple (s : Sat.Solver.stats) =
   (s.Sat.Solver.decisions, s.Sat.Solver.conflicts, s.Sat.Solver.propagations)
 
-let test_solve_flat_bit_identical () =
-  (* The flat prepare path must produce the same trajectory as the
-     array-of-arrays path: same result, same decision/conflict/
-     propagation counts, clause by clause. *)
+(* (decisions, conflicts, propagations) recorded when [solve] still had
+   its own array-of-arrays loader beside [solve_flat]'s CSR loader.
+   Both entry points now share one loader; these pins keep the search
+   trajectory bit-identical to the two-loader solver. *)
+let golden_trajectories () =
+  let instances = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
+  let suite name =
+    Eda4sat.Instance.direct_formula (List.assoc name instances)
+  in
+  let capped =
+    { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
+  in
+  [
+    ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6, Sat.Solver.no_limits,
+     `Unsat, (898, 727, 9459));
+    ("random 42", random_formula 42 12 50 4, Sat.Solver.no_limits,
+     `Unsat, (0, 0, 0));
+    ("empty clause",
+     Cnf.Formula.create ~num_vars:3 [ [| 1; -1 |]; [||]; [| 2 |] ],
+     Sat.Solver.no_limits, `Unsat, (0, 0, 0));
+    ("duplicate literals",
+     Cnf.Formula.create ~num_vars:2 [ [| 1; 1 |]; [| -1; 2; 2 |] ],
+     Sat.Solver.no_limits, `Sat, (0, 0, 2));
+    ("I5", suite "I5", capped, `Unsat, (5131, 3863, 1128224));
+    ("C8-php", suite "C8-php", capped, `Unknown, (25066, 20000, 279795));
+  ]
+
+let test_golden_trajectories () =
   List.iter
-    (fun f ->
-      let fl = Cnf.Flat.of_formula f in
-      let r1, s1 = Sat.Solver.solve f in
-      let r2, s2 = Sat.Solver.solve_flat fl in
-      (match (r1, r2) with
-       | Sat.Solver.Sat m1, Sat.Solver.Sat m2 ->
-         Alcotest.(check (array bool)) "same model" m1 m2
-       | Sat.Solver.Unsat, Sat.Solver.Unsat -> ()
-       | _ -> Alcotest.fail "flat/formula verdicts differ");
-      Alcotest.(check (triple int int int))
-        "same trajectory" (stats_triple s1) (stats_triple s2))
-    [
-      pigeonhole ~pigeons:7 ~holes:6;
-      random_formula 42 12 50 4;
-      Cnf.Formula.create ~num_vars:3 [ [| 1; -1 |]; [||]; [| 2 |] ];
-      Cnf.Formula.create ~num_vars:2 [ [| 1; 1 |]; [| -1; 2; 2 |] ];
-    ]
+    (fun (name, f, limits, verdict, triple) ->
+      let check entry (r, st) =
+        let label = Printf.sprintf "%s via %s" name entry in
+        (match (r, verdict) with
+         | Sat.Solver.Sat m, `Sat ->
+           check_bool (label ^ ": model") true (Cnf.Formula.eval f m)
+         | Sat.Solver.Unsat, `Unsat | Sat.Solver.Unknown, `Unknown -> ()
+         | _ -> Alcotest.failf "%s: unexpected verdict" label);
+        Alcotest.(check (triple int int int)) label triple (stats_triple st)
+      in
+      check "solve" (Sat.Solver.solve ~limits f);
+      check "solve_flat"
+        (Sat.Solver.solve_flat ~limits (Cnf.Flat.of_formula f)))
+    (golden_trajectories ())
 
 let test_snapshot_fires_and_seed_resumes () =
   let f = pigeonhole ~pigeons:7 ~holes:6 in
@@ -1101,7 +1122,8 @@ let test_interrupted_snapshot_resumes () =
 let suite =
   suite
   @ [
-      ("solve_flat is bit-identical", `Quick, test_solve_flat_bit_identical);
+      ("solve/solve_flat golden trajectory", `Quick,
+       test_golden_trajectories);
       ("snapshot fires, seed resumes", `Quick,
        test_snapshot_fires_and_seed_resumes);
       ("seeded UNSAT keeps DRAT checkable", `Quick,

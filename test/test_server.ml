@@ -5,6 +5,7 @@
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let flat = Cnf.Flat.of_formula
 
 let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
     ?(sessions = 64) ?session_ttl ?cube ?dispatch () =
@@ -34,7 +35,7 @@ let with_engine ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube
   Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () -> f e)
 
 let submit_ok e ?deadline ?priority f =
-  match Server.submit e ?deadline ?priority f with
+  match Server.submit e ?deadline ?priority (flat f) with
   | Ok t -> t
   | Error r -> Alcotest.failf "submit rejected: %s" r
 
@@ -66,12 +67,12 @@ let php n = Workloads.Satcomp.pigeonhole ~pigeons:n ~holes:(n - 1)
 let test_solve_basics () =
   with_engine (fun e ->
       let sat = Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -1; 3 |] ] in
-      (match Server.solve e sat with
+      (match Server.solve e (flat sat) with
        | Ok { Server.verdict = Server.Sat m; source = Server.Solved; _ } ->
          check_bool "model satisfies" true (Cnf.Formula.eval sat m)
        | Ok _ -> Alcotest.fail "expected a fresh SAT answer"
        | Error r -> Alcotest.failf "rejected: %s" r);
-      match Server.solve e (php 5) with
+      match Server.solve e (flat (php 5)) with
       | Ok { Server.verdict = Server.Unsat; _ } -> ()
       | Ok _ -> Alcotest.fail "php(5,4) must be UNSAT"
       | Error r -> Alcotest.failf "rejected: %s" r)
@@ -83,7 +84,7 @@ let test_cache_hit_bit_identical () =
           [ [| 1; 2 |]; [| -1; 3 |]; [| -3; 4 |]; [| 2; -4 |] ]
       in
       let cold =
-        match Server.solve e f with
+        match Server.solve e (flat f) with
         | Ok a -> a
         | Error r -> Alcotest.failf "cold solve rejected: %s" r
       in
@@ -99,7 +100,7 @@ let test_cache_hit_bit_identical () =
         Cnf.Formula.create ~num_vars:4
           [ [| 2; -4; 2 |]; [| 4; -3 |]; [| 2; 1 |]; [| 3; -1 |] ]
       in
-      match Server.solve e g with
+      match Server.solve e (flat g) with
       | Ok { Server.verdict = Server.Sat m; source = Server.Cache_hit; _ } ->
         Alcotest.(check (array bool)) "bit-identical model" m0 m;
         check_bool "valid for the renamed duplicate" true
@@ -141,7 +142,7 @@ let test_dedup_solves_once () =
 let test_deadline_timeout () =
   with_engine ~workers:1 (fun e ->
       let t0 = Unix.gettimeofday () in
-      match Server.solve e ~deadline:0.15 (php 11) with
+      match Server.solve e ~deadline:0.15 (flat (php 11)) with
       | Ok { Server.verdict = Server.Timeout; _ } ->
         let took = Unix.gettimeofday () -. t0 in
         check_bool
@@ -159,7 +160,7 @@ let test_queue_full_rejection () =
       Unix.sleepf 0.05;
       let _q1 = submit_ok e (php 12) in
       let _q2 = submit_ok e (php 13) in
-      (match Server.submit e (php 14) with
+      (match Server.submit e (flat (php 14)) with
        | Error reason ->
          check_bool "reason mentions the queue" true
            (String.length reason > 0)
@@ -173,12 +174,12 @@ let test_queue_full_rejection () =
 let test_shutdown_idempotent () =
   let e = Server.create ~config:(config ()) () in
   let f = Cnf.Formula.create ~num_vars:2 [ [| 1 |]; [| 2 |] ] in
-  (match Server.solve e f with
+  (match Server.solve e (flat f) with
    | Ok { Server.verdict = Server.Sat _; _ } -> ()
    | _ -> Alcotest.fail "simple solve failed");
   Server.shutdown e;
   Server.shutdown e;
-  match Server.submit e f with
+  match Server.submit e (flat f) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "submit accepted after shutdown"
 
@@ -199,7 +200,7 @@ let test_concurrent_fuzz () =
         for i = 0 to per_domain - 1 do
           let rng = Aig.Rng.create (1000 + ((d + i) mod 17)) in
           let f = random_formula rng in
-          match Server.solve e f with
+          match Server.solve e (flat f) with
           | Error r -> complain "domain %d case %d rejected: %s" d i r
           | Ok a -> (
             match a.Server.verdict with
@@ -448,10 +449,10 @@ let test_bad_deadline_rejected () =
         | Error r -> Alcotest.failf "expected bad-deadline, got %s" r
         | Ok _ -> Alcotest.fail "invalid deadline was accepted"
       in
-      (match Server.submit e ~deadline:Float.nan f with
+      (match Server.submit e ~deadline:Float.nan (flat f) with
        | Ok _ -> Alcotest.fail "NaN deadline was accepted"
        | Error r -> Alcotest.(check string) "NaN rejected" "bad-deadline" r);
-      (match Server.submit e ~deadline:(-0.5) f with
+      (match Server.submit e ~deadline:(-0.5) (flat f) with
        | Ok _ -> Alcotest.fail "negative deadline was accepted"
        | Error r ->
          Alcotest.(check string) "negative rejected" "bad-deadline" r);
@@ -466,7 +467,7 @@ let test_bad_deadline_rejected () =
       check_int "all four rejections counted" 4
         (Server.stats e).Server.Metrics.rejected;
       (* A generous but valid deadline still solves. *)
-      match Server.solve e ~deadline:5.0 f with
+      match Server.solve e ~deadline:5.0 (flat f) with
       | Ok { Server.verdict = Server.Sat _; _ } -> ()
       | _ -> Alcotest.fail "valid deadline must solve")
 
@@ -528,7 +529,7 @@ let test_session_fuzz () =
           let f = random_formula rng in
           let expected = brute_force_sat f in
           Atomic.incr oneshots;
-          (match Server.solve e f with
+          (match Server.solve e (flat f) with
            | Ok a -> (
              match a.Server.verdict with
              | Server.Sat m ->
@@ -623,7 +624,7 @@ let test_warm_resume_after_forget () =
   with_engine ~workers:1 (fun e ->
       let f = php 8 in
       let cold =
-        match Server.solve e f with
+        match Server.solve e (flat f) with
         | Ok a -> a
         | Error r -> Alcotest.failf "cold solve rejected: %s" r
       in
@@ -634,7 +635,7 @@ let test_warm_resume_after_forget () =
          miss the result cache and resume from the warm seed instead. *)
       Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
       let warm =
-        match Server.solve e f with
+        match Server.solve e (flat f) with
         | Ok a -> a
         | Error r -> Alcotest.failf "warm solve rejected: %s" r
       in
@@ -656,11 +657,11 @@ let test_warm_resume_after_forget () =
 let test_warm_disabled_when_zero () =
   with_engine ~warm:0 (fun e ->
       let f = php 7 in
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; _ } -> ()
        | _ -> Alcotest.fail "php(7,6) must be UNSAT");
       Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must be a fresh cold solve");
       let s = Server.stats e in
@@ -672,7 +673,7 @@ let test_warm_disabled_when_zero () =
 let test_warm_timeout_resume () =
   with_engine ~workers:1 (fun e ->
       let f = php 9 in
-      match Server.solve e ~deadline:0.02 f with
+      match Server.solve e ~deadline:0.02 (flat f) with
       | Error r -> Alcotest.failf "rejected: %s" r
       | Ok { Server.verdict = Server.Unsat; _ } ->
         (* The machine beat the tight deadline — nothing to resume. *)
@@ -681,7 +682,7 @@ let test_warm_timeout_resume () =
         (* A timeout never enters the verdict cache, but the
            interrupted run's snapshot does enter the warm cache: the
            resubmission resumes from it instead of restarting. *)
-        (match Server.solve e f with
+        (match Server.solve e (flat f) with
          | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } ->
            ()
          | Ok _ -> Alcotest.fail "resumed php(9,8) must refute"
@@ -699,34 +700,40 @@ let test_flat_bridges_verdict_cache () =
           [ [| 1; 2 |]; [| -1; 3 |]; [| -3; 4 |]; [| 2; -4 |] ]
       in
       let m0 =
-        match Server.solve e f with
+        match Server.solve e (flat f) with
         | Ok { Server.verdict = Server.Sat m; _ } -> m
         | _ -> Alcotest.fail "formula is satisfiable"
       in
-      (* The same clauses, shuffled and with a duplicate literal, as a
-         flat CSR store: the canonical fingerprint matches, so the
-         answer must come from the cache — both ingest paths share one
-         verdict space. *)
+      (* The same clauses, shuffled and with a duplicate literal: the
+         canonical fingerprint matches, so the answer must come from
+         the cache. *)
       let g =
-        Cnf.Flat.of_formula
+        flat
           (Cnf.Formula.create ~num_vars:4
              [ [| 2; -4; 2 |]; [| 4; -3 |]; [| 2; 1 |]; [| 3; -1 |] ])
       in
-      (match Server.solve_flat e g with
+      (match Server.solve e g with
        | Ok { Server.verdict = Server.Sat m; source = Server.Cache_hit; _ } ->
          Alcotest.(check (array bool)) "bit-identical model" m0 m
-       | Ok _ -> Alcotest.fail "expected a cache hit for the flat twin"
-       | Error r -> Alcotest.failf "flat submit rejected: %s" r);
-      (* And the other direction: a flat-first solve caches the answer
-         a later Formula submission picks up. *)
+       | Ok _ -> Alcotest.fail "expected a cache hit for the shuffled twin"
+       | Error r -> Alcotest.failf "twin submit rejected: %s" r);
+      (* A store parsed from a DIMACS file by the mmap reader and one
+         built in memory from a formula share one verdict space. *)
       let h = Cnf.Formula.create ~num_vars:2 [ [| 1 |]; [| -1; 2 |] ] in
-      (match Server.solve_flat e (Cnf.Flat.of_formula h) with
-       | Ok { Server.verdict = Server.Sat _; source = Server.Solved; _ } -> ()
-       | _ -> Alcotest.fail "flat solve should be fresh");
-      match Server.solve e h with
-      | Ok { Server.verdict = Server.Sat _; source = Server.Cache_hit; _ } ->
-        ()
-      | _ -> Alcotest.fail "formula twin should hit the flat-built cache")
+      let path = Filename.temp_file "eda4sat_bridge" ".cnf" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Cnf.Dimacs.write_file h path;
+          (match Server.solve e (Cnf.Dimacs.read_flat_file path) with
+           | Ok { Server.verdict = Server.Sat _; source = Server.Solved; _ } ->
+             ()
+           | _ -> Alcotest.fail "file solve should be fresh");
+          match Server.solve e (flat h) with
+          | Ok { Server.verdict = Server.Sat _; source = Server.Cache_hit; _ }
+            ->
+            ()
+          | _ -> Alcotest.fail "in-memory twin should hit the file's entry"))
 
 (* Two passes over a random batch with every verdict forgotten in
    between: the second pass runs on warm resumes, and the ledger still
@@ -790,7 +797,7 @@ let test_cube_escalation_refutes () =
          trips the hardness trigger and the job escalates to
          cube-and-conquer, which must still answer plain UNSAT. *)
       let f = php 8 in
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | Ok _ -> Alcotest.fail "cubed php(8,7) must answer fresh UNSAT"
        | Error r -> Alcotest.failf "rejected: %s" r);
@@ -800,7 +807,7 @@ let test_cube_escalation_refutes () =
       (* An easy formula answers inside the trigger slice and must not
          cube. *)
       let easy = Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -1; 3 |] ] in
-      (match Server.solve e easy with
+      (match Server.solve e (flat easy) with
        | Ok { Server.verdict = Server.Sat m; _ } ->
          check_bool "model satisfies" true (Cnf.Formula.eval easy m)
        | _ -> Alcotest.fail "easy formula must answer SAT");
@@ -810,7 +817,7 @@ let test_cube_escalation_refutes () =
          forgotten, the resubmission is a cold solve (which cubes
          again), never a warm resume of cube-local state. *)
       Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must re-solve fresh");
       let s = Server.stats e in
@@ -828,7 +835,7 @@ let test_cube_escalation_refutes () =
 let test_cube_partial_never_cached () =
   with_engine ~workers:1 ~cube:(cube_cc ~trigger:10 ()) (fun e ->
       let f = php 9 in
-      match Server.solve e ~deadline:0.02 f with
+      match Server.solve e ~deadline:0.02 (flat f) with
       | Error r -> Alcotest.failf "rejected: %s" r
       | Ok { Server.verdict = Server.Unsat; _ } ->
         (* The machine finished inside the deadline — the race this
@@ -845,7 +852,7 @@ let test_cube_partial_never_cached () =
            Alcotest.fail "partial cube conquest published UNSAT");
         (* Nothing may have entered the verdict cache: the resubmission
            solves fresh and gets the real answer. *)
-        (match Server.solve e f with
+        (match Server.solve e (flat f) with
          | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } ->
            ()
          | Ok { Server.source = Server.Cache_hit; _ } ->
@@ -963,7 +970,7 @@ let test_dispatch_traceonly_is_static () =
   with_trace_file (fun path ->
       let rng = Aig.Rng.create 4242 in
       let formulas = php 6 :: List.init 12 (fun _ -> random_formula rng) in
-      let run_batch e = List.map (fun f -> Server.solve e f) formulas in
+      let run_batch e = List.map (fun f -> Server.solve e (flat f)) formulas in
       let plain = with_engine ~workers:1 run_batch in
       let tl = Dispatch.Tracelog.open_file path in
       let traced =
@@ -1015,7 +1022,9 @@ let test_dispatch_traceonly_is_static () =
 let test_dispatch_legs_reconcile () =
   let rng = Aig.Rng.create 999 in
   let formulas = php 5 :: List.init 10 (fun _ -> random_formula rng) in
-  let features = List.map Dispatch.Features.of_formula formulas in
+  let features =
+    List.map (fun f -> Dispatch.Features.of_flat (flat f)) formulas
+  in
   let run ~lanes ~simplify check_leg =
     let p = forced_policy ~features ~lanes ~simplify ~cube:0 () in
     with_engine ~workers:2
@@ -1073,12 +1082,12 @@ let test_dispatch_legs_reconcile () =
    static cube config is off. *)
 let test_dispatch_decided_cube () =
   let f = php 8 in
-  let features = [ Dispatch.Features.of_formula f ] in
+  let features = [ Dispatch.Features.of_flat (flat f) ] in
   let p = forced_policy ~features ~lanes:1 ~simplify:false ~cube:2000 () in
   with_engine ~workers:1
     ~dispatch:{ Server.policy = Some p; trace = None; admission = false }
     (fun e ->
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; _ } -> ()
        | Ok _ -> Alcotest.fail "php(8,7) must refute"
        | Error r -> Alcotest.failf "rejected: %s" r);
@@ -1096,9 +1105,9 @@ let test_dispatch_admission () =
      must regress far past a 50 ms deadline's 4x margin (200 ms). *)
   let rng = Aig.Rng.create 31337 in
   let features =
-    Dispatch.Features.of_formula f
+    Dispatch.Features.of_flat (flat f)
     :: List.init 15 (fun _ ->
-           Dispatch.Features.of_formula (random_formula rng))
+           Dispatch.Features.of_flat (flat (random_formula rng)))
   in
   let p =
     forced_policy ~epochs:800 ~lr:0.02 ~hard:1e9 ~features ~lanes:1
@@ -1112,12 +1121,12 @@ let test_dispatch_admission () =
   with_engine ~workers:1
     ~dispatch:{ Server.policy = Some p; trace = None; admission = true }
     (fun e ->
-      (match Server.submit e ~deadline:0.05 f with
+      (match Server.submit e ~deadline:0.05 (flat f) with
        | Error "predicted-timeout" -> ()
        | Error r -> Alcotest.failf "wrong rejection: %s" r
        | Ok _ -> Alcotest.fail "hopeless deadlined job must be refused");
       (* No deadline: admitted and solved despite the grim prediction. *)
-      (match Server.solve e f with
+      (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; _ } -> ()
        | _ -> Alcotest.fail "php(5,4) must still refute without deadline");
       let s = Server.stats e in
@@ -1139,7 +1148,7 @@ let test_dispatch_admission () =
     ~dispatch:
       { Server.policy = Some fresh; trace = None; admission = true }
     (fun e ->
-      match Server.solve e ~deadline:0.001 f with
+      match Server.solve e ~deadline:0.001 (flat f) with
       | Ok _ -> ()
       | Error r -> Alcotest.failf "untrained policy rejected: %s" r)
 
