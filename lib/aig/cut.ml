@@ -2,37 +2,45 @@ type cut = { leaves : int array; tt : int64 }
 
 let trivial n = { leaves = [| n |]; tt = 2L (* f = x0 *) }
 
-let cut_tt c =
-  let k = Array.length c.leaves in
-  let t = ref (Tt.create_const k false) in
-  for m = 0 to (1 lsl k) - 1 do
-    if Int64.logand (Int64.shift_right_logical c.tt m) 1L = 1L then
-      t := Tt.set_bit !t m true
-  done;
-  !t
+let cut_tt c = Tt.of_int64 (Array.length c.leaves) c.tt
+
+(* Masks exchanging variables j and j + 1 within one word: the kept
+   bits, the bits moving up and the bits moving down by 2^j. *)
+let swap_masks =
+  [|
+    (0x9999999999999999L, 0x2222222222222222L, 0x4444444444444444L);
+    (0xC3C3C3C3C3C3C3C3L, 0x0C0C0C0C0C0C0C0CL, 0x3030303030303030L);
+    (0xF00FF00FF00FF00FL, 0x00F000F000F000F0L, 0x0F000F000F000F00L);
+    (0xFF0000FFFF0000FFL, 0x0000FF000000FF00L, 0x00FF000000FF0000L);
+    (0xFFFF00000000FFFFL, 0x00000000FFFF0000L, 0x0000FFFF00000000L);
+  |]
+
+let swap_adjacent t j =
+  let keep, up, down = swap_masks.(j) in
+  let s = 1 lsl j in
+  Int64.logor (Int64.logand t keep)
+    (Int64.logor
+       (Int64.shift_left (Int64.logand t up) s)
+       (Int64.shift_right_logical (Int64.logand t down) s))
 
 let expand_tt tt leaves union =
-  let k = Array.length union in
-  (* Position of each leaf variable within the union. *)
-  let pos =
-    Array.map
-      (fun leaf ->
-        let rec find i =
-          if union.(i) = leaf then i else find (i + 1)
-        in
-        find 0)
-      leaves
-  in
-  let r = ref 0L in
-  for m = 0 to (1 lsl k) - 1 do
-    let child_m = ref 0 in
-    Array.iteri
-      (fun i p -> if m land (1 lsl p) <> 0 then child_m := !child_m lor (1 lsl i))
-      pos;
-    if Int64.logand (Int64.shift_right_logical tt !child_m) 1L = 1L then
-      r := Int64.logor !r (Int64.shift_left 1L m)
+  let l = Array.length leaves and k = Array.length union in
+  (* Make the table independent of variables l..k-1, then move each
+     leaf's variable, highest first, up to its position in the union
+     through the don't-care variables above it. *)
+  let t = ref (Int64.logand tt (Tt.word_mask l)) in
+  for v = l to k - 1 do
+    t := Int64.logor !t (Int64.shift_left !t (1 lsl v))
   done;
-  !r
+  let p = ref (k - 1) in
+  for i = l - 1 downto 0 do
+    while union.(!p) <> leaves.(i) do decr p done;
+    for j = i to !p - 1 do
+      t := swap_adjacent !t j
+    done;
+    decr p
+  done;
+  !t
 
 let union_sorted a b k =
   let la = Array.length a and lb = Array.length b in
@@ -55,8 +63,6 @@ let union_sorted a b k =
   in
   loop 0 0 0
 
-let full_mask k = Int64.sub (Int64.shift_left 1L (1 lsl k)) 1L
-
 let merge ~k ca ca_compl cb cb_compl =
   match union_sorted ca.leaves cb.leaves k with
   | None -> None
@@ -64,8 +70,8 @@ let merge ~k ca ca_compl cb cb_compl =
     let kk = Array.length union in
     let ta = expand_tt ca.tt ca.leaves union in
     let tb = expand_tt cb.tt cb.leaves union in
-    let ta = if ca_compl then Int64.logxor ta (full_mask kk) else ta in
-    let tb = if cb_compl then Int64.logxor tb (full_mask kk) else tb in
+    let ta = if ca_compl then Int64.logxor ta (Tt.word_mask kk) else ta in
+    let tb = if cb_compl then Int64.logxor tb (Tt.word_mask kk) else tb in
     Some { leaves = union; tt = Int64.logand ta tb }
 
 let dominates a b =

@@ -17,3 +17,24 @@ val tt_to_aig : Graph.t -> leaves:Graph.lit array -> Tt.t -> Graph.lit
     fewer literals, complementing the root in the latter case; for up
     to 3 variables the exact minimal tree from {!Exact} is used
     instead.  The truth table arity must equal [Array.length leaves]. *)
+
+(** {1 Record and replay}
+
+    [tt_to_aig]'s control flow depends only on the truth table, so the
+    AND structure it builds for a function can be recorded once, on
+    fresh PIs, and replayed onto any leaves through {!Graph.and_}.
+    Replay folds constant, duplicate and complementary leaves and hits
+    the structural hash exactly as a direct build would: it returns the
+    same literal and creates the same nodes in the same order. *)
+
+type cache
+(** Recorded structures keyed by truth table (arity included).  Not
+    thread-safe: a synthesis pass owns one for its own duration. *)
+
+val create_cache : unit -> cache
+
+val tt_to_aig_cached :
+  cache -> Graph.t -> leaves:Graph.lit array -> Tt.t -> Graph.lit
+(** Same result and side effects on the graph as {!tt_to_aig}; the
+    structure for [f] is derived on its first use in [cache] and
+    replayed afterwards. *)

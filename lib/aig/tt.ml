@@ -148,10 +148,13 @@ let swap_adjacent t i =
   in
   permute t perm
 
+let of_int64 n bits =
+  if n < 0 || n > 6 then invalid_arg "Tt.of_int64: arity out of range";
+  { n; w = [| Int64.logand bits (word_mask n) |] }
+
 let of_int n bits =
   if n > 6 then invalid_arg "Tt.of_int: arity above 6";
-  let w = Int64.logand (Int64.of_int bits) (word_mask n) in
-  { n; w = [| w |] }
+  of_int64 n (Int64.of_int bits)
 
 let to_int t =
   if t.n > 6 then invalid_arg "Tt.to_int: arity above 6";

@@ -55,6 +55,15 @@ val flip : t -> int -> t
 val swap_adjacent : t -> int -> t
 (** [swap_adjacent t i] exchanges variables [i] and [i+1]. *)
 
+val word_mask : int -> int64
+(** [word_mask n] has the low [2^n] bits set for [n < 6] and all 64 bits
+    for [n >= 6]: the minterms of an [n]-variable table within one
+    word. *)
+
+val of_int64 : int -> int64 -> t
+(** [of_int64 n bits] builds an [n]-variable table (n <= 6) from the
+    low [2^n] bits of [bits]; at [n = 6] every bit counts. *)
+
 val of_int : int -> int -> t
 (** [of_int n bits] builds an [n]-variable table (n <= 6) from the low
     [2^n] bits of [bits]. *)

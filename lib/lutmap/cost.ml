@@ -35,7 +35,7 @@ let branching f =
   else branching_raw f
 
 let branching_of_int64 ~nvars bits =
-  branching (Aig.Cut.cut_tt { Aig.Cut.leaves = Array.make nvars 0; tt = bits })
+  branching (Aig.Tt.of_int64 nvars bits)
 
 let table_for_arity n =
   if n > 4 then invalid_arg "Cost.table_for_arity: arity above 4";

@@ -80,6 +80,7 @@ let cone_tt g id leaves =
 let run ?(max_leaves = 10) ?(max_cone = 60) g =
   if max_leaves > 16 then invalid_arg "Refactor.run: max_leaves above 16";
   let refs = Aig.Graph.ref_counts g in
+  let tapes = Aig.Factor.create_cache () in
   let reachable = Array.make (Aig.Graph.num_nodes g) false in
   let rec visit id =
     if not reachable.(id) then begin
@@ -124,11 +125,13 @@ let run ?(max_leaves = 10) ?(max_cone = 60) g =
                     let tt = cone_tt g id leaves in
                     let mapped = Array.map (fun n -> map.(n)) leaves in
                     let m = Aig.Graph.mark g' in
-                    let _cand = Aig.Factor.tt_to_aig g' ~leaves:mapped tt in
+                    let build () =
+                      Aig.Factor.tt_to_aig_cached tapes g' ~leaves:mapped tt
+                    in
+                    let _cand = build () in
                     let added = Aig.Graph.nodes_since g' m in
                     Aig.Graph.rollback g' m;
-                    if added < saved then
-                      Aig.Factor.tt_to_aig g' ~leaves:mapped tt
+                    if added < saved then build ()
                     else default ()
                   end
                 end

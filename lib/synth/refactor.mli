@@ -7,7 +7,9 @@
     and re-synthesizes it as an ISOP-factored form, accepting the
     replacement when it costs fewer nodes than the fanout-free cone it
     frees.  Catches restructurings across wider windows than the
-    rewriter can see. *)
+    rewriter can see.  Like {!Rewrite}, a pass records each cone
+    function's factored form once and replays it for the tentative and
+    the final build. *)
 
 val run :
   ?max_leaves:int -> ?max_cone:int -> Aig.Graph.t -> Aig.Graph.t

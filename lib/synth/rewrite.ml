@@ -9,6 +9,7 @@
 
 let run ?(k = 4) ?(cut_limit = 8) ?(use_mffc = true) g =
   let sets = Aig.Cut.enumerate g ~k ~limit:cut_limit in
+  let tapes = Aig.Factor.create_cache () in
   let refs = Aig.Graph.ref_counts g in
   let reachable = Array.make (Aig.Graph.num_nodes g) false in
   let rec visit id =
@@ -63,7 +64,7 @@ let run ?(k = 4) ?(cut_limit = 8) ?(use_mffc = true) g =
                   let leaves = Array.map (fun n -> map.(n)) c.Aig.Cut.leaves in
                   let tt = Aig.Cut.cut_tt c in
                   let m = Aig.Graph.mark g' in
-                  let _lit = Aig.Factor.tt_to_aig g' ~leaves tt in
+                  let _lit = Aig.Factor.tt_to_aig_cached tapes g' ~leaves tt in
                   let added = Aig.Graph.nodes_since g' m in
                   Aig.Graph.rollback g' m;
                   let gain = saved - added in
@@ -77,7 +78,8 @@ let run ?(k = 4) ?(cut_limit = 8) ?(use_mffc = true) g =
                 | None -> default ()
                 | Some c ->
                   let leaves = Array.map (fun n -> map.(n)) c.Aig.Cut.leaves in
-                  Aig.Factor.tt_to_aig g' ~leaves (Aig.Cut.cut_tt c)
+                  Aig.Factor.tt_to_aig_cached tapes g' ~leaves
+                    (Aig.Cut.cut_tt c)
               in
               map.(id) <- lit
             end);

@@ -514,11 +514,11 @@ let suite =
 (* ------------------------------------------------------------------ *)
 (* Additional structural properties *)
 
-let random_graph_for_props seed =
+let random_graph_for_props ?(num_pis = 5) ?(num_ands = 25) seed =
   let rng = Aig.Rng.create seed in
-  let g = Aig.Graph.create ~num_pis:5 in
-  let lits = ref (Array.to_list (Array.init 5 (Aig.Graph.pi g))) in
-  for _ = 1 to 25 do
+  let g = Aig.Graph.create ~num_pis in
+  let lits = ref (Array.to_list (Array.init num_pis (Aig.Graph.pi g))) in
+  for _ = 1 to num_ands do
     let arr = Array.of_list !lits in
     let pick () =
       Aig.Graph.lit_not_cond
@@ -717,3 +717,139 @@ let test_dot_export () =
   check_bool "output node" true (contains "o0")
 
 let suite = suite @ [ ("dot export", `Quick, test_dot_export) ]
+
+(* ------------------------------------------------------------------ *)
+(* Cut functions at every width, and factored-form record/replay *)
+
+(* Function of node [id] over [leaves], evaluated through its cone. *)
+let cone_tt g id leaves =
+  let k = Array.length leaves in
+  let memo = Hashtbl.create 16 in
+  Hashtbl.replace memo 0 (Aig.Tt.create_const k false);
+  Array.iteri (fun i leaf -> Hashtbl.replace memo leaf (Aig.Tt.var k i)) leaves;
+  let rec eval n =
+    match Hashtbl.find_opt memo n with
+    | Some t -> t
+    | None ->
+      let value l =
+        let t = eval (Aig.Graph.node_of_lit l) in
+        if Aig.Graph.is_compl l then Aig.Tt.not_ t else t
+      in
+      let t =
+        Aig.Tt.and_ (value (Aig.Graph.fanin0 g n)) (value (Aig.Graph.fanin1 g n))
+      in
+      Hashtbl.replace memo n t;
+      t
+  in
+  eval id
+
+let test_cut_tt_every_width () =
+  (* Six-leaf cuts once lost the complement of their fanins: the
+     all-ones mask over 64 minterms was computed as 1 lsl 64 - 1. *)
+  let six_leaf = ref 0 in
+  for seed = 1 to 40 do
+    let g = random_graph_for_props ~num_pis:8 ~num_ands:60 seed in
+    for k = 2 to 6 do
+      let sets = Aig.Cut.enumerate g ~k ~limit:8 in
+      Aig.Graph.iter_ands g (fun id ->
+          List.iter
+            (fun c ->
+              let leaves = c.Aig.Cut.leaves in
+              if Array.length leaves = 6 then incr six_leaf;
+              if not (Aig.Tt.equal (Aig.Cut.cut_tt c) (cone_tt g id leaves))
+              then
+                Alcotest.failf "seed %d k=%d node %d: %d-leaf cut tt %s" seed
+                  k id (Array.length leaves)
+                  (Aig.Tt.to_hex (Aig.Cut.cut_tt c)))
+            (Aig.Cut.cuts sets id))
+    done
+  done;
+  check_bool "six-leaf cuts checked" true (!six_leaf > 0)
+
+let test_cut_expand_tt_vs_tt_expand () =
+  (* Every leaf subset of a union of up to six, against the generic
+     truth-table expansion. *)
+  let rng = Aig.Rng.create 11 in
+  for k = 1 to 6 do
+    let union = Array.init k (fun i -> 10 + (3 * i)) in
+    for subset = 1 to (1 lsl k) - 1 do
+      let pos =
+        List.filter (fun i -> subset land (1 lsl i) <> 0) (List.init k Fun.id)
+        |> Array.of_list
+      in
+      let leaves = Array.map (fun i -> union.(i)) pos in
+      let l = Array.length leaves in
+      for _ = 1 to 20 do
+        let chunk shift =
+          Int64.shift_left (Int64.of_int (Aig.Rng.int rng (1 lsl 30))) shift
+        in
+        let bits = Int64.logor (chunk 0) (Int64.logor (chunk 30) (chunk 60)) in
+        let expected = Aig.Tt.expand (Aig.Tt.of_int64 l bits) k pos in
+        let raw = Aig.Cut.expand_tt bits leaves union in
+        let got = Aig.Tt.of_int64 k raw in
+        if raw <> Int64.logand raw (Aig.Tt.word_mask k)
+           || not (Aig.Tt.equal expected got)
+        then
+          Alcotest.failf "k=%d subset %x bits %Lx: %s vs %s" k subset bits
+            (Aig.Tt.to_hex expected) (Aig.Tt.to_hex got)
+      done
+    done
+  done
+
+let test_factor_replay_matches_direct () =
+  (* Leaves come from a host graph that already holds structure, and
+     may coincide, be complements of each other or be constants: replay
+     must fold and share exactly as a direct build does. *)
+  let host = random_graph_for_props ~num_pis:6 ~num_ands:30 7 in
+  let pool =
+    Array.init (2 * Aig.Graph.num_nodes host - 2) (fun i -> i + 2)
+  in
+  let rng = Aig.Rng.create 2024 in
+  let random_leaves k =
+    let leaves = Array.make k Aig.Graph.const_false in
+    for i = 0 to k - 1 do
+      leaves.(i) <-
+        (match Aig.Rng.int rng 8 with
+         | 0 -> Aig.Graph.lit_not_cond Aig.Graph.const_false (Aig.Rng.bool rng)
+         | 1 when i > 0 -> leaves.(Aig.Rng.int rng i)
+         | 2 when i > 0 -> Aig.Graph.lit_not leaves.(Aig.Rng.int rng i)
+         | _ -> pool.(Aig.Rng.int rng (Array.length pool)))
+    done;
+    leaves
+  in
+  let cache = Aig.Factor.create_cache () in
+  let check_one f leaves =
+    let direct = Aig.Graph.copy host and replayed = Aig.Graph.copy host in
+    let l_direct = Aig.Factor.tt_to_aig direct ~leaves f in
+    let l_replayed = Aig.Factor.tt_to_aig_cached cache replayed ~leaves f in
+    if l_direct <> l_replayed
+       || not (Aig.Graph.equal_structure direct replayed)
+    then
+      Alcotest.failf "%a on leaves [%s]: literal %d vs %d, %d vs %d nodes"
+        Aig.Tt.pp f
+        (String.concat "; " (Array.to_list (Array.map string_of_int leaves)))
+        l_direct l_replayed
+        (Aig.Graph.num_nodes direct)
+        (Aig.Graph.num_nodes replayed)
+  in
+  for bits = 0 to 255 do
+    let f = Aig.Tt.of_int 3 bits in
+    check_one f (Array.init 3 (Aig.Graph.pi host));
+    for _ = 1 to 8 do
+      check_one f (random_leaves 3)
+    done
+  done;
+  for _ = 1 to 4096 do
+    let f = Aig.Tt.of_int 4 (Aig.Rng.int rng 65536) in
+    check_one f (random_leaves 4);
+    check_one f (random_leaves 4)
+  done
+
+let suite =
+  suite
+  @ [
+      ("cut tt at every width", `Quick, test_cut_tt_every_width);
+      ("cut expand_tt vs Tt.expand", `Quick, test_cut_expand_tt_vs_tt_expand);
+      ("factor replay matches direct build", `Quick,
+       test_factor_replay_matches_direct);
+    ]

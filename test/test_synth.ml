@@ -359,3 +359,92 @@ let suite =
       ("resub no-op on irredundant tree", `Quick,
        test_resub_noop_on_irredundant);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Wide cuts and pinned structure *)
+
+let test_rewrite_k6_equivalent () =
+  for seed = 1 to 300 do
+    let g = random_graph ~seed ~num_pis:8 ~num_ands:60 in
+    (* Outputs on the last 16 ANDs expose more six-leaf cones. *)
+    let n = Aig.Graph.num_nodes g in
+    Aig.Graph.iter_ands g (fun id ->
+        if id >= n - 16 then
+          Aig.Graph.add_po g (Aig.Graph.lit_of_node id false));
+    if not (exhaustive_equal g (Synth.Rewrite.run ~k:6 g)) then
+      Alcotest.failf "seed %d: rewrite ~k:6 changed the function" seed
+  done
+
+(* AND count and a hash of every fanin and output literal. *)
+let structure_hash g =
+  let h = ref (Aig.Graph.num_pis g) in
+  let mix x = h := (!h * 1_000_003) lxor x in
+  Aig.Graph.iter_ands g (fun id ->
+      mix (Aig.Graph.fanin0 g id);
+      mix (Aig.Graph.fanin1 g id));
+  Array.iter mix (Aig.Graph.pos g);
+  (Aig.Graph.num_ands g, !h land 0x3FFF_FFFF_FFFF)
+
+let golden_passes =
+  [
+    ("rw3", fun g -> Synth.Rewrite.run ~k:3 g);
+    ("rw4", fun g -> Synth.Rewrite.run ~k:4 g);
+    ("rw5", fun g -> Synth.Rewrite.run ~k:5 g);
+    ("rf", fun g -> Synth.Refactor.run g);
+  ]
+
+(* Outputs of passes that built every candidate directly with
+   [Aig.Factor.tt_to_aig]; a pass whose output moves by one node fails. *)
+let golden_structures =
+  [
+    ("random 1 rw3", 78, 0x2e680b76ef1); ("random 1 rw4", 77, 0x565a7f2d386);
+    ("random 1 rw5", 77, 0x565a7f2d386); ("random 1 rf", 79, 0x2749aaf11dd);
+    ("random 2 rw3", 22, 0x3178069b8233); ("random 2 rw4", 22, 0x3178069b8233);
+    ("random 2 rw5", 22, 0x3178069b8233); ("random 2 rf", 25, 0x2a23c977912d);
+    ("random 3 rw3", 30, 0x88a063491ec); ("random 3 rw4", 30, 0x88a063491ec);
+    ("random 3 rw5", 30, 0x88a063491ec); ("random 3 rf", 37, 0x230bd44a8a17);
+    ("random 4 rw3", 61, 0x20eb278a48f7); ("random 4 rw4", 52, 0x31e6a85a7d49);
+    ("random 4 rw5", 52, 0x31e6a85a7d49); ("random 4 rf", 64, 0xe0c07ae9e43);
+    ("random 5 rw3", 98, 0x316616764e46); ("random 5 rw4", 97, 0x137bfcce30cb);
+    ("random 5 rw5", 89, 0x371fac5a77c); ("random 5 rf", 92, 0x323577b3d73c);
+    ("random 6 rw3", 46, 0x2edabfee99a0); ("random 6 rw4", 46, 0x2edabfee99a0);
+    ("random 6 rw5", 46, 0x2edabfee99a0); ("random 6 rf", 47, 0x28ce8b36c195);
+    ("I1 rw3", 1261, 0x2cf8da79961b); ("I1 rw4", 1238, 0x2693737055a6);
+    ("I1 rw5", 1238, 0x2693737055a6); ("I1 rf", 1354, 0x1abb827686ea);
+    ("C8 rw3", 877, 0x25b51e6e0875); ("C8 rw4", 877, 0x25b51e6e0875);
+    ("C8 rw5", 877, 0x25b51e6e0875); ("C8 rf", 857, 0x1527c7b5a57);
+  ]
+
+let test_golden_structure () =
+  let check_graph name g =
+    List.iter
+      (fun (pass, run) ->
+        let key = name ^ " " ^ pass in
+        let _, ands, hash =
+          List.find (fun (k, _, _) -> k = key) golden_structures
+        in
+        let ands', hash' = structure_hash (run g) in
+        check (key ^ " ands") ands ands';
+        check (key ^ " hash") hash hash')
+      golden_passes
+  in
+  for seed = 1 to 6 do
+    check_graph
+      (Printf.sprintf "random %d" seed)
+      (random_graph ~seed ~num_pis:16 ~num_ands:600)
+  done;
+  let suite = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
+  List.iter
+    (fun name ->
+      let _, inst =
+        List.find (fun (n, _) -> String.sub n 0 2 = name) suite
+      in
+      check_graph name (Synth.Balance.run (Eda4sat.Instance.to_aig inst)))
+    [ "I1"; "C8" ]
+
+let suite =
+  suite
+  @ [
+      ("rewrite k=6 equivalent", `Quick, test_rewrite_k6_equivalent);
+      ("rewrite/refactor golden structure", `Quick, test_golden_structure);
+    ]
