@@ -1,8 +1,8 @@
-(* Cube-and-conquer harness.
+(* Cube-and-conquer: the [cube] suite.
 
-     dune exec bench/cube_bench.exe
-     dune exec bench/cube_bench.exe -- --jobs 4 --cubes 16
-     dune exec bench/cube_bench.exe -- --check BENCH_cube.json
+     dune exec bench/bench.exe -- cube
+     dune exec bench/bench.exe -- cube --jobs 4 --cubes 16
+     dune exec bench/bench.exe -- cube --check BENCH_cube.json
 
    Each hard UNSAT instance is solved twice on the same worker
    budget:
@@ -18,26 +18,9 @@
       the checkable sizes, so the reported speedup is for a {e
       certified} refutation.
 
-   Results go to BENCH_cube.json ([--json PATH] redirects);
-   [--check PATH] re-measures and exits 1 if a verdict flipped, the
-   stitched proof stopped checking, or the cube speedup collapsed
-   versus the committed figure — the CI soft gate. *)
-
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let jobs = arg_value "--jobs" int_of_string 4
-let cubes = arg_value "--cubes" int_of_string 16
-let probe_limit = arg_value "--probe-limit" int_of_string 32
-let timeout = arg_value "--timeout" float_of_string 120.0
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_cube.json"
-let limits = { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
+   A flipped verdict or a stitched proof that stops checking aborts
+   the run; the gate fails if cubing is slower than the race or the
+   speedup collapsed versus the committed figure. *)
 
 let php n = Workloads.Satcomp.pigeonhole ~pigeons:n ~holes:(n - 1)
 
@@ -46,24 +29,12 @@ let php n = Workloads.Satcomp.pigeonhole ~pigeons:n ~holes:(n - 1)
    reference checker, quadratic-ish in the clause count).  The larger
    rows still assert [proof_sealed] — the stream reached the empty
    clause — they just skip the replay. *)
-let suite =
+let instances () =
   [
     ("php(8,7)", php 8, true);
     ("php(9,8)", php 9, false);
     ("php(10,9)", php 10, false);
   ]
-
-let result_name = function
-  | Sat.Solver.Sat _ -> "SAT"
-  | Sat.Solver.Unsat -> "UNSAT"
-  | Sat.Solver.Unknown -> "UNKNOWN"
-
-let geomean = function
-  | [] -> 1.0
-  | xs ->
-    exp
-      (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
-      /. float_of_int (List.length xs))
 
 type row = {
   name : string;
@@ -74,7 +45,7 @@ type row = {
   proof_ok : bool option;  (* None: proof not replayed at this size *)
 }
 
-let run_suite () =
+let run_suite ~jobs ~cubes ~probe_limit ~limits instances =
   List.map
     (fun (name, f, check_proof) ->
       let race =
@@ -90,10 +61,10 @@ let run_suite () =
          cube answer; only two decisive, different verdicts are a bug. *)
       (match (cr.Portfolio.Cuber.result, race.Portfolio.Runner.result) with
        | Sat.Solver.Unknown, _ | _, Sat.Solver.Unknown -> ()
-       | a, b when result_name a <> result_name b ->
+       | a, b when Harness.result_name a <> Harness.result_name b ->
          failwith
            (Printf.sprintf "%s: cube verdict %s != race %s" name
-              (result_name a) (result_name b))
+              (Harness.result_name a) (Harness.result_name b))
        | _ -> ());
       (match cr.Portfolio.Cuber.result with
        | Sat.Solver.Unsat when not cr.Portfolio.Cuber.proof_sealed ->
@@ -109,43 +80,31 @@ let run_suite () =
        | _ -> ());
       {
         name;
-        verdict = result_name cr.Portfolio.Cuber.result;
+        verdict = Harness.result_name cr.Portfolio.Cuber.result;
         race_s = race.Portfolio.Runner.wall;
         cube_s = cr.Portfolio.Cuber.wall;
         steals = cr.Portfolio.Cuber.steals;
         proof_ok;
       })
-    suite
+    instances
 
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
+let run () =
+  let jobs = Harness.arg "--jobs" int_of_string 4 in
+  let cubes = Harness.arg "--cubes" int_of_string 16 in
+  let probe_limit = Harness.arg "--probe-limit" int_of_string 32 in
+  let timeout = Harness.arg "--timeout" float_of_string 120.0 in
+  let limits =
+    { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
   in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
-
-let () =
+  let instances = instances () in
   Printf.printf "cube bench: %d instances, jobs=%d cubes=%d probe-limit=%d\n%!"
-    (List.length suite) jobs cubes probe_limit;
-  let rows = run_suite () in
+    (List.length instances) jobs cubes probe_limit;
+  let rows = run_suite ~jobs ~cubes ~probe_limit ~limits instances in
   let eps = 1e-6 in
   let speedups =
     List.map (fun r -> max eps r.race_s /. max eps r.cube_s) rows
   in
-  let cube_speedup = geomean speedups in
+  let cube_speedup = Harness.geomean speedups in
   List.iter2
     (fun r su ->
       Printf.printf "  %-11s %-6s race=%.3fs cube=%.3fs steals=%d %s %.2fx\n"
@@ -158,57 +117,47 @@ let () =
     rows speedups;
   Printf.printf "cube speedup vs portfolio race (geomean): %.2fx\n%!"
     cube_speedup;
-  match check_path with
-  | None ->
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"jobs\": %d,\n\
-      \  \"cubes\": %d,\n\
-      \  \"probe_limit\": %d,\n\
-      \  \"cube_speedup_geomean\": %.2f,\n\
-      \  \"per_instance\": [\n%s\n  ]\n\
-       }\n"
-      jobs cubes probe_limit cube_speedup
-      (String.concat ",\n"
-         (List.map2
-            (fun r su ->
-              Printf.sprintf
-                "    {\"name\": \"%s\", \"verdict\": \"%s\", \
-                 \"race_seconds\": %.4f, \"cube_seconds\": %.4f, \
-                 \"steals\": %d, \"proof_checked\": %s, \"speedup\": %.2f}"
-                r.name r.verdict r.race_s r.cube_s r.steals
-                (match r.proof_ok with
-                 | Some true -> "true"
-                 | Some false -> "false"
-                 | None -> "null")
-                su)
-            rows speedups))
-    ;
-    close_out oc;
-    print_endline ("wrote " ^ json_path)
-  | Some path ->
-    let ic = open_in path in
-    let json = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let base =
-      match json_number json "cube_speedup_geomean" with
-      | Some v -> v
-      | None -> failwith ("cube_speedup_geomean missing from " ^ path)
-    in
-    Printf.printf "committed: %.2fx cube\nfresh:     %.2fx cube\n%!" base
-      cube_speedup;
-    (* Wall ratios on shared CI machines swing; hold a floor (the cube
-       path must at least match the race it replaces) and guard
-       against collapse versus the committed figure. *)
-    if cube_speedup < 1.0 then begin
-      Printf.printf
-        "cube_bench check FAILED: cubing slower than the portfolio race\n";
-      exit 1
-    end
-    else if cube_speedup < base /. 3.0 then begin
-      Printf.printf
-        "cube_bench check FAILED: cube speedup collapsed vs committed\n";
-      exit 1
-    end
-    else Printf.printf "cube_bench check passed\n%!"
+  let open Harness in
+  Some
+    ( Obj
+        [
+          ("jobs", int jobs);
+          ("cubes", int cubes);
+          ("probe_limit", int probe_limit);
+          ("cube_speedup_geomean", fixed 2 cube_speedup);
+          ( "per_instance",
+            List
+              (List.map2
+                 (fun (r : row) su ->
+                   Obj
+                     [
+                       ("name", Str r.name);
+                       ("verdict", Str r.verdict);
+                       ("race_seconds", fixed 4 r.race_s);
+                       ("cube_seconds", fixed 4 r.cube_s);
+                       ("steals", int r.steals);
+                       ( "proof_checked",
+                         Raw
+                           (Option.fold ~none:"null" ~some:string_of_bool
+                              r.proof_ok) );
+                       ("speedup", fixed 2 su);
+                     ])
+                 rows speedups) );
+        ],
+      fun committed ->
+        (* Wall ratios on shared CI machines swing; hold a floor (the
+           cube path must at least match the race it replaces) and
+           guard against collapse versus the committed figure. *)
+        [
+          at_least "cube speedup vs 1x floor (the race)" cube_speedup 1.0;
+          at_least "cube speedup vs committed/3" cube_speedup
+            (committed [ "cube_speedup_geomean" ] /. 3.0);
+        ] )
+
+let suite =
+  {
+    Harness.name = "cube";
+    doc = "cube-and-conquer vs the portfolio race on hard php";
+    keys = [ [ "cube_speedup_geomean" ] ];
+    run;
+  }

@@ -1,9 +1,9 @@
-(* Learned-dispatch harness: does the policy picked per job beat the
-   static default on instances it never trained on?
+(* Learned dispatch, the [dispatch] suite: does the policy picked per
+   job beat the static default on instances it never trained on?
 
-     dune exec bench/dispatch_bench.exe
-     dune exec bench/dispatch_bench.exe -- --workers 4 --scale 0.5
-     dune exec bench/dispatch_bench.exe -- --check BENCH_dispatch.json
+     dune exec bench/bench.exe -- dispatch
+     dune exec bench/bench.exe -- dispatch --workers 4 --scale 0.5
+     dune exec bench/bench.exe -- dispatch --check BENCH_dispatch.json
 
    The php/LEC/random suite is twin pairs: each instance appears once
    canonically and once variable-permuted and clause-shuffled.  The
@@ -19,28 +19,10 @@
    routing pays for itself), together with the per-decision inference
    cost, which must stay far under the solve walls it arbitrates.
 
-   Results go to BENCH_dispatch.json ([--json PATH] redirects);
-   [--check PATH] re-measures and exits 1 if a verdict diverged, the
-   dispatch ledger stopped reconciling, inference crossed 1 ms, or the
-   geomean collapsed versus the committed figure — the CI soft gate. *)
-
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let workers = arg_value "--workers" int_of_string 2
-let scale = arg_value "--scale" float_of_string 1.0
-let timeout = arg_value "--timeout" float_of_string 60.0
-let epochs = arg_value "--epochs" int_of_string 2000
-let lr = arg_value "--lr" float_of_string 3e-3
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_dispatch.json"
-let dim n = max 4 (int_of_float (float_of_int n *. scale))
-let limits = { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
+   A diverged verdict or a dispatch ledger that stops reconciling
+   aborts the run; the gate fails if inference crossed 1 ms or the
+   geomean fell below its floor or collapsed versus the committed
+   figure. *)
 
 let php n = Workloads.Satcomp.pigeonhole ~pigeons:n ~holes:(n - 1)
 
@@ -79,7 +61,8 @@ let permute seed (f : Cnf.Formula.t) =
 (* Twin pairs, split even/odd: the permuted sibling trains, the
    canonical instance is held out.  Sub-millisecond families (parity,
    small php) are excluded — their walls are pure timing noise. *)
-let full_suite =
+let full_suite ~scale =
+  let dim = Harness.dim ~scale in
   let twins name seed f = [ (name ^ "-shuf", permute seed f); (name, f) ] in
   List.concat
     [
@@ -103,38 +86,16 @@ let split_halves l =
     (0, [], []) l
   |> fun (_, tr, ev) -> (List.rev tr, List.rev ev)
 
-let train_suite, eval_suite = split_halves full_suite
-
-let verdict_name = function
-  | Server.Sat _ -> "SAT"
-  | Server.Unsat -> "UNSAT"
-  | Server.Timeout -> "TIMEOUT"
-  | Server.Failed _ -> "FAILED"
-
-let ok = function
-  | Ok v -> v
-  | Error r -> failwith ("rejected: " ^ r)
-
-let geomean = function
-  | [] -> 1.0
-  | xs ->
-    exp
-      (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
-      /. float_of_int (List.length xs))
-
-let base_config =
+let base_config ~workers ~timeout =
   {
+    Server.default_config with
     Server.workers;
-    queue_capacity = 64;
     cache_capacity = 64;
     warm_capacity = 0;
-    mode = Server.Direct;
-    limits;
-    default_deadline = None;
+    limits =
+      { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout };
     session_capacity = 8;
     session_ttl = None;
-    cube = None;
-    dispatch = None;
   }
 
 let with_engine config f =
@@ -142,8 +103,8 @@ let with_engine config f =
   Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () -> f e)
 
 let solve_wall e f =
-  let a = ok (Server.solve e (Cnf.Flat.of_formula f)) in
-  (verdict_name a.Server.verdict, a.Server.solve_wall)
+  let a = Harness.ok (Server.solve e (Cnf.Flat.of_formula f)) in
+  (Harness.verdict_name a.Server.verdict, a.Server.solve_wall)
 
 (* Best of [reps] fresh solves (the verdict is dropped between runs;
    warm starts are off, so every run is cold): sub-10ms walls swing
@@ -154,7 +115,7 @@ let solve_best e f =
   let rec go i (v, best) =
     if i >= reps then (v, best)
     else begin
-      Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
+      Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f));
       let v', s = solve_wall e f in
       if v' <> v then failwith "verdict flipped between repetitions";
       go (i + 1) (v, min best s)
@@ -167,7 +128,7 @@ let solve_best e f =
    background burst) lands on both sides of every pair instead of on
    whichever engine happened to run second. *)
 let solve_pair e_static e_dispatch f =
-  let fp = Cnf.Fingerprint.of_formula f in
+  let fp = Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f) in
   let one e =
     Server.forget_verdict e fp;
     solve_wall e f
@@ -200,17 +161,17 @@ let solve_pair e_static e_dispatch f =
    With lanes > 1 and cube never traced, those heads fall back to
    their static defaults via the visited-class guard; the raced and
    cube legs are exercised by the server test suite instead. *)
-let static_routes trace =
+let static_routes base_config trace =
   let dispatch = Some { Server.policy = None; trace; admission = false } in
   [
-    ("direct", { base_config with dispatch });
+    ("direct", { base_config with Server.dispatch });
     ("simplify", { base_config with mode = Server.Simplify; dispatch });
   ]
 
 (* Every repetition lands in the trace — [reps] genuine completions
    per (route, instance), so the regression sees each route's wall
    spread instead of a single noisy sample. *)
-let generate_trace path =
+let generate_trace base_config train_suite path =
   let tl = Dispatch.Tracelog.open_file path in
   List.iter
     (fun (route, config) ->
@@ -220,7 +181,7 @@ let generate_trace path =
               let v, s = solve_best e f in
               Printf.printf "  trace %-9s %-17s %-7s %.3fs\n%!" route name v s)
             train_suite))
-    (static_routes (Some tl));
+    (static_routes base_config (Some tl));
   Dispatch.Tracelog.close tl;
   if Dispatch.Tracelog.dropped tl > 0 then failwith "trace dropped entries";
   Dispatch.Tracelog.entries_written tl
@@ -234,10 +195,10 @@ type row = {
   dispatch_s : float;
 }
 
-let run_eval policy =
+let run_eval base_config eval_suite policy =
   let dispatch_cfg =
     { base_config with
-      dispatch =
+      Server.dispatch =
         Some { Server.policy = Some policy; trace = None; admission = false }
     }
   in
@@ -254,7 +215,7 @@ let run_eval policy =
           in
           (rows, Server.stats e_dispatch)))
 
-let measure_inference policy =
+let measure_inference eval_suite policy =
   let feats =
     List.map
       (fun (_, f) -> Dispatch.Features.of_flat (Cnf.Flat.of_formula f))
@@ -274,141 +235,113 @@ let measure_inference policy =
   done;
   (!total /. float_of_int !n, !worst)
 
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
-
-let () =
+let run () =
+  let workers = Harness.arg "--workers" int_of_string 2 in
+  let scale = Harness.arg "--scale" float_of_string 1.0 in
+  let timeout = Harness.arg "--timeout" float_of_string 60.0 in
+  let epochs = Harness.arg "--epochs" int_of_string 2000 in
+  let lr = Harness.arg "--lr" float_of_string 3e-3 in
+  let base_config = base_config ~workers ~timeout in
+  let train_suite, eval_suite = split_halves (full_suite ~scale) in
   Printf.printf
     "dispatch bench: %d train + %d eval instances, %d workers\n%!"
     (List.length train_suite) (List.length eval_suite) workers;
-  let trace_path = Filename.temp_file "dispatch_bench" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove trace_path with Sys_error _ -> ())
-    (fun () ->
-      let entries = generate_trace trace_path in
-      Printf.printf "traced %d completions; training policy...\n%!" entries;
-      let policy = Dispatch.Policy.create () in
-      let loss =
-        Dispatch.Policy.train ~epochs ~lr policy
-          (Dispatch.Tracelog.read_file trace_path)
+  let entries, policy, loss =
+    Harness.with_temp_dir "dispatch_bench" @@ fun dir ->
+    let trace_path = Filename.concat dir "trace.jsonl" in
+    let entries = generate_trace base_config train_suite trace_path in
+    Printf.printf "traced %d completions; training policy...\n%!" entries;
+    let policy = Dispatch.Policy.create () in
+    ( entries,
+      policy,
+      Dispatch.Policy.train ~epochs ~lr policy
+        (Dispatch.Tracelog.read_file trace_path) )
+  in
+  Printf.printf "trained %d epochs (final loss %.4f)\n%!" epochs loss;
+  List.iter
+    (fun (name, f) ->
+      let d =
+        Dispatch.Policy.decide policy
+          (Dispatch.Features.of_flat (Cnf.Flat.of_formula f))
       in
-      Printf.printf "trained %d epochs (final loss %.4f)\n%!" epochs loss;
-      List.iter
-        (fun (name, f) ->
-          let d =
-            Dispatch.Policy.decide policy
-              (Dispatch.Features.of_flat (Cnf.Flat.of_formula f))
-          in
-          Printf.printf
-            "  decide %-13s lanes=%d simplify=%b cube=%s predicted=%.1fms\n%!"
-            name d.Dispatch.Policy.lanes d.Dispatch.Policy.simplify
-            (match d.Dispatch.Policy.cube_trigger with
-            | None -> "off"
-            | Some c -> string_of_int c)
-            d.Dispatch.Policy.predicted_ms)
-        eval_suite;
-      let rows, stats = run_eval policy in
-      let eps = 1e-6 in
-      let ratios =
-        List.map (fun r -> max eps r.static_s /. max eps r.dispatch_s) rows
-      in
-      let ratio_geomean = geomean ratios in
-      List.iter2
-        (fun r ratio ->
-          Printf.printf "  %-13s %-7s static=%.4fs dispatch=%.4fs  %.2fx\n"
-            r.name r.verdict r.static_s r.dispatch_s ratio)
-        rows ratios;
-      Printf.printf "dispatch vs static (geomean): %.2fx\n%!" ratio_geomean;
-      let infer_mean_ms, infer_max_ms = measure_inference policy in
-      Printf.printf "inference: mean %.4f ms, max %.4f ms per decision\n%!"
-        infer_mean_ms infer_max_ms;
-      (* The ledger must reconcile on the dispatch engine: one decision
-         per eval submit, each on exactly one leg. *)
-      let open Server.Metrics in
-      if
-        stats.dispatch_decided
-        <> stats.dispatch_direct + stats.dispatch_simplify
-           + stats.dispatch_raced + stats.dispatch_rejected
-        || stats.dispatch_decided <> reps * List.length eval_suite
-      then failwith "dispatch ledger does not reconcile";
-      match check_path with
-      | None ->
-        let oc = open_out json_path in
-        Printf.fprintf oc
-          "{\n\
-          \  \"workers\": %d,\n\
-          \  \"train_instances\": %d,\n\
-          \  \"eval_instances\": %d,\n\
-          \  \"trace_entries\": %d,\n\
-          \  \"train_loss\": %.4f,\n\
-          \  \"dispatch_speedup_geomean\": %.2f,\n\
-          \  \"infer_mean_ms\": %.4f,\n\
-          \  \"infer_max_ms\": %.4f,\n\
-          \  \"per_instance\": [\n%s\n  ],\n\
-          \  \"final_stats\": %s\n\
-           }\n"
-          workers (List.length train_suite) (List.length eval_suite) entries
-          loss ratio_geomean infer_mean_ms infer_max_ms
-          (String.concat ",\n"
-             (List.map2
-                (fun r ratio ->
-                  Printf.sprintf
-                    "    {\"name\": \"%s\", \"verdict\": \"%s\", \
-                     \"static_seconds\": %.4f, \"dispatch_seconds\": %.4f, \
-                     \"speedup\": %.2f}"
-                    r.name r.verdict r.static_s r.dispatch_s ratio)
-                rows ratios))
-          (Server.Metrics.to_json stats);
-        close_out oc;
-        print_endline ("wrote " ^ json_path)
-      | Some path ->
-        let ic = open_in path in
-        let json = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let committed key =
-          match json_number json key with
-          | Some v -> v
-          | None -> failwith (key ^ " missing from " ^ path)
-        in
-        let base_ratio = committed "dispatch_speedup_geomean" in
-        Printf.printf "committed: %.2fx geomean\nfresh:     %.2fx geomean\n%!"
-          base_ratio ratio_geomean;
+      Printf.printf
+        "  decide %-13s lanes=%d simplify=%b cube=%s predicted=%.1fms\n%!"
+        name d.Dispatch.Policy.lanes d.Dispatch.Policy.simplify
+        (match d.Dispatch.Policy.cube_trigger with
+        | None -> "off"
+        | Some c -> string_of_int c)
+        d.Dispatch.Policy.predicted_ms)
+    eval_suite;
+  let rows, stats = run_eval base_config eval_suite policy in
+  let eps = 1e-6 in
+  let ratios =
+    List.map (fun r -> max eps r.static_s /. max eps r.dispatch_s) rows
+  in
+  let ratio_geomean = Harness.geomean ratios in
+  List.iter2
+    (fun r ratio ->
+      Printf.printf "  %-13s %-7s static=%.4fs dispatch=%.4fs  %.2fx\n"
+        r.name r.verdict r.static_s r.dispatch_s ratio)
+    rows ratios;
+  Printf.printf "dispatch vs static (geomean): %.2fx\n%!" ratio_geomean;
+  let infer_mean_ms, infer_max_ms = measure_inference eval_suite policy in
+  Printf.printf "inference: mean %.4f ms, max %.4f ms per decision\n%!"
+    infer_mean_ms infer_max_ms;
+  (* The ledger must reconcile on the dispatch engine: one decision
+     per eval submit, each on exactly one leg. *)
+  if
+    Server.Metrics.(
+      stats.dispatch_decided
+      <> stats.dispatch_direct + stats.dispatch_simplify
+         + stats.dispatch_raced + stats.dispatch_rejected
+      || stats.dispatch_decided <> reps * List.length eval_suite)
+  then failwith "dispatch ledger does not reconcile";
+  Some
+    ( Harness.(
+        Obj
+          [
+            ("workers", int workers);
+            ("train_instances", int (List.length train_suite));
+            ("eval_instances", int (List.length eval_suite));
+            ("trace_entries", int entries);
+            ("train_loss", fixed 4 loss);
+            ("dispatch_speedup_geomean", fixed 2 ratio_geomean);
+            ("infer_mean_ms", fixed 4 infer_mean_ms);
+            ("infer_max_ms", fixed 4 infer_max_ms);
+            ( "per_instance",
+              List
+                (List.map2
+                   (fun (r : row) ratio ->
+                     Obj
+                       [
+                         ("name", Str r.name);
+                         ("verdict", Str r.verdict);
+                         ("static_seconds", fixed 4 r.static_s);
+                         ("dispatch_seconds", fixed 4 r.dispatch_s);
+                         ("speedup", fixed 2 ratio);
+                       ])
+                   rows ratios) );
+            ("final_stats", Raw (Server.Metrics.to_json stats));
+          ]),
+      fun committed ->
         (* Solve walls on shared CI machines swing hard run to run;
            gate on collapse, not on noise: steady-state inference must
            stay under 1 ms (the max is reported but not gated — a
            single GC pause can spike it), and the geomean may not fall
            below the 0.7x floor nor to less than half the committed
            figure. *)
-        if infer_mean_ms > 1.0 then begin
-          Printf.printf
-            "dispatch_bench check FAILED: inference above 1 ms\n";
-          exit 1
-        end
-        else if ratio_geomean < 0.7 then begin
-          Printf.printf
-            "dispatch_bench check FAILED: dispatch below the 0.7x floor\n";
-          exit 1
-        end
-        else if ratio_geomean < base_ratio /. 2.0 then begin
-          Printf.printf
-            "dispatch_bench check FAILED: geomean collapsed vs committed\n";
-          exit 1
-        end
-        else Printf.printf "dispatch_bench check passed\n%!")
+        Harness.
+          [
+            at_most "inference mean ms vs 1 ms" infer_mean_ms 1.0;
+            at_least "dispatch geomean vs 0.7x floor" ratio_geomean 0.7;
+            at_least "dispatch geomean vs committed/2" ratio_geomean
+              (committed [ "dispatch_speedup_geomean" ] /. 2.0);
+          ] )
+
+let suite =
+  {
+    Harness.name = "dispatch";
+    doc = "learned per-job routing vs static direct, held out";
+    keys = [ [ "dispatch_speedup_geomean" ] ];
+    run;
+  }

@@ -1,16 +1,16 @@
-(* Socket front-end throughput harness.
+(* Socket front-end throughput: the [net] suite.
 
-     dune exec bench/net_bench.exe
-     dune exec bench/net_bench.exe -- --workers 4 --clients 8 --jobs 240
-     dune exec bench/net_bench.exe -- --check BENCH_net.json
+     dune exec bench/bench.exe -- net
+     dune exec bench/bench.exe -- net --workers 4 --clients 8 --jobs 240
+     dune exec bench/bench.exe -- net --check BENCH_net.json
 
    Three measurements against the same engine configuration:
 
    - connection setup rate: sequential connect + PING/PONG + close
      round-trips against a live event loop, in connections/sec.
-   - stdin baseline: every job pushed through the single-stream
-     channel transport ({!Server.Protocol.serve} over a pipe pair —
-     exactly what `serve` without --listen does), fully pipelined.
+   - stdin baseline: every job pushed through one pipe connection
+     ({!Net.Event_loop.add_pipe} over a pipe pair — the transport
+     `serve` without --listen runs on stdin/stdout), fully pipelined.
    - N-client aggregate: the same job count split over N concurrent
      TCP connections into one {!Net.Event_loop}, each client a domain
      that writes its SOLVE batch and reads its ordered answers.
@@ -21,37 +21,14 @@
    engine so neither warms the other's cache.  Both transports
    saturate the same worker pool, so the multi-client figure shows the
    event loop's per-connection framing/dispatch costs the pipeline
-   nothing versus the raw pipe.
+   nothing versus the single pipe stream.
 
-   Results go to BENCH_net.json ([--json PATH] redirects); [--check
-   PATH] re-measures and exits 1 if the multi-client/stdin ratio fell
-   below the 0.85 floor or more than 15% below the committed number —
-   the CI soft gate. *)
-
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let workers = arg_value "--workers" int_of_string 4
-let clients = arg_value "--clients" int_of_string 8
-let jobs = arg_value "--jobs" int_of_string 240
-let conns = arg_value "--conns" int_of_string 100
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_net.json"
+   The gate fails if the multi-client/stdin ratio fell below the 0.85
+   floor or more than 15% below the committed number. *)
 
 (* One CNF file per (pass, job): ~1 ms instances, distinct seeds. *)
-let bench_dir =
-  let d = Filename.temp_file "net_bench" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
-let job_file pass j =
-  let path = Filename.concat bench_dir (Printf.sprintf "%s_%d.cnf" pass j) in
+let job_file dir pass j =
+  let path = Filename.concat dir (Printf.sprintf "%s_%d.cnf" pass j) in
   let f =
     Workloads.Satcomp.random_ksat
       ~seed:((Hashtbl.hash pass * 7919) + j)
@@ -60,7 +37,7 @@ let job_file pass j =
   Cnf.Dimacs.write_file f path;
   path
 
-let engine_config () =
+let engine_config ~workers ~jobs =
   {
     Server.default_config with
     Server.workers;
@@ -98,8 +75,8 @@ let connect port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-let with_loop f =
-  let engine = Server.create ~config:(engine_config ()) () in
+let with_loop config f =
+  let engine = Server.create ~config () in
   let loop = Net.Event_loop.create engine in
   let _, port = Net.Event_loop.add_tcp loop ~host:"127.0.0.1" ~port:0 in
   let runner = Domain.spawn (fun () -> Net.Event_loop.run loop) in
@@ -113,8 +90,8 @@ let with_loop f =
 (* --- passes ---------------------------------------------------------- *)
 
 (* Sequential connect / PING / PONG / close round-trips. *)
-let run_setup_rate () =
-  with_loop @@ fun port ->
+let run_setup_rate config ~conns =
+  with_loop config @@ fun port ->
   let t0 = Sat.Wall.now () in
   for _ = 1 to conns do
     let fd = connect port in
@@ -125,18 +102,19 @@ let run_setup_rate () =
   done;
   float_of_int conns /. (Sat.Wall.now () -. t0)
 
-(* All jobs through one Protocol.serve over a pipe pair — the stdin
-   transport verbatim, minus the terminal. *)
-let run_stdin_baseline files =
-  let engine = Server.create ~config:(engine_config ()) () in
+(* All jobs through one pipe connection of an event loop: the stdin
+   transport verbatim, minus the terminal.  The loop does not own the
+   pipe ends, so the answer pipe is closed once it returns. *)
+let run_stdin_baseline config files =
+  let engine = Server.create ~config () in
   let r_cmd, w_cmd = Unix.pipe () in
   let r_ans, w_ans = Unix.pipe () in
+  let loop = Net.Event_loop.create engine in
+  Net.Event_loop.add_pipe loop ~fd_in:r_cmd ~fd_out:w_ans;
   let server =
     Domain.spawn (fun () ->
-        let ic = Unix.in_channel_of_descr r_cmd in
-        let oc = Unix.out_channel_of_descr w_ans in
-        Server.Protocol.serve engine ic oc;
-        close_out oc)
+        Net.Event_loop.run loop;
+        Unix.close w_ans)
   in
   let t0 = Sat.Wall.now () in
   let writer =
@@ -149,6 +127,7 @@ let run_stdin_baseline files =
   Domain.join writer;
   Domain.join server;
   Unix.close r_ans;
+  Unix.close r_cmd;
   Server.shutdown engine;
   let wall = Sat.Wall.now () -. t0 in
   let got = count_answers out in
@@ -160,8 +139,8 @@ let run_stdin_baseline files =
 
 (* The same job count over [n] concurrent TCP connections; each client
    writes its whole batch, then drains its ordered answers. *)
-let run_multi_client n files =
-  with_loop @@ fun port ->
+let run_multi_client config n files =
+  with_loop config @@ fun port ->
   let batches = Array.make n [] in
   List.iteri (fun i f -> batches.(i mod n) <- f :: batches.(i mod n)) files;
   let t0 = Sat.Wall.now () in
@@ -187,81 +166,57 @@ let run_multi_client n files =
          (List.length files));
   float_of_int (List.length files) /. wall
 
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
-
-let () =
+let run () =
+  let workers = Harness.arg "--workers" int_of_string 4 in
+  let clients = Harness.arg "--clients" int_of_string 8 in
+  let jobs = Harness.arg "--jobs" int_of_string 240 in
+  let conns = Harness.arg "--conns" int_of_string 100 in
+  let config = engine_config ~workers ~jobs in
   Printf.printf
     "net bench: %d jobs, %d workers, %d clients, %d setup conns\n%!" jobs
     workers clients conns;
-  let setup_rate = run_setup_rate () in
+  let setup_rate = run_setup_rate config ~conns in
   Printf.printf "connection setup: %.0f conns/sec\n%!" setup_rate;
-  let stdin_files = List.init jobs (job_file "stdin") in
-  let stdin_rate = run_stdin_baseline stdin_files in
+  Harness.with_temp_dir "net_bench" @@ fun dir ->
+  let stdin_rate =
+    run_stdin_baseline config (List.init jobs (job_file dir "stdin"))
+  in
   Printf.printf "stdin baseline:   %.0f jobs/sec (1 pipe stream)\n%!"
     stdin_rate;
-  let multi_files = List.init jobs (job_file "multi") in
-  let multi_rate = run_multi_client clients multi_files in
+  let multi_rate =
+    run_multi_client config clients (List.init jobs (job_file dir "multi"))
+  in
   Printf.printf "multi-client:     %.0f jobs/sec (%d connections)\n%!"
     multi_rate clients;
   let ratio = multi_rate /. stdin_rate in
   Printf.printf "multi/stdin ratio: %.2f\n%!" ratio;
-  match check_path with
-  | None ->
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"workers\": %d,\n\
-      \  \"clients\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"setup_conns_per_sec\": %.0f,\n\
-      \  \"stdin_jobs_per_sec\": %.0f,\n\
-      \  \"multi_client_jobs_per_sec\": %.0f,\n\
-      \  \"multi_vs_stdin\": %.2f\n\
-       }\n"
-      workers clients jobs setup_rate stdin_rate multi_rate ratio;
-    close_out oc;
-    print_endline ("wrote " ^ json_path)
-  | Some path ->
-    let ic = open_in path in
-    let json = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let committed key =
-      match json_number json key with
-      | Some v -> v
-      | None -> failwith (key ^ " missing from " ^ path)
-    in
-    let base = committed "multi_vs_stdin" in
-    Printf.printf "committed: %.2f multi/stdin\nfresh:     %.2f\n%!" base
-      ratio;
-    (* Both transports saturate the same worker pool, so the honest
-       expectation is parity; the floor catches the event loop turning
-       into a bottleneck, with slack for shared-runner noise. *)
-    if ratio < 0.85 then begin
-      Printf.printf
-        "net_bench check FAILED: multi-client below 0.85x of stdin\n";
-      exit 1
-    end
-    else if ratio < 0.85 *. base then begin
-      Printf.printf
-        "net_bench check FAILED: ratio regressed >15%% vs committed\n";
-      exit 1
-    end
-    else Printf.printf "net_bench check passed\n%!"
+  let open Harness in
+  Some
+    ( Obj
+        [
+          ("workers", int workers);
+          ("clients", int clients);
+          ("jobs", int jobs);
+          ("setup_conns_per_sec", fixed 0 setup_rate);
+          ("stdin_jobs_per_sec", fixed 0 stdin_rate);
+          ("multi_client_jobs_per_sec", fixed 0 multi_rate);
+          ("multi_vs_stdin", fixed 2 ratio);
+        ],
+      fun committed ->
+        (* Both transports saturate the same worker pool, so the honest
+           expectation is parity; the floor catches the event loop
+           turning into a bottleneck, with slack for shared-runner
+           noise. *)
+        [
+          at_least "multi/stdin vs 0.85 floor" ratio 0.85;
+          at_least "multi/stdin vs 0.85x committed" ratio
+            (0.85 *. committed [ "multi_vs_stdin" ]);
+        ] )
+
+let suite =
+  {
+    Harness.name = "net";
+    doc = "socket clients vs the stdin pipe, connection setup rate";
+    keys = [ [ "multi_vs_stdin" ] ];
+    run;
+  }

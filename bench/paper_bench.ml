@@ -1,23 +1,14 @@
-(* Benchmark harness: regenerates every table and data-bearing figure
+(* The [paper] suite: regenerates every table and data-bearing figure
    of the paper's evaluation (see DESIGN.md for the experiment index)
    and runs bechamel micro-benchmarks of the kernels behind each one.
+   It prints tables and writes no JSON.
 
-     dune exec bench/main.exe                    # everything
-     dune exec bench/main.exe -- --table 3       # one table
-     dune exec bench/main.exe -- --no-micro      # tables only
-     dune exec bench/main.exe -- --scale 0.5 --timeout 60
-     dune exec bench/main.exe -- --train-episodes 40   # RL columns
-     dune exec bench/main.exe -- --ablations --table 0  # design-choice ablations *)
-
-let arg_flag name = Array.exists (( = ) name) Sys.argv
-
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
+     dune exec bench/bench.exe -- paper                  # everything
+     dune exec bench/bench.exe -- paper --table 3        # one table
+     dune exec bench/bench.exe -- paper --no-micro       # tables only
+     dune exec bench/bench.exe -- paper --scale 0.5 --timeout 60
+     dune exec bench/bench.exe -- paper --train-episodes 40   # RL columns
+     dune exec bench/bench.exe -- paper --table 2 --ablations  # + ablations *)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one kernel per table / figure. *)
@@ -106,13 +97,14 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let scale = arg_value "--scale" float_of_string 1.0 in
-  let timeout = arg_value "--timeout" float_of_string 120.0 in
-  let table = arg_value "--table" (fun s -> Some (int_of_string s)) None in
-  let figure = arg_value "--figure" (fun s -> Some (int_of_string s)) None in
+let run () =
+  let arg = Harness.arg in
+  let scale = arg "--scale" float_of_string 1.0 in
+  let timeout = arg "--timeout" float_of_string 120.0 in
+  let table = arg "--table" (fun s -> Some (int_of_string s)) None in
+  let figure = arg "--figure" (fun s -> Some (int_of_string s)) None in
   let episodes =
-    arg_value "--train-episodes" (fun s -> Some (int_of_string s)) None
+    arg "--train-episodes" (fun s -> Some (int_of_string s)) None
   in
   let ctx =
     {
@@ -133,31 +125,14 @@ let () =
   in
   (match (table, figure) with
    | Some n, _ ->
-     let t =
-       match n with
-       | 1 -> Experiments.Tables.table1 ctx
-       | 2 -> Experiments.Tables.table2 ctx
-       | 3 -> Experiments.Tables.table3 ctx
-       | 4 -> Experiments.Tables.table4 ctx
-       | 5 -> Experiments.Tables.table5 ctx
-       | 6 -> Experiments.Tables.table6 ctx
-       | 7 -> Experiments.Tables.table7 ctx
-       | _ -> failwith "tables are numbered 1..7"
-     in
-     print_string (Experiments.Table.render t)
+     print_string (Experiments.Table.render (Experiments.Tables.table ctx n))
    | None, Some n ->
-     let t =
-       match n with
-       | 2 -> Experiments.Tables.figure2 ()
-       | 4 -> Experiments.Tables.figure4 ()
-       | _ -> failwith "data-bearing figures are 2 and 4"
-     in
-     print_string (Experiments.Table.render t)
+     print_string (Experiments.Table.render (Experiments.Tables.figure n))
    | None, None ->
      Printf.printf
        "Regenerating all tables and figures (scale %.2f, timeout %.0f s)\n\n%!"
        scale timeout;
-     (match arg_value "--csv" Option.some None with
+     (match arg "--csv" Option.some None with
       | None -> print_string (Experiments.Tables.run_all ctx)
       | Some dir ->
         (* Write each table both to stdout and as CSV. *)
@@ -168,18 +143,26 @@ let () =
           output_string oc (Experiments.Table.to_csv t);
           close_out oc
         in
-        emit "table1" (Experiments.Tables.table1 ctx);
-        emit "table2" (Experiments.Tables.table2 ctx);
-        emit "table3" (Experiments.Tables.table3 ctx);
-        emit "table4" (Experiments.Tables.table4 ctx);
-        emit "table5" (Experiments.Tables.table5 ctx);
-        emit "table6" (Experiments.Tables.table6 ctx);
-        emit "table7" (Experiments.Tables.table7 ctx);
-        emit "figure2" (Experiments.Tables.figure2 ());
-        emit "figure4" (Experiments.Tables.figure4 ())));
-  if arg_flag "--ablations" || (table = None && figure = None) then begin
+        List.iter
+          (fun n ->
+            emit (Printf.sprintf "table%d" n) (Experiments.Tables.table ctx n))
+          [ 1; 2; 3; 4; 5; 6; 7 ];
+        List.iter
+          (fun n ->
+            emit (Printf.sprintf "figure%d" n) (Experiments.Tables.figure n))
+          [ 2; 4 ]));
+  if Harness.flag "--ablations" || (table = None && figure = None) then begin
     print_endline "";
     print_string (Experiments.Ablations.run_all ())
   end;
-  if (not (arg_flag "--no-micro")) && table = None && figure = None then
-    run_micro ()
+  if (not (Harness.flag "--no-micro")) && table = None && figure = None then
+    run_micro ();
+  None
+
+let suite =
+  {
+    Harness.name = "paper";
+    doc = "the paper's tables, figures, ablations and micro-benchmarks";
+    keys = [];
+    run;
+  }

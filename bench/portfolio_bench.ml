@@ -12,31 +12,18 @@
    portfolio, and it holds even on one core where the domains merely
    timeslice.
 
-     dune exec bench/portfolio_bench.exe                # full suite
-     dune exec bench/portfolio_bench.exe -- --timeout 30
-     dune exec bench/portfolio_bench.exe -- --scale 0.5 # smaller suite
+     dune exec bench/bench.exe -- portfolio                # full suite
+     dune exec bench/bench.exe -- portfolio --timeout 30
+     dune exec bench/bench.exe -- portfolio --scale 0.5    # smaller suite
 
    Results (per-instance walls, per-lane totals, portfolio total) are
-   written to BENCH_portfolio.json. *)
+   written to BENCH_portfolio.json ([--json PATH] redirects).  The
+   suite has no gate. *)
 
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let timeout = arg_value "--timeout" float_of_string 60.0
-let scale = arg_value "--scale" float_of_string 1.0
 let jobs = 4
 
-let limits =
-  { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
-
-let dim n = max 4 (int_of_float (float_of_int n *. scale))
-
-let suite =
+let instances ~scale =
+  let dim = Harness.dim ~scale in
   [
     ( "lec-miter",
       Eda4sat.Instance.of_cnf ~name:"lec-miter"
@@ -56,18 +43,18 @@ let suite =
         (Workloads.Suites.parity_miter_cnf ~num_bits:(dim 24)) );
   ]
 
-let result_name = function
-  | Sat.Solver.Sat _ -> "SAT"
-  | Sat.Solver.Unsat -> "UNSAT"
-  | Sat.Solver.Unknown -> "UNKNOWN"
-
-(* A lane that times out (or dies) is censored at the budget. *)
-let lane_wall (outcome : Portfolio.Runner.outcome) =
-  match outcome.Portfolio.Runner.result with
-  | Sat.Solver.Sat _ | Sat.Solver.Unsat -> outcome.Portfolio.Runner.wall
-  | Sat.Solver.Unknown -> timeout
-
-let () =
+let run () =
+  let timeout = Harness.arg "--timeout" float_of_string 60.0 in
+  let scale = Harness.arg "--scale" float_of_string 1.0 in
+  let limits =
+    { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
+  in
+  (* A lane that times out (or dies) is censored at the budget. *)
+  let lane_wall (outcome : Portfolio.Runner.outcome) =
+    match outcome.Portfolio.Runner.result with
+    | Sat.Solver.Sat _ | Sat.Solver.Unsat -> outcome.Portfolio.Runner.wall
+    | Sat.Solver.Unknown -> timeout
+  in
   let cfg = Eda4sat.Pipeline.ours () in
   let lane_names = ref [] in
   let rows =
@@ -86,7 +73,7 @@ let () =
               let w = lane_wall o in
               Printf.printf "   %-24s %-8s %7.3fs\n%!"
                 lane.Portfolio.Strategy.name
-                (result_name o.Portfolio.Runner.result)
+                (Harness.result_name o.Portfolio.Runner.result)
                 w;
               (lane.Portfolio.Strategy.name, w, o.Portfolio.Runner.result))
             lanes
@@ -95,13 +82,13 @@ let () =
         let pw = lane_wall o in
         Printf.printf "   %-24s %-8s %7.3fs (winner: %s)\n%!"
           (Printf.sprintf "portfolio(jobs=%d)" jobs)
-          (result_name o.Portfolio.Runner.result)
+          (Harness.result_name o.Portfolio.Runner.result)
           pw
           (match o.Portfolio.Runner.winner with
            | Some w -> (List.nth lanes w).Portfolio.Strategy.name
            | None -> "none");
         (name, singles, pw, o))
-      suite
+      (instances ~scale)
   in
   let totals =
     List.mapi
@@ -131,48 +118,51 @@ let () =
   Printf.printf "   portfolio vs best single: %.2fx; vs median: %.2fx\n"
     (best_total /. portfolio_total)
     (median_total /. portfolio_total);
-  (* --- JSON ---------------------------------------------------------- *)
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"jobs\": %d,\n" jobs;
-  bpf "  \"timeout_seconds\": %g,\n" timeout;
-  bpf "  \"scale\": %g,\n" scale;
-  bpf "  \"lanes\": [%s],\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") !lane_names));
-  bpf "  \"instances\": [\n";
-  List.iteri
-    (fun i (name, singles, pw, (o : Portfolio.Runner.outcome)) ->
-      bpf "    {\n";
-      bpf "      \"name\": %S,\n" name;
-      bpf "      \"single_walls\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (l, w, _) -> Printf.sprintf "%S: %.3f" l w) singles));
-      bpf "      \"portfolio_wall\": %.3f,\n" pw;
-      bpf "      \"portfolio_result\": %S,\n"
-        (result_name o.Portfolio.Runner.result);
-      bpf "      \"winner\": %s,\n"
-        (match o.Portfolio.Runner.winner with
-         | Some w -> Printf.sprintf "%S" (List.nth !lane_names w)
-         | None -> "null");
-      bpf "      \"shared\": { \"published\": %d, \"delivered\": %d, \
-           \"dropped\": %d }\n"
-        o.Portfolio.Runner.shared_published o.Portfolio.Runner.shared_delivered
-        o.Portfolio.Runner.shared_dropped;
-      bpf "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  bpf "  ],\n";
-  bpf "  \"single_totals\": {%s},\n"
-    (String.concat ", "
-       (List.map (fun (l, t) -> Printf.sprintf "%S: %.3f" l t) totals));
-  bpf "  \"best_single\": { \"lane\": %S, \"total\": %.3f },\n" best_name
-    best_total;
-  bpf "  \"median_single_total\": %.3f,\n" median_total;
-  bpf "  \"portfolio_total\": %.3f,\n" portfolio_total;
-  bpf "  \"speedup_vs_best_single\": %.3f,\n" (best_total /. portfolio_total);
-  bpf "  \"speedup_vs_median_single\": %.3f\n" (median_total /. portfolio_total);
-  bpf "}\n";
-  let oc = open_out "BENCH_portfolio.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  print_endline "wrote BENCH_portfolio.json"
+  let open Harness in
+  let walls kvs = Obj (List.map (fun (l, w) -> (l, fixed 3 w)) kvs) in
+  let lane_name w = Str (List.nth !lane_names w) in
+  let instance (name, singles, pw, (o : Portfolio.Runner.outcome)) =
+    Obj
+      [
+        ("name", Str name);
+        ("single_walls", walls (List.map (fun (l, w, _) -> (l, w)) singles));
+        ("portfolio_wall", fixed 3 pw);
+        ("portfolio_result", Str (result_name o.Portfolio.Runner.result));
+        ( "winner",
+          Option.fold ~none:(Raw "null") ~some:lane_name
+            o.Portfolio.Runner.winner );
+        ( "shared",
+          Obj
+            [
+              ("published", int o.Portfolio.Runner.shared_published);
+              ("delivered", int o.Portfolio.Runner.shared_delivered);
+              ("dropped", int o.Portfolio.Runner.shared_dropped);
+            ] );
+      ]
+  in
+  Some
+    ( Obj
+        [
+          ("jobs", int jobs);
+          ("timeout_seconds", Num (Printf.sprintf "%g" timeout));
+          ("scale", Num (Printf.sprintf "%g" scale));
+          ("lanes", List (List.map (fun l -> Str l) !lane_names));
+          ("instances", List (List.map instance rows));
+          ("single_totals", walls totals);
+          ( "best_single",
+            Obj [ ("lane", Str best_name); ("total", fixed 3 best_total) ] );
+          ("median_single_total", fixed 3 median_total);
+          ("portfolio_total", fixed 3 portfolio_total);
+          ("speedup_vs_best_single", fixed 3 (best_total /. portfolio_total));
+          ( "speedup_vs_median_single",
+            fixed 3 (median_total /. portfolio_total) );
+        ],
+      fun _ -> [] )
+
+let suite =
+  {
+    Harness.name = "portfolio";
+    doc = "4-lane portfolio race vs each lane alone (no gate)";
+    keys = [];
+    run;
+  }

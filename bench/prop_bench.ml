@@ -1,18 +1,20 @@
-(* Propagation-throughput micro-benchmark for the CDCL core.
+(* Propagation throughput of the CDCL core: the [sat_arena] and
+   [sat_inprocess] suites.
 
-     dune exec bench/prop_bench.exe
-     dune exec bench/prop_bench.exe -- --json BENCH_sat_arena.json
-     dune exec bench/prop_bench.exe -- --check BENCH_sat_arena.json
+     dune exec bench/bench.exe -- sat_arena
+     dune exec bench/bench.exe -- sat_arena --json BENCH_sat_arena.json
+     dune exec bench/bench.exe -- sat_inprocess --check BENCH_sat_inprocess.json
 
    Reports decisions, conflicts, propagations, propagations/sec and
    minor-heap words per conflict for a small set of propagation-bound
-   instances, so solver-engine changes can be compared before/after
-   (see ISSUE acceptance criteria).
+   instances, so solver-engine changes can be compared before/after.
 
-   [--json PATH] writes the php measurements (plus the frozen
-   record-clause PR-2 baseline) to PATH; [--check PATH] re-measures and
-   fails (exit 1) if fresh props/sec regressed more than 10% below the
-   committed numbers — the CI soft check. *)
+   [sat_arena] measures the php suite (plus the frozen record-clause
+   PR-2 baseline in its JSON); without [--json] or [--check] it instead
+   prints the wider exploratory set below.  [sat_inprocess] measures the
+   same suite with restart-boundary inprocessing off and on.  Both gates
+   fail if fresh props/sec fell more than 10% below the committed
+   numbers. *)
 
 type measurement = {
   m_name : string;
@@ -34,12 +36,7 @@ let measure ?(repeat = 1) ?inprocess name f =
   let best = ref None in
   for _ = 1 to repeat do
     let result, st = Sat.Solver.solve ?inprocess f in
-    let verdict =
-      match result with
-      | Sat.Solver.Sat _ -> "SAT"
-      | Sat.Solver.Unsat -> "UNSAT"
-      | Sat.Solver.Unknown -> "UNKNOWN"
-    in
+    let verdict = Harness.result_name result in
     let props_per_sec =
       if st.Sat.Solver.time > 0.0 then
         float_of_int st.Sat.Solver.propagations /. st.Sat.Solver.time
@@ -125,187 +122,123 @@ let measure_php ?inprocess () =
 let bench_inprocess =
   { Sat.Solver.default_inprocess with Sat.Solver.inproc_interval = 1 }
 
-(* --- JSON writing (no library: the schema is flat) ------------------ *)
+(* --- JSON and gate ---------------------------------------------------- *)
 
-let write_json path ms =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"eda4sat-prop-bench-v1\",\n";
-  Buffer.add_string buf
-    "  \"note\": \"props/sec and minor-heap words per conflict on the php \
-     suite; record_baseline is the frozen PR-2 record-clause solver, arena \
-     is the current flat-arena solver\",\n";
-  Buffer.add_string buf "  \"record_baseline\": {\n";
-  List.iteri
-    (fun i (name, (pps, mwc)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: { \"props_per_sec\": %.0f, \
-            \"minor_words_per_conflict\": %.1f }%s\n"
-           name pps mwc
-           (if i < List.length record_baseline - 1 then "," else "")))
-    record_baseline;
-  Buffer.add_string buf "  },\n  \"arena\": {\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: { \"props_per_sec\": %.0f, \
-            \"minor_words_per_conflict\": %.1f, \"conflicts\": %d, \
-            \"propagations\": %d }%s\n"
-           m.m_name m.props_per_sec m.mw_per_conflict m.conflicts
-           m.propagations
-           (if i < List.length ms - 1 then "," else "")))
-    ms;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let doc_head schema note =
+  [ ("schema", Harness.Str schema); ("note", Harness.Str note) ]
 
-(* The inprocessing variant file: off vs on over the same suite, so the
-   overhead of probe/vivify/subsume passes is tracked like the arena
-   rewrite is. *)
-let write_inproc_json path ~off ~on =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"eda4sat-inproc-bench-v1\",\n";
-  Buffer.add_string buf
-    "  \"note\": \"php suite with restart-boundary inprocessing off vs on \
-     (inproc_interval=1, the overhead ceiling); the CI gate tracks the \
-     inprocess section's props/sec\",\n";
-  let section key ms last =
-    Buffer.add_string buf (Printf.sprintf "  %S: {\n" key);
-    List.iteri
-      (fun i m ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: { \"props_per_sec\": %.0f, \
-              \"minor_words_per_conflict\": %.1f, \"conflicts\": %d, \
-              \"probed\": %d, \"vivified\": %d, \"inproc_subsumed\": %d }%s\n"
-             m.m_name m.props_per_sec m.mw_per_conflict m.conflicts m.probed
-             m.vivified m.inproc_subsumed
-             (if i < List.length ms - 1 then "," else "")))
-      ms;
-    Buffer.add_string buf (if last then "  }\n" else "  },\n")
-  in
-  section "off" off false;
-  section "inprocess" on true;
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let section fields ms =
+  Harness.Obj (List.map (fun m -> (m.m_name, Harness.Obj (fields m))) ms)
 
-(* --- regression check against a committed JSON ---------------------- *)
+let arena_fields m =
+  Harness.
+    [
+      ("props_per_sec", fixed 0 m.props_per_sec);
+      ("minor_words_per_conflict", fixed 1 m.mw_per_conflict);
+      ("conflicts", int m.conflicts);
+      ("propagations", int m.propagations);
+    ]
 
-(* Minimal scanner: finds the [section] object, then for each instance
-   the number following its "props_per_sec" key.  Good enough for the
-   files this tool itself writes. *)
-let committed_pps ?(section = "arena") json name =
-  let find_from pos needle =
-    let n = String.length needle and len = String.length json in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = needle then Some (i + n)
-      else go (i + 1)
-    in
-    go pos
-  in
-  match find_from 0 (Printf.sprintf "%S" section) with
-  | None -> None
-  | Some a -> (
-    match find_from a (Printf.sprintf "%S" name) with
-    | None -> None
-    | Some b -> (
-      match find_from b "\"props_per_sec\":" with
-      | None -> None
-      | Some c ->
-        let i = ref c in
-        let len = String.length json in
-        while !i < len && json.[!i] = ' ' do
-          incr i
-        done;
-        let start = !i in
-        while
-          !i < len
-          &&
-          match json.[!i] with '0' .. '9' | '.' | '-' -> true | _ -> false
-        do
-          incr i
-        done;
-        if !i > start then
-          float_of_string_opt (String.sub json start (!i - start))
-        else None))
+let inproc_fields m =
+  Harness.
+    [
+      ("props_per_sec", fixed 0 m.props_per_sec);
+      ("minor_words_per_conflict", fixed 1 m.mw_per_conflict);
+      ("conflicts", int m.conflicts);
+      ("probed", int m.probed);
+      ("vivified", int m.vivified);
+      ("inproc_subsumed", int m.inproc_subsumed);
+    ]
 
-let check_against ?section path ms =
-  let ic = open_in path in
-  let json = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let tolerance = 0.10 in
-  let failed = ref false in
-  List.iter
+let keys section =
+  List.map (fun (name, _) -> [ section; name; "props_per_sec" ]) php_instances
+
+let props_gate section ms committed =
+  List.map
     (fun m ->
-      match committed_pps ?section json m.m_name with
-      | None ->
-        Printf.printf "CHECK %-12s no committed number found — skipped\n"
-          m.m_name
-      | Some committed ->
-        let floor = committed *. (1.0 -. tolerance) in
-        let ok = m.props_per_sec >= floor in
-        Printf.printf
-          "CHECK %-12s fresh %12.0f props/sec vs committed %12.0f (floor \
-           %12.0f): %s\n"
-          m.m_name m.props_per_sec committed floor
-          (if ok then "OK" else "REGRESSED");
-        if not ok then failed := true)
-    ms;
-  if !failed then begin
-    Printf.printf "prop_bench check FAILED: props/sec regressed >10%%\n%!";
-    exit 1
-  end
-  else Printf.printf "prop_bench check passed\n%!"
+      let c = committed [ section; m.m_name; "props_per_sec" ] in
+      Harness.at_least
+        (Printf.sprintf "%s props/sec vs 0.9x committed %.0f" m.m_name c)
+        m.props_per_sec (0.9 *. c))
+    ms
 
-let arg_value name =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
+let explore () =
+  run "binary-chain(300k)" (binary_chain 300_000);
+  run "wide-chain(150k)" (wide_chain 150_000);
+  run ~repeat:3 "php(7,6)" (Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
+  run ~repeat:3 "php(8,7)" (Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7);
+  run "random3sat(n=140,m=595)"
+    (Workloads.Satcomp.random_ksat ~seed:7 ~num_vars:140 ~num_clauses:595 ~k:3);
+  run "xor(n=40,x=36,w=4)"
+    (Workloads.Satcomp.xor_cnf ~seed:11 ~num_vars:40 ~num_xors:36 ~width:4);
+  run "round_robin(teams=8,weeks=6)"
+    (Workloads.Satcomp.round_robin ~weeks:6 ~teams:8 ())
 
-let () =
-  match
-    ( arg_value "--json",
-      arg_value "--check",
-      arg_value "--inprocess-json",
-      arg_value "--inprocess-check" )
-  with
-  | Some path, _, _, _ ->
-    let ms = measure_php () in
-    List.iter report ms;
-    write_json path ms
-  | None, Some path, _, _ ->
-    let ms = measure_php () in
-    List.iter report ms;
-    check_against path ms
-  | None, None, Some path, _ ->
-    let off = measure_php () in
-    let on = measure_php ~inprocess:bench_inprocess () in
-    List.iter report off;
-    List.iter report on;
-    write_inproc_json path ~off ~on
-  | None, None, None, Some path ->
-    let ms = measure_php ~inprocess:bench_inprocess () in
-    List.iter report ms;
-    check_against ~section:"inprocess" path ms
-  | None, None, None, None ->
-    run "binary-chain(300k)" (binary_chain 300_000);
-    run "wide-chain(150k)" (wide_chain 150_000);
-    run ~repeat:3 "php(7,6)" (Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
-    run ~repeat:3 "php(8,7)" (Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7);
-    run "random3sat(n=140,m=595)"
-      (Workloads.Satcomp.random_ksat ~seed:7 ~num_vars:140 ~num_clauses:595
-         ~k:3);
-    run "xor(n=40,x=36,w=4)"
-      (Workloads.Satcomp.xor_cnf ~seed:11 ~num_vars:40 ~num_xors:36 ~width:4);
-    run "round_robin(teams=8,weeks=6)"
-      (Workloads.Satcomp.round_robin ~weeks:6 ~teams:8 ())
+let arena =
+  {
+    Harness.name = "sat_arena";
+    doc = "props/sec on the php suite (exploratory set without flags)";
+    keys = keys "arena";
+    run =
+      (fun () ->
+        if Harness.json_path () = None && Harness.check_path () = None then (
+          explore ();
+          None)
+        else begin
+          let ms = measure_php () in
+          List.iter report ms;
+          let record =
+            List.map
+              (fun (name, (pps, mwc)) ->
+                ( name,
+                  Harness.(
+                    Obj
+                      [
+                        ("props_per_sec", fixed 0 pps);
+                        ("minor_words_per_conflict", fixed 1 mwc);
+                      ]) ))
+              record_baseline
+          in
+          Some
+            ( Harness.Obj
+                (doc_head "eda4sat-prop-bench-v1"
+                   "props/sec and minor-heap words per conflict on the php \
+                    suite; record_baseline is the frozen PR-2 record-clause \
+                    solver, arena is the current flat-arena solver"
+                @ [
+                    ("record_baseline", Harness.Obj record);
+                    ("arena", section arena_fields ms);
+                  ]),
+              props_gate "arena" ms )
+        end);
+  }
+
+(* The off section is only written, never gated, so a check-only run
+   skips measuring it. *)
+let inprocess =
+  {
+    Harness.name = "sat_inprocess";
+    doc = "props/sec on the php suite, inprocessing off vs on";
+    keys = keys "inprocess";
+    run =
+      (fun () ->
+        let off =
+          if Harness.json_path () = None && Harness.check_path () <> None
+          then []
+          else measure_php ()
+        in
+        let on = measure_php ~inprocess:bench_inprocess () in
+        List.iter report off;
+        List.iter report on;
+        Some
+          ( Harness.Obj
+              (doc_head "eda4sat-inproc-bench-v1"
+                 "php suite with restart-boundary inprocessing off vs on \
+                  (inproc_interval=1, the overhead ceiling); the CI gate \
+                  tracks the inprocess section's props/sec"
+              @ [
+                  ("off", section inproc_fields off);
+                  ("inprocess", section inproc_fields on);
+                ]),
+            props_gate "inprocess" on ));
+  }

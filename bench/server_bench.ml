@@ -1,8 +1,8 @@
-(* Solve-service throughput harness.
+(* Solve-service throughput: the [server] suite.
 
-     dune exec bench/server_bench.exe
-     dune exec bench/server_bench.exe -- --workers 8 --scale 0.5
-     dune exec bench/server_bench.exe -- --check BENCH_server.json
+     dune exec bench/bench.exe -- server
+     dune exec bench/bench.exe -- server --workers 8 --scale 0.5
+     dune exec bench/bench.exe -- server --check BENCH_server.json
 
    Pushes a duplicated php/LEC suite through the concurrent server
    twice: a cold pass (every unique formula solved once, the
@@ -12,27 +12,11 @@
    Reports jobs/sec on the cold pass and the cold/warm wall ratio as
    the cache-hit speedup, plus the engine's own metrics snapshot.
 
-   Results go to BENCH_server.json ([--json PATH] redirects them);
-   [--check PATH] re-measures and
-   exits 1 if throughput fell more than 10% below the committed
-   number or the cache speedup collapsed — the CI soft gate. *)
+   The gate fails if throughput fell more than 10% below the committed
+   number or the cache speedup collapsed. *)
 
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let workers = arg_value "--workers" int_of_string 4
-let scale = arg_value "--scale" float_of_string 1.0
-let copies = arg_value "--copies" int_of_string 3
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_server.json"
-let dim n = max 4 (int_of_float (float_of_int n *. scale))
-
-let suite =
+let instances ~scale =
+  let dim = Harness.dim ~scale in
   [
     ("php(7,6)", Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
     ("php(8,7)", Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7);
@@ -61,21 +45,7 @@ let shuffle seed f =
   done;
   Cnf.Formula.create ~num_vars:f.Cnf.Formula.num_vars (Array.to_list cls)
 
-let jobs =
-  List.concat_map
-    (fun (name, f) ->
-      List.init copies (fun c ->
-          ( Printf.sprintf "%s#%d" name c,
-            Cnf.Flat.of_formula (if c = 0 then f else shuffle c f) )))
-    suite
-
-let verdict_name = function
-  | Server.Sat _ -> "SAT"
-  | Server.Unsat -> "UNSAT"
-  | Server.Timeout -> "TIMEOUT"
-  | Server.Failed _ -> "FAILED"
-
-let run_batch engine =
+let run_batch engine jobs =
   let t0 = Sat.Wall.now () in
   let tickets =
     List.map
@@ -90,52 +60,39 @@ let run_batch engine =
   in
   (Sat.Wall.now () -. t0, answers)
 
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
+let run () =
+  let workers = Harness.arg "--workers" int_of_string 4 in
+  let scale = Harness.arg "--scale" float_of_string 1.0 in
+  let copies = Harness.arg "--copies" int_of_string 3 in
+  let suite = instances ~scale in
+  let jobs =
+    List.concat_map
+      (fun (name, f) ->
+        List.init copies (fun c ->
+            ( Printf.sprintf "%s#%d" name c,
+              Cnf.Flat.of_formula (if c = 0 then f else shuffle c f) )))
+      suite
   in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
-
-let () =
   let total_jobs = List.length jobs in
   Printf.printf
     "server bench: %d unique instances x %d copies = %d jobs, %d workers\n%!"
     (List.length suite) copies total_jobs workers;
   let config =
     {
+      Server.default_config with
       Server.workers;
       queue_capacity = max 64 (2 * total_jobs);
       cache_capacity = 2 * total_jobs;
       (* warm starts off: this bench isolates the verdict cache, and a
          warm resume would blur the cold-vs-repeat contrast *)
       warm_capacity = 0;
-      mode = Server.Direct;
-      limits = Sat.Solver.no_limits;
-      default_deadline = None;
-      session_capacity = 64;
       session_ttl = None;
-      cube = None;
-      dispatch = None;
     }
   in
   let engine = Server.create ~config () in
-  let cold_wall, cold_answers = run_batch engine in
+  let cold_wall, cold_answers = run_batch engine jobs in
   let s_cold = Server.stats engine in
-  let warm_wall, _ = run_batch engine in
+  let warm_wall, _ = run_batch engine jobs in
   let s_final = Server.stats engine in
   let throughput = float_of_int total_jobs /. cold_wall in
   let speedup = cold_wall /. warm_wall in
@@ -145,76 +102,71 @@ let () =
     (s_cold.Server.Metrics.cache_hits + s_cold.Server.Metrics.dedup_joins);
   Printf.printf "warm pass: %.3fs (cache-hit speedup %.1fx)\n%!" warm_wall
     speedup;
+  let firsts =
+    List.filter_map
+      (fun (name, (a : Server.answer)) ->
+        if Filename.check_suffix name "#0" then
+          Some (Filename.chop_suffix name "#0", a)
+        else None)
+      cold_answers
+  in
   List.iter
     (fun (name, (a : Server.answer)) ->
-      if Filename.check_suffix name "#0" then
-        Printf.printf "  %-14s %-7s solve=%.3fs\n" name
-          (verdict_name a.Server.verdict)
-          a.Server.solve_wall)
-    cold_answers;
+      Printf.printf "  %-14s %-7s solve=%.3fs\n" (name ^ "#0")
+        (Harness.verdict_name a.Server.verdict)
+        a.Server.solve_wall)
+    firsts;
   Server.shutdown engine;
-  (match check_path with
-   | None ->
-     let oc = open_out json_path in
-     Printf.fprintf oc
-       "{\n\
-       \  \"workers\": %d,\n\
-       \  \"unique_instances\": %d,\n\
-       \  \"copies\": %d,\n\
-       \  \"total_jobs\": %d,\n\
-       \  \"cold_wall_seconds\": %.3f,\n\
-       \  \"warm_wall_seconds\": %.4f,\n\
-       \  \"throughput_jobs_per_sec\": %.2f,\n\
-       \  \"cache_hit_speedup\": %.1f,\n\
-       \  \"cold_pass\": { \"solved\": %d, \"cache_hits\": %d, \
-        \"dedup_joins\": %d },\n\
-       \  \"instances\": [\n%s\n  ],\n\
-       \  \"final_stats\": %s\n\
-        }\n"
-       workers (List.length suite) copies total_jobs cold_wall warm_wall
-       throughput speedup s_cold.Server.Metrics.submitted
-       s_cold.Server.Metrics.cache_hits s_cold.Server.Metrics.dedup_joins
-       (String.concat ",\n"
-          (List.filter_map
-             (fun (name, (a : Server.answer)) ->
-               if Filename.check_suffix name "#0" then
-                 Some
-                   (Printf.sprintf
-                      "    {\"name\": \"%s\", \"verdict\": \"%s\", \
-                       \"solve_wall\": %.3f}"
-                      (Filename.chop_suffix name "#0")
-                      (verdict_name a.Server.verdict)
-                      a.Server.solve_wall)
-               else None)
-             cold_answers))
-       (Server.Metrics.to_json s_final);
-     close_out oc;
-     print_endline ("wrote " ^ json_path)
-   | Some path ->
-     let ic = open_in path in
-     let json = really_input_string ic (in_channel_length ic) in
-     close_in ic;
-     let committed key =
-       match json_number json key with
-       | Some v -> v
-       | None -> failwith (key ^ " missing from " ^ path)
-     in
-     let base_tp = committed "throughput_jobs_per_sec" in
-     let base_su = committed "cache_hit_speedup" in
-     Printf.printf
-       "committed: %.2f jobs/sec, %.1fx cache speedup\n\
-        fresh:     %.2f jobs/sec, %.1fx cache speedup\n%!"
-       base_tp base_su throughput speedup;
-     (* The warm pass is sub-millisecond absolute time, so its ratio
-        swings wildly on shared CI runners: demand only that caching
-        still pays for itself by an order of magnitude less than the
-        committed figure, alongside the usual 10% throughput band. *)
-     if throughput < 0.9 *. base_tp then begin
-       Printf.printf "server_bench check FAILED: throughput regressed >10%%\n";
-       exit 1
-     end
-     else if speedup < base_su /. 10.0 || speedup < 2.0 then begin
-       Printf.printf "server_bench check FAILED: cache speedup collapsed\n";
-       exit 1
-     end
-     else Printf.printf "server_bench check passed\n%!")
+  let open Harness in
+  Some
+    ( Obj
+        [
+          ("workers", int workers);
+          ("unique_instances", int (List.length suite));
+          ("copies", int copies);
+          ("total_jobs", int total_jobs);
+          ("cold_wall_seconds", fixed 3 cold_wall);
+          ("warm_wall_seconds", fixed 4 warm_wall);
+          ("throughput_jobs_per_sec", fixed 2 throughput);
+          ("cache_hit_speedup", fixed 1 speedup);
+          ( "cold_pass",
+            Obj
+              [
+                ("solved", int s_cold.Server.Metrics.submitted);
+                ("cache_hits", int s_cold.Server.Metrics.cache_hits);
+                ("dedup_joins", int s_cold.Server.Metrics.dedup_joins);
+              ] );
+          ( "instances",
+            List
+              (List.map
+                 (fun (name, (a : Server.answer)) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("verdict", Str (verdict_name a.Server.verdict));
+                       ("solve_wall", fixed 3 a.Server.solve_wall);
+                     ])
+                 firsts) );
+          ("final_stats", Raw (Server.Metrics.to_json s_final));
+        ],
+      fun committed ->
+        let base_tp = committed [ "throughput_jobs_per_sec" ]
+        and base_su = committed [ "cache_hit_speedup" ] in
+        (* The warm pass is sub-millisecond absolute time, so its ratio
+           swings wildly on shared CI runners: demand only that caching
+           still pays for itself by an order of magnitude less than the
+           committed figure, alongside the usual 10% throughput band. *)
+        [
+          at_least "jobs/sec vs 0.9x committed" throughput (0.9 *. base_tp);
+          at_least "cache-hit speedup vs committed/10" speedup
+            (base_su /. 10.0);
+          at_least "cache-hit speedup vs 2x floor" speedup 2.0;
+        ] )
+
+let suite =
+  {
+    Harness.name = "server";
+    doc = "solve-service jobs/sec and cache-hit speedup";
+    keys = [ [ "throughput_jobs_per_sec" ]; [ "cache_hit_speedup" ] ];
+    run;
+  }

@@ -1,8 +1,8 @@
-(* Incremental-session speedup harness.
+(* Incremental-session speedup: the [session] suite.
 
-     dune exec bench/session_bench.exe
-     dune exec bench/session_bench.exe -- --workers 4 --queries 8
-     dune exec bench/session_bench.exe -- --check BENCH_session.json
+     dune exec bench/bench.exe -- session
+     dune exec bench/bench.exe -- session --workers 4 --queries 8
+     dune exec bench/bench.exe -- session --check BENCH_session.json
 
    The SAT-sweeping workload persistent sessions exist for: a suite of
    php/LEC instances, each probed with a handful of related queries
@@ -19,27 +19,11 @@
    and worker pool, so the reported speedup is purely the value of
    keeping solver state alive across queries.
 
-   Results go to BENCH_session.json ([--json PATH] redirects);
-   [--check PATH] re-measures and exits 1 if the speedup fell below
-   the 5x floor or more than 10% below the committed number — the CI
-   soft gate. *)
+   The gate fails if the speedup fell below the 5x floor or more than
+   10% below the committed number. *)
 
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let workers = arg_value "--workers" int_of_string 2
-let scale = arg_value "--scale" float_of_string 1.0
-let queries = arg_value "--queries" int_of_string 8
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_session.json"
-let dim n = max 4 (int_of_float (float_of_int n *. scale))
-
-let suite =
+let instances ~scale =
+  let dim = Harness.dim ~scale in
   [
     ("php(7,6)", Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
     ("php(8,7)", Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7);
@@ -73,25 +57,15 @@ let verdict_of_outcome = function
   | Server.Session.Evicted -> "EVICTED"
   | Server.Session.Failed _ -> "FAILED"
 
-let verdict_name = function
-  | Server.Sat _ -> "SAT"
-  | Server.Unsat -> "UNSAT"
-  | Server.Timeout -> "TIMEOUT"
-  | Server.Failed _ -> "FAILED"
-
-let ok = function
-  | Ok v -> v
-  | Error r -> failwith ("rejected: " ^ r)
-
 (* One one-shot job per (instance, query); submit everything, then
    await — the worker pool runs the batch at full width. *)
-let run_cold engine =
+let run_cold engine suite ~queries =
   let t0 = Sat.Wall.now () in
   let tickets =
     List.concat_map
       (fun (name, f) ->
         List.init queries (fun q ->
-            (name, ok (Server.submit engine (cold_formula f q)))))
+            (name, Harness.ok (Server.submit engine (cold_formula f q)))))
       suite
   in
   let answers =
@@ -104,24 +78,24 @@ let run_cold engine =
    up front — per-session FIFOs keep each session's ops ordered while
    the fair scheduler interleaves sessions across the same worker
    pool the cold pass used. *)
-let run_incremental engine =
+let run_incremental engine suite ~queries =
   let t0 = Sat.Wall.now () in
   let opened =
     List.map
       (fun (name, f) ->
-        let sid = ok (Server.open_session engine) in
+        let sid = Harness.ok (Server.open_session engine) in
         ignore
-          (ok
+          (Harness.ok
              (Server.session_submit engine sid
                 (Server.Session.Add (Array.to_list f.Cnf.Formula.clauses))));
         let solves =
           List.init queries (fun q ->
               if q > 0 then
                 ignore
-                  (ok
+                  (Harness.ok
                      (Server.session_submit engine sid
                         (Server.Session.Assume [| query_lit f q |])));
-              ok (Server.submit_session_solve engine sid))
+              Harness.ok (Server.submit_session_solve engine sid))
         in
         (name, sid, solves))
       suite
@@ -134,62 +108,42 @@ let run_incremental engine =
             (fun t -> (name, Server.session_await engine t))
             solves
         in
-        ignore (ok (Server.close_session engine sid));
+        ignore (Harness.ok (Server.close_session engine sid));
         res)
       opened
   in
   (Sat.Wall.now () -. t0, answers)
 
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
-
-let () =
+let run () =
+  let workers = Harness.arg "--workers" int_of_string 2 in
+  let scale = Harness.arg "--scale" float_of_string 1.0 in
+  let queries = Harness.arg "--queries" int_of_string 8 in
+  let suite = instances ~scale in
   let total = List.length suite * queries in
   Printf.printf
     "session bench: %d instances x %d queries = %d solves, %d workers\n%!"
     (List.length suite) queries total workers;
   let config =
     {
+      Server.default_config with
       Server.workers;
       queue_capacity = max 64 (2 * total);
       cache_capacity = 2 * total;
       warm_capacity = 0;  (* isolate incremental-vs-cold, no warm resume *)
-      mode = Server.Direct;
-      limits = Sat.Solver.no_limits;
-      default_deadline = None;
       session_capacity = max 8 (List.length suite);
       session_ttl = None;
-      cube = None;
-      dispatch = None;
     }
   in
   let engine = Server.create ~config () in
-  let cold_wall, cold_answers = run_cold engine in
-  let incr_wall, incr_answers = run_incremental engine in
+  let cold_wall, cold_answers = run_cold engine suite ~queries in
+  let incr_wall, incr_answers = run_incremental engine suite ~queries in
   let stats = Server.stats engine in
   Server.shutdown engine;
   (* The probes are assumption literals over an UNSAT base, so both
      passes must agree query by query. *)
   List.iter2
     (fun (cn, (ca : Server.answer)) (sn, (sa : Server.Session.answer)) ->
-      let cv = verdict_name ca.Server.verdict
+      let cv = Harness.verdict_name ca.Server.verdict
       and sv = verdict_of_outcome sa.Server.Session.outcome in
       if cn <> sn || cv <> sv then
         failwith
@@ -227,56 +181,46 @@ let () =
     (fun (name, cold, incr) ->
       Printf.printf "  %-14s cold=%.3fs incremental=%.3fs\n" name cold incr)
     per_instance;
-  match check_path with
-  | None ->
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"workers\": %d,\n\
-      \  \"instances\": %d,\n\
-      \  \"queries_per_instance\": %d,\n\
-      \  \"total_solves\": %d,\n\
-      \  \"cold_wall_seconds\": %.3f,\n\
-      \  \"incremental_wall_seconds\": %.4f,\n\
-      \  \"incremental_speedup\": %.1f,\n\
-      \  \"per_instance\": [\n%s\n  ],\n\
-      \  \"final_stats\": %s\n\
-       }\n"
-      workers (List.length suite) queries total cold_wall incr_wall speedup
-      (String.concat ",\n"
-         (List.map
-            (fun (name, cold, incr) ->
-              Printf.sprintf
-                "    {\"name\": \"%s\", \"cold_solve_seconds\": %.3f, \
-                 \"incremental_solve_seconds\": %.4f}"
-                name cold incr)
-            per_instance))
-      (Server.Metrics.to_json stats);
-    close_out oc;
-    print_endline ("wrote " ^ json_path)
-  | Some path ->
-    let ic = open_in path in
-    let json = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let committed key =
-      match json_number json key with
-      | Some v -> v
-      | None -> failwith (key ^ " missing from " ^ path)
-    in
-    let base_su = committed "incremental_speedup" in
-    Printf.printf "committed: %.1fx incremental speedup\nfresh:     %.1fx\n%!"
-      base_su speedup;
-    (* The incremental pass is a few milliseconds absolute, so the
-       ratio is noisy on shared runners: hold the 5x floor the design
-       promises, and the usual 10% band against the committed figure
-       only down to that floor. *)
-    if speedup < 5.0 then begin
-      Printf.printf "session_bench check FAILED: speedup below the 5x floor\n";
-      exit 1
-    end
-    else if speedup < 0.9 *. base_su && speedup < base_su -. 1.0 then begin
-      Printf.printf
-        "session_bench check FAILED: speedup regressed >10%% vs committed\n";
-      exit 1
-    end
-    else Printf.printf "session_bench check passed\n%!"
+  let open Harness in
+  Some
+    ( Obj
+        [
+          ("workers", int workers);
+          ("instances", int (List.length suite));
+          ("queries_per_instance", int queries);
+          ("total_solves", int total);
+          ("cold_wall_seconds", fixed 3 cold_wall);
+          ("incremental_wall_seconds", fixed 4 incr_wall);
+          ("incremental_speedup", fixed 1 speedup);
+          ( "per_instance",
+            List
+              (List.map
+                 (fun (name, cold, incr) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("cold_solve_seconds", fixed 3 cold);
+                       ("incremental_solve_seconds", fixed 4 incr);
+                     ])
+                 per_instance) );
+          ("final_stats", Raw (Server.Metrics.to_json stats));
+        ],
+      fun committed ->
+        let base = committed [ "incremental_speedup" ] in
+        (* The incremental pass is a few milliseconds absolute, so the
+           ratio is noisy on shared runners: hold the 5x floor the
+           design promises, and the usual 10% band against the
+           committed figure only down to that floor. *)
+        [
+          at_least "incremental speedup vs 5x floor" speedup 5.0;
+          at_least "incremental speedup vs 0.9x committed"
+            speedup (Float.min (0.9 *. base) (base -. 1.0));
+        ] )
+
+let suite =
+  {
+    Harness.name = "session";
+    doc = "incremental sessions vs cold one-shot re-solves";
+    keys = [ [ "incremental_speedup" ] ];
+    run;
+  }

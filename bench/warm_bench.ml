@@ -1,8 +1,8 @@
-(* Warm-start resume + zero-copy ingest harness.
+(* Warm-start resume + zero-copy ingest: the [warm] suite.
 
-     dune exec bench/warm_bench.exe
-     dune exec bench/warm_bench.exe -- --workers 4 --scale 0.5
-     dune exec bench/warm_bench.exe -- --check BENCH_warm.json
+     dune exec bench/bench.exe -- warm
+     dune exec bench/bench.exe -- warm --workers 4 --scale 0.5
+     dune exec bench/bench.exe -- warm --check BENCH_warm.json
 
    Two measurements, one for each half of the warm-path work:
 
@@ -24,28 +24,12 @@
       each, best of [--iters] runs, with a canonical-fingerprint
       equality check to prove both parses read the same formula.
 
-   Results go to BENCH_warm.json ([--json PATH] redirects);
-   [--check PATH] re-measures and exits 1 if the warm speedup fell
-   below the 1.5x floor, the parse speedup fell below 2x, or either
-   regressed more than 10% below the committed numbers — the CI soft
-   gate. *)
+   The gate fails if the warm speedup fell below the 1.5x floor or
+   collapsed against the committed figure, or the parse speedup fell
+   below 2x or more than 10% below the committed figure. *)
 
-let arg_value name conv default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then conv Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let workers = arg_value "--workers" int_of_string 2
-let scale = arg_value "--scale" float_of_string 1.0
-let iters = arg_value "--iters" int_of_string 3
-let check_path = arg_value "--check" Option.some None
-let json_path = arg_value "--json" Fun.id "BENCH_warm.json"
-let dim n = max 4 (int_of_float (float_of_int n *. scale))
-
-let suite =
+let instances ~scale =
+  let dim = Harness.dim ~scale in
   [
     ("php(7,6)", Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
     ("php(8,7)", Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7);
@@ -54,50 +38,31 @@ let suite =
     ("parity-miter", Workloads.Suites.parity_miter_cnf ~num_bits:(dim 16));
   ]
 
-let verdict_name = function
-  | Server.Sat _ -> "SAT"
-  | Server.Unsat -> "UNSAT"
-  | Server.Timeout -> "TIMEOUT"
-  | Server.Failed _ -> "FAILED"
-
-let ok = function
-  | Ok v -> v
-  | Error r -> failwith ("rejected: " ^ r)
-
 (* Cold solve, forget the verdict (the snapshot stays), resume warm.
    Sequential on purpose: each pair shares a worker, so the two solve
    walls are directly comparable. *)
-let run_warm_pairs engine =
+let run_warm_pairs engine suite =
   List.map
     (fun (name, f) ->
       let f = Cnf.Flat.of_formula f in
-      let cold = ok (Server.solve engine f) in
+      let cold = Harness.ok (Server.solve engine f) in
       if cold.Server.source <> Server.Solved then
         failwith (name ^ ": cold run was not a fresh solve");
       Server.forget_verdict engine (Cnf.Fingerprint.of_flat f);
-      let warm = ok (Server.solve engine f) in
+      let warm = Harness.ok (Server.solve engine f) in
       if warm.Server.source <> Server.Solved then
         failwith (name ^ ": warm run answered from the cache");
-      if verdict_name warm.Server.verdict <> verdict_name cold.Server.verdict
-      then
-        failwith
-          (Printf.sprintf "%s: warm verdict %s != cold %s" name
-             (verdict_name warm.Server.verdict)
-             (verdict_name cold.Server.verdict));
-      (name, verdict_name cold.Server.verdict, cold.Server.solve_wall,
-       warm.Server.solve_wall))
+      let cv = Harness.verdict_name cold.Server.verdict
+      and wv = Harness.verdict_name warm.Server.verdict in
+      if wv <> cv then
+        failwith (Printf.sprintf "%s: warm verdict %s != cold %s" name wv cv);
+      (name, cv, cold.Server.solve_wall, warm.Server.solve_wall))
     suite
-
-let geomean = function
-  | [] -> 1.0
-  | xs ->
-    exp
-      (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
-      /. float_of_int (List.length xs))
 
 (* --- parse throughput ------------------------------------------------ *)
 
-let parse_corpus () =
+let parse_corpus ~scale =
+  let dim = Harness.dim ~scale in
   Workloads.Satcomp.random_ksat ~seed:7 ~num_vars:(dim 60000)
     ~num_clauses:(dim 240000) ~k:3
 
@@ -114,156 +79,115 @@ let best_of n f =
   in
   go 0 infinity
 
-let measure_parse () =
-  let f = parse_corpus () in
-  let path = Filename.temp_file "warm_bench" ".cnf" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Cnf.Dimacs.write_file f path;
-      let bytes = (Unix.stat path).Unix.st_size in
-      let mb = float_of_int bytes /. (1024.0 *. 1024.0) in
-      let legacy_read () =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Cnf.Dimacs.read_string s
-      in
-      let legacy_s = best_of iters legacy_read in
-      let flat_s = best_of iters (fun () -> Cnf.Dimacs.read_flat_file path) in
-      (* Both paths must have read the very same canonical formula. *)
-      let fp_legacy = Cnf.Fingerprint.of_formula (legacy_read ()) in
-      let fp_flat = Cnf.Fingerprint.of_flat (Cnf.Dimacs.read_flat_file path) in
-      if not (Cnf.Fingerprint.equal fp_legacy fp_flat) then
-        failwith "parse mismatch: flat fingerprint != legacy fingerprint";
-      (mb, mb /. legacy_s, mb /. flat_s))
-
-let json_number json key =
-  let needle = "\"" ^ key ^ "\": " in
-  let n = String.length needle and len = String.length json in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub json i n = needle then Some (i + n)
-    else find (i + 1)
+let measure_parse ~scale ~iters =
+  let f = parse_corpus ~scale in
+  Harness.with_temp_dir "warm_bench" @@ fun dir ->
+  let path = Filename.concat dir "corpus.cnf" in
+  Cnf.Dimacs.write_file f path;
+  let bytes = (Unix.stat path).Unix.st_size in
+  let mb = float_of_int bytes /. (1024.0 *. 1024.0) in
+  let legacy_read () =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Cnf.Dimacs.read_string s
   in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < len
-      && (match json.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub json i (!j - i))
+  let legacy_s = best_of iters legacy_read in
+  let flat_s = best_of iters (fun () -> Cnf.Dimacs.read_flat_file path) in
+  (* Both paths must have read the very same canonical formula. *)
+  let fp_legacy =
+    Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula (legacy_read ()))
+  in
+  let fp_flat = Cnf.Fingerprint.of_flat (Cnf.Dimacs.read_flat_file path) in
+  if not (Cnf.Fingerprint.equal fp_legacy fp_flat) then
+    failwith "parse mismatch: flat fingerprint != legacy fingerprint";
+  (mb, mb /. legacy_s, mb /. flat_s)
 
-let () =
+let run () =
+  let workers = Harness.arg "--workers" int_of_string 2 in
+  let scale = Harness.arg "--scale" float_of_string 1.0 in
+  let iters = Harness.arg "--iters" int_of_string 3 in
+  let suite = instances ~scale in
   Printf.printf "warm bench: %d instances, %d workers\n%!" (List.length suite)
     workers;
   let config =
     {
+      Server.default_config with
       Server.workers;
-      queue_capacity = 64;
       cache_capacity = 64;
       warm_capacity = 64;
-      mode = Server.Direct;
-      limits = Sat.Solver.no_limits;
-      default_deadline = None;
       session_capacity = 8;
       session_ttl = None;
-      cube = None;
-      dispatch = None;
     }
   in
   let engine = Server.create ~config () in
-  let pairs = run_warm_pairs engine in
+  let pairs = run_warm_pairs engine suite in
   let stats = Server.stats engine in
   Server.shutdown engine;
   let eps = 1e-6 in
   let speedups =
     List.map (fun (_, _, cold, warm) -> max eps cold /. max eps warm) pairs
   in
-  let warm_speedup = geomean speedups in
+  let warm_speedup = Harness.geomean speedups in
   List.iter2
     (fun (name, verdict, cold, warm) su ->
       Printf.printf "  %-14s %-7s cold=%.4fs warm=%.4fs  %.1fx\n" name verdict
         cold warm su)
     pairs speedups;
   Printf.printf "warm resume speedup (geomean): %.2fx\n%!" warm_speedup;
-  let parse_mb, legacy_mb_s, flat_mb_s = measure_parse () in
+  let parse_mb, legacy_mb_s, flat_mb_s = measure_parse ~scale ~iters in
   let parse_speedup = flat_mb_s /. legacy_mb_s in
   Printf.printf
     "parse: %.1f MB corpus  legacy %.1f MB/s  flat/mmap %.1f MB/s  %.1fx\n%!"
     parse_mb legacy_mb_s flat_mb_s parse_speedup;
-  match check_path with
-  | None ->
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"workers\": %d,\n\
-      \  \"instances\": %d,\n\
-      \  \"warm_speedup_geomean\": %.2f,\n\
-      \  \"per_instance\": [\n%s\n  ],\n\
-      \  \"parse_corpus_mb\": %.1f,\n\
-      \  \"parse_legacy_mb_per_s\": %.1f,\n\
-      \  \"parse_flat_mb_per_s\": %.1f,\n\
-      \  \"parse_speedup\": %.2f,\n\
-      \  \"final_stats\": %s\n\
-       }\n"
-      workers (List.length suite) warm_speedup
-      (String.concat ",\n"
-         (List.map2
-            (fun (name, verdict, cold, warm) su ->
-              Printf.sprintf
-                "    {\"name\": \"%s\", \"verdict\": \"%s\", \
-                 \"cold_solve_seconds\": %.4f, \"warm_solve_seconds\": \
-                 %.4f, \"speedup\": %.1f}"
-                name verdict cold warm su)
-            pairs speedups))
-      parse_mb legacy_mb_s flat_mb_s parse_speedup
-      (Server.Metrics.to_json stats);
-    close_out oc;
-    print_endline ("wrote " ^ json_path)
-  | Some path ->
-    let ic = open_in path in
-    let json = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let committed key =
-      match json_number json key with
-      | Some v -> v
-      | None -> failwith (key ^ " missing from " ^ path)
-    in
-    let base_warm = committed "warm_speedup_geomean" in
-    let base_parse = committed "parse_speedup" in
-    Printf.printf
-      "committed: %.2fx warm, %.2fx parse\nfresh:     %.2fx warm, %.2fx \
-       parse\n%!"
-      base_warm base_parse warm_speedup parse_speedup;
-    (* A warm resume is sub-millisecond absolute, so its ratio swings
-       by tens of percent run to run on shared machines: hold the
-       design floors (warm >= 1.5x, parse >= 2x) and guard only
-       against an order-of-magnitude collapse of the warm figure —
-       the parse ratio divides two multi-millisecond walls, so it
-       keeps the usual 10% band. *)
-    if warm_speedup < 1.5 then begin
-      Printf.printf "warm_bench check FAILED: warm speedup below 1.5x floor\n";
-      exit 1
-    end
-    else if parse_speedup < 2.0 then begin
-      Printf.printf "warm_bench check FAILED: parse speedup below 2x floor\n";
-      exit 1
-    end
-    else if warm_speedup < base_warm /. 3.0 then begin
-      Printf.printf
-        "warm_bench check FAILED: warm speedup collapsed vs committed\n";
-      exit 1
-    end
-    else if
-      parse_speedup < 0.9 *. base_parse && parse_speedup < base_parse -. 1.0
-    then begin
-      Printf.printf
-        "warm_bench check FAILED: parse speedup regressed >10%% vs committed\n";
-      exit 1
-    end
-    else Printf.printf "warm_bench check passed\n%!"
+  let open Harness in
+  Some
+    ( Obj
+        [
+          ("workers", int workers);
+          ("instances", int (List.length suite));
+          ("warm_speedup_geomean", fixed 2 warm_speedup);
+          ( "per_instance",
+            List
+              (List.map2
+                 (fun (name, verdict, cold, warm) su ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("verdict", Str verdict);
+                       ("cold_solve_seconds", fixed 4 cold);
+                       ("warm_solve_seconds", fixed 4 warm);
+                       ("speedup", fixed 1 su);
+                     ])
+                 pairs speedups) );
+          ("parse_corpus_mb", fixed 1 parse_mb);
+          ("parse_legacy_mb_per_s", fixed 1 legacy_mb_s);
+          ("parse_flat_mb_per_s", fixed 1 flat_mb_s);
+          ("parse_speedup", fixed 2 parse_speedup);
+          ("final_stats", Raw (Server.Metrics.to_json stats));
+        ],
+      fun committed ->
+        let base_warm = committed [ "warm_speedup_geomean" ]
+        and base_parse = committed [ "parse_speedup" ] in
+        (* A warm resume is sub-millisecond absolute, so its ratio
+           swings by tens of percent run to run on shared machines:
+           hold the design floors (warm >= 1.5x, parse >= 2x) and guard
+           only against an order-of-magnitude collapse of the warm
+           figure — the parse ratio divides two multi-millisecond
+           walls, so it keeps the usual 10% band. *)
+        [
+          at_least "warm speedup vs 1.5x floor" warm_speedup 1.5;
+          at_least "parse speedup vs 2x floor" parse_speedup 2.0;
+          at_least "warm speedup vs committed/3" warm_speedup
+            (base_warm /. 3.0);
+          at_least "parse speedup vs 0.9x committed" parse_speedup
+            (Float.min (0.9 *. base_parse) (base_parse -. 1.0));
+        ] )
+
+let suite =
+  {
+    Harness.name = "warm";
+    doc = "warm-start resume vs cold solve, mmap vs legacy parse";
+    keys = [ [ "warm_speedup_geomean" ]; [ "parse_speedup" ] ];
+    run;
+  }

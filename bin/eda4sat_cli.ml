@@ -527,7 +527,8 @@ let serve_cmd =
            Printf.printf "c listening on unix:%s\n%!" path
          | None -> ());
         if stdio || (listen = None && unix_path = None) then
-          Net.Event_loop.add_stdio loop;
+          Net.Event_loop.add_pipe loop ~fd_in:Unix.stdin
+            ~fd_out:Unix.stdout;
         (* A client that vanishes mid-write must look like EPIPE on the
            loop's non-blocking write, never kill the process. *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -998,18 +999,8 @@ let tables_cmd =
     match table with
     | None -> print_string (Experiments.Tables.run_all ctx)
     | Some n ->
-      let t =
-        match n with
-        | 1 -> Experiments.Tables.table1 ctx
-        | 2 -> Experiments.Tables.table2 ctx
-        | 3 -> Experiments.Tables.table3 ctx
-        | 4 -> Experiments.Tables.table4 ctx
-        | 5 -> Experiments.Tables.table5 ctx
-        | 6 -> Experiments.Tables.table6 ctx
-        | 7 -> Experiments.Tables.table7 ctx
-        | _ -> failwith "tables are numbered 1..7"
-      in
-      print_string (Experiments.Table.render t)
+      print_string
+        (Experiments.Table.render (Experiments.Tables.table ctx n))
   in
   let table =
     Arg.(value & opt (some int) None

@@ -35,8 +35,7 @@ let feed_sep h = feed h 0
    sorted lexicographically — is computed in two flat scratch arrays
    (a literal stream and a clause-offset index) instead of a list of
    per-clause arrays: two allocations total regardless of clause
-   count, and the same arrays serve both [of_formula] and the CSR
-   store's [of_flat]. *)
+   count. *)
 
 let of_csr ~num_vars ~offsets ~(lits : int array) =
   let nc = Array.length offsets - 1 in
@@ -123,8 +122,6 @@ let of_csr ~num_vars ~offsets ~(lits : int array) =
 
 let of_flat (t : Flat.t) =
   of_csr ~num_vars:t.Flat.num_vars ~offsets:t.Flat.offsets ~lits:t.Flat.lits
-
-let of_formula (f : Formula.t) = of_flat (Flat.of_formula f)
 
 let equal a b =
   Int64.equal a.h1 b.h1 && Int64.equal a.h2 b.h2 && a.num_vars = b.num_vars

@@ -34,16 +34,12 @@ type t = {
                           dropping tautologies and duplicates) *)
 }
 
-val of_formula : Formula.t -> t
-(** Fingerprint a formula.  Cost is one sort of the clause index plus
-    a sort per clause — linearithmic in the literal count; the normal
-    form is built in two flat scratch arrays, not a clause list. *)
-
 val of_flat : Flat.t -> t
-(** Fingerprint a flat CSR store, streaming over its arrays.
-    Guaranteed equal to [of_formula (Flat.to_formula t)] — the solve
-    service relies on this so flat-ingested and formula-ingested
-    submissions of the same CNF share cache entries. *)
+(** Fingerprint a flat CSR store (a {!Formula.t} goes through
+    {!Flat.of_formula} first).  Cost is one sort of the clause index
+    plus a sort per clause — linearithmic in the literal count; the
+    normal form is built in two flat scratch arrays, not a clause
+    list. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

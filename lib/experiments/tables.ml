@@ -515,6 +515,21 @@ let figure4 () =
 
 (* ------------------------------------------------------------------ *)
 
+let table ctx = function
+  | 1 -> table1 ctx
+  | 2 -> table2 ctx
+  | 3 -> table3 ctx
+  | 4 -> table4 ctx
+  | 5 -> table5 ctx
+  | 6 -> table6 ctx
+  | 7 -> table7 ctx
+  | _ -> failwith "tables are numbered 1..7"
+
+let figure = function
+  | 2 -> figure2 ()
+  | 4 -> figure4 ()
+  | _ -> failwith "data-bearing figures are 2 and 4"
+
 let run_all ctx =
   let buf = Buffer.create 16384 in
   let add t = Buffer.add_string buf (Table.render t ^ "\n") in

@@ -54,6 +54,12 @@ val figure4 : unit -> Table.t
 (** Branching complexity of 2-input LUTs (AND = 3, XOR = 4) and the
     4-input extremes. *)
 
+val table : ctx -> int -> Table.t
+(** [table ctx n] is [tableN ctx]; fails outside 1..7. *)
+
+val figure : int -> Table.t
+(** [figure n] is [figureN ()]; fails unless [n] is 2 or 4. *)
+
 val run_all : ctx -> string
 (** Every table and figure rendered, sharing pipeline runs between
     Tables 3-5 and 7. *)

@@ -18,7 +18,7 @@
 
     {2 Backpressure}
 
-    [out] is bounded by [max_out] (0 = unbounded, used for stdio).
+    [out] is bounded by [max_out] (0 = unbounded, used for pipes).
     Past [max_out/2] the connection is {e overloaded}: new commands
     answer [REJECTED overloaded] instead of reaching the engine.  Past
     [max_out] the peer has stopped reading for good and the loop
@@ -39,7 +39,7 @@ type t = {
   id : int;
   fd_in : Unix.file_descr;
   fd_out : Unix.file_descr;   (** = [fd_in] for sockets *)
-  owns_fds : bool;            (** close on disconnect (false for stdio) *)
+  owns_fds : bool;            (** close on disconnect (false for pipes) *)
   peer : string;              (** human-readable peer, for log lines *)
   framing : Framing.t;
   items : item Queue.t;       (** the per-connection answer FIFO *)

@@ -197,10 +197,9 @@ let new_conn t ~fd_in ~fd_out ~owns_fds ~peer ~max_out =
   Hashtbl.replace t.conns conn.Conn.id conn;
   conn
 
-let add_stdio t =
+let add_pipe t ~fd_in ~fd_out =
   ignore
-    (new_conn t ~fd_in:Unix.stdin ~fd_out:Unix.stdout ~owns_fds:false
-       ~peer:"stdio" ~max_out:0)
+    (new_conn t ~fd_in ~fd_out ~owns_fds:false ~peer:"pipe" ~max_out:0)
 
 (* --- completion plumbing ---------------------------------------------- *)
 
@@ -444,8 +443,7 @@ let handle_read t conn scratch =
   | exception Unix.Unix_error (_, _, _) -> force_close t conn
   | 0 ->
     conn.Conn.eof <- true;
-    (* A final command without a trailing newline still counts — same
-       contract as the channel transport's [input_line]. *)
+    (* A final command without a trailing newline still counts. *)
     (match Framing.finish conn.Conn.framing with
      | Some line ->
        conn.Conn.lines_pending <- conn.Conn.lines_pending @ [ line ]

@@ -81,10 +81,11 @@ val add_unix : t -> string -> unit
     file left by a dead server is replaced; any other existing file is
     an error.  The path is unlinked when the listener closes. *)
 
-val add_stdio : t -> unit
-(** Attach stdin/stdout as one more connection — the [serve] pipe
-    mode runs through the same loop, framing and dispatch as socket
-    clients (unbounded out-buffer, fds not closed). *)
+val add_pipe : t -> fd_in:Unix.file_descr -> fd_out:Unix.file_descr -> unit
+(** Attach a read/write descriptor pair as one more connection — the
+    [serve] pipe mode passes stdin/stdout and runs through the same
+    loop, framing and dispatch as socket clients (unbounded
+    out-buffer; the descriptors are not closed). *)
 
 val request_drain : t -> unit
 (** Begin graceful shutdown (async-signal safe: a flag and a self-pipe
@@ -105,5 +106,5 @@ val effective_max_clients : t -> int
 
 val run : t -> unit
 (** Drive the loop until done: no listeners left (never added, or
-    closed by drain) and no connections left.  With only stdio
-    attached this returns at EOF/QUIT, like the channel transport. *)
+    closed by drain) and no connections left.  With only a pipe
+    attached this returns at its EOF/QUIT. *)

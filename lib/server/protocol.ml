@@ -37,10 +37,9 @@ let deadline_of_ms_string d = float_of_string d /. 1000.0
 
 (* --- request parsing --------------------------------------------------
 
-   One grammar for every transport: the stdin/channel loop below and
-   the socket front-end (lib/net) both parse lines with
-   [parse_request], so a command means the same thing over a pipe, a
-   TCP connection and a Unix socket. *)
+   One grammar for every transport: the front-end (lib/net) parses
+   pipe, TCP and Unix-socket lines with [parse_request], so a command
+   means the same thing on each. *)
 
 let is_int_string s =
   s <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') s
@@ -250,186 +249,3 @@ let session_answer_lines ~seq ~sid ~verb (a : Session.answer) =
    | Session.Timeout -> [ "TIMEOUT" ]
    | Session.Evicted -> [ "EVICTED" ]
    | Session.Failed msg -> [ "FAILED " ^ msg ])
-
-(* --- the channel transport --------------------------------------------
-
-   Answers print in request order while the engine solves out of
-   order: the reader pushes one item per request into this FIFO and a
-   printer domain resolves them head-first.  [Stats] and [Sync] are
-   barriers by construction — the printer only reaches them after
-   every earlier answer is out.  The socket transport (lib/net)
-   implements the same ordering with per-connection queues inside one
-   event loop instead of a printer domain. *)
-
-type sync_point = {
-  sm : Mutex.t;
-  sc : Condition.t;
-  mutable released : bool;
-}
-
-type item =
-  | Answer of {
-      seq : int;
-      file : string;
-      num_vars : int;
-      ticket : Engine.ticket;
-    }
-  | S_answer of {
-      seq : int;
-      sid : int;
-      verb : string;
-      ticket : Session.ticket;
-    }
-  | Lines of string list
-  | Stats_item
-  | Sync_item of sync_point
-  | Stop
-
-type fifo = {
-  q : item Queue.t;
-  m : Mutex.t;
-  c : Condition.t;
-}
-
-let fifo_push f item =
-  Mutex.lock f.m;
-  Queue.push item f.q;
-  Condition.signal f.c;
-  Mutex.unlock f.m
-
-let fifo_pop f =
-  Mutex.lock f.m;
-  while Queue.is_empty f.q do
-    Condition.wait f.c f.m
-  done;
-  let item = Queue.pop f.q in
-  Mutex.unlock f.m;
-  item
-
-let print_lines oc lines =
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  flush oc
-
-let printer_loop engine oc fifo () =
-  let rec loop () =
-    match fifo_pop fifo with
-    | Stop -> ()
-    | Lines ls ->
-      print_lines oc ls;
-      loop ()
-    | Stats_item ->
-      print_lines oc [ Engine.stats_json engine ];
-      loop ()
-    | Sync_item s ->
-      print_lines oc [ "c sync" ];
-      Mutex.lock s.sm;
-      s.released <- true;
-      Condition.broadcast s.sc;
-      Mutex.unlock s.sm;
-      loop ()
-    | Answer { seq; file; num_vars; ticket } ->
-      print_lines oc
-        (answer_lines ~seq ~file ~num_vars (Engine.await engine ticket));
-      loop ()
-    | S_answer { seq; sid; verb; ticket } ->
-      print_lines oc
-        (session_answer_lines ~seq ~sid ~verb
-           (Engine.session_await engine ticket));
-      loop ()
-  in
-  loop ()
-
-let serve engine ic oc =
-  let fifo =
-    { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
-  in
-  let printer = Domain.spawn (printer_loop engine oc fifo) in
-  let seq = ref 0 in
-  let handle_solve ~file ~deadline ~priority =
-    incr seq;
-    let n = !seq in
-    match submit_file engine ?deadline ?priority file with
-    | Ok (ticket, num_vars) ->
-      fifo_push fifo (Answer { seq = n; file; num_vars; ticket })
-    | Error line -> fifo_push fifo (Lines [ job_header ~seq:n ~file; line ])
-  in
-  let push_session_result sid verb = function
-    | Ok ticket ->
-      fifo_push fifo (S_answer { seq = !seq; sid; verb; ticket })
-    | Error reason ->
-      fifo_push fifo
-        (Lines
-           [ session_header ~sid ~seq:!seq ~verb; "REJECTED " ^ reason ])
-  in
-  let handle_open () =
-    incr seq;
-    let n = !seq in
-    match Engine.open_session engine with
-    | Ok sid ->
-      fifo_push fifo
-        (Lines [ open_header ~seq:n; Printf.sprintf "OPENED %d" sid ])
-    | Error reason ->
-      fifo_push fifo (Lines [ open_header ~seq:n; "REJECTED " ^ reason ])
-  in
-  let rec read_loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line -> (
-      match parse_request line with
-      | Quit -> ()
-      | Comment -> read_loop ()
-      | Bad msg ->
-        fifo_push fifo (Lines [ msg ]);
-        read_loop ()
-      | Ping ->
-        (* Ordered on this transport (one writer: the printer domain);
-           the socket transport answers PONG out of band instead. *)
-        fifo_push fifo (Lines [ "PONG" ]);
-        read_loop ()
-      | Client name ->
-        (* The channel transport is single-client; the declaration is
-           acknowledged for script compatibility but has no quota
-           attached (quotas live in the socket front-end). *)
-        fifo_push fifo (Lines [ "HELLO " ^ name ]);
-        read_loop ()
-      | Solve_file { file; deadline; priority } ->
-        handle_solve ~file ~deadline ~priority;
-        read_loop ()
-      | Session_solve { sid; deadline } ->
-        incr seq;
-        push_session_result sid "solve"
-          (Engine.submit_session_solve engine ?deadline sid);
-        read_loop ()
-      | Session_op { sid; verb; op } ->
-        incr seq;
-        push_session_result sid verb (Engine.session_submit engine sid op);
-        read_loop ()
-      | Open_session ->
-        handle_open ();
-        read_loop ()
-      | Stats | Metrics_now ->
-        fifo_push fifo Stats_item;
-        read_loop ()
-      | Sync ->
-        let s =
-          { sm = Mutex.create (); sc = Condition.create ();
-            released = false }
-        in
-        fifo_push fifo (Sync_item s);
-        Mutex.lock s.sm;
-        while not s.released do
-          Condition.wait s.sc s.sm
-        done;
-        Mutex.unlock s.sm;
-        read_loop ())
-  in
-  read_loop ();
-  (* EOF (and QUIT) is an implicit SYNC-and-drain: [Stop] enters the
-     FIFO after every pending answer item, so the printer resolves and
-     prints them all before the join — including the answer to a final
-     command that arrived without a trailing newline, which
-     [input_line] still delivers as a line.  The final flush covers a
-     caller that closes [oc] immediately after [serve] returns. *)
-  fifo_push fifo Stop;
-  Domain.join printer;
-  flush oc

@@ -78,10 +78,9 @@ val model_line : num_vars:int -> bool array -> string
 (** {2 Shared grammar and renderers}
 
     One parser and one set of answer renderers for every transport:
-    the channel loop below and the socket front-end ({!Net.Event_loop})
-    both go through these, so a command means the same thing — and an
-    answer is byte-identical — over a pipe, a TCP connection and a
-    Unix socket. *)
+    the front-end ({!Net.Event_loop}) serves pipe, TCP and Unix-socket
+    connections through these, so a command means the same thing —
+    and an answer is byte-identical — on each. *)
 
 type request =
   | Solve_file of {
@@ -132,8 +131,3 @@ val answer_lines :
 val session_answer_lines :
   seq:int -> sid:int -> verb:string -> Session.answer -> string list
 (** Render a session answer: header, outcome, model or core line. *)
-
-val serve : Engine.t -> in_channel -> out_channel -> unit
-(** Run the protocol until EOF or [QUIT]; [SOLVE <file>] goes through
-    {!submit_file}.  Does {e not} shut the engine down — the caller
-    owns its lifecycle. *)

@@ -187,11 +187,12 @@ let test_pipe_aiger_operand () =
     (fun () ->
       let r_cmd, w_cmd = Unix.pipe ~cloexec:true () in
       let r_ans, w_ans = Unix.pipe ~cloexec:true () in
+      let loop = Net.Event_loop.create engine in
+      Net.Event_loop.add_pipe loop ~fd_in:r_cmd ~fd_out:w_ans;
       let server =
         Domain.spawn (fun () ->
-            let oc = Unix.out_channel_of_descr w_ans in
-            Server.Protocol.serve engine (Unix.in_channel_of_descr r_cmd) oc;
-            close_out oc)
+            Net.Event_loop.run loop;
+            Unix.close w_ans)
       in
       let before = parse_count engine in
       Test_net.send (w_cmd, ref "")

@@ -17,4 +17,5 @@ let () =
       ("cli", Test_cli.suite);
       ("workloads", Test_workloads.suite);
       ("experiments", Test_experiments.suite);
+      ("bench", Test_bench.suite);
     ]

@@ -633,7 +633,7 @@ let test_warm_resume_after_forget () =
         (cold.Server.source = Server.Solved);
       (* Drop the verdict but keep the snapshot: the resubmission must
          miss the result cache and resume from the warm seed instead. *)
-      Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
+      Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f));
       let warm =
         match Server.solve e (flat f) with
         | Ok a -> a
@@ -660,7 +660,7 @@ let test_warm_disabled_when_zero () =
       (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; _ } -> ()
        | _ -> Alcotest.fail "php(7,6) must be UNSAT");
-      Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
+      Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f));
       (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must be a fresh cold solve");
@@ -757,7 +757,7 @@ let test_warm_fuzz () =
           | _ -> Alcotest.fail "unexpected cold verdict")
         first;
       List.iter
-        (fun f -> Server.forget_verdict e (Cnf.Fingerprint.of_formula f))
+        (fun f -> Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f)))
         formulas;
       let second = pass () in
       List.iter2
@@ -816,7 +816,7 @@ let test_cube_escalation_refutes () =
       (* Cube jobs must not feed the warm cache: with the verdict
          forgotten, the resubmission is a cold solve (which cubes
          again), never a warm resume of cube-local state. *)
-      Server.forget_verdict e (Cnf.Fingerprint.of_formula f);
+      Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f));
       (match Server.solve e (flat f) with
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must re-solve fresh");
@@ -889,7 +889,7 @@ let test_warm_fuzz_with_cubes () =
       let first = pass () in
       List.iter verify first;
       List.iter
-        (fun f -> Server.forget_verdict e (Cnf.Fingerprint.of_formula f))
+        (fun f -> Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f)))
         formulas;
       let second = pass () in
       List.iter verify second;
