@@ -291,10 +291,8 @@ let run () =
      per eval submit, each on exactly one leg. *)
   if
     Server.Metrics.(
-      stats.dispatch_decided
-      <> stats.dispatch_direct + stats.dispatch_simplify
-         + stats.dispatch_raced + stats.dispatch_rejected
-      || stats.dispatch_decided <> reps * List.length eval_suite)
+      reconcile stats <> []
+      || get stats Dispatch_decided <> reps * List.length eval_suite)
   then failwith "dispatch ledger does not reconcile";
   Some
     ( Harness.(

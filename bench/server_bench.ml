@@ -94,12 +94,13 @@ let run () =
   let s_cold = Server.stats engine in
   let warm_wall, _ = run_batch engine jobs in
   let s_final = Server.stats engine in
+  let cold k = Server.Metrics.get s_cold k in
   let throughput = float_of_int total_jobs /. cold_wall in
   let speedup = cold_wall /. warm_wall in
   Printf.printf
     "cold pass: %.3fs (%.1f jobs/sec; %d solved, %d deduped/cached)\n"
-    cold_wall throughput s_cold.Server.Metrics.submitted
-    (s_cold.Server.Metrics.cache_hits + s_cold.Server.Metrics.dedup_joins);
+    cold_wall throughput (cold Submitted)
+    (cold Cache_hits + cold Dedup_joins);
   Printf.printf "warm pass: %.3fs (cache-hit speedup %.1fx)\n%!" warm_wall
     speedup;
   let firsts =
@@ -132,9 +133,9 @@ let run () =
           ( "cold_pass",
             Obj
               [
-                ("solved", int s_cold.Server.Metrics.submitted);
-                ("cache_hits", int s_cold.Server.Metrics.cache_hits);
-                ("dedup_joins", int s_cold.Server.Metrics.dedup_joins);
+                ("solved", int (cold Submitted));
+                ("cache_hits", int (cold Cache_hits));
+                ("dedup_joins", int (cold Dedup_joins));
               ] );
           ( "instances",
             List

@@ -274,14 +274,8 @@ let flush_ready t conn unblocked =
 
 (* --- metrics helpers -------------------------------------------------- *)
 
-let m_request t client =
-  Server.Metrics.record_client_request (Server.metrics t.engine) ~client
-
-let m_answered t client =
-  Server.Metrics.record_client_answered (Server.metrics t.engine) ~client
-
-let m_rejected t client =
-  Server.Metrics.record_client_rejected (Server.metrics t.engine) ~client
+let m_client t client leg =
+  Server.Metrics.count_client (Server.metrics t.engine) ~client leg
 
 (* --- command dispatch ------------------------------------------------- *)
 
@@ -290,14 +284,14 @@ let handle_solve_file t conn ~file ~deadline ~priority =
   let n = conn.Conn.seq in
   let ten = conn.Conn.tenant in
   let client = Tenant.name ten in
-  m_request t client;
+  m_client t client `Requests;
   let header = Server.Protocol.job_header ~seq:n ~file in
   if Conn.overloaded conn then begin
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn [ header; "REJECTED overloaded" ]
   end
   else if not (Tenant.try_acquire t.tenants ten) then begin
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn [ header; "REJECTED quota" ]
   end
   else begin
@@ -305,14 +299,14 @@ let handle_solve_file t conn ~file ~deadline ~priority =
     match Server.Protocol.submit_file t.engine ?deadline ~priority file with
     | Error line ->
       Tenant.release t.tenants ten;
-      m_rejected t client;
+      m_client t client `Rejected;
       push_lines t conn [ header; line ]
     | Ok (ticket, num_vars) ->
       let p = { Conn.lines = None } in
       push_item t conn (Conn.Pending p);
       Server.on_answer t.engine ticket (fun a ->
           Tenant.release t.tenants ten;
-          m_answered t client;
+          m_client t client `Answered;
           complete t conn p
             (Server.Protocol.answer_lines ~seq:n ~file ~num_vars a))
   end
@@ -322,7 +316,7 @@ let handle_session t conn ~sid ~verb submit =
   let n = conn.Conn.seq in
   let ten = conn.Conn.tenant in
   let client = Tenant.name ten in
-  m_request t client;
+  m_client t client `Requests;
   let header = Server.Protocol.session_header ~sid ~seq:n ~verb in
   let foreign =
     match Hashtbl.find_opt t.session_owner sid with
@@ -330,29 +324,29 @@ let handle_session t conn ~sid ~verb submit =
     | None -> false  (* unknown sids fall through to the engine's answer *)
   in
   if foreign then begin
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn [ header; "REJECTED not-owner" ]
   end
   else if Conn.overloaded conn then begin
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn [ header; "REJECTED overloaded" ]
   end
   else if not (Tenant.try_acquire t.tenants ten) then begin
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn [ header; "REJECTED quota" ]
   end
   else
     match submit () with
     | Error reason ->
       Tenant.release t.tenants ten;
-      m_rejected t client;
+      m_client t client `Rejected;
       push_lines t conn [ header; "REJECTED " ^ reason ]
     | Ok ticket ->
       let p = { Conn.lines = None } in
       push_item t conn (Conn.Pending p);
       Server.Session.on_answer ticket (fun a ->
           Tenant.release t.tenants ten;
-          m_answered t client;
+          m_client t client `Answered;
           complete t conn p
             (Server.Protocol.session_answer_lines ~seq:n ~sid ~verb a))
 
@@ -360,15 +354,15 @@ let handle_open t conn =
   conn.Conn.seq <- conn.Conn.seq + 1;
   let n = conn.Conn.seq in
   let client = Tenant.name conn.Conn.tenant in
-  m_request t client;
+  m_client t client `Requests;
   match Server.open_session t.engine with
   | Ok sid ->
     Hashtbl.replace t.session_owner sid client;
-    m_answered t client;
+    m_client t client `Answered;
     push_lines t conn
       [ Server.Protocol.open_header ~seq:n; Printf.sprintf "OPENED %d" sid ]
   | Error reason ->
-    m_rejected t client;
+    m_client t client `Rejected;
     push_lines t conn
       [ Server.Protocol.open_header ~seq:n; "REJECTED " ^ reason ]
 
@@ -463,7 +457,7 @@ let handle_read t conn scratch =
    connection-count bound, for fds select could not handle, and for
    the EMFILE shed path. *)
 let refuse_accept t fd =
-  m_rejected t anon_client;
+  m_client t anon_client `Rejected;
   let msg = "REJECTED overloaded\n" in
   (try ignore (Unix.write_substring fd msg 0 (String.length msg))
    with _ -> ());

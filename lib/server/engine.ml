@@ -283,20 +283,15 @@ let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
     Fp_tbl.remove t.inflight job.fp;
     let joins = job.join_subs in
     Mutex.unlock t.gm;
-    let outcome =
-      match verdict with
-      | Sat _ -> `Sat
-      | Unsat -> `Unsat
-      | Timeout -> `Timeout
-      | Failed _ -> `Failed
-    in
-    Metrics.record_completed t.metrics ~outcome
-      ~latency_s:(core.d_done_at -. job.submitted_at);
+    Metrics.add t.metrics
+      (match verdict with
+       | Sat _ -> Solved_sat
+       | Unsat -> Solved_unsat
+       | Timeout -> Timeouts
+       | Failed _ -> Failures);
     List.iter
-      (fun ts ->
-        Metrics.record_join_latency t.metrics
-          ~latency_s:(core.d_done_at -. ts))
-      joins;
+      (fun ts -> Metrics.observe t.metrics Latency (core.d_done_at -. ts))
+      (job.submitted_at :: joins);
     trace_completion t job core;
     publish job core
   end
@@ -319,7 +314,7 @@ let deadline_passed job now =
    dispatch decision. *)
 let direct_leg t pool (job : job) limits ~cube =
   (match job.warm with
-   | Some _ -> Metrics.record_warm_seeded t.metrics
+   | Some _ -> Metrics.add t.metrics Warm_seeded
    | None -> ());
   let snap = ref None in
   let snapshot =
@@ -372,9 +367,9 @@ let direct_leg t pool (job : job) limits ~cube =
           ~probe_limit:cc.cube_probe_limit ~jobs:1 ~limits
           ~interrupt:job.interrupt f
     in
-    Metrics.record_cubed t.metrics
-      ~cubes_solved:rep.Portfolio.Cuber.solved
-      ~steals:rep.Portfolio.Cuber.steals;
+    Metrics.add t.metrics Cubed;
+    Metrics.add t.metrics ~n:rep.Portfolio.Cuber.solved Cubes_solved;
+    Metrics.add t.metrics ~n:rep.Portfolio.Cuber.steals Cube_steals;
     (rep.Portfolio.Cuber.result, rep.Portfolio.Cuber.stats, None,
      Some rep)
   | _ -> (result, stats, !snap, None)
@@ -494,12 +489,13 @@ let retire_closed t s =
     Hashtbl.replace t.retired sid `Closed
   end;
   Mutex.unlock t.gm;
-  if was_live then Metrics.record_session_closed t.metrics
+  if was_live then Metrics.add t.metrics Sessions_closed
 
 let note_session_step t (step : Session.step) =
   match step.Session.executed with
   | Some (Session.Solve _, a) ->
-    Metrics.record_session_solve t.metrics ~latency_s:a.Session.wall
+    Metrics.add t.metrics Session_solves;
+    Metrics.observe t.metrics Latency a.Session.wall
   | _ -> ()
 
 let run_session_token t s =
@@ -607,7 +603,7 @@ let evict_expired_sessions t ~now =
     List.iter
       (fun (_, s) ->
         Session.evict s;
-        Metrics.record_session_evicted t.metrics)
+        Metrics.add t.metrics Sessions_evicted)
       expired
 
 (* The deadline monitor: a few-millisecond heartbeat that scans the
@@ -693,30 +689,148 @@ let create ?(config = default_config) () =
   t.domains <- monitor :: workers;
   t
 
+(* Every refusal counts once in [rejected], where it is decided. *)
+let reject t reason =
+  Metrics.add t.metrics Rejected;
+  Error reason
+
+(* A cached model is verified against the formula actually submitted —
+   equal fingerprints guarantee equal model sets, so a failure here is
+   a detected hash collision: drop the entry and fall through to a
+   real solve. *)
+let lookup t fp cnf =
+  match Cache.find t.cache fp with
+  | None -> None
+  | Some e -> (
+    match e.Cache.verdict with
+    | Cache.Unsat -> Some (Unsat, e)
+    | Cache.Sat m ->
+      if Cnf.Flat.eval cnf m then Some (Sat (Array.copy m), e)
+      else begin
+        Cache.remove t.cache fp;
+        None
+      end)
+
+(* Learned dispatch: features and the model's decision are computed
+   after the cache lookup (a hit never needs them) and outside every
+   engine lock — O(|F|) work must not serialize concurrent submits.
+   Every decision lands on exactly one leg counter here at submit
+   time, so [dispatch_decided = direct + simplify + raced + rejected]
+   holds whatever later happens to the job (dedup join, queue-full
+   bounce, shutdown drain).
+
+   Deadline-aware admission refuses a job whose predicted latency
+   exceeds [admission_margin] times its (explicit or default) deadline
+   — it would only burn a queue slot on the way to [Timeout].
+   Conservative by construction: an untrained hardness head predicts
+   [nan], which never rejects. *)
+let decide t ?deadline cnf =
+  match t.cfg.dispatch with
+  | None -> Ok (None, None)
+  | Some dc -> (
+    let t0 = Sat.Wall.now () in
+    let features = Dispatch.Features.of_flat cnf in
+    match dc.policy with
+    | None -> Ok (Some features, None)
+    | Some p ->
+      let d = Dispatch.Policy.decide p features in
+      Metrics.observe t.metrics Inference (Sat.Wall.now () -. t0);
+      let deadline =
+        match deadline with None -> t.cfg.default_deadline | dl -> dl
+      in
+      let hopeless =
+        match deadline with
+        | Some dl when dc.admission ->
+          Float.is_finite d.predicted_ms
+          && d.predicted_ms > admission_margin *. dl *. 1000.0
+        | _ -> false
+      in
+      Metrics.add t.metrics
+        (if hopeless then Dispatch_rejected
+         else if d.lanes > 1 then Dispatch_raced
+         else if d.simplify then Dispatch_simplify
+         else Dispatch_direct);
+      if hopeless then reject t "predicted-timeout"
+      else Ok (Some features, Some d))
+
+(* Join the in-flight job for [fp], or queue a new one. *)
+let enqueue t ~now ?deadline ~priority cnf fp (features, decision) =
+  Mutex.lock t.gm;
+  if Atomic.get t.stopping then begin
+    Mutex.unlock t.gm;
+    reject t "server shutting down"
+  end
+  else
+    match Fp_tbl.find_opt t.inflight fp with
+    | Some job ->
+      job.join_subs <- now :: job.join_subs;
+      Mutex.unlock t.gm;
+      Metrics.add t.metrics Dedup_joins;
+      Ok (T_job { job; source = Dedup_join; t_submit = now })
+    | None ->
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      (* Warm lookup happens at submit time (not solve time) so the
+         snapshot travels with the job even if the warm cache evicts
+         the entry while the job is queued. *)
+      let warm =
+        match t.warm with
+        | Some w -> Cache.Warm.find w fp
+        | None -> None
+      in
+      let job =
+        {
+          id;
+          cnf;
+          fp;
+          warm;
+          features;
+          decision;
+          deadline =
+            (match deadline with
+             | Some s -> Some (now +. s)
+             | None -> Option.map (fun s -> now +. s) t.cfg.default_deadline);
+          submitted_at = now;
+          interrupt = Sat.Solver.Interrupt.create ();
+          jm = Mutex.create ();
+          jc = Condition.create ();
+          state = None;
+          claimed = false;
+          running = false;
+          timed_out = false;
+          join_subs = [];
+          waiters = [];
+        }
+      in
+      (* In-flight before enqueue, so a concurrent identical submit
+         joins this job even while it is still queued. *)
+      Fp_tbl.replace t.inflight fp job;
+      if Job_queue.push t.queue ~priority (W_job job) then begin
+        Mutex.unlock t.gm;
+        (* A warm-started submit counts as [warm_hits], not
+           [submitted] — the two are disjoint legs of the request
+           reconciliation. *)
+        Metrics.add t.metrics
+          (match job.warm with Some _ -> Warm_hits | None -> Submitted);
+        Ok (T_job { job; source = Solved; t_submit = now })
+      end
+      else begin
+        Fp_tbl.remove t.inflight fp;
+        Mutex.unlock t.gm;
+        reject t
+          (Printf.sprintf "queue full (capacity %d)"
+             (Job_queue.capacity t.queue))
+      end
+
+(* The submit path: lookup → decide → enqueue. *)
 let submit_live t ?deadline ~priority cnf =
   let now = Sat.Wall.now () in
   let fp = Cnf.Fingerprint.of_flat cnf in
-  let cached =
-    match Cache.find t.cache fp with
-    | None -> None
-    | Some e -> (
-      match e.Cache.verdict with
-      | Cache.Unsat -> Some (Unsat, e)
-      | Cache.Sat m ->
-        (* Verify against the formula actually submitted — equal
-           fingerprints guarantee equal model sets, so a failure here
-           is a detected hash collision: drop the entry and fall
-           through to a real solve. *)
-        if Cnf.Flat.eval cnf m then Some (Sat (Array.copy m), e)
-        else begin
-          Cache.remove t.cache fp;
-          None
-        end)
-  in
-  match cached with
+  match lookup t fp cnf with
   | Some (verdict, e) ->
     let wall = Sat.Wall.now () -. now in
-    Metrics.record_cache_hit t.metrics ~latency_s:wall;
+    Metrics.add t.metrics Cache_hits;
+    Metrics.observe t.metrics Latency wall;
     Ok
       (T_ready
          {
@@ -728,147 +842,15 @@ let submit_live t ?deadline ~priority cnf =
            fingerprint = fp;
          })
   | None ->
-    (* Learned dispatch: features and the model's decision are
-       computed after the cache lookup (a hit never needs them) and
-       outside every engine lock — O(|F|) work must not serialize
-       concurrent submits. *)
-    let t_feat = Sat.Wall.now () in
-    let features =
-      match t.cfg.dispatch with
-      | Some _ -> Some (Dispatch.Features.of_flat cnf)
-      | None -> None
-    in
-    let decision, infer_s =
-      match t.cfg.dispatch with
-      | Some { policy = Some p; _ } ->
-        let d = Dispatch.Policy.decide p (Option.get features) in
-        (Some d, Sat.Wall.now () -. t_feat)
-      | _ -> (None, 0.0)
-    in
-    (* Deadline-aware admission: refuse a job whose predicted latency
-       exceeds [admission_margin] times its (explicit or default)
-       deadline — it would only burn a queue slot on the way to
-       [Timeout].  Conservative by construction: an untrained hardness
-       head predicts [nan], which never rejects. *)
-    let admission_reject =
-      match (t.cfg.dispatch, decision) with
-      | Some { admission = true; _ }, Some d -> (
-        match
-          (match deadline with
-          | Some s -> Some s
-          | None -> t.cfg.default_deadline)
-        with
-        | Some dl ->
-          Float.is_finite d.Dispatch.Policy.predicted_ms
-          && d.Dispatch.Policy.predicted_ms
-             > admission_margin *. dl *. 1000.0
-        | None -> false)
-      | _ -> false
-    in
-    if admission_reject then begin
-      Metrics.record_dispatch t.metrics ~leg:`Rejected ~infer_s;
-      Metrics.record_rejected t.metrics;
-      Error "predicted-timeout"
-    end
-    else begin
-    (* Every decision lands on exactly one leg counter here at submit
-       time, so [dispatch_decided = direct + simplify + raced +
-       rejected] holds whatever later happens to the job (dedup join,
-       queue-full bounce, shutdown drain). *)
-    (match decision with
-    | Some d ->
-      let leg =
-        if d.Dispatch.Policy.lanes > 1 then `Raced
-        else if d.Dispatch.Policy.simplify then `Simplify
-        else `Direct
-      in
-      Metrics.record_dispatch t.metrics ~leg ~infer_s
-    | None -> ());
-    Mutex.lock t.gm;
-    if Atomic.get t.stopping then begin
-      Mutex.unlock t.gm;
-      Metrics.record_rejected t.metrics;
-      Error "server shutting down"
-    end
-    else begin
-      match Fp_tbl.find_opt t.inflight fp with
-      | Some job ->
-        job.join_subs <- now :: job.join_subs;
-        Mutex.unlock t.gm;
-        Metrics.record_dedup_join t.metrics;
-        Ok (T_job { job; source = Dedup_join; t_submit = now })
-      | None ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        (* Warm lookup happens at submit time (not solve time) so the
-           snapshot travels with the job even if the warm cache evicts
-           the entry while the job is queued. *)
-        let warm =
-          match t.warm with
-          | Some w -> Cache.Warm.find w fp
-          | None -> None
-        in
-        let job =
-          {
-            id;
-            cnf;
-            fp;
-            warm;
-            features;
-            decision;
-            deadline =
-              (match deadline with
-               | Some s -> Some (now +. s)
-               | None ->
-                 Option.map (fun s -> now +. s) t.cfg.default_deadline);
-            submitted_at = now;
-            interrupt = Sat.Solver.Interrupt.create ();
-            jm = Mutex.create ();
-            jc = Condition.create ();
-            state = None;
-            claimed = false;
-            running = false;
-            timed_out = false;
-            join_subs = [];
-            waiters = [];
-          }
-        in
-        (* In-flight before enqueue, so a concurrent identical submit
-           joins this job even while it is still queued. *)
-        Fp_tbl.replace t.inflight fp job;
-        if Job_queue.push t.queue ~priority (W_job job) then begin
-          Mutex.unlock t.gm;
-          (* A warm-started submit counts as [warm_hits], not
-             [submitted] — the two are disjoint legs of the request
-             reconciliation. *)
-          (match job.warm with
-           | Some _ -> Metrics.record_warm_hit t.metrics
-           | None -> Metrics.record_submitted t.metrics);
-          Ok (T_job { job; source = Solved; t_submit = now })
-        end
-        else begin
-          Fp_tbl.remove t.inflight fp;
-          Mutex.unlock t.gm;
-          Metrics.record_rejected t.metrics;
-          Error
-            (Printf.sprintf "queue full (capacity %d)"
-               (Job_queue.capacity t.queue))
-        end
-    end
-    end
+    Result.bind (decide t ?deadline cnf)
+      (enqueue t ~now ?deadline ~priority cnf fp)
 
 (* The stopping check comes before the cache lookup: a shut-down
    server rejects every submit, even one it could answer from memory
    — [shutdown] means "this instance no longer answers". *)
 let submit t ?deadline ?(priority = 0) cnf =
-  if Atomic.get t.stopping then begin
-    Metrics.record_rejected t.metrics;
-    Error "server shutting down"
-  end
-  else if not (valid_deadline deadline) then begin
-    Metrics.record_rejected t.metrics;
-    Error "bad-deadline"
-  end
+  if Atomic.get t.stopping then reject t "server shutting down"
+  else if not (valid_deadline deadline) then reject t "bad-deadline"
   else submit_live t ?deadline ~priority cnf
 
 (* Drop a fingerprint's {e verdict} while keeping its warm snapshot —
@@ -940,10 +922,7 @@ let lru_idle_session t =
     t.sessions None
 
 let open_session t =
-  if Atomic.get t.stopping then begin
-    Metrics.record_rejected t.metrics;
-    Error "server shutting down"
-  end
+  if Atomic.get t.stopping then reject t "server shutting down"
   else begin
     Mutex.lock t.gm;
     let victim =
@@ -972,26 +951,22 @@ let open_session t =
     (match victim with
      | Some vs ->
        Session.evict vs;
-       Metrics.record_session_evicted t.metrics
+       Metrics.add t.metrics Sessions_evicted
      | None -> ());
     match opened with
     | Some sid ->
-      Metrics.record_session_opened t.metrics;
+      Metrics.add t.metrics Sessions_opened;
       Ok sid
     | None ->
       (* At capacity with every session busy — admission control at
          the session-table edge, same refusal shape as a full queue. *)
-      Metrics.record_rejected t.metrics;
-      Error
+      reject t
         (Printf.sprintf "session table full (capacity %d)"
            t.cfg.session_capacity)
   end
 
 let session_submit t sid op =
-  if Atomic.get t.stopping then begin
-    Metrics.record_rejected t.metrics;
-    Error "server shutting down"
-  end
+  if Atomic.get t.stopping then reject t "server shutting down"
   else begin
     Mutex.lock t.gm;
     let found =
@@ -1004,14 +979,12 @@ let session_submit t sid op =
     in
     Mutex.unlock t.gm;
     match found with
-    | `Unknown ->
-      Metrics.record_rejected t.metrics;
-      Error "unknown session"
+    | `Unknown -> reject t "unknown session"
     | `Retired r ->
       (* A deterministic answer for the id's afterlife: ops on a
          closed or evicted session resolve immediately instead of
          erroring — the client learns the lifecycle state. *)
-      Metrics.record_session_op t.metrics;
+      Metrics.add t.metrics Session_ops;
       let outcome =
         match r with
         | `Evicted -> Session.Evicted
@@ -1020,14 +993,12 @@ let session_submit t sid op =
       Ok (Session.resolved_ticket op outcome)
     | `Live s -> (
       match Session.enqueue s op with
-      | `Full ->
-        Metrics.record_rejected t.metrics;
-        Error "session queue full"
+      | `Full -> reject t "session queue full"
       | `Queued ticket ->
-        Metrics.record_session_op t.metrics;
+        Metrics.add t.metrics Session_ops;
         Ok ticket
       | `Scheduled ticket ->
-        Metrics.record_session_op t.metrics;
+        Metrics.add t.metrics Session_ops;
         if not (Job_queue.push_force t.queue ~priority:0 (W_session s))
         then Session.kill s "server shutdown";
         Ok ticket)
@@ -1044,26 +1015,13 @@ let session_pop t sid = session_op t sid Session.Pop
 let close_session t sid = session_op t sid Session.Close
 
 let submit_session_solve t ?deadline sid =
-  if not (valid_deadline deadline) then begin
-    Metrics.record_rejected t.metrics;
-    Error "bad-deadline"
-  end
-  else begin
+  if not (valid_deadline deadline) then reject t "bad-deadline"
+  else
     let deadline = Option.map (fun s -> Sat.Wall.now () +. s) deadline in
     session_submit t sid (Session.Solve { deadline })
-  end
 
-let solve_session t ?deadline ?assumptions sid =
-  if not (valid_deadline deadline) then begin
-    Metrics.record_rejected t.metrics;
-    Error "bad-deadline"
-  end
-  else begin
-    (match assumptions with
-     | Some lits -> ignore (session_submit t sid (Session.Assume lits))
-     | None -> ());
-    Result.map Session.await (submit_session_solve t ?deadline sid)
-  end
+let solve_session t ?deadline sid =
+  Result.map Session.await (submit_session_solve t ?deadline sid)
 
 let sessions_live t =
   Mutex.lock t.gm;
@@ -1080,10 +1038,13 @@ let stats t =
     (n, l)
   in
   Metrics.snapshot t.metrics
-    ~queue_depth:(Job_queue.length t.queue)
-    ~inflight
-    ~cache_entries:(Cache.length t.cache)
-    ~sessions_live:live
+    ~sampled:
+      [
+        (Queue_depth, Job_queue.length t.queue);
+        (Inflight, inflight);
+        (Cache_entries, Cache.length t.cache);
+        (Sessions_live, live);
+      ]
 
 let stats_json t = Metrics.to_json (stats t)
 let metrics t = t.metrics

@@ -288,12 +288,13 @@ val submit_session_solve :
     instant and queues the [Solve] op. *)
 
 val solve_session :
-  t -> ?deadline:float -> ?assumptions:int array -> int ->
-  (Session.answer, string) result
-(** Solve the session's accumulated clauses under the pending (or
-    given) assumptions.  [deadline] is in seconds from now, validated
-    like {!submit} ([Error "bad-deadline"]).  Blocks until the solve
-    answers; earlier queued ops of the same session run first (FIFO). *)
+  t -> ?deadline:float -> int -> (Session.answer, string) result
+(** Solve the session's accumulated clauses under the pending
+    assumptions (set them first with {!session_assume}, as the wire's
+    [ASSUME] precedes its [SOLVE]).  [deadline] is in seconds from
+    now, validated like {!submit} ([Error "bad-deadline"]).  Blocks
+    until the solve answers; earlier queued ops of the same session
+    run first (FIFO). *)
 
 val close_session : t -> int -> (Session.answer, string) result
 (** Mark the session closed and retire it once its FIFO drains.

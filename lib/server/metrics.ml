@@ -1,139 +1,181 @@
-type client_counts = {
-  requests : int;
-  answered : int;
-  rejected : int;
-}
+type counter =
+  | Submitted
+  | Completed
+  | Solved_sat
+  | Solved_unsat
+  | Timeouts
+  | Failures
+  | Rejected
+  | Cache_hits
+  | Warm_hits
+  | Warm_seeded
+  | Cubed
+  | Cubes_solved
+  | Cube_steals
+  | Dispatch_decided
+  | Dispatch_direct
+  | Dispatch_simplify
+  | Dispatch_raced
+  | Dispatch_rejected
+  | Dedup_joins
+  | Session_ops
+  | Sessions_opened
+  | Sessions_closed
+  | Sessions_evicted
+  | Session_solves
+  | Sessions_live
+  | Queue_depth
+  | Inflight
+  | Cache_entries
+  | Latency_count
+  | Parse_count
 
-type snapshot = {
-  submitted : int;
-  completed : int;
-  solved_sat : int;
-  solved_unsat : int;
-  timeouts : int;
-  failures : int;
-  rejected : int;
-  cache_hits : int;
-  warm_hits : int;
-  warm_seeded : int;
-  cubed : int;         (** jobs escalated to cube-and-conquer *)
-  cubes_solved : int;  (** cubes refuted or satisfied across those jobs *)
-  cube_steals : int;   (** cube claims by a non-owner pool worker *)
-  dispatch_decided : int;
-      (** submits a dispatch policy decided (= sum of the four legs) *)
-  dispatch_direct : int;
-  dispatch_simplify : int;
-  dispatch_raced : int;
-  dispatch_rejected : int;  (** admission refusals: predicted-timeout *)
-  dispatch_infer_max_ms : float;
-  dedup_joins : int;
-  session_ops : int;
-  sessions_opened : int;
-  sessions_closed : int;
-  sessions_evicted : int;
-  session_solves : int;
-  sessions_live : int;
-  queue_depth : int;
-  inflight : int;
-  cache_entries : int;
-  latency_count : int;
-  p50_ms : float;
-  p95_ms : float;
-  max_ms : float;
-  parse_count : int;
-  parse_p50_ms : float;
-  parse_p95_ms : float;
-  parse_max_ms : float;
-  clients : (string * client_counts) list;
-}
+type timing = Latency | Parse | Inference
+
+type client_leg = [ `Requests | `Answered | `Rejected ]
+
+(* Where a rendered value comes from. *)
+type source =
+  | Counted of counter             (* bumped by [add] *)
+  | Sum of counter * counter list  (* derived: the sum of its legs *)
+  | Sampled of counter             (* handed to [snapshot] *)
+  | Observed of counter * timing   (* the timing's lifetime count *)
+  | Rank of timing * float         (* nearest-rank quantile, ms *)
+  | Max of timing                  (* worst observation, ms *)
+
+(* The registry: every value's JSON name and source, in render order.
+   Counts render as %d, Rank/Max as %.3f. *)
+let fields =
+  [|
+    ("submitted", Counted Submitted);
+    ( "completed",
+      Sum (Completed, [ Solved_sat; Solved_unsat; Timeouts; Failures ]) );
+    ("solved_sat", Counted Solved_sat);
+    ("solved_unsat", Counted Solved_unsat);
+    ("timeouts", Counted Timeouts);
+    ("failures", Counted Failures);
+    ("rejected", Counted Rejected);
+    ("cache_hits", Counted Cache_hits);
+    ("warm_hits", Counted Warm_hits);
+    ("warm_seeded", Counted Warm_seeded);
+    ("cubed", Counted Cubed);
+    ("cubes_solved", Counted Cubes_solved);
+    ("cube_steals", Counted Cube_steals);
+    ( "dispatch_decided",
+      Sum
+        ( Dispatch_decided,
+          [ Dispatch_direct; Dispatch_simplify; Dispatch_raced;
+            Dispatch_rejected ] ) );
+    ("dispatch_direct", Counted Dispatch_direct);
+    ("dispatch_simplify", Counted Dispatch_simplify);
+    ("dispatch_raced", Counted Dispatch_raced);
+    ("dispatch_rejected", Counted Dispatch_rejected);
+    ("dispatch_infer_max_ms", Max Inference);
+    ("dedup_joins", Counted Dedup_joins);
+    ("session_ops", Counted Session_ops);
+    ("sessions_opened", Counted Sessions_opened);
+    ("sessions_closed", Counted Sessions_closed);
+    ("sessions_evicted", Counted Sessions_evicted);
+    ("session_solves", Counted Session_solves);
+    ("sessions_live", Sampled Sessions_live);
+    ("queue_depth", Sampled Queue_depth);
+    ("inflight", Sampled Inflight);
+    ("cache_entries", Sampled Cache_entries);
+    ("latency_count", Observed (Latency_count, Latency));
+    ("p50_ms", Rank (Latency, 0.50));
+    ("p95_ms", Rank (Latency, 0.95));
+    ("max_ms", Max Latency);
+    ("parse_count", Observed (Parse_count, Parse));
+    ("parse_p50_ms", Rank (Parse, 0.50));
+    ("parse_p95_ms", Rank (Parse, 0.95));
+    ("parse_max_ms", Max Parse);
+  |]
+
+let client_fields =
+  [|
+    (`Requests, "requests"); (`Answered, "answered"); (`Rejected, "rejected");
+  |]
+
+(* The request legs: every request the engine sees lands on exactly
+   one of them. *)
+let request_legs =
+  [ Submitted; Cache_hits; Warm_hits; Dedup_joins; Rejected; Session_ops ]
+
+type rule =
+  | Equal of counter * counter list
+  | Equal_when_idle of counter * counter list  (* once [Inflight] is 0 *)
+  | At_most of counter * counter
+
+(* The ledger beyond the derived sums, which [fields] declares. *)
+let ledger =
+  [
+    Equal_when_idle (Completed, [ Submitted; Warm_hits ]);
+    Equal
+      (Sessions_opened, [ Sessions_live; Sessions_closed; Sessions_evicted ]);
+    At_most (Warm_seeded, Warm_hits);
+  ]
+
+(* A counter's slot: the position of its field. *)
+let slot =
+  let h = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (_, src) ->
+      match src with
+      | Counted k | Sum (k, _) | Sampled k | Observed (k, _) ->
+        Hashtbl.replace h k i
+      | Rank _ | Max _ -> ())
+    fields;
+  Hashtbl.find h
+
+let name k = fst fields.(slot k)
+
+let position table key =
+  let rec go i = if fst table.(i) = key then i else go (i + 1) in
+  go 0
 
 let ring_capacity = 4096
 
-type client_cell = {
-  mutable c_requests : int;
-  mutable c_answered : int;
-  mutable c_rejected : int;
+(* A bounded ring of the most recent observations (seconds), plus a
+   lifetime count and max.  A zero-capacity window keeps only those. *)
+type window = {
+  ring : float array;
+  mutable len : int;
+  mutable pos : int;
+  mutable count : int;
+  mutable max : float;
 }
+
+let window capacity =
+  { ring = Array.make capacity 0.0; len = 0; pos = 0; count = 0; max = 0.0 }
+
+let push w s =
+  let s = if s < 0.0 then 0.0 else s in
+  let cap = Array.length w.ring in
+  if cap > 0 then begin
+    w.ring.(w.pos) <- s;
+    w.pos <- (w.pos + 1) mod cap;
+    if w.len < cap then w.len <- w.len + 1
+  end;
+  w.count <- w.count + 1;
+  if s > w.max then w.max <- s
 
 type t = {
   m : Mutex.t;
-  mutable submitted : int;
-  mutable solved_sat : int;
-  mutable solved_unsat : int;
-  mutable timeouts : int;
-  mutable failures : int;
-  mutable rejected : int;
-  mutable cache_hits : int;
-  mutable warm_hits : int;
-  mutable warm_seeded : int;
-  mutable cubed : int;
-  mutable cubes_solved : int;
-  mutable cube_steals : int;
-  mutable dispatch_direct : int;
-  mutable dispatch_simplify : int;
-  mutable dispatch_raced : int;
-  mutable dispatch_rejected : int;
-  mutable dispatch_infer_max : float; (* seconds *)
-  mutable dedup_joins : int;
-  mutable session_ops : int;
-  mutable sessions_opened : int;
-  mutable sessions_closed : int;
-  mutable sessions_evicted : int;
-  mutable session_solves : int;
-  (* Latency ring (seconds): the most recent [ring_capacity]
-     request-level latencies, plus a lifetime count and max. *)
-  ring : float array;
-  mutable ring_len : int;
-  mutable ring_pos : int;
-  mutable lat_count : int;
-  mutable lat_max : float;
-  (* Parse-latency ring (seconds): per-load DIMACS/AIGER ingest times
-     recorded by the transport front-ends, same shape as [ring]. *)
-  parse_ring : float array;
-  mutable parse_len : int;
-  mutable parse_pos : int;
-  mutable parse_count : int;
-  mutable parse_max : float;
-  (* Per-client (tenant) counters, recorded by transport front-ends.
-     Client ids are free-form strings chosen at the wire edge. *)
-  clients : (string, client_cell) Hashtbl.t;
+  counts : int array;  (* by [slot] *)
+  windows : (timing * window) list;
+  (* Per-client (tenant) counters by [client_fields] position, recorded
+     by transport front-ends.  Client ids are free-form strings chosen
+     at the wire edge. *)
+  clients : (string, int array) Hashtbl.t;
 }
 
 let create () =
   {
     m = Mutex.create ();
-    submitted = 0;
-    solved_sat = 0;
-    solved_unsat = 0;
-    timeouts = 0;
-    failures = 0;
-    rejected = 0;
-    cache_hits = 0;
-    warm_hits = 0;
-    warm_seeded = 0;
-    cubed = 0;
-    cubes_solved = 0;
-    cube_steals = 0;
-    dispatch_direct = 0;
-    dispatch_simplify = 0;
-    dispatch_raced = 0;
-    dispatch_rejected = 0;
-    dispatch_infer_max = 0.0;
-    dedup_joins = 0;
-    session_ops = 0;
-    sessions_opened = 0;
-    sessions_closed = 0;
-    sessions_evicted = 0;
-    session_solves = 0;
-    ring = Array.make ring_capacity 0.0;
-    ring_len = 0;
-    ring_pos = 0;
-    lat_count = 0;
-    lat_max = 0.0;
-    parse_ring = Array.make ring_capacity 0.0;
-    parse_len = 0;
-    parse_pos = 0;
-    parse_count = 0;
-    parse_max = 0.0;
+    counts = Array.make (Array.length fields) 0;
+    windows =
+      [ (Latency, window ring_capacity); (Parse, window ring_capacity);
+        (Inference, window 0) ];
     clients = Hashtbl.create 16;
   }
 
@@ -141,108 +183,33 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let note_latency t s =
-  let s = if s < 0.0 then 0.0 else s in
-  t.ring.(t.ring_pos) <- s;
-  t.ring_pos <- (t.ring_pos + 1) mod ring_capacity;
-  if t.ring_len < ring_capacity then t.ring_len <- t.ring_len + 1;
-  t.lat_count <- t.lat_count + 1;
-  if s > t.lat_max then t.lat_max <- s
+let add t ?(n = 1) k =
+  let i = slot k in
+  locked t (fun () -> t.counts.(i) <- t.counts.(i) + n)
 
-let record_rejected t = locked t (fun () -> t.rejected <- t.rejected + 1)
+let observe t timing s =
+  let w = List.assoc timing t.windows in
+  locked t (fun () -> push w s)
 
-let record_cache_hit t ~latency_s =
+let count_client t ~client leg =
+  let i = position client_fields leg in
   locked t (fun () ->
-      t.cache_hits <- t.cache_hits + 1;
-      note_latency t latency_s)
+      let c =
+        match Hashtbl.find_opt t.clients client with
+        | Some c -> c
+        | None ->
+          let c = Array.make (Array.length client_fields) 0 in
+          Hashtbl.replace t.clients client c;
+          c
+      in
+      c.(i) <- c.(i) + 1)
 
-let record_warm_hit t = locked t (fun () -> t.warm_hits <- t.warm_hits + 1)
+type value = Int of int | Ms of float
 
-let record_warm_seeded t =
-  locked t (fun () -> t.warm_seeded <- t.warm_seeded + 1)
-
-let record_cubed t ~cubes_solved ~steals =
-  locked t (fun () ->
-      t.cubed <- t.cubed + 1;
-      t.cubes_solved <- t.cubes_solved + max 0 cubes_solved;
-      t.cube_steals <- t.cube_steals + max 0 steals)
-
-let record_parse t ~latency_s =
-  locked t (fun () ->
-      let s = if latency_s < 0.0 then 0.0 else latency_s in
-      t.parse_ring.(t.parse_pos) <- s;
-      t.parse_pos <- (t.parse_pos + 1) mod ring_capacity;
-      if t.parse_len < ring_capacity then t.parse_len <- t.parse_len + 1;
-      t.parse_count <- t.parse_count + 1;
-      if s > t.parse_max then t.parse_max <- s)
-
-let record_dispatch t ~leg ~infer_s =
-  locked t (fun () ->
-      (match leg with
-      | `Direct -> t.dispatch_direct <- t.dispatch_direct + 1
-      | `Simplify -> t.dispatch_simplify <- t.dispatch_simplify + 1
-      | `Raced -> t.dispatch_raced <- t.dispatch_raced + 1
-      | `Rejected -> t.dispatch_rejected <- t.dispatch_rejected + 1);
-      if infer_s > t.dispatch_infer_max then t.dispatch_infer_max <- infer_s)
-
-let record_dedup_join t =
-  locked t (fun () -> t.dedup_joins <- t.dedup_joins + 1)
-
-let record_session_op t =
-  locked t (fun () -> t.session_ops <- t.session_ops + 1)
-
-let record_session_opened t =
-  locked t (fun () -> t.sessions_opened <- t.sessions_opened + 1)
-
-let record_session_closed t =
-  locked t (fun () -> t.sessions_closed <- t.sessions_closed + 1)
-
-let record_session_evicted t =
-  locked t (fun () -> t.sessions_evicted <- t.sessions_evicted + 1)
-
-let record_session_solve t ~latency_s =
-  locked t (fun () ->
-      t.session_solves <- t.session_solves + 1;
-      note_latency t latency_s)
-
-let record_submitted t = locked t (fun () -> t.submitted <- t.submitted + 1)
-
-let record_completed t ~outcome ~latency_s =
-  locked t (fun () ->
-      (match outcome with
-       | `Sat -> t.solved_sat <- t.solved_sat + 1
-       | `Unsat -> t.solved_unsat <- t.solved_unsat + 1
-       | `Timeout -> t.timeouts <- t.timeouts + 1
-       | `Failed -> t.failures <- t.failures + 1);
-      note_latency t latency_s)
-
-let record_join_latency t ~latency_s =
-  locked t (fun () -> note_latency t latency_s)
-
-(* --- per-client counters --------------------------------------------- *)
-
-let client_cell t client =
-  match Hashtbl.find_opt t.clients client with
-  | Some c -> c
-  | None ->
-    let c = { c_requests = 0; c_answered = 0; c_rejected = 0 } in
-    Hashtbl.replace t.clients client c;
-    c
-
-let record_client_request t ~client =
-  locked t (fun () ->
-      let c = client_cell t client in
-      c.c_requests <- c.c_requests + 1)
-
-let record_client_answered t ~client =
-  locked t (fun () ->
-      let c = client_cell t client in
-      c.c_answered <- c.c_answered + 1)
-
-let record_client_rejected t ~client =
-  locked t (fun () ->
-      let c = client_cell t client in
-      c.c_rejected <- c.c_rejected + 1)
+type snapshot = {
+  values : value array;  (* by field position *)
+  client_counts : (string * int array) list;  (* sorted by client id *)
+}
 
 let percentile sorted q =
   let n = Array.length sorted in
@@ -251,65 +218,73 @@ let percentile sorted q =
     let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) idx))
 
-let snapshot t ~queue_depth ~inflight ~cache_entries ~sessions_live =
+let snapshot t ~sampled =
   locked t (fun () ->
-      let window = Array.sub t.ring 0 t.ring_len in
-      Array.sort compare window;
-      let parse_window = Array.sub t.parse_ring 0 t.parse_len in
-      Array.sort compare parse_window;
+      let window timing = List.assoc timing t.windows in
+      let sorted =
+        List.map
+          (fun (timing, w) ->
+            let a = Array.sub w.ring 0 w.len in
+            Array.sort compare a;
+            (timing, a))
+          t.windows
+      in
+      let count k = t.counts.(slot k) in
+      let value = function
+        | Counted k -> Int (count k)
+        | Sum (_, legs) -> Int (List.fold_left (fun a k -> a + count k) 0 legs)
+        | Sampled k -> Int (Option.value (List.assoc_opt k sampled) ~default:0)
+        | Observed (_, timing) -> Int (window timing).count
+        | Rank (timing, q) ->
+          Ms (1000.0 *. percentile (List.assoc timing sorted) q)
+        | Max timing -> Ms (1000.0 *. (window timing).max)
+      in
       {
-        submitted = t.submitted;
-        completed = t.solved_sat + t.solved_unsat + t.timeouts + t.failures;
-        solved_sat = t.solved_sat;
-        solved_unsat = t.solved_unsat;
-        timeouts = t.timeouts;
-        failures = t.failures;
-        rejected = t.rejected;
-        cache_hits = t.cache_hits;
-        warm_hits = t.warm_hits;
-        warm_seeded = t.warm_seeded;
-        cubed = t.cubed;
-        cubes_solved = t.cubes_solved;
-        cube_steals = t.cube_steals;
-        dispatch_decided =
-          t.dispatch_direct + t.dispatch_simplify + t.dispatch_raced
-          + t.dispatch_rejected;
-        dispatch_direct = t.dispatch_direct;
-        dispatch_simplify = t.dispatch_simplify;
-        dispatch_raced = t.dispatch_raced;
-        dispatch_rejected = t.dispatch_rejected;
-        dispatch_infer_max_ms = 1000.0 *. t.dispatch_infer_max;
-        dedup_joins = t.dedup_joins;
-        session_ops = t.session_ops;
-        sessions_opened = t.sessions_opened;
-        sessions_closed = t.sessions_closed;
-        sessions_evicted = t.sessions_evicted;
-        session_solves = t.session_solves;
-        sessions_live;
-        queue_depth;
-        inflight;
-        cache_entries;
-        latency_count = t.lat_count;
-        p50_ms = 1000.0 *. percentile window 0.50;
-        p95_ms = 1000.0 *. percentile window 0.95;
-        max_ms = 1000.0 *. t.lat_max;
-        parse_count = t.parse_count;
-        parse_p50_ms = 1000.0 *. percentile parse_window 0.50;
-        parse_p95_ms = 1000.0 *. percentile parse_window 0.95;
-        parse_max_ms = 1000.0 *. t.parse_max;
-        clients =
-          Hashtbl.fold
-            (fun name c acc ->
-              ( name,
-                {
-                  requests = c.c_requests;
-                  answered = c.c_answered;
-                  rejected = c.c_rejected;
-                } )
-              :: acc)
+        values = Array.map (fun (_, src) -> value src) fields;
+        client_counts =
+          Hashtbl.fold (fun name c acc -> (name, Array.copy c) :: acc)
             t.clients []
           |> List.sort (fun (a, _) (b, _) -> compare a b);
       })
+
+let get s k =
+  match s.values.(slot k) with Int n -> n | Ms _ -> assert false
+
+let client s name leg =
+  Option.map
+    (fun c -> c.(position client_fields leg))
+    (List.assoc_opt name s.client_counts)
+
+let sum s legs = List.fold_left (fun a k -> a + get s k) 0 legs
+let requests s = sum s request_legs
+
+let reconcile s =
+  let derived =
+    Array.to_list fields
+    |> List.filter_map (function
+         | _, Sum (k, legs) -> Some (Equal (k, legs))
+         | _ -> None)
+  in
+  let equal k ks =
+    if get s k = sum s ks then None
+    else
+      Some
+        (Printf.sprintf "%s = %d <> %s = %d" (name k) (get s k)
+           (String.concat " + " (List.map name ks))
+           (sum s ks))
+  in
+  List.filter_map
+    (function
+      | Equal (k, ks) -> equal k ks
+      | Equal_when_idle (k, ks) ->
+        if get s Inflight = 0 then equal k ks else None
+      | At_most (k, bound) ->
+        if get s k <= get s bound then None
+        else
+          Some
+            (Printf.sprintf "%s = %d > %s = %d" (name k) (get s k)
+               (name bound) (get s bound)))
+    (derived @ ledger)
 
 let json_escape name =
   let buf = Buffer.create (String.length name) in
@@ -324,57 +299,28 @@ let json_escape name =
     name;
   Buffer.contents buf
 
+let obj members =
+  "{"
+  ^ String.concat ", "
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) members)
+  ^ "}"
+
 (* The clients object comes last so flat "key": N scanners keep
    resolving the top-level counters to their first (top-level)
    occurrence. *)
-let clients_json clients =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (name, c) ->
-           Printf.sprintf
-             "\"%s\": {\"requests\": %d, \"answered\": %d, \
-              \"rejected\": %d}"
-             (json_escape name) c.requests c.answered c.rejected)
-         clients)
-  ^ "}"
-
-let to_json (s : snapshot) =
-  Printf.sprintf
-    "{\"submitted\": %d, \"completed\": %d, \"solved_sat\": %d, \
-     \"solved_unsat\": %d, \"timeouts\": %d, \"failures\": %d, \
-     \"rejected\": %d, \"cache_hits\": %d, \"warm_hits\": %d, \
-     \"warm_seeded\": %d, \"cubed\": %d, \"cubes_solved\": %d, \
-     \"cube_steals\": %d, \"dispatch_decided\": %d, \
-     \"dispatch_direct\": %d, \"dispatch_simplify\": %d, \
-     \"dispatch_raced\": %d, \"dispatch_rejected\": %d, \
-     \"dispatch_infer_max_ms\": %.3f, \"dedup_joins\": %d, \
-     \"session_ops\": %d, \"sessions_opened\": %d, \
-     \"sessions_closed\": %d, \"sessions_evicted\": %d, \
-     \"session_solves\": %d, \"sessions_live\": %d, \
-     \"queue_depth\": %d, \"inflight\": %d, \"cache_entries\": %d, \
-     \"latency_count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-     \"max_ms\": %.3f, \"parse_count\": %d, \"parse_p50_ms\": %.3f, \
-     \"parse_p95_ms\": %.3f, \"parse_max_ms\": %.3f, \
-     \"clients\": %s}"
-    s.submitted s.completed s.solved_sat s.solved_unsat s.timeouts s.failures
-    s.rejected s.cache_hits s.warm_hits s.warm_seeded s.cubed s.cubes_solved
-    s.cube_steals s.dispatch_decided s.dispatch_direct s.dispatch_simplify
-    s.dispatch_raced s.dispatch_rejected s.dispatch_infer_max_ms
-    s.dedup_joins s.session_ops s.sessions_opened
-    s.sessions_closed s.sessions_evicted s.session_solves s.sessions_live
-    s.queue_depth s.inflight s.cache_entries s.latency_count s.p50_ms
-    s.p95_ms s.max_ms s.parse_count s.parse_p50_ms s.parse_p95_ms
-    s.parse_max_ms (clients_json s.clients)
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "submitted=%d completed=%d sat=%d unsat=%d timeout=%d failed=%d \
-     rejected=%d cache_hits=%d warm=%d/%d cubed=%d/%d/%d dedup_joins=%d \
-     session_ops=%d sessions=%d/%d/%d queue=%d inflight=%d p50=%.1fms \
-     p95=%.1fms"
-    s.submitted s.completed s.solved_sat s.solved_unsat s.timeouts s.failures
-    s.rejected s.cache_hits s.warm_hits s.warm_seeded s.cubed s.cubes_solved
-    s.cube_steals s.dedup_joins s.session_ops s.sessions_opened
-    s.sessions_closed s.sessions_evicted s.queue_depth s.inflight s.p50_ms
-    s.p95_ms
+let to_json s =
+  let render = function
+    | Int n -> string_of_int n
+    | Ms x -> Printf.sprintf "%.3f" x
+  in
+  let client (name, c) =
+    ( json_escape name,
+      obj
+        (Array.to_list
+           (Array.mapi (fun i (_, key) -> (key, string_of_int c.(i)))
+              client_fields)) )
+  in
+  obj
+    (Array.to_list
+       (Array.mapi (fun i (key, _) -> (key, render s.values.(i))) fields)
+    @ [ ("clients", obj (List.map client s.client_counts)) ])

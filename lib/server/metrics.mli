@@ -1,170 +1,142 @@
-(** Service counters and latency percentiles.
+(** Service counters and latency percentiles: one typed registry.
 
-    One mutex-guarded accumulator per server.  Counters are grouped so
-    they {e reconcile}: every request that enters [submit] ends up in
-    exactly one of
+    One mutex-guarded accumulator per server.  Every value STATS shows
+    is a {!counter} or a timing statistic, declared once in the
+    registry table of [metrics.ml] with its JSON name and its source
+    (counted, derived sum, sampled, or read off a {!timing} window).
+    {!to_json} renders that table generically, so the STATS line keeps
+    one fixed layout:
 
-    - [rejected]        (queue full / bad deadline / server stopping —
-                         never ran),
-    - [cache_hits]      (answered at submit time from the cache),
-    - [warm_hits]       (cache miss, but a warm-start snapshot for the
-                         fingerprint was found: the job solves, seeded),
-    - [dedup_joins]     (attached to an in-flight job's future),
-    - [session_ops]     (accepted onto a session's op FIFO),
-    - [submitted]       (became a new cold one-shot solve job);
+    - keys appear in registry order, which is a contract: flat
+      ["key": N] scanners (the perfbench STATS reader among them)
+      resolve each key to its first occurrence;
+    - counts render as [%d], milliseconds as [%.3f];
+    - the per-client object ["clients"] comes last, so a client's
+      [requests]/[answered]/[rejected] never shadow a top-level key.
 
-    so [requests = submitted + cache_hits + warm_hits + dedup_joins +
-    rejected + session_ops] holds exactly, and every submitted job eventually
-    lands in exactly one of
-    [solved_sat], [solved_unsat], [timeouts] or [failures], whose sum
-    is [completed].  Latencies are request-level (submit to answer),
-    kept in a bounded ring of the most recent {!ring_capacity}
-    observations; [p50_ms]/[p95_ms] are computed over that window. *)
+    {2 The ledger}
+
+    Every request that enters the engine lands on exactly one of the
+    six request legs ({!requests} sums them):
+
+    - [Rejected]     (queue full / bad deadline / server stopping /
+                      admission — never ran),
+    - [Cache_hits]   (answered at submit time from the cache),
+    - [Warm_hits]    (cache miss, but a warm-start snapshot for the
+                      fingerprint was found: the job solves, seeded),
+    - [Dedup_joins]  (attached to an in-flight job's future),
+    - [Session_ops]  (accepted onto a session's op FIFO),
+    - [Submitted]    (became a new cold one-shot solve job).
+
+    Every job lands in exactly one of [Solved_sat], [Solved_unsat],
+    [Timeouts] or [Failures].  {!reconcile} checks the identities that
+    follow, declared once as data.  Latencies are request-level (submit
+    to answer), kept in a window of the most recent 4096 observations;
+    percentiles are nearest-rank over that window. *)
 
 type t
 
-type client_counts = {
-  requests : int;  (** commands this client handed to the engine *)
-  answered : int;  (** answers delivered back to this client *)
-  rejected : int;  (** quota, overload or engine rejections *)
-}
-
-type snapshot = {
-  submitted : int;
-  completed : int;
-  solved_sat : int;
-  solved_unsat : int;
-  timeouts : int;
-  failures : int;
-  rejected : int;
-  cache_hits : int;
-  warm_hits : int;
+type counter =
+  | Submitted
+  | Completed
+      (** derived: [Solved_sat + Solved_unsat + Timeouts + Failures];
+          equals [Submitted + Warm_hits] once nothing is in flight *)
+  | Solved_sat
+  | Solved_unsat
+  | Timeouts
+  | Failures
+  | Rejected
+  | Cache_hits
+  | Warm_hits
       (** submits that found a warm-start snapshot (counted instead of
-          [submitted]) *)
-  warm_seeded : int;
+          [Submitted]) *)
+  | Warm_seeded
       (** solves that actually started from a snapshot — at most
-          [warm_hits]; a warm job cancelled before it ran never
-          seeds *)
-  cubed : int;
+          [Warm_hits]; a warm job cancelled before it ran never seeds *)
+  | Cubed
       (** jobs that crossed the hardness trigger and escalated to
           cube-and-conquer (orthogonal to the request ledger: a cubed
           job still completes exactly once) *)
-  cubes_solved : int;  (** cubes refuted or satisfied across those jobs *)
-  cube_steals : int;
-      (** cube claims by a non-owner pool worker (work stealing) *)
-  dispatch_decided : int;
-      (** submits a dispatch policy decided — always the exact sum
-          [dispatch_direct + dispatch_simplify + dispatch_raced +
-          dispatch_rejected]; each decision is counted on exactly one
-          leg at submit time *)
-  dispatch_direct : int;   (** decisions routed to the plain direct lane *)
-  dispatch_simplify : int; (** decisions routed through simplify *)
-  dispatch_raced : int;    (** decisions racing > 1 portfolio lanes *)
-  dispatch_rejected : int;
+  | Cubes_solved  (** cubes refuted or satisfied across those jobs *)
+  | Cube_steals  (** cube claims by a non-owner pool worker *)
+  | Dispatch_decided
+      (** derived: the sum of the four dispatch legs; each decision is
+          counted on exactly one leg at submit time *)
+  | Dispatch_direct  (** decisions routed to the plain direct lane *)
+  | Dispatch_simplify  (** decisions routed through simplify *)
+  | Dispatch_raced  (** decisions racing > 1 portfolio lanes *)
+  | Dispatch_rejected
       (** deadline-aware admission refusals ([REJECTED
-          predicted-timeout]); these are also counted in [rejected] *)
-  dispatch_infer_max_ms : float;
-      (** worst per-job feature-extraction + inference cost observed *)
-  dedup_joins : int;
-  session_ops : int;      (** session operations accepted *)
-  sessions_opened : int;
-  sessions_closed : int;
-  sessions_evicted : int; (** LRU or idle-TTL evictions *)
-  session_solves : int;   (** [Solve] ops that reached the solver *)
-  sessions_live : int;    (** sampled at snapshot time *)
-  queue_depth : int;   (** sampled at snapshot time *)
-  inflight : int;      (** jobs submitted but not yet completed *)
-  cache_entries : int; (** sampled at snapshot time *)
-  latency_count : int; (** latency observations ever recorded *)
-  p50_ms : float;      (** 0 when no observations *)
-  p95_ms : float;
-  max_ms : float;
-  parse_count : int;   (** formula-load observations ever recorded *)
-  parse_p50_ms : float;
-      (** over its own bounded ring of the most recent
-          {!ring_capacity} loads; 0 when no observations *)
-  parse_p95_ms : float;
-  parse_max_ms : float;
-  clients : (string * client_counts) list;
-      (** per-client (tenant) counters recorded by transport
-          front-ends, sorted by client id *)
-}
+          predicted-timeout]); these are also counted in [Rejected] *)
+  | Dedup_joins
+  | Session_ops  (** session operations accepted *)
+  | Sessions_opened
+      (** equals [Sessions_live + Sessions_closed + Sessions_evicted] *)
+  | Sessions_closed
+  | Sessions_evicted  (** LRU or idle-TTL evictions *)
+  | Session_solves  (** [Solve] ops that reached the solver *)
+  | Sessions_live  (** sampled at snapshot time *)
+  | Queue_depth  (** sampled at snapshot time *)
+  | Inflight  (** sampled: jobs submitted but not yet completed *)
+  | Cache_entries  (** sampled at snapshot time *)
+  | Latency_count  (** [Latency] observations ever recorded *)
+  | Parse_count  (** [Parse] observations ever recorded *)
 
-val ring_capacity : int
+type timing =
+  | Latency
+      (** one request's latency, submit to answer: cache hits, job
+          completions, dedup joiners and session solves; renders
+          [p50_ms]/[p95_ms]/[max_ms] *)
+  | Parse
+      (** one formula load (file read + parse) at a transport front-end;
+          renders [parse_p50_ms]/[parse_p95_ms]/[parse_max_ms] *)
+  | Inference
+      (** one dispatch decision's feature extraction + inference; only
+          its max is kept ([dispatch_infer_max_ms]) *)
+
+type client_leg = [ `Requests | `Answered | `Rejected ]
+(** Per-client (tenant) counters, recorded by transport front-ends
+    against the client id a connection declared: commands handed to
+    the engine, answers delivered, and quota, overload or engine
+    rejections. *)
 
 val create : unit -> t
 
-val record_rejected : t -> unit
-val record_cache_hit : t -> latency_s:float -> unit
-val record_dedup_join : t -> unit
-val record_submitted : t -> unit
+(** {2 Recording} *)
 
-val record_warm_hit : t -> unit
-(** A submit that found a warm-start snapshot for its fingerprint;
-    counted {e instead of} [record_submitted] so the request
-    reconciliation stays exact.  The job's completion and latency are
-    recorded by {!record_completed} as usual. *)
+val add : t -> ?n:int -> counter -> unit
+(** Add [n] (default 1) to a counted value.  Derived, sampled and
+    observed counters are computed by {!snapshot}; adding to them has
+    no visible effect. *)
 
-val record_warm_seeded : t -> unit
-(** A solve that actually started from a snapshot. *)
+val observe : t -> timing -> float -> unit
+(** One observation, in seconds (negative values count as 0). *)
 
-val record_cubed : t -> cubes_solved:int -> steals:int -> unit
-(** One job escalated to cube-and-conquer, with its conquest's solved
-    cube and steal counts. *)
+val count_client : t -> client:string -> client_leg -> unit
 
-val record_dispatch :
-  t ->
-  leg:[ `Direct | `Simplify | `Raced | `Rejected ] ->
-  infer_s:float ->
-  unit
-(** One dispatch-policy decision, attributed to the route it chose,
-    with the feature-extraction + inference wall cost. *)
+(** {2 Reading} *)
 
-val record_parse : t -> latency_s:float -> unit
-(** One formula load (file read + parse) at a transport front-end;
-    feeds the [parse_*] ring, not the request-latency window. *)
+type snapshot
 
-val record_session_op : t -> unit
-(** One session operation accepted onto a session FIFO (or answered
-    immediately for a retired session id). *)
+val snapshot : t -> sampled:(counter * int) list -> snapshot
+(** A consistent reading of every value.  [sampled] supplies the
+    values the accumulator cannot see ([Sessions_live], [Queue_depth],
+    [Inflight], [Cache_entries]); a missing one reads 0. *)
 
-val record_session_opened : t -> unit
-val record_session_closed : t -> unit
-val record_session_evicted : t -> unit
+val get : snapshot -> counter -> int
 
-val record_session_solve : t -> latency_s:float -> unit
-(** A session [Solve] op that reached the solver; its latency joins
-    the percentile window. *)
+val client : snapshot -> string -> client_leg -> int option
+(** [None] when the client id never recorded anything. *)
 
-val record_completed :
-  t -> outcome:[ `Sat | `Unsat | `Timeout | `Failed ] -> latency_s:float ->
-  unit
-(** Completion of one submitted job; call once per job. *)
+val requests : snapshot -> int
+(** The sum of the six request legs. *)
 
-val record_join_latency : t -> latency_s:float -> unit
-(** A dedup joiner's own request latency (counted in the percentile
-    window, not in [completed]). *)
-
-(** {2 Per-client counters}
-
-    Recorded by transport front-ends (the socket server's connection
-    layer) against the client id a connection declared.  They live in
-    the same accumulator as the engine counters so one [snapshot]
-    reconciles both views. *)
-
-val record_client_request : t -> client:string -> unit
-val record_client_answered : t -> client:string -> unit
-val record_client_rejected : t -> client:string -> unit
-
-val snapshot :
-  t ->
-  queue_depth:int ->
-  inflight:int ->
-  cache_entries:int ->
-  sessions_live:int ->
-  snapshot
+val reconcile : snapshot -> string list
+(** The ledger identities the snapshot violates, one line each; [[]]
+    when it reconciles.  Checked: the derived sums ([Completed],
+    [Dispatch_decided]), [Completed = Submitted + Warm_hits] once
+    [Inflight] is 0, [Sessions_opened = Sessions_live + Sessions_closed
+    + Sessions_evicted], and [Warm_seeded <= Warm_hits]. *)
 
 val to_json : snapshot -> string
-(** Single-line JSON object; keys match the snapshot field names. *)
-
-val pp : Format.formatter -> snapshot -> unit
+(** Single-line JSON object in registry order, [clients] last. *)

@@ -22,8 +22,7 @@ let submit_file engine ?deadline ?priority file =
   | exception e ->
     Error (Printf.sprintf "ERROR cannot load %s: %s" file (load_error e))
   | cnf -> (
-    Metrics.record_parse (Engine.metrics engine)
-      ~latency_s:(Sat.Wall.now () -. t0);
+    Metrics.observe (Engine.metrics engine) Parse (Sat.Wall.now () -. t0);
     match Engine.submit engine ?deadline ?priority cnf with
     | Ok ticket -> Ok (ticket, cnf.Cnf.Flat.num_vars)
     | Error reason -> Error ("REJECTED " ^ reason))

@@ -107,9 +107,9 @@ val submit_file :
   Engine.t -> ?deadline:float -> ?priority:int -> string ->
   (Engine.ticket * int, string) result
 (** The [SOLVE <file>] step of both transports: load the operand,
-    time the load into {!Metrics.record_parse} and submit it.  AIGER
-    ([.aag]) files go through the circuit pipeline (Tseitin, outputs
-    asserted) and are flattened; everything else is DIMACS, parsed by
+    time the load into the [Parse] window ({!Metrics.observe}) and
+    submit it.  AIGER ([.aag]) files go through the circuit pipeline
+    (Tseitin, outputs asserted) and are flattened; everything else is DIMACS, parsed by
     the zero-copy mmap reader ({!Cnf.Dimacs.read_flat_file}) straight
     into the {!Cnf.Flat.t} the engine solves.  [Ok (ticket, num_vars)]
     when admitted; otherwise [Error line], the answer line to print

@@ -149,7 +149,7 @@ let cli_verdict path =
   | 20 -> "UNSAT"
   | code -> Alcotest.failf "eda4sat solve %s exited %d" path code
 
-let parse_count engine = (Server.stats engine).Server.Metrics.parse_count
+let parse_count engine = Server.Metrics.get (Server.stats engine) Parse_count
 
 (* [SOLVE miter.aag] then [SOLVE bad.cnf]: the miter answers what the
    CLI answers and counts one parse; the malformed file answers the
@@ -220,7 +220,7 @@ let test_loop_aiger_operand () =
 (* --- serve e2e ------------------------------------------------------- *)
 
 (* Pull "key": N out of the single-line STATS JSON. *)
-let json_int json key =
+let json_number json key =
   let pat = "\"" ^ key ^ "\": " in
   match String.index_opt json '{' with
   | None -> Alcotest.failf "not a JSON line: %s" json
@@ -233,14 +233,19 @@ let json_int json key =
         let start = !j in
         while
           !j < String.length json
-          && (match json.[!j] with '0' .. '9' | '-' -> true | _ -> false)
+          && (match json.[!j] with
+              | '0' .. '9' | '-' | '.' -> true
+              | _ -> false)
         do
           incr j
         done;
-        int_of_string (String.sub json start (!j - start)))
+        String.sub json start (!j - start))
       else find (i + 1)
     in
     find 0)
+
+let json_int json key = int_of_string (json_number json key)
+let json_float json key = float_of_string (json_number json key)
 
 let test_serve_session () =
   let rng = Aig.Rng.create 7 in
@@ -392,7 +397,11 @@ let test_serve_session () =
   (* Every SOLVE operand went through the transport loader, and each
      successful load lands in the parse-latency ring. *)
   check_int "every load parse-timed" 21 (g "parse_count");
-  check_bool "parse p95 present" true (g "parse_p95_ms" >= 0);
+  let gf k = json_float stats_line k in
+  check_bool "parse percentiles ordered" true
+    (gf "parse_p50_ms" <= gf "parse_p95_ms"
+    && gf "parse_p95_ms" <= gf "parse_max_ms");
+  check_bool "parse max positive" true (gf "parse_max_ms" > 0.0);
   check_bool "warm snapshots coherent" true
     (g "warm_seeded" <= g "warm_hits");
   (* The deadlined job is resolved by the monitor while still queued;

@@ -223,15 +223,14 @@ let test_loop_concurrent_clients () =
       let stats = Server.stats engine in
       List.iteri
         (fun i _ ->
-          match
-            List.assoc_opt (Printf.sprintf "c%d" i)
-              stats.Server.Metrics.clients
-          with
-          | Some c ->
-            check_int "client requests" 2 c.Server.Metrics.requests;
-            check_int "client answered" 2 c.Server.Metrics.answered;
-            check_int "client rejected" 0 c.Server.Metrics.rejected
-          | None -> Alcotest.failf "client c%d missing from metrics" i)
+          let count leg =
+            match Server.Metrics.client stats (Printf.sprintf "c%d" i) leg with
+            | Some n -> n
+            | None -> Alcotest.failf "client c%d missing from metrics" i
+          in
+          check_int "client requests" 2 (count `Requests);
+          check_int "client answered" 2 (count `Answered);
+          check_int "client rejected" 0 (count `Rejected))
         clients;
       let json = Server.stats_json engine in
       let has_sub sub l =

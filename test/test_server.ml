@@ -6,6 +6,13 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let flat = Cnf.Flat.of_formula
+let get = Server.Metrics.get
+let stat e k = get (Server.stats e) k
+
+(* The metrics ledger holds: derived sums, job and session accounting. *)
+let check_ledger s =
+  Alcotest.(check (list string)) "ledger reconciles" []
+    (Server.Metrics.reconcile s)
 
 let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
     ?(sessions = 64) ?session_ttl ?cube ?dispatch () =
@@ -105,7 +112,7 @@ let test_cache_hit_bit_identical () =
         Alcotest.(check (array bool)) "bit-identical model" m0 m;
         check_bool "valid for the renamed duplicate" true
           (Cnf.Formula.eval g m);
-        check_int "one cache hit" 1 (Server.stats e).Server.Metrics.cache_hits
+        check_int "one cache hit" 1 (stat e Cache_hits)
       | Ok a ->
         Alcotest.failf "expected cache hit, got source=%s"
           (match a.Server.source with
@@ -135,9 +142,9 @@ let test_dedup_solves_once () =
         (a1.Server.source = Server.Dedup_join
          || a2.Server.source = Server.Dedup_join);
       let s = Server.stats e in
-      check_int "dedup recorded" 1 s.Server.Metrics.dedup_joins;
+      check_int "dedup recorded" 1 (get s Dedup_joins);
       (* blocker + f: exactly two jobs actually entered the queue. *)
-      check_int "two jobs created" 2 s.Server.Metrics.submitted)
+      check_int "two jobs created" 2 (get s Submitted))
 
 let test_deadline_timeout () =
   with_engine ~workers:1 (fun e ->
@@ -148,7 +155,7 @@ let test_deadline_timeout () =
         check_bool
           (Printf.sprintf "answered near the deadline (%.2fs)" took)
           true (took < 5.0);
-        check_int "timeout counted" 1 (Server.stats e).Server.Metrics.timeouts
+        check_int "timeout counted" 1 (stat e Timeouts)
       | Ok _ -> Alcotest.fail "php(11,10) cannot finish in 150ms here"
       | Error r -> Alcotest.failf "rejected: %s" r)
 
@@ -166,8 +173,8 @@ let test_queue_full_rejection () =
            (String.length reason > 0)
        | Ok _ -> Alcotest.fail "queue of 2 accepted a third waiter");
       let s = Server.stats e in
-      check_int "rejection counted" 1 s.Server.Metrics.rejected;
-      check_int "queue depth at capacity" 2 s.Server.Metrics.queue_depth)
+      check_int "rejection counted" 1 (get s Rejected);
+      check_int "queue depth at capacity" 2 (get s Queue_depth))
   (* shutdown interrupts the running php(11,10) and fails the queued
      jobs; with_engine's finally exercises that path. *)
 
@@ -220,15 +227,11 @@ let test_concurrent_fuzz () =
       let s = Server.stats e in
       check_int "every request accounted"
         (n_domains * per_domain)
-        (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-        + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins);
-      check_int "every job completed"
-        (s.Server.Metrics.submitted + s.Server.Metrics.warm_hits)
-        s.Server.Metrics.completed;
-      check_int "all answers decisive" s.Server.Metrics.completed
-        (s.Server.Metrics.solved_sat + s.Server.Metrics.solved_unsat);
+        (Server.Metrics.requests s);
+      check_ledger s;
+      check_int "all answers decisive" 0 (get s Timeouts + get s Failures);
       check_bool "cache or dedup observed" true
-        (s.Server.Metrics.cache_hits + s.Server.Metrics.dedup_joins > 0))
+        (get s Cache_hits + get s Dedup_joins > 0))
 
 (* --- sessions -------------------------------------------------------- *)
 
@@ -286,8 +289,13 @@ let test_session_basics () =
       (* (1|2)(-1|3)(-2) under assumption -1: 2 is forced, conflict —
          the failed-assumption core must name client literals only. *)
       (match
-         (session_ok (Server.solve_session e ~assumptions:[| -1; -3 |] sid))
+         (session_ok (Server.session_assume e sid [| -1; -3 |]))
            .Server.Session.outcome
+       with
+       | Server.Session.Ok_done -> ()
+       | o -> Alcotest.failf "ASSUME answered %s" (outcome_name o));
+      (match
+         (session_ok (Server.solve_session e sid)).Server.Session.outcome
        with
        | Server.Session.Unsat core ->
          check_bool "core nonempty" true (Array.length core >= 1);
@@ -312,16 +320,13 @@ let test_session_basics () =
        | Server.Session.Failed _ -> ()
        | o -> Alcotest.failf "op on a closed session answered %s"
                 (outcome_name o));
-      check_int "opens counted" 1
-        (Server.stats e).Server.Metrics.sessions_opened;
+      check_int "opens counted" 1 (stat e Sessions_opened);
       await_counter "closes counted"
-        (fun () -> (Server.stats e).Server.Metrics.sessions_closed)
+        (fun () -> stat e Sessions_closed)
         1;
       (* add, solve, add, (assume + solve), solve, close, push: 8 ops *)
-      check_int "session ops counted" 8
-        (Server.stats e).Server.Metrics.session_ops;
-      check_int "session solves counted" 3
-        (Server.stats e).Server.Metrics.session_solves)
+      check_int "session ops counted" 8 (stat e Session_ops);
+      check_int "session solves counted" 3 (stat e Session_solves))
 
 let test_session_push_pop () =
   with_engine (fun e ->
@@ -370,31 +375,8 @@ let test_session_eviction_lru () =
        | o -> Alcotest.failf "s1 SOLVE answered %s" (outcome_name o));
       ignore (session_ok (Server.session_add e s2 [ [| -1 |] ]));
       let s = Server.stats e in
-      check_int "one eviction" 1 s.Server.Metrics.sessions_evicted;
-      check_int "two live sessions" 2 s.Server.Metrics.sessions_live)
-
-let test_session_table_full_when_busy () =
-  with_engine ~workers:1 ~sessions:1 (fun e ->
-      let s0 = open_ok e in
-      ignore
-        (session_ok
-           (Server.session_add e s0
-              (Array.to_list (php 11).Cnf.Formula.clauses)));
-      (* Queue a long solve without awaiting: the session is no longer
-         idle, so it is not an eviction victim and OPEN must reject. *)
-      (match
-         Server.session_submit e s0
-           (Server.Session.Solve { deadline = None })
-       with
-       | Ok _ -> ()
-       | Error r -> Alcotest.failf "solve submit rejected: %s" r);
-      (match Server.open_session e with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.fail "OPEN found a victim in a busy table");
-      check_int "the refusal is a rejection" 1
-        (Server.stats e).Server.Metrics.rejected)
-  (* with_engine's finally shuts down mid-solve: the interrupt path
-     for a running session op. *)
+      check_int "one eviction" 1 (get s Sessions_evicted);
+      check_int "two live sessions" 2 (get s Sessions_live))
 
 let test_session_ttl_eviction () =
   with_engine ~session_ttl:0.05 (fun e ->
@@ -408,8 +390,8 @@ let test_session_ttl_eviction () =
        | o -> Alcotest.failf "op after the TTL answered %s"
                 (outcome_name o));
       let s = Server.stats e in
-      check_int "TTL eviction counted" 1 s.Server.Metrics.sessions_evicted;
-      check_int "no live sessions" 0 s.Server.Metrics.sessions_live)
+      check_int "TTL eviction counted" 1 (get s Sessions_evicted);
+      check_int "no live sessions" 0 (get s Sessions_live))
 
 let test_session_deadline_interrupt () =
   with_engine ~workers:1 (fun e ->
@@ -464,8 +446,7 @@ let test_bad_deadline_rejected () =
         (Result.map
            (fun (_ : Server.Session.ticket) -> ())
            (Server.submit_session_solve e ~deadline:Float.neg_infinity sid));
-      check_int "all four rejections counted" 4
-        (Server.stats e).Server.Metrics.rejected;
+      check_int "all four rejections counted" 4 (stat e Rejected);
       (* A generous but valid deadline still solves. *)
       match Server.solve e ~deadline:5.0 (flat f) with
       | Ok { Server.verdict = Server.Sat _; _ } -> ()
@@ -594,29 +575,22 @@ let test_session_fuzz () =
       let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
       List.iter Domain.join ds;
       check_int "no failures" 0 (Atomic.get failures);
-      (* Close retirements land asynchronously; wait for every opened
-         session to reach a terminal state before reconciling. *)
-      await_counter "every session accounted"
+      (* Close retirements land asynchronously; wait until no session
+         is live and the ledger has caught up before reconciling. *)
+      await_counter "every session retired"
         (fun () ->
           let s = Server.stats e in
-          s.Server.Metrics.sessions_closed
-          + s.Server.Metrics.sessions_evicted)
-        (Atomic.get opens);
+          get s Sessions_live + List.length (Server.Metrics.reconcile s))
+        0;
       let s = Server.stats e in
-      check_int "no sessions left live" 0 s.Server.Metrics.sessions_live;
+      check_ledger s;
       check_int "session ops reconcile exactly" (Atomic.get session_ops)
-        s.Server.Metrics.session_ops;
+        (get s Session_ops);
       check_int "requests reconcile exactly"
         (Atomic.get oneshots + Atomic.get session_ops
         + Atomic.get open_rejects)
-        (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-        + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins
-        + s.Server.Metrics.rejected + s.Server.Metrics.session_ops);
-      check_int "opens reconcile" (Atomic.get opens)
-        s.Server.Metrics.sessions_opened;
-      check_int "every job completed"
-        (s.Server.Metrics.submitted + s.Server.Metrics.warm_hits)
-        s.Server.Metrics.completed)
+        (Server.Metrics.requests s);
+      check_int "opens reconcile" (Atomic.get opens) (get s Sessions_opened))
 
 (* --- warm starts ----------------------------------------------------- *)
 
@@ -644,12 +618,10 @@ let test_warm_resume_after_forget () =
       check_bool "warm verdict agrees" true
         (warm.Server.verdict = Server.Unsat);
       let s = Server.stats e in
-      check_int "one warm hit" 1 s.Server.Metrics.warm_hits;
-      check_int "the hit was seeded into a solver" 1
-        s.Server.Metrics.warm_seeded;
-      check_int "only the cold pass counted as submitted" 1
-        s.Server.Metrics.submitted;
-      check_int "both passes completed" 2 s.Server.Metrics.completed;
+      check_int "one warm hit" 1 (get s Warm_hits);
+      check_int "the hit was seeded into a solver" 1 (get s Warm_seeded);
+      check_int "only the cold pass counted as submitted" 1 (get s Submitted);
+      check_int "both passes completed" 2 (get s Completed);
       check_bool "seeded resume refutes with fewer conflicts" true
         (warm.Server.stats.Sat.Solver.conflicts
          < cold.Server.stats.Sat.Solver.conflicts))
@@ -665,10 +637,9 @@ let test_warm_disabled_when_zero () =
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must be a fresh cold solve");
       let s = Server.stats e in
-      check_int "no warm hits with warm_capacity = 0" 0
-        s.Server.Metrics.warm_hits;
-      check_int "no warm seeds" 0 s.Server.Metrics.warm_seeded;
-      check_int "both solves were cold" 2 s.Server.Metrics.submitted)
+      check_int "no warm hits with warm_capacity = 0" 0 (get s Warm_hits);
+      check_int "no warm seeds" 0 (get s Warm_seeded);
+      check_int "both solves were cold" 2 (get s Submitted))
 
 let test_warm_timeout_resume () =
   with_engine ~workers:1 (fun e ->
@@ -688,9 +659,8 @@ let test_warm_timeout_resume () =
          | Ok _ -> Alcotest.fail "resumed php(9,8) must refute"
          | Error r -> Alcotest.failf "resume rejected: %s" r);
         let s = Server.stats e in
-        check_int "the resume was a warm hit" 1 s.Server.Metrics.warm_hits;
-        check_int "the interrupted snapshot was seeded" 1
-          s.Server.Metrics.warm_seeded
+        check_int "the resume was a warm hit" 1 (get s Warm_hits);
+        check_int "the interrupted snapshot was seeded" 1 (get s Warm_seeded)
       | Ok _ -> Alcotest.fail "php(9,8) answers UNSAT or Timeout")
 
 let test_flat_bridges_verdict_cache () =
@@ -769,17 +739,9 @@ let test_warm_fuzz () =
              | _ -> false))
         first second;
       let s = Server.stats e in
-      check_int "every request accounted" 80
-        (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-        + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins
-        + s.Server.Metrics.rejected);
-      check_int "every job completed"
-        (s.Server.Metrics.submitted + s.Server.Metrics.warm_hits)
-        s.Server.Metrics.completed;
-      check_bool "seeds never exceed hits" true
-        (s.Server.Metrics.warm_seeded <= s.Server.Metrics.warm_hits);
-      check_bool "the second pass warm-resumed" true
-        (s.Server.Metrics.warm_hits > 0))
+      check_int "every request accounted" 80 (Server.Metrics.requests s);
+      check_ledger s;
+      check_bool "the second pass warm-resumed" true (get s Warm_hits > 0))
 
 (* --- cube-and-conquer escalation ------------------------------------- *)
 
@@ -802,8 +764,8 @@ let test_cube_escalation_refutes () =
        | Ok _ -> Alcotest.fail "cubed php(8,7) must answer fresh UNSAT"
        | Error r -> Alcotest.failf "rejected: %s" r);
       let s = Server.stats e in
-      check_int "the job was cubed" 1 s.Server.Metrics.cubed;
-      check_bool "cubes were solved" true (s.Server.Metrics.cubes_solved > 0);
+      check_int "the job was cubed" 1 (get s Cubed);
+      check_bool "cubes were solved" true (get s Cubes_solved > 0);
       (* An easy formula answers inside the trigger slice and must not
          cube. *)
       let easy = Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -1; 3 |] ] in
@@ -812,7 +774,7 @@ let test_cube_escalation_refutes () =
          check_bool "model satisfies" true (Cnf.Formula.eval easy m)
        | _ -> Alcotest.fail "easy formula must answer SAT");
       let s = Server.stats e in
-      check_int "easy job did not cube" 1 s.Server.Metrics.cubed;
+      check_int "easy job did not cube" 1 (get s Cubed);
       (* Cube jobs must not feed the warm cache: with the verdict
          forgotten, the resubmission is a cold solve (which cubes
          again), never a warm resume of cube-local state. *)
@@ -821,16 +783,12 @@ let test_cube_escalation_refutes () =
        | Ok { Server.verdict = Server.Unsat; source = Server.Solved; _ } -> ()
        | _ -> Alcotest.fail "resubmission must re-solve fresh");
       let s = Server.stats e in
-      check_int "no warm hit from a cubed job" 0 s.Server.Metrics.warm_hits;
-      check_int "no warm seed from a cubed job" 0
-        s.Server.Metrics.warm_seeded;
-      check_int "the resubmission cubed too" 2 s.Server.Metrics.cubed;
+      check_int "no warm hit from a cubed job" 0 (get s Warm_hits);
+      check_int "no warm seed from a cubed job" 0 (get s Warm_seeded);
+      check_int "the resubmission cubed too" 2 (get s Cubed);
       (* The request ledger still reconciles with cube answers in it. *)
-      check_int "every job completed"
-        (s.Server.Metrics.submitted + s.Server.Metrics.warm_hits)
-        s.Server.Metrics.completed;
-      check_int "all answers decisive" s.Server.Metrics.completed
-        (s.Server.Metrics.solved_sat + s.Server.Metrics.solved_unsat))
+      check_ledger s;
+      check_int "all answers decisive" 0 (get s Timeouts + get s Failures))
 
 let test_cube_partial_never_cached () =
   with_engine ~workers:1 ~cube:(cube_cc ~trigger:10 ()) (fun e ->
@@ -863,7 +821,7 @@ let test_cube_partial_never_cached () =
            interrupted run was a cube job. *)
         let s = Server.stats e in
         check_int "no warm resume from the aborted cube run" 0
-          s.Server.Metrics.warm_hits)
+          (get s Warm_hits))
 
 (* The warm two-pass fuzz with cubing enabled: hard members escalate,
    easy ones take the plain path, and the ledger still reconciles —
@@ -902,19 +860,12 @@ let test_warm_fuzz_with_cubes () =
              | _ -> false))
         first second;
       let s = Server.stats e in
-      check_bool "the php members cubed" true (s.Server.Metrics.cubed >= 2);
+      check_bool "the php members cubed" true (get s Cubed >= 2);
       check_int "every request accounted"
         (2 * List.length formulas)
-        (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-        + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins
-        + s.Server.Metrics.rejected);
-      check_int "every job completed"
-        (s.Server.Metrics.submitted + s.Server.Metrics.warm_hits)
-        s.Server.Metrics.completed;
-      check_int "all answers decisive" s.Server.Metrics.completed
-        (s.Server.Metrics.solved_sat + s.Server.Metrics.solved_unsat);
-      check_bool "seeds never exceed hits" true
-        (s.Server.Metrics.warm_seeded <= s.Server.Metrics.warm_hits))
+        (Server.Metrics.requests s);
+      check_ledger s;
+      check_int "all answers decisive" 0 (get s Timeouts + get s Failures))
 
 (* --- learned dispatch ------------------------------------------------ *)
 
@@ -1050,33 +1001,23 @@ let test_dispatch_legs_reconcile () =
           (first @ second);
         let s = Server.stats e in
         let n = List.length formulas in
-        check_int "requests reconcile" (2 * n)
-          (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-          + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins
-          + s.Server.Metrics.rejected);
-        check_int "legs sum to decided" s.Server.Metrics.dispatch_decided
-          (s.Server.Metrics.dispatch_direct
-          + s.Server.Metrics.dispatch_simplify
-          + s.Server.Metrics.dispatch_raced
-          + s.Server.Metrics.dispatch_rejected);
+        check_int "requests reconcile" (2 * n) (Server.Metrics.requests s);
+        check_ledger s;
         (* Cache hits skip the policy; everything that got a decision
            was submitted or joined an in-flight twin. *)
         check_int "decided = submitted + joins"
-          (s.Server.Metrics.submitted + s.Server.Metrics.dedup_joins)
-          s.Server.Metrics.dispatch_decided;
-        check_int "no admission rejections" 0
-          s.Server.Metrics.dispatch_rejected;
+          (get s Submitted + get s Dedup_joins)
+          (get s Dispatch_decided);
+        check_int "no admission rejections" 0 (get s Dispatch_rejected);
         check_leg s)
   in
   run ~lanes:1 ~simplify:false (fun s ->
-      check_int "all direct" s.Server.Metrics.dispatch_decided
-        s.Server.Metrics.dispatch_direct);
+      check_int "all direct" (get s Dispatch_decided) (get s Dispatch_direct));
   run ~lanes:1 ~simplify:true (fun s ->
-      check_int "all simplify" s.Server.Metrics.dispatch_decided
-        s.Server.Metrics.dispatch_simplify);
+      check_int "all simplify" (get s Dispatch_decided)
+        (get s Dispatch_simplify));
   run ~lanes:4 ~simplify:false (fun s ->
-      check_int "all raced" s.Server.Metrics.dispatch_decided
-        s.Server.Metrics.dispatch_raced)
+      check_int "all raced" (get s Dispatch_decided) (get s Dispatch_raced))
 
 (* A decided cube budget escalates a hard job even though the engine's
    static cube config is off. *)
@@ -1092,35 +1033,37 @@ let test_dispatch_decided_cube () =
        | Ok _ -> Alcotest.fail "php(8,7) must refute"
        | Error r -> Alcotest.failf "rejected: %s" r);
       let s = Server.stats e in
-      check_int "decision escalated to cubes" 1 s.Server.Metrics.cubed;
-      check_int "decision counted direct" 1 s.Server.Metrics.dispatch_direct)
+      check_int "decision escalated to cubes" 1 (get s Cubed);
+      check_int "decision counted direct" 1 (get s Dispatch_direct))
 
 (* Admission control: a policy regressed onto an enormous hardness
    target must reject deadlined jobs as predicted timeouts — and only
    deadlined ones; with no deadline there is nothing to miss. *)
+(* Every training entry claims a ~1e9 ms solve; with php(5,4)'s own
+   features in the training set, the hardness head must regress far
+   past a 50 ms deadline's 4x margin (200 ms). *)
+let hopeless_php5 =
+  lazy
+    (let rng = Aig.Rng.create 31337 in
+     let features =
+       Dispatch.Features.of_flat (flat (php 5))
+       :: List.init 15 (fun _ ->
+              Dispatch.Features.of_flat (flat (random_formula rng)))
+     in
+     let p =
+       forced_policy ~epochs:800 ~lr:0.02 ~hard:1e9 ~features ~lanes:1
+         ~simplify:false ~cube:0 ()
+     in
+     let d = Dispatch.Policy.decide p (List.hd features) in
+     check_bool
+       (Printf.sprintf "policy predicts hopeless (%.0f ms)" d.predicted_ms)
+       true
+       (Float.is_finite d.predicted_ms && d.predicted_ms > 1e3);
+     { Server.policy = Some p; trace = None; admission = true })
+
 let test_dispatch_admission () =
   let f = php 5 in
-  (* Every training entry claims a ~1e9 ms solve; with the target
-     formula's own features in the training set, the hardness head
-     must regress far past a 50 ms deadline's 4x margin (200 ms). *)
-  let rng = Aig.Rng.create 31337 in
-  let features =
-    Dispatch.Features.of_flat (flat f)
-    :: List.init 15 (fun _ ->
-           Dispatch.Features.of_flat (flat (random_formula rng)))
-  in
-  let p =
-    forced_policy ~epochs:800 ~lr:0.02 ~hard:1e9 ~features ~lanes:1
-      ~simplify:false ~cube:0 ()
-  in
-  let d = Dispatch.Policy.decide p (List.hd features) in
-  check_bool
-    (Printf.sprintf "policy predicts hopeless (%.0f ms)" d.predicted_ms)
-    true
-    (Float.is_finite d.predicted_ms && d.predicted_ms > 1e3);
-  with_engine ~workers:1
-    ~dispatch:{ Server.policy = Some p; trace = None; admission = true }
-    (fun e ->
+  with_engine ~workers:1 ~dispatch:(Lazy.force hopeless_php5) (fun e ->
       (match Server.submit e ~deadline:0.05 (flat f) with
        | Error "predicted-timeout" -> ()
        | Error r -> Alcotest.failf "wrong rejection: %s" r
@@ -1130,18 +1073,10 @@ let test_dispatch_admission () =
        | Ok { Server.verdict = Server.Unsat; _ } -> ()
        | _ -> Alcotest.fail "php(5,4) must still refute without deadline");
       let s = Server.stats e in
-      check_int "one admission rejection" 1
-        s.Server.Metrics.dispatch_rejected;
-      check_int "also in the request ledger" 1 s.Server.Metrics.rejected;
-      check_int "requests reconcile" 2
-        (s.Server.Metrics.submitted + s.Server.Metrics.cache_hits
-        + s.Server.Metrics.warm_hits + s.Server.Metrics.dedup_joins
-        + s.Server.Metrics.rejected);
-      check_int "legs sum to decided" s.Server.Metrics.dispatch_decided
-        (s.Server.Metrics.dispatch_direct
-        + s.Server.Metrics.dispatch_simplify
-        + s.Server.Metrics.dispatch_raced
-        + s.Server.Metrics.dispatch_rejected));
+      check_int "one admission rejection" 1 (get s Dispatch_rejected);
+      check_int "also in the request ledger" 1 (get s Rejected);
+      check_int "requests reconcile" 2 (Server.Metrics.requests s);
+      check_ledger s);
   (* An untrained policy predicts nan and must never reject. *)
   let fresh = Dispatch.Policy.create () in
   with_engine ~workers:1
@@ -1151,6 +1086,155 @@ let test_dispatch_admission () =
       match Server.solve e ~deadline:0.001 (flat f) with
       | Ok _ -> ()
       | Error r -> Alcotest.failf "untrained policy rejected: %s" r)
+
+(* Every engine refusal, driven once: each adds exactly 1 to
+   [rejected] and leaves the ledger reconciled. *)
+let test_every_refusal_counted () =
+  with_engine ~workers:1 ~queue:1 ~sessions:1
+    ~dispatch:(Lazy.force hopeless_php5) (fun e ->
+      let refused expected attempt =
+        let before = stat e Rejected in
+        (match attempt () with
+         | Error r -> Alcotest.(check string) "refusal" expected r
+         | Ok _ -> Alcotest.failf "expected %s" expected);
+        let s = Server.stats e in
+        check_int (expected ^ " counted once") (before + 1) (get s Rejected);
+        check_ledger s
+      in
+      let drop r = Result.map ignore r in
+      let submit ?deadline f () = drop (Server.submit e ?deadline (flat f)) in
+      refused "bad-deadline" (submit ~deadline:Float.nan (php 5));
+      refused "predicted-timeout" (submit ~deadline:0.05 (php 5));
+      refused "unknown session" (fun () ->
+          drop (Server.session_add e 12345 [ [| 1 |] ]));
+      (* A long solve keeps the only session and the only worker busy:
+         OPEN finds no idle eviction victim. *)
+      let sid = open_ok e in
+      ignore
+        (session_ok
+           (Server.session_add e sid
+              (Array.to_list (php 11).Cnf.Formula.clauses)));
+      ignore
+        (Server.session_submit e sid
+           (Server.Session.Solve { deadline = None }));
+      refused "session table full (capacity 1)" (fun () ->
+          drop (Server.open_session e));
+      let rec fill n =
+        match Server.session_submit e sid Server.Session.Push with
+        | Ok _ when n < 2000 -> fill (n + 1)
+        | r -> r
+      in
+      refused "session queue full" (fun () -> drop (fill 0));
+      await_counter "the worker took the session"
+        (fun () -> stat e Queue_depth)
+        0;
+      ignore (submit_ok e (php 12));
+      refused "queue full (capacity 1)" (submit (php 13));
+      Server.shutdown e;
+      refused "server shutting down" (submit (php 5)))
+
+(* --- metrics registry ------------------------------------------------ *)
+
+(* Every counter non-zero and two clients, one id needing escapes: the
+   STATS layout is pinned byte for byte. *)
+let test_metrics_json_pinned () =
+  let open Server.Metrics in
+  let m = create () in
+  add m ~n:9 Submitted;
+  List.iter
+    (fun (k, s) -> add m k; observe m Latency s)
+    [ (Solved_sat, 0.0125); (Solved_sat, 0.25); (Solved_unsat, 1.5);
+      (Timeouts, 0.0004); (Failures, -1.0) ];
+  add m ~n:2 Warm_hits;
+  add m Warm_seeded;
+  add m ~n:3 Rejected;
+  add m Cache_hits;
+  observe m Latency 0.00002;
+  add m Dedup_joins;
+  observe m Latency 0.0333;
+  add m ~n:2 Cubed;
+  add m ~n:5 Cubes_solved;
+  add m ~n:3 Cube_steals;
+  List.iter
+    (fun (k, s) -> add m k; observe m Inference s)
+    [ (Dispatch_direct, 0.0001); (Dispatch_direct, 0.00005);
+      (Dispatch_simplify, 0.0003456); (Dispatch_raced, 0.00025);
+      (Dispatch_rejected, 0.0002) ];
+  List.iter (observe m Parse) [ 0.002; 0.0015; 0.0031 ];
+  add m ~n:4 Session_ops;
+  add m ~n:3 Sessions_opened;
+  add m Sessions_closed;
+  add m Sessions_evicted;
+  add m Session_solves;
+  observe m Latency 0.0081;
+  List.iter
+    (fun (client, leg) -> count_client m ~client leg)
+    [ ("alice", `Requests); ("alice", `Requests); ("alice", `Requests);
+      ("alice", `Answered); ("alice", `Answered); ("alice", `Rejected);
+      ("b\"o\\b", `Requests); ("b\"o\\b", `Answered);
+      ("b\"o\\b", `Rejected) ];
+  let s =
+    snapshot m
+      ~sampled:
+        [ (Queue_depth, 2); (Inflight, 3); (Cache_entries, 4);
+          (Sessions_live, 1) ]
+  in
+  Alcotest.(check string) "STATS layout"
+    "{\"submitted\": 9, \"completed\": 5, \"solved_sat\": 2, \
+     \"solved_unsat\": 1, \"timeouts\": 1, \"failures\": 1, \
+     \"rejected\": 3, \"cache_hits\": 1, \"warm_hits\": 2, \
+     \"warm_seeded\": 1, \"cubed\": 2, \"cubes_solved\": 5, \
+     \"cube_steals\": 3, \"dispatch_decided\": 5, \"dispatch_direct\": 2, \
+     \"dispatch_simplify\": 1, \"dispatch_raced\": 1, \
+     \"dispatch_rejected\": 1, \"dispatch_infer_max_ms\": 0.346, \
+     \"dedup_joins\": 1, \"session_ops\": 4, \"sessions_opened\": 3, \
+     \"sessions_closed\": 1, \"sessions_evicted\": 1, \
+     \"session_solves\": 1, \"sessions_live\": 1, \"queue_depth\": 2, \
+     \"inflight\": 3, \"cache_entries\": 4, \"latency_count\": 8, \
+     \"p50_ms\": 8.100, \"p95_ms\": 1500.000, \"max_ms\": 1500.000, \
+     \"parse_count\": 3, \"parse_p50_ms\": 2.000, \"parse_p95_ms\": 3.100, \
+     \"parse_max_ms\": 3.100, \"clients\": {\"alice\": {\"requests\": 3, \
+     \"answered\": 2, \"rejected\": 1}, \"b\\\"o\\\\b\": {\"requests\": 1, \
+     \"answered\": 1, \"rejected\": 1}}}"
+    (to_json s);
+  check_ledger s;
+  check_int "requests sum the six legs" 20 (requests s);
+  Alcotest.(check (option int)) "client read" (Some 2)
+    (client s "alice" `Answered);
+  Alcotest.(check (option int)) "unknown client" None
+    (client s "carol" `Requests)
+
+(* The window keeps the latest 4096 samples; percentiles are
+   nearest-rank over them, the max and count are lifetime. *)
+let test_metrics_window_wraps () =
+  let open Server.Metrics in
+  let m = create () in
+  for i = 1 to 5000 do
+    observe m Latency (float_of_int i *. 0.001)
+  done;
+  let json = to_json (snapshot m ~sampled:[]) in
+  let want =
+    "\"latency_count\": 5000, \"p50_ms\": 2952.000, \"p95_ms\": 4796.000, \
+     \"max_ms\": 5000.000"
+  in
+  let rec has i =
+    i + String.length want <= String.length json
+    && (String.sub json i (String.length want) = want || has (i + 1))
+  in
+  check_bool "window stats" true (has 0)
+
+let test_metrics_reconcile_reports () =
+  let open Server.Metrics in
+  let m = create () in
+  add m Submitted;
+  add m ~n:2 Warm_seeded;
+  add m Sessions_opened;
+  Alcotest.(check (list string)) "each violated identity, once"
+    [ "completed = 0 <> submitted + warm_hits = 1";
+      "sessions_opened = 1 <> sessions_live + sessions_closed + \
+       sessions_evicted = 0";
+      "warm_seeded = 2 > warm_hits = 0" ]
+    (reconcile (snapshot m ~sampled:[]))
 
 (* --- job queue ------------------------------------------------------- *)
 
@@ -1200,12 +1284,15 @@ let suite =
     ("dispatch legs reconcile", `Quick, test_dispatch_legs_reconcile);
     ("dispatch decided cube escalates", `Quick, test_dispatch_decided_cube);
     ("dispatch admission control", `Quick, test_dispatch_admission);
+    ("every refusal counted once", `Quick, test_every_refusal_counted);
+    ("metrics JSON layout pinned", `Quick, test_metrics_json_pinned);
+    ("metrics window wraps", `Quick, test_metrics_window_wraps);
+    ("metrics reconcile reports", `Quick, test_metrics_reconcile_reports);
     ("job queue ordering", `Quick, test_job_queue_ordering);
     ("job queue backpressure", `Quick, test_job_queue_backpressure);
     ("session basics", `Quick, test_session_basics);
     ("session push/pop", `Quick, test_session_push_pop);
     ("session LRU eviction", `Quick, test_session_eviction_lru);
-    ("session table full when busy", `Quick, test_session_table_full_when_busy);
     ("session TTL eviction", `Quick, test_session_ttl_eviction);
     ("session deadline interrupt", `Quick, test_session_deadline_interrupt);
     ("bad deadline rejected", `Quick, test_bad_deadline_rejected);
