@@ -11,5 +11,4 @@ let all =
     Net_bench.suite;
     Warm_bench.suite;
     Cube_bench.suite;
-    Dispatch_bench.suite;
   ]

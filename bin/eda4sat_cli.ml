@@ -413,11 +413,12 @@ let cube_cmd =
 
 (* "HOST:PORT" (":PORT" and "PORT" bind every interface). *)
 let parse_listen spec =
+  let bad () = input_error "--listen" (spec ^ ": expected HOST:PORT") in
   match String.rindex_opt spec ':' with
   | None -> (
     match int_of_string_opt spec with
     | Some port -> ("0.0.0.0", port)
-    | None -> failwith ("bad --listen " ^ spec ^ ": expected HOST:PORT"))
+    | None -> bad ())
   | Some i -> (
     let host = String.sub spec 0 i in
     let host = if host = "" then "0.0.0.0" else host in
@@ -425,21 +426,19 @@ let parse_listen spec =
       int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
     with
     | Some port -> (host, port)
-    | None -> failwith ("bad --listen " ^ spec ^ ": expected HOST:PORT"))
+    | None -> bad ())
 
 let serve_cmd =
   let run verbose workers queue cache warm mode jobs share_lbd timeout
       deadline_ms sessions session_ttl_ms cube_conflicts cube_count cube_jobs
-      cube_probe_limit dispatch_model trace_path trace_max_mb
-      dispatch_admission listen unix_path stdio max_clients conn_buffer quota
+      cube_probe_limit listen unix_path stdio max_clients conn_buffer quota
       priority_floor tenant_specs =
     setup_logs verbose;
     let mode =
       match mode with
-      | "direct" -> Server.Direct
-      | "simplify" -> Server.Simplify
-      | "portfolio" -> Server.Portfolio { jobs; share_lbd }
-      | m -> failwith ("unknown mode: " ^ m ^ " (direct|simplify|portfolio)")
+      | `Direct -> Server.Direct
+      | `Simplify -> Server.Simplify
+      | `Portfolio -> Server.Portfolio { jobs; share_lbd }
     in
     let cube =
       if cube_conflicts <= 0 then None
@@ -451,27 +450,6 @@ let serve_cmd =
             cube_jobs;
             cube_probe_limit;
           }
-    in
-    let policy =
-      Option.map
-        (fun path ->
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Dispatch.Policy.load_string s)
-        dispatch_model
-    in
-    let trace =
-      Option.map
-        (fun path ->
-          Dispatch.Tracelog.open_file
-            ~max_bytes:(trace_max_mb * 1024 * 1024)
-            path)
-        trace_path
-    in
-    let dispatch =
-      if policy = None && trace = None && not dispatch_admission then None
-      else Some { Server.policy; trace; admission = dispatch_admission }
     in
     let config =
       {
@@ -488,7 +466,6 @@ let serve_cmd =
            | Some ms when ms <= 0.0 -> None (* 0 disables TTL eviction *)
            | ttl -> Option.map (fun ms -> ms /. 1000.0) ttl);
         cube;
-        dispatch;
       }
     in
     let tenant_limits =
@@ -496,9 +473,10 @@ let serve_cmd =
         (fun spec ->
           match Net.Tenant.parse_spec spec with
           | Ok x -> x
-          | Error msg -> failwith msg)
+          | Error msg -> input_error "--tenant" msg)
         tenant_specs
     in
+    let listen = Option.map parse_listen listen in
     let net_config =
       {
         Net.Event_loop.default_config with
@@ -510,14 +488,11 @@ let serve_cmd =
     in
     let engine = Server.create ~config () in
     Fun.protect
-      ~finally:(fun () ->
-        Server.shutdown engine;
-        Option.iter Dispatch.Tracelog.close trace)
+      ~finally:(fun () -> Server.shutdown engine)
       (fun () ->
         let loop = Net.Event_loop.create ~config:net_config engine in
         (match listen with
-         | Some spec ->
-           let host, port = parse_listen spec in
+         | Some (host, port) ->
            let host, port = Net.Event_loop.add_tcp loop ~host ~port in
            Printf.printf "c listening on %s:%d\n%!" host port
          | None -> ());
@@ -561,7 +536,12 @@ let serve_cmd =
                    restarting (0 disables; mode=direct only).")
   in
   let mode =
-    Arg.(value & opt string "direct"
+    Arg.(value
+         & opt
+             (enum
+                [ ("direct", `Direct); ("simplify", `Simplify);
+                  ("portfolio", `Portfolio) ])
+             `Direct
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"Per-job solve mode: 'direct', 'simplify' (CNF \
                    simplification first), or 'portfolio' (each worker \
@@ -618,37 +598,6 @@ let serve_cmd =
          & info [ "cube-probe-limit" ] ~docv:"N"
              ~doc:"Lookahead probe budget per cube-tree node \
                    (--cube-conflicts).")
-  in
-  let dispatch_model =
-    Arg.(value & opt (some file) None
-         & info [ "dispatch-model" ] ~docv:"FILE"
-             ~doc:"Learned dispatch policy (from 'eda4sat dispatch \
-                   train'): per job, extract cheap CNF features and \
-                   let the model pick the route — plain direct lane, \
-                   simplify first, race N portfolio lanes, or a cube \
-                   budget (mode=direct only).")
-  in
-  let trace_path =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Append one JSONL training entry per completed job \
-                   (features, decisions, outcome, latency) — the input \
-                   of 'eda4sat dispatch train'.  Works with or without \
-                   --dispatch-model.")
-  in
-  let trace_max_mb =
-    Arg.(value & opt int 64
-         & info [ "trace-max-mb" ] ~docv:"MB"
-             ~doc:"Rotate the --trace file past this size (the old \
-                   file moves to FILE.1).")
-  in
-  let dispatch_admission =
-    Arg.(value & flag
-         & info [ "dispatch-admission" ]
-             ~doc:"Reject jobs whose --dispatch-model hardness \
-                   prediction exceeds 4x their deadline (REJECTED \
-                   predicted-timeout) instead of burning a worker on \
-                   them.")
   in
   let listen =
     Arg.(value & opt (some string) None
@@ -714,134 +663,8 @@ let serve_cmd =
     Term.(const run $ verbose_arg $ workers $ queue $ cache $ warm $ mode
           $ jobs $ share_lbd $ timeout_arg $ deadline_ms $ sessions
           $ session_ttl_ms $ cube_conflicts $ cube_count $ cube_jobs
-          $ cube_probe_limit $ dispatch_model $ trace_path $ trace_max_mb
-          $ dispatch_admission $ listen $ unix_path $ stdio $ max_clients
+          $ cube_probe_limit $ listen $ unix_path $ stdio $ max_clients
           $ conn_buffer $ quota $ priority_floor $ tenant_specs)
-
-(* --- dispatch -------------------------------------------------------- *)
-
-let dispatch_train_cmd =
-  let run verbose traces out epochs lr hidden seed =
-    setup_logs verbose;
-    let entries = List.concat_map Dispatch.Tracelog.read_file traces in
-    Printf.printf "read %d trace entries from %d file(s)\n%!"
-      (List.length entries) (List.length traces);
-    let hidden =
-      String.split_on_char ',' hidden
-      |> List.filter_map (fun s ->
-           match String.trim s with
-           | "" -> None
-           | s -> (
-             match int_of_string_opt s with
-             | Some n when n > 0 -> Some n
-             | _ -> failwith ("bad --hidden layer width: " ^ s)))
-      |> Array.of_list
-    in
-    let policy = Dispatch.Policy.create ~hidden ~seed () in
-    let loss = Dispatch.Policy.train ~epochs ~lr ~seed policy entries in
-    let oc = open_out out in
-    output_string oc (Dispatch.Policy.save_string policy);
-    close_out oc;
-    let visited =
-      Array.fold_left (fun n v -> if v > 0 then n + 1 else n) 0
-        (Dispatch.Policy.visits policy)
-    in
-    Printf.printf
-      "trained %d epochs (final loss %.4f, %d/10 heads visited)\n\
-       model written to %s\n"
-      epochs loss visited out
-  in
-  let traces =
-    Arg.(non_empty & opt_all file []
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"JSONL trace from 'serve --trace' (repeatable).")
-  in
-  let out =
-    Arg.(value & opt string "dispatch.model"
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Model file to write.")
-  in
-  let epochs =
-    Arg.(value & opt int 200
-         & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
-  in
-  let lr =
-    Arg.(value & opt float 1e-3
-         & info [ "lr" ] ~docv:"R" ~doc:"Adam learning rate.")
-  in
-  let hidden =
-    Arg.(value & opt string "32,32"
-         & info [ "hidden" ] ~docv:"W,W"
-             ~doc:"Hidden layer widths, comma separated.")
-  in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Seed of the initial weights and batch shuffles.")
-  in
-  Cmd.v
-    (Cmd.info "train"
-       ~doc:"Fit a dispatch policy from serve --trace logs: a hardness \
-             regressor plus per-route reward heads (simplify, lanes, \
-             cube budget).")
-    (returns_ok
-       Term.(const run $ verbose_arg $ traces $ out $ epochs $ lr $ hidden
-             $ seed))
-
-let dispatch_predict_cmd =
-  let run verbose input model_file =
-    setup_logs verbose;
-    let inst = read_instance input in
-    let features =
-      let base =
-        Dispatch.Features.of_flat
-          (Cnf.Flat.of_formula (Eda4sat.Instance.direct_formula inst))
-      in
-      match inst.Eda4sat.Instance.payload with
-      | Eda4sat.Instance.Cnf _ -> base
-      | Eda4sat.Instance.Circuit g ->
-        Dispatch.Features.with_embedding base
-          (Deepgate.Embedding.po_embedding g)
-    in
-    Array.iteri
-      (fun i v ->
-        if i < Array.length Dispatch.Features.names then
-          Printf.printf "c %-24s %.6g\n" Dispatch.Features.names.(i) v)
-      features;
-    match model_file with
-    | None -> Printf.printf "c no --model: static default decision\n"
-    | Some path ->
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let policy = Dispatch.Policy.load_string s in
-      let d = Dispatch.Policy.decide policy features in
-      Printf.printf "decision: lanes=%d simplify=%b cube=%s\n" d.lanes
-        d.simplify
-        (match d.cube_trigger with
-         | None -> "engine-default"
-         | Some 0 -> "off"
-         | Some n -> string_of_int n);
-      if Float.is_finite d.predicted_ms then
-        Printf.printf "predicted solve latency: %.1f ms\n" d.predicted_ms
-      else Printf.printf "predicted solve latency: (hardness head untrained)\n"
-  in
-  let model =
-    Arg.(value & opt (some file) None
-         & info [ "model" ] ~docv:"FILE"
-             ~doc:"Trained policy (from 'eda4sat dispatch train').")
-  in
-  Cmd.v
-    (Cmd.info "predict"
-       ~doc:"Print the dispatch feature vector of an instance and, with \
-             --model, the route the policy would pick.")
-    (returns_ok Term.(const run $ verbose_arg $ input_arg $ model))
-
-let dispatch_cmd =
-  Cmd.group
-    (Cmd.info "dispatch"
-       ~doc:"Learned dispatch: train a routing policy from serve traces \
-             and inspect its per-instance decisions.")
-    [ dispatch_train_cmd; dispatch_predict_cmd ]
 
 (* --- preprocess ------------------------------------------------------ *)
 
@@ -1058,5 +881,5 @@ let () =
   let info = Cmd.info "eda4sat" ~version:"1.0.0" ~doc in
   exit (Cmd.eval' (Cmd.group info
                      [ solve_cmd; portfolio_cmd; cube_cmd; serve_cmd;
-                       dispatch_cmd; preprocess_cmd; train_cmd; generate_cmd;
+                       preprocess_cmd; train_cmd; generate_cmd;
                        tables_cmd; map_cmd ]))

@@ -38,22 +38,6 @@ let default_cube_config =
   { cube_trigger = 10_000; cube_count = 8; cube_jobs = 4;
     cube_probe_limit = 32 }
 
-(* Learned dispatch (Direct mode): a policy picks per-job decisions at
-   submit time — lanes to race, simplify on/off, cube-trigger override
-   — from cheap features of the clause store, and (with [admission]
-   on) predicts hopeless jobs out of the queue.  [trace] logs every
-   one-shot completion for offline training, model or not. *)
-type dispatch_config = {
-  policy : Dispatch.Policy.t option;
-  trace : Dispatch.Tracelog.t option;
-  admission : bool;
-}
-
-(* A predicted-timeout rejection needs high confidence: only jobs whose
-   predicted latency exceeds this multiple of their deadline are
-   refused admission. *)
-let admission_margin = 4.0
-
 type config = {
   workers : int;
   queue_capacity : int;
@@ -65,7 +49,6 @@ type config = {
   session_capacity : int;
   session_ttl : float option;
   cube : cube_config option;
-  dispatch : dispatch_config option;
 }
 
 let default_config =
@@ -80,7 +63,6 @@ let default_config =
     session_capacity = 64;
     session_ttl = Some 600.0;
     cube = None;
-    dispatch = None;
   }
 
 (* A relative deadline must compose into a meaningful absolute instant:
@@ -123,8 +105,6 @@ type job = {
   cnf : Cnf.Flat.t;
   fp : Cnf.Fingerprint.t;
   warm : Sat.Solver.seed option;  (* snapshot found at submit time *)
-  features : float array option;  (* extracted when dispatch is on *)
-  decision : Dispatch.Policy.decision option;  (* model's pick, if any *)
   deadline : float option;  (* absolute Wall.now instant *)
   submitted_at : float;
   interrupt : Sat.Solver.Interrupt.t;
@@ -211,52 +191,6 @@ let publish job core =
      other waiters still deserve their wake-up. *)
   List.iter (fun k -> try k core with _ -> ()) waiters
 
-(* What an engine without a model does with a job — recorded in trace
-   entries so a model-less serving fleet still produces labeled
-   training data for exactly the decisions it took. *)
-let static_decision t =
-  {
-    Dispatch.Policy.lanes =
-      (match t.cfg.mode with Portfolio { jobs; _ } -> jobs | _ -> 1);
-    simplify = t.cfg.mode = Simplify;
-    cube_trigger = Option.map (fun cc -> cc.cube_trigger) t.cfg.cube;
-    predicted_ms = Float.nan;
-  }
-
-let trace_completion t job core =
-  match t.cfg.dispatch with
-  | Some { trace = Some tl; _ } -> (
-    match job.features with
-    | None -> ()
-    | Some feat ->
-      let d =
-        match job.decision with Some d -> d | None -> static_decision t
-      in
-      let outcome =
-        match core.d_verdict with
-        | Sat _ -> "sat"
-        | Unsat -> "unsat"
-        | Timeout -> "timeout"
-        | Failed _ -> "failed"
-      in
-      Dispatch.Tracelog.append tl
-        {
-          Dispatch.Tracelog.fingerprint = Cnf.Fingerprint.to_hex job.fp;
-          features = feat;
-          lanes = d.Dispatch.Policy.lanes;
-          simplify = d.Dispatch.Policy.simplify;
-          cube_trigger =
-            (match d.Dispatch.Policy.cube_trigger with
-            | Some n -> n
-            | None -> 0);
-          outcome;
-          conflicts = core.d_stats.Sat.Solver.conflicts;
-          solve_ms = 1000.0 *. core.d_solve_wall;
-          wall_ms = 1000.0 *. (core.d_done_at -. job.submitted_at);
-          decided = job.decision <> None;
-        })
-  | _ -> ()
-
 let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
   if try_claim job then begin
     let core =
@@ -292,7 +226,6 @@ let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
     List.iter
       (fun ts -> Metrics.observe t.metrics Latency (core.d_done_at -. ts))
       (job.submitted_at :: joins);
-    trace_completion t job core;
     publish job core
   end
 
@@ -301,18 +234,13 @@ let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
 let deadline_passed job now =
   match job.deadline with Some d -> now >= d | None -> false
 
-(* Run one job's solve.  In [Direct] mode the solve is warm-start
-   aware: a snapshot found at submit time seeds it, and the state at
-   exit is captured for the warm cache (returned as the third
-   component).  [Simplify]/[Portfolio] solve a transformed formula or
-   race diversified lanes; neither seeds nor captures.  The fourth
-   component is the cube report when the job escalated to
-   cube-and-conquer. *)
+(* Each leg returns the solve result, its stats, the warm snapshot
+   captured at exit (Direct only) and the cube report when the job
+   escalated to cube-and-conquer (Direct only). *)
+
 (* The plain CDCL lane, warm-start aware, with optional hardness-
-   triggered cube-and-conquer escalation.  [cube] is per-job: the
-   static config in plain Direct mode, possibly overridden by a
-   dispatch decision. *)
-let direct_leg t pool (job : job) limits ~cube =
+   triggered cube-and-conquer escalation. *)
+let direct_leg t pool (job : job) limits =
   (match job.warm with
    | Some _ -> Metrics.add t.metrics Warm_seeded
    | None -> ());
@@ -322,6 +250,7 @@ let direct_leg t pool (job : job) limits ~cube =
     | Some _ -> Some (fun sd -> snap := Some sd)
     | None -> None
   in
+  let cube = t.cfg.cube in
   (* With cubing configured, the first slice is capped at the
      hardness trigger: a job that answers inside the slice took the
      exact path it would have without cubing. *)
@@ -387,47 +316,26 @@ let simplify_leg (job : job) limits =
   (rep.Eda4sat.Pipeline.result, rep.Eda4sat.Pipeline.solver_stats, None,
    None)
 
-(* Race [lanes] diversified strategies on the worker's pool (a
-   dispatch decision in Direct mode, or Portfolio mode racing the full
-   pool).  No warm seeding or snapshot capture — lanes run diversified
+(* Race the worker pool's diversified strategies, one per domain.  No
+   warm seeding or snapshot capture — lanes run diversified
    configurations the snapshot contract does not cover. *)
-let race_leg ?share_lbd (job : job) limits ~lanes ~pool =
-  let strategies = Portfolio.Strategy.default_pool ~jobs:lanes in
-  let f = Cnf.Flat.to_formula job.cnf in
+let race_leg ~share_lbd (job : job) limits pool =
+  let strategies =
+    Portfolio.Strategy.default_pool ~jobs:(Portfolio.Runner.pool_size pool)
+  in
   let o =
-    match pool with
-    | Some p ->
-      Portfolio.Runner.run_in ?share_lbd ~limits ~interrupt:job.interrupt
-        p strategies f
-    | None ->
-      Portfolio.Runner.run ?share_lbd ~jobs:lanes ~limits
-        ~interrupt:job.interrupt strategies f
+    Portfolio.Runner.run_in ~share_lbd ~limits ~interrupt:job.interrupt pool
+      strategies (Cnf.Flat.to_formula job.cnf)
   in
   (o.Portfolio.Runner.result, o.Portfolio.Runner.stats, None, None)
-
-(* Per-job cube config under a dispatch decision: the decision's
-   trigger overrides the static one, inheriting the remaining knobs. *)
-let decided_cube t (d : Dispatch.Policy.decision) =
-  match d.Dispatch.Policy.cube_trigger with
-  | None -> t.cfg.cube
-  | Some trig ->
-    let base = Option.value t.cfg.cube ~default:default_cube_config in
-    Some { base with cube_trigger = trig }
 
 let solve_job t pool job =
   let limits = { t.cfg.limits with Sat.Solver.deadline = job.deadline } in
   match t.cfg.mode with
-  | Direct -> (
-    match job.decision with
-    | Some d when d.Dispatch.Policy.lanes > 1 ->
-      race_leg job limits ~lanes:d.Dispatch.Policy.lanes ~pool
-    | Some d when d.Dispatch.Policy.simplify -> simplify_leg job limits
-    | Some d -> direct_leg t pool job limits ~cube:(decided_cube t d)
-    | None -> direct_leg t pool job limits ~cube:t.cfg.cube)
+  | Direct -> direct_leg t pool job limits
   | Simplify -> simplify_leg job limits
   | Portfolio { share_lbd; _ } ->
-    let lanes = Portfolio.Runner.pool_size (Option.get pool) in
-    race_leg ~share_lbd job limits ~lanes ~pool
+    race_leg ~share_lbd job limits (Option.get pool)
 
 let classify t job result stats solve_wall snapshot ~cube =
   let verdict =
@@ -522,19 +430,9 @@ let worker_loop t () =
     match t.cfg.mode with
     | Portfolio { jobs; _ } -> Some (Portfolio.Runner.create_pool ~jobs ())
     | Direct ->
-      (* The worker's auxiliary pool: idle until a job crosses the
-         cube hardness trigger or a dispatch decision races lanes, so
-         small-job throughput is untouched.  Sized for the larger of
-         the two consumers. *)
-      let cube_jobs =
-        match t.cfg.cube with Some cc -> cc.cube_jobs | None -> 1
-      in
-      let lane_jobs =
-        match t.cfg.dispatch with
-        | Some { policy = Some _; _ } -> Dispatch.Policy.max_lanes
-        | _ -> 1
-      in
-      let jobs = max cube_jobs lane_jobs in
+      (* The worker's cube pool: idle until a job crosses the cube
+         hardness trigger, so small-job throughput is untouched. *)
+      let jobs = match t.cfg.cube with Some cc -> cc.cube_jobs | None -> 1 in
       if jobs > 1 then Some (Portfolio.Runner.create_pool ~jobs ())
       else None
     | Simplify -> None
@@ -655,12 +553,6 @@ let create ?(config = default_config) () =
    | Some ttl when not (Float.is_finite ttl && ttl > 0.0) ->
      invalid_arg "Engine.create: bad session_ttl"
    | _ -> ());
-  (* A policy only routes Direct-mode jobs (the other modes are a
-     fixed leg already); a trace may be attached to any mode. *)
-  (match config.dispatch with
-   | Some { policy = Some _; _ } when config.mode <> Direct ->
-     invalid_arg "Engine.create: dispatch policy requires Direct mode"
-   | _ -> ());
   let t =
     {
       cfg = config;
@@ -711,50 +603,8 @@ let lookup t fp cnf =
         None
       end)
 
-(* Learned dispatch: features and the model's decision are computed
-   after the cache lookup (a hit never needs them) and outside every
-   engine lock — O(|F|) work must not serialize concurrent submits.
-   Every decision lands on exactly one leg counter here at submit
-   time, so [dispatch_decided = direct + simplify + raced + rejected]
-   holds whatever later happens to the job (dedup join, queue-full
-   bounce, shutdown drain).
-
-   Deadline-aware admission refuses a job whose predicted latency
-   exceeds [admission_margin] times its (explicit or default) deadline
-   — it would only burn a queue slot on the way to [Timeout].
-   Conservative by construction: an untrained hardness head predicts
-   [nan], which never rejects. *)
-let decide t ?deadline cnf =
-  match t.cfg.dispatch with
-  | None -> Ok (None, None)
-  | Some dc -> (
-    let t0 = Sat.Wall.now () in
-    let features = Dispatch.Features.of_flat cnf in
-    match dc.policy with
-    | None -> Ok (Some features, None)
-    | Some p ->
-      let d = Dispatch.Policy.decide p features in
-      Metrics.observe t.metrics Inference (Sat.Wall.now () -. t0);
-      let deadline =
-        match deadline with None -> t.cfg.default_deadline | dl -> dl
-      in
-      let hopeless =
-        match deadline with
-        | Some dl when dc.admission ->
-          Float.is_finite d.predicted_ms
-          && d.predicted_ms > admission_margin *. dl *. 1000.0
-        | _ -> false
-      in
-      Metrics.add t.metrics
-        (if hopeless then Dispatch_rejected
-         else if d.lanes > 1 then Dispatch_raced
-         else if d.simplify then Dispatch_simplify
-         else Dispatch_direct);
-      if hopeless then reject t "predicted-timeout"
-      else Ok (Some features, Some d))
-
 (* Join the in-flight job for [fp], or queue a new one. *)
-let enqueue t ~now ?deadline ~priority cnf fp (features, decision) =
+let enqueue t ~now ?deadline ~priority cnf fp =
   Mutex.lock t.gm;
   if Atomic.get t.stopping then begin
     Mutex.unlock t.gm;
@@ -784,8 +634,6 @@ let enqueue t ~now ?deadline ~priority cnf fp (features, decision) =
           cnf;
           fp;
           warm;
-          features;
-          decision;
           deadline =
             (match deadline with
              | Some s -> Some (now +. s)
@@ -822,7 +670,7 @@ let enqueue t ~now ?deadline ~priority cnf fp (features, decision) =
              (Job_queue.capacity t.queue))
       end
 
-(* The submit path: lookup → decide → enqueue. *)
+(* The submit path: lookup → enqueue. *)
 let submit_live t ?deadline ~priority cnf =
   let now = Sat.Wall.now () in
   let fp = Cnf.Fingerprint.of_flat cnf in
@@ -841,9 +689,7 @@ let submit_live t ?deadline ~priority cnf =
            stats = e.Cache.stats;
            fingerprint = fp;
          })
-  | None ->
-    Result.bind (decide t ?deadline cnf)
-      (enqueue t ~now ?deadline ~priority cnf fp)
+  | None -> enqueue t ~now ?deadline ~priority cnf fp
 
 (* The stopping check comes before the cache lookup: a shut-down
    server rejects every submit, even one it could answer from memory

@@ -139,39 +139,6 @@ val default_cube_config : cube_config
 (** [{ cube_trigger = 10_000; cube_count = 8; cube_jobs = 4;
       cube_probe_limit = 32 }] *)
 
-(** Learned dispatch.  With a [policy], every one-shot submit that
-    misses the verdict cache has {!Dispatch.Features} extracted off
-    its clause store and a {!Dispatch.Policy} decision taken — all
-    outside the engine locks, before the job enters the queue:
-
-    - [lanes > 1] races that many diversified portfolio lanes on the
-      worker's auxiliary pool;
-    - otherwise [simplify] routes through the proof-carrying simplify
-      pipeline;
-    - otherwise the plain direct lane runs, with the decision's
-      [cube_trigger] (if any) overriding the static cube config.
-
-    A policy requires [Direct] mode ({!create} raises otherwise);
-    without one, behavior is identical to a dispatch-less engine.
-    With [admission] (default off), a job whose predicted latency
-    exceeds 4x its effective deadline answers
-    [Error "predicted-timeout"] ([REJECTED predicted-timeout] at the
-    wire) without consuming a queue slot; the prediction of an
-    untrained model is [nan], which never rejects.
-
-    A [trace] (usable in every mode, with or without a policy) logs
-    one {!Dispatch.Tracelog} entry per one-shot completion — features,
-    decisions actually in force (the model's, or the engine's static
-    configuration), outcome, conflicts and latency — the training data
-    for [eda4sat dispatch train].  Decisions land on the
-    [dispatch_*] counters of {!Metrics} at submit time, one leg per
-    decision, so the ledger reconciles exactly. *)
-type dispatch_config = {
-  policy : Dispatch.Policy.t option;
-  trace : Dispatch.Tracelog.t option;
-  admission : bool;
-}
-
 type config = {
   workers : int;         (** worker domains (default 4) *)
   queue_capacity : int;  (** admission bound (default 64) *)
@@ -194,9 +161,6 @@ type config = {
   cube : cube_config option;
       (** hardness-triggered cube-and-conquer (default [None]:
           disabled) *)
-  dispatch : dispatch_config option;
-      (** learned dispatch (default [None]: static behavior, byte
-          identical to a build without the subsystem) *)
 }
 
 val default_config : config

@@ -12,11 +12,6 @@ type counter =
   | Cubed
   | Cubes_solved
   | Cube_steals
-  | Dispatch_decided
-  | Dispatch_direct
-  | Dispatch_simplify
-  | Dispatch_raced
-  | Dispatch_rejected
   | Dedup_joins
   | Session_ops
   | Sessions_opened
@@ -30,7 +25,7 @@ type counter =
   | Latency_count
   | Parse_count
 
-type timing = Latency | Parse | Inference
+type timing = Latency | Parse
 
 type client_leg = [ `Requests | `Answered | `Rejected ]
 
@@ -61,16 +56,6 @@ let fields =
     ("cubed", Counted Cubed);
     ("cubes_solved", Counted Cubes_solved);
     ("cube_steals", Counted Cube_steals);
-    ( "dispatch_decided",
-      Sum
-        ( Dispatch_decided,
-          [ Dispatch_direct; Dispatch_simplify; Dispatch_raced;
-            Dispatch_rejected ] ) );
-    ("dispatch_direct", Counted Dispatch_direct);
-    ("dispatch_simplify", Counted Dispatch_simplify);
-    ("dispatch_raced", Counted Dispatch_raced);
-    ("dispatch_rejected", Counted Dispatch_rejected);
-    ("dispatch_infer_max_ms", Max Inference);
     ("dedup_joins", Counted Dedup_joins);
     ("session_ops", Counted Session_ops);
     ("sessions_opened", Counted Sessions_opened);
@@ -136,7 +121,7 @@ let position table key =
 let ring_capacity = 4096
 
 (* A bounded ring of the most recent observations (seconds), plus a
-   lifetime count and max.  A zero-capacity window keeps only those. *)
+   lifetime count and max. *)
 type window = {
   ring : float array;
   mutable len : int;
@@ -145,17 +130,15 @@ type window = {
   mutable max : float;
 }
 
-let window capacity =
-  { ring = Array.make capacity 0.0; len = 0; pos = 0; count = 0; max = 0.0 }
+let window () =
+  { ring = Array.make ring_capacity 0.0; len = 0; pos = 0; count = 0;
+    max = 0.0 }
 
 let push w s =
   let s = if s < 0.0 then 0.0 else s in
-  let cap = Array.length w.ring in
-  if cap > 0 then begin
-    w.ring.(w.pos) <- s;
-    w.pos <- (w.pos + 1) mod cap;
-    if w.len < cap then w.len <- w.len + 1
-  end;
+  w.ring.(w.pos) <- s;
+  w.pos <- (w.pos + 1) mod ring_capacity;
+  if w.len < ring_capacity then w.len <- w.len + 1;
   w.count <- w.count + 1;
   if s > w.max then w.max <- s
 
@@ -173,9 +156,7 @@ let create () =
   {
     m = Mutex.create ();
     counts = Array.make (Array.length fields) 0;
-    windows =
-      [ (Latency, window ring_capacity); (Parse, window ring_capacity);
-        (Inference, window 0) ];
+    windows = [ (Latency, window ()); (Parse, window ()) ];
     clients = Hashtbl.create 16;
   }
 

@@ -20,7 +20,7 @@
     six request legs ({!requests} sums them):
 
     - [Rejected]     (queue full / bad deadline / server stopping /
-                      admission — never ran),
+                      session refusals — never ran),
     - [Cache_hits]   (answered at submit time from the cache),
     - [Warm_hits]    (cache miss, but a warm-start snapshot for the
                       fingerprint was found: the job solves, seeded),
@@ -59,15 +59,6 @@ type counter =
           job still completes exactly once) *)
   | Cubes_solved  (** cubes refuted or satisfied across those jobs *)
   | Cube_steals  (** cube claims by a non-owner pool worker *)
-  | Dispatch_decided
-      (** derived: the sum of the four dispatch legs; each decision is
-          counted on exactly one leg at submit time *)
-  | Dispatch_direct  (** decisions routed to the plain direct lane *)
-  | Dispatch_simplify  (** decisions routed through simplify *)
-  | Dispatch_raced  (** decisions racing > 1 portfolio lanes *)
-  | Dispatch_rejected
-      (** deadline-aware admission refusals ([REJECTED
-          predicted-timeout]); these are also counted in [Rejected] *)
   | Dedup_joins
   | Session_ops  (** session operations accepted *)
   | Sessions_opened
@@ -90,9 +81,6 @@ type timing =
   | Parse
       (** one formula load (file read + parse) at a transport front-end;
           renders [parse_p50_ms]/[parse_p95_ms]/[parse_max_ms] *)
-  | Inference
-      (** one dispatch decision's feature extraction + inference; only
-          its max is kept ([dispatch_infer_max_ms]) *)
 
 type client_leg = [ `Requests | `Answered | `Rejected ]
 (** Per-client (tenant) counters, recorded by transport front-ends
@@ -133,8 +121,8 @@ val requests : snapshot -> int
 
 val reconcile : snapshot -> string list
 (** The ledger identities the snapshot violates, one line each; [[]]
-    when it reconciles.  Checked: the derived sums ([Completed],
-    [Dispatch_decided]), [Completed = Submitted + Warm_hits] once
+    when it reconciles.  Checked: the derived sum [Completed],
+    [Completed = Submitted + Warm_hits] once
     [Inflight] is 0, [Sessions_opened = Sessions_live + Sessions_closed
     + Sessions_evicted], and [Warm_seeded <= Warm_hits]. *)
 

@@ -5,12 +5,13 @@
 module H = Bench_suites.Harness
 
 (* The committed files are copied next to the test directory. *)
-let committed name =
+let committed_dir =
   Filename.concat
-    (Filename.concat
-       (Filename.dirname Sys.executable_name)
-       Filename.parent_dir_name)
-    (Printf.sprintf "BENCH_%s.json" name)
+    (Filename.dirname Sys.executable_name)
+    Filename.parent_dir_name
+
+let committed name =
+  Filename.concat committed_dir (Printf.sprintf "BENCH_%s.json" name)
 
 let test_committed_keys () =
   List.iter
@@ -27,6 +28,28 @@ let test_committed_keys () =
           s.H.keys
       end)
     Bench_suites.Registry.all
+
+(* Every committed BENCH_<suite>.json names a suite [bench.exe] still
+   runs: a baseline whose suite is gone fails here instead of lingering.
+   BENCH_<suite>.ci.json files are fresh measurements, not baselines. *)
+let test_no_orphan_baselines () =
+  let baselines =
+    Sys.readdir committed_dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json"
+           && not (Filename.check_suffix f ".ci.json"))
+  in
+  Alcotest.(check bool) "some baselines found" true (baselines <> []);
+  let suites =
+    List.map (fun (s : H.suite) -> s.H.name) Bench_suites.Registry.all
+  in
+  List.iter
+    (fun f ->
+      let name = String.sub f 6 (String.length f - 11) in
+      Alcotest.(check bool) (f ^ " names a registered suite") true
+        (List.mem name suites))
+    (List.sort compare baselines)
 
 (* What the harness writes, it reads back: nested sections, inline and
    multi-line objects, and a key that shares a prefix with another. *)
@@ -80,6 +103,8 @@ let test_missing_key_fails () =
 let suite =
   [
     ("committed files hold every gated key", `Quick, test_committed_keys);
+    ("every committed baseline names a suite", `Quick,
+     test_no_orphan_baselines);
     ("writer and reader agree", `Quick, test_roundtrip);
     ("a missing committed key fails the gate", `Quick, test_missing_key_fails);
   ]

@@ -130,6 +130,22 @@ let test_malformed_input_errors () =
     [ "generate"; "--family"; "bogus"; "--out"; file "bogus.cnf" ]
     "eda4sat: --family: unknown family: bogus"
 
+let has_sub sub l =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A malformed [serve] argument is a command-line error too: exit 124,
+   no uncaught exception on stderr. *)
+let serve_arg_error name args () =
+  let err = file (name ^ ".err") in
+  check_int (name ^ " exits 124") 124
+    (run_cli ~stderr_file:err ("serve" :: args));
+  check_bool (name ^ " stderr has no uncaught exception") false
+    (List.exists (has_sub "uncaught") (read_lines err))
+
 (* --- AIGER operands and load errors on both transports ---------------- *)
 
 (* A LEC miter as an ASCII AIGER file: the transports Tseitin-encode it
@@ -311,13 +327,6 @@ let test_serve_session () =
     go []
   in
   let count p = List.length (List.filter p lines) in
-  let has_sub sub l =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
-    in
-    go 0
-  in
   check_int "21 answers" 21 (count (has_sub "c job "));
   check_int "one join" 1 (count (has_sub "source=join"));
   check_int "one cache hit" 1 (count (has_sub "source=cache"));
@@ -411,13 +420,6 @@ let test_serve_session () =
   check_int "nothing left in flight" 0 (g "inflight")
 
 (* --- serve: incremental session verbs -------------------------------- *)
-
-let has_sub sub l =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
-  in
-  go 0
 
 let starts_with p l =
   String.length l >= String.length p && String.sub l 0 (String.length p) = p
@@ -774,6 +776,12 @@ let suite =
     ("solve exit codes", `Quick, test_solve_exit_codes);
     ("portfolio exit codes", `Quick, test_portfolio_exit_codes);
     ("malformed input is a CLI error", `Quick, test_malformed_input_errors);
+    ("serve --mode bogus is a CLI error", `Quick,
+     serve_arg_error "mode" [ "--mode"; "bogus"; "--stdio" ]);
+    ("serve --listen nohost is a CLI error", `Quick,
+     serve_arg_error "listen" [ "--listen"; "nohost" ]);
+    ("serve --tenant zzz is a CLI error", `Quick,
+     serve_arg_error "tenant" [ "--tenant"; "zzz"; "--stdio" ]);
     ("pipe: AIGER operand and load error", `Quick, test_pipe_aiger_operand);
     ("socket: AIGER operand and load error", `Quick, test_loop_aiger_operand);
     ("serve e2e session", `Quick, test_serve_session);

@@ -147,9 +147,8 @@ let test_rounds_effect () =
   check_bool "rounds matter" true (Deepgate.Embedding.distance e1 e3 > 1e-9)
 
 let test_concurrent_embeddings () =
-  (* The dispatch path may embed circuits from several worker domains
-     on a shared graph; the computation only reads the AIG and must
-     stay bitwise deterministic under contention. *)
+  (* Embedding only reads the AIG: several domains embedding one shared
+     graph at once must get bitwise identical results. *)
   let g = xor_graph () in
   let expect = Deepgate.Embedding.po_embedding g in
   let mismatches = Atomic.make 0 in

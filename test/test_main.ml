@@ -9,7 +9,6 @@ let () =
       ("lutmap", Test_lutmap.suite);
       ("deepgate", Test_deepgate.suite);
       ("rl", Test_rl.suite);
-      ("dispatch", Test_dispatch.suite);
       ("core", Test_core.suite);
       ("portfolio", Test_portfolio.suite);
       ("server", Test_server.suite);

@@ -339,9 +339,8 @@ let test_dqn_concurrent_domains () =
   check_bool "trained under contention" true (Rl.Dqn.training_steps agent > 0)
 
 let test_mlp_concurrent_readers () =
-  (* Inference on a frozen net is lock-free and must be deterministic
-     across domains (the dispatch engine calls Policy.decide — Mlp
-     forward — from every worker). *)
+  (* Inference on a frozen net only reads its weights: [Mlp.forward]
+     from several domains at once must give bit-identical outputs. *)
   let net = Rl.Mlp.create ~sizes:[| 5; 12; 6 |] ~seed:31 in
   let x = [| 0.2; -0.4; 0.8; -1.6; 3.2 |] in
   let expect = Rl.Mlp.forward net x in

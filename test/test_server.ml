@@ -15,7 +15,7 @@ let check_ledger s =
     (Server.Metrics.reconcile s)
 
 let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
-    ?(sessions = 64) ?session_ttl ?cube ?dispatch () =
+    ?(sessions = 64) ?session_ttl ?cube () =
   {
     Server.workers;
     queue_capacity = queue;
@@ -27,16 +27,13 @@ let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
     session_capacity = sessions;
     session_ttl;
     cube;
-    dispatch;
   }
 
-let with_engine ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube
-    ?dispatch f =
+let with_engine ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube f =
   let e =
     Server.create
       ~config:
-        (config ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube
-           ?dispatch ())
+        (config ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube ())
       ()
   in
   Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () -> f e)
@@ -867,231 +864,46 @@ let test_warm_fuzz_with_cubes () =
       check_ledger s;
       check_int "all answers decisive" 0 (get s Timeouts + get s Failures))
 
-(* --- learned dispatch ------------------------------------------------ *)
+(* --- solve modes ------------------------------------------------------ *)
 
-let with_trace_file f =
-  let path = Filename.temp_file "eda4sat_server_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove path with Sys_error _ -> ());
-      try Sys.remove (path ^ ".1") with Sys_error _ -> ())
-    (fun () -> f path)
-
-(* A policy whose every head saw exactly one class: [decide] is forced
-   to that class regardless of what the untrained net outputs, so a
-   test can steer every job down one chosen leg.  [hard] picks the
-   hardness target the admission test regresses toward. *)
-let forced_policy ?(epochs = 5) ?lr ?(hard = 10.0) ~features ~lanes ~simplify
-    ~cube () =
-  let p = Dispatch.Policy.create ~hidden:[| 8 |] () in
-  let entries =
-    List.map
-      (fun feat ->
-        { Dispatch.Tracelog.fingerprint = "00";
-          features = feat;
-          lanes;
-          simplify;
-          cube_trigger = cube;
-          outcome = "sat";
-          conflicts = 1;
-          solve_ms = hard;
-          wall_ms = hard;
-          decided = false })
-      features
-  in
-  ignore (Dispatch.Policy.train ~epochs ?lr p entries);
-  p
-
-let test_dispatch_requires_direct () =
-  let p = Dispatch.Policy.create () in
-  let cfg =
-    { (config ()) with
-      Server.mode = Server.Simplify;
-      dispatch =
-        Some { Server.policy = Some p; trace = None; admission = false } }
-  in
-  Alcotest.check_raises "policy needs direct mode"
-    (Invalid_argument "Engine.create: dispatch policy requires Direct mode")
-    (fun () -> ignore (Server.create ~config:cfg ()))
-
-(* With no model, a dispatch block that only traces must leave serving
-   behavior byte-identical to a plain engine: same verdicts, same
-   models, same solver statistics, and no dispatch counters. *)
-let test_dispatch_traceonly_is_static () =
-  with_trace_file (fun path ->
-      let rng = Aig.Rng.create 4242 in
-      let formulas = php 6 :: List.init 12 (fun _ -> random_formula rng) in
-      let run_batch e = List.map (fun f -> Server.solve e (flat f)) formulas in
-      let plain = with_engine ~workers:1 run_batch in
-      let tl = Dispatch.Tracelog.open_file path in
-      let traced =
-        with_engine ~workers:1
-          ~dispatch:
-            { Server.policy = None; trace = Some tl; admission = false }
-          run_batch
-      in
-      Dispatch.Tracelog.close tl;
-      List.iter2
-        (fun a b ->
-          match (a, b) with
-          | Ok (a : Server.answer), Ok (b : Server.answer) ->
-            check_bool "identical verdict" true
-              (a.Server.verdict = b.Server.verdict);
-            (* The wall/cpu fields are timing; every search counter
-               must match exactly. *)
-            let sa = a.Server.stats and sb = b.Server.stats in
-            check_int "same decisions" sa.Sat.Solver.decisions
-              sb.Sat.Solver.decisions;
-            check_int "same conflicts" sa.Sat.Solver.conflicts
-              sb.Sat.Solver.conflicts;
-            check_int "same propagations" sa.Sat.Solver.propagations
-              sb.Sat.Solver.propagations;
-            check_int "same restarts" sa.Sat.Solver.restarts
-              sb.Sat.Solver.restarts;
-            check_int "same learned" sa.Sat.Solver.learned
-              sb.Sat.Solver.learned
-          | _ -> Alcotest.fail "a batch member was rejected")
-        plain traced;
-      (* The trace recorded each completion, labeled as a static (not
-         model-driven) decision on the single direct lane. *)
-      let entries = Dispatch.Tracelog.read_file path in
-      check_int "one entry per solve" (List.length formulas)
-        (List.length entries);
-      List.iter
-        (fun (en : Dispatch.Tracelog.entry) ->
-          check_bool "static decision recorded" false en.decided;
-          check_int "single lane" 1 en.lanes;
-          check_bool "no simplify" false en.simplify;
-          check_bool "decisive outcome" true
-            (en.outcome = "sat" || en.outcome = "unsat"))
-        entries)
-
-(* Every leg a policy can choose, one at a time, against the same
-   batch: answers stay correct and the dispatch ledger reconciles
-   exactly — each decision on exactly one leg, counted once even when
-   the request later cache-hits or dedup-joins. *)
-let test_dispatch_legs_reconcile () =
+(* The Simplify and Portfolio legs against one fixed batch, twice (the
+   second pass answers from the cache): every model satisfies its
+   formula, every UNSAT agrees with brute force, and the ledger
+   reconciles. *)
+let test_modes_answer_and_reconcile () =
   let rng = Aig.Rng.create 999 in
   let formulas = php 5 :: List.init 10 (fun _ -> random_formula rng) in
-  let features =
-    List.map (fun f -> Dispatch.Features.of_flat (flat f)) formulas
-  in
-  let run ~lanes ~simplify check_leg =
-    let p = forced_policy ~features ~lanes ~simplify ~cube:0 () in
-    with_engine ~workers:2
-      ~dispatch:{ Server.policy = Some p; trace = None; admission = false }
-      (fun e ->
-        let pass () =
-          List.map (fun f -> (f, submit_ok e f)) formulas
-          |> List.map (fun (f, t) -> (f, Server.await e t))
-        in
-        (* Two passes: the second answers from the cache and must not
-           re-count dispatch decisions. *)
-        let first = pass () in
-        let second = pass () in
-        List.iter
-          (fun (f, (a : Server.answer)) ->
-            match a.Server.verdict with
-            | Server.Sat m ->
-              check_bool "model satisfies" true (Cnf.Formula.eval f m)
-            | Server.Unsat ->
-              if f.Cnf.Formula.num_vars <= 14 then
-                check_bool "brute force agrees" false (brute_force_sat f)
-            | _ -> Alcotest.fail "unexpected non-answer")
-          (first @ second);
-        let s = Server.stats e in
-        let n = List.length formulas in
-        check_int "requests reconcile" (2 * n) (Server.Metrics.requests s);
-        check_ledger s;
-        (* Cache hits skip the policy; everything that got a decision
-           was submitted or joined an in-flight twin. *)
-        check_int "decided = submitted + joins"
-          (get s Submitted + get s Dedup_joins)
-          (get s Dispatch_decided);
-        check_int "no admission rejections" 0 (get s Dispatch_rejected);
-        check_leg s)
-  in
-  run ~lanes:1 ~simplify:false (fun s ->
-      check_int "all direct" (get s Dispatch_decided) (get s Dispatch_direct));
-  run ~lanes:1 ~simplify:true (fun s ->
-      check_int "all simplify" (get s Dispatch_decided)
-        (get s Dispatch_simplify));
-  run ~lanes:4 ~simplify:false (fun s ->
-      check_int "all raced" (get s Dispatch_decided) (get s Dispatch_raced))
-
-(* A decided cube budget escalates a hard job even though the engine's
-   static cube config is off. *)
-let test_dispatch_decided_cube () =
-  let f = php 8 in
-  let features = [ Dispatch.Features.of_flat (flat f) ] in
-  let p = forced_policy ~features ~lanes:1 ~simplify:false ~cube:2000 () in
-  with_engine ~workers:1
-    ~dispatch:{ Server.policy = Some p; trace = None; admission = false }
-    (fun e ->
-      (match Server.solve e (flat f) with
-       | Ok { Server.verdict = Server.Unsat; _ } -> ()
-       | Ok _ -> Alcotest.fail "php(8,7) must refute"
-       | Error r -> Alcotest.failf "rejected: %s" r);
-      let s = Server.stats e in
-      check_int "decision escalated to cubes" 1 (get s Cubed);
-      check_int "decision counted direct" 1 (get s Dispatch_direct))
-
-(* Admission control: a policy regressed onto an enormous hardness
-   target must reject deadlined jobs as predicted timeouts — and only
-   deadlined ones; with no deadline there is nothing to miss. *)
-(* Every training entry claims a ~1e9 ms solve; with php(5,4)'s own
-   features in the training set, the hardness head must regress far
-   past a 50 ms deadline's 4x margin (200 ms). *)
-let hopeless_php5 =
-  lazy
-    (let rng = Aig.Rng.create 31337 in
-     let features =
-       Dispatch.Features.of_flat (flat (php 5))
-       :: List.init 15 (fun _ ->
-              Dispatch.Features.of_flat (flat (random_formula rng)))
-     in
-     let p =
-       forced_policy ~epochs:800 ~lr:0.02 ~hard:1e9 ~features ~lanes:1
-         ~simplify:false ~cube:0 ()
-     in
-     let d = Dispatch.Policy.decide p (List.hd features) in
-     check_bool
-       (Printf.sprintf "policy predicts hopeless (%.0f ms)" d.predicted_ms)
-       true
-       (Float.is_finite d.predicted_ms && d.predicted_ms > 1e3);
-     { Server.policy = Some p; trace = None; admission = true })
-
-let test_dispatch_admission () =
-  let f = php 5 in
-  with_engine ~workers:1 ~dispatch:(Lazy.force hopeless_php5) (fun e ->
-      (match Server.submit e ~deadline:0.05 (flat f) with
-       | Error "predicted-timeout" -> ()
-       | Error r -> Alcotest.failf "wrong rejection: %s" r
-       | Ok _ -> Alcotest.fail "hopeless deadlined job must be refused");
-      (* No deadline: admitted and solved despite the grim prediction. *)
-      (match Server.solve e (flat f) with
-       | Ok { Server.verdict = Server.Unsat; _ } -> ()
-       | _ -> Alcotest.fail "php(5,4) must still refute without deadline");
-      let s = Server.stats e in
-      check_int "one admission rejection" 1 (get s Dispatch_rejected);
-      check_int "also in the request ledger" 1 (get s Rejected);
-      check_int "requests reconcile" 2 (Server.Metrics.requests s);
-      check_ledger s);
-  (* An untrained policy predicts nan and must never reject. *)
-  let fresh = Dispatch.Policy.create () in
-  with_engine ~workers:1
-    ~dispatch:
-      { Server.policy = Some fresh; trace = None; admission = true }
-    (fun e ->
-      match Server.solve e ~deadline:0.001 (flat f) with
-      | Ok _ -> ()
-      | Error r -> Alcotest.failf "untrained policy rejected: %s" r)
+  List.iter
+    (fun mode ->
+      let e = Server.create ~config:{ (config ()) with Server.mode } () in
+      Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () ->
+          let pass () =
+            List.map (fun f -> (f, submit_ok e f)) formulas
+            |> List.map (fun (f, t) -> (f, Server.await e t))
+          in
+          let first = pass () in
+          let second = pass () in
+          List.iter
+            (fun (f, (a : Server.answer)) ->
+              match a.Server.verdict with
+              | Server.Sat m ->
+                check_bool "model satisfies" true (Cnf.Flat.eval (flat f) m)
+              | Server.Unsat ->
+                if f.Cnf.Formula.num_vars <= 14 then
+                  check_bool "brute force agrees" false (brute_force_sat f)
+              | _ -> Alcotest.fail "unexpected non-answer")
+            (first @ second);
+          let s = Server.stats e in
+          check_int "requests reconcile"
+            (2 * List.length formulas)
+            (Server.Metrics.requests s);
+          check_ledger s))
+    [ Server.Simplify; Server.Portfolio { jobs = 2; share_lbd = 4 } ]
 
 (* Every engine refusal, driven once: each adds exactly 1 to
    [rejected] and leaves the ledger reconciled. *)
 let test_every_refusal_counted () =
-  with_engine ~workers:1 ~queue:1 ~sessions:1
-    ~dispatch:(Lazy.force hopeless_php5) (fun e ->
+  with_engine ~workers:1 ~queue:1 ~sessions:1 (fun e ->
       let refused expected attempt =
         let before = stat e Rejected in
         (match attempt () with
@@ -1104,7 +916,6 @@ let test_every_refusal_counted () =
       let drop r = Result.map ignore r in
       let submit ?deadline f () = drop (Server.submit e ?deadline (flat f)) in
       refused "bad-deadline" (submit ~deadline:Float.nan (php 5));
-      refused "predicted-timeout" (submit ~deadline:0.05 (php 5));
       refused "unknown session" (fun () ->
           drop (Server.session_add e 12345 [ [| 1 |] ]));
       (* A long solve keeps the only session and the only worker busy:
@@ -1155,11 +966,6 @@ let test_metrics_json_pinned () =
   add m ~n:2 Cubed;
   add m ~n:5 Cubes_solved;
   add m ~n:3 Cube_steals;
-  List.iter
-    (fun (k, s) -> add m k; observe m Inference s)
-    [ (Dispatch_direct, 0.0001); (Dispatch_direct, 0.00005);
-      (Dispatch_simplify, 0.0003456); (Dispatch_raced, 0.00025);
-      (Dispatch_rejected, 0.0002) ];
   List.iter (observe m Parse) [ 0.002; 0.0015; 0.0031 ];
   add m ~n:4 Session_ops;
   add m ~n:3 Sessions_opened;
@@ -1184,10 +990,8 @@ let test_metrics_json_pinned () =
      \"solved_unsat\": 1, \"timeouts\": 1, \"failures\": 1, \
      \"rejected\": 3, \"cache_hits\": 1, \"warm_hits\": 2, \
      \"warm_seeded\": 1, \"cubed\": 2, \"cubes_solved\": 5, \
-     \"cube_steals\": 3, \"dispatch_decided\": 5, \"dispatch_direct\": 2, \
-     \"dispatch_simplify\": 1, \"dispatch_raced\": 1, \
-     \"dispatch_rejected\": 1, \"dispatch_infer_max_ms\": 0.346, \
-     \"dedup_joins\": 1, \"session_ops\": 4, \"sessions_opened\": 3, \
+     \"cube_steals\": 3, \"dedup_joins\": 1, \"session_ops\": 4, \
+     \"sessions_opened\": 3, \
      \"sessions_closed\": 1, \"sessions_evicted\": 1, \
      \"session_solves\": 1, \"sessions_live\": 1, \"queue_depth\": 2, \
      \"inflight\": 3, \"cache_entries\": 4, \"latency_count\": 8, \
@@ -1277,13 +1081,8 @@ let suite =
     ("partial cube conquest never cached", `Quick,
      test_cube_partial_never_cached);
     ("warm fuzz with cubes reconciles", `Quick, test_warm_fuzz_with_cubes);
-    ("dispatch policy requires direct mode", `Quick,
-     test_dispatch_requires_direct);
-    ("trace-only dispatch is static", `Quick,
-     test_dispatch_traceonly_is_static);
-    ("dispatch legs reconcile", `Quick, test_dispatch_legs_reconcile);
-    ("dispatch decided cube escalates", `Quick, test_dispatch_decided_cube);
-    ("dispatch admission control", `Quick, test_dispatch_admission);
+    ("simplify and portfolio modes answer and reconcile", `Quick,
+     test_modes_answer_and_reconcile);
     ("every refusal counted once", `Quick, test_every_refusal_counted);
     ("metrics JSON layout pinned", `Quick, test_metrics_json_pinned);
     ("metrics window wraps", `Quick, test_metrics_window_wraps);
