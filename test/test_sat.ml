@@ -989,6 +989,101 @@ let test_golden_trajectories () =
         (Sat.Solver.solve_flat ~limits (Cnf.Flat.of_formula f)))
     (golden_trajectories ())
 
+(* Pins for the option paths the defaults above do not reach: LRB
+   branching with Glucose restarts, restart-boundary inprocessing, and
+   an incremental session whose variable count grows between solves.
+   Recorded against the solver whose assignments were one int per
+   variable and whose watchers were two-word (cref, blocker) pairs;
+   the propagation kernel must reproduce them exactly. *)
+let golden_option_trajectories () =
+  let c8 =
+    Eda4sat.Instance.direct_formula
+      (List.assoc "C8-php" (Workloads.Suites.c_suite ()))
+  in
+  let php76 = pigeonhole ~pigeons:7 ~holes:6 in
+  let capped =
+    { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
+  in
+  let lrb_glucose ~limits f =
+    Sat.Solver.solve ~limits ~heuristic:`Lrb ~restarts:`Glucose f
+  in
+  [
+    ("php(7,6) lrb+glucose", php76, (fun () ->
+         lrb_glucose ~limits:Sat.Solver.no_limits php76),
+     `Unsat, (1524, 1252, 15020));
+    ("C8-php lrb+glucose", c8, (fun () -> lrb_glucose ~limits:capped c8),
+     `Unknown, (26042, 20000, 322800));
+    ("php(7,6) inprocess", php76, (fun () ->
+         Sat.Solver.solve ~inprocess:Sat.Solver.default_inprocess php76),
+     `Unsat, (863, 703, 10022));
+  ]
+
+let test_golden_option_trajectories () =
+  List.iter
+    (fun (name, f, run, verdict, triple) ->
+      let r, st = run () in
+      (match (r, verdict) with
+       | Sat.Solver.Sat m, `Sat ->
+         check_bool (name ^ ": model") true (Cnf.Formula.eval f m)
+       | Sat.Solver.Unsat, `Unsat | Sat.Solver.Unknown, `Unknown -> ()
+       | _ -> Alcotest.failf "%s: unexpected verdict" name);
+      Alcotest.(check (triple int int int)) name triple (stats_triple st))
+    (golden_option_trajectories ())
+
+(* An incremental session that solves, then grows by fresh variables
+   (so every per-variable and per-literal table is reallocated) and
+   solves again under assumptions.  The second block is php(5,4) over
+   the fresh variables, each clause guarded by selector 71: assuming
+   the selector refutes it, assuming its negation does not.  Session
+   counters accumulate across solves. *)
+let test_golden_incremental_growth () =
+  let module I = Sat.Solver.Incremental in
+  let s = I.create () in
+  I.add_formula s
+    (Workloads.Satcomp.random_ksat ~seed:3 ~num_vars:50 ~num_clauses:200 ~k:3);
+  let php = pigeonhole ~pigeons:5 ~holes:4 in
+  let solve_pin label ?assumptions verdict triple =
+    let r, st = I.solve ?assumptions s in
+    (match (r, verdict) with
+     | Sat.Solver.Sat _, `Sat | Sat.Solver.Unsat, `Unsat -> ()
+     | _ -> Alcotest.failf "%s: unexpected verdict" label);
+    Alcotest.(check (triple int int int)) label triple (stats_triple st)
+  in
+  solve_pin "first solve" `Sat (76, 60, 886);
+  Array.iter
+    (fun c ->
+      I.add_clause s
+        (Array.append [| -71 |]
+           (Array.map (fun l -> if l > 0 then l + 50 else l - 50) c)))
+    php.Cnf.Formula.clauses;
+  check "grown" 71 (I.num_vars s);
+  solve_pin "selector assumed" ~assumptions:[| 71 |] `Unsat
+    (129, 88, 1278);
+  Alcotest.(check (array int)) "core" [| 71 |] (I.last_core s);
+  solve_pin "selector refuted" ~assumptions:[| -71 |] `Sat
+    (160, 88, 1348)
+
+(* DRAT streams are part of the trajectory: every learned clause and
+   every deletion must come out in the same order. *)
+let test_golden_proof_digests () =
+  let i5 =
+    Eda4sat.Instance.direct_formula
+      (List.assoc "I5" (Workloads.Suites.i_suite ()))
+  in
+  List.iter
+    (fun (name, f, digest) ->
+      let proof = Sat.Proof.create () in
+      (match fst (Sat.Solver.solve ~proof f) with
+       | Sat.Solver.Unsat -> ()
+       | _ -> Alcotest.failf "%s: expected Unsat" name);
+      Alcotest.(check string) name digest
+        (Digest.to_hex (Digest.string (Sat.Proof.to_string proof))))
+    [
+      ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6,
+       "232dd6ab6e18693b84c3add5f088ecc1");
+      ("I5", i5, "b614b0c66fe9c00b6e2c42327fdee9c9");
+    ]
+
 let test_snapshot_fires_and_seed_resumes () =
   let f = pigeonhole ~pigeons:7 ~holes:6 in
   let snap = ref None in
@@ -1124,6 +1219,11 @@ let suite =
   @ [
       ("solve/solve_flat golden trajectory", `Quick,
        test_golden_trajectories);
+      ("option paths golden trajectory", `Quick,
+       test_golden_option_trajectories);
+      ("incremental growth golden trajectory", `Quick,
+       test_golden_incremental_growth);
+      ("golden DRAT digests", `Quick, test_golden_proof_digests);
       ("snapshot fires, seed resumes", `Quick,
        test_snapshot_fires_and_seed_resumes);
       ("seeded UNSAT keeps DRAT checkable", `Quick,
