@@ -43,6 +43,12 @@ let read_instance path =
   with Cnf.Dimacs.Parse_error msg | Aig.Aiger_io.Parse_error msg ->
     input_error path msg
 
+(* The solver rejects a formula beyond its variable limit with
+   [Invalid_argument] before it allocates anything: that is bad input,
+   reported like a parse error rather than as a crash. *)
+let solver_input path f =
+  try f () with Invalid_argument msg -> input_error path msg
+
 let limits_of_timeout timeout =
   { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
 
@@ -178,7 +184,9 @@ let solve_cmd =
         print_endline ("c " ^ Cnf.Simplify.stats simp);
         Printf.printf "c simplified to %d vars, %d clauses\n"
           f'.Cnf.Formula.num_vars (Cnf.Formula.num_clauses f');
-        let result, stats = Sat.Solver.solve ~limits ?proof f' in
+        let result, stats =
+          solver_input input (fun () -> Sat.Solver.solve ~limits ?proof f')
+        in
         let code =
           match result with
           | Sat.Solver.Sat m ->
@@ -209,7 +217,10 @@ let solve_cmd =
         code
     end
     else begin
-      let report = Eda4sat.Pipeline.run ~limits ?proof cfg inst in
+      let report =
+        solver_input input (fun () ->
+            Eda4sat.Pipeline.run ~limits ?proof cfg inst)
+      in
       Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
       let code =
         match report.Eda4sat.Pipeline.result with

@@ -8,10 +8,17 @@
      and LBD, a second word holds the clause activity as a scaled int,
      and the literals follow inline.  Propagation therefore reads
      literals with zero pointer dereferences and metadata with one;
-   - two-watched-literal propagation over flat watcher pairs
-     [(cref, blocker)] packed into one int array per literal, so a
-     satisfied clause is skipped with a single assignment lookup and
-     no clause access;
+   - assignments in a literal-indexed value table, one byte per
+     literal (0 false, 1 true, 2 unassigned): [enqueue] writes both
+     polarities, so reading a literal's value is a single byte load;
+   - two-watched-literal propagation over one-word watchers: each packs
+     [(cref lsl 31) lor blocker] into one int, one int array per
+     literal, so a satisfied clause is skipped with a single value
+     lookup and no clause access.  The packing bounds the solver to
+     2^30 - 1 variables (literals fit in 31 bits) and an arena of 2^32
+     words (crefs fit in the remaining 32 bits of a 63-bit int); both
+     limits are checked, and exceeding them raises instead of
+     corrupting a watcher;
    - specialized binary-clause watch lists (literal pairs, no clause
      storage at all) consulted before the long-clause watchers;
    - first-UIP conflict analysis with recursive minimization, with the
@@ -123,26 +130,43 @@ let vec_push v x =
   v.data.(v.size) <- x;
   v.size <- v.size + 1
 
-(* Watcher list for clauses of length >= 3: flat (cref, blocker) int
-   pairs packed into one array, [wn] counting used slots (2 per pair).
-   The blocker is some other literal of the clause; if it is currently
-   true the clause is satisfied and propagation skips it without
-   touching the arena. *)
+(* Packing limits.  A watcher is one 63-bit int holding a cref in its
+   high 32 bits and a literal in its low 31, so literals must fit in 31
+   bits (at most 2^30 - 1 variables) and crefs in 32 (an arena of at
+   most 2^32 words). *)
+let max_vars = (1 lsl 30) - 1
+let max_arena_words = 1 lsl 32
+let blocker_mask = (1 lsl 31) - 1
+
+let check_num_vars n =
+  if n > max_vars then
+    invalid_arg
+      (Printf.sprintf
+         "Sat.Solver: %d variables exceed the solver's limit of %d (2^30 - 1)"
+         n max_vars)
+
+(* Watcher list for clauses of length >= 3: one int per watcher,
+   [(cref lsl 31) lor blocker], with [wn] counting used entries.  The
+   blocker is some other literal of the clause; if it is currently true
+   the clause is satisfied and propagation skips it without touching
+   the arena. *)
 type watchlist = { mutable w : int array; mutable wn : int }
 
 let no_ints : int array = [||]
 
 let wl_create () = { w = no_ints; wn = 0 }
 
-let wl_push wl c b =
-  if wl.wn + 2 > Array.length wl.w then begin
-    let d = Array.make (max 8 (2 * Array.length wl.w)) 0 in
+let[@inline] watcher c b = (c lsl 31) lor b
+let[@inline] watcher_cref w = w lsr 31
+
+let wl_push wl w =
+  if wl.wn >= Array.length wl.w then begin
+    let d = Array.make (max 4 (2 * Array.length wl.w)) 0 in
     Array.blit wl.w 0 d 0 wl.wn;
     wl.w <- d
   end;
-  wl.w.(wl.wn) <- c;
-  wl.w.(wl.wn + 1) <- b;
-  wl.wn <- wl.wn + 2
+  wl.w.(wl.wn) <- w;
+  wl.wn <- wl.wn + 1
 
 (* Assignment reasons, one int per variable:
      0    no reason (decision / assumption / level-0 unit)
@@ -158,8 +182,10 @@ type conflict = Confl_clause of int | Confl_binary of int * int
 
 type t = {
   mutable nvars : int;
-  (* Assignment: -1 unassigned, 0 false, 1 true; per variable. *)
-  mutable assigns : int array;
+  (* Assignment, one byte per literal (length 2 * capacity): 0 false,
+     1 true, 2 unassigned.  Both literals of a variable are written
+     together. *)
+  mutable vals : Bytes.t;
   mutable level : int array;
   mutable reason : int array;
   (* Trail of assigned literals, with decision-level boundaries. *)
@@ -226,12 +252,16 @@ let var l = l lsr 1
 let neg l = l lxor 1
 let lit_of_var v sign = (v lsl 1) lor (if sign then 1 else 0)
 
-(* Value of a literal: -1 unassigned, 0 false, 1 true.  Hot-path
-   callers index [assigns] with internal literals whose variables are
-   in range by construction. *)
-let lit_value s l =
-  let a = Array.unsafe_get s.assigns (l lsr 1) in
-  if a < 0 then -1 else a lxor (l land 1)
+(* Value of a literal: 0 false, 1 true, [undef] unassigned.  Hot-path
+   callers index [vals] with internal literals that are in range by
+   construction. *)
+let undef = 2
+let undef_byte = '\002'
+let[@inline] value vals l = Char.code (Bytes.unsafe_get vals l)
+let[@inline] lit_value s l = value s.vals l
+
+(* The one per-variable reader: the value of [v]'s positive literal. *)
+let var_value s v = lit_value s (v lsl 1)
 
 let clause_size s c = Array.unsafe_get s.arena c lsr size_shift
 let clause_lbd s c = (Array.unsafe_get s.arena c lsr lbd_shift) land lbd_mask
@@ -250,9 +280,10 @@ let grow_array a n default =
   a'
 
 let create nvars =
+  check_num_vars nvars;
   {
     nvars;
-    assigns = Array.make nvars (-1);
+    vals = Bytes.make (2 * nvars) undef_byte;
     level = Array.make nvars 0;
     reason = Array.make nvars reason_none;
     trail = Array.make (max 1 nvars) 0;
@@ -299,6 +330,12 @@ let create nvars =
 
 let arena_ensure s extra =
   let need = s.arena_size + extra in
+  if need > max_arena_words then
+    failwith
+      (Printf.sprintf
+         "Sat.Solver: clause arena exceeds its limit of 2^32 words (%d \
+          needed)"
+         need);
   if need > Array.length s.arena then begin
     let cap = ref (max 256 (2 * Array.length s.arena)) in
     while !cap < need do
@@ -395,7 +432,8 @@ let enqueue s l reason =
     s.assigned_at.(v) <- s.st_conflicts;
     s.participated.(v) <- 0
   end;
-  Array.unsafe_set s.assigns v (1 - (l land 1));
+  Bytes.unsafe_set s.vals l '\001';
+  Bytes.unsafe_set s.vals (l lxor 1) '\000';
   Array.unsafe_set s.level v (decision_level s);
   Array.unsafe_set s.reason v reason;
   Array.unsafe_set s.polarity v (l land 1 = 0);
@@ -406,8 +444,10 @@ let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
-      let v = var s.trail.(i) in
-      s.assigns.(v) <- -1;
+      let l = s.trail.(i) in
+      let v = var l in
+      Bytes.unsafe_set s.vals l undef_byte;
+      Bytes.unsafe_set s.vals (l lxor 1) undef_byte;
       s.reason.(v) <- reason_none;
       if s.lrb then begin
         let interval = s.st_conflicts - s.assigned_at.(v) in
@@ -432,10 +472,14 @@ exception Found_conflict of conflict
 (* The innermost loop of the solver.  All clause accesses go straight
    into the flat arena with unsafe reads: the watcher invariants keep
    every index in range (crefs come from [alloc_clause], literal slots
-   from the clause's own header), and the arena array itself is only
-   replaced between propagation calls (allocation happens in [search],
-   compaction in [reduce_db]), so caching it in a local is sound. *)
+   from the clause's own header).  The value table, the watch array and
+   the arena are only replaced between propagation calls (variables are
+   added by [Incremental.ensure_capacity], clauses allocated in
+   [search], the arena compacted in [reduce_db]), so they are held in
+   locals for the whole call.  A moved watch is appended inline; only a
+   full target list goes through [wl_push] to grow. *)
 let propagate s =
+  let vals = s.vals and watches = s.watches and arena = s.arena in
   try
     while s.qhead < s.trail_size do
       let l = Array.unsafe_get s.trail s.qhead in
@@ -446,30 +490,28 @@ let propagate s =
       let bdata = bw.data in
       for i = 0 to bw.size - 1 do
         let other = Array.unsafe_get bdata i in
-        let v = lit_value s other in
+        let v = value vals other in
         if v = 0 then raise (Found_conflict (Confl_binary (neg l, other)))
-        else if v < 0 then enqueue s other (reason_binary (neg l))
+        else if v = undef then enqueue s other (reason_binary (neg l))
       done;
       (* Long clauses watching (neg l). *)
-      let wl = Array.unsafe_get s.watches l in
+      let wl = Array.unsafe_get watches l in
       let wdata = wl.w in
       let wn = wl.wn in
-      let arena = s.arena in
       let false_lit = neg l in
       let j = ref 0 in
       let i = ref 0 in
       while !i < wn do
-        let blocker = Array.unsafe_get wdata (!i + 1) in
-        if lit_value s blocker = 1 then begin
+        let w = Array.unsafe_get wdata !i in
+        incr i;
+        let blocker = w land blocker_mask in
+        if value vals blocker = 1 then begin
           (* Satisfied via the blocker: keep, no arena access. *)
-          Array.unsafe_set wdata !j (Array.unsafe_get wdata !i);
-          Array.unsafe_set wdata (!j + 1) blocker;
-          j := !j + 2;
-          i := !i + 2
+          Array.unsafe_set wdata !j w;
+          incr j
         end
         else begin
-          let c = Array.unsafe_get wdata !i in
-          i := !i + 2;
+          let c = watcher_cref w in
           (* Ensure the false literal is at position 1. *)
           let l0 = Array.unsafe_get arena (c + 2) in
           let first =
@@ -481,47 +523,47 @@ let propagate s =
             end
             else l0
           in
-          if first <> blocker && lit_value s first = 1 then begin
-            Array.unsafe_set wdata !j c;
-            Array.unsafe_set wdata (!j + 1) first;
-            j := !j + 2
+          let kept = watcher c first in
+          if first <> blocker && value vals first = 1 then begin
+            Array.unsafe_set wdata !j kept;
+            incr j
           end
           else begin
             (* Look for a new literal to watch. *)
             let stop = c + 2 + (Array.unsafe_get arena c lsr size_shift) in
             let k = ref (c + 4) in
-            while
-              !k < stop && lit_value s (Array.unsafe_get arena !k) = 0
-            do
+            while !k < stop && value vals (Array.unsafe_get arena !k) = 0 do
               incr k
             done;
             if !k < stop then begin
               let lk = Array.unsafe_get arena !k in
               Array.unsafe_set arena (c + 3) lk;
               Array.unsafe_set arena !k false_lit;
-              wl_push s.watches.(neg lk) c first
               (* watch moved: not kept in this list *)
+              let tw = Array.unsafe_get watches (neg lk) in
+              let tn = tw.wn in
+              if tn < Array.length tw.w then begin
+                Array.unsafe_set tw.w tn kept;
+                tw.wn <- tn + 1
+              end
+              else wl_push tw kept
             end
-            else if lit_value s first = 0 then begin
+            else if value vals first = 0 then begin
               (* Conflict: restore the remaining watchers. *)
-              Array.unsafe_set wdata !j c;
-              Array.unsafe_set wdata (!j + 1) first;
-              j := !j + 2;
+              Array.unsafe_set wdata !j kept;
+              incr j;
               while !i < wn do
                 Array.unsafe_set wdata !j (Array.unsafe_get wdata !i);
-                Array.unsafe_set wdata (!j + 1)
-                  (Array.unsafe_get wdata (!i + 1));
-                j := !j + 2;
-                i := !i + 2
+                incr j;
+                incr i
               done;
               wl.wn <- !j;
               raise (Found_conflict (Confl_clause c))
             end
             else begin
               (* Unit: propagate first. *)
-              Array.unsafe_set wdata !j c;
-              Array.unsafe_set wdata (!j + 1) first;
-              j := !j + 2;
+              Array.unsafe_set wdata !j kept;
+              incr j;
               enqueue s first c
             end
           end
@@ -583,14 +625,39 @@ let rec lit_redundant s depth l =
     !ok
   end
 
+(* One literal [q] of the antecedent being resolved in [analyze]: a
+   fresh variable above level 0 is marked seen and bumped, then either
+   counted as one more path to the UIP on the current level (returns 1)
+   or collected for the learned clause (returns 0).  [p] is the literal
+   last resolved on (-1 at the conflict itself), which reappears in its
+   own reason and is skipped.  A top-level function rather than a
+   closure, so [analyze]'s loop state stays in registers instead of
+   heap-boxed refs. *)
+let analyze_visit s p q =
+  let v = var q in
+  if (p < 0 || q <> p) && (not s.seen.(v)) && s.level.(v) > 0 then begin
+    s.seen.(v) <- true;
+    if s.lrb then s.participated.(v) <- s.participated.(v) + 1
+    else bump_var s v;
+    if s.level.(v) >= decision_level s then 1
+    else begin
+      if s.learnt_n >= Array.length s.learnt_buf then
+        s.learnt_buf <- grow_array s.learnt_buf (2 * s.learnt_n) 0;
+      s.learnt_buf.(s.learnt_n) <- q;
+      s.learnt_n <- s.learnt_n + 1;
+      0
+    end
+  end
+  else 0
+
 (* First-UIP learning.  Returns the learned clause (UIP first), the
    backjump level and the clause LBD — computed here, while every
    literal of the clause is still assigned, so the glue classification
    used by [reduce_db] is trustworthy. *)
 let analyze s confl =
   (* Collected lower-level literals go into the scratch buffer; the
-     only per-conflict allocations left are the learned clause itself
-     (which must escape this call anyway) and a handful of loop refs.
+     only per-conflict allocation left is the learned clause itself
+     (which must escape this call anyway).
      The antecedent being resolved is held as plain ints: a cref when
      positive, otherwise the binary pair (ba, bb). *)
   let path = ref 0 in
@@ -603,21 +670,6 @@ let analyze s confl =
      ba := a;
      bb := b);
   s.learnt_n <- 1;
-  let visit q =
-    let v = var q in
-    if (!p < 0 || q <> !p) && (not s.seen.(v)) && s.level.(v) > 0 then begin
-      s.seen.(v) <- true;
-      if s.lrb then s.participated.(v) <- s.participated.(v) + 1
-      else bump_var s v;
-      if s.level.(v) >= decision_level s then incr path
-      else begin
-        if s.learnt_n >= Array.length s.learnt_buf then
-          s.learnt_buf <- grow_array s.learnt_buf (2 * s.learnt_n) 0;
-        s.learnt_buf.(s.learnt_n) <- q;
-        s.learnt_n <- s.learnt_n + 1
-      end
-    end
-  in
   let continue = ref true in
   while !continue do
     if !cref > 0 then begin
@@ -625,12 +677,12 @@ let analyze s confl =
       if clause_learnt s c then clause_bump_activity s c;
       let n = clause_size s c in
       for i = 0 to n - 1 do
-        visit (clause_lit s c i)
+        path := !path + analyze_visit s !p (clause_lit s c i)
       done
     end
     else begin
-      visit !ba;
-      visit !bb
+      path := !path + analyze_visit s !p !ba;
+      path := !path + analyze_visit s !p !bb
     end;
     (* Find the next seen literal on the trail. *)
     while not (Array.unsafe_get s.seen (Array.unsafe_get s.trail !idx lsr 1))
@@ -730,7 +782,7 @@ let analyze_final s p =
         s.seen.(v) <- true;
         let r = s.reason.(v) in
         if r = reason_none then
-          core := dimacs_of_lit (lit_of_var v (s.assigns.(v) = 0)) :: !core
+          core := dimacs_of_lit (lit_of_var v (var_value s v = 0)) :: !core
         else if r < 0 then stack := var (binary_partner r) :: !stack
         else
           for i = 0 to clause_size s r - 1 do
@@ -757,8 +809,8 @@ let add_binary s a b =
    first two literals with the opposite watched literal as blocker. *)
 let add_long s lits learnt lbd =
   let c = alloc_clause s lits learnt lbd in
-  wl_push s.watches.(neg lits.(0)) c lits.(1);
-  wl_push s.watches.(neg lits.(1)) c lits.(0);
+  wl_push s.watches.(neg lits.(0)) (watcher c lits.(1));
+  wl_push s.watches.(neg lits.(1)) (watcher c lits.(0));
   if learnt then begin
     vec_push s.learnts c;
     s.st_learned <- s.st_learned + 1
@@ -777,8 +829,8 @@ let add_long_slice s b n learnt lbd =
   a.(c + 1) <- 0;
   Array.blit b 0 a (c + 2) n;
   s.arena_size <- c + 2 + n;
-  wl_push s.watches.(neg b.(0)) c b.(1);
-  wl_push s.watches.(neg b.(1)) c b.(0);
+  wl_push s.watches.(neg b.(0)) (watcher c b.(1));
+  wl_push s.watches.(neg b.(1)) (watcher c b.(0));
   if learnt then begin
     vec_push s.learnts c;
     s.st_learned <- s.st_learned + 1
@@ -798,8 +850,9 @@ let is_reason s c =
    cref writes a forwarding pointer (the negated new cref) over the old
    header, so the other watcher of the same clause — and any reason
    pointing at it — lands on the same copy.  Everything that can hold a
-   cref is rewritten: the flat watcher lists (dropping deleted
-   clauses), the reasons of trail literals, and the learnt index.
+   cref is rewritten: the packed watchers (dropping deleted clauses,
+   keeping each blocker), the reasons of trail literals, and the learnt
+   index.
    Clauses reachable from none of those are dropped with the old
    arena.  The buffers then swap, so steady-state compactions allocate
    nothing. *)
@@ -830,13 +883,13 @@ let arena_gc s =
       let j = ref 0 in
       let i = ref 0 in
       while !i < wl.wn do
-        let c = wl.w.(!i) in
+        let w = wl.w.(!i) in
+        let c = watcher_cref w in
         if not (deleted c) then begin
-          wl.w.(!j) <- reloc c;
-          wl.w.(!j + 1) <- wl.w.(!i + 1);
-          j := !j + 2
+          wl.w.(!j) <- watcher (reloc c) (w land blocker_mask);
+          incr j
         end;
-        i := !i + 2
+        incr i
       done;
       wl.wn <- !j)
     s.watches;
@@ -939,13 +992,12 @@ let confirm_level0 s ~proof =
 let wl_remove wl c =
   let i = ref 0 and found = ref false in
   while (not !found) && !i < wl.wn do
-    if wl.w.(!i) = c then begin
-      wl.w.(!i) <- wl.w.(wl.wn - 2);
-      wl.w.(!i + 1) <- wl.w.(wl.wn - 1);
-      wl.wn <- wl.wn - 2;
+    if watcher_cref wl.w.(!i) = c then begin
+      wl.w.(!i) <- wl.w.(wl.wn - 1);
+      wl.wn <- wl.wn - 1;
       found := true
     end
-    else i := !i + 2
+    else incr i
   done
 
 (* Delete a long clause outside reduce-db: log the deletion, unhook
@@ -968,13 +1020,13 @@ let attach_shrunk s ~proof lits lbd =
   | 0 -> raise Unsat_at_level0 (* the logged empty clause sealed the proof *)
   | 1 -> (
     match lit_value s lits.(0) with
-    | -1 ->
-      enqueue s lits.(0) reason_none;
-      confirm_level0 s ~proof
     | 0 ->
       log_add proof [||];
       raise Unsat_at_level0
-    | _ -> ())
+    | 1 -> ()
+    | _ ->
+      enqueue s lits.(0) reason_none;
+      confirm_level0 s ~proof)
   | 2 -> add_binary s lits.(0) lits.(1)
   | _ -> ignore (add_long s lits true (max 1 lbd))
 
@@ -1005,8 +1057,8 @@ let probe_pass s ~proof ~limit =
       let v = !cursor mod n in
       incr cursor;
       incr scanned;
-      if s.assigns.(v) < 0 then probe_lit (lit_of_var v false);
-      if s.assigns.(v) < 0 && !probes < limit then
+      if var_value s v = undef then probe_lit (lit_of_var v false);
+      if var_value s v = undef && !probes < limit then
         probe_lit (lit_of_var v true)
     done;
     s.inproc_head <- !cursor mod n
@@ -1394,11 +1446,11 @@ let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
           let v = ref (-1) in
           while !v < 0 && s.heap_size > 0 do
             let cand = heap_pop s in
-            if s.assigns.(cand) < 0 then v := cand
+            if var_value s cand = undef then v := cand
           done;
           if !v < 0 then begin
             (* All variables assigned: model found. *)
-            let model = Array.init s.nvars (fun v -> s.assigns.(v) = 1) in
+            let model = Array.init s.nvars (fun v -> var_value s v = 1) in
             raise (Out (S_sat model))
           end;
           s.st_decisions <- s.st_decisions + 1;
@@ -1601,7 +1653,8 @@ let seed_clause s ~proof ~rup_only (clause, lbd) =
              propagate; a conflict certifies the clause. *)
           push_pseudo_level s;
           List.iter
-            (fun l -> if lit_value s l < 0 then enqueue s (neg l) reason_none)
+            (fun l ->
+              if lit_value s l = undef then enqueue s (neg l) reason_none)
             lits;
           let conflict = propagate s <> None in
           cancel_until s 0;
@@ -1695,7 +1748,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
           Array.iter (seed_clause s ~proof ~rup_only) sd.seed_clauses;
           confirm_level0 s ~proof);
        for v = 0 to s.nvars - 1 do
-         if s.assigns.(v) < 0 then heap_insert s v
+         if var_value s v = undef then heap_insert s v
        done;
        let r =
          match
@@ -1758,10 +1811,13 @@ module Incremental = struct
   let ensure_capacity session n =
     let s = session.s in
     if n > s.nvars then begin
-      let cap = Array.length s.assigns in
+      check_num_vars n;
+      let cap = Array.length s.level in
       if n > cap then begin
-        let cap' = max n (2 * max 1 cap) in
-        s.assigns <- grow_array s.assigns cap' (-1);
+        let cap' = min max_vars (max n (2 * max 1 cap)) in
+        let vals = Bytes.make (2 * cap') undef_byte in
+        Bytes.blit s.vals 0 vals 0 (Bytes.length s.vals);
+        s.vals <- vals;
         s.level <- grow_array s.level cap' 0;
         s.reason <- grow_array s.reason cap' reason_none;
         s.trail <- grow_array s.trail cap' 0;
@@ -1888,7 +1944,7 @@ module Incremental = struct
     end
     else begin
       for v = 0 to s.nvars - 1 do
-        if s.assigns.(v) < 0 then heap_insert s v
+        if var_value s v = undef then heap_insert s v
       done;
       match
         search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
@@ -1950,7 +2006,7 @@ let probe_split p ~prefix ~limit =
   let s = p.ps in
   let limit = max 1 limit in
   cancel_until s 0;
-  let model () = Array.init s.nvars (fun v -> s.assigns.(v) = 1) in
+  let model () = Array.init s.nvars (fun v -> var_value s v = 1) in
   try
     (* Place the cube prefix on pseudo decision levels, propagating
        after each literal.  A falsified literal or a conflict refutes
@@ -1979,7 +2035,7 @@ let probe_split p ~prefix ~limit =
     while !probed < limit && !i < n do
       let v = p.order.(!i) in
       incr i;
-      if s.assigns.(v) < 0 then begin
+      if var_value s v = undef then begin
         incr probed;
         (* Propagation lookahead on both phases: the trail growth is
            the clause-reduction proxy; a conflicting phase means the
@@ -2017,7 +2073,8 @@ let probe_split p ~prefix ~limit =
         (* Unreachable (an unfilled trail leaves a probe candidate),
            but fall back to the first unassigned variable. *)
         let rec first i =
-          if s.assigns.(p.order.(i)) < 0 then p.order.(i) else first (i + 1)
+          if var_value s p.order.(i) = undef then p.order.(i)
+          else first (i + 1)
         in
         first 0
       | v -> v

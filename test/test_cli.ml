@@ -20,8 +20,9 @@ let open_out_file f =
   Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
 
 (* Run the CLI with [stdin]/[stdout]/[stderr] redirected to the given
-   files (or /dev/null) and return its exit code. *)
-let run_cli ?stdin_file ?stdout_file ?stderr_file args =
+   files (or /dev/null) and return its exit code.  [vmem_kb] caps its
+   address space (ulimit -v). *)
+let run_cli ?stdin_file ?stdout_file ?stderr_file ?vmem_kb args =
   let fd_in =
     match stdin_file with
     | Some f -> Unix.openfile f [ Unix.O_RDONLY ] 0
@@ -37,8 +38,16 @@ let run_cli ?stdin_file ?stdout_file ?stderr_file args =
     | Some f -> open_out_file f
     | None -> dev_null_out ()
   in
+  let argv =
+    match vmem_kb with
+    | None -> cli :: args
+    | Some kb ->
+      "/bin/sh" :: "-c"
+      :: Printf.sprintf "ulimit -v %d && exec \"$0\" \"$@\"" kb
+      :: cli :: args
+  in
   let pid =
-    Unix.create_process cli (Array.of_list (cli :: args)) fd_in fd_out fd_err
+    Unix.create_process (List.hd argv) (Array.of_list argv) fd_in fd_out fd_err
   in
   Unix.close fd_in;
   Unix.close fd_out;
@@ -136,6 +145,22 @@ let has_sub sub l =
     i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
   in
   go 0
+
+(* A [p cnf] header beyond the solver's variable limit is bad input,
+   not an out-of-memory crash.  The CLI runs under a 4 GB address-space
+   cap, so a solver that did try to allocate its tables fails fast
+   instead of exhausting the machine. *)
+let test_huge_header_is_input_error () =
+  let huge = write_text "huge.cnf" "p cnf 2000000000 1\n1 0\n" in
+  let err = file "huge.err" in
+  check_int "huge header exits 124" 124
+    (run_cli ~stderr_file:err ~vmem_kb:4_000_000
+       [ "solve"; "--no-preprocess"; "-i"; huge ]);
+  let lines = read_lines err in
+  check_int "one stderr line" 1 (List.length lines);
+  check_bool "names the limit" true (List.exists (has_sub "2^30 - 1") lines);
+  check_bool "no uncaught exception" false
+    (List.exists (has_sub "uncaught") lines)
 
 (* A malformed [serve] argument is a command-line error too: exit 124,
    no uncaught exception on stderr. *)
@@ -776,6 +801,8 @@ let suite =
     ("solve exit codes", `Quick, test_solve_exit_codes);
     ("portfolio exit codes", `Quick, test_portfolio_exit_codes);
     ("malformed input is a CLI error", `Quick, test_malformed_input_errors);
+    ("huge p cnf header is a CLI error", `Quick,
+     test_huge_header_is_input_error);
     ("serve --mode bogus is a CLI error", `Quick,
      serve_arg_error "mode" [ "--mode"; "bogus"; "--stdio" ]);
     ("serve --listen nohost is a CLI error", `Quick,

@@ -1214,9 +1214,23 @@ let test_interrupted_snapshot_resumes () =
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "resumed solve lost the refutation"
 
+(* A header beyond the solver's literal encoding (2^30 - 1 variables)
+   is refused before any table is allocated, instead of exhausting
+   memory or wrapping a packed watcher. *)
+let test_variable_limit () =
+  let huge = { Cnf.Flat.num_vars = 1 lsl 30; offsets = [| 0 |]; lits = [||] } in
+  match Sat.Solver.solve_flat huge with
+  | _ -> Alcotest.fail "2^30 variables accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message names the limit"
+      "Sat.Solver: 1073741824 variables exceed the solver's limit of \
+       1073741823 (2^30 - 1)"
+      msg
+
 let suite =
   suite
   @ [
+      ("variable limit raises before allocating", `Quick, test_variable_limit);
       ("solve/solve_flat golden trajectory", `Quick,
        test_golden_trajectories);
       ("option paths golden trajectory", `Quick,

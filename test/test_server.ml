@@ -902,6 +902,24 @@ let test_modes_answer_and_reconcile () =
 
 (* Every engine refusal, driven once: each adds exactly 1 to
    [rejected] and leaves the ledger reconciled. *)
+(* A job beyond the solver's variable limit answers FAILED with the
+   solver's message, and the ledger still reconciles. *)
+let test_variable_limit_fails_cleanly () =
+  with_engine ~workers:1 (fun e ->
+      let huge =
+        { Cnf.Flat.num_vars = 1 lsl 30; offsets = [| 0 |]; lits = [||] }
+      in
+      (match Server.solve e huge with
+       | Ok { Server.verdict = Server.Failed msg; _ } ->
+         Alcotest.(check string) "solver message"
+           "Invalid_argument(\"Sat.Solver: 1073741824 variables exceed the \
+            solver's limit of 1073741823 (2^30 - 1)\")"
+           msg
+       | Ok _ -> Alcotest.fail "expected FAILED"
+       | Error r -> Alcotest.failf "rejected: %s" r);
+      check_int "one failure" 1 (stat e Failures);
+      check_ledger (Server.stats e))
+
 let test_every_refusal_counted () =
   with_engine ~workers:1 ~queue:1 ~sessions:1 (fun e ->
       let refused expected attempt =
@@ -1083,6 +1101,8 @@ let suite =
     ("warm fuzz with cubes reconciles", `Quick, test_warm_fuzz_with_cubes);
     ("simplify and portfolio modes answer and reconcile", `Quick,
      test_modes_answer_and_reconcile);
+    ("variable limit fails cleanly", `Quick,
+     test_variable_limit_fails_cleanly);
     ("every refusal counted once", `Quick, test_every_refusal_counted);
     ("metrics JSON layout pinned", `Quick, test_metrics_json_pinned);
     ("metrics window wraps", `Quick, test_metrics_window_wraps);
