@@ -426,7 +426,8 @@ let decay_activities s =
 
 let decision_level s = s.ntrail_lim
 
-let enqueue s l reason =
+(* Inlined: [propagate] assigns through here once per implied literal. *)
+let[@inline] enqueue s l reason =
   let v = l lsr 1 in
   if s.lrb then begin
     s.assigned_at.(v) <- s.st_conflicts;

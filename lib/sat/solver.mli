@@ -11,7 +11,13 @@
     [int array]; a clause reference is an offset, a one-word header
     packs size/flags/LBD and the literals follow inline), so
     propagation reads literals with zero pointer dereferences and the
-    clause database costs the GC nothing beyond one flat array.
+    clause database costs the GC nothing beyond one flat array.  Each
+    watcher is one int, [(cref lsl 31) lor blocker], and assignments
+    are one byte per literal (0 false, 1 true, 2 unassigned), so the
+    blocker test is a single byte load.  The packing limits a solver
+    to [2^30 - 1] variables and an arena of [2^32] words: entry points
+    raise [Invalid_argument] naming the limit for a larger variable
+    count, before allocating anything.
     Database reduction compacts the arena with a copying collector
     that relocates every live reference; see DESIGN.md for the layout
     and the compaction protocol.  Anything that leaves the solver —
@@ -247,7 +253,9 @@ val solve_flat :
     straight from the CSR arrays into the clause arena with zero
     per-clause allocation.  This is the one loader: [solve f] is
     [solve_flat (Flat.of_formula f)], so both produce the same search
-    trajectory and stats. *)
+    trajectory and stats.
+    @raise Invalid_argument if [num_vars] exceeds [2^30 - 1], before
+    anything is allocated. *)
 
 val decisions_or_max : ?limits:limits -> Cnf.Formula.t -> int
 (** Convenience for the RL reward: the decision count of a solve, or
