@@ -900,8 +900,6 @@ let test_modes_answer_and_reconcile () =
           check_ledger s))
     [ Server.Simplify; Server.Portfolio { jobs = 2; share_lbd = 4 } ]
 
-(* Every engine refusal, driven once: each adds exactly 1 to
-   [rejected] and leaves the ledger reconciled. *)
 (* A job beyond the solver's variable limit answers FAILED with the
    solver's message, and the ledger still reconciles. *)
 let test_variable_limit_fails_cleanly () =
@@ -920,6 +918,8 @@ let test_variable_limit_fails_cleanly () =
       check_int "one failure" 1 (stat e Failures);
       check_ledger (Server.stats e))
 
+(* Every engine refusal, driven once: each adds exactly 1 to
+   [rejected] and leaves the ledger reconciled. *)
 let test_every_refusal_counted () =
   with_engine ~workers:1 ~queue:1 ~sessions:1 (fun e ->
       let refused expected attempt =
