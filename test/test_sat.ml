@@ -948,7 +948,11 @@ let stats_triple (s : Sat.Solver.stats) =
 (* (decisions, conflicts, propagations) recorded when [solve] still had
    its own array-of-arrays loader beside [solve_flat]'s CSR loader.
    Both entry points now share one loader; these pins keep the search
-   trajectory bit-identical to the two-loader solver. *)
+   trajectory bit-identical to the two-loader solver.  The rows with
+   LRB branching, Glucose restarts or inprocessing reach the option
+   paths the defaults do not; they were recorded against the solver
+   whose assignments were one int per variable and whose watchers were
+   two-word (cref, blocker) pairs. *)
 let golden_trajectories () =
   let instances = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
   let suite name =
@@ -957,24 +961,34 @@ let golden_trajectories () =
   let capped =
     { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
   in
+  let default = (`Evsids, `Luby, None) in
+  let lrb_glucose = (`Lrb, `Glucose, None) in
+  let inprocess = (`Evsids, `Luby, Some Sat.Solver.default_inprocess) in
   [
     ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6, Sat.Solver.no_limits,
-     `Unsat, (898, 727, 9459));
-    ("random 42", random_formula 42 12 50 4, Sat.Solver.no_limits,
+     default, `Unsat, (898, 727, 9459));
+    ("random 42", random_formula 42 12 50 4, Sat.Solver.no_limits, default,
      `Unsat, (0, 0, 0));
     ("empty clause",
      Cnf.Formula.create ~num_vars:3 [ [| 1; -1 |]; [||]; [| 2 |] ],
-     Sat.Solver.no_limits, `Unsat, (0, 0, 0));
+     Sat.Solver.no_limits, default, `Unsat, (0, 0, 0));
     ("duplicate literals",
      Cnf.Formula.create ~num_vars:2 [ [| 1; 1 |]; [| -1; 2; 2 |] ],
-     Sat.Solver.no_limits, `Sat, (0, 0, 2));
-    ("I5", suite "I5", capped, `Unsat, (5131, 3863, 1128224));
-    ("C8-php", suite "C8-php", capped, `Unknown, (25066, 20000, 279795));
+     Sat.Solver.no_limits, default, `Sat, (0, 0, 2));
+    ("I5", suite "I5", capped, default, `Unsat, (5131, 3863, 1128224));
+    ("C8-php", suite "C8-php", capped, default, `Unknown,
+     (25066, 20000, 279795));
+    ("php(7,6) lrb+glucose", pigeonhole ~pigeons:7 ~holes:6,
+     Sat.Solver.no_limits, lrb_glucose, `Unsat, (1524, 1252, 15020));
+    ("C8-php lrb+glucose", suite "C8-php", capped, lrb_glucose, `Unknown,
+     (26042, 20000, 322800));
+    ("php(7,6) inprocess", pigeonhole ~pigeons:7 ~holes:6,
+     Sat.Solver.no_limits, inprocess, `Unsat, (863, 703, 10022));
   ]
 
 let test_golden_trajectories () =
   List.iter
-    (fun (name, f, limits, verdict, triple) ->
+    (fun (name, f, limits, (heuristic, restarts, inprocess), verdict, triple) ->
       let check entry (r, st) =
         let label = Printf.sprintf "%s via %s" name entry in
         (match (r, verdict) with
@@ -984,51 +998,12 @@ let test_golden_trajectories () =
          | _ -> Alcotest.failf "%s: unexpected verdict" label);
         Alcotest.(check (triple int int int)) label triple (stats_triple st)
       in
-      check "solve" (Sat.Solver.solve ~limits f);
+      check "solve"
+        (Sat.Solver.solve ~limits ~heuristic ~restarts ?inprocess f);
       check "solve_flat"
-        (Sat.Solver.solve_flat ~limits (Cnf.Flat.of_formula f)))
+        (Sat.Solver.solve_flat ~limits ~heuristic ~restarts ?inprocess
+           (Cnf.Flat.of_formula f)))
     (golden_trajectories ())
-
-(* Pins for the option paths the defaults above do not reach: LRB
-   branching with Glucose restarts, restart-boundary inprocessing, and
-   an incremental session whose variable count grows between solves.
-   Recorded against the solver whose assignments were one int per
-   variable and whose watchers were two-word (cref, blocker) pairs;
-   the propagation kernel must reproduce them exactly. *)
-let golden_option_trajectories () =
-  let c8 =
-    Eda4sat.Instance.direct_formula
-      (List.assoc "C8-php" (Workloads.Suites.c_suite ()))
-  in
-  let php76 = pigeonhole ~pigeons:7 ~holes:6 in
-  let capped =
-    { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
-  in
-  let lrb_glucose ~limits f =
-    Sat.Solver.solve ~limits ~heuristic:`Lrb ~restarts:`Glucose f
-  in
-  [
-    ("php(7,6) lrb+glucose", php76, (fun () ->
-         lrb_glucose ~limits:Sat.Solver.no_limits php76),
-     `Unsat, (1524, 1252, 15020));
-    ("C8-php lrb+glucose", c8, (fun () -> lrb_glucose ~limits:capped c8),
-     `Unknown, (26042, 20000, 322800));
-    ("php(7,6) inprocess", php76, (fun () ->
-         Sat.Solver.solve ~inprocess:Sat.Solver.default_inprocess php76),
-     `Unsat, (863, 703, 10022));
-  ]
-
-let test_golden_option_trajectories () =
-  List.iter
-    (fun (name, f, run, verdict, triple) ->
-      let r, st = run () in
-      (match (r, verdict) with
-       | Sat.Solver.Sat m, `Sat ->
-         check_bool (name ^ ": model") true (Cnf.Formula.eval f m)
-       | Sat.Solver.Unsat, `Unsat | Sat.Solver.Unknown, `Unknown -> ()
-       | _ -> Alcotest.failf "%s: unexpected verdict" name);
-      Alcotest.(check (triple int int int)) name triple (stats_triple st))
-    (golden_option_trajectories ())
 
 (* An incremental session that solves, then grows by fresh variables
    (so every per-variable and per-literal table is reallocated) and
@@ -1233,8 +1208,6 @@ let suite =
       ("variable limit raises before allocating", `Quick, test_variable_limit);
       ("solve/solve_flat golden trajectory", `Quick,
        test_golden_trajectories);
-      ("option paths golden trajectory", `Quick,
-       test_golden_option_trajectories);
       ("incremental growth golden trajectory", `Quick,
        test_golden_incremental_growth);
       ("golden DRAT digests", `Quick, test_golden_proof_digests);
