@@ -2,7 +2,9 @@
    framework.
 
      eda4sat solve      -i problem.cnf [--no-preprocess] [--timeout S]
-     eda4sat serve      [--workers N] [--queue N] [--cache N] [--mode M]
+     eda4sat portfolio  -i problem.cnf [--jobs N] [--share-lbd LBD]
+     eda4sat cube       -i problem.cnf [--cubes N] [--jobs N]
+     eda4sat serve      [--workers N] [--queue N] [--cache N] [--listen A]
      eda4sat preprocess -i problem.cnf -o simplified.cnf [...]
      eda4sat train      --episodes N --out agent.weights
      eda4sat generate   --family php --out file.cnf [...]
@@ -32,22 +34,22 @@ let input_error what msg =
   Printf.eprintf "eda4sat: %s: %s\n%!" what msg;
   exit Cmd.Exit.cli_error
 
+(* A [p cnf] header beyond the solver's variable limit is bad input
+   too, rejected here before any transform sizes a table by it. *)
 let read_instance path =
   try
     if Filename.check_suffix path ".aag" then
       Eda4sat.Instance.of_circuit ~name:(Filename.basename path)
         (Aig.Aiger_io.read_file path)
-    else
-      Eda4sat.Instance.of_cnf ~name:(Filename.basename path)
-        (Cnf.Dimacs.read_file path)
-  with Cnf.Dimacs.Parse_error msg | Aig.Aiger_io.Parse_error msg ->
+    else begin
+      let f = Cnf.Dimacs.read_file path in
+      Sat.Solver.check_num_vars f.Cnf.Formula.num_vars;
+      Eda4sat.Instance.of_cnf ~name:(Filename.basename path) f
+    end
+  with
+  | Cnf.Dimacs.Parse_error msg | Aig.Aiger_io.Parse_error msg
+  | Invalid_argument msg ->
     input_error path msg
-
-(* The solver rejects a formula beyond its variable limit with
-   [Invalid_argument] before it allocates anything: that is bad input,
-   reported like a parse error rather than as a crash. *)
-let solver_input path f =
-  try f () with Invalid_argument msg -> input_error path msg
 
 let limits_of_timeout timeout =
   { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some timeout }
@@ -184,9 +186,7 @@ let solve_cmd =
         print_endline ("c " ^ Cnf.Simplify.stats simp);
         Printf.printf "c simplified to %d vars, %d clauses\n"
           f'.Cnf.Formula.num_vars (Cnf.Formula.num_clauses f');
-        let result, stats =
-          solver_input input (fun () -> Sat.Solver.solve ~limits ?proof f')
-        in
+        let result, stats = Sat.Solver.solve ~limits ?proof f' in
         let code =
           match result with
           | Sat.Solver.Sat m ->
@@ -217,10 +217,7 @@ let solve_cmd =
         code
     end
     else begin
-      let report =
-        solver_input input (fun () ->
-            Eda4sat.Pipeline.run ~limits ?proof cfg inst)
-      in
+      let report = Eda4sat.Pipeline.run ~limits ?proof cfg inst in
       Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
       let code =
         match report.Eda4sat.Pipeline.result with
@@ -440,17 +437,11 @@ let parse_listen spec =
     | None -> bad ())
 
 let serve_cmd =
-  let run verbose workers queue cache warm mode jobs share_lbd timeout
-      deadline_ms sessions session_ttl_ms cube_conflicts cube_count cube_jobs
-      cube_probe_limit listen unix_path stdio max_clients conn_buffer quota
-      priority_floor tenant_specs =
+  let run verbose workers queue cache warm timeout deadline_ms sessions
+      session_ttl_ms cube_conflicts cube_count cube_jobs cube_probe_limit
+      listen unix_path stdio max_clients conn_buffer quota priority_floor
+      tenant_specs =
     setup_logs verbose;
-    let mode =
-      match mode with
-      | `Direct -> Server.Direct
-      | `Simplify -> Server.Simplify
-      | `Portfolio -> Server.Portfolio { jobs; share_lbd }
-    in
     let cube =
       if cube_conflicts <= 0 then None
       else
@@ -468,7 +459,6 @@ let serve_cmd =
         queue_capacity = queue;
         cache_capacity = cache;
         warm_capacity = warm;
-        mode;
         limits = limits_of_timeout timeout;
         default_deadline = Option.map (fun ms -> ms /. 1000.0) deadline_ms;
         session_capacity = sessions;
@@ -544,29 +534,7 @@ let serve_cmd =
              ~doc:"Warm-start snapshot cache capacity (LRU): resubmitted \
                    formulas resume from the previous solve's learnt \
                    clauses, phases and activity order instead of \
-                   restarting (0 disables; mode=direct only).")
-  in
-  let mode =
-    Arg.(value
-         & opt
-             (enum
-                [ ("direct", `Direct); ("simplify", `Simplify);
-                  ("portfolio", `Portfolio) ])
-             `Direct
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"Per-job solve mode: 'direct', 'simplify' (CNF \
-                   simplification first), or 'portfolio' (each worker \
-                   races a lane pool).")
-  in
-  let jobs =
-    Arg.(value & opt int 4
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Portfolio lanes per worker (mode=portfolio).")
-  in
-  let share_lbd =
-    Arg.(value & opt int 4
-         & info [ "share-lbd" ] ~docv:"LBD"
-             ~doc:"Maximum glue of shared learnt clauses (mode=portfolio).")
+                   restarting (0 disables).")
   in
   let deadline_ms =
     Arg.(value & opt (some float) None
@@ -587,10 +555,10 @@ let serve_cmd =
   let cube_conflicts =
     Arg.(value & opt int 0
          & info [ "cube-conflicts" ] ~docv:"N"
-             ~doc:"Hardness trigger for cube-and-conquer (mode=direct): a \
-                   job still open after N conflicts is re-solved by \
-                   cubing; its remaining budget is spent conquering \
-                   cubes in parallel (0 disables cubing).")
+             ~doc:"Hardness trigger for cube-and-conquer: a job still \
+                   open after N conflicts is re-solved by cubing; its \
+                   remaining budget is spent conquering cubes in \
+                   parallel (0 disables cubing).")
   in
   let cube_count =
     Arg.(value & opt int 8
@@ -671,8 +639,8 @@ let serve_cmd =
              <name>, --quota, --tenant); answers carry a cache/dedup \
              source tag; STATS prints a metrics JSON line; SIGTERM \
              drains gracefully.")
-    Term.(const run $ verbose_arg $ workers $ queue $ cache $ warm $ mode
-          $ jobs $ share_lbd $ timeout_arg $ deadline_ms $ sessions
+    Term.(const run $ verbose_arg $ workers $ queue $ cache $ warm
+          $ timeout_arg $ deadline_ms $ sessions
           $ session_ttl_ms $ cube_conflicts $ cube_count $ cube_jobs
           $ cube_probe_limit $ listen $ unix_path $ stdio $ max_clients
           $ conn_buffer $ quota $ priority_floor $ tenant_specs)

@@ -42,24 +42,6 @@ let timed f =
   let x = f () in
   (x, Sat.Wall.now () -. t0)
 
-let empty_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
-    max_decision_level = 0;
-    time = 0.0;
-    cpu_time = 0.0;
-    minor_words = 0.0;
-    major_collections = 0;
-  }
-
 (* The final solve, optionally through the proof-carrying CNF-level
    simplifier (the paper keeps Kissat's own preprocessing on under the
    circuit pipeline; [Cnf.Simplify] is that layer here).  The same
@@ -67,25 +49,25 @@ let empty_stats =
    carries one end-to-end DRAT stream checkable against [f], and a
    [Sat] model is lifted back over [f]'s variables with
    [Cnf.Simplify.reconstruct]. *)
-let solve_formula ~limits ?proof ?interrupt ~simplify f =
-  if not simplify then Sat.Solver.solve ~limits ?proof ?interrupt f
+let solve_formula ~limits ?proof ~simplify f =
+  if not simplify then Sat.Solver.solve ~limits ?proof f
   else
     match Cnf.Simplify.run ?proof f with
-    | Cnf.Simplify.Proved_unsat -> (Sat.Solver.Unsat, empty_stats)
+    | Cnf.Simplify.Proved_unsat -> (Sat.Solver.Unsat, Sat.Solver.empty_stats)
     | Cnf.Simplify.Simplified simp ->
       let result, stats =
-        Sat.Solver.solve ~limits ?proof ?interrupt (Cnf.Simplify.formula simp)
+        Sat.Solver.solve ~limits ?proof (Cnf.Simplify.formula simp)
       in
       (match result with
        | Sat.Solver.Sat m ->
          (Sat.Solver.Sat (Cnf.Simplify.reconstruct simp m), stats)
        | r -> (r, stats))
 
-let solve_direct ?(limits = Sat.Solver.no_limits) ?proof ?interrupt
-    ?(simplify = false) inst =
+let solve_direct ?(limits = Sat.Solver.no_limits) ?proof ?(simplify = false)
+    inst =
   let f = Instance.direct_formula inst in
   let (result, stats), t_solve =
-    timed (fun () -> solve_formula ~limits ?proof ?interrupt ~simplify f)
+    timed (fun () -> solve_formula ~limits ?proof ~simplify f)
   in
   {
     instance = inst.Instance.name;
@@ -172,7 +154,7 @@ let transform ?(should_stop = fun () -> false) config inst =
         t_trans = 0.0;
         t_solve = 0.0;
         result = Unknown;
-        solver_stats = empty_stats;
+        solver_stats = Sat.Solver.empty_stats;
         aig_before = None;
         aig_after = None;
         netlist_luts = 0;
@@ -218,21 +200,21 @@ let transform ?(should_stop = fun () -> false) config inst =
         t_trans = t_to_aig +. t_synth +. t_map +. t_enc;
         t_solve = 0.0;
         result = Unknown;
-        solver_stats = empty_stats;
+        solver_stats = Sat.Solver.empty_stats;
         aig_before = Some before;
         aig_after = Some after;
         netlist_luts = Lutmap.Netlist.num_luts nl;
         netlist_levels = Lutmap.Netlist.depth nl;
       } )
 
-let run ?(limits = Sat.Solver.no_limits) ?proof ?interrupt ?(simplify = false)
-    config inst =
+let run ?(limits = Sat.Solver.no_limits) ?proof ?(simplify = false) config
+    inst =
   match config.recipe with
-  | No_preprocessing -> solve_direct ~limits ?proof ?interrupt ~simplify inst
+  | No_preprocessing -> solve_direct ~limits ?proof ~simplify inst
   | Fixed _ | Random_policy _ | Agent _ ->
     let f, rep = transform config inst in
     let (result, stats), t_solve =
-      timed (fun () -> solve_formula ~limits ?proof ?interrupt ~simplify f)
+      timed (fun () -> solve_formula ~limits ?proof ~simplify f)
     in
     { rep with t_solve; result; solver_stats = stats }
 

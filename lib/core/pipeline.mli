@@ -42,16 +42,9 @@ type report = {
 val t_all : report -> float
 
 val run :
-  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t -> ?simplify:bool ->
+  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t -> ?simplify:bool ->
   config -> Instance.t -> report
 (** Full Algorithm 1 (or a direct solve for [No_preprocessing]).
-
-    [interrupt] cancels the {e solve} phase cooperatively (the result
-    is [Unknown], as in {!Sat.Solver.solve}); the solve service wires
-    per-job deadlines and shutdown to it.  The transformation phases
-    do not poll it — callers racing the whole pipeline use
-    {!transform}'s [should_stop] instead.
 
     With [~simplify:true] (default false), the CNF leaving the circuit
     pipeline additionally passes through the proof-carrying CNF-level
@@ -85,11 +78,10 @@ val transform :
     early. *)
 
 val solve_direct :
-  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t -> ?simplify:bool ->
+  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t -> ?simplify:bool ->
   Instance.t -> report
-(** Solve the instance's direct formula, with the same [?proof],
-    [?interrupt] and [?simplify] semantics as {!run}. *)
+(** Solve the instance's direct formula, with the same [?proof] and
+    [?simplify] semantics as {!run}. *)
 
 (** {1 Experiment presets} *)
 

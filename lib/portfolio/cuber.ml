@@ -27,24 +27,6 @@ type report = {
 let default_cubes = 8
 let default_probe_limit = 32
 
-let empty_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
-    max_decision_level = 0;
-    time = 0.0;
-    cpu_time = 0.0;
-    minor_words = 0.0;
-    major_collections = 0;
-  }
-
 let add_stats a b =
   {
     Sat.Solver.decisions = a.Sat.Solver.decisions + b.Sat.Solver.decisions;
@@ -180,7 +162,7 @@ let conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
   let steals = Atomic.make 0 in
   let next = Atomic.make 0 in
   let sm = Mutex.create () in
-  let agg = ref empty_stats in
+  let agg = ref Sat.Solver.empty_stats in
   let log_line msg =
     match log with
     | None -> ()
@@ -323,7 +305,7 @@ let trivial_report ~t0 ~result ~proof_sealed ~complete =
     proof_sealed;
     failure = None;
     wall = Sat.Wall.now () -. t0;
-    stats = empty_stats;
+    stats = Sat.Solver.empty_stats;
   }
 
 let solve_common ?(cubes = default_cubes) ?(probe_limit = default_probe_limit)

@@ -86,7 +86,7 @@ val solve_in :
   Runner.pool -> Cnf.Formula.t -> report
 (** Cube, conquer on the pool's workers, stitch.  [limits] apply to
     each cube job separately.  With [proof], the shared recorder is
-    replayed into it only when sealed (the {!Runner.run_in}
+    replayed into it only when sealed (the {!Runner.run}
     discipline), so a partial conquest never leaves a half-told proof
     in the caller's recorder.  [interrupt] cancels the whole conquest
     ([result = Unknown]).  [on_cube i] is a test hook invoked on the

@@ -20,24 +20,6 @@ type outcome = {
   shared_dropped : int;
 }
 
-let empty_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
-    max_decision_level = 0;
-    time = 0.0;
-    cpu_time = 0.0;
-    minor_words = 0.0;
-    major_collections = 0;
-  }
-
 let result_name = function
   | Sat.Solver.Sat _ -> "SAT"
   | Sat.Solver.Unsat -> "UNSAT"
@@ -58,33 +40,27 @@ let apply_lift lift result =
    limits, no domains, no sharing, no interrupts.  The caller's proof
    is threaded directly into the direct lanes, so the first lane is
    bit-identical to a plain [Sat.Solver.solve]. *)
-let run_sequential ~limits ~proof ~interrupt ~log strategies formula =
+let run_sequential ~limits ~proof ~log strategies formula =
   let t0 = Sat.Wall.now () in
-  let interrupted () =
-    match interrupt with
-    | Some i -> Sat.Solver.Interrupt.is_set i
-    | None -> false
-  in
   let strategies = Array.of_list strategies in
   let reports =
     Array.map (fun strategy -> { strategy; outcome = Cancelled }) strategies
   in
   let winner = ref None in
   let i = ref 0 in
-  while !winner = None && !i < Array.length strategies && not (interrupted ())
-  do
+  while !winner = None && !i < Array.length strategies do
     let st = strategies.(!i) in
     let outcome =
       try
         let f, lift = match st.Strategy.prepare with
           | None -> (formula, None)
-          | Some prep -> prep ~stop:interrupted
+          | Some prep -> prep ~stop:(fun () -> false)
         in
         let wproof =
           if st.Strategy.share_group = Some 0 then proof else None
         in
         let result, stats =
-          Sat.Solver.solve ~limits ?proof:wproof ?interrupt
+          Sat.Solver.solve ~limits ?proof:wproof
             ~heuristic:st.Strategy.heuristic ~restarts:st.Strategy.restarts f
         in
         let result = apply_lift lift result in
@@ -93,12 +69,7 @@ let run_sequential ~limits ~proof ~interrupt ~log strategies formula =
           winner := Some !i;
           Answered (result, stats)
         | Sat.Solver.Unknown -> Limit stats
-      with
-      | _ when interrupted () ->
-        (* A preparation abandoned because the caller cancelled raises
-           out of its [stop] poll; not a failure. *)
-        Cancelled
-      | e -> Failed (Printexc.to_string e)
+      with e -> Failed (Printexc.to_string e)
     in
     (match outcome with
      | Answered (r, st') ->
@@ -118,7 +89,7 @@ let run_sequential ~limits ~proof ~interrupt ~log strategies formula =
       match reports.(w).outcome with
       | Answered (r, s) -> (r, s)
       | _ -> assert false)
-    | None -> (Sat.Solver.Unknown, empty_stats)
+    | None -> (Sat.Solver.Unknown, Sat.Solver.empty_stats)
   in
   {
     result;
@@ -225,9 +196,160 @@ let dispatch pool thunks =
 
 (* --- parallel race --------------------------------------------------- *)
 
-let run_in ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof ?interrupt
-    ?log pool strategies formula =
-  if strategies = [] then invalid_arg "Runner.run_in: no strategies";
+(* Race the first [pool.size] strategies on the pool's workers.  A
+   one-worker pool still runs the parallel protocol (interrupts, clause
+   bus) on its single domain. *)
+let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
+  let t0 = Sat.Wall.now () in
+  let c0 = Sys.time () in
+  let strategies = Array.of_list (take pool.size strategies) in
+  let n = Array.length strategies in
+  let bus =
+    Clause_bus.create
+      ~groups:(Array.map (fun s -> s.Strategy.share_group) strategies)
+  in
+  (* The race's cancellation flag, set once the race is decided. *)
+  let cancel = Sat.Solver.Interrupt.create () in
+  (* First decisive answer wins; the CAS arbitrates photo finishes. *)
+  let race_winner = Atomic.make (-1) in
+  (* Direct lanes log into one deletion-free shared recorder (see
+     Proof's documentation for why the merged log stays checkable);
+     it is replayed into the caller's recorder only if the race
+     refutes the formula via a direct lane. *)
+  let shared_proof =
+    match proof with
+    | None -> None
+    | Some _ -> Some (Sat.Proof.create ~record_deletions:false ())
+  in
+  let work i =
+    let st = strategies.(i) in
+    try
+      let f, lift = match st.Strategy.prepare with
+        | None -> (formula, None)
+        | Some prep ->
+          prep ~stop:(fun () -> Sat.Solver.Interrupt.is_set cancel)
+      in
+      if Sat.Solver.Interrupt.is_set cancel then Cancelled
+      else begin
+        let sharing = share_lbd > 0 && st.Strategy.share_group <> None in
+        let export =
+          if sharing then
+            Some (fun clause lbd -> Clause_bus.publish bus ~worker:i clause lbd)
+          else None
+        and import =
+          if sharing then Some (fun () -> Clause_bus.drain bus ~worker:i)
+          else None
+        in
+        let wproof =
+          if st.Strategy.share_group = Some 0 then shared_proof else None
+        in
+        let result, stats =
+          Sat.Solver.solve ~limits ?proof:wproof
+            ~heuristic:st.Strategy.heuristic
+            ~restarts:st.Strategy.restarts ~interrupt:cancel ?export
+            ~export_lbd:(if share_lbd > 0 then share_lbd else max_int)
+            ?import f
+        in
+        let result = apply_lift lift result in
+        match result with
+        | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
+          if Atomic.compare_and_set race_winner (-1) i then begin
+            log (Printf.sprintf "worker %d (%s): %s in %.3fs — race won" i
+                   st.Strategy.name (result_name result)
+                   stats.Sat.Solver.time);
+            Sat.Solver.Interrupt.set cancel
+          end;
+          Answered (result, stats)
+        | Sat.Solver.Unknown ->
+          if Sat.Solver.Interrupt.is_set cancel then Cancelled
+          else Limit stats
+      end
+    with
+    | _ when Sat.Solver.Interrupt.is_set cancel ->
+      (* A preparation abandoned because the race is over raises out
+         of its [stop] poll; that is a cancellation, not a failure. *)
+      Cancelled
+    | e ->
+      let msg = Printexc.to_string e in
+      log (Printf.sprintf "worker %d (%s) failed: %s — racing on" i
+             st.Strategy.name msg);
+      Failed msg
+  in
+  (* Fan the lanes out to the pool and wait on a countdown latch.
+     With fewer workers than lanes the excess lanes start when a
+     worker frees up; a lane that starts after the race is decided
+     answers [Cancelled] from its entry interrupt check. *)
+  let outcomes = Array.make n Cancelled in
+  let remaining = ref n in
+  let lm = Mutex.create () in
+  let lc = Condition.create () in
+  Array.iteri
+    (fun i _ ->
+      submit_task pool (fun () ->
+          let o = work i in
+          Mutex.lock lm;
+          outcomes.(i) <- o;
+          decr remaining;
+          if !remaining = 0 then Condition.broadcast lc;
+          Mutex.unlock lm))
+    strategies;
+  Mutex.lock lm;
+  while !remaining > 0 do
+    Condition.wait lc lm
+  done;
+  Mutex.unlock lm;
+  let winner =
+    match Atomic.get race_winner with -1 -> None | i -> Some i
+  in
+  (* [Sys.time] is process-wide, so each lane's own reading
+     over-attributes the other domains' concurrent work to it.  The
+     race-level delta measured here is the only meaningful CPU
+     figure: it goes into the winner's stats, and the per-lane field
+     is zeroed everywhere else (see [Sat.Solver.stats.cpu_time]). *)
+  let race_cpu = Sys.time () -. c0 in
+  let outcomes =
+    Array.mapi
+      (fun i o ->
+        let cpu = if Some i = winner then race_cpu else 0.0 in
+        match o with
+        | Answered (r, s) ->
+          Answered (r, { s with Sat.Solver.cpu_time = cpu })
+        | Limit s -> Limit { s with Sat.Solver.cpu_time = cpu }
+        | o -> o)
+      outcomes
+  in
+  let workers =
+    Array.init n (fun i ->
+        { strategy = strategies.(i); outcome = outcomes.(i) })
+  in
+  let result, stats =
+    match winner with
+    | Some w -> (
+      match outcomes.(w) with
+      | Answered (r, s) -> (r, s)
+      | _ -> assert false)
+    | None -> (Sat.Solver.Unknown, Sat.Solver.empty_stats)
+  in
+  (match (result, proof, shared_proof) with
+   | Sat.Solver.Unsat, Some p, Some sp when Sat.Proof.sealed sp ->
+     Sat.Proof.replay ~into:p sp
+   | _ -> ());
+  {
+    result;
+    winner;
+    stats;
+    wall = Sat.Wall.now () -. t0;
+    workers;
+    shared_published = Clause_bus.published bus;
+    shared_delivered = Clause_bus.delivered bus;
+    shared_dropped = Clause_bus.dropped bus;
+  }
+
+(* --- one-shot entry point -------------------------------------------- *)
+
+let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
+    ?log strategies formula =
+  if strategies = [] then invalid_arg "Runner.run: no strategies";
   let log_lock = Mutex.create () in
   let log msg =
     match log with
@@ -236,189 +358,15 @@ let run_in ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof ?interrupt
       Mutex.lock log_lock;
       Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () -> f msg)
   in
-  begin
-    let t0 = Sat.Wall.now () in
-    let c0 = Sys.time () in
-    let strategies = Array.of_list (take pool.size strategies) in
-    let n = Array.length strategies in
-    let bus =
-      Clause_bus.create
-        ~groups:(Array.map (fun s -> s.Strategy.share_group) strategies)
-    in
-    (* The race's cancellation flag.  When the caller supplies
-       [interrupt], that flag IS the race flag: an external set (a
-       job deadline, a server shutdown) cancels every lane, and the
-       runner sets it itself once the race is decided. *)
-    let cancel =
-      match interrupt with
-      | Some i -> i
-      | None -> Sat.Solver.Interrupt.create ()
-    in
-    (* First decisive answer wins; the CAS arbitrates photo finishes. *)
-    let race_winner = Atomic.make (-1) in
-    (* Direct lanes log into one deletion-free shared recorder (see
-       Proof's documentation for why the merged log stays checkable);
-       it is replayed into the caller's recorder only if the race
-       refutes the formula via a direct lane. *)
-    let shared_proof =
-      match proof with
-      | None -> None
-      | Some _ -> Some (Sat.Proof.create ~record_deletions:false ())
-    in
-    let work i =
-      let st = strategies.(i) in
-      try
-        let f, lift = match st.Strategy.prepare with
-          | None -> (formula, None)
-          | Some prep ->
-            prep ~stop:(fun () -> Sat.Solver.Interrupt.is_set cancel)
-        in
-        if Sat.Solver.Interrupt.is_set cancel then Cancelled
-        else begin
-          let sharing = share_lbd > 0 && st.Strategy.share_group <> None in
-          let export =
-            if sharing then
-              Some (fun clause lbd -> Clause_bus.publish bus ~worker:i clause lbd)
-            else None
-          and import =
-            if sharing then Some (fun () -> Clause_bus.drain bus ~worker:i)
-            else None
-          in
-          let wproof =
-            if st.Strategy.share_group = Some 0 then shared_proof else None
-          in
-          let result, stats =
-            Sat.Solver.solve ~limits ?proof:wproof
-              ~heuristic:st.Strategy.heuristic
-              ~restarts:st.Strategy.restarts ~interrupt:cancel ?export
-              ~export_lbd:(if share_lbd > 0 then share_lbd else max_int)
-              ?import f
-          in
-          let result = apply_lift lift result in
-          match result with
-          | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
-            if Atomic.compare_and_set race_winner (-1) i then begin
-              log (Printf.sprintf "worker %d (%s): %s in %.3fs — race won" i
-                     st.Strategy.name (result_name result)
-                     stats.Sat.Solver.time);
-              Sat.Solver.Interrupt.set cancel
-            end;
-            Answered (result, stats)
-          | Sat.Solver.Unknown ->
-            if Sat.Solver.Interrupt.is_set cancel then Cancelled
-            else Limit stats
-        end
-      with
-      | _ when Sat.Solver.Interrupt.is_set cancel ->
-        (* A preparation abandoned because the race is over raises out
-           of its [stop] poll; that is a cancellation, not a failure. *)
-        Cancelled
-      | e ->
-        let msg = Printexc.to_string e in
-        log (Printf.sprintf "worker %d (%s) failed: %s — racing on" i
-               st.Strategy.name msg);
-        Failed msg
-    in
-    (* Fan the lanes out to the pool and wait on a countdown latch.
-       With fewer workers than lanes the excess lanes start when a
-       worker frees up; a lane that starts after the race is decided
-       answers [Cancelled] from its entry interrupt check. *)
-    let outcomes = Array.make n Cancelled in
-    let remaining = ref n in
-    let lm = Mutex.create () in
-    let lc = Condition.create () in
-    Array.iteri
-      (fun i _ ->
-        submit_task pool (fun () ->
-            let o = work i in
-            Mutex.lock lm;
-            outcomes.(i) <- o;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast lc;
-            Mutex.unlock lm))
-      strategies;
-    Mutex.lock lm;
-    while !remaining > 0 do
-      Condition.wait lc lm
-    done;
-    Mutex.unlock lm;
-    let winner =
-      match Atomic.get race_winner with -1 -> None | i -> Some i
-    in
-    (* [Sys.time] is process-wide, so each lane's own reading
-       over-attributes the other domains' concurrent work to it.  The
-       race-level delta measured here is the only meaningful CPU
-       figure: it goes into the winner's stats, and the per-lane field
-       is zeroed everywhere else (see [Sat.Solver.stats.cpu_time]). *)
-    let race_cpu = Sys.time () -. c0 in
-    let outcomes =
-      Array.mapi
-        (fun i o ->
-          let cpu = if Some i = winner then race_cpu else 0.0 in
-          match o with
-          | Answered (r, s) ->
-            Answered (r, { s with Sat.Solver.cpu_time = cpu })
-          | Limit s -> Limit { s with Sat.Solver.cpu_time = cpu }
-          | o -> o)
-        outcomes
-    in
-    let workers =
-      Array.init n (fun i ->
-          { strategy = strategies.(i); outcome = outcomes.(i) })
-    in
-    let result, stats =
-      match winner with
-      | Some w -> (
-        match outcomes.(w) with
-        | Answered (r, s) -> (r, s)
-        | _ -> assert false)
-      | None -> (Sat.Solver.Unknown, empty_stats)
-    in
-    (match (result, proof, shared_proof) with
-     | Sat.Solver.Unsat, Some p, Some sp when Sat.Proof.sealed sp ->
-       Sat.Proof.replay ~into:p sp
-     | _ -> ());
-    {
-      result;
-      winner;
-      stats;
-      wall = Sat.Wall.now () -. t0;
-      workers;
-      shared_published = Clause_bus.published bus;
-      shared_delivered = Clause_bus.delivered bus;
-      shared_dropped = Clause_bus.dropped bus;
-    }
-  end
-
-(* --- one-shot entry point -------------------------------------------- *)
-
-let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
-    ?interrupt ?log strategies formula =
-  if strategies = [] then invalid_arg "Runner.run: no strategies";
   let jobs = max 1 jobs in
-  if jobs = 1 then begin
-    let log_lock = Mutex.create () in
-    let log msg =
-      match log with
-      | None -> ()
-      | Some f ->
-        Mutex.lock log_lock;
-        Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () ->
-            f msg)
-    in
-    run_sequential ~limits ~proof ~interrupt ~log strategies formula
-  end
+  if jobs = 1 then run_sequential ~limits ~proof ~log strategies formula
   else begin
-    (* Delegate to a transient pool sized to the race: same worker
-       closures, same arbitration, so the outcome is identical to the
-       historical spawn-per-lane implementation — the domains are just
-       recruited from a pool that lives exactly as long as the race. *)
+    (* Race on a transient pool sized to the race: the domains live
+       exactly as long as the race. *)
     let pool =
       create_pool ~jobs:(min jobs (List.length strategies)) ()
     in
     Fun.protect
       ~finally:(fun () -> shutdown_pool pool)
-      (fun () ->
-        run_in ~share_lbd ~limits ?proof ?interrupt ?log pool strategies
-          formula)
+      (fun () -> run_in ~share_lbd ~limits ~proof ~log pool strategies formula)
   end

@@ -79,7 +79,6 @@ val run :
   ?share_lbd:int ->
   ?limits:Sat.Solver.limits ->
   ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t ->
   ?log:(string -> unit) ->
   Strategy.t list ->
   Cnf.Formula.t ->
@@ -90,21 +89,15 @@ val run :
     parallel on a transient {!pool} that lives exactly as long as the
     race.  [share_lbd] (default 4) is the maximum glue value a
     learned clause may have to be exported to the lane's share group;
-    [0] disables sharing.  [interrupt] is an {e external}
-    cancellation flag: setting it from any domain cancels every lane
-    (the race answers [Unknown]) — the solve service wires a per-job
-    deadline to it.  When supplied it doubles as the race's internal
-    first-wins flag, so the runner sets it itself once a lane answers;
-    callers reusing the flag must {!Sat.Solver.Interrupt.clear} it
-    between races.  [log] receives human-readable race events
+    [0] disables sharing.  [log] receives human-readable race events
     (serialized — safe to print). *)
 
 (** {2 Reusable worker pools}
 
-    A {!pool} is a persistent set of worker domains that many races
-    dispatch onto, amortizing domain spawn/teardown across races — the
-    regime a long-lived solve service runs in.  [run] is equivalent to
-    creating a pool, racing once in it, and shutting it down. *)
+    A {!pool} is a persistent set of worker domains that many cube
+    conquests dispatch onto ({!Cuber.solve_in}), amortizing domain
+    spawn/teardown — the regime a long-lived solve service runs in.
+    A parallel [run] races on a transient pool of its own. *)
 
 type pool
 
@@ -114,34 +107,14 @@ val create_pool : jobs:int -> unit -> pool
 
 val pool_size : pool -> int
 
-val run_in :
-  ?share_lbd:int ->
-  ?limits:Sat.Solver.limits ->
-  ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t ->
-  ?log:(string -> unit) ->
-  pool ->
-  Strategy.t list ->
-  Cnf.Formula.t ->
-  outcome
-(** Race the first [pool_size pool] strategies on the pool's workers,
-    with the same semantics as [run] at [jobs = pool_size pool] —
-    except that a one-worker pool still runs the {e parallel} protocol
-    (interrupts, clause bus) on its single domain rather than the
-    deterministic sequential fallback.  Races on one pool are
-    serialized by the caller's discipline, not the pool's: concurrent
-    [run_in] calls on the same pool are safe but share workers, so
-    each race may start with fewer domains than [pool_size].
-    @raise Invalid_argument after {!shutdown_pool}. *)
-
 val dispatch : pool -> (unit -> unit) array -> unit
 (** Submit every thunk onto the pool and block until all of them have
     run — the cube scheduler's fan-out/join primitive.  A thunk's
     exception is swallowed (each thunk records its own outcome), so
-    [dispatch] always returns.  Like {!run_in}, concurrent dispatches
-    on one pool are safe but share workers.
+    [dispatch] always returns.  Concurrent dispatches on one pool are
+    safe but share workers.
     @raise Invalid_argument after {!shutdown_pool}. *)
 
 val shutdown_pool : pool -> unit
 (** Drain nothing, wake every idle worker and join the domains.
-    Outstanding races must have returned; idempotent otherwise. *)
+    Outstanding dispatches must have returned; idempotent otherwise. *)

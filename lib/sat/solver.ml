@@ -54,6 +54,24 @@ type stats = {
   major_collections : int;
 }
 
+let empty_stats =
+  {
+    decisions = 0;
+    conflicts = 0;
+    propagations = 0;
+    restarts = 0;
+    learned = 0;
+    reduces = 0;
+    probed = 0;
+    vivified = 0;
+    inproc_subsumed = 0;
+    max_decision_level = 0;
+    time = 0.0;
+    cpu_time = 0.0;
+    minor_words = 0.0;
+    major_collections = 0;
+  }
+
 type limits = {
   max_conflicts : int option;
   max_decisions : int option;

@@ -77,6 +77,17 @@ type stats = {
       (** delta of major GC cycles across the call *)
 }
 
+val empty_stats : stats
+(** Every counter zero: the stats of an answer no solve produced (a
+    cache-side timeout, a race without a winner, a refutation found
+    before search). *)
+
+val check_num_vars : int -> unit
+(** Raise [Invalid_argument] naming the solver's [2^30 - 1] variable
+    limit when the count exceeds it — the check every entry point makes
+    before allocating.  Front ends call it at ingest, so an oversized
+    [p cnf] header is rejected before any transform allocates. *)
+
 type limits = {
   max_conflicts : int option;
   max_decisions : int option;

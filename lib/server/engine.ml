@@ -18,15 +18,10 @@ type answer = {
   fingerprint : Cnf.Fingerprint.t;
 }
 
-type mode =
-  | Direct
-  | Simplify
-  | Portfolio of { jobs : int; share_lbd : int }
-
-(* Hardness-triggered cube-and-conquer (Direct mode): a job whose
-   first solve slice hits [cube_trigger] conflicts without an answer
-   escalates to [Portfolio.Cuber] on the worker's cube pool.  Small
-   jobs answer inside the slice and never pay for the machinery. *)
+(* Hardness-triggered cube-and-conquer: a job whose first solve slice
+   hits [cube_trigger] conflicts without an answer escalates to
+   [Portfolio.Cuber] on the worker's cube pool.  Small jobs answer
+   inside the slice and never pay for the machinery. *)
 type cube_config = {
   cube_trigger : int;     (* conflicts before a job escalates *)
   cube_count : int;       (* max cubes per escalated job *)
@@ -43,7 +38,6 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   warm_capacity : int;
-  mode : mode;
   limits : Sat.Solver.limits;
   default_deadline : float option;
   session_capacity : int;
@@ -57,7 +51,6 @@ let default_config =
     queue_capacity = 64;
     cache_capacity = 512;
     warm_capacity = 256;
-    mode = Direct;
     limits = Sat.Solver.no_limits;
     default_deadline = None;
     session_capacity = 64;
@@ -74,24 +67,6 @@ let valid_deadline = function
   | None -> true
   | Some s -> Float.is_finite s && s >= 0.0
 
-let empty_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
-    max_decision_level = 0;
-    time = 0.0;
-    cpu_time = 0.0;
-    minor_words = 0.0;
-    major_collections = 0;
-  }
-
 (* A resolved job's payload, shared by every ticket attached to it. *)
 type done_core = {
   d_verdict : verdict;
@@ -101,7 +76,6 @@ type done_core = {
 }
 
 type job = {
-  id : int;
   cnf : Cnf.Flat.t;
   fp : Cnf.Fingerprint.t;
   warm : Sat.Solver.seed option;  (* snapshot found at submit time *)
@@ -145,10 +119,7 @@ type t = {
   cfg : config;
   queue : work Job_queue.t;
   cache : Cache.t;
-  (* Warm-start snapshots; [None] when disabled ([warm_capacity = 0])
-     or when the mode cannot seed (Simplify transforms the formula,
-     Portfolio lanes race diversified configurations — neither takes a
-     snapshot today, so keeping a warm cache there would only miss). *)
+  (* Warm-start snapshots; [None] when disabled ([warm_capacity = 0]). *)
   warm : Cache.Warm.t option;
   metrics : Metrics.t;
   inflight : job Fp_tbl.t;  (* guarded by [gm] *)
@@ -157,7 +128,6 @@ type t = {
   gm : Mutex.t;
   stopping : bool Atomic.t;
   monitor_stop : bool Atomic.t;
-  mutable next_id : int;  (* guarded by [gm] *)
   mutable next_sid : int;  (* guarded by [gm] *)
   mutable domains : unit Domain.t list;  (* workers + monitor *)
 }
@@ -234,13 +204,13 @@ let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
 let deadline_passed job now =
   match job.deadline with Some d -> now >= d | None -> false
 
-(* Each leg returns the solve result, its stats, the warm snapshot
-   captured at exit (Direct only) and the cube report when the job
-   escalated to cube-and-conquer (Direct only). *)
-
-(* The plain CDCL lane, warm-start aware, with optional hardness-
-   triggered cube-and-conquer escalation. *)
-let direct_leg t pool (job : job) limits =
+(* The one way a worker solves a job: plain CDCL on the submitted
+   store, warm-start aware, with optional hardness-triggered
+   cube-and-conquer escalation.  Returns the solve result, its stats,
+   the warm snapshot captured at exit and the cube report when the job
+   escalated. *)
+let direct_leg t pool (job : job) =
+  let limits = { t.cfg.limits with Sat.Solver.deadline = job.deadline } in
   (match job.warm with
    | Some _ -> Metrics.add t.metrics Warm_seeded
    | None -> ());
@@ -303,57 +273,16 @@ let direct_leg t pool (job : job) limits =
      Some rep)
   | _ -> (result, stats, !snap, None)
 
-let simplify_leg (job : job) limits =
-  let inst =
-    Eda4sat.Instance.of_cnf
-      ~name:(Printf.sprintf "job-%d" job.id)
-      (Cnf.Flat.to_formula job.cnf)
-  in
-  let rep =
-    Eda4sat.Pipeline.solve_direct ~limits ~interrupt:job.interrupt
-      ~simplify:true inst
-  in
-  (rep.Eda4sat.Pipeline.result, rep.Eda4sat.Pipeline.solver_stats, None,
-   None)
-
-(* Race the worker pool's diversified strategies, one per domain.  No
-   warm seeding or snapshot capture — lanes run diversified
-   configurations the snapshot contract does not cover. *)
-let race_leg ~share_lbd (job : job) limits pool =
-  let strategies =
-    Portfolio.Strategy.default_pool ~jobs:(Portfolio.Runner.pool_size pool)
-  in
-  let o =
-    Portfolio.Runner.run_in ~share_lbd ~limits ~interrupt:job.interrupt pool
-      strategies (Cnf.Flat.to_formula job.cnf)
-  in
-  (o.Portfolio.Runner.result, o.Portfolio.Runner.stats, None, None)
-
-let solve_job t pool job =
-  let limits = { t.cfg.limits with Sat.Solver.deadline = job.deadline } in
-  match t.cfg.mode with
-  | Direct -> direct_leg t pool job limits
-  | Simplify -> simplify_leg job limits
-  | Portfolio { share_lbd; _ } ->
-    race_leg ~share_lbd job limits (Option.get pool)
-
 let classify t job result stats solve_wall snapshot ~cube =
   let verdict =
     match result with
     | Sat.Solver.Sat m ->
-      (* Normalize the model to exactly [num_vars] entries first —
-         reconstruction paths (Simplify, Portfolio) may answer with
-         auxiliary variables appended, and [Flat.eval] raises on a
-         size mismatch.  Then never serve an unverified model: the
-         check is linear in the formula and turns any would-be wrong
-         answer (a solver bug, a lane mix-up, a corrupt warm seed)
-         into an explicit failure. *)
-      let nv = job.cnf.Cnf.Flat.num_vars in
-      let m =
-        if Array.length m = nv then m
-        else Array.init nv (fun i -> i < Array.length m && m.(i))
-      in
-      if Cnf.Flat.eval job.cnf m then Sat m
+      (* Never serve an unverified model: the check is linear in the
+         formula and turns any would-be wrong answer (a solver bug, a
+         corrupt warm seed) into an explicit failure.  A model of the
+         wrong length fails too — [Flat.eval] would raise on it. *)
+      if Array.length m = job.cnf.Cnf.Flat.num_vars && Cnf.Flat.eval job.cnf m
+      then Sat m
       else Failed "model verification failed"
     | Sat.Solver.Unsat -> (
       (* Claim→publish soundness guard: an UNSAT assembled from cube
@@ -426,16 +355,11 @@ let run_session_token t s =
   | `Closed -> retire_closed t s
 
 let worker_loop t () =
+  (* The worker's cube pool: idle until a job crosses the cube
+     hardness trigger, so small-job throughput is untouched. *)
   let pool =
-    match t.cfg.mode with
-    | Portfolio { jobs; _ } -> Some (Portfolio.Runner.create_pool ~jobs ())
-    | Direct ->
-      (* The worker's cube pool: idle until a job crosses the cube
-         hardness trigger, so small-job throughput is untouched. *)
-      let jobs = match t.cfg.cube with Some cc -> cc.cube_jobs | None -> 1 in
-      if jobs > 1 then Some (Portfolio.Runner.create_pool ~jobs ())
-      else None
-    | Simplify -> None
+    let jobs = match t.cfg.cube with Some cc -> cc.cube_jobs | None -> 1 in
+    if jobs > 1 then Some (Portfolio.Runner.create_pool ~jobs ()) else None
   in
   let rec loop () =
     match Job_queue.pop t.queue with
@@ -451,19 +375,19 @@ let worker_loop t () =
       (if already_done then () (* e.g. timed out while queued *)
        else if Atomic.get t.stopping then
          finalize t job ~verdict:(Failed "server shutdown")
-           ~stats:empty_stats ~solve_wall:0.0 ()
+           ~stats:Sat.Solver.empty_stats ~solve_wall:0.0 ()
        else if deadline_passed job (Sat.Wall.now ()) then
-         finalize t job ~verdict:Timeout ~stats:empty_stats ~solve_wall:0.0
-           ()
+         finalize t job ~verdict:Timeout ~stats:Sat.Solver.empty_stats
+           ~solve_wall:0.0 ()
        else begin
          let t0 = Sat.Wall.now () in
-         match solve_job t pool job with
+         match direct_leg t pool job with
          | result, stats, snapshot, cube ->
            classify t job result stats (Sat.Wall.now () -. t0) snapshot ~cube
          | exception e ->
            finalize t job
              ~verdict:(Failed (Printexc.to_string e))
-             ~stats:empty_stats
+             ~stats:Sat.Solver.empty_stats
              ~solve_wall:(Sat.Wall.now () -. t0)
              ()
        end);
@@ -527,7 +451,7 @@ let monitor_loop t () =
           let queued = (not job.claimed) && not job.running in
           Mutex.unlock job.jm;
           if queued then
-            finalize t job ~verdict:Timeout ~stats:empty_stats
+            finalize t job ~verdict:Timeout ~stats:Sat.Solver.empty_stats
               ~solve_wall:0.0 ()
           else begin
             job.timed_out <- true;
@@ -559,7 +483,7 @@ let create ?(config = default_config) () =
       queue = Job_queue.create ~capacity:config.queue_capacity ();
       cache = Cache.create ~capacity:config.cache_capacity ();
       warm =
-        (if config.warm_capacity > 0 && config.mode = Direct then
+        (if config.warm_capacity > 0 then
            Some (Cache.Warm.create ~capacity:config.warm_capacity ())
          else None);
       metrics = Metrics.create ();
@@ -569,7 +493,6 @@ let create ?(config = default_config) () =
       gm = Mutex.create ();
       stopping = Atomic.make false;
       monitor_stop = Atomic.make false;
-      next_id = 0;
       next_sid = 0;
       domains = [];
     }
@@ -618,8 +541,6 @@ let enqueue t ~now ?deadline ~priority cnf fp =
       Metrics.add t.metrics Dedup_joins;
       Ok (T_job { job; source = Dedup_join; t_submit = now })
     | None ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
       (* Warm lookup happens at submit time (not solve time) so the
          snapshot travels with the job even if the warm cache evicts
          the entry while the job is queued. *)
@@ -630,7 +551,6 @@ let enqueue t ~now ?deadline ~priority cnf fp =
       in
       let job =
         {
-          id;
           cnf;
           fp;
           warm;

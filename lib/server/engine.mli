@@ -23,7 +23,9 @@
       bounded priority queue.  A full queue {e rejects} the request
       with a reason (backpressure at the edge);
     + a persistent pool of worker domains pops jobs (highest priority
-      first) and dispatches each to the configured solve {!mode};
+      first) and solves each with {!Sat.Solver.solve_flat} straight
+      from the submitted store, escalating to cube-and-conquer when
+      {!cube_config} is set;
     + the job's {b deadline} is enforced twice: as an absolute
       {!Sat.Solver.limits.deadline} probed on the solver's budget
       tick, and by a monitor domain that interrupts a running job
@@ -35,7 +37,7 @@
 
     {2 Warm starts}
 
-    In [Direct] mode the engine also keeps a bounded LRU of
+    The engine also keeps a bounded LRU of
     {!Sat.Solver.seed} snapshots ({!Cache.Warm}), keyed by the same
     canonical fingerprint as the verdict cache.  Every finished solve
     — including one that timed out — snapshots its low-LBD learnt
@@ -97,26 +99,10 @@ type answer = {
   fingerprint : Cnf.Fingerprint.t;
 }
 
-(** How a worker solves a job.  Every mode reports models over the
-    {e input} formula's variables (the service never serves a model of
-    a transformed formula). *)
-type mode =
-  | Direct
-      (** {!Sat.Solver.solve_flat} on the submitted store: clauses go
-          straight from the CSR arrays into the solver arena *)
-  | Simplify
-      (** proof-carrying CNF simplification, then solve, models
-          reconstructed ({!Eda4sat.Pipeline.solve_direct}
-          [~simplify:true]) *)
-  | Portfolio of { jobs : int; share_lbd : int }
-      (** each worker owns a persistent {!Portfolio.Runner.pool} of
-          [jobs] domains and races the direct strategy pool with
-          clause sharing ({!Portfolio.Strategy.default_pool}) *)
-
-(** Hardness-triggered cube-and-conquer, [Direct] mode only.  A job
-    whose first solve slice hits [cube_trigger] conflicts without an
-    answer escalates to {!Portfolio.Cuber} on the worker's private
-    cube pool ([cube_jobs] domains, idle otherwise): the formula is
+(** Hardness-triggered cube-and-conquer.  A job whose first solve
+    slice hits [cube_trigger] conflicts without an answer escalates to
+    {!Portfolio.Cuber} on the worker's private cube pool ([cube_jobs]
+    domains, idle otherwise): the formula is
     split into up to [cube_count] cubes by propagation lookahead
     ([cube_probe_limit] probes per split node) and conquered with work
     stealing.  Small jobs answer inside the slice and take exactly the
@@ -145,9 +131,7 @@ type config = {
   cache_capacity : int;  (** LRU entries (default 512) *)
   warm_capacity : int;
       (** warm-start snapshot LRU entries (default 256); [0] disables
-          warm starts.  Only effective in [Direct] mode — the other
-          modes neither seed nor snapshot. *)
-  mode : mode;           (** default [Direct] *)
+          warm starts *)
   limits : Sat.Solver.limits;
       (** base per-job limits (the job deadline is layered on top) *)
   default_deadline : float option;
@@ -175,9 +159,8 @@ val create : ?config:config -> unit -> t
 val submit :
   t -> ?deadline:float -> ?priority:int -> Cnf.Flat.t ->
   (ticket, string) result
-(** Submit a formula.  The [Simplify], [Portfolio] and cube paths
-    build the {!Cnf.Formula.t} view they need at the point of use.
-    [deadline] is in seconds from now — a negative
+(** Submit a formula.  The cube path builds the {!Cnf.Formula.t}
+    view it needs at the point of use.  [deadline] is in seconds from now — a negative
     or non-finite value answers [Error "bad-deadline"] (a NaN deadline
     would otherwise compose into an absolute instant that never
     passes, i.e. an unkillable job); [priority] (default 0, higher

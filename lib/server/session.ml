@@ -21,24 +21,6 @@ type answer = {
   stats : Sat.Solver.stats;
 }
 
-let empty_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
-    max_decision_level = 0;
-    time = 0.0;
-    cpu_time = 0.0;
-    minor_words = 0.0;
-    major_collections = 0;
-  }
-
 type ticket = {
   op : op;
   tm : Mutex.t;
@@ -137,7 +119,7 @@ let resolve ticket outcome ~solve_wall ~stats =
   | None -> ()
 
 let resolve_plain ticket outcome =
-  resolve ticket outcome ~solve_wall:0.0 ~stats:empty_stats
+  resolve ticket outcome ~solve_wall:0.0 ~stats:Sat.Solver.empty_stats
 
 let fresh_ticket op =
   {
@@ -273,7 +255,7 @@ let deadline_passed deadline now =
 
 let exec_solve t ~limits ~stopping ~deadline =
   if deadline_passed deadline (Sat.Wall.now ()) then
-    (Timeout, 0.0, empty_stats)
+    (Timeout, 0.0, Sat.Solver.empty_stats)
   else begin
     let interrupt = Sat.Solver.Interrupt.create () in
     locked t (fun () ->

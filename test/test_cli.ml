@@ -147,20 +147,30 @@ let has_sub sub l =
   go 0
 
 (* A [p cnf] header beyond the solver's variable limit is bad input,
-   not an out-of-memory crash.  The CLI runs under a 4 GB address-space
-   cap, so a solver that did try to allocate its tables fails fast
-   instead of exhausting the machine. *)
+   not an out-of-memory crash, on every subcommand that reads an
+   instance.  The CLI runs under a 4 GB address-space cap, so a command
+   that did try to allocate its tables fails fast instead of exhausting
+   the machine. *)
 let test_huge_header_is_input_error () =
   let huge = write_text "huge.cnf" "p cnf 2000000000 1\n1 0\n" in
-  let err = file "huge.err" in
-  check_int "huge header exits 124" 124
-    (run_cli ~stderr_file:err ~vmem_kb:4_000_000
-       [ "solve"; "--no-preprocess"; "-i"; huge ]);
-  let lines = read_lines err in
-  check_int "one stderr line" 1 (List.length lines);
-  check_bool "names the limit" true (List.exists (has_sub "2^30 - 1") lines);
-  check_bool "no uncaught exception" false
-    (List.exists (has_sub "uncaught") lines)
+  List.iter
+    (fun (what, args) ->
+      let err = file "huge.err" in
+      check_int (what ^ " exits 124") 124
+        (run_cli ~stderr_file:err ~vmem_kb:4_000_000 (args @ [ "-i"; huge ]));
+      let lines = read_lines err in
+      check_int (what ^ ": one stderr line") 1 (List.length lines);
+      check_bool (what ^ ": names the limit") true
+        (List.exists (has_sub "2^30 - 1") lines);
+      check_bool (what ^ ": no uncaught exception") false
+        (List.exists (has_sub "uncaught") lines))
+    [
+      ("solve", [ "solve" ]);
+      ("solve --no-preprocess", [ "solve"; "--no-preprocess" ]);
+      ("cube", [ "cube" ]);
+      ("portfolio", [ "portfolio"; "-j"; "1" ]);
+      ("preprocess", [ "preprocess"; "-o"; file "huge_out.cnf" ]);
+    ]
 
 (* A malformed [serve] argument is a command-line error too: exit 124,
    no uncaught exception on stderr. *)
@@ -805,6 +815,12 @@ let suite =
      test_huge_header_is_input_error);
     ("serve --mode bogus is a CLI error", `Quick,
      serve_arg_error "mode" [ "--mode"; "bogus"; "--stdio" ]);
+    ("serve --mode portfolio is a CLI error", `Quick,
+     serve_arg_error "mode" [ "--mode"; "portfolio"; "--stdio" ]);
+    ("serve --jobs 2 is a CLI error", `Quick,
+     serve_arg_error "jobs" [ "--jobs"; "2"; "--stdio" ]);
+    ("serve --share-lbd 4 is a CLI error", `Quick,
+     serve_arg_error "share-lbd" [ "--share-lbd"; "4"; "--stdio" ]);
     ("serve --listen nohost is a CLI error", `Quick,
      serve_arg_error "listen" [ "--listen"; "nohost" ]);
     ("serve --tenant zzz is a CLI error", `Quick,

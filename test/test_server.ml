@@ -21,7 +21,6 @@ let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
     queue_capacity = queue;
     cache_capacity = cache;
     warm_capacity = warm;
-    mode = Server.Direct;
     limits = Sat.Solver.no_limits;
     default_deadline = None;
     session_capacity = sessions;
@@ -864,42 +863,6 @@ let test_warm_fuzz_with_cubes () =
       check_ledger s;
       check_int "all answers decisive" 0 (get s Timeouts + get s Failures))
 
-(* --- solve modes ------------------------------------------------------ *)
-
-(* The Simplify and Portfolio legs against one fixed batch, twice (the
-   second pass answers from the cache): every model satisfies its
-   formula, every UNSAT agrees with brute force, and the ledger
-   reconciles. *)
-let test_modes_answer_and_reconcile () =
-  let rng = Aig.Rng.create 999 in
-  let formulas = php 5 :: List.init 10 (fun _ -> random_formula rng) in
-  List.iter
-    (fun mode ->
-      let e = Server.create ~config:{ (config ()) with Server.mode } () in
-      Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () ->
-          let pass () =
-            List.map (fun f -> (f, submit_ok e f)) formulas
-            |> List.map (fun (f, t) -> (f, Server.await e t))
-          in
-          let first = pass () in
-          let second = pass () in
-          List.iter
-            (fun (f, (a : Server.answer)) ->
-              match a.Server.verdict with
-              | Server.Sat m ->
-                check_bool "model satisfies" true (Cnf.Flat.eval (flat f) m)
-              | Server.Unsat ->
-                if f.Cnf.Formula.num_vars <= 14 then
-                  check_bool "brute force agrees" false (brute_force_sat f)
-              | _ -> Alcotest.fail "unexpected non-answer")
-            (first @ second);
-          let s = Server.stats e in
-          check_int "requests reconcile"
-            (2 * List.length formulas)
-            (Server.Metrics.requests s);
-          check_ledger s))
-    [ Server.Simplify; Server.Portfolio { jobs = 2; share_lbd = 4 } ]
-
 (* A job beyond the solver's variable limit answers FAILED with the
    solver's message, and the ledger still reconciles. *)
 let test_variable_limit_fails_cleanly () =
@@ -1099,8 +1062,6 @@ let suite =
     ("partial cube conquest never cached", `Quick,
      test_cube_partial_never_cached);
     ("warm fuzz with cubes reconciles", `Quick, test_warm_fuzz_with_cubes);
-    ("simplify and portfolio modes answer and reconcile", `Quick,
-     test_modes_answer_and_reconcile);
     ("variable limit fails cleanly", `Quick,
      test_variable_limit_fails_cleanly);
     ("every refusal counted once", `Quick, test_every_refusal_counted);
