@@ -39,6 +39,8 @@ let add_stats a b =
     vivified = a.Sat.Solver.vivified + b.Sat.Solver.vivified;
     inproc_subsumed =
       a.Sat.Solver.inproc_subsumed + b.Sat.Solver.inproc_subsumed;
+    xors = a.Sat.Solver.xors + b.Sat.Solver.xors;
+    xor_derived = a.Sat.Solver.xor_derived + b.Sat.Solver.xor_derived;
     max_decision_level =
       max a.Sat.Solver.max_decision_level b.Sat.Solver.max_decision_level;
     time = a.Sat.Solver.time +. b.Sat.Solver.time;

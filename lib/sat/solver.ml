@@ -28,7 +28,15 @@
      then compacts the arena with a copying collector, relocating
      every live reference (watchers, reasons, learnt index) through
      forwarding pointers written into the old arena;
-   - Luby or Glucose (LBD moving-average) restarts.
+   - Luby or Glucose (LBD moving-average) restarts;
+   - a level-0 XOR pass before search ({!Gauss}), on the whole-formula
+     entry points and only without a proof: [prepare] offers each
+     normalized clause of width <= 6 to a collector that recovers the
+     parity constraints encoded as complete clause sets, and
+     Gauss–Jordan elimination over them either refutes the formula or
+     adds the units and binary equivalences it derives that the input
+     lacks.  With fewer than two XORs, or nothing new, the clause
+     database is exactly the input's.
 
    Both the batch and the incremental entry points drive the same
    [search] engine; assumptions are placed as pseudo-decisions on the
@@ -47,6 +55,8 @@ type stats = {
   probed : int;
   vivified : int;
   inproc_subsumed : int;
+  xors : int;
+  xor_derived : int;
   max_decision_level : int;
   time : float;
   cpu_time : float;
@@ -65,6 +75,8 @@ let empty_stats =
     probed = 0;
     vivified = 0;
     inproc_subsumed = 0;
+    xors = 0;
+    xor_derived = 0;
     max_decision_level = 0;
     time = 0.0;
     cpu_time = 0.0;
@@ -1493,8 +1505,10 @@ type prepared = Ready of t * int list (* units *) | Trivially_unsat
    is normalized (internal encoding, sort + dedupe, tautology drop) in
    one reusable scratch buffer, and long clauses are blitted straight
    into the arena via [add_long_slice] — zero allocation per clause.
-   Every entry point that solves a whole formula loads through here. *)
-let prepare (fl : Cnf.Flat.t) =
+   Every entry point that solves a whole formula loads through here.
+   With [gauss], each normalized clause is also offered to that XOR
+   collector, straight from the scratch buffer. *)
+let prepare ?gauss (fl : Cnf.Flat.t) =
   let nvars = fl.Cnf.Flat.num_vars in
   let s = create nvars in
   let units = ref [] in
@@ -1539,6 +1553,9 @@ let prepare (fl : Cnf.Flat.t) =
       chk 0
     in
     if not taut then begin
+      (match gauss with
+       | Some g when n <= Gauss.max_width -> Gauss.add g b n
+       | _ -> ());
       match n with
       | 0 -> ok := false
       | 1 -> units := b.(0) :: !units
@@ -1703,6 +1720,8 @@ let make_stats s ~wall ~cpu ~minor_words ~major_collections =
     probed = s.st_probed;
     vivified = s.st_vivified;
     inproc_subsumed = s.st_inproc_subsumed;
+    xors = 0;
+    xor_derived = 0;
     max_decision_level = s.st_max_level;
     time = wall;
     cpu_time = cpu;
@@ -1719,18 +1738,48 @@ let gc_origin () = (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_collections)
 let gc_deltas (mw0, mc0) =
   (Gc.minor_words () -. mw0, (Gc.quick_stat ()).Gc.major_collections - mc0)
 
+(* Level-0 XOR reasoning ({!Gauss}) over the collector [prepare] fed:
+   the derived binary equivalences are attached, and the result is
+   [units] with the derived units in front, and the number of clauses
+   added.  An inconsistent system refutes the formula. *)
+let add_xor_consequences s g units =
+  match Gauss.eliminate g with
+  | Gauss.Inconsistent -> raise Unsat_at_level0
+  | Gauss.Derived clauses ->
+    let lit l = lit_of_var (abs l - 1) (l < 0) in
+    ( List.fold_left
+        (fun units c ->
+          if Array.length c = 1 then lit c.(0) :: units
+          else begin
+            add_binary s (lit c.(0)) (lit c.(1));
+            units
+          end)
+        units clauses,
+      List.length clauses )
+
 let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot prep =
+    ~snapshot flat =
   let t0 = Wall.now () in
   let c0 = Sys.time () in
   let gc0 = gc_origin () in
+  (* The XOR pass's counters live here rather than in [t]: the solver
+     record, and the machine code laid out before [search], stay as
+     they are without the pass. *)
+  let xors = ref 0 and xor_derived = ref 0 in
   let stats_of s =
     let minor_words, major_collections = gc_deltas gc0 in
-    make_stats s ~wall:(Wall.now () -. t0) ~cpu:(Sys.time () -. c0)
-      ~minor_words ~major_collections
+    { (make_stats s ~wall:(Wall.now () -. t0) ~cpu:(Sys.time () -. c0)
+         ~minor_words ~major_collections)
+      with xors = !xors; xor_derived = !xor_derived }
   in
-  match prep () with
+  let fl = flat () in
+  (* Without a proof only: a GF(2) sum is not a RUP step. *)
+  let gauss =
+    if proof = None then Some (Gauss.local (Cnf.Flat.num_clauses fl))
+    else None
+  in
+  match prepare ?gauss fl with
   | Trivially_unsat ->
     log_add proof [||];
     (Unsat, stats_of (create 0))
@@ -1745,6 +1794,15 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     in
     let exception Done of result in
     (try
+       let units =
+         match gauss with
+         | None -> units
+         | Some g ->
+           xors := Gauss.count g;
+           let units, n = add_xor_consequences s g units in
+           xor_derived := n;
+           units
+       in
        (* Level-0 units. *)
        List.iter
          (fun l ->
@@ -1791,7 +1849,7 @@ let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?snapshot f =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> prepare (Cnf.Flat.of_formula f))
+    ~snapshot (fun () -> Cnf.Flat.of_formula f)
 
 let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?inprocess
@@ -1799,7 +1857,7 @@ let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
     ?snapshot fl =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> prepare fl)
+    ~snapshot (fun () -> fl)
 
 let decisions_or_max ?(limits = no_limits) f =
   let result, st = solve ~limits f in
@@ -1810,10 +1868,11 @@ let decisions_or_max ?(limits = no_limits) f =
 let pp_stats ppf st =
   Format.fprintf ppf
     "decisions=%d conflicts=%d propagations=%d restarts=%d learned=%d \
-     reduces=%d probed=%d vivified=%d inproc_subsumed=%d time=%.3fs \
-     cpu=%.3fs minor_words=%.0f major_gcs=%d"
+     reduces=%d probed=%d vivified=%d inproc_subsumed=%d xors=%d \
+     xor_derived=%d time=%.3fs cpu=%.3fs minor_words=%.0f major_gcs=%d"
     st.decisions st.conflicts st.propagations st.restarts st.learned
-    st.reduces st.probed st.vivified st.inproc_subsumed st.time st.cpu_time
+    st.reduces st.probed st.vivified st.inproc_subsumed st.xors
+    st.xor_derived st.time st.cpu_time
     st.minor_words st.major_collections
 
 (* ------------------------------------------------------------------ *)

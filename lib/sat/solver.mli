@@ -52,6 +52,12 @@ type stats = {
   inproc_subsumed : int;
       (** inprocessing: learnt clauses deleted or strengthened by the
           subsumption pass *)
+  xors : int;
+      (** XOR constraints of width 2–6 found as complete clause sets by
+          the level-0 Gauss–Jordan pass ({!Gauss}; 0 with [?proof] and on
+          the incremental and assumption entry points) *)
+  xor_derived : int;
+      (** units and binary equivalence clauses that pass added *)
   max_decision_level : int;
   time : float;
       (** monotonic {e wall-clock} seconds ({!Wall.now}).  This is
@@ -191,7 +197,15 @@ val solve :
     {!Cnf.Formula.eval} if desired).  With [proof], every learned
     clause and every learned-clause deletion is logged in DRAT; an
     [Unsat] answer ends the log with the empty clause, and the whole
-    log validates under {!Proof.check}.  [heuristic] selects the
+    log validates under {!Proof.check}.  Without [proof], the loader
+    also recovers the XOR constraints the formula encodes as complete
+    clause sets and eliminates them over GF(2) ({!Gauss}): an
+    inconsistent system answers [Unsat] before search, and the derived
+    units and binary equivalences the input lacks are added (see
+    [stats.xors], [stats.xor_derived]).  With fewer than two XORs, or
+    nothing new derived, the solver gets exactly the input clauses.
+    With [proof] the pass does not run: a GF(2) sum is not a RUP step.
+    [heuristic] selects the
     branching scheme: exponential VSIDS (default) or the learning-rate
     heuristic of Liang et al. 2016 — the paper's reference [23].
     [restarts] selects the restart schedule: Luby with unit 100

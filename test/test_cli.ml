@@ -102,6 +102,30 @@ let test_solve_exit_codes () =
   check_int "timeout exits 0" 0
     (run_cli [ "solve"; "--no-preprocess"; "--timeout"; "0.05"; "-i"; hard ])
 
+(* A generated CNF-XOR instance goes through the solver's level-0
+   Gauss–Jordan pass: the stats line reports the XORs it found. *)
+let test_solve_xor_pass () =
+  let cnf = file "xor130.cnf" and out = file "xor130.out" in
+  check_int "generate exits 0" 0
+    (run_cli [ "gen"; "--family"; "xor"; "--size"; "130"; "--out"; cnf ]);
+  check_int "SAT exits 10" 10
+    (run_cli ~stdout_file:out [ "solve"; "--no-preprocess"; "-i"; cnf ]);
+  let lines = read_lines out in
+  check_bool "s SATISFIABLE" true (List.mem "s SATISFIABLE" lines);
+  let xors =
+    List.find_map
+      (fun l ->
+        if String.length l > 2 && String.sub l 0 2 = "c " then
+          List.find_map
+            (fun w -> Scanf.sscanf_opt w "xors=%d%!" Fun.id)
+            (String.split_on_char ' ' l)
+        else None)
+      lines
+  in
+  match xors with
+  | Some n -> check_bool "xors > 0" true (n > 0)
+  | None -> Alcotest.fail "no xors= on the stats line"
+
 let test_portfolio_exit_codes () =
   let sat = write_cnf "tiny_sat2.cnf" tiny_sat in
   let unsat = write_cnf "tiny_unsat2.cnf" tiny_unsat in
@@ -833,4 +857,5 @@ let suite =
     ("serve eof drains answers", `Quick, test_serve_eof_drain);
     ("serve socket multi-client", `Quick, test_serve_socket_multiclient);
     ("serve SIGTERM graceful drain", `Quick, test_serve_sigterm_drain);
+    ("solve reports the XOR pass", `Quick, test_solve_xor_pass);
   ]

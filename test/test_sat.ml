@@ -157,9 +157,120 @@ let test_xor_chain_unsat () =
       (List.init n (fun i -> xor_clauses (i + 1) (((i + 1) mod n) + 1)))
   in
   let f = Cnf.Formula.create ~num_vars:n clauses in
-  match solve f with
-  | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "odd xor cycle is unsatisfiable"
+  let r, st = Sat.Solver.solve f in
+  (match r with
+   | Sat.Solver.Unsat -> ()
+   | _ -> Alcotest.fail "odd xor cycle is unsatisfiable");
+  (* The Gauss–Jordan pass refutes the cycle before search. *)
+  check "xors found" n st.Sat.Solver.xors;
+  check "no conflicts" 0 st.Sat.Solver.conflicts
+
+(* --- level-0 XOR reasoning (Sat.Gauss) ------------------------------ *)
+
+(* The 2^(k-1) clauses encoding [vars.(0) xor ... = rhs]: each forbids
+   one assignment of the other parity. *)
+let xor_clauses vars rhs =
+  let k = Array.length vars in
+  List.filter_map
+    (fun m ->
+      let trues = ref 0 in
+      Array.iteri (fun i _ -> if m land (1 lsl i) = 0 then incr trues) vars;
+      if (!trues land 1 = 1) <> rhs then
+        Some (Array.mapi (fun i v -> if m land (1 lsl i) = 0 then -v else v) vars)
+      else None)
+    (List.init (1 lsl k) Fun.id)
+
+let gauss_of ~num_vars clauses =
+  Sat.Gauss.of_flat
+    (Cnf.Flat.of_formula (Cnf.Formula.create ~num_vars clauses))
+
+let xors_t = Alcotest.(list (pair (array int) bool))
+
+let test_gauss_detection () =
+  let base = xor_clauses [| 1; 3; 5 |] true in
+  check "width 3 is 4 clauses" 4 (List.length base);
+  Alcotest.check xors_t "found" [ ([| 1; 3; 5 |], true) ]
+    (Sat.Gauss.xors (gauss_of ~num_vars:5 base));
+  (* Clause order, literal order and duplicate clauses do not matter. *)
+  let shuffled =
+    List.rev_map (fun c -> Array.of_list (List.rev (Array.to_list c))) base
+  in
+  Alcotest.check xors_t "any order, duplicates" [ ([| 1; 3; 5 |], true) ]
+    (Sat.Gauss.xors
+       (gauss_of ~num_vars:5 (shuffled @ [ List.hd base; List.hd shuffled ])));
+  (* Neither do a duplicated literal or unrelated clauses. *)
+  Alcotest.check xors_t "duplicate literal" [ ([| 2; 4 |], false) ]
+    (Sat.Gauss.xors
+       (gauss_of ~num_vars:4
+          [ [| 2; -4; 2 |]; [| 1; 2; 3 |]; [| -2; 4 |]; [| 1 |] ]));
+  (* One clause missing is no XOR. *)
+  check "one clause missing" 0
+    (Sat.Gauss.count (gauss_of ~num_vars:5 (List.tl base)));
+  (* Width 7 is past the detector. *)
+  let wide = xor_clauses [| 1; 2; 3; 4; 5; 6; 7 |] false in
+  check "width 7 is 64 clauses" 64 (List.length wide);
+  check "width 7 ignored" 0 (Sat.Gauss.count (gauss_of ~num_vars:7 wide));
+  check "width 6 found" 1
+    (Sat.Gauss.count
+       (gauss_of ~num_vars:6 (xor_clauses [| 1; 2; 3; 4; 5; 6 |] false)));
+  (* A tautology is dropped, not read as the missing pattern. *)
+  check "tautology ignored" 0
+    (Sat.Gauss.count
+       (gauss_of ~num_vars:2 [ [| 1; 2 |]; [| -1; -2; 2 |]; [| -1; 1; 2 |] ]));
+  (* Both parities over one variable set: two XORs, contradictory. *)
+  let both = xor_clauses [| 1; 2 |] true @ xor_clauses [| 1; 2 |] false in
+  check "both parities" 2 (Sat.Gauss.count (gauss_of ~num_vars:2 both));
+  match Sat.Gauss.eliminate (gauss_of ~num_vars:2 both) with
+  | Sat.Gauss.Inconsistent -> ()
+  | Sat.Gauss.Derived _ -> Alcotest.fail "x1 xor x2 = 0 and = 1"
+
+let clauses_t = Alcotest.(list (array int))
+
+let test_gauss_elimination () =
+  (* x1 xor x2 = 0, x2 xor x3 = 0, x1 xor x3 = 1: no solution. *)
+  let refuted =
+    xor_clauses [| 1; 2 |] false
+    @ xor_clauses [| 2; 3 |] false
+    @ xor_clauses [| 1; 3 |] true
+  in
+  (match Sat.Gauss.eliminate (gauss_of ~num_vars:3 refuted) with
+   | Sat.Gauss.Inconsistent -> ()
+   | Sat.Gauss.Derived _ -> Alcotest.fail "inconsistent system not refuted");
+  (* x1 xor x2 xor x3 = 1, x1 xor x2 = 0, x2 xor x3 xor x4 = 0 reduce to
+     x1 xor x4 = 1, x2 xor x4 = 1 and x3 = 1. *)
+  let system =
+    xor_clauses [| 1; 2; 3 |] true
+    @ xor_clauses [| 1; 2 |] false
+    @ xor_clauses [| 2; 3; 4 |] false
+  in
+  let derived extra =
+    match Sat.Gauss.eliminate (gauss_of ~num_vars:4 (system @ extra)) with
+    | Sat.Gauss.Derived cs -> cs
+    | Sat.Gauss.Inconsistent -> Alcotest.fail "consistent system refuted"
+  in
+  Alcotest.check clauses_t "units and equivalences"
+    [ [| 1; 4 |]; [| -1; -4 |]; [| 2; 4 |]; [| -2; -4 |]; [| 3 |] ]
+    (derived []);
+  (* Clauses the input already holds are not derived again. *)
+  Alcotest.check clauses_t "input clauses skipped"
+    [ [| -1; -4 |]; [| 2; 4 |]; [| -2; -4 |] ]
+    (derived [ [| 3 |]; [| 4; 1 |] ]);
+  (* One XOR alone derives nothing. *)
+  (match Sat.Gauss.eliminate (gauss_of ~num_vars:3 (xor_clauses [| 1; 2; 3 |] true)) with
+   | Sat.Gauss.Derived [] -> ()
+   | _ -> Alcotest.fail "a single XOR derived something");
+  (* Through the solver: the derived unit and equivalences are counted,
+     and the model satisfies the input. *)
+  let f = Cnf.Formula.create ~num_vars:4 system in
+  let r, st = Sat.Solver.solve f in
+  (match r with
+   | Sat.Solver.Sat m -> check_bool "model" true (Cnf.Formula.eval f m)
+   | _ -> Alcotest.fail "system is satisfiable");
+  check "xors" 3 st.Sat.Solver.xors;
+  check "xor_derived" 5 st.Sat.Solver.xor_derived;
+  (* With a proof the pass does not run. *)
+  let _, st = Sat.Solver.solve ~proof:(Sat.Proof.create ()) f in
+  check "xors under proof" 0 st.Sat.Solver.xors
 
 let test_stats_sanity () =
   let f = pigeonhole ~pigeons:5 ~holes:4 in
@@ -184,6 +295,8 @@ let suite =
     ("limits respected", `Quick, test_limits);
     ("decision counter", `Quick, test_decision_counter);
     ("xor chain unsat", `Quick, test_xor_chain_unsat);
+    ("gauss: XOR detection", `Quick, test_gauss_detection);
+    ("gauss: elimination", `Quick, test_gauss_elimination);
     ("stats sanity", `Quick, test_stats_sanity);
     ("decisions_or_max", `Quick, test_decisions_or_max);
   ]
@@ -952,7 +1065,9 @@ let stats_triple (s : Sat.Solver.stats) =
    LRB branching, Glucose restarts or inprocessing reach the option
    paths the defaults do not; they were recorded against the solver
    whose assignments were one int per variable and whose watchers were
-   two-word (cref, blocker) pairs. *)
+   two-word (cref, blocker) pairs.  The C5 row, the CNF-XOR family, was
+   recorded with the level-0 Gauss–Jordan pass, which every other row
+   passes through without finding two XORs. *)
 let golden_trajectories () =
   let instances = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
   let suite name =
@@ -984,6 +1099,7 @@ let golden_trajectories () =
      (26042, 20000, 322800));
     ("php(7,6) inprocess", pigeonhole ~pigeons:7 ~holes:6,
      Sat.Solver.no_limits, inprocess, `Unsat, (863, 703, 10022));
+    ("C5-cnfxor", suite "C5-cnfxor", capped, default, `Sat, (29, 13, 592));
   ]
 
 let test_golden_trajectories () =

@@ -97,6 +97,105 @@ let test_fuzz_incremental_agreement () =
   done;
   check_bool "incremental fuzz 100/100" true true
 
+(* Formulas for the level-0 Gauss–Jordan pass: XORs of width 2-7 over
+   at most 12 variables, each expanded into its clause set with the
+   literals of every clause shuffled, mixed with random 2- and
+   3-clauses, the whole clause list shuffled.  Half the cases are
+   planted (every XOR and every random clause agrees with a hidden
+   assignment, so the formula is SAT); the rest draw each right-hand
+   side at random.  One XOR in ten loses a clause (it is no XOR any
+   more) and one in ten has a clause repeated. *)
+let xor_formula rng =
+  let nvars = 3 + Aig.Rng.int rng 10 in
+  let planted = Aig.Rng.bool rng in
+  let hidden = Array.init nvars (fun _ -> Aig.Rng.bool rng) in
+  let clauses = ref [] in
+  for _ = 1 to 1 + Aig.Rng.int rng nvars do
+    let perm = Array.init nvars (fun v -> v + 1) in
+    Aig.Rng.shuffle rng perm;
+    let vars = Array.sub perm 0 (min nvars (2 + Aig.Rng.int rng 6)) in
+    let rhs =
+      if planted then Array.fold_left (fun p v -> p <> hidden.(v - 1)) false vars
+      else Aig.Rng.bool rng
+    in
+    let k = Array.length vars in
+    let xor = ref [] in
+    for m = 0 to (1 lsl k) - 1 do
+      let trues = ref 0 in
+      Array.iteri (fun i _ -> if m land (1 lsl i) = 0 then incr trues) vars;
+      if (!trues land 1 = 1) <> rhs then begin
+        let c = Array.mapi (fun i v -> if m land (1 lsl i) = 0 then -v else v) vars in
+        Aig.Rng.shuffle rng c;
+        xor := c :: !xor
+      end
+    done;
+    let xor =
+      match Aig.Rng.int rng 10 with
+      | 0 -> List.tl !xor
+      | 1 -> List.hd !xor :: !xor
+      | _ -> !xor
+    in
+    clauses := xor @ !clauses
+  done;
+  let rec random_clause () =
+    let c =
+      Array.init (2 + Aig.Rng.int rng 2) (fun _ ->
+          let v = 1 + Aig.Rng.int rng nvars in
+          if Aig.Rng.bool rng then v else -v)
+    in
+    if planted && not (Array.exists (fun l -> hidden.(abs l - 1) = (l > 0)) c)
+    then random_clause ()
+    else c
+  in
+  for _ = 1 to Aig.Rng.int rng (2 * nvars) do
+    clauses := random_clause () :: !clauses
+  done;
+  let clauses = Array.of_list !clauses in
+  Aig.Rng.shuffle rng clauses;
+  (planted, Cnf.Formula.create ~num_vars:nvars (Array.to_list clauses))
+
+(* Every verdict of the pass's route ([solve]) and of the proof route
+   ([solve ~proof], pass skipped) matches brute force; models satisfy
+   the input and every UNSAT proof checks.  The counters show the pass
+   both derived clauses and refuted systems along the way. *)
+let test_fuzz_xor_pass () =
+  let rng = Aig.Rng.create 20261017 in
+  let derived = ref 0 and refuted = ref 0 in
+  for i = 1 to 500 do
+    let planted, f = xor_formula rng in
+    let expected = brute_force_sat f in
+    if planted && not expected then
+      Alcotest.failf "case %d: planted formula is UNSAT" i;
+    let heuristic, restarts, cfg = configs.(i mod Array.length configs) in
+    let check route = function
+      | Sat.Solver.Sat m ->
+        if not expected then
+          Alcotest.failf "case %d (%s, %s): SAT, brute force UNSAT" i cfg route;
+        if not (Cnf.Formula.eval f m) then
+          Alcotest.failf "case %d (%s, %s): model does not satisfy" i cfg route
+      | Sat.Solver.Unsat ->
+        if expected then
+          Alcotest.failf "case %d (%s, %s): UNSAT, brute force SAT" i cfg route
+      | Sat.Solver.Unknown ->
+        Alcotest.failf "case %d (%s, %s): unexpected Unknown" i cfg route
+    in
+    let r, st = Sat.Solver.solve ~heuristic ~restarts f in
+    check "pass" r;
+    if st.Sat.Solver.xor_derived > 0 then incr derived;
+    if r = Sat.Solver.Unsat && st.Sat.Solver.conflicts = 0
+       && st.Sat.Solver.xors >= 2
+    then incr refuted;
+    let proof = Sat.Proof.create () in
+    let r, st = Sat.Solver.solve ~proof ~heuristic ~restarts f in
+    check "proof" r;
+    if st.Sat.Solver.xors <> 0 then
+      Alcotest.failf "case %d: the pass ran under a proof" i;
+    if r = Sat.Solver.Unsat && not (Sat.Proof.check f proof) then
+      Alcotest.failf "case %d (%s): DRAT proof fails to validate" i cfg
+  done;
+  check_bool "the pass derived clauses" true (!derived > 50);
+  check_bool "the pass refuted systems" true (!refuted > 50)
+
 let random_assumptions rng nvars =
   Array.init
     (1 + Aig.Rng.int rng 3)
@@ -239,6 +338,8 @@ let suite =
   [
     ("fuzz: 500 random CNFs vs brute force", `Quick,
      test_fuzz_vs_brute_force);
+    ("fuzz: 500 XOR formulas through the Gauss-Jordan pass", `Quick,
+     test_fuzz_xor_pass);
     ("fuzz: incremental agreement under assumptions", `Quick,
      test_fuzz_incremental_agreement);
     ("fuzz: arena compaction under incremental assumptions", `Quick,
