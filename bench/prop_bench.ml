@@ -1,9 +1,8 @@
-(* Propagation throughput of the CDCL core: the [sat_arena] and
-   [sat_inprocess] suites.
+(* Propagation throughput of the CDCL core: the [sat_arena] suite.
 
      dune exec bench/bench.exe -- sat_arena
      dune exec bench/bench.exe -- sat_arena --json BENCH_sat_arena.json
-     dune exec bench/bench.exe -- sat_inprocess --check BENCH_sat_inprocess.json
+     dune exec bench/bench.exe -- sat_arena --check BENCH_sat_arena.json
 
    Reports decisions, conflicts, propagations, propagations/sec and
    minor-heap words per conflict for a small set of propagation-bound
@@ -11,10 +10,8 @@
 
    [sat_arena] measures the php suite (plus the frozen record-clause
    PR-2 baseline in its JSON); without [--json] or [--check] it instead
-   prints the wider exploratory set below.  [sat_inprocess] measures the
-   same suite with restart-boundary inprocessing off and on.  Both gates
-   fail if fresh props/sec fell more than 10% below the committed
-   numbers. *)
+   prints the wider exploratory set below.  The gate fails if fresh
+   props/sec fell more than 10% below the committed numbers. *)
 
 type measurement = {
   m_name : string;
@@ -25,17 +22,14 @@ type measurement = {
   propagations : int;
   props_per_sec : float;
   mw_per_conflict : float;
-  probed : int;
-  vivified : int;
-  inproc_subsumed : int;
 }
 
-let measure ?(repeat = 1) ?inprocess name f =
+let measure ?(repeat = 1) name f =
   (* Best-of-n: the trajectory is deterministic, so repeats only shave
      scheduler/GC noise off the timing. *)
   let best = ref None in
   for _ = 1 to repeat do
-    let result, st = Sat.Solver.solve ?inprocess f in
+    let result, st = Sat.Solver.solve f in
     let verdict = Harness.result_name result in
     let props_per_sec =
       if st.Sat.Solver.time > 0.0 then
@@ -54,9 +48,6 @@ let measure ?(repeat = 1) ?inprocess name f =
         mw_per_conflict =
           st.Sat.Solver.minor_words
           /. float_of_int (max 1 st.Sat.Solver.conflicts);
-        probed = st.Sat.Solver.probed;
-        vivified = st.Sat.Solver.vivified;
-        inproc_subsumed = st.Sat.Solver.inproc_subsumed;
       }
     in
     match !best with
@@ -111,52 +102,27 @@ let record_baseline =
     ("php(8,7)", (650_000.0, 415.0));
   ]
 
-let measure_php ?inprocess () =
-  List.map
-    (fun (name, mk) -> measure ~repeat:5 ?inprocess name (mk ()))
-    php_instances
-
-(* Eager settings so the small tracked instances run all three passes
-   every restart — this measures the overhead ceiling, not the
-   production default (interval 4). *)
-let bench_inprocess =
-  { Sat.Solver.default_inprocess with Sat.Solver.inproc_interval = 1 }
+let measure_php () =
+  List.map (fun (name, mk) -> measure ~repeat:5 name (mk ())) php_instances
 
 (* --- JSON and gate ---------------------------------------------------- *)
 
-let doc_head schema note =
-  [ ("schema", Harness.Str schema); ("note", Harness.Str note) ]
-
-let section fields ms =
+let arena_section ms =
+  let fields m =
+    Harness.
+      [
+        ("props_per_sec", fixed 0 m.props_per_sec);
+        ("minor_words_per_conflict", fixed 1 m.mw_per_conflict);
+        ("conflicts", int m.conflicts);
+        ("propagations", int m.propagations);
+      ]
+  in
   Harness.Obj (List.map (fun m -> (m.m_name, Harness.Obj (fields m))) ms)
 
-let arena_fields m =
-  Harness.
-    [
-      ("props_per_sec", fixed 0 m.props_per_sec);
-      ("minor_words_per_conflict", fixed 1 m.mw_per_conflict);
-      ("conflicts", int m.conflicts);
-      ("propagations", int m.propagations);
-    ]
-
-let inproc_fields m =
-  Harness.
-    [
-      ("props_per_sec", fixed 0 m.props_per_sec);
-      ("minor_words_per_conflict", fixed 1 m.mw_per_conflict);
-      ("conflicts", int m.conflicts);
-      ("probed", int m.probed);
-      ("vivified", int m.vivified);
-      ("inproc_subsumed", int m.inproc_subsumed);
-    ]
-
-let keys section =
-  List.map (fun (name, _) -> [ section; name; "props_per_sec" ]) php_instances
-
-let props_gate section ms committed =
+let props_gate ms committed =
   List.map
     (fun m ->
-      let c = committed [ section; m.m_name; "props_per_sec" ] in
+      let c = committed [ "arena"; m.m_name; "props_per_sec" ] in
       Harness.at_least
         (Printf.sprintf "%s props/sec vs 0.9x committed %.0f" m.m_name c)
         m.props_per_sec (0.9 *. c))
@@ -178,7 +144,10 @@ let arena =
   {
     Harness.name = "sat_arena";
     doc = "props/sec on the php suite (exploratory set without flags)";
-    keys = keys "arena";
+    keys =
+      List.map
+        (fun (name, _) -> [ "arena"; name; "props_per_sec" ])
+        php_instances;
     run =
       (fun () ->
         if Harness.json_path () = None && Harness.check_path () = None then (
@@ -201,44 +170,17 @@ let arena =
           in
           Some
             ( Harness.Obj
-                (doc_head "eda4sat-prop-bench-v1"
-                   "props/sec and minor-heap words per conflict on the php \
-                    suite; record_baseline is the frozen PR-2 record-clause \
-                    solver, arena is the current flat-arena solver"
-                @ [
-                    ("record_baseline", Harness.Obj record);
-                    ("arena", section arena_fields ms);
-                  ]),
-              props_gate "arena" ms )
+                [
+                  ("schema", Harness.Str "eda4sat-prop-bench-v1");
+                  ( "note",
+                    Harness.Str
+                      "props/sec and minor-heap words per conflict on the \
+                       php suite; record_baseline is the frozen PR-2 \
+                       record-clause solver, arena is the current \
+                       flat-arena solver" );
+                  ("record_baseline", Harness.Obj record);
+                  ("arena", arena_section ms);
+                ],
+              props_gate ms )
         end);
-  }
-
-(* The off section is only written, never gated, so a check-only run
-   skips measuring it. *)
-let inprocess =
-  {
-    Harness.name = "sat_inprocess";
-    doc = "props/sec on the php suite, inprocessing off vs on";
-    keys = keys "inprocess";
-    run =
-      (fun () ->
-        let off =
-          if Harness.json_path () = None && Harness.check_path () <> None
-          then []
-          else measure_php ()
-        in
-        let on = measure_php ~inprocess:bench_inprocess () in
-        List.iter report off;
-        List.iter report on;
-        Some
-          ( Harness.Obj
-              (doc_head "eda4sat-inproc-bench-v1"
-                 "php suite with restart-boundary inprocessing off vs on \
-                  (inproc_interval=1, the overhead ceiling); the CI gate \
-                  tracks the inprocess section's props/sec"
-              @ [
-                  ("off", section inproc_fields off);
-                  ("inprocess", section inproc_fields on);
-                ]),
-            props_gate "inprocess" on ));
   }

@@ -4,7 +4,6 @@ let all =
   [
     Paper_bench.suite;
     Prop_bench.arena;
-    Prop_bench.inprocess;
     Portfolio_bench.suite;
     Server_bench.suite;
     Session_bench.suite;

@@ -35,10 +35,6 @@ let add_stats a b =
     restarts = a.Sat.Solver.restarts + b.Sat.Solver.restarts;
     learned = a.Sat.Solver.learned + b.Sat.Solver.learned;
     reduces = a.Sat.Solver.reduces + b.Sat.Solver.reduces;
-    probed = a.Sat.Solver.probed + b.Sat.Solver.probed;
-    vivified = a.Sat.Solver.vivified + b.Sat.Solver.vivified;
-    inproc_subsumed =
-      a.Sat.Solver.inproc_subsumed + b.Sat.Solver.inproc_subsumed;
     xors = a.Sat.Solver.xors + b.Sat.Solver.xors;
     xor_derived = a.Sat.Solver.xor_derived + b.Sat.Solver.xor_derived;
     max_decision_level =

@@ -38,6 +38,10 @@
      lacks.  With fewer than two XORs, or nothing new, the clause
      database is exactly the input's.
 
+   A restart backjumps to level 0 and polls [import]; it does not
+   rewrite the clause database.  Simplification happens before the
+   solver, in [Cnf.Simplify].
+
    Both the batch and the incremental entry points drive the same
    [search] engine; assumptions are placed as pseudo-decisions on the
    first decision levels, and a final conflict against an assumption
@@ -52,9 +56,6 @@ type stats = {
   restarts : int;
   learned : int;
   reduces : int;
-  probed : int;
-  vivified : int;
-  inproc_subsumed : int;
   xors : int;
   xor_derived : int;
   max_decision_level : int;
@@ -72,9 +73,6 @@ let empty_stats =
     restarts = 0;
     learned = 0;
     reduces = 0;
-    probed = 0;
-    vivified = 0;
-    inproc_subsumed = 0;
     xors = 0;
     xor_derived = 0;
     max_decision_level = 0;
@@ -269,13 +267,7 @@ type t = {
   mutable st_restarts : int;
   mutable st_learned : int;
   mutable st_reduces : int;
-  mutable st_probed : int;
-  mutable st_vivified : int;
-  mutable st_inproc_subsumed : int;
   mutable st_max_level : int;
-  (* Failed-literal probing resumes its variable scan here, so
-     successive inprocessing passes cover different variables. *)
-  mutable inproc_head : int;
 }
 
 let var l = l lsr 1
@@ -349,11 +341,7 @@ let create nvars =
     st_restarts = 0;
     st_learned = 0;
     st_reduces = 0;
-    st_probed = 0;
-    st_vivified = 0;
-    st_inproc_subsumed = 0;
     st_max_level = 0;
-    inproc_head = 0;
   }
 
 (* --- arena allocation ---------------------------------------------- *)
@@ -983,28 +971,7 @@ let reduce_db ?proof s =
     arena_gc s
   end
 
-(* --- restart-boundary inprocessing ---------------------------------- *)
-
-(* Knobs for the level-0 inprocessing pass that fires every
-   [inproc_interval] restarts: failed-literal probing, learnt-clause
-   vivification and learnt-vs-learnt subsumption / self-subsuming
-   strengthening.  Every derived clause is DRAT-logged before the
-   clause it replaces is deleted, so proofs stay RUP-checkable with
-   inprocessing enabled.  With [?inprocess] absent none of this code
-   runs and the search trajectory is bit-identical to a solver without
-   it. *)
-type inprocess = {
-  inproc_interval : int;  (** fire the pass every this many restarts *)
-  probe_limit : int;      (** max literals probed per pass *)
-  vivify_limit : int;     (** max learnt clauses vivified per pass *)
-  subsume_window : int;
-      (** pairwise subsumption window over the most recent learnt
-          clauses *)
-}
-
-let default_inprocess =
-  { inproc_interval = 4; probe_limit = 64; vivify_limit = 32;
-    subsume_window = 32 }
+(* --- level-0 helpers ------------------------------------------------ *)
 
 exception Unsat_at_level0
 
@@ -1019,246 +986,6 @@ let confirm_level0 s ~proof =
     log_add proof [||];
     raise Unsat_at_level0
   end
-
-let wl_remove wl c =
-  let i = ref 0 and found = ref false in
-  while (not !found) && !i < wl.wn do
-    if watcher_cref wl.w.(!i) = c then begin
-      wl.w.(!i) <- wl.w.(wl.wn - 1);
-      wl.wn <- wl.wn - 1;
-      found := true
-    end
-    else incr i
-  done
-
-(* Delete a long clause outside reduce-db: log the deletion, unhook
-   both watchers (the watch invariant keeps the watched literals at
-   positions 0 and 1), mark the header deleted.  The next [arena_gc]
-   drops the storage and filters the learnt index.  Must not be called
-   on a clause currently used as a reason. *)
-let delete_long s ~proof c =
-  log_delete_clause proof s c;
-  wl_remove s.watches.(neg (clause_lit s c 0)) c;
-  wl_remove s.watches.(neg (clause_lit s c 1)) c;
-  s.arena.(c) <- s.arena.(c) lor hdr_deleted;
-  s.arena_wasted <- s.arena_wasted + clause_size s c + 2
-
-(* Attach a shrunk replacement clause (internal literals, none false
-   at level 0).  The caller has already logged the addition.  Units
-   join the level-0 trail and propagate immediately. *)
-let attach_shrunk s ~proof lits lbd =
-  match Array.length lits with
-  | 0 -> raise Unsat_at_level0 (* the logged empty clause sealed the proof *)
-  | 1 -> (
-    match lit_value s lits.(0) with
-    | 0 ->
-      log_add proof [||];
-      raise Unsat_at_level0
-    | 1 -> ()
-    | _ ->
-      enqueue s lits.(0) reason_none;
-      confirm_level0 s ~proof)
-  | 2 -> add_binary s lits.(0) lits.(1)
-  | _ -> ignore (add_long s lits true (max 1 lbd))
-
-(* Failed-literal probing: assume a candidate literal at a pseudo
-   decision level and propagate; a conflict means its negation is
-   implied at level 0.  The derived unit is RUP (negating it reruns
-   the very propagation that conflicted), so it is logged as an
-   addition. *)
-let probe_pass s ~proof ~limit =
-  let n = s.nvars in
-  if n > 0 then begin
-    let probes = ref 0 and scanned = ref 0 in
-    let cursor = ref s.inproc_head in
-    let probe_lit l =
-      incr probes;
-      s.st_probed <- s.st_probed + 1;
-      push_pseudo_level s;
-      enqueue s l reason_none;
-      match propagate s with
-      | None -> cancel_until s 0
-      | Some _ ->
-        cancel_until s 0;
-        log_add proof [| neg l |];
-        enqueue s (neg l) reason_none;
-        confirm_level0 s ~proof
-    in
-    while !probes < limit && !scanned < n do
-      let v = !cursor mod n in
-      incr cursor;
-      incr scanned;
-      if var_value s v = undef then probe_lit (lit_of_var v false);
-      if var_value s v = undef && !probes < limit then
-        probe_lit (lit_of_var v true)
-    done;
-    s.inproc_head <- !cursor mod n
-  end
-
-(* Learnt-clause vivification: walk the clause, assuming the negation
-   of each still-unassigned literal.  A conflict or a satisfied
-   literal mid-way truncates the clause to the scanned prefix; a
-   falsified literal is dropped.  The shrunk clause is RUP against the
-   database that still contains the original — unit propagation
-   re-derives the same conflict — so it is added before the original
-   is deleted. *)
-let vivify_clause s ~proof c =
-  let k = clause_size s c in
-  let lits = clause_lits s c in
-  let lbd = clause_lbd s c in
-  push_pseudo_level s;
-  let kept = ref [] and nkept = ref 0 in
-  let stopped = ref false in
-  let i = ref 0 in
-  while (not !stopped) && !i < k do
-    let l = lits.(!i) in
-    (match lit_value s l with
-     | 1 ->
-       kept := l :: !kept;
-       incr nkept;
-       stopped := true
-     | 0 -> () (* implied false under the assumed prefix: drop *)
-     | _ ->
-       kept := l :: !kept;
-       incr nkept;
-       if !i < k - 1 then begin
-         (* assuming the last literal cannot shorten anything *)
-         enqueue s (neg l) reason_none;
-         if propagate s <> None then stopped := true
-       end);
-    incr i
-  done;
-  cancel_until s 0;
-  if !nkept < k then begin
-    s.st_vivified <- s.st_vivified + 1;
-    if List.exists (fun l -> lit_value s l = 1) !kept then
-      (* satisfied at level 0: the clause is garbage *)
-      delete_long s ~proof c
-    else begin
-      let arr =
-        Array.of_list
-          (List.filter (fun l -> lit_value s l <> 0) (List.rev !kept))
-      in
-      log_add proof arr;
-      delete_long s ~proof c;
-      attach_shrunk s ~proof arr (min lbd (max 1 (Array.length arr - 1)))
-    end;
-    true
-  end
-  else false
-
-let vivify_pass s ~proof ~limit =
-  let lv = s.learnts in
-  let hi = lv.size - 1 in
-  let lo = max 0 (lv.size - limit) in
-  let changed = ref false in
-  for i = lo to hi do
-    let c = lv.data.(i) in
-    if s.arena.(c) land hdr_deleted = 0 && not (is_reason s c) then
-      if vivify_clause s ~proof c then changed := true
-  done;
-  !changed
-
-let sorted_lits s c =
-  let a = clause_lits s c in
-  Array.sort compare a;
-  a
-
-(* Does [a] subsume [b] (subset), or self-subsume it (subset after
-   flipping exactly one literal)?  Sorted internal-literal arrays; the
-   two literals of a variable are the adjacent ints 2v and 2v+1, and
-   no clause contains both (tautologies never enter the database). *)
-let subsume_check a b =
-  let la = Array.length a and lb = Array.length b in
-  if la > lb then `No
-  else begin
-    let flips = ref 0 and fliplit = ref 0 in
-    let j = ref 0 and ok = ref true and i = ref 0 in
-    while !ok && !i < la do
-      let x = a.(!i) in
-      let base = x land lnot 1 in
-      while !j < lb && b.(!j) < base do
-        incr j
-      done;
-      if !j >= lb then ok := false
-      else if b.(!j) = x then incr j
-      else if b.(!j) = x lxor 1 then
-        if !flips > 0 then ok := false
-        else begin
-          incr flips;
-          fliplit := x lxor 1;
-          incr j
-        end
-      else ok := false;
-      incr i
-    done;
-    if not !ok then `No
-    else if !flips = 0 then `Subsumed
-    else `Strengthen !fliplit
-  end
-
-(* Pairwise subsumption / self-subsuming strengthening over a window
-   of the most recent long learnt clauses.  [`Strengthen l] removes
-   [l] from the victim: the shrunk clause is RUP while both the
-   subsumer and the victim are present, so it is added first. *)
-let subsume_pass s ~proof ~window =
-  let lv = s.learnts in
-  let n = min window lv.size in
-  let lo = lv.size - n in
-  let hi = lv.size - 1 in
-  let changed = ref false in
-  let live c = s.arena.(c) land hdr_deleted = 0 in
-  for ia = lo to hi do
-    let a = lv.data.(ia) in
-    if live a then begin
-      let sa = sorted_lits s a in
-      for ib = lo to hi do
-        let b = lv.data.(ib) in
-        if ib <> ia && live a && live b && not (is_reason s b) then
-          match subsume_check sa (sorted_lits s b) with
-          | `No -> ()
-          | `Subsumed ->
-            delete_long s ~proof b;
-            s.st_inproc_subsumed <- s.st_inproc_subsumed + 1;
-            changed := true
-          | `Strengthen l ->
-            let shrunk =
-              Array.of_list
-                (List.filter
-                   (fun x -> x <> l)
-                   (Array.to_list (clause_lits s b)))
-            in
-            s.st_inproc_subsumed <- s.st_inproc_subsumed + 1;
-            changed := true;
-            if Array.exists (fun x -> lit_value s x = 1) shrunk then
-              (* satisfied at level 0: drop the victim outright *)
-              delete_long s ~proof b
-            else begin
-              let arr =
-                Array.of_list
-                  (List.filter
-                     (fun x -> lit_value s x <> 0)
-                     (Array.to_list shrunk))
-              in
-              let lbd = min (clause_lbd s b) (max 1 (Array.length arr - 1)) in
-              log_add proof arr;
-              delete_long s ~proof b;
-              attach_shrunk s ~proof arr lbd
-            end
-      done
-    end
-  done;
-  !changed
-
-(* One inprocessing pass, at decision level 0 (restart boundary).
-   Deletions leave marked clauses behind, so the pass ends with an
-   arena compaction whenever anything was removed — [arena_gc] also
-   filters the learnt index and relocates level-0 trail reasons. *)
-let inprocess_pass s ~proof cfg =
-  probe_pass s ~proof ~limit:cfg.probe_limit;
-  let v = vivify_pass s ~proof ~limit:cfg.vivify_limit in
-  let b = subsume_pass s ~proof ~window:cfg.subsume_window in
-  if v || b then arena_gc s
 
 (* --- search engine -------------------------------------------------- *)
 
@@ -1294,10 +1021,9 @@ type search_outcome =
    [export_lbd], after the clause has been logged to [proof]; [import]
    is polled at every restart (and once on entry), at decision level 0,
    and its clauses join the learnt database. *)
-let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
-    ~assumption_lits ~on_learnt ~interrupt ~export ~export_lbd ~import ~t0 =
+let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
+    ~assumption_lits ~interrupt ~export ~export_lbd ~import ~t0 =
   let nassum = Array.length assumption_lits in
-  let since_inproc = ref 0 in
   let conflicts_since_restart = ref 0 in
   let restart_num = ref 0 in
   let restart_limit = ref (100 * luby_simple 0) in
@@ -1376,15 +1102,7 @@ let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
        win_sum := 0);
     s.st_restarts <- s.st_restarts + 1;
     cancel_until s 0;
-    do_import ();
-    match inprocess with
-    | None -> ()
-    | Some cfg ->
-      incr since_inproc;
-      if !since_inproc >= cfg.inproc_interval then begin
-        since_inproc := 0;
-        inprocess_pass s ~proof cfg
-      end
+    do_import ()
   in
   (* The wall-clock check is gated on a counter that advances on every
      budget probe (one per conflict or decision), never on the conflict
@@ -1429,7 +1147,6 @@ let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
           raise (Out S_unsat_final)
         end;
         let lits, blevel, lbd = analyze s confl in
-        (match on_learnt with None -> () | Some f -> f lits lbd);
         note_lbd lbd;
         log_add proof lits;
         (* Export after logging: the shared-proof invariant is that a
@@ -1717,9 +1434,6 @@ let make_stats s ~wall ~cpu ~minor_words ~major_collections =
     restarts = s.st_restarts;
     learned = s.st_learned;
     reduces = s.st_reduces;
-    probed = s.st_probed;
-    vivified = s.st_vivified;
-    inproc_subsumed = s.st_inproc_subsumed;
     xors = 0;
     xor_derived = 0;
     max_decision_level = s.st_max_level;
@@ -1758,8 +1472,7 @@ let add_xor_consequences s g units =
       List.length clauses )
 
 let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot flat =
+    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot flat =
   let t0 = Wall.now () in
   let c0 = Sys.time () in
   let gc0 = gc_origin () in
@@ -1830,8 +1543,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
        let r =
          match
            search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
-             ~inprocess ~assumption_lits:[||] ~on_learnt ~interrupt ~export
-             ~export_lbd ~import ~t0
+             ~assumption_lits:[||] ~interrupt ~export ~export_lbd ~import ~t0
          with
          | S_sat m -> Sat m
          | S_unsat_final -> Unsat
@@ -1844,20 +1556,17 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
      | Unsat_at_level0 -> finish Unsat)
 
 let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?inprocess
-    ?on_learnt ?interrupt ?export ?(export_lbd = max_int) ?import ?seed
-    ?snapshot f =
+    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?interrupt
+    ?export ?(export_lbd = max_int) ?import ?seed ?snapshot f =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> Cnf.Flat.of_formula f)
+    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot (fun () ->
+      Cnf.Flat.of_formula f)
 
 let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?inprocess
-    ?on_learnt ?interrupt ?export ?(export_lbd = max_int) ?import ?seed
-    ?snapshot fl =
+    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?interrupt
+    ?export ?(export_lbd = max_int) ?import ?seed ?snapshot fl =
   solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~inprocess ~on_learnt ~interrupt ~export ~export_lbd ~import ~seed
-    ~snapshot (fun () -> fl)
+    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot (fun () -> fl)
 
 let decisions_or_max ?(limits = no_limits) f =
   let result, st = solve ~limits f in
@@ -1868,11 +1577,10 @@ let decisions_or_max ?(limits = no_limits) f =
 let pp_stats ppf st =
   Format.fprintf ppf
     "decisions=%d conflicts=%d propagations=%d restarts=%d learned=%d \
-     reduces=%d probed=%d vivified=%d inproc_subsumed=%d xors=%d \
-     xor_derived=%d time=%.3fs cpu=%.3fs minor_words=%.0f major_gcs=%d"
+     reduces=%d xors=%d xor_derived=%d time=%.3fs cpu=%.3fs \
+     minor_words=%.0f major_gcs=%d"
     st.decisions st.conflicts st.propagations st.restarts st.learned
-    st.reduces st.probed st.vivified st.inproc_subsumed st.xors
-    st.xor_derived st.time st.cpu_time
+    st.reduces st.xors st.xor_derived st.time st.cpu_time
     st.minor_words st.major_collections
 
 (* ------------------------------------------------------------------ *)
@@ -1968,7 +1676,7 @@ module Incremental = struct
     Array.iter (add_clause session) f.Cnf.Formula.clauses
 
   let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-      ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?inprocess
+      ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512)
       ?interrupt ?(assumptions = [||]) session =
     let t0 = Wall.now () in
     let c0 = Sys.time () in
@@ -2025,9 +1733,9 @@ module Incremental = struct
         if var_value s v = undef then heap_insert s v
       done;
       match
-        search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc ~inprocess
-          ~assumption_lits ~on_learnt:None ~interrupt ~export:None
-          ~export_lbd:max_int ~import:None ~t0
+        search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
+          ~assumption_lits ~interrupt ~export:None ~export_lbd:max_int
+          ~import:None ~t0
       with
       | S_sat m -> finish (Sat m)
       | S_unknown -> finish Unknown

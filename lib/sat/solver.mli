@@ -5,7 +5,9 @@
     watch lists, EVSIDS decision heuristic with phase saving, first-UIP
     clause learning with recursive minimization, Luby or Glucose
     (LBD moving-average) restarts and LBD-driven
-    learned-clause-database reduction.
+    learned-clause-database reduction.  Formula simplification is
+    {!Cnf.Simplify}'s layer, before search; the solver does not
+    rewrite its clause database at restarts.
 
     Long clauses live in a single flat {e arena} (one growable
     [int array]; a clause reference is an offset, a one-word header
@@ -43,15 +45,6 @@ type stats = {
   reduces : int;
       (** learnt-database reductions performed (each one compacts the
           clause arena) *)
-  probed : int;
-      (** inprocessing: literals probed for failed-literal detection
-          (0 unless [?inprocess] was given) *)
-  vivified : int;
-      (** inprocessing: learnt clauses shortened or discarded by
-          vivification *)
-  inproc_subsumed : int;
-      (** inprocessing: learnt clauses deleted or strengthened by the
-          subsumption pass *)
   xors : int;
       (** XOR constraints of width 2–6 found as complete clause sets by
           the level-0 Gauss–Jordan pass ({!Gauss}; 0 with [?proof] and on
@@ -129,33 +122,6 @@ module Interrupt : sig
   val is_set : t -> bool
 end
 
-(** Restart-boundary inprocessing knobs.  Every [inproc_interval]
-    restarts the solver runs, at decision level 0: failed-literal
-    probing (up to [probe_limit] literals per pass; a probe whose
-    propagation conflicts yields a level-0 unit), vivification of the
-    [vivify_limit] most recent long learnt clauses (re-deriving each
-    clause literal by literal under assumption of its negated prefix,
-    shortening on a conflict, a satisfied or a falsified literal), and
-    pairwise subsumption / self-subsuming strengthening over a
-    [subsume_window] of the most recent long learnt clauses.  All
-    derived clauses and deletions are DRAT-logged with the derived
-    clause added {e before} its original is deleted, so a proof
-    recorded with inprocessing enabled still validates under
-    {!Proof.check}.  See DESIGN.md for the protocol and the arena
-    interaction. *)
-type inprocess = {
-  inproc_interval : int;  (** fire the pass every this many restarts *)
-  probe_limit : int;      (** max literals probed per pass *)
-  vivify_limit : int;     (** max learnt clauses vivified per pass *)
-  subsume_window : int;
-      (** pairwise subsumption window over the most recent learnt
-          clauses *)
-}
-
-val default_inprocess : inprocess
-(** [{ inproc_interval = 4; probe_limit = 64; vivify_limit = 32;
-      subsume_window = 32 }] *)
-
 (** A warm-start snapshot: the transferable part of a finished (or
     interrupted) solve's state.  [seed_clauses] are (DIMACS literals,
     LBD) pairs — level-0 units first, then the lowest-LBD long learnt
@@ -183,8 +149,6 @@ val solve :
   ?restarts:[ `Luby | `Glucose ] ->
   ?reduce_base:int ->
   ?reduce_inc:int ->
-  ?inprocess:inprocess ->
-  ?on_learnt:(int array -> int -> unit) ->
   ?interrupt:Interrupt.t ->
   ?export:(int array -> int -> unit) ->
   ?export_lbd:int ->
@@ -214,24 +178,17 @@ val solve :
     [reduce_base] (default 2000) and [reduce_inc] (default 512) set
     the initial learnt-database size cap and its growth after each
     reduction; tests shrink them to force frequent arena compactions.
-    [inprocess] enables restart-boundary inprocessing (see
-    {!inprocess}); when absent — the default — none of that code runs
-    and the search trajectory is bit-identical to the solver without
-    it, preserving the jobs=1 portfolio bit-identity guarantee.
-    [on_learnt lits lbd] is an instrumentation hook invoked for every
-    learned clause at learn time — before backjumping, while all of
-    [lits] (internal literal encoding, first-UIP first) are still
-    assigned — with the glue value [lbd] stored for that clause.
 
     The remaining hooks are the portfolio surface (see
     [lib/portfolio]):
 
     - [interrupt] cancels the search cooperatively; the answer is
       [Unknown].
-    - [export clause lbd] is invoked at learn time, with {e DIMACS}
-      literals, for every learned clause whose glue is at most
-      [export_lbd] (default: export everything when [export] is
-      given).  When a shared [proof] is in use the clause is logged
+    - [export clause lbd] is invoked at learn time, before
+      backjumping, with {e DIMACS} literals (the asserting literal
+      first) and the glue stored for that clause, for every learned
+      clause whose glue is at most [export_lbd] (default: export
+      everything when [export] is given).  When a shared [proof] is in use the clause is logged
       before it is exported, so an importer can rely on finding it in
       the recorder.
     - [import] is polled at every restart (and once on entry), at
@@ -265,8 +222,6 @@ val solve_flat :
   ?restarts:[ `Luby | `Glucose ] ->
   ?reduce_base:int ->
   ?reduce_inc:int ->
-  ?inprocess:inprocess ->
-  ?on_learnt:(int array -> int -> unit) ->
   ?interrupt:Interrupt.t ->
   ?export:(int array -> int -> unit) ->
   ?export_lbd:int ->
@@ -313,7 +268,6 @@ module Incremental : sig
     ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
     ?restarts:[ `Luby | `Glucose ] ->
     ?reduce_base:int -> ?reduce_inc:int ->
-    ?inprocess:inprocess ->
     ?interrupt:Interrupt.t ->
     ?assumptions:int array -> session ->
     result * stats

@@ -293,53 +293,62 @@ let exec_solve t ~limits ~stopping ~deadline =
     (outcome, solve_wall, stats)
   end
 
+(* Run one op and answer its ticket.  [false] when the op was answered
+   without running: its session had been closed or evicted, or the
+   server is stopping. *)
 let execute t ticket ~limits ~stopping =
   let state = locked t (fun () -> t.state) in
   match state with
-  | Evicted_ -> resolve_plain ticket Evicted
-  | Closed_ -> resolve_plain ticket (Failed "session closed")
+  | Evicted_ ->
+    resolve_plain ticket Evicted;
+    false
+  | Closed_ ->
+    resolve_plain ticket (Failed "session closed");
+    false
+  | Live when stopping () ->
+    resolve_plain ticket (Failed "server shutdown");
+    false
   | Live ->
-    if stopping () then resolve_plain ticket (Failed "server shutdown")
-    else (
-      match ticket.op with
-      | Add clauses ->
-        let rec add = function
-          | [] -> resolve_plain ticket Ok_done
-          | c :: rest -> (
-            match add_user_clause t c with
-            | Ok () -> add rest
-            | Error msg -> resolve_plain ticket (Failed msg))
-        in
-        add clauses
-      | Assume lits ->
-        if Array.exists (fun l -> l = 0) lits then
-          resolve_plain ticket (Failed "assumption literal 0")
-        else begin
-          t.assumptions <- Array.copy lits;
-          Array.iter (fun l -> ignore (intern t (abs l))) lits;
-          resolve_plain ticket Ok_done
-        end
-      | Push ->
-        let act = Sat.Solver.Incremental.new_var t.inc in
-        t.frames <- { act; frame_clauses = [] } :: t.frames;
-        resolve_plain ticket Ok_done
-      | Pop -> (
-        match t.frames with
-        | [] -> resolve_plain ticket (Failed "POP without a matching PUSH")
-        | f :: rest ->
-          (* Retire the frame: the negated activation unit satisfies
-             every clause the frame guarded, permanently. *)
-          Sat.Solver.Incremental.add_clause t.inc [| -f.act |];
-          t.frames <- rest;
-          resolve_plain ticket Ok_done)
-      | Solve { deadline } ->
-        let outcome, solve_wall, stats =
-          exec_solve t ~limits ~stopping ~deadline
-        in
-        resolve ticket outcome ~solve_wall ~stats
-      | Close ->
-        locked t (fun () -> t.state <- Closed_);
-        resolve_plain ticket Ok_done)
+    (match ticket.op with
+     | Add clauses ->
+       let rec add = function
+         | [] -> resolve_plain ticket Ok_done
+         | c :: rest -> (
+           match add_user_clause t c with
+           | Ok () -> add rest
+           | Error msg -> resolve_plain ticket (Failed msg))
+       in
+       add clauses
+     | Assume lits ->
+       if Array.exists (fun l -> l = 0) lits then
+         resolve_plain ticket (Failed "assumption literal 0")
+       else begin
+         t.assumptions <- Array.copy lits;
+         Array.iter (fun l -> ignore (intern t (abs l))) lits;
+         resolve_plain ticket Ok_done
+       end
+     | Push ->
+       let act = Sat.Solver.Incremental.new_var t.inc in
+       t.frames <- { act; frame_clauses = [] } :: t.frames;
+       resolve_plain ticket Ok_done
+     | Pop -> (
+       match t.frames with
+       | [] -> resolve_plain ticket (Failed "POP without a matching PUSH")
+       | f :: rest ->
+         (* Retire the frame: the negated activation unit satisfies
+            every clause the frame guarded, permanently. *)
+         Sat.Solver.Incremental.add_clause t.inc [| -f.act |];
+         t.frames <- rest;
+         resolve_plain ticket Ok_done)
+     | Solve { deadline } ->
+       let outcome, solve_wall, stats =
+         exec_solve t ~limits ~stopping ~deadline
+       in
+       resolve ticket outcome ~solve_wall ~stats
+     | Close ->
+       locked t (fun () -> t.state <- Closed_);
+       resolve_plain ticket Ok_done);
+    true
 
 type step = {
   executed : (op * answer) option;
@@ -353,12 +362,15 @@ let run_one ~limits ~stopping t =
     if Queue.is_empty t.pending then None else Some (Queue.pop t.pending)
   in
   Mutex.unlock t.m;
-  (match ticket with
-   | None -> ()
-   | Some ticket -> (
-     try execute t ticket ~limits ~stopping
-     with e ->
-       resolve_plain ticket (Failed (Printexc.to_string e))));
+  let ran =
+    match ticket with
+    | None -> None
+    | Some ticket ->
+      (try if execute t ticket ~limits ~stopping then Some ticket else None
+       with e ->
+         resolve_plain ticket (Failed (Printexc.to_string e));
+         Some ticket)
+  in
   Mutex.lock t.m;
   t.checked_out <- false;
   t.running <- None;
@@ -372,8 +384,7 @@ let run_one ~limits ~stopping t =
   in
   Mutex.unlock t.m;
   let executed =
-    Option.bind ticket (fun tk ->
-        Option.map (fun a -> (tk.op, a)) (poll tk))
+    Option.bind ran (fun tk -> Option.map (fun a -> (tk.op, a)) (poll tk))
   in
   { executed; next }
 

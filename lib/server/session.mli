@@ -94,7 +94,10 @@ val resolved_ticket : op -> outcome -> ticket
 
 type step = {
   executed : (op * answer) option;
-      (** the op this call ran and how it answered (for metrics) *)
+      (** the op this call ran and how it answered (for metrics);
+          [None] when the call popped no op, or answered it without
+          running it because the session was closed or evicted or the
+          server is stopping *)
   next : [ `More | `Idle | `Closed ];
       (** [`More]: re-enqueue the token; [`Idle]: the FIFO drained;
           [`Closed]: the FIFO drained and the session closed itself —

@@ -778,18 +778,19 @@ let test_lbd_computed_at_learn_time () =
      unit clause has glue exactly 1 and any longer clause spans the
      current decision level plus at least one lower level, so its glue
      lies in [2, length].  A post-backjump computation over unwound
-     state cannot maintain these bounds. *)
+     state cannot maintain these bounds.  [export] sees every learned
+     clause, with its stored glue, before the backjump. *)
   let f = pigeonhole ~pigeons:6 ~holes:5 in
   let count = ref 0 in
   let bad = ref 0 in
-  let on_learnt lits lbd =
+  let export lits lbd =
     incr count;
     if Array.length lits = 1 then begin
       if lbd <> 1 then incr bad
     end
     else if lbd < 2 || lbd > Array.length lits then incr bad
   in
-  (match fst (Sat.Solver.solve ~on_learnt f) with
+  (match fst (Sat.Solver.solve ~export f) with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "php(6,5) unsat");
   check_bool "learnt clauses observed" true (!count > 0);
@@ -971,88 +972,6 @@ let suite =
       ("glucose restarts", `Quick, test_glucose_restarts);
     ]
 
-(* --- restart-boundary inprocessing --------------------------------- *)
-
-let inproc_eager =
-  (* Fire on every restart so small test instances hit all three
-     passes; shrink the reduce cadence to force arena compactions in
-     between, exercising the inprocessing/arena_gc interaction. *)
-  { Sat.Solver.default_inprocess with Sat.Solver.inproc_interval = 1 }
-
-let test_inprocess_counters_and_proof () =
-  let f = pigeonhole ~pigeons:7 ~holes:6 in
-  let proof = Sat.Proof.create () in
-  let result, st =
-    Sat.Solver.solve ~proof ~inprocess:inproc_eager ~reduce_base:50
-      ~reduce_inc:25 f
-  in
-  (match result with
-   | Sat.Solver.Unsat -> ()
-   | _ -> Alcotest.fail "php(7,6) is unsat");
-  check_bool "probing fired" true (st.Sat.Solver.probed > 0);
-  check_bool "vivification or subsumption fired" true
-    (st.Sat.Solver.vivified + st.Sat.Solver.inproc_subsumed > 0);
-  check_bool "proof sealed" true (Sat.Proof.sealed proof);
-  check_bool "proof checks with inprocessing on" true
-    (Sat.Proof.check f proof)
-
-let test_inprocess_off_is_deterministic_and_counts_zero () =
-  (* Without [?inprocess] none of the new code runs: the counters stay
-     zero and the trajectory is reproducible run to run (the portfolio
-     jobs=1 bit-identity guarantee rides on this). *)
-  let f = pigeonhole ~pigeons:7 ~holes:6 in
-  let _, a = Sat.Solver.solve f in
-  let _, b = Sat.Solver.solve f in
-  check "probed stays zero" 0 a.Sat.Solver.probed;
-  check "vivified stays zero" 0 a.Sat.Solver.vivified;
-  check "inproc_subsumed stays zero" 0 a.Sat.Solver.inproc_subsumed;
-  check "conflicts reproducible" a.Sat.Solver.conflicts b.Sat.Solver.conflicts;
-  check "decisions reproducible" a.Sat.Solver.decisions b.Sat.Solver.decisions;
-  check "learned reproducible" a.Sat.Solver.learned b.Sat.Solver.learned
-
-let test_inprocess_sat_models_stay_valid () =
-  (* Vivification/subsumption rewrite learnt clauses in place in the
-     arena; a model found afterwards must still satisfy the input. *)
-  let checked = ref 0 in
-  for seed = 1 to 12 do
-    let f =
-      Workloads.Satcomp.random_ksat ~seed ~num_vars:60 ~num_clauses:240 ~k:3
-    in
-    match
-      fst
-        (Sat.Solver.solve ~inprocess:inproc_eager ~reduce_base:30
-           ~reduce_inc:15 f)
-    with
-    | Sat.Solver.Sat m ->
-      incr checked;
-      check_bool "model satisfies under inprocessing" true
-        (Cnf.Formula.eval f m)
-    | Sat.Solver.Unsat | Sat.Solver.Unknown -> ()
-  done;
-  check_bool "some satisfiable seeds exercised" true (!checked > 0)
-
-let test_inprocess_incremental () =
-  let s = Sat.Solver.Incremental.create () in
-  Sat.Solver.Incremental.add_formula s (pigeonhole ~pigeons:6 ~holes:5);
-  match
-    fst (Sat.Solver.Incremental.solve ~inprocess:inproc_eager s)
-  with
-  | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "php(6,5) unsat under incremental inprocessing"
-
-let suite =
-  suite
-  @ [
-      ("inprocessing: counters + combined proof", `Quick,
-       test_inprocess_counters_and_proof);
-      ("inprocessing off: zero counters, reproducible", `Quick,
-       test_inprocess_off_is_deterministic_and_counts_zero);
-      ("inprocessing: SAT models stay valid", `Quick,
-       test_inprocess_sat_models_stay_valid);
-      ("inprocessing: incremental sessions", `Quick,
-       test_inprocess_incremental);
-    ]
-
 (* --- warm starts: seed/snapshot and the flat solve path -------------- *)
 
 let stats_triple (s : Sat.Solver.stats) =
@@ -1062,8 +981,8 @@ let stats_triple (s : Sat.Solver.stats) =
    its own array-of-arrays loader beside [solve_flat]'s CSR loader.
    Both entry points now share one loader; these pins keep the search
    trajectory bit-identical to the two-loader solver.  The rows with
-   LRB branching, Glucose restarts or inprocessing reach the option
-   paths the defaults do not; they were recorded against the solver
+   LRB branching and Glucose restarts reach the option paths the
+   defaults do not; they were recorded against the solver
    whose assignments were one int per variable and whose watchers were
    two-word (cref, blocker) pairs.  The C5 row, the CNF-XOR family, was
    recorded with the level-0 Gauss–Jordan pass, which every other row
@@ -1076,9 +995,8 @@ let golden_trajectories () =
   let capped =
     { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
   in
-  let default = (`Evsids, `Luby, None) in
-  let lrb_glucose = (`Lrb, `Glucose, None) in
-  let inprocess = (`Evsids, `Luby, Some Sat.Solver.default_inprocess) in
+  let default = (`Evsids, `Luby) in
+  let lrb_glucose = (`Lrb, `Glucose) in
   [
     ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6, Sat.Solver.no_limits,
      default, `Unsat, (898, 727, 9459));
@@ -1097,14 +1015,12 @@ let golden_trajectories () =
      Sat.Solver.no_limits, lrb_glucose, `Unsat, (1524, 1252, 15020));
     ("C8-php lrb+glucose", suite "C8-php", capped, lrb_glucose, `Unknown,
      (26042, 20000, 322800));
-    ("php(7,6) inprocess", pigeonhole ~pigeons:7 ~holes:6,
-     Sat.Solver.no_limits, inprocess, `Unsat, (863, 703, 10022));
     ("C5-cnfxor", suite "C5-cnfxor", capped, default, `Sat, (29, 13, 592));
   ]
 
 let test_golden_trajectories () =
   List.iter
-    (fun (name, f, limits, (heuristic, restarts, inprocess), verdict, triple) ->
+    (fun (name, f, limits, (heuristic, restarts), verdict, triple) ->
       let check entry (r, st) =
         let label = Printf.sprintf "%s via %s" name entry in
         (match (r, verdict) with
@@ -1114,10 +1030,9 @@ let test_golden_trajectories () =
          | _ -> Alcotest.failf "%s: unexpected verdict" label);
         Alcotest.(check (triple int int int)) label triple (stats_triple st)
       in
-      check "solve"
-        (Sat.Solver.solve ~limits ~heuristic ~restarts ?inprocess f);
+      check "solve" (Sat.Solver.solve ~limits ~heuristic ~restarts f);
       check "solve_flat"
-        (Sat.Solver.solve_flat ~limits ~heuristic ~restarts ?inprocess
+        (Sat.Solver.solve_flat ~limits ~heuristic ~restarts
            (Cnf.Flat.of_formula f)))
     (golden_trajectories ())
 

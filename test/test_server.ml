@@ -264,6 +264,40 @@ let await_counter name get expected =
   done;
   check_int name expected (get ())
 
+(* A SOLVE queued behind a CLOSE never reaches the solver: [run_one]
+   answers it [Failed "session closed"] and reports nothing executed,
+   so the engine's [session_solves] does not count it — the same as a
+   SOLVE sent after the session retired. *)
+let test_solve_after_close_not_executed () =
+  let module S = Server.Session in
+  let s = S.create ~id:1 () in
+  let run () =
+    S.run_one ~limits:Sat.Solver.no_limits ~stopping:(fun () -> false) s
+  in
+  let enqueue op =
+    match S.enqueue s op with
+    | `Scheduled t | `Queued t -> t
+    | `Full -> Alcotest.fail "session queue full"
+  in
+  ignore (enqueue (S.Add [ [| 1; 2 |] ]));
+  ignore (enqueue (S.Solve { deadline = None }));
+  ignore (run ());
+  (match (run ()).S.executed with
+   | Some (S.Solve _, { S.outcome = S.Sat _; _ }) -> ()
+   | _ -> Alcotest.fail "a live SOLVE is reported executed");
+  ignore (enqueue S.Close);
+  let late = enqueue (S.Solve { deadline = None }) in
+  (match (run ()).S.executed with
+   | Some (S.Close, _) -> ()
+   | _ -> Alcotest.fail "CLOSE is reported executed");
+  let step = run () in
+  check_bool "the queued SOLVE is not reported executed" true
+    (step.S.executed = None);
+  check_bool "the session retires" true (step.S.next = `Closed);
+  match S.poll late with
+  | Some { S.outcome = S.Failed "session closed"; _ } -> ()
+  | _ -> Alcotest.fail "the queued SOLVE answers FAILED session closed"
+
 let test_session_basics () =
   with_engine (fun e ->
       let sid = open_ok e in
@@ -1071,6 +1105,8 @@ let suite =
     ("job queue ordering", `Quick, test_job_queue_ordering);
     ("job queue backpressure", `Quick, test_job_queue_backpressure);
     ("session basics", `Quick, test_session_basics);
+    ("session SOLVE behind CLOSE not executed", `Quick,
+     test_solve_after_close_not_executed);
     ("session push/pop", `Quick, test_session_push_pop);
     ("session LRU eviction", `Quick, test_session_eviction_lru);
     ("session TTL eviction", `Quick, test_session_ttl_eviction);
