@@ -19,6 +19,14 @@ let micro_tests () =
   let miter = Workloads.Lec.generate ~seed:4242 ~num_pis:16 ~num_ands:300 () in
   let php = Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6 in
   let php_cnf2aig = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
+  (* cnf2aig on the CNF-XOR instance, whose 160 XORs it recovers, and
+     on random 3-SAT, where the XOR detector finds nothing: the
+     detector's cost on XOR-free input. *)
+  let c_suite = Workloads.Suites.c_suite () in
+  let c_cnf name =
+    Eda4sat.Instance.direct_formula (List.assoc name c_suite)
+  in
+  let c5 = c_cnf "C5-cnfxor" and c3 = c_cnf "C3-random3sat" in
   let env_cfg = Eda4sat.Env.default_config in
   let agent = Rl.Dqn.create (Eda4sat.Trainer.dqn_config_for env_cfg) in
   let state = Array.make (Eda4sat.Env.state_dim env_cfg) 0.1 in
@@ -51,6 +59,10 @@ let micro_tests () =
                 miter)));
     Test.make ~name:"table6-cnf2aig"
       (Staged.stage (fun () -> ignore (Cnf.Cnf2aig.run php_cnf2aig)));
+    Test.make ~name:"table6-cnf2aig-C5-cnfxor"
+      (Staged.stage (fun () -> ignore (Cnf.Cnf2aig.run c5)));
+    Test.make ~name:"table6-cnf2aig-C3-random3sat"
+      (Staged.stage (fun () -> ignore (Cnf.Cnf2aig.run c3)));
     Test.make ~name:"table7-cut-enumeration"
       (Staged.stage (fun () -> ignore (Aig.Cut.enumerate miter ~k:4 ~limit:8)));
     Test.make ~name:"figure2-rewrite"

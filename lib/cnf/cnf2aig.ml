@@ -1,7 +1,9 @@
 type result = {
   graph : Aig.Graph.t;
   pi_vars : int array;
+  var_lit : Aig.Graph.lit array;
   gates_recovered : int;
+  xors_recovered : int;
   clauses_absorbed : int;
 }
 
@@ -221,11 +223,54 @@ let run ?(advanced = false) f =
   in
   Hashtbl.iter (fun v _ -> build v) chosen;
   let lit_of_dimacs l = Aig.Graph.lit_not_cond var_lit.(abs l) (l < 0) in
-  (* Remaining clauses: constraint cones conjoined into the single PO.
+  (* XOR constraints among the clauses no gate absorbed: complete
+     parity clause sets with no output, found by the solver's own
+     detector.  Each becomes a balanced XOR tree over its variables,
+     asserted as a primary output of its own, and absorbs every clause
+     of its parity class.  A member clause written with a repeated
+     literal misses the sorted-key lookup and stays a (redundant)
+     cone. *)
+  let gauss = Gauss.local nclauses in
+  Array.iteri
+    (fun i c -> if not absorbed.(i) then Gauss.add_clause gauss c)
+    clauses;
+  let xors = Gauss.xors gauss in
+  let xor_pos =
+    List.map
+      (fun (vars, rhs) ->
+        let k = Array.length vars in
+        for pat = 0 to (1 lsl k) - 1 do
+          (* The clause negating variable i when bit i is set forbids
+             the assignment with [negs] variables true: it is one of
+             the XOR's clauses when that parity is not [rhs]. *)
+          let negs = ref 0 in
+          for i = 0 to k - 1 do
+            if pat land (1 lsl i) <> 0 then incr negs
+          done;
+          if (!negs land 1 = 0) = rhs then
+            let c =
+              Array.mapi (fun i v -> if pat land (1 lsl i) <> 0 then -v else v)
+                vars
+            in
+            match Hashtbl.find_opt clause_index (sorted_key c) with
+            | Some idxs -> List.iter (fun i -> absorbed.(i) <- true) idxs
+            | None -> ()
+        done;
+        let rec tree lo hi =
+          if hi - lo = 1 then var_lit.(vars.(lo))
+          else
+            let mid = (lo + hi) / 2 in
+            Aig.Graph.xor_ g (tree lo mid) (tree mid hi)
+        in
+        Aig.Graph.lit_not_cond (tree 0 k) (not rhs))
+      xors
+  in
+  (* Remaining clauses: constraint cones conjoined into one PO.
      The conjunction is chained linearly, matching the behaviour (and
      the narrow, thousands-of-levels AIG shape) of the cnf2aig tool the
      paper discusses in §4.6; the synthesis operations — balance in
-     particular — are what reshape it. *)
+     particular — are what reshape it.  Left out when the XOR outputs
+     already hold every clause. *)
   let po = ref Aig.Graph.const_true in
   let clauses_absorbed = ref 0 in
   Array.iteri
@@ -237,17 +282,21 @@ let run ?(advanced = false) f =
         in
         po := Aig.Graph.and_ g !po cone)
     clauses;
-  Aig.Graph.add_po g !po;
+  if !po <> Aig.Graph.const_true || xor_pos = [] then Aig.Graph.add_po g !po;
+  List.iter (Aig.Graph.add_po g) xor_pos;
   {
     graph = g;
     pi_vars;
+    var_lit;
     gates_recovered = Hashtbl.length chosen;
+    xors_recovered = List.length xors;
     clauses_absorbed = !clauses_absorbed;
   }
 
 let stats r =
   Printf.sprintf
-    "cnf2aig: %d gates recovered, %d clauses absorbed, %d PIs, %d ANDs"
-    r.gates_recovered r.clauses_absorbed
+    "cnf2aig: %d gates recovered, %d XORs recovered, %d clauses absorbed, \
+     %d PIs, %d ANDs"
+    r.gates_recovered r.xors_recovered r.clauses_absorbed
     (Aig.Graph.num_pis r.graph)
     (Aig.Graph.num_ands r.graph)

@@ -12,16 +12,31 @@
     an explicit dependency-cycle check, so recovery survives arbitrary
     variable renumbering.
 
-    Variables without an accepted definition become primary inputs;
-    clauses not absorbed by a definition become constraint cones,
-    chained into the single primary output (so the original formula is
-    satisfiable iff the circuit output can be driven to 1). *)
+    Variables without an accepted definition become primary inputs.
+    Among the clauses no definition absorbed, XOR constraints —
+    complete parity clause sets of width 2–6 with no output, found by
+    the solver's detector ({!Gauss}) — each become a balanced XOR tree,
+    asserted as a primary output of its own.  The clauses left over
+    become constraint cones, chained into one more primary output (left
+    out when XOR outputs exist and no clause is left).  Outputs are a
+    conjunction, as {!Tseitin.encode} asserts them: the original
+    formula is satisfiable iff every circuit output can be driven to 1
+    at once.  Keeping the parity structure visible lets the solver's
+    level-0 XOR pass work on the re-encoded circuit, since the mapper
+    keeps a small XOR tree whole in one LUT and a parity LUT encodes as
+    a complete clause set again. *)
 
 type result = {
   graph : Aig.Graph.t;
   pi_vars : int array;        (** original variable of each PI *)
+  var_lit : Aig.Graph.lit array;
+      (** the literal computing each original variable (index 0
+          unused): its PI, or its recovered gate's output.  Simulating
+          the graph under a model's PI values and reading these lifts
+          the model to the original formula. *)
   gates_recovered : int;
-  clauses_absorbed : int;
+  xors_recovered : int;       (** XOR constraints turned into outputs *)
+  clauses_absorbed : int;     (** clauses held by a gate or an XOR *)
 }
 
 val run : ?advanced:bool -> Formula.t -> result

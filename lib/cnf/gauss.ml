@@ -35,11 +35,13 @@ type t = {
   mutable w0 : int;
   mutable w1 : int;
   mutable w2 : int;
+  (* [add_clause]'s scratch: a clause's distinct literals, sorted. *)
+  buf : int array;
 }
 
 let create () =
   { slots = [||]; groups = [||]; ngroups = 0; xors = 0; key = 0; w0 = 0;
-    w1 = 0; w2 = 0 }
+    w1 = 0; w2 = 0; buf = Array.make (max_width + 1) 0 }
 
 let count g = g.xors
 let full k = (1 lsl (1 lsl (k - 1))) - 1
@@ -187,40 +189,65 @@ let add g b n =
     if n >= 2 && after <> before && after = full n then g.xors <- g.xors + 1
   end
 
-let of_flat (fl : Cnf.Flat.t) =
-  let g = create () in
-  for i = 0 to Cnf.Flat.num_clauses fl - 1 do
-    let lits =
-      Array.sub fl.lits fl.offsets.(i) (Cnf.Flat.clause_size fl i)
-      |> Array.to_list
-      |> List.map (fun l -> ((abs l - 1) lsl 1) lor if l < 0 then 1 else 0)
-      |> List.sort_uniq Int.compare |> Array.of_list
-    in
-    let n = Array.length lits in
+(* Insertion-sort the clause's internal literals into [buf], merging
+   duplicates; a clause found to have more than [max_width] distinct
+   literals is dropped without reading the rest. *)
+let add_clause g c =
+  let b = g.buf and len = Array.length c in
+  let n = ref 0 and i = ref 0 in
+  while !n <= max_width && !i < len do
+    let l = c.(!i) in
+    let l = ((abs l - 1) lsl 1) lor if l < 0 then 1 else 0 in
+    let j = ref !n in
+    while !j > 0 && b.(!j - 1) > l do
+      b.(!j) <- b.(!j - 1);
+      decr j
+    done;
+    if !j > 0 && b.(!j - 1) = l then
+      for k = !j to !n - 1 do
+        b.(k) <- b.(k + 1)
+      done
+    else begin
+      b.(!j) <- l;
+      incr n
+    end;
+    incr i
+  done;
+  let n = !n in
+  if n <= max_width then begin
     let taut = ref false in
     for j = 0 to n - 2 do
-      if lits.(j) lxor lits.(j + 1) = 1 then taut := true
+      if b.(j) lxor b.(j + 1) = 1 then taut := true
     done;
-    if not !taut then add g lits n
+    if not !taut then add g b n
+  end
+
+let of_flat (fl : Flat.t) =
+  let g = create () in
+  for i = 0 to Flat.num_clauses fl - 1 do
+    add_clause g (Array.sub fl.lits fl.offsets.(i) (Flat.clause_size fl i))
   done;
   g
 
 let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
-(* Iterate the XORs as (group offset, rhs). *)
-let iter_xors g f =
+(* Iterate the complete parity classes whose width passes [keep] as
+   (group offset, rhs): a unit clause is the class of width 1. *)
+let iter_classes g keep f =
   for r = 0 to g.ngroups - 1 do
     let o = r * stride in
     let k = width g o in
-    if k >= 2 then begin
+    if keep k then begin
       if g.groups.(o + 4) = full k then f o 1;
       if g.groups.(o + 5) = full k then f o 0
     end
   done
 
+let is_xor k = k >= 2
+
 let xors g =
   let acc = ref [] in
-  iter_xors g (fun o r ->
+  iter_classes g is_xor (fun o r ->
       acc := (Array.init (width g o) (fun j -> var g o j + 1), r = 1) :: !acc);
   List.rev !acc
 
@@ -252,39 +279,35 @@ type outcome = Inconsistent | Derived of int array list
 let eliminate g =
   if g.xors < 2 then Derived []
   else begin
-    let rows = g.xors in
-    let row_group = Array.make rows 0 and rhs = Array.make rows 0 in
-    let r = ref 0 and total = ref 0 in
-    iter_xors g (fun o b ->
-        row_group.(!r) <- o;
-        rhs.(!r) <- b;
-        total := !total + width g o;
-        incr r);
+    let found = ref [] in
+    iter_classes g is_xor (fun o b -> found := (o, b) :: !found);
     (* Columns: the variables of the XORs, ascending. *)
-    let all = Array.make !total 0 in
-    let w = ref 0 in
-    Array.iter
-      (fun o ->
-        for j = 0 to width g o - 1 do
-          all.(!w) <- var g o j;
-          incr w
-        done)
-      row_group;
-    let cols = Array.of_list (List.sort_uniq Int.compare (Array.to_list all)) in
+    let cols =
+      List.concat_map (fun (o, _) -> List.init (width g o) (var g o)) !found
+      |> List.sort_uniq Int.compare |> Array.of_list
+    in
     let ncols = Array.length cols in
+    (* The column of variable [v], -1 when no XOR has it. *)
+    let col v =
+      let lo = ref 0 and hi = ref (ncols - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cols.(mid) < v then lo := mid + 1 else hi := mid
+      done;
+      if cols.(!lo) = v then !lo else -1
+    in
+    (* Rows: the XORs, then the unit clauses over their variables as
+       rows of width 1.  A unit over any other variable meets no XOR. *)
+    iter_classes g (fun k -> k = 1) (fun o b ->
+        if col (var g o 0) >= 0 then found := (o, b) :: !found);
+    let found = Array.of_list (List.rev !found) in
+    let rows = Array.length found in
+    let row_group = Array.map fst found and rhs = Array.map snd found in
     let words = (ncols + 62) / 63 in
     if rows * words > max_matrix_words
        || rows * words * min rows ncols > max_work
     then Derived []
     else begin
-      let col v =
-        let lo = ref 0 and hi = ref (ncols - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if cols.(mid) < v then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
       let m = Array.make (rows * words) 0 in
       Array.iteri
         (fun r o ->

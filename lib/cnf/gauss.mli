@@ -7,13 +7,22 @@
     the other parity.  A {!t} is fed every normalized clause of the
     formula (the solver's loader offers each one as it loads it), groups
     the clauses of width 1–{!max_width} by their variable set, and keeps
-    per group one bit per sign pattern seen, so a group whose patterns
-    of one parity are all present is an XOR.  {!eliminate} then runs
-    Gauss–Jordan elimination on those XORs and returns the rows of width
-    at most 2 — units and binary equivalences — that the formula does
-    not already hold as clauses.  Longer rows are dropped: this is
-    unit and equivalence extraction before search, not Gaussian
-    elimination inside it.
+    per group one bit per sign pattern seen, so a group of width 2 or
+    more whose patterns of one parity are all present is an XOR.
+    {!eliminate} then runs Gauss–Jordan elimination on those XORs, with
+    the unit clauses over their variables as rows of width 1, and
+    returns the rows of width at most 2 — units and binary equivalences
+    — that the formula does not already hold as clauses.  Longer rows
+    are dropped: this is unit and equivalence extraction before search,
+    not Gaussian elimination inside it.
+
+    The module lives with the CNF substrate so that there is one
+    detector: the solver's loader ([Sat.Solver]) feeds it while
+    loading, and {!Cnf2aig} uses it to turn the XOR constraints of a
+    formula into circuit outputs.  A circuit mapped from those outputs
+    re-encodes each asserted parity LUT as a complete clause set plus
+    a unit clause on its output, and the unit rows are what let
+    elimination combine such XORs.
 
     Literals offered to {!add} use the solver's internal encoding
     (variable [v], 0-based, gives [2v] positive and [2v + 1] negative);
@@ -38,7 +47,12 @@ val add : t -> int array -> int -> unit
     Allocation-free within the room reserved; past it the tables
     double. *)
 
-val of_flat : Cnf.Flat.t -> t
+val add_clause : t -> int array -> unit
+(** [add_clause g c] offers the DIMACS clause [c] after normalizing it
+    the way the solver's loader does: duplicate literals merged,
+    tautologies dropped.  Allocation-free within the room reserved. *)
+
+val of_flat : Flat.t -> t
 (** A collector fed every clause of a store, each normalized the way
     the solver's loader normalizes it (duplicate literals merged,
     tautologies dropped). *)
@@ -55,14 +69,14 @@ val xors : t -> (int array * bool) list
 type outcome =
   | Inconsistent  (** the XORs have no common solution *)
   | Derived of int array list
-      (** DIMACS clauses of width 1 or 2 implied by the XORs and absent
-          from the input; empty when fewer than two XORs were found or
-          the matrix exceeds a bound *)
+      (** DIMACS clauses of width 1 or 2 implied by the XORs and unit
+          clauses and absent from the input; empty when fewer than two
+          XORs were found or the matrix exceeds a bound *)
 
 val eliminate : t -> outcome
-(** Gauss–Jordan elimination over the XORs found: one row per XOR,
-    one column per variable that occurs in them, 63 columns to a word.
-    Two fixed
-    bounds skip it (the outcome is then [Derived []]): a matrix of more
+(** Gauss–Jordan elimination over the XORs found: one row per XOR and
+    one per unit clause over a variable that occurs in them, one column
+    per such variable, 63 columns to a word.  Units count as rows only,
+    never in {!count} or {!xors}.  Two fixed bounds skip it (the outcome is then [Derived []]): a matrix of more
     than [2^22] words ([rows × ⌈columns / 63⌉]), or more than [2^26]
     word operations ([rows × ⌈columns / 63⌉ × min rows columns]). *)

@@ -29,13 +29,13 @@
      every live reference (watchers, reasons, learnt index) through
      forwarding pointers written into the old arena;
    - Luby or Glucose (LBD moving-average) restarts;
-   - a level-0 XOR pass before search ({!Gauss}), on the whole-formula
-     entry points and only without a proof: [prepare] offers each
-     normalized clause of width <= 6 to a collector that recovers the
-     parity constraints encoded as complete clause sets, and
-     Gauss–Jordan elimination over them either refutes the formula or
-     adds the units and binary equivalences it derives that the input
-     lacks.  With fewer than two XORs, or nothing new, the clause
+   - a level-0 XOR pass before search ({!Cnf.Gauss}), on the
+     whole-formula entry points and only without a proof: [prepare]
+     offers each normalized clause of width <= 6 to a collector that
+     recovers the parity constraints encoded as complete clause sets,
+     and Gauss–Jordan elimination over them, with the unit clauses as
+     rows of width 1, either refutes the formula or adds the units and
+     binary equivalences it derives that the input lacks.  With fewer than two XORs, or nothing new, the clause
      database is exactly the input's.
 
    A restart backjumps to level 0 and polls [import]; it does not
@@ -1271,7 +1271,7 @@ let prepare ?gauss (fl : Cnf.Flat.t) =
     in
     if not taut then begin
       (match gauss with
-       | Some g when n <= Gauss.max_width -> Gauss.add g b n
+       | Some g when n <= Cnf.Gauss.max_width -> Cnf.Gauss.add g b n
        | _ -> ());
       match n with
       | 0 -> ok := false
@@ -1452,14 +1452,14 @@ let gc_origin () = (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_collections)
 let gc_deltas (mw0, mc0) =
   (Gc.minor_words () -. mw0, (Gc.quick_stat ()).Gc.major_collections - mc0)
 
-(* Level-0 XOR reasoning ({!Gauss}) over the collector [prepare] fed:
+(* Level-0 XOR reasoning ({!Cnf.Gauss}) over the collector [prepare] fed:
    the derived binary equivalences are attached, and the result is
    [units] with the derived units in front, and the number of clauses
    added.  An inconsistent system refutes the formula. *)
 let add_xor_consequences s g units =
-  match Gauss.eliminate g with
-  | Gauss.Inconsistent -> raise Unsat_at_level0
-  | Gauss.Derived clauses ->
+  match Cnf.Gauss.eliminate g with
+  | Cnf.Gauss.Inconsistent -> raise Unsat_at_level0
+  | Cnf.Gauss.Derived clauses ->
     let lit l = lit_of_var (abs l - 1) (l < 0) in
     ( List.fold_left
         (fun units c ->
@@ -1489,7 +1489,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
   let fl = flat () in
   (* Without a proof only: a GF(2) sum is not a RUP step. *)
   let gauss =
-    if proof = None then Some (Gauss.local (Cnf.Flat.num_clauses fl))
+    if proof = None then Some (Cnf.Gauss.local (Cnf.Flat.num_clauses fl))
     else None
   in
   match prepare ?gauss fl with
@@ -1511,7 +1511,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
          match gauss with
          | None -> units
          | Some g ->
-           xors := Gauss.count g;
+           xors := Cnf.Gauss.count g;
            let units, n = add_xor_consequences s g units in
            xor_derived := n;
            units

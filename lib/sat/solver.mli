@@ -47,8 +47,8 @@ type stats = {
           clause arena) *)
   xors : int;
       (** XOR constraints of width 2–6 found as complete clause sets by
-          the level-0 Gauss–Jordan pass ({!Gauss}; 0 with [?proof] and on
-          the incremental and assumption entry points) *)
+          the level-0 Gauss–Jordan pass ({!Cnf.Gauss}; 0 with [?proof]
+          and on the incremental and assumption entry points) *)
   xor_derived : int;
       (** units and binary equivalence clauses that pass added *)
   max_decision_level : int;
@@ -163,7 +163,7 @@ val solve :
     [Unsat] answer ends the log with the empty clause, and the whole
     log validates under {!Proof.check}.  Without [proof], the loader
     also recovers the XOR constraints the formula encodes as complete
-    clause sets and eliminates them over GF(2) ({!Gauss}): an
+    clause sets and eliminates them over GF(2) ({!Cnf.Gauss}): an
     inconsistent system answers [Unsat] before search, and the derived
     units and binary equivalences the input lacks are added (see
     [stats.xors], [stats.xor_derived]).  With fewer than two XORs, or

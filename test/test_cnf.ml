@@ -319,6 +319,168 @@ let suite =
       [ test_cnf2aig_advanced_equisat; test_cnf2aig_advanced_tseitin_roundtrip ]
 
 (* ------------------------------------------------------------------ *)
+(* XOR constraints through cnf2aig *)
+
+let parity_clauses = Test_sat.xor_clauses
+
+(* Every assignment of [f]'s variables, against the recovered circuit:
+   [f] holds exactly when every output of [Aig.Sim.eval] on its PI
+   values is 1 and each variable equals its [var_lit] in the simulated
+   graph (a gate variable off its definition violates the definition's
+   clauses).  Also equisatisfiability against [brute_force]. *)
+let cnf2aig_agrees (r : Cnf.Cnf2aig.result) f =
+  let n = f.Cnf.Formula.num_vars in
+  let total = 1 lsl n in
+  let words = (total + 63) / 64 in
+  let bit row m =
+    Int64.logand (Int64.shift_right_logical row.(m / 64) (m mod 64)) 1L <> 0L
+  in
+  let inputs =
+    Array.map
+      (fun v ->
+        Array.init words (fun w ->
+            let x = ref 0L in
+            for b = 63 downto 0 do
+              let m = (w * 64) + b in
+              x := Int64.shift_left !x 1;
+              if m < total && m land (1 lsl (v - 1)) <> 0 then
+                x := Int64.logor !x 1L
+            done;
+            !x))
+      r.Cnf.Cnf2aig.pi_vars
+  in
+  let sigs = Aig.Sim.run r.Cnf.Cnf2aig.graph ~inputs in
+  let rows =
+    Array.init n (fun v -> Aig.Sim.lit_row sigs r.Cnf.Cnf2aig.var_lit.(v + 1))
+  in
+  let agree = ref true and circuit_sat = ref false in
+  for m = 0 to total - 1 do
+    let a = Array.init n (fun i -> m land (1 lsl i) <> 0) in
+    let outputs =
+      Aig.Sim.eval r.Cnf.Cnf2aig.graph
+        (Array.map (fun v -> a.(v - 1)) r.Cnf.Cnf2aig.pi_vars)
+    in
+    let lifted = Array.for_all Fun.id (Array.mapi (fun v row -> bit row m = a.(v)) rows) in
+    let holds = Array.for_all Fun.id outputs && lifted in
+    if holds then circuit_sat := true;
+    if Cnf.Formula.eval f a <> holds then agree := false
+  done;
+  !agree && !circuit_sat = Option.is_some (brute_force f)
+
+let test_cnf2aig_xor_constraints () =
+  (* x1..x4 xor to 1 and x3..x7 xor to 0, plus one ordinary clause:
+     two XOR outputs beside the constraint output, every variable a PI. *)
+  let f =
+    Cnf.Formula.create ~num_vars:7
+      (parity_clauses [| 1; 2; 3; 4 |] true
+       @ parity_clauses [| 3; 4; 5; 6; 7 |] false
+       @ [ [| -1; 7 |] ])
+  in
+  let r = Cnf.Cnf2aig.run f in
+  check "xors" 2 r.Cnf.Cnf2aig.xors_recovered;
+  check "no gates" 0 r.Cnf.Cnf2aig.gates_recovered;
+  check "absorbed" 24 r.Cnf.Cnf2aig.clauses_absorbed;
+  check "outputs" 3 (Aig.Graph.num_pos r.Cnf.Cnf2aig.graph);
+  check_bool "agrees" true (cnf2aig_agrees r f);
+  (* With no clause left over there is no constraint output. *)
+  let only = Cnf.Formula.create ~num_vars:4 (parity_clauses [| 1; 2; 3; 4 |] false) in
+  let r = Cnf.Cnf2aig.run only in
+  check "one output" 1 (Aig.Graph.num_pos r.Cnf.Cnf2aig.graph);
+  check_bool "agrees (xor only)" true (cnf2aig_agrees r only);
+  (* One clause missing: no XOR, eight clauses become cones. *)
+  let missing =
+    Cnf.Formula.create ~num_vars:4 (List.tl (parity_clauses [| 1; 2; 3; 4 |] true))
+  in
+  check "missing clause" 0 (Cnf.Cnf2aig.run missing).Cnf.Cnf2aig.xors_recovered;
+  (* A width-3 set is an XOR gate definition, and stays one. *)
+  let gate = Cnf.Formula.create ~num_vars:3 (parity_clauses [| 1; 2; 3 |] true) in
+  let r = Cnf.Cnf2aig.run gate in
+  check "xor3 is a gate" 1 r.Cnf.Cnf2aig.gates_recovered;
+  check "xor3 not a constraint" 0 r.Cnf.Cnf2aig.xors_recovered;
+  (* Both parities over one set: two outputs that cannot both hold. *)
+  let both =
+    Cnf.Formula.create ~num_vars:5
+      (parity_clauses [| 1; 2; 4; 5 |] true @ parity_clauses [| 1; 2; 4; 5 |] false)
+  in
+  let r = Cnf.Cnf2aig.run both in
+  check "both parities" 2 r.Cnf.Cnf2aig.xors_recovered;
+  check_bool "agrees (contradiction)" true (cnf2aig_agrees r both)
+
+(* Random CNFs over at most 12 variables built from complete parity
+   clause sets of width 2-6: both parities, shuffled literals, repeated
+   clauses, one set in five missing a clause, and a few short random
+   clauses beside them. *)
+let random_parity_cnf seed =
+  let rng = Aig.Rng.create seed in
+  let nvars = 2 + Aig.Rng.int rng 11 in
+  let clauses = ref [] in
+  for _ = 1 to 1 + Aig.Rng.int rng 4 do
+    let perm = Array.init nvars (fun i -> i + 1) in
+    Aig.Rng.shuffle rng perm;
+    let vars = Array.sub perm 0 (min nvars (2 + Aig.Rng.int rng 5)) in
+    Array.sort compare vars;
+    let set = Array.of_list (parity_clauses vars (Aig.Rng.bool rng)) in
+    Array.iter (Aig.Rng.shuffle rng) set;
+    let set = Array.to_list set in
+    let set =
+      if Aig.Rng.int rng 5 = 0 then
+        let drop = Aig.Rng.int rng (List.length set) in
+        List.filteri (fun i _ -> i <> drop) set
+      else set
+    in
+    let set =
+      if Aig.Rng.int rng 3 = 0 then
+        Array.copy (List.nth set (Aig.Rng.int rng (List.length set))) :: set
+      else set
+    in
+    clauses := set @ !clauses
+  done;
+  for _ = 1 to Aig.Rng.int rng 4 do
+    clauses :=
+      Array.init (1 + Aig.Rng.int rng 3) (fun _ ->
+          let v = 1 + Aig.Rng.int rng nvars in
+          if Aig.Rng.bool rng then v else -v)
+      :: !clauses
+  done;
+  let clauses = Array.of_list !clauses in
+  Aig.Rng.shuffle rng clauses;
+  Cnf.Formula.create ~num_vars:nvars (Array.to_list clauses)
+
+(* The generator reaches the detector: most of its formulas keep an
+   XOR that no gate absorbs. *)
+let test_cnf2aig_random_parity_recovered () =
+  List.iter
+    (fun advanced ->
+      let hits =
+        List.length
+          (List.filter
+             (fun seed ->
+               (Cnf.Cnf2aig.run ~advanced (random_parity_cnf seed))
+                 .Cnf.Cnf2aig.xors_recovered > 0)
+             (List.init 200 Fun.id))
+      in
+      check_bool "XORs recovered in most formulas" true (hits > 100))
+    [ false; true ]
+
+let prop_cnf2aig_xor_recovery ~advanced =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "cnf2aig%s: XOR constraints recovered, circuit agrees"
+         (if advanced then " advanced" else ""))
+    ~count:100 (QCheck.int_bound 1000000) (fun seed ->
+      let f = random_parity_cnf seed in
+      cnf2aig_agrees (Cnf.Cnf2aig.run ~advanced f) f)
+
+let suite =
+  suite
+  @ [ ("cnf2aig XOR constraints", `Quick, test_cnf2aig_xor_constraints);
+      ("cnf2aig XORs in random parity CNFs", `Quick,
+       test_cnf2aig_random_parity_recovered) ]
+  @ qsuite
+      [ prop_cnf2aig_xor_recovery ~advanced:false;
+        prop_cnf2aig_xor_recovery ~advanced:true ]
+
+(* ------------------------------------------------------------------ *)
 (* CNF-level preprocessing (SatELite-style) *)
 
 let test_simplify_units_and_pures () =

@@ -247,6 +247,43 @@ let test_pipeline_advanced_recovery () =
   check_bool "still unsat" true
     (result_kind r.Eda4sat.Pipeline.result = `Unsat)
 
+(* Algorithm 1 on C5, the CNF-XOR instance: cnf2aig turns its 160
+   width-4 XORs into outputs of their own, each maps into one LUT, and
+   the solver's level-0 XOR pass, with the asserted LUT outputs as
+   width-1 rows, derives clauses before search.  A model of the
+   transformed CNF lifts back to C5 through the recovered circuit: the
+   PI values read off the model, every other variable simulated. *)
+let test_pipeline_keeps_c5_parity () =
+  let inst = List.assoc "C5-cnfxor" (Workloads.Suites.c_suite ()) in
+  let f = Eda4sat.Instance.direct_formula inst in
+  let cfg = Eda4sat.Pipeline.ours () in
+  let r = Eda4sat.Pipeline.run cfg inst in
+  let st = r.Eda4sat.Pipeline.solver_stats in
+  check "xors" 160 st.Sat.Solver.xors;
+  check_bool "xor_derived > 0" true (st.Sat.Solver.xor_derived > 0);
+  check_bool "at most 1,000 conflicts" true (st.Sat.Solver.conflicts <= 1000);
+  check "one LUT per XOR" 160 r.Eda4sat.Pipeline.netlist_luts;
+  match r.Eda4sat.Pipeline.result with
+  | Sat.Solver.Sat m ->
+    let f', _ = Eda4sat.Pipeline.transform cfg inst in
+    check_bool "model of the transformed CNF" true (Cnf.Formula.eval f' m);
+    let rc = Cnf.Cnf2aig.run ~advanced:cfg.Eda4sat.Pipeline.advanced_recovery f in
+    check "xors recovered" 160 rc.Cnf.Cnf2aig.xors_recovered;
+    (* Algorithm 1 keeps the PIs, and the encoding numbers PI i as
+       variable i + 1. *)
+    let sigs =
+      Aig.Sim.run rc.Cnf.Cnf2aig.graph
+        ~inputs:
+          (Array.init (Aig.Graph.num_pis rc.Cnf.Cnf2aig.graph) (fun i ->
+               [| (if m.(i) then -1L else 0L) |]))
+    in
+    let lifted =
+      Array.init f.Cnf.Formula.num_vars (fun v ->
+          (Aig.Sim.lit_row sigs rc.Cnf.Cnf2aig.var_lit.(v + 1)).(0) <> 0L)
+    in
+    check_bool "lifted model satisfies C5" true (Cnf.Formula.eval f lifted)
+  | _ -> Alcotest.fail "C5 is satisfiable"
+
 let suite =
   suite
   @ [
@@ -254,6 +291,8 @@ let suite =
        test_transform_writes_solvable_cnf);
       ("pipeline with advanced recovery", `Quick,
        test_pipeline_advanced_recovery);
+      ("pipeline keeps C5's parity structure", `Quick,
+       test_pipeline_keeps_c5_parity);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -165,7 +165,7 @@ let test_xor_chain_unsat () =
   check "xors found" n st.Sat.Solver.xors;
   check "no conflicts" 0 st.Sat.Solver.conflicts
 
-(* --- level-0 XOR reasoning (Sat.Gauss) ------------------------------ *)
+(* --- level-0 XOR reasoning (Cnf.Gauss) ------------------------------ *)
 
 (* The 2^(k-1) clauses encoding [vars.(0) xor ... = rhs]: each forbids
    one assignment of the other parity. *)
@@ -181,7 +181,7 @@ let xor_clauses vars rhs =
     (List.init (1 lsl k) Fun.id)
 
 let gauss_of ~num_vars clauses =
-  Sat.Gauss.of_flat
+  Cnf.Gauss.of_flat
     (Cnf.Flat.of_formula (Cnf.Formula.create ~num_vars clauses))
 
 let xors_t = Alcotest.(list (pair (array int) bool))
@@ -190,39 +190,39 @@ let test_gauss_detection () =
   let base = xor_clauses [| 1; 3; 5 |] true in
   check "width 3 is 4 clauses" 4 (List.length base);
   Alcotest.check xors_t "found" [ ([| 1; 3; 5 |], true) ]
-    (Sat.Gauss.xors (gauss_of ~num_vars:5 base));
+    (Cnf.Gauss.xors (gauss_of ~num_vars:5 base));
   (* Clause order, literal order and duplicate clauses do not matter. *)
   let shuffled =
     List.rev_map (fun c -> Array.of_list (List.rev (Array.to_list c))) base
   in
   Alcotest.check xors_t "any order, duplicates" [ ([| 1; 3; 5 |], true) ]
-    (Sat.Gauss.xors
+    (Cnf.Gauss.xors
        (gauss_of ~num_vars:5 (shuffled @ [ List.hd base; List.hd shuffled ])));
   (* Neither do a duplicated literal or unrelated clauses. *)
   Alcotest.check xors_t "duplicate literal" [ ([| 2; 4 |], false) ]
-    (Sat.Gauss.xors
+    (Cnf.Gauss.xors
        (gauss_of ~num_vars:4
           [ [| 2; -4; 2 |]; [| 1; 2; 3 |]; [| -2; 4 |]; [| 1 |] ]));
   (* One clause missing is no XOR. *)
   check "one clause missing" 0
-    (Sat.Gauss.count (gauss_of ~num_vars:5 (List.tl base)));
+    (Cnf.Gauss.count (gauss_of ~num_vars:5 (List.tl base)));
   (* Width 7 is past the detector. *)
   let wide = xor_clauses [| 1; 2; 3; 4; 5; 6; 7 |] false in
   check "width 7 is 64 clauses" 64 (List.length wide);
-  check "width 7 ignored" 0 (Sat.Gauss.count (gauss_of ~num_vars:7 wide));
+  check "width 7 ignored" 0 (Cnf.Gauss.count (gauss_of ~num_vars:7 wide));
   check "width 6 found" 1
-    (Sat.Gauss.count
+    (Cnf.Gauss.count
        (gauss_of ~num_vars:6 (xor_clauses [| 1; 2; 3; 4; 5; 6 |] false)));
   (* A tautology is dropped, not read as the missing pattern. *)
   check "tautology ignored" 0
-    (Sat.Gauss.count
+    (Cnf.Gauss.count
        (gauss_of ~num_vars:2 [ [| 1; 2 |]; [| -1; -2; 2 |]; [| -1; 1; 2 |] ]));
   (* Both parities over one variable set: two XORs, contradictory. *)
   let both = xor_clauses [| 1; 2 |] true @ xor_clauses [| 1; 2 |] false in
-  check "both parities" 2 (Sat.Gauss.count (gauss_of ~num_vars:2 both));
-  match Sat.Gauss.eliminate (gauss_of ~num_vars:2 both) with
-  | Sat.Gauss.Inconsistent -> ()
-  | Sat.Gauss.Derived _ -> Alcotest.fail "x1 xor x2 = 0 and = 1"
+  check "both parities" 2 (Cnf.Gauss.count (gauss_of ~num_vars:2 both));
+  match Cnf.Gauss.eliminate (gauss_of ~num_vars:2 both) with
+  | Cnf.Gauss.Inconsistent -> ()
+  | Cnf.Gauss.Derived _ -> Alcotest.fail "x1 xor x2 = 0 and = 1"
 
 let clauses_t = Alcotest.(list (array int))
 
@@ -233,9 +233,9 @@ let test_gauss_elimination () =
     @ xor_clauses [| 2; 3 |] false
     @ xor_clauses [| 1; 3 |] true
   in
-  (match Sat.Gauss.eliminate (gauss_of ~num_vars:3 refuted) with
-   | Sat.Gauss.Inconsistent -> ()
-   | Sat.Gauss.Derived _ -> Alcotest.fail "inconsistent system not refuted");
+  (match Cnf.Gauss.eliminate (gauss_of ~num_vars:3 refuted) with
+   | Cnf.Gauss.Inconsistent -> ()
+   | Cnf.Gauss.Derived _ -> Alcotest.fail "inconsistent system not refuted");
   (* x1 xor x2 xor x3 = 1, x1 xor x2 = 0, x2 xor x3 xor x4 = 0 reduce to
      x1 xor x4 = 1, x2 xor x4 = 1 and x3 = 1. *)
   let system =
@@ -244,9 +244,9 @@ let test_gauss_elimination () =
     @ xor_clauses [| 2; 3; 4 |] false
   in
   let derived extra =
-    match Sat.Gauss.eliminate (gauss_of ~num_vars:4 (system @ extra)) with
-    | Sat.Gauss.Derived cs -> cs
-    | Sat.Gauss.Inconsistent -> Alcotest.fail "consistent system refuted"
+    match Cnf.Gauss.eliminate (gauss_of ~num_vars:4 (system @ extra)) with
+    | Cnf.Gauss.Derived cs -> cs
+    | Cnf.Gauss.Inconsistent -> Alcotest.fail "consistent system refuted"
   in
   Alcotest.check clauses_t "units and equivalences"
     [ [| 1; 4 |]; [| -1; -4 |]; [| 2; 4 |]; [| -2; -4 |]; [| 3 |] ]
@@ -256,8 +256,8 @@ let test_gauss_elimination () =
     [ [| -1; -4 |]; [| 2; 4 |]; [| -2; -4 |] ]
     (derived [ [| 3 |]; [| 4; 1 |] ]);
   (* One XOR alone derives nothing. *)
-  (match Sat.Gauss.eliminate (gauss_of ~num_vars:3 (xor_clauses [| 1; 2; 3 |] true)) with
-   | Sat.Gauss.Derived [] -> ()
+  (match Cnf.Gauss.eliminate (gauss_of ~num_vars:3 (xor_clauses [| 1; 2; 3 |] true)) with
+   | Cnf.Gauss.Derived [] -> ()
    | _ -> Alcotest.fail "a single XOR derived something");
   (* Through the solver: the derived unit and equivalences are counted,
      and the model satisfies the input. *)
@@ -271,6 +271,48 @@ let test_gauss_elimination () =
   (* With a proof the pass does not run. *)
   let _, st = Sat.Solver.solve ~proof:(Sat.Proof.create ()) f in
   check "xors under proof" 0 st.Sat.Solver.xors
+
+(* Unit clauses over the XORs' variables join the elimination as rows
+   of width 1; they are not XORs, so [count] and [xors] leave them out. *)
+let test_gauss_unit_rows () =
+  let derived ~num_vars clauses =
+    match Cnf.Gauss.eliminate (gauss_of ~num_vars clauses) with
+    | Cnf.Gauss.Derived cs -> cs
+    | Cnf.Gauss.Inconsistent -> Alcotest.fail "consistent system refuted"
+  in
+  (* x1 xor x2 xor x3 = 1 and x3 xor x4 = 0 alone reduce to a width-3
+     row and a row the input holds; with x1 = 1, x2 xor x4 = 0 is new. *)
+  let system = xor_clauses [| 1; 2; 3 |] true @ xor_clauses [| 3; 4 |] false in
+  Alcotest.check clauses_t "no unit, nothing derived" []
+    (derived ~num_vars:4 system);
+  Alcotest.check clauses_t "equivalence through a unit"
+    [ [| -2; 4 |]; [| 2; -4 |] ]
+    (derived ~num_vars:4 (system @ [ [| 1 |] ]));
+  check "units are not XORs" 2
+    (Cnf.Gauss.count (gauss_of ~num_vars:4 (system @ [ [| 1 |] ])));
+  (* x1 xor x2 = 1 and x2 xor x3 = 0 give only x1 xor x3 = 1; with
+     x3 = 1 they fix x1 = 0 and x2 = 1.  A unit over a variable no XOR
+     has changes nothing. *)
+  let system = xor_clauses [| 1; 2 |] true @ xor_clauses [| 2; 3 |] false in
+  Alcotest.check clauses_t "no unit" [ [| 1; 3 |]; [| -1; -3 |] ]
+    (derived ~num_vars:4 system);
+  Alcotest.check clauses_t "units through a unit" [ [| -1 |]; [| 2 |] ]
+    (derived ~num_vars:4 (system @ [ [| 3 |]; [| -4 |] ]));
+  let f = Cnf.Formula.create ~num_vars:4 (system @ [ [| 3 |]; [| -4 |] ]) in
+  (match Sat.Solver.solve f with
+   | Sat.Solver.Sat m, st ->
+     check_bool "model" true (Cnf.Formula.eval f m);
+     check "solver xors" 2 st.Sat.Solver.xors;
+     check "solver xor_derived" 2 st.Sat.Solver.xor_derived;
+     check "no conflicts" 0 st.Sat.Solver.conflicts
+   | _ -> Alcotest.fail "system is satisfiable");
+  (* x1 xor x2 = 1 and x2 xor x3 = 1 force x1 = x3: units x1 and -x3
+     contradict them. *)
+  let system = xor_clauses [| 1; 2 |] true @ xor_clauses [| 2; 3 |] true in
+  ignore (derived ~num_vars:3 (system @ [ [| 1 |] ]));
+  match Cnf.Gauss.eliminate (gauss_of ~num_vars:3 (system @ [ [| 1 |]; [| -3 |] ])) with
+  | Cnf.Gauss.Inconsistent -> ()
+  | Cnf.Gauss.Derived _ -> Alcotest.fail "units contradicting the XORs"
 
 let test_stats_sanity () =
   let f = pigeonhole ~pigeons:5 ~holes:4 in
@@ -297,6 +339,7 @@ let suite =
     ("xor chain unsat", `Quick, test_xor_chain_unsat);
     ("gauss: XOR detection", `Quick, test_gauss_detection);
     ("gauss: elimination", `Quick, test_gauss_elimination);
+    ("gauss: unit clauses as rows", `Quick, test_gauss_unit_rows);
     ("stats sanity", `Quick, test_stats_sanity);
     ("decisions_or_max", `Quick, test_decisions_or_max);
   ]
