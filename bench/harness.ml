@@ -118,29 +118,31 @@ let write_json path doc =
 
 (* --- committed numbers in ---------------------------------------------- *)
 
+(* The offset just past the first [needle] at or after [pos]. *)
+let find_from json pos needle =
+  let len = String.length json and n = String.length needle in
+  let rec go i =
+    if i + n > len then None
+    else if String.sub json i n = needle then Some (i + n)
+    else go (i + 1)
+  in
+  go pos
+
 (* The number under [path] in a file this harness wrote: each key is
    searched for after the previous one, so ["arena"; "php(7,6)";
    "props_per_sec"] reads a field of one instance of one section, and
    a one-key path reads the first field of that name. *)
 let number json path =
   let len = String.length json in
-  let find_from pos needle =
-    let n = String.length needle in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = needle then Some (i + n)
-      else go (i + 1)
-    in
-    go pos
-  in
   let rec descend pos = function
     | [] -> None
     | [ key ] ->
-      Option.bind (find_from pos ("\"" ^ key ^ "\":")) (fun i ->
+      Option.bind (find_from json pos ("\"" ^ key ^ "\":")) (fun i ->
           try Some (Scanf.sscanf (String.sub json i (len - i)) " %f" Fun.id)
           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
     | key :: rest ->
-      Option.bind (find_from pos ("\"" ^ key ^ "\"")) (fun i -> descend i rest)
+      Option.bind (find_from json pos ("\"" ^ key ^ "\"")) (fun i ->
+          descend i rest)
   in
   descend 0 path
 
@@ -150,21 +152,49 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The list of strings under [key] in a file this harness wrote, e.g.
+   the lane names ["lanes"] of BENCH_portfolio.json ([Str] items
+   holding no comma or bracket); [] when the key is absent. *)
+let strings json key =
+  match find_from json 0 ("\"" ^ key ^ "\": [") with
+  | None -> []
+  | Some i ->
+    String.sub json i (String.index_from json i ']' - i)
+    |> String.split_on_char ','
+    |> List.filter_map (fun item ->
+           let item = String.trim item in
+           let n = String.length item in
+           if n < 2 then None
+           else Some (Scanf.unescaped (String.sub item 1 (n - 2))))
+
 (* --- the gate ----------------------------------------------------------- *)
 
 type condition = {
   what : string;
-  fresh : float;
+  fresh : string;
   op : string;
-  limit : float;
+  limit : string;
   ok : bool;
 }
 
-let at_least what fresh limit =
-  { what; fresh; op = ">="; limit; ok = fresh >= limit }
+let number_condition what op test fresh limit =
+  { what; fresh = Printf.sprintf "%.4g" fresh; op;
+    limit = Printf.sprintf "%.4g" limit; ok = test fresh limit }
 
-let at_most what fresh limit =
-  { what; fresh; op = "<="; limit; ok = fresh <= limit }
+let at_least what = number_condition what ">=" ( >= )
+let at_most what = number_condition what "<=" ( <= )
+
+(* The fresh run must reproduce a committed list of names exactly: a
+   baseline only describes what it measured. *)
+let same_names what fresh committed =
+  { what; fresh = String.concat "," fresh; op = "=";
+    limit = String.concat "," committed; ok = fresh = committed }
+
+(* The string list under [key] in the committed file [--check] names;
+   [] without [--check]. *)
+let committed_strings key =
+  Option.fold ~none:[] ~some:(fun p -> strings (read_file p) key)
+    (check_path ())
 
 type lookup = string list -> float
 
@@ -194,14 +224,14 @@ let gate ~suite ~keys path (conditions : lookup -> condition list) =
   in
   List.iter
     (fun c ->
-      Printf.printf "CHECK %-44s %12.4g %s %12.4g: %s\n" c.what c.fresh c.op
+      Printf.printf "CHECK %-44s %12s %s %12s: %s\n" c.what c.fresh c.op
         c.limit
         (if c.ok then "OK" else "FAILED"))
     conds;
   let passed = missing = [] && List.for_all (fun c -> c.ok) conds in
   Printf.printf "%s check %s%s\n%!" suite
     (if passed then "passed" else "FAILED")
-    (if keys = [] then " (nothing gated)" else "");
+    (if keys = [] && conds = [] then " (nothing gated)" else "");
   passed
 
 type suite = {

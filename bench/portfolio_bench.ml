@@ -18,7 +18,10 @@
 
    Results (per-instance walls, per-lane totals, portfolio total) are
    written to BENCH_portfolio.json ([--json PATH] redirects).  The
-   suite has no gate. *)
+   walls are not gated; [--check] fails when the raced lanes differ
+   from the committed file's [lanes], so a change to the lane pool
+   re-records the baseline instead of being compared against one that
+   measured other lanes. *)
 
 let jobs = 4
 
@@ -157,12 +160,14 @@ let run () =
           ( "speedup_vs_median_single",
             fixed 3 (median_total /. portfolio_total) );
         ],
-      fun _ -> [] )
+      fun _ ->
+        [ Harness.same_names "lanes = committed lanes" !lane_names
+            (Harness.committed_strings "lanes") ] )
 
 let suite =
   {
     Harness.name = "portfolio";
-    doc = "4-lane portfolio race vs each lane alone (no gate)";
+    doc = "4-lane portfolio race vs each lane alone (gate: the lane set)";
     keys = [];
     run;
   }

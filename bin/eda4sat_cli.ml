@@ -155,8 +155,8 @@ let write_proof path proof =
 (* --- solve ---------------------------------------------------------- *)
 
 let solve_cmd =
-  let run verbose input timeout no_preprocess cnf_simplify proof_file mapper
-      recipe agent_file =
+  let run verbose input timeout no_preprocess proof_file mapper recipe
+      agent_file =
     setup_logs verbose;
     let inst = read_instance input in
     let limits = limits_of_timeout timeout in
@@ -167,86 +167,29 @@ let solve_cmd =
         pipeline_config ~agent ~mapper ~recipe
     in
     let proof = Option.map (fun _ -> Sat.Proof.create ()) proof_file in
-    if cnf_simplify then begin
-      (* The complementary CNF-level layer (paper §4.2 keeps Kissat's
-         default preprocessing on): circuit pipeline first, then
-         SatELite-style simplification, then solve.  The simplifier
-         logs into the same DRAT recorder as the solver, so the proof
-         is one stream checkable against the pre-simplification CNF. *)
-      let f, rep = Eda4sat.Pipeline.transform cfg inst in
-      Format.printf "%a@." Eda4sat.Pipeline.pp_report rep;
-      match Cnf.Simplify.run ?proof f with
-      | Cnf.Simplify.Proved_unsat ->
-        print_endline "c refuted during CNF simplification";
+    let report = Eda4sat.Pipeline.run ~limits ?proof cfg inst in
+    Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
+    let code =
+      match report.Eda4sat.Pipeline.result with
+      | Sat.Solver.Sat _ ->
+        print_endline "s SATISFIABLE";
+        exit_sat
+      | Sat.Solver.Unsat ->
         write_proof proof_file proof;
         print_endline "s UNSATISFIABLE";
         exit_unsat
-      | Cnf.Simplify.Simplified simp ->
-        let f' = Cnf.Simplify.formula simp in
-        print_endline ("c " ^ Cnf.Simplify.stats simp);
-        Printf.printf "c simplified to %d vars, %d clauses\n"
-          f'.Cnf.Formula.num_vars (Cnf.Formula.num_clauses f');
-        let result, stats = Sat.Solver.solve ~limits ?proof f' in
-        let code =
-          match result with
-          | Sat.Solver.Sat m ->
-            (* The solver's model covers the simplified formula only:
-               lift it over the original variables and check it there
-               before claiming satisfiability. *)
-            let m0 = Cnf.Simplify.reconstruct simp m in
-            if Cnf.Formula.eval f m0 then begin
-              print_endline "s SATISFIABLE";
-              print_model m0;
-              exit_sat
-            end
-            else begin
-              print_endline
-                "c ERROR: reconstructed model fails the original formula";
-              print_endline "s UNKNOWN";
-              exit_unknown
-            end
-          | Sat.Solver.Unsat ->
-            write_proof proof_file proof;
-            print_endline "s UNSATISFIABLE";
-            exit_unsat
-          | Sat.Solver.Unknown ->
-            print_endline "s UNKNOWN";
-            exit_unknown
-        in
-        Format.printf "c %a@." Sat.Solver.pp_stats stats;
-        code
-    end
-    else begin
-      let report = Eda4sat.Pipeline.run ~limits ?proof cfg inst in
-      Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
-      let code =
-        match report.Eda4sat.Pipeline.result with
-        | Sat.Solver.Sat _ ->
-          print_endline "s SATISFIABLE";
-          exit_sat
-        | Sat.Solver.Unsat ->
-          write_proof proof_file proof;
-          print_endline "s UNSATISFIABLE";
-          exit_unsat
-        | Sat.Solver.Unknown ->
-          print_endline "s UNKNOWN";
-          exit_unknown
-      in
-      Format.printf "c %a@." Sat.Solver.pp_stats
-        report.Eda4sat.Pipeline.solver_stats;
-      code
-    end
+      | Sat.Solver.Unknown ->
+        print_endline "s UNKNOWN";
+        exit_unknown
+    in
+    Format.printf "c %a@." Sat.Solver.pp_stats
+      report.Eda4sat.Pipeline.solver_stats;
+    code
   in
   let no_preprocess =
     Arg.(
       value & flag
       & info [ "no-preprocess" ] ~doc:"Solve directly, skipping Algorithm 1.")
-  in
-  let cnf_simplify =
-    Arg.(
-      value & flag
-      & info [ "cnf-simplify" ]
-          ~doc:"Also run SatELite-style CNF simplification before solving.")
   in
   let proof_file =
     Arg.(
@@ -254,16 +197,15 @@ let solve_cmd =
       & opt (some string) None
       & info [ "proof" ] ~docv:"FILE"
           ~doc:"On an UNSAT answer, write a DRAT proof to FILE.  The \
-                proof refutes the CNF handed to the simplifier/solver: \
-                the input formula under --no-preprocess, the \
-                transformed CNF otherwise.  With --cnf-simplify the \
-                simplification steps are part of the same stream.")
+                proof refutes the CNF handed to the solver: the input \
+                formula under --no-preprocess, the transformed CNF \
+                otherwise.")
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Preprocess (by default) and solve an instance.")
     Term.(
       const run $ verbose_arg $ input_arg $ timeout_arg $ no_preprocess
-      $ cnf_simplify $ proof_file $ mapper_arg $ recipe_arg $ agent_arg)
+      $ proof_file $ mapper_arg $ recipe_arg $ agent_arg)
 
 (* --- portfolio ------------------------------------------------------- *)
 

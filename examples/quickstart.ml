@@ -36,7 +36,7 @@ let () =
   let inst = Eda4sat.Instance.of_circuit ~name:"parity-lec" g in
 
   (* 1. Solve directly (the baseline). *)
-  let direct = Eda4sat.Pipeline.solve_direct inst in
+  let direct = Eda4sat.Pipeline.run Eda4sat.Pipeline.baseline inst in
   Format.printf "baseline: %a@." Eda4sat.Pipeline.pp_report direct;
 
   (* 2. Preprocess with the full framework, then solve. *)
@@ -59,7 +59,7 @@ let () =
     (Aig.Graph.num_pis miter) (Aig.Graph.num_ands miter)
     (Aig.Graph.depth miter);
   let inst = Eda4sat.Instance.of_circuit ~name:"lec-miter" miter in
-  let direct = Eda4sat.Pipeline.solve_direct inst in
+  let direct = Eda4sat.Pipeline.run Eda4sat.Pipeline.baseline inst in
   Format.printf "baseline: %a@." Eda4sat.Pipeline.pp_report direct;
   let ours = Eda4sat.Pipeline.run (Eda4sat.Pipeline.ours ()) inst in
   Format.printf "ours:     %a@." Eda4sat.Pipeline.pp_report ours;

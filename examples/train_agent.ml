@@ -59,7 +59,7 @@ let () =
   print_endline "Evaluating the trained agent on an unseen miter...";
   let g = Workloads.Lec.generate ~seed:31337 ~num_pis:22 ~num_ands:700 () in
   let inst = Eda4sat.Instance.of_circuit ~name:"eval-miter" g in
-  let rb = Eda4sat.Pipeline.solve_direct inst in
+  let rb = Eda4sat.Pipeline.run Eda4sat.Pipeline.baseline inst in
   let ro = Eda4sat.Pipeline.run (Eda4sat.Pipeline.ours ~agent ()) inst in
   Format.printf "baseline %a@." Eda4sat.Pipeline.pp_report rb;
   Format.printf "with RL  %a@." Eda4sat.Pipeline.pp_report ro;

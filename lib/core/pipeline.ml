@@ -42,49 +42,6 @@ let timed f =
   let x = f () in
   (x, Sat.Wall.now () -. t0)
 
-(* The final solve, optionally through the proof-carrying CNF-level
-   simplifier (the paper keeps Kissat's own preprocessing on under the
-   circuit pipeline; [Cnf.Simplify] is that layer here).  The same
-   recorder observes simplification and search, so an [Unsat] answer
-   carries one end-to-end DRAT stream checkable against [f], and a
-   [Sat] model is lifted back over [f]'s variables with
-   [Cnf.Simplify.reconstruct]. *)
-let solve_formula ~limits ?proof ~simplify f =
-  if not simplify then Sat.Solver.solve ~limits ?proof f
-  else
-    match Cnf.Simplify.run ?proof f with
-    | Cnf.Simplify.Proved_unsat -> (Sat.Solver.Unsat, Sat.Solver.empty_stats)
-    | Cnf.Simplify.Simplified simp ->
-      let result, stats =
-        Sat.Solver.solve ~limits ?proof (Cnf.Simplify.formula simp)
-      in
-      (match result with
-       | Sat.Solver.Sat m ->
-         (Sat.Solver.Sat (Cnf.Simplify.reconstruct simp m), stats)
-       | r -> (r, stats))
-
-let solve_direct ?(limits = Sat.Solver.no_limits) ?proof ?(simplify = false)
-    inst =
-  let f = Instance.direct_formula inst in
-  let (result, stats), t_solve =
-    timed (fun () -> solve_formula ~limits ?proof ~simplify f)
-  in
-  {
-    instance = inst.Instance.name;
-    recipe_used = [];
-    vars = f.Cnf.Formula.num_vars;
-    clauses = Cnf.Formula.num_clauses f;
-    t_agent = 0.0;
-    t_trans = 0.0;
-    t_solve;
-    result;
-    solver_stats = stats;
-    aig_before = None;
-    aig_after = None;
-    netlist_luts = 0;
-    netlist_levels = 0;
-  }
-
 exception Interrupted
 
 (* Apply a recipe one operation at a time, polling the cancellation
@@ -207,16 +164,12 @@ let transform ?(should_stop = fun () -> false) config inst =
         netlist_levels = Lutmap.Netlist.depth nl;
       } )
 
-let run ?(limits = Sat.Solver.no_limits) ?proof ?(simplify = false) config
-    inst =
-  match config.recipe with
-  | No_preprocessing -> solve_direct ~limits ?proof ~simplify inst
-  | Fixed _ | Random_policy _ | Agent _ ->
-    let f, rep = transform config inst in
-    let (result, stats), t_solve =
-      timed (fun () -> solve_formula ~limits ?proof ~simplify f)
-    in
-    { rep with t_solve; result; solver_stats = stats }
+let run ?(limits = Sat.Solver.no_limits) ?proof config inst =
+  let f, rep = transform config inst in
+  let (result, stats), t_solve =
+    timed (fun () -> Sat.Solver.solve ~limits ?proof f)
+  in
+  { rep with t_solve; result; solver_stats = stats }
 
 let default_embed = Deepgate.Embedding.default_config
 
@@ -280,31 +233,7 @@ let ours_conventional_mapper ?agent () =
    inside its own lane while the direct lanes already solve.  A lane's
    transformed CNF is equisatisfiable with — but different from — the
    input, so EDA lanes never exchange clauses with direct lanes
-   (distinct share groups; see {!Portfolio.Strategy}).
-
-   CNF-simplification lanes run [Cnf.Simplify] on the direct formula
-   as their preparation.  Like the EDA lanes they must not share with
-   group 0 (a BVE resolvent set has different models than the input),
-   but unlike them the simplifier is deterministic over the same
-   input, so all simplify lanes solve the identical formula and form
-   their own share group (1).  Their preparation also returns
-   [Cnf.Simplify.reconstruct] as the model lift, so a winning [Sat]
-   answer is reported over the input formula's variables. *)
-let simplify_share_group = 1
-
-let simplify_lane inst heuristic restarts name =
-  Portfolio.Strategy.prepared_lifted ~heuristic ~restarts
-    ~share_group:simplify_share_group name (fun ~stop:_ ->
-      let f = Instance.direct_formula inst in
-      match Cnf.Simplify.run f with
-      | Cnf.Simplify.Proved_unsat ->
-        (* Refuted during preparation: hand the solver a trivially
-           unsatisfiable stand-in so the lane answers [Unsat]
-           immediately. *)
-        (Cnf.Formula.create ~num_vars:f.Cnf.Formula.num_vars [ [||] ], None)
-      | Cnf.Simplify.Simplified simp ->
-        (Cnf.Simplify.formula simp, Some (Cnf.Simplify.reconstruct simp)))
-
+   (distinct share groups; see {!Portfolio.Strategy}). *)
 let portfolio_strategies ?(jobs = 4) config inst =
   let open Portfolio.Strategy in
   let lane name cfg heuristic restarts =
@@ -321,10 +250,8 @@ let portfolio_strategies ?(jobs = 4) config inst =
       [
         direct ~heuristic:`Evsids ~restarts:`Luby "direct/evsids/luby";
         lane "eda/evsids/luby" config `Evsids `Luby;
-        simplify_lane inst `Lrb `Glucose "simplify/lrb/glucose";
         direct ~heuristic:`Lrb ~restarts:`Glucose "direct/lrb/glucose";
         lane "een2007/evsids/glucose" een2007 `Evsids `Glucose;
-        simplify_lane inst `Evsids `Glucose "simplify/evsids/glucose";
         direct ~heuristic:`Evsids ~restarts:`Glucose "direct/evsids/glucose";
         lane "eda-conventional/lrb/luby" eda_conventional `Lrb `Luby;
         direct ~heuristic:`Lrb ~restarts:`Luby "direct/lrb/luby";

@@ -42,25 +42,15 @@ type report = {
 val t_all : report -> float
 
 val run :
-  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t -> ?simplify:bool ->
-  config -> Instance.t -> report
-(** Full Algorithm 1 (or a direct solve for [No_preprocessing]).
+  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t -> config -> Instance.t ->
+  report
+(** Full Algorithm 1 (or a direct solve for [No_preprocessing]): the
+    CNF that {!transform} returns goes to {!Sat.Solver.solve}.
 
-    With [~simplify:true] (default false), the CNF leaving the circuit
-    pipeline additionally passes through the proof-carrying CNF-level
-    simplifier ({!Cnf.Simplify}) before the solver — the
-    paper's framework keeps the solver's CNF preprocessing enabled
-    underneath the circuit transformations.  A [Sat] model is lifted
-    back over the solved formula's variables with
-    [Cnf.Simplify.reconstruct]; a refutation found during
-    simplification yields [Unsat] with zeroed solver stats.
-
-    With [?proof], learned clauses — and, under [~simplify:true],
-    every clause the simplifier derives or removes — are DRAT-logged
-    into the recorder, so an [Unsat] answer seals one end-to-end
-    stream that {!Sat.Proof.check} validates against the CNF entering
-    the simplifier (the transformed formula, or the direct formula
-    under [No_preprocessing]). *)
+    With [?proof], learned clauses are DRAT-logged into the recorder,
+    so an [Unsat] answer seals a stream that {!Sat.Proof.check}
+    validates against that CNF (the transformed formula, or the
+    direct formula under [No_preprocessing]). *)
 
 exception Interrupted
 (** Raised out of {!transform} when its [should_stop] poll answers
@@ -76,12 +66,6 @@ val transform :
     true aborts the transformation with {!Interrupted} — the portfolio
     uses this so a lane whose race is already lost stops preprocessing
     early. *)
-
-val solve_direct :
-  ?limits:Sat.Solver.limits -> ?proof:Sat.Proof.t -> ?simplify:bool ->
-  Instance.t -> report
-(** Solve the instance's direct formula, with the same [?proof] and
-    [?simplify] semantics as {!run}. *)
 
 (** {1 Experiment presets} *)
 
@@ -112,13 +96,7 @@ val portfolio_strategies :
     exchanging low-LBD learnt clauses) interleaved with EDA lanes that
     run [transform config] — and the Eén-2007 recipe — as their
     preparation step, so Algorithm 1 preprocessing competes as a
-    portfolio member instead of a mandatory prefix, and with
-    CNF-simplification lanes that run {!Cnf.Simplify} on the direct
-    formula.  The simplify lanes form their own clause-sharing group
-    (they all solve the identical deterministic simplification, which
-    has different models than the input, so they share with each other
-    but never with the direct group) and lift winning models back to
-    the input variables via [Cnf.Simplify.reconstruct].  With
+    portfolio member instead of a mandatory prefix.  With
     [No_preprocessing] the pool is direct-only.  At least [jobs]
     (default 4) strategies are returned. *)
 

@@ -117,7 +117,9 @@ let table2 ctx =
   let rows =
     List.map
       (fun (name, inst) ->
-        let r = Eda4sat.Pipeline.solve_direct ~limits:ctx.limits inst in
+        let r =
+          Eda4sat.Pipeline.run ~limits:ctx.limits Eda4sat.Pipeline.baseline inst
+        in
         [
           name;
           (match Eda4sat.Instance.num_gates inst with

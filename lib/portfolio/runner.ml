@@ -27,13 +27,6 @@ let result_name = function
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-(* A prepared lane's optional model lift: report [Sat] answers over the
-   input formula's variables when the lane knows how. *)
-let apply_lift lift result =
-  match (result, lift) with
-  | Sat.Solver.Sat m, Some g -> Sat.Solver.Sat (g m)
-  | _ -> result
-
 (* --- sequential race (jobs = 1) ------------------------------------- *)
 
 (* Deterministic: strategies run one after the other under the full
@@ -52,8 +45,8 @@ let run_sequential ~limits ~proof ~log strategies formula =
     let st = strategies.(!i) in
     let outcome =
       try
-        let f, lift = match st.Strategy.prepare with
-          | None -> (formula, None)
+        let f = match st.Strategy.prepare with
+          | None -> formula
           | Some prep -> prep ~stop:(fun () -> false)
         in
         let wproof =
@@ -63,7 +56,6 @@ let run_sequential ~limits ~proof ~log strategies formula =
           Sat.Solver.solve ~limits ?proof:wproof
             ~heuristic:st.Strategy.heuristic ~restarts:st.Strategy.restarts f
         in
-        let result = apply_lift lift result in
         match result with
         | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
           winner := Some !i;
@@ -224,8 +216,8 @@ let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
   let work i =
     let st = strategies.(i) in
     try
-      let f, lift = match st.Strategy.prepare with
-        | None -> (formula, None)
+      let f = match st.Strategy.prepare with
+        | None -> formula
         | Some prep ->
           prep ~stop:(fun () -> Sat.Solver.Interrupt.is_set cancel)
       in
@@ -250,7 +242,6 @@ let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
             ~export_lbd:(if share_lbd > 0 then share_lbd else max_int)
             ?import f
         in
-        let result = apply_lift lift result in
         match result with
         | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
           if Atomic.compare_and_set race_winner (-1) i then begin

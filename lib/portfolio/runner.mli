@@ -54,12 +54,9 @@ type worker_report = {
 type outcome = {
   result : Sat.Solver.result;
       (** the winner's answer; [Unknown] when every lane was a limit
-          or a failure.  A [Sat] model from a prepared lane with a
-          model lift ({!Strategy.prepared_lifted}) has been lifted and
-          satisfies the input formula; from a lift-less prepared lane
-          it satisfies that lane's CNF (equisatisfiable with the
-          input), not necessarily the input formula — check
-          [winner]. *)
+          or a failure.  A [Sat] model from a prepared lane satisfies
+          that lane's CNF (equisatisfiable with the input), not
+          necessarily the input formula — check [winner]. *)
   winner : int option;  (** index into [workers] *)
   stats : Sat.Solver.stats;
       (** the winner's; zeros when no winner.  In a parallel race the

@@ -3,10 +3,7 @@ type t = {
   heuristic : [ `Evsids | `Lrb ];
   restarts : [ `Luby | `Glucose ];
   share_group : int option;
-  prepare :
-    (stop:(unit -> bool) ->
-     Cnf.Formula.t * (bool array -> bool array) option)
-    option;
+  prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
 }
 
 let direct ?(heuristic = `Evsids) ?(restarts = `Luby) name =
@@ -18,12 +15,6 @@ let check_group = function
 
 let prepared ?(heuristic = `Evsids) ?(restarts = `Luby) ?share_group name
     prepare =
-  check_group share_group;
-  { name; heuristic; restarts; share_group;
-    prepare = Some (fun ~stop -> (prepare ~stop, None)) }
-
-let prepared_lifted ?(heuristic = `Evsids) ?(restarts = `Luby) ?share_group
-    name prepare =
   check_group share_group;
   { name; heuristic; restarts; share_group; prepare = Some prepare }
 

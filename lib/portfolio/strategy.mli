@@ -22,20 +22,13 @@ type t = {
   share_group : int option;
       (** clause-sharing partition; [None] never shares.  Group [0] is
           reserved for lanes solving the input formula directly. *)
-  prepare :
-    (stop:(unit -> bool) ->
-     Cnf.Formula.t * (bool array -> bool array) option)
-    option;
+  prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
       (** build this lane's CNF (run inside the lane's own domain);
-          [None] solves the input formula.  The second component is an
-          optional {e model lift}: when the lane answers [Sat m] on its
-          derived formula, the runner reports [Sat (lift m)] — lanes
-          whose derivation preserves models (e.g. CNF-level
-          simplification with a reconstruction function) use it to
-          answer over the {e input} formula's variables.  [stop] polls
-          race cancellation — a preparation that honours it (by
-          raising) lets a lost lane abandon an expensive transformation
-          early.  [prepare <> None] requires [share_group <> Some 0]. *)
+          [None] solves the input formula.  A [Sat] answer carries the
+          derived formula's model.  [stop] polls race cancellation — a
+          preparation that honours it (by raising) lets a lost lane
+          abandon an expensive transformation early.
+          [prepare <> None] requires [share_group <> Some 0]. *)
 }
 
 val direct : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
@@ -46,19 +39,9 @@ val direct : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
 
 val prepared : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
   -> ?share_group:int -> string -> (stop:(unit -> bool) -> Cnf.Formula.t) -> t
-(** A lane that first derives its own CNF (no model lift: a [Sat]
-    answer carries the derived formula's model).  [share_group]
-    defaults to [None] (no sharing); groups [> 0] may be used for
-    several lanes known to solve the identical derived formula. *)
-
-val prepared_lifted : ?heuristic:[ `Evsids | `Lrb ]
-  -> ?restarts:[ `Luby | `Glucose ] -> ?share_group:int -> string
-  -> (stop:(unit -> bool) -> Cnf.Formula.t * (bool array -> bool array) option)
-  -> t
-(** As {!prepared}, but the preparation may also return a model lift
-    mapping the derived formula's models back to the input formula's
-    variables (see {!t.prepare}).  Used by the CNF-simplification
-    lanes, whose [Cnf.Simplify.reconstruct] is exactly such a lift. *)
+(** A lane that first derives its own CNF.  [share_group] defaults to
+    [None] (no sharing); groups [> 0] may be used for several lanes
+    known to solve the identical derived formula. *)
 
 val grid : int -> (string * [ `Evsids | `Lrb ] * [ `Luby | `Glucose ]) list
 (** The first [n] points of the deterministic heuristic-by-restart

@@ -39,8 +39,7 @@
      database is exactly the input's.
 
    A restart backjumps to level 0 and polls [import]; it does not
-   rewrite the clause database.  Simplification happens before the
-   solver, in [Cnf.Simplify].
+   rewrite the clause database.
 
    Both the batch and the incremental entry points drive the same
    [search] engine; assumptions are placed as pseudo-decisions on the
@@ -1675,14 +1674,12 @@ module Incremental = struct
   let add_formula session f =
     Array.iter (add_clause session) f.Cnf.Formula.clauses
 
-  let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-      ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512)
-      ?interrupt ?(assumptions = [||]) session =
+  let solve ?(limits = no_limits) ?proof ?(reduce_base = 2000)
+      ?(reduce_inc = 512) ?interrupt ?(assumptions = [||]) session =
     let t0 = Wall.now () in
     let c0 = Sys.time () in
     let gc0 = gc_origin () in
     let s = session.s in
-    s.lrb <- (heuristic = `Lrb);
     let assumption_lits =
       Array.map
         (fun l ->
@@ -1733,7 +1730,7 @@ module Incremental = struct
         if var_value s v = undef then heap_insert s v
       done;
       match
-        search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
+        search s ~limits ~proof ~restarts:`Luby ~reduce_base ~reduce_inc
           ~assumption_lits ~interrupt ~export:None ~export_lbd:max_int
           ~import:None ~t0
       with
@@ -1874,21 +1871,11 @@ let probe_split p ~prefix ~limit =
     cancel_until s 0;
     `Sat m
 
-let solve_assuming ?limits ?proof ?heuristic ?restarts ?reduce_base
-    ?reduce_inc ?interrupt ?snapshot ~assumptions f =
+let solve_assuming ?limits ?proof ?interrupt ~assumptions f =
   let session = Incremental.create () in
   Incremental.ensure_capacity session f.Cnf.Formula.num_vars;
   Incremental.add_formula session f;
   let result, stats =
-    Incremental.solve ?limits ?proof ?heuristic ?restarts ?reduce_base
-      ?reduce_inc ?interrupt ~assumptions session
+    Incremental.solve ?limits ?proof ?interrupt ~assumptions session
   in
-  (* Cube-aware snapshot guard: a seed captured under assumptions bakes
-     the cube's phases and activity order into what a warm start would
-     replay on the *base* formula, so the hook only fires for an
-     assumption-free call. *)
-  (match snapshot with
-   | Some hook when Array.length assumptions = 0 ->
-     hook (capture_seed session.Incremental.s)
-   | _ -> ());
   (result, stats, Incremental.last_core session)

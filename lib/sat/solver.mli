@@ -5,9 +5,8 @@
     watch lists, EVSIDS decision heuristic with phase saving, first-UIP
     clause learning with recursive minimization, Luby or Glucose
     (LBD moving-average) restarts and LBD-driven
-    learned-clause-database reduction.  Formula simplification is
-    {!Cnf.Simplify}'s layer, before search; the solver does not
-    rewrite its clause database at restarts.
+    learned-clause-database reduction.  The solver does not rewrite
+    its clause database at restarts.
 
     Long clauses live in a single flat {e arena} (one growable
     [int array]; a clause reference is an offset, a one-word header
@@ -265,8 +264,7 @@ module Incremental : sig
   val add_formula : session -> Cnf.Formula.t -> unit
 
   val solve :
-    ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
-    ?restarts:[ `Luby | `Glucose ] ->
+    ?limits:limits -> ?proof:Proof.t ->
     ?reduce_base:int -> ?reduce_inc:int ->
     ?interrupt:Interrupt.t ->
     ?assumptions:int array -> session ->
@@ -342,11 +340,7 @@ val probe_split :
     in any prefix order. *)
 
 val solve_assuming :
-  ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
-  ?restarts:[ `Luby | `Glucose ] ->
-  ?reduce_base:int -> ?reduce_inc:int ->
-  ?interrupt:Interrupt.t ->
-  ?snapshot:(seed -> unit) ->
+  ?limits:limits -> ?proof:Proof.t -> ?interrupt:Interrupt.t ->
   assumptions:int array -> Cnf.Formula.t ->
   result * stats * int array
 (** Solve [f] under the assumption literals (DIMACS) in a fresh
@@ -362,10 +356,4 @@ val solve_assuming :
     accumulating the logs of many cube jobs over the same formula
     stays RUP-checkable against that formula; an [Unsat] under
     assumptions leaves the log open for the caller to stitch (log
-    [¬core], which is RUP given this call's learned clauses).
-
-    {b Cube-aware snapshot guard}: [snapshot] fires only when
-    [assumptions] is empty.  A seed captured mid-cube would bake
-    cube-local phases and activity into a warm start of the {e base}
-    formula — silently skipping the capture keeps the warm cache
-    sound (see the warm-start contract on {!seed}). *)
+    [¬core], which is RUP given this call's learned clauses). *)

@@ -100,6 +100,28 @@ let test_missing_key_fails () =
       Alcotest.(check bool) "renamed key fails" false
         (gate [ [ "ratio" ]; [ "renamed" ] ]))
 
+(* The portfolio gate compares lane names: the committed list reads
+   back as written, and a different lane set fails. *)
+let test_lane_set_gate () =
+  let path = Filename.temp_file "bench_lanes" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let lanes = [ "direct/evsids/luby"; "eda/evsids/luby" ] in
+      H.write_json path
+        H.(Obj [ ("jobs", int 2);
+                 ("lanes", List (List.map (fun l -> Str l) lanes)) ]);
+      Alcotest.(check (list string)) "lanes read back" lanes
+        (H.strings (H.read_file path) "lanes");
+      Alcotest.(check (list string)) "absent key" []
+        (H.strings (H.read_file path) "missing");
+      let gate fresh = H.gate ~suite:"t" ~keys:[] path (fun _ ->
+          [ H.same_names "lanes" fresh (H.strings (H.read_file path) "lanes") ])
+      in
+      Alcotest.(check bool) "same lanes pass" true (gate lanes);
+      Alcotest.(check bool) "changed lanes fail" false
+        (gate [ "direct/evsids/luby"; "simplify/lrb/glucose" ]))
+
 let suite =
   [
     ("committed files hold every gated key", `Quick, test_committed_keys);
@@ -107,4 +129,5 @@ let suite =
      test_no_orphan_baselines);
     ("writer and reader agree", `Quick, test_roundtrip);
     ("a missing committed key fails the gate", `Quick, test_missing_key_fails);
+    ("a changed lane set fails the gate", `Quick, test_lane_set_gate);
   ]

@@ -196,14 +196,15 @@ let test_huge_header_is_input_error () =
       ("preprocess", [ "preprocess"; "-o"; file "huge_out.cnf" ]);
     ]
 
-(* A malformed [serve] argument is a command-line error too: exit 124,
-   no uncaught exception on stderr. *)
-let serve_arg_error name args () =
+(* A malformed or removed argument is a command-line error too: exit
+   124, no uncaught exception on stderr. *)
+let arg_error name args () =
   let err = file (name ^ ".err") in
-  check_int (name ^ " exits 124") 124
-    (run_cli ~stderr_file:err ("serve" :: args));
+  check_int (name ^ " exits 124") 124 (run_cli ~stderr_file:err args);
   check_bool (name ^ " stderr has no uncaught exception") false
     (List.exists (has_sub "uncaught") (read_lines err))
+
+let serve_arg_error name args = arg_error name ("serve" :: args)
 
 (* --- AIGER operands and load errors on both transports ---------------- *)
 
@@ -849,6 +850,8 @@ let suite =
      serve_arg_error "listen" [ "--listen"; "nohost" ]);
     ("serve --tenant zzz is a CLI error", `Quick,
      serve_arg_error "tenant" [ "--tenant"; "zzz"; "--stdio" ]);
+    ("solve --cnf-simplify is a CLI error", `Quick,
+     arg_error "cnf-simplify" [ "solve"; "--cnf-simplify" ]);
     ("pipe: AIGER operand and load error", `Quick, test_pipe_aiger_operand);
     ("socket: AIGER operand and load error", `Quick, test_loop_aiger_operand);
     ("serve e2e session", `Quick, test_serve_session);

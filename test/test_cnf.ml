@@ -481,184 +481,6 @@ let suite =
         prop_cnf2aig_xor_recovery ~advanced:true ]
 
 (* ------------------------------------------------------------------ *)
-(* CNF-level preprocessing (SatELite-style) *)
-
-let test_simplify_units_and_pures () =
-  (* x1 unit forces x2 via (x1 -> x2); x3 appears only positively. *)
-  let f =
-    Cnf.Formula.create ~num_vars:3 [ [| 1 |]; [| -1; 2 |]; [| 3; 2 |] ]
-  in
-  match Cnf.Simplify.run f with
-  | Cnf.Simplify.Proved_unsat -> Alcotest.fail "satisfiable"
-  | Cnf.Simplify.Simplified s ->
-    let f' = Cnf.Simplify.formula s in
-    check "everything removed" 0 (Cnf.Formula.num_clauses f');
-    (* Reconstruction must produce a model of the original. *)
-    let m = Cnf.Simplify.reconstruct s [| false; false; false |] in
-    check_bool "reconstructed model valid" true (Cnf.Formula.eval f m)
-
-let test_simplify_detects_unsat () =
-  let f = Cnf.Formula.create ~num_vars:1 [ [| 1 |]; [| -1 |] ] in
-  (match Cnf.Simplify.run f with
-   | Cnf.Simplify.Proved_unsat -> ()
-   | Cnf.Simplify.Simplified _ -> Alcotest.fail "should refute by UP");
-  let f = Cnf.Formula.create ~num_vars:2 [ [||] ] in
-  match Cnf.Simplify.run f with
-  | Cnf.Simplify.Proved_unsat -> ()
-  | Cnf.Simplify.Simplified _ -> Alcotest.fail "empty clause"
-
-let test_simplify_subsumption () =
-  (* (1 2) subsumes (1 2 3); disable BVE-ish effects by keeping vars in
-     many clauses. *)
-  let f =
-    Cnf.Formula.create ~num_vars:3
-      [ [| 1; 2 |]; [| 1; 2; 3 |]; [| -1; -2 |]; [| -1; 2; -3 |];
-        [| 1; -2; 3 |]; [| -1; 2; 3 |] ]
-  in
-  match Cnf.Simplify.run ~config:{ Cnf.Simplify.default_config with
-                                   Cnf.Simplify.rounds = 1 } f with
-  | Cnf.Simplify.Proved_unsat -> Alcotest.fail "satisfiable"
-  | Cnf.Simplify.Simplified s ->
-    let f' = Cnf.Simplify.formula s in
-    check_bool "clause count reduced" true
-      (Cnf.Formula.num_clauses f' < Cnf.Formula.num_clauses f)
-
-let prop_simplify_equisat_and_reconstruct =
-  QCheck.Test.make
-    ~name:"simplify: equisatisfiable, models reconstruct" ~count:300
-    QCheck.(triple (int_bound 10000000) (int_range 2 10) (int_range 1 35))
-    (fun (seed, nvars, nclauses) ->
-      let rng = Aig.Rng.create seed in
-      let clauses =
-        List.init nclauses (fun _ ->
-            let len = 1 + Aig.Rng.int rng 4 in
-            Array.init len (fun _ ->
-                let v = 1 + Aig.Rng.int rng nvars in
-                if Aig.Rng.bool rng then v else -v))
-      in
-      let f = Cnf.Formula.create ~num_vars:nvars clauses in
-      let orig_sat = Option.is_some (brute_force f) in
-      match Cnf.Simplify.run f with
-      | Cnf.Simplify.Proved_unsat -> not orig_sat
-      | Cnf.Simplify.Simplified s -> (
-        let f' = Cnf.Simplify.formula s in
-        match fst (Sat.Solver.solve f') with
-        | Sat.Solver.Sat m ->
-          orig_sat && Cnf.Formula.eval f (Cnf.Simplify.reconstruct s m)
-        | Sat.Solver.Unsat -> not orig_sat
-        | Sat.Solver.Unknown -> false))
-
-(* php(4,3) built inline (test_cnf must not depend on workloads). *)
-let inline_php43 () =
-  let v p h = (p * 3) + h + 1 in
-  let at_least = List.init 4 (fun p -> Array.init 3 (fun h -> v p h)) in
-  let at_most =
-    List.concat_map
-      (fun h ->
-        List.concat_map
-          (fun p1 ->
-            List.filter_map
-              (fun p2 -> if p2 > p1 then Some [| -v p1 h; -v p2 h |] else None)
-              (List.init 4 Fun.id))
-          (List.init 4 Fun.id))
-      (List.init 3 Fun.id)
-  in
-  Cnf.Formula.create ~num_vars:12 (at_least @ at_most)
-
-let test_simplify_php_shrinks () =
-  (* BVE + subsumption must not blow the instance up. *)
-  let f = inline_php43 () in
-  match Cnf.Simplify.run f with
-  | Cnf.Simplify.Proved_unsat -> ()
-  | Cnf.Simplify.Simplified s ->
-    check_bool "literals not increased" true
-      (Cnf.Formula.num_literals (Cnf.Simplify.formula s)
-       <= Cnf.Formula.num_literals f)
-
-(* --- proof-carrying simplification ------------------------------- *)
-
-let prop_simplify_proof_differential =
-  (* Differential fuzz of the full chain: simplify (logging) -> solve
-     (logging into the same recorder) -> reconstruct.  UNSAT cases must
-     leave one sealed DRAT stream that checks against the ORIGINAL
-     formula; SAT models must lift back and satisfy it. *)
-  QCheck.Test.make
-    ~name:"simplify+solve: one DRAT stream, checked against the original"
-    ~count:300
-    QCheck.(triple (int_bound 10000000) (int_range 3 12) (int_range 2 45))
-    (fun (seed, nvars, nclauses) ->
-      let rng = Aig.Rng.create seed in
-      let clauses =
-        List.init nclauses (fun i ->
-            (* A sprinkle of unit clauses exercises the unit-assignment
-               shrink/delete logging; short clauses over few variables
-               drive BVE and the pure-literal rule. *)
-            let len = if i mod 7 = 0 then 1 else 1 + Aig.Rng.int rng 3 in
-            Array.init len (fun _ ->
-                let v = 1 + Aig.Rng.int rng nvars in
-                if Aig.Rng.bool rng then v else -v))
-      in
-      let f = Cnf.Formula.create ~num_vars:nvars clauses in
-      let proof = Sat.Proof.create () in
-      match Cnf.Simplify.run ~proof f with
-      | Cnf.Simplify.Proved_unsat ->
-        Sat.Proof.sealed proof && Sat.Proof.check f proof
-      | Cnf.Simplify.Simplified s -> (
-        match fst (Sat.Solver.solve ~proof (Cnf.Simplify.formula s)) with
-        | Sat.Solver.Sat m ->
-          Cnf.Formula.eval f (Cnf.Simplify.reconstruct s m)
-        | Sat.Solver.Unsat ->
-          Sat.Proof.sealed proof && Sat.Proof.check f proof
-        | Sat.Solver.Unknown -> false))
-
-let test_simplify_proof_unit_chain () =
-  (* Refuted by unit propagation alone: every clause is rewritten by
-     unit assignment, so the two-phase Add/Delete ordering is what
-     keeps the stream checkable. *)
-  let f =
-    Cnf.Formula.create ~num_vars:4
-      [ [| 1 |]; [| -1; 2 |]; [| -2; 3 |]; [| -3; 4 |]; [| -4; -1 |] ]
-  in
-  let proof = Sat.Proof.create () in
-  (match Cnf.Simplify.run ~proof f with
-   | Cnf.Simplify.Proved_unsat -> ()
-   | Cnf.Simplify.Simplified _ -> Alcotest.fail "unit chain should refute");
-  check_bool "sealed by the empty clause" true (Sat.Proof.sealed proof);
-  check_bool "unit-only proof checks" true (Sat.Proof.check f proof)
-
-let test_simplify_proof_php () =
-  (* Pure literals + BVE fire on php(4,3); the solver finishes the
-     refutation.  The combined stream must check against the
-     pre-simplification formula. *)
-  let f = inline_php43 () in
-  let proof = Sat.Proof.create () in
-  (match Cnf.Simplify.run ~proof f with
-   | Cnf.Simplify.Proved_unsat -> ()
-   | Cnf.Simplify.Simplified s -> (
-     match fst (Sat.Solver.solve ~proof (Cnf.Simplify.formula s)) with
-     | Sat.Solver.Unsat -> ()
-     | _ -> Alcotest.fail "php(4,3) is unsat"));
-  check_bool "proof sealed" true (Sat.Proof.sealed proof);
-  check_bool "combined proof checks against original" true
-    (Sat.Proof.check f proof)
-
-let suite =
-  suite
-  @ [
-      ("simplify units and pures", `Quick, test_simplify_units_and_pures);
-      ("simplify detects unsat", `Quick, test_simplify_detects_unsat);
-      ("simplify subsumption", `Quick, test_simplify_subsumption);
-      ("simplify php", `Quick, test_simplify_php_shrinks);
-      ("simplify proof: unit-only refutation", `Quick,
-       test_simplify_proof_unit_chain);
-      ("simplify proof: pures+BVE then solver", `Quick,
-       test_simplify_proof_php);
-    ]
-  @ qsuite
-      [ prop_simplify_equisat_and_reconstruct;
-        prop_simplify_proof_differential ]
-
-(* ------------------------------------------------------------------ *)
 (* Plaisted-Greenbaum encoding *)
 
 let test_pg_smaller_and_equisat =

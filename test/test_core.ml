@@ -97,7 +97,7 @@ let prop_pipeline_preserves_satisfiability =
       in
       let f = Cnf.Formula.create ~num_vars:nvars clauses in
       let inst = Eda4sat.Instance.of_cnf ~name:"q" f in
-      let rb = Eda4sat.Pipeline.solve_direct inst in
+      let rb = Eda4sat.Pipeline.run Eda4sat.Pipeline.baseline inst in
       let ro = Eda4sat.Pipeline.run (Eda4sat.Pipeline.ours ()) inst in
       result_kind rb.Eda4sat.Pipeline.result
       = result_kind ro.Eda4sat.Pipeline.result)
@@ -296,69 +296,72 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Proof-carrying simplification through the pipeline *)
+(* Proofs and models through the pipeline *)
 
-let test_pipeline_simplify_unsat_proof () =
-  (* An UNSAT miter through transform + Cnf.Simplify + solve must leave
-     one sealed DRAT stream that checks against the CNF entering the
-     simplifier (the transformed formula). *)
+let test_pipeline_proof_unsat () =
+  (* An UNSAT miter through transform + solve must leave one sealed
+     DRAT stream that checks against the CNF handed to the solver (the
+     transformed formula). *)
   let inst =
     Eda4sat.Instance.of_circuit ~name:"m" (small_miter ~buggy:false 60)
   in
   let cfg = Eda4sat.Pipeline.ours () in
   let f, _ = Eda4sat.Pipeline.transform cfg inst in
   let proof = Sat.Proof.create () in
-  let r = Eda4sat.Pipeline.run ~proof ~simplify:true cfg inst in
+  let r = Eda4sat.Pipeline.run ~proof cfg inst in
   check_bool "unsat" true (result_kind r.Eda4sat.Pipeline.result = `Unsat);
   check_bool "proof sealed" true (Sat.Proof.sealed proof);
   check_bool "end-to-end proof checks against the transformed CNF" true
     (Sat.Proof.check f proof)
 
-let test_pipeline_simplify_sat_model_lifted () =
-  (* A SAT answer under ~simplify must carry a model over the solved
-     formula's variables that actually satisfies it. *)
+let test_pipeline_proof_sat_models () =
+  (* A SAT answer must carry a model over the solved formula's
+     variables that actually satisfies it. *)
   let inst =
     Eda4sat.Instance.of_circuit ~name:"m" (small_miter ~buggy:true 61)
   in
   let cfg = Eda4sat.Pipeline.ours () in
   let f, _ = Eda4sat.Pipeline.transform cfg inst in
-  let r = Eda4sat.Pipeline.run ~simplify:true cfg inst in
+  let r = Eda4sat.Pipeline.run ~proof:(Sat.Proof.create ()) cfg inst in
   (match r.Eda4sat.Pipeline.result with
    | Sat.Solver.Sat m ->
-     check_bool "lifted model satisfies the transformed CNF" true
+     check_bool "model satisfies the transformed CNF" true
        (Cnf.Formula.eval f m)
    | _ -> Alcotest.fail "buggy miter must be satisfiable");
   (* Same through the direct path. *)
   let f0 = Eda4sat.Instance.direct_formula inst in
-  let rd = Eda4sat.Pipeline.solve_direct ~simplify:true inst in
+  let rd =
+    Eda4sat.Pipeline.run ~proof:(Sat.Proof.create ())
+      Eda4sat.Pipeline.baseline inst
+  in
   match rd.Eda4sat.Pipeline.result with
   | Sat.Solver.Sat m ->
-    check_bool "direct lifted model satisfies the input" true
+    check_bool "direct model satisfies the input" true
       (Cnf.Formula.eval f0 m)
   | _ -> Alcotest.fail "direct solve must agree"
 
-let test_pipeline_simplify_refuted_in_preprocessing () =
-  (* A contradiction the simplifier refutes on its own: Unsat with
-     zeroed solver stats and a sealed, checkable proof. *)
+let test_pipeline_proof_refuted_by_up () =
+  (* A contradiction unit propagation refutes on its own: Unsat with
+     no conflicts and a sealed, checkable proof. *)
   let f =
     Cnf.Formula.create ~num_vars:2 [ [| 1 |]; [| -1; 2 |]; [| -2 |] ]
   in
   let inst = Eda4sat.Instance.of_cnf ~name:"up-unsat" f in
   let proof = Sat.Proof.create () in
-  let r = Eda4sat.Pipeline.solve_direct ~proof ~simplify:true inst in
+  let r = Eda4sat.Pipeline.run ~proof Eda4sat.Pipeline.baseline inst in
   check_bool "unsat" true (result_kind r.Eda4sat.Pipeline.result = `Unsat);
   check "no solver conflicts" 0
     r.Eda4sat.Pipeline.solver_stats.Sat.Solver.conflicts;
-  check_bool "proof sealed by the simplifier" true (Sat.Proof.sealed proof);
+  check_bool "proof sealed" true (Sat.Proof.sealed proof);
   check_bool "proof checks" true (Sat.Proof.check f proof)
 
 let suite =
   suite
   @ [
-      ("pipeline ~simplify: end-to-end UNSAT proof", `Quick,
-       test_pipeline_simplify_unsat_proof);
-      ("pipeline ~simplify: SAT models lifted", `Quick,
-       test_pipeline_simplify_sat_model_lifted);
-      ("pipeline ~simplify: refuted in preprocessing", `Quick,
-       test_pipeline_simplify_refuted_in_preprocessing);
+      ("pipeline ?proof: UNSAT proof checks", `Quick,
+       test_pipeline_proof_unsat);
+      ("pipeline ?proof: SAT models check", `Quick,
+       test_pipeline_proof_sat_models);
+      ("pipeline ?proof: refuted by UP", `Quick,
+       test_pipeline_proof_refuted_by_up);
     ]

@@ -279,60 +279,7 @@ let suite =
     ("strategy pool shape", `Quick, test_strategy_pool_shape);
   ]
 
-(* --- simplify lanes, model lifts, race CPU accounting --------------- *)
-
-let test_lifted_lane_reports_input_model () =
-  (* A prepared_lifted lane answers Sat through its model lift, so the
-     reported model satisfies the INPUT formula even though the lane
-     solved a BVE-rewritten one. *)
-  let f =
-    Cnf.Formula.create ~num_vars:4
-      [ [| 1; 2 |]; [| -1; 3 |]; [| -2; 4 |]; [| -3; -4; 1 |] ]
-  in
-  let lane name =
-    Portfolio.Strategy.prepared_lifted ~share_group:1 name (fun ~stop:_ ->
-        match Cnf.Simplify.run f with
-        | Cnf.Simplify.Proved_unsat -> Alcotest.fail "satisfiable"
-        | Cnf.Simplify.Simplified s ->
-          (Cnf.Simplify.formula s, Some (Cnf.Simplify.reconstruct s)))
-  in
-  (* Sequential (jobs=1) and parallel, simplify lanes only: the winner
-     is always lifted. *)
-  List.iter
-    (fun jobs ->
-      let outcome =
-        Portfolio.Runner.run ~jobs [ lane "simp/a"; lane "simp/b" ] f
-      in
-      match outcome.Portfolio.Runner.result with
-      | Sat.Solver.Sat m ->
-        check_bool "lifted model satisfies the input" true
-          (Cnf.Formula.eval f m)
-      | _ -> Alcotest.fail "satisfiable")
-    [ 1; 2 ]
-
-let test_pool_has_simplify_lanes () =
-  let cfg = Eda4sat.Pipeline.ours () in
-  let inst =
-    Eda4sat.Instance.of_cnf ~name:"tiny"
-      (Cnf.Formula.create ~num_vars:2 [ [| 1; 2 |] ])
-  in
-  let pool = Eda4sat.Pipeline.portfolio_strategies ~jobs:10 cfg inst in
-  let simplify =
-    List.filter
-      (fun s ->
-        String.length s.Portfolio.Strategy.name >= 9
-        && String.sub s.Portfolio.Strategy.name 0 9 = "simplify/")
-      pool
-  in
-  check_bool "simplify lanes present" true (List.length simplify >= 2);
-  List.iter
-    (fun s ->
-      check_bool "simplify lanes share among themselves only" true
-        (s.Portfolio.Strategy.share_group <> None
-         && s.Portfolio.Strategy.share_group <> Some 0);
-      check_bool "simplify lanes are prepared" true
-        (s.Portfolio.Strategy.prepare <> None))
-    simplify
+(* --- race CPU accounting ------------------------------------------- *)
 
 let test_race_cpu_reported_once () =
   (* The per-lane Sys.time reading over-attributes concurrent work, so
@@ -358,9 +305,6 @@ let test_race_cpu_reported_once () =
 let suite =
   suite
   @ [
-      ("lifted lanes report input-variable models", `Quick,
-       test_lifted_lane_reports_input_model);
-      ("pool contains simplify lanes", `Quick, test_pool_has_simplify_lanes);
       ("race-level cpu reported once", `Quick, test_race_cpu_reported_once);
     ]
 

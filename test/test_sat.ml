@@ -431,6 +431,20 @@ let test_proof_rejects_bogus () =
   Sat.Proof.delete bogus3 [| 1 |];
   check_bool "bad delete rejected" false (Sat.Proof.check f bogus3)
 
+let test_proof_deletes_input_clause () =
+  (* Deletions may remove input clauses, not only learned ones: once
+     (1) is deleted from (1) & (-1), the empty clause is no longer
+     RUP. *)
+  let f = Cnf.Formula.create ~num_vars:1 [ [| 1 |]; [| -1 |] ] in
+  let ok = Sat.Proof.create () in
+  Sat.Proof.add ok [||];
+  check_bool "empty clause accepted" true (Sat.Proof.check f ok);
+  let after_delete = Sat.Proof.create () in
+  Sat.Proof.delete after_delete [| 1 |];
+  Sat.Proof.add after_delete [||];
+  check_bool "empty clause after deleting (1) rejected" false
+    (Sat.Proof.check f after_delete)
+
 let prop_unsat_proofs_validate =
   QCheck.Test.make ~name:"solver: every UNSAT run emits a valid DRAT proof"
     ~count:150
@@ -448,6 +462,8 @@ let suite =
       ("drat proof on pigeonhole", `Quick, test_proof_validates_on_php);
       ("drat text roundtrip", `Quick, test_proof_text_roundtrip);
       ("drat rejects bogus proofs", `Quick, test_proof_rejects_bogus);
+      ("drat deletion of an input clause", `Quick,
+       test_proof_deletes_input_clause);
     ]
   @ qsuite [ prop_unsat_proofs_validate ]
 
