@@ -853,3 +853,37 @@ let suite =
       ("factor replay matches direct build", `Quick,
        test_factor_replay_matches_direct);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* ISOP pin: every cover of every function of up to 4 variables and of
+   100k seeded 5-variable functions, cube by cube and in order. *)
+
+let isop_digest () =
+  let cubes = ref 0 and h = ref 0 in
+  let mix x = h := ((!h * 1_000_003) lxor x) land 0x3FFF_FFFF_FFFF in
+  let cover f =
+    List.iter
+      (fun c ->
+        incr cubes;
+        mix c.Aig.Cube.mask;
+        mix c.Aig.Cube.pol)
+      (Aig.Isop.compute f);
+    mix (-1)
+  in
+  for n = 0 to 4 do
+    for bits = 0 to (1 lsl (1 lsl n)) - 1 do
+      cover (Aig.Tt.of_int n bits)
+    done
+  done;
+  let rng = Aig.Rng.create 0x150b in
+  for _ = 1 to 100_000 do
+    cover (Aig.Tt.of_int64 5 (Aig.Rng.next64 rng))
+  done;
+  (!cubes, !h)
+
+let test_isop_digest () =
+  let cubes, h = isop_digest () in
+  check "cubes" 1050452 cubes;
+  check "digest" 0x275ea8f04d93 h
+
+let suite = suite @ [ ("isop pinned covers", `Quick, test_isop_digest) ]

@@ -373,3 +373,88 @@ let test_verilog_writer () =
     count_assigns
 
 let suite = suite @ [ ("verilog writer", `Quick, test_verilog_writer) ]
+
+(* ------------------------------------------------------------------ *)
+(* Netlist and clause pins: each LUT's table and fanins under both
+   mapper configurations, and every clause of their encodings. *)
+
+let mixer () =
+  let h = ref 0 in
+  (h, fun x -> h := ((!h * 1_000_003) lxor x) land 0x3FFF_FFFF_FFFF)
+
+let netlist_hash nl =
+  let h, mix = mixer () in
+  let source = function
+    | Lutmap.Netlist.Input i -> 3 * i
+    | Lutmap.Netlist.Lut_out j -> (3 * j) + 1
+    | Lutmap.Netlist.Const b -> if b then 5 else 2
+  in
+  mix nl.Lutmap.Netlist.num_inputs;
+  Array.iter
+    (fun l ->
+      mix (Aig.Tt.num_vars l.Lutmap.Netlist.tt);
+      mix (Aig.Tt.to_int l.Lutmap.Netlist.tt);
+      Array.iter (fun s -> mix (source s)) l.Lutmap.Netlist.fanins)
+    nl.Lutmap.Netlist.luts;
+  Array.iter
+    (fun (s, c) -> mix (source s); mix (Bool.to_int c))
+    nl.Lutmap.Netlist.outputs;
+  (Lutmap.Netlist.num_luts nl, !h)
+
+let clauses_hash (f : Cnf.Formula.t) =
+  let h, mix = mixer () in
+  mix f.num_vars;
+  Array.iter (fun c -> mix (Array.length c); Array.iter mix c) f.clauses;
+  (Cnf.Formula.num_clauses f, !h)
+
+let golden_netlists =
+  [
+    ("random 7 area luts", 32, 0x16766b8a87ab);
+    ("random 7 area clauses", 134, 0x3de7e414fe2a);
+    ("random 7 branching luts", 40, 0x1ef2f3842471);
+    ("random 7 branching clauses", 139, 0x359c6fe3b18a);
+    ("random 8 area luts", 31, 0x242678e51493);
+    ("random 8 area clauses", 122, 0x12fe74d7f2d9);
+    ("random 8 branching luts", 42, 0x9f08bfd2353);
+    ("random 8 branching clauses", 134, 0x2c8e59baf631);
+    ("I1 area luts", 465, 0x242aa2b470d5);
+    ("I1 area clauses", 2555, 0xadc789dc334);
+    ("I1 branching luts", 501, 0xb9e89b7bde2);
+    ("I1 branching clauses", 2303, 0x15ca7db3c77);
+    ("C8 area luts", 304, 0x3c148e786095);
+    ("C8 area clauses", 1672, 0x33e07b836d27);
+    ("C8 branching luts", 304, 0x2fccd640da07);
+    ("C8 branching clauses", 1671, 0x3349f8f5eb1b);
+  ]
+
+let pin_inputs () =
+  let suite = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
+  let instance name =
+    let _, inst = List.find (fun (n, _) -> String.sub n 0 2 = name) suite in
+    (name, Synth.Balance.run (Eda4sat.Instance.to_aig inst))
+  in
+  [ ("random 7", random_graph ~seed:7 ~num_pis:16 ~num_ands:600);
+    ("random 8", random_graph ~seed:8 ~num_pis:16 ~num_ands:600);
+    instance "I1"; instance "C8" ]
+
+let test_golden_netlists () =
+  let pin key (n', h') =
+    let _, n, h = List.find (fun (k, _, _) -> k = key) golden_netlists in
+    check (key ^ " count") n n';
+    check (key ^ " hash") h h'
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (cfg_name, config) ->
+          let nl = Lutmap.Mapper.run ~config g in
+          pin (Printf.sprintf "%s %s luts" name cfg_name) (netlist_hash nl);
+          pin
+            (Printf.sprintf "%s %s clauses" name cfg_name)
+            (clauses_hash (Lutmap.Encode.encode nl).Lutmap.Encode.formula))
+        [ ("area", Lutmap.Mapper.default_config);
+          ("branching", Lutmap.Mapper.cost_customized_config) ])
+    (pin_inputs ())
+
+let suite =
+  suite @ [ ("mapper/encode golden netlists", `Quick, test_golden_netlists) ]

@@ -442,9 +442,56 @@ let test_golden_structure () =
       check_graph name (Synth.Balance.run (Eda4sat.Instance.to_aig inst)))
     [ "I1"; "C8" ]
 
+(* Balance and FRAIG outputs on the same kind of inputs; the FRAIG pin
+   also covers its (tried, proven, disproved) counts, so a change in
+   which candidates the simulation rows propose fails it even where the
+   swept graph comes out the same.  C8 and C6 refine the rows. *)
+let golden_sweeps =
+  [
+    ("random 7 balance", 57, 0x3dc257af905c); ("random 7 resub", 42, 0x3a22caef836d);
+    ("random 8 balance", 62, 0x11a0d51f6a07); ("random 8 resub", 25, 0x1b6623de6cda);
+    ("I1 balance", 1441, 0x2fc2ddf576d); ("I1 resub", 0, 0x350d65f6edfa);
+    ("C8 balance", 899, 0xa8c014254c7); ("C8 resub", 899, 0x9f519af51fc);
+    ("C6 balance", 18479, 0x2468e1ce25d8); ("C6 resub", 18479, 0x2c225fb91f0a);
+  ]
+
+let pin_inputs () =
+  let suite = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
+  let instance name =
+    let _, inst = List.find (fun (n, _) -> String.sub n 0 2 = name) suite in
+    (name, Eda4sat.Instance.to_aig inst)
+  in
+  [ ("random 7", random_graph ~seed:7 ~num_pis:16 ~num_ands:600);
+    ("random 8", random_graph ~seed:8 ~num_pis:16 ~num_ands:600);
+    instance "I1"; instance "C8"; instance "C6" ]
+
+let resub_pin g =
+  let ands, h = structure_hash (Synth.Resub.run g) in
+  let tried, proven, disproved = Synth.Resub.stats_last_run () in
+  let h = List.fold_left (fun h x -> (h * 1_000_003) lxor x) h
+      [ tried; proven; disproved ] in
+  (ands, h land 0x3FFF_FFFF_FFFF)
+
+let test_golden_sweeps () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (pass, pin) ->
+          let key = name ^ " " ^ pass in
+          let _, ands, hash =
+            List.find (fun (k, _, _) -> k = key) golden_sweeps
+          in
+          let ands', hash' = pin g in
+          check (key ^ " ands") ands ands';
+          check (key ^ " hash") hash hash')
+        [ ("balance", fun g -> structure_hash (Synth.Balance.run g));
+          ("resub", resub_pin) ])
+    (pin_inputs ())
+
 let suite =
   suite
   @ [
       ("rewrite k=6 equivalent", `Quick, test_rewrite_k6_equivalent);
       ("rewrite/refactor golden structure", `Quick, test_golden_structure);
+      ("balance/resub golden structure", `Quick, test_golden_sweeps);
     ]
