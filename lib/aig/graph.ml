@@ -15,11 +15,52 @@ type t = {
   npis : int;
   mutable outs : int array;
   mutable nouts : int;
-  strash : (int, int) Hashtbl.t; (* key = fan0 * 2^31ish + fan1 packed *)
+  mutable strash : int array;
+      (* open-addressed, power-of-two size: AND ids, 0 marks an empty
+         slot (node 0 is the constant, never an AND); at most half
+         full *)
 }
 
-(* Strash key: fanins are each < 2 * n; pack into one int (63-bit ints). *)
-let key a b = (a lsl 31) lor b
+(* Home slot of an AND with fanins [a <= b]. *)
+let home mask a b =
+  let h = ((a * 0x3C6EF372FE94F82B) + b) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land mask
+
+(* The slot holding the AND with fanins [a, b], or the empty slot that
+   ends its probe sequence. *)
+let rec probe g mask a b i =
+  let id = Array.unsafe_get g.strash i in
+  if id = 0 || (g.fan0.(id) = a && g.fan1.(id) = b) then i
+  else probe g mask a b ((i + 1) land mask)
+
+let rehash g size =
+  let t = Array.make size 0 and mask = size - 1 in
+  g.strash <- t;
+  for id = g.npis + 1 to g.n - 1 do
+    t.(probe g mask g.fan0.(id) g.fan1.(id) (home mask g.fan0.(id) g.fan1.(id)))
+    <- id
+  done
+
+(* Empties the slot of [id] by backward shift: each later entry of its
+   probe run moves into the hole unless its home slot lies cyclically
+   after the hole, so every remaining entry stays reachable from its
+   home without tombstones. *)
+let unhash g id =
+  let t = g.strash in
+  let mask = Array.length t - 1 in
+  let a = g.fan0.(id) and b = g.fan1.(id) in
+  let hole = ref (probe g mask a b (home mask a b)) in
+  let j = ref ((!hole + 1) land mask) in
+  while t.(!j) <> 0 do
+    let e = t.(!j) in
+    let h = home mask g.fan0.(e) g.fan1.(e) in
+    if (!j - h) land mask >= (!j - !hole) land mask then begin
+      t.(!hole) <- e;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  t.(!hole) <- 0
 
 let create ~num_pis =
   if num_pis < 0 then invalid_arg "Graph.create: negative num_pis";
@@ -31,7 +72,7 @@ let create ~num_pis =
     npis = num_pis;
     outs = Array.make 4 0;
     nouts = 0;
-    strash = Hashtbl.create 1024;
+    strash = Array.make 16 0;
   }
 
 let num_pis g = g.npis
@@ -79,17 +120,20 @@ let and_ g a b =
   else if a = b then a
   else if a = lit_not b then const_false
   else
-    let k = key a b in
-    match Hashtbl.find_opt g.strash k with
-    | Some id -> lit_of_node id false
-    | None ->
+    let mask = Array.length g.strash - 1 in
+    let i = probe g mask a b (home mask a b) in
+    let id = g.strash.(i) in
+    if id <> 0 then lit_of_node id false
+    else begin
       grow g;
       let id = g.n in
       g.fan0.(id) <- a;
       g.fan1.(id) <- b;
       g.n <- id + 1;
-      Hashtbl.add g.strash k id;
+      g.strash.(i) <- id;
+      if 2 * (id - g.npis) > mask + 1 then rehash g (2 * (mask + 1));
       lit_of_node id false
+    end
 
 let or_ g a b = lit_not (and_ g (lit_not a) (lit_not b))
 
@@ -188,8 +232,8 @@ let nodes_since g m = g.n - m
 
 let rollback g m =
   if m < g.npis + 1 || m > g.n then invalid_arg "Graph.rollback: bad mark";
-  for id = m to g.n - 1 do
-    Hashtbl.remove g.strash (key g.fan0.(id) g.fan1.(id))
+  for id = g.n - 1 downto m do
+    unhash g id
   done;
   g.n <- m
 
@@ -201,7 +245,7 @@ let copy g =
     npis = g.npis;
     outs = Array.copy g.outs;
     nouts = g.nouts;
-    strash = Hashtbl.copy g.strash;
+    strash = Array.copy g.strash;
   }
 
 let compose g f =
