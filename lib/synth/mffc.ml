@@ -1,38 +1,60 @@
-(* Simulated dereferencing on a scratch delta of the reference counts. *)
+(* Simulated dereferencing on a scratch delta of the reference counts.
+   The scratch belongs to the domain: [delta.(n)] counts the
+   dereferences of node [n] in the current walk and is valid only while
+   [seen.(n)] holds the walk's stamp, and [leaf.(n)] holds the stamp of
+   the walk whose cut has [n] as a leaf.  Each walk takes a new stamp,
+   so nothing is cleared between walks. *)
 
-let walk g refs id ~stop ~visit =
-  let delta = Hashtbl.create 16 in
-  let remaining nid =
-    refs.(nid) - Option.value (Hashtbl.find_opt delta nid) ~default:0
-  in
-  let rec deref nid =
-    visit nid;
-    let fanin l =
-      let fid = Aig.Graph.node_of_lit l in
-      if Aig.Graph.is_and g fid && not (stop fid) then begin
-        Hashtbl.replace delta fid
-          (1 + Option.value (Hashtbl.find_opt delta fid) ~default:0);
-        if remaining fid = 0 then deref fid
-      end
-    in
-    fanin (Aig.Graph.fanin0 g nid);
-    fanin (Aig.Graph.fanin1 g nid)
-  in
-  deref id
+type scratch = {
+  mutable stamp : int;
+  mutable seen : int array;
+  mutable delta : int array;
+  mutable leaf : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = 0; seen = [||]; delta = [||]; leaf = [||] })
+
+let scratch g =
+  let s = Domain.DLS.get scratch_key in
+  let n = Aig.Graph.num_nodes g in
+  if Array.length s.seen < n then begin
+    let cap = max n (2 * Array.length s.seen) in
+    s.seen <- Array.make cap 0;
+    s.delta <- Array.make cap 0;
+    s.leaf <- Array.make cap 0
+  end;
+  s.stamp <- s.stamp + 1;
+  s
+
+let rec deref s g refs bounded visit nid =
+  visit nid;
+  fanin s g refs bounded visit (Aig.Graph.fanin0 g nid);
+  fanin s g refs bounded visit (Aig.Graph.fanin1 g nid)
+
+and fanin s g refs bounded visit l =
+  let fid = Aig.Graph.node_of_lit l in
+  if Aig.Graph.is_and g fid && not (bounded && s.leaf.(fid) = s.stamp) then begin
+    let d = if s.seen.(fid) = s.stamp then s.delta.(fid) + 1 else 1 in
+    s.seen.(fid) <- s.stamp;
+    s.delta.(fid) <- d;
+    if refs.(fid) = d then deref s g refs bounded visit fid
+  end
 
 let size_above_cut g refs id leaves =
-  let leaf_set = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace leaf_set l ()) leaves;
+  let s = scratch g in
+  Array.iter (fun l -> s.leaf.(l) <- s.stamp) leaves;
   let count = ref 0 in
-  walk g refs id ~stop:(Hashtbl.mem leaf_set) ~visit:(fun _ -> incr count);
+  deref s g refs true (fun _ -> incr count) id;
   !count
 
 let size g refs id =
   let count = ref 0 in
-  walk g refs id ~stop:(fun _ -> false) ~visit:(fun _ -> incr count);
+  deref (scratch g) g refs false (fun _ -> incr count) id;
   !count
 
 let members g refs id =
   let acc = ref [] in
-  walk g refs id ~stop:(fun _ -> false) ~visit:(fun nid -> acc := nid :: !acc);
+  deref (scratch g) g refs false (fun nid -> acc := nid :: !acc) id;
   !acc
