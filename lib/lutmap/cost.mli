@@ -14,11 +14,8 @@ val conventional : t
 (** Constant 1 per LUT: minimizes LUT count (area). *)
 
 val branching : t
-(** [|ISOP(f)| + |ISOP(not f)|], memoized.  AND2 costs 3, XOR2 costs
-    4, matching Figure 4 of the paper. *)
-
-val branching_of_int64 : nvars:int -> int64 -> int
-(** Branching complexity of a packed cut function. *)
+(** [|ISOP(f)| + |ISOP(not f)|], memoized for up to 4 variables.  AND2
+    costs 3, XOR2 costs 4, matching Figure 4 of the paper. *)
 
 val table_for_arity : int -> (int * int) list
 (** [(function, cost)] for every function of the given arity (<= 4,

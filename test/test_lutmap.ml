@@ -43,7 +43,7 @@ let test_cost_fig4 () =
 
 let test_cost_int64_and_table () =
   (* xor2 packed: 0b0110. *)
-  check "packed xor" 4 (Lutmap.Cost.branching_of_int64 ~nvars:2 0b0110L);
+  check "packed xor" 4 (Lutmap.Cost.branching (Aig.Tt.of_int64 2 0b0110L));
   let table = Lutmap.Cost.table_for_arity 3 in
   check "14 classes at n=3" 14 (List.length table);
   List.iter (fun (_f, c) -> check_bool "cost positive" true (c >= 1)) table;
