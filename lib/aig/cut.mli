@@ -21,11 +21,6 @@ val expand_tt : int64 -> int array -> int array -> int64
 (** [expand_tt tt leaves union] re-expresses [tt] (a function of
     [leaves]) over the superset [union]; both arrays ascending. *)
 
-val merge : k:int -> cut -> bool -> cut -> bool -> cut option
-(** [merge ~k ca ca_compl cb cb_compl] is the cut for an AND node whose
-    fanins are the cut roots with the given complementations, or [None]
-    if the leaf union exceeds [k]. *)
-
 val dominates : cut -> cut -> bool
 (** [dominates a b] when [a]'s leaves are a subset of [b]'s. *)
 
