@@ -35,37 +35,51 @@ let run ?(config = default_config) g =
   let arrival = Array.make n 0 in
   let flow = Array.make n 0.0 in
   let best : Aig.Cut.cut option array = Array.make n None in
-  let nontrivial id =
-    List.filter
-      (fun c -> not (Array.mem id c.Aig.Cut.leaves))
-      (Aig.Cut.cuts sets id)
-  in
-  let cut_arrival c =
-    Array.fold_left (fun acc leaf -> max acc arrival.(leaf)) 0 c.Aig.Cut.leaves
-    + 1
-  in
-  let cut_flow c =
-    float_of_int (cut_cost cfg c)
-    +. Array.fold_left
-         (fun acc leaf -> acc +. flow.(leaf))
-         0.0 c.Aig.Cut.leaves
-  in
-  (* Delay-optimal pass. *)
+  (* Each reachable AND's nontrivial cuts, in enumeration order, and
+     their costs, computed once. *)
+  let cands = Array.make n [||] and costs = Array.make n [||] in
   Aig.Graph.iter_ands g (fun id ->
       if reachable.(id) then begin
-        let choose (ba, bf, bc) c =
-          let a = cut_arrival c and f = cut_flow c in
-          if a < ba || (a = ba && f < bf) then (a, f, Some c) else (ba, bf, bc)
+        let cs =
+          List.filter
+            (fun c -> not (Array.exists (Int.equal id) c.Aig.Cut.leaves))
+            (Aig.Cut.cuts sets id)
+          |> Array.of_list
         in
-        let a, f, c =
-          List.fold_left choose (max_int, infinity, None) (nontrivial id)
-        in
-        (match c with
-         | Some _ ->
-           arrival.(id) <- a;
-           flow.(id) <- f /. float_of_int (max 1 refs.(id));
-           best.(id) <- c
-         | None -> assert false)
+        cands.(id) <- cs;
+        costs.(id) <- Array.map (fun c -> float_of_int (cut_cost cfg c)) cs
+      end);
+  let cut_arrival c =
+    let a = ref 0 in
+    Array.iter (fun leaf -> a := max !a arrival.(leaf)) c.Aig.Cut.leaves;
+    !a + 1
+  in
+  let cut_flow c cost =
+    let f = ref 0.0 in
+    Array.iter (fun leaf -> f := !f +. flow.(leaf)) c.Aig.Cut.leaves;
+    cost +. !f
+  in
+  let select id c a f =
+    arrival.(id) <- a;
+    flow.(id) <- f /. float_of_int (max 1 refs.(id));
+    best.(id) <- Some c
+  in
+  (* Delay-optimal pass: least arrival, then least flow. *)
+  Aig.Graph.iter_ands g (fun id ->
+      if reachable.(id) then begin
+        let cs = cands.(id) and cost = costs.(id) in
+        let bi = ref (-1) and ba = ref max_int and bf = ref infinity in
+        Array.iteri
+          (fun i c ->
+            let a = cut_arrival c and f = cut_flow c cost.(i) in
+            if a < !ba || (a = !ba && f < !bf) then begin
+              bi := i;
+              ba := a;
+              bf := f
+            end)
+          cs;
+        assert (!bi >= 0);
+        select id cs.(!bi) !ba !bf
       end);
   (* Area-recovery passes under the delay constraint. *)
   let required = Array.make n max_int in
@@ -96,35 +110,36 @@ let run ?(config = default_config) g =
                 required.(leaf) <- min required.(leaf) (required.(id) - 1))
             c.Aig.Cut.leaves
     done;
-    (* Re-select cuts minimizing flow within the slack. *)
+    (* Re-select cuts: least flow, then least arrival, among the cuts
+       within the required time; failing that, least arrival, then
+       least flow. *)
     Aig.Graph.iter_ands g (fun id ->
         if reachable.(id) then begin
           let req = if required.(id) = max_int then target else required.(id) in
-          let feasible, infeasible =
-            List.partition (fun c -> cut_arrival c <= req) (nontrivial id)
-          in
-          let pick cuts ~by =
-            List.fold_left
-              (fun acc c ->
-                match acc with
-                | None -> Some c
-                | Some b -> if by c < by b then Some c else acc)
-              None cuts
-          in
-          let chosen =
-            match
-              pick feasible ~by:(fun c -> (cut_flow c, cut_arrival c))
-            with
-            | Some c -> Some c
-            | None ->
-              pick infeasible ~by:(fun c -> (cut_arrival c, cut_flow c))
-          in
-          match chosen with
-          | Some c ->
-            arrival.(id) <- cut_arrival c;
-            flow.(id) <- cut_flow c /. float_of_int (max 1 refs.(id));
-            best.(id) <- Some c
-          | None -> assert false
+          let cs = cands.(id) and cost = costs.(id) in
+          let fi = ref (-1) and fa = ref 0 and ff = ref 0.0 in
+          let ii = ref (-1) and ia = ref 0 and iff = ref 0.0 in
+          Array.iteri
+            (fun i c ->
+              let a = cut_arrival c and f = cut_flow c cost.(i) in
+              if a <= req then begin
+                if !fi < 0 || f < !ff || (f = !ff && a < !fa) then begin
+                  fi := i;
+                  fa := a;
+                  ff := f
+                end
+              end
+              else if !ii < 0 || a < !ia || (a = !ia && f < !iff) then begin
+                ii := i;
+                ia := a;
+                iff := f
+              end)
+            cs;
+          if !fi >= 0 then select id cs.(!fi) !fa !ff
+          else begin
+            assert (!ii >= 0);
+            select id cs.(!ii) !ia !iff
+          end
         end)
   done;
   (* Derivation: collect the nodes actually used by the mapping. *)
