@@ -48,7 +48,11 @@ let not_ a =
 let and_ = map2 Int64.logand
 let or_ = map2 Int64.logor
 let xor_ = map2 Int64.logxor
-let equal a b = a.n = b.n && a.w = b.w
+let equal a b =
+  a.n = b.n
+  &&
+  let rec same i = i < 0 || (Int64.equal a.w.(i) b.w.(i) && same (i - 1)) in
+  same (Array.length a.w - 1)
 let is_const_false a = Array.for_all (fun x -> x = 0L) a.w
 let is_const_true a = equal a (create_const a.n true)
 
@@ -164,6 +168,12 @@ let to_hex t =
   String.concat ""
     (List.rev_map (Printf.sprintf "%016Lx") (Array.to_list t.w))
 
-let hash t = Hashtbl.hash (t.n, t.w)
+let hash t =
+  Array.fold_left
+    (fun h x ->
+      (h * 0x100000001B3)
+      lxor Int64.to_int x
+      lxor Int64.to_int (Int64.shift_right_logical x 32))
+    t.n t.w
 let compare a b = Stdlib.compare (a.n, a.w) (b.n, b.w)
 let pp ppf t = Format.fprintf ppf "tt%d:%s" t.n (to_hex t)

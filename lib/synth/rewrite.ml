@@ -49,7 +49,7 @@ let run ?(k = 4) ?(cut_limit = 8) ?(use_mffc = true) g =
                 List.filter
                   (fun c ->
                     Array.length c.Aig.Cut.leaves >= 2
-                    && not (Array.mem id c.Aig.Cut.leaves))
+                    && not (Array.exists (Int.equal id) c.Aig.Cut.leaves))
                   (Aig.Cut.cuts sets id)
               in
               (* A candidate built from cut [c] replaces the whole MFFC
