@@ -23,17 +23,97 @@ let default_config =
 let last_stats = ref (0, 0, 0)
 let stats_last_run () = !last_stats
 
-(* Lexicographic canonicalization of a row w.r.t. complement: returns
-   (canonical_row, complemented). *)
-let canonical_row row =
-  let rec cmp i =
-    if i >= Array.length row then 0
-    else
-      let a = row.(i) and b = Int64.lognot row.(i) in
-      let c = Int64.unsigned_compare a b in
-      if c <> 0 then c else cmp (i + 1)
+(* Simulation rows of the new graph in one flat unboxed store: node
+   [id] owns [stride] words from byte [8 * id * stride], of which the
+   first [width] are in use.  Refinement appends one word to every row
+   in place, and doubles [stride] (one copy of the store) only when the
+   rows are full.  Rows [0 .. nodes - 1] are set. *)
+type rows = {
+  mutable store : Bytes.t;
+  mutable stride : int;
+  mutable width : int;
+  mutable nodes : int;
+}
+
+let get r id w = Bytes.get_int64_ne r.store (8 * ((id * r.stride) + w))
+let set r id w x = Bytes.set_int64_ne r.store (8 * ((id * r.stride) + w)) x
+let capacity r = Bytes.length r.store / (8 * r.stride)
+
+let reserve r id =
+  let cap = capacity r in
+  if id >= cap then begin
+    let s = Bytes.make (8 * r.stride * max (id + 1) (2 * cap)) '\000' in
+    Bytes.blit r.store 0 s 0 (Bytes.length r.store);
+    r.store <- s
+  end
+
+let widen r =
+  if r.width = r.stride then begin
+    let stride = 2 * r.stride in
+    let s = Bytes.make (8 * stride * capacity r) '\000' in
+    for id = 0 to r.nodes - 1 do
+      Bytes.blit r.store (8 * id * r.stride) s (8 * id * stride) (8 * r.width)
+    done;
+    r.store <- s;
+    r.stride <- stride
+  end;
+  r.width <- r.width + 1
+
+(* A row and its complement share one canonical form, the one that is
+   lower as unsigned words: the row itself iff the top bit of its first
+   word is clear. *)
+let complemented r id = r.width > 0 && Int64.compare (get r id 0) 0L < 0
+
+let canonical_hash r id =
+  let c = if complemented r id then -1L else 0L in
+  let h = ref 0 in
+  for w = 0 to r.width - 1 do
+    let x = Int64.logxor (get r id w) c in
+    h :=
+      (!h * 0x100000001B3)
+      lxor Int64.to_int x
+      lxor Int64.to_int (Int64.shift_right_logical x 32)
+  done;
+  !h lxor (!h lsr 31)
+
+let same_canonical r a b =
+  let d = if complemented r a <> complemented r b then -1L else 0L in
+  let rec go w =
+    w >= r.width
+    || (Int64.equal (Int64.logxor (get r a w) d) (get r b w) && go (w + 1))
   in
-  if cmp 0 <= 0 then (row, false) else (Array.map Int64.lognot row, true)
+  go 0
+
+(* Representatives by canonical row: an open-addressed table of AND
+   ids (0 marks an empty slot), at most half full. *)
+type reps = { mutable slots : int array; mutable count : int }
+
+let rec slot_of r t id i =
+  let e = t.slots.(i) in
+  if e = 0 || same_canonical r e id then i
+  else slot_of r t id ((i + 1) land (Array.length t.slots - 1))
+
+let home r t id = canonical_hash r id land (Array.length t.slots - 1)
+
+(* The representative whose row matches [id]'s, or 0. *)
+let find_rep r t id = t.slots.(slot_of r t id (home r t id))
+
+(* Map [id]'s canonical row to [id]; with [~keep] an existing entry
+   stays. *)
+let add r t ~keep id =
+  let i = slot_of r t id (home r t id) in
+  if t.slots.(i) = 0 then begin
+    t.slots.(i) <- id;
+    t.count <- t.count + 1;
+    if 2 * t.count > Array.length t.slots then begin
+      let old = t.slots in
+      t.slots <- Array.make (2 * Array.length old) 0;
+      Array.iter
+        (fun e -> if e <> 0 then t.slots.(slot_of r t e (home r t e)) <- e)
+        old
+    end
+  end
+  else if not keep then t.slots.(i) <- id
 
 let run ?(config = default_config) g =
   let tried = ref 0 and proven = ref 0 and disproved = ref 0 in
@@ -43,27 +123,23 @@ let run ?(config = default_config) g =
     Aig.Graph.compose g (fun g' new_pis ->
         let npis = Array.length new_pis in
         (* --- simulation rows for the new graph ---------------------- *)
-        let rows = ref (Array.make (max 16 (2 * npis)) [||]) in
-        let set_row id r =
-          if id >= Array.length !rows then begin
-            let d = Array.make (max (2 * Array.length !rows) (id + 1)) [||] in
-            Array.blit !rows 0 d 0 (Array.length !rows);
-            rows := d
-          end;
-          !rows.(id) <- r
+        let stride = max 1 config.words in
+        let rows =
+          {
+            store = Bytes.make (8 * stride * max 16 (2 * npis)) '\000';
+            stride;
+            width = config.words;
+            nodes = npis + 1;
+          }
         in
-        let width = ref config.words in
-        set_row 0 (Array.make !width 0L);
+        reserve rows npis;
         Array.iter
           (fun l ->
-            set_row (Aig.Graph.node_of_lit l)
-              (Array.init !width (fun _ -> Aig.Rng.next64 rng)))
+            let id = Aig.Graph.node_of_lit l in
+            for w = 0 to rows.width - 1 do
+              set rows id w (Aig.Rng.next64 rng)
+            done)
           new_pis;
-        let node_row id = !rows.(id) in
-        let lit_row l =
-          let r = node_row (Aig.Graph.node_of_lit l) in
-          if Aig.Graph.is_compl l then Array.map Int64.lognot r else r
-        in
         (* --- one shared incremental SAT session --------------------- *)
         let session = Sat.Solver.Incremental.create () in
         (* node id -> CNF variable (0 = not encoded). *)
@@ -91,19 +167,23 @@ let run ?(config = default_config) g =
         let and_tracked a b =
           let l = Aig.Graph.and_ g' a b in
           let id = Aig.Graph.node_of_lit l in
-          if
-            Aig.Graph.is_and g' id
-            && (id >= Array.length !rows || !rows.(id) = [||])
-          then begin
-            let ra = lit_row (Aig.Graph.fanin0 g' id)
-            and rb = lit_row (Aig.Graph.fanin1 g' id) in
-            set_row id
-              (Array.init !width (fun w -> Int64.logand ra.(w) rb.(w)));
+          if Aig.Graph.is_and g' id && id >= rows.nodes then begin
+            reserve rows id;
+            let f0 = Aig.Graph.fanin0 g' id and f1 = Aig.Graph.fanin1 g' id in
+            let n0 = Aig.Graph.node_of_lit f0 and n1 = Aig.Graph.node_of_lit f1 in
+            let c0 = if Aig.Graph.is_compl f0 then -1L else 0L
+            and c1 = if Aig.Graph.is_compl f1 then -1L else 0L in
+            for w = 0 to rows.width - 1 do
+              set rows id w
+                (Int64.logand
+                   (Int64.logxor (get rows n0 w) c0)
+                   (Int64.logxor (get rows n1 w) c1))
+            done;
+            rows.nodes <- id + 1;
             (* Encode the node once into the shared session. *)
             let o = Sat.Solver.Incremental.new_var session in
             set_var id o;
-            let da = dimacs_of (Aig.Graph.fanin0 g' id)
-            and db = dimacs_of (Aig.Graph.fanin1 g' id) in
+            let da = dimacs_of f0 and db = dimacs_of f1 in
             Sat.Solver.Incremental.add_clause session [| -o; da |];
             Sat.Solver.Incremental.add_clause session [| -o; db |];
             Sat.Solver.Incremental.add_clause session [| o; -da; -db |]
@@ -111,22 +191,35 @@ let run ?(config = default_config) g =
           l
         in
         (* --- representative table ----------------------------------- *)
-        let reps : (int64 array, int) Hashtbl.t = Hashtbl.create 1024 in
-        let rep_nodes = ref [] in
+        let reps = { slots = Array.make 1024 0; count = 0 } in
+        (* Every node ever made a representative, oldest first. *)
+        let rep_nodes = ref (Array.make 1024 0) and nreps = ref 0 in
+        let is_rep = ref (Bytes.make 1024 '\000') in
         let add_rep id =
-          let key, _ = canonical_row (node_row id) in
-          Hashtbl.replace reps (Array.copy key) id;
-          rep_nodes := id :: !rep_nodes
+          add rows reps ~keep:false id;
+          if !nreps = Array.length !rep_nodes then begin
+            let d = Array.make (2 * !nreps) 0 in
+            Array.blit !rep_nodes 0 d 0 !nreps;
+            rep_nodes := d
+          end;
+          !rep_nodes.(!nreps) <- id;
+          incr nreps;
+          if id >= Bytes.length !is_rep then begin
+            let d = Bytes.make (max (id + 1) (2 * Bytes.length !is_rep)) '\000' in
+            Bytes.blit !is_rep 0 d 0 (Bytes.length !is_rep);
+            is_rep := d
+          end;
+          Bytes.set !is_rep id '\001'
         in
         let find_candidate id =
-          let key, my_compl = canonical_row (node_row id) in
-          match Hashtbl.find_opt reps key with
-          | None -> None
-          | Some rep when rep = id -> None
-          | Some rep ->
-            let _, rep_compl = canonical_row (node_row rep) in
+          match find_rep rows reps id with
+          | 0 -> None
+          | rep when rep = id -> None
+          | rep ->
             (* id's function = rep's function xor (my_compl xor rep_compl). *)
-            Some (Aig.Graph.lit_of_node rep (my_compl <> rep_compl))
+            Some
+              (Aig.Graph.lit_of_node rep
+                 (complemented rows id <> complemented rows rep))
         in
         (* --- counterexample refinement ------------------------------ *)
         let cex_buffer = ref [] in
@@ -142,31 +235,27 @@ let run ?(config = default_config) g =
               cexes;
             !w
           in
-          let append id w = set_row id (Array.append (node_row id) [| w |]) in
-          append 0 0L;
+          widen rows;
+          let w = rows.width - 1 in
+          set rows 0 w 0L;
           Array.iteri
-            (fun i l -> append (Aig.Graph.node_of_lit l) (extra_of_pi i))
+            (fun i l -> set rows (Aig.Graph.node_of_lit l) w (extra_of_pi i))
             new_pis;
           Aig.Graph.iter_ands g' (fun id ->
-              if !rows.(id) <> [||] && Array.length !rows.(id) = !width then begin
-                let v l =
-                  let r = node_row (Aig.Graph.node_of_lit l) in
-                  let w = r.(!width) in
-                  if Aig.Graph.is_compl l then Int64.lognot w else w
-                in
-                append id
-                  (Int64.logand
-                     (v (Aig.Graph.fanin0 g' id))
-                     (v (Aig.Graph.fanin1 g' id)))
-              end);
-          incr width;
-          Hashtbl.reset reps;
-          List.iter
-            (fun id ->
-              let key, _ = canonical_row (node_row id) in
-              if not (Hashtbl.mem reps key) then
-                Hashtbl.replace reps (Array.copy key) id)
-            (List.rev !rep_nodes)
+              let v l =
+                let x = get rows (Aig.Graph.node_of_lit l) w in
+                if Aig.Graph.is_compl l then Int64.lognot x else x
+              in
+              set rows id w
+                (Int64.logand
+                   (v (Aig.Graph.fanin0 g' id))
+                   (v (Aig.Graph.fanin1 g' id))));
+          (* The oldest representative of each refined row wins. *)
+          Array.fill reps.slots 0 (Array.length reps.slots) 0;
+          reps.count <- 0;
+          for i = 0 to !nreps - 1 do
+            add rows reps ~keep:true !rep_nodes.(i)
+          done
         in
         (* --- SAT equivalence proof via an assumption query ----------- *)
         let prove_equal la lb =
@@ -209,7 +298,6 @@ let run ?(config = default_config) g =
             map.(Aig.Graph.node_of_lit l)
             (Aig.Graph.is_compl l)
         in
-        let rep_set = Hashtbl.create 1024 in
         Aig.Graph.iter_ands g (fun id ->
             let nl =
               and_tracked
@@ -218,12 +306,12 @@ let run ?(config = default_config) g =
             in
             let nid = Aig.Graph.node_of_lit nl in
             if not (Aig.Graph.is_and g' nid) then map.(id) <- nl
-            else if Hashtbl.mem rep_set nid then map.(id) <- nl
+            else if nid < Bytes.length !is_rep && Bytes.get !is_rep nid = '\001'
+            then map.(id) <- nl
             else begin
               match find_candidate nid with
               | None ->
                 add_rep nid;
-                Hashtbl.replace rep_set nid ();
                 map.(id) <- nl
               | Some cand_lit ->
                 incr tried;
@@ -238,11 +326,9 @@ let run ?(config = default_config) g =
                    cex_buffer := assignment :: !cex_buffer;
                    if List.length !cex_buffer >= 64 then refine ();
                    add_rep nid;
-                   Hashtbl.replace rep_set nid ();
                    map.(id) <- nl
                  | `Unknown ->
                    add_rep nid;
-                   Hashtbl.replace rep_set nid ();
                    map.(id) <- nl)
             end);
         Array.map map_lit (Aig.Graph.pos g))
