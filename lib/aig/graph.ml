@@ -29,7 +29,7 @@ let home mask a b =
 (* The slot holding the AND with fanins [a, b], or the empty slot that
    ends its probe sequence. *)
 let rec probe g mask a b i =
-  let id = Array.unsafe_get g.strash i in
+  let id = g.strash.(i) in
   if id = 0 || (g.fan0.(id) = a && g.fan1.(id) = b) then i
   else probe g mask a b ((i + 1) land mask)
 
@@ -40,27 +40,6 @@ let rehash g size =
     t.(probe g mask g.fan0.(id) g.fan1.(id) (home mask g.fan0.(id) g.fan1.(id)))
     <- id
   done
-
-(* Empties the slot of [id] by backward shift: each later entry of its
-   probe run moves into the hole unless its home slot lies cyclically
-   after the hole, so every remaining entry stays reachable from its
-   home without tombstones. *)
-let unhash g id =
-  let t = g.strash in
-  let mask = Array.length t - 1 in
-  let a = g.fan0.(id) and b = g.fan1.(id) in
-  let hole = ref (probe g mask a b (home mask a b)) in
-  let j = ref ((!hole + 1) land mask) in
-  while t.(!j) <> 0 do
-    let e = t.(!j) in
-    let h = home mask g.fan0.(e) g.fan1.(e) in
-    if (!j - h) land mask >= (!j - !hole) land mask then begin
-      t.(!hole) <- e;
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  t.(!hole) <- 0
 
 let create ~num_pis =
   if num_pis < 0 then invalid_arg "Graph.create: negative num_pis";
@@ -232,8 +211,15 @@ let nodes_since g m = g.n - m
 
 let rollback g m =
   if m < g.npis + 1 || m > g.n then invalid_arg "Graph.rollback: bad mark";
+  (* Slots are emptied newest node first.  An entry's probe run only
+     crosses slots that older entries held when it was inserted (a
+     rehash reinserts by id, too), so no entry left in the table is
+     reached through the slot of the node being removed: emptying it
+     is exact, with no tombstone or backward shift. *)
+  let mask = Array.length g.strash - 1 in
   for id = g.n - 1 downto m do
-    unhash g id
+    let a = g.fan0.(id) and b = g.fan1.(id) in
+    g.strash.(probe g mask a b (home mask a b)) <- 0
   done;
   g.n <- m
 
