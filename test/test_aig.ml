@@ -887,3 +887,61 @@ let test_isop_digest () =
   check "digest" 0x275ea8f04d93 h
 
 let suite = suite @ [ ("isop pinned covers", `Quick, test_isop_digest) ]
+
+(* ------------------------------------------------------------------ *)
+(* Strash model: random [and_] / [mark] / [rollback] sequences against a
+   map from normalized fanin pairs to node ids.  The table starts at 16
+   slots and doubles past half full, so the sequences roll back across
+   resizes. *)
+
+let prop_strash_model =
+  QCheck.Test.make ~name:"graph: strash and rollback agree with a map"
+    ~count:300
+    QCheck.(pair (int_bound 5) (int_bound 1_000_000))
+    (fun (extra_pis, seed) ->
+      let rng = Aig.Rng.create seed in
+      let g = Aig.Graph.create ~num_pis:(1 + extra_pis) in
+      let model = Hashtbl.create 64 in
+      (* Open marks, newest first, each with the node count it saw. *)
+      let marks = ref [] in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        match Aig.Rng.int rng 16 with
+        | 0 -> marks := (Aig.Graph.mark g, Aig.Graph.num_nodes g) :: !marks
+        | 1 when !marks <> [] ->
+          (* Back to a random open mark; the newer ones are gone. *)
+          let i = Aig.Rng.int rng (List.length !marks) in
+          let m, n = List.nth !marks i in
+          marks := List.filteri (fun j _ -> j > i) !marks;
+          Aig.Graph.rollback g m;
+          Hashtbl.filter_map_inplace
+            (fun _ id -> if id >= n then None else Some id)
+            model;
+          if Aig.Graph.num_nodes g <> n then ok := false
+        | _ ->
+          let n = Aig.Graph.num_nodes g in
+          let a = Aig.Rng.int rng (2 * n) and b = Aig.Rng.int rng (2 * n) in
+          let lo = min a b and hi = max a b in
+          let l = Aig.Graph.and_ g a b in
+          let expected =
+            if lo = 0 then Some 0
+            else if lo = 1 then Some hi
+            else if lo = hi then Some lo
+            else if lo = hi lxor 1 then Some 0
+            else Option.map (fun id -> 2 * id) (Hashtbl.find_opt model (lo, hi))
+          in
+          (match expected with
+           | Some e -> if l <> e || Aig.Graph.num_nodes g <> n then ok := false
+           | None ->
+             if l <> 2 * n || Aig.Graph.num_nodes g <> n + 1 then ok := false;
+             Hashtbl.replace model (lo, hi) n)
+      done;
+      (* Every surviving AND is found again, and nothing else is left. *)
+      let n = Aig.Graph.num_nodes g in
+      Hashtbl.iter
+        (fun (a, b) id -> if Aig.Graph.and_ g a b <> 2 * id then ok := false)
+        model;
+      !ok && Aig.Graph.num_nodes g = n
+      && Hashtbl.length model = Aig.Graph.num_ands g)
+
+let suite = suite @ qsuite [ prop_strash_model ]

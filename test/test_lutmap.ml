@@ -458,3 +458,54 @@ let test_golden_netlists () =
 
 let suite =
   suite @ [ ("mapper/encode golden netlists", `Quick, test_golden_netlists) ]
+
+(* The cost memo is filled by whichever domain asks first, and Mffc
+   keeps its scratch per domain: rewriting and mapping the same graphs
+   from two domains at once must give the sequential results. *)
+let test_two_domains_match_sequential () =
+  let graphs =
+    List.init 12 (fun i ->
+        random_graph ~seed:(300 + i) ~num_pis:16 ~num_ands:1500)
+  in
+  let work () =
+    List.map
+      (fun g ->
+        let g' = Synth.Rewrite.run g in
+        ( Aig.Graph.num_ands g',
+          netlist_hash
+            (Lutmap.Mapper.run ~config:Lutmap.Mapper.cost_customized_config g') ))
+      graphs
+  in
+  let other = Domain.spawn work in
+  let here = work () in
+  let there = Domain.join other in
+  let sequential = work () in
+  check_bool "this domain" true (here = sequential);
+  check_bool "other domain" true (there = sequential)
+
+(* Wider tables are not memoized: the old memo keyed 6-input tables by
+   [Tt.to_int], which drops bit 63, so these two shared an entry. *)
+let test_cost_wide_tables () =
+  let corners = Aig.Tt.of_int64 6 0x8000000000000001L in
+  check "two corners" 2 (List.length (Aig.Isop.compute corners));
+  ignore (Lutmap.Cost.branching corners);
+  check "one minterm of 6" 7 (Lutmap.Cost.branching (Aig.Tt.of_int64 6 1L));
+  for n = 0 to 4 do
+    for bits = 0 to (1 lsl (1 lsl n)) - 1 do
+      let f = Aig.Tt.of_int n bits in
+      let raw =
+        List.length (Aig.Isop.compute f)
+        + List.length (Aig.Isop.compute (Aig.Tt.not_ f))
+      in
+      if Lutmap.Cost.branching f <> raw then
+        Alcotest.failf "arity %d table %x: memo %d, ISOP %d" n bits
+          (Lutmap.Cost.branching f) raw
+    done
+  done
+
+let suite =
+  suite
+  @ [
+      ("two domains map as one", `Quick, test_two_domains_match_sequential);
+      ("cost of wide tables", `Quick, test_cost_wide_tables);
+    ]
