@@ -78,7 +78,8 @@ type stage = {
    [at + n]; its size, or [k + 1] once it exceeds [k].  The helpers
    below take every operand as an argument, so no closure is allocated
    per fanin-cut pair. *)
-let rec union_into (buf : int array) at k (a : int array) (b : int array) i j n =
+let rec union_into (buf : int array) at k (a : int array) (b : int array) i j
+    n =
   let la = Array.length a and lb = Array.length b in
   if n > k then n
   else if i >= la && j >= lb then n
@@ -104,7 +105,8 @@ let rec compare_leaves (buf : int array) c d n i =
 (* Smaller first, then lexicographic by leaves. *)
 let compare_staged st k c d =
   let lc = st.len.(c) and ld = st.len.(d) in
-  if lc <> ld then compare lc ld else compare_leaves st.buf (c * k) (d * k) lc 0
+  if lc <> ld then compare lc ld
+  else compare_leaves st.buf (c * k) (d * k) lc 0
 
 let rec subset_leaves (buf : int array) c lc d ld i j =
   if i >= lc then true
@@ -161,9 +163,8 @@ let enumerate g ~k ~limit =
       List.iter (fun ca -> pairs ca sets.(n1)) sets.(n0);
       (* Insertion sort of the candidates. *)
       let order = st.order in
-      for i = 0 to !nc - 1 do
-        let c = i in
-        let j = ref (i - 1) in
+      for c = 0 to !nc - 1 do
+        let j = ref (c - 1) in
         while !j >= 0 && compare_staged st k order.(!j) c > 0 do
           order.(!j + 1) <- order.(!j);
           decr j

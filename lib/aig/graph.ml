@@ -37,8 +37,8 @@ let rehash g size =
   let t = Array.make size 0 and mask = size - 1 in
   g.strash <- t;
   for id = g.npis + 1 to g.n - 1 do
-    t.(probe g mask g.fan0.(id) g.fan1.(id) (home mask g.fan0.(id) g.fan1.(id)))
-    <- id
+    let a = g.fan0.(id) and b = g.fan1.(id) in
+    t.(probe g mask a b (home mask a b)) <- id
   done
 
 let create ~num_pis =

@@ -42,9 +42,9 @@ let rec isop l u n =
 
 (* The same recursion on a table of up to 5 variables held in an
    immediate int (2^5 = 32 bits).  [full] is the table of constant true
-   and [mask]/[pol] the literals the enclosing calls added; each cube is
-   pushed on [out] as its recursion finishes, which is the order the
-   list version returns them in. *)
+   and [mask]/[pol] the literals the enclosing calls added.  Cubes are
+   pushed on [out] as they are found, which is the reverse of the order
+   the list version returns them in. *)
 let var_bits = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
 
 let cofactor0 t i =

@@ -35,7 +35,8 @@ let rec deref s g refs bounded visit nid =
 
 and fanin s g refs bounded visit l =
   let fid = Aig.Graph.node_of_lit l in
-  if Aig.Graph.is_and g fid && not (bounded && s.leaf.(fid) = s.stamp) then begin
+  if Aig.Graph.is_and g fid && not (bounded && s.leaf.(fid) = s.stamp)
+  then begin
     let d = if s.seen.(fid) = s.stamp then s.delta.(fid) + 1 else 1 in
     s.seen.(fid) <- s.stamp;
     s.delta.(fid) <- d;

@@ -170,7 +170,8 @@ let run ?(config = default_config) g =
           if Aig.Graph.is_and g' id && id >= rows.nodes then begin
             reserve rows id;
             let f0 = Aig.Graph.fanin0 g' id and f1 = Aig.Graph.fanin1 g' id in
-            let n0 = Aig.Graph.node_of_lit f0 and n1 = Aig.Graph.node_of_lit f1 in
+            let n0 = Aig.Graph.node_of_lit f0
+            and n1 = Aig.Graph.node_of_lit f1 in
             let c0 = if Aig.Graph.is_compl f0 then -1L else 0L
             and c1 = if Aig.Graph.is_compl f1 then -1L else 0L in
             for w = 0 to rows.width - 1 do
@@ -205,7 +206,8 @@ let run ?(config = default_config) g =
           !rep_nodes.(!nreps) <- id;
           incr nreps;
           if id >= Bytes.length !is_rep then begin
-            let d = Bytes.make (max (id + 1) (2 * Bytes.length !is_rep)) '\000' in
+            let size = max (id + 1) (2 * Bytes.length !is_rep) in
+            let d = Bytes.make size '\000' in
             Bytes.blit !is_rep 0 d 0 (Bytes.length !is_rep);
             is_rep := d
           end;

@@ -473,7 +473,8 @@ let test_two_domains_match_sequential () =
         let g' = Synth.Rewrite.run g in
         ( Aig.Graph.num_ands g',
           netlist_hash
-            (Lutmap.Mapper.run ~config:Lutmap.Mapper.cost_customized_config g') ))
+            (Lutmap.Mapper.run
+               ~config:Lutmap.Mapper.cost_customized_config g') ))
       graphs
   in
   let other = Domain.spawn work in

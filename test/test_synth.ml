@@ -448,11 +448,14 @@ let test_golden_structure () =
    swept graph comes out the same.  C8 and C6 refine the rows. *)
 let golden_sweeps =
   [
-    ("random 7 balance", 57, 0x3dc257af905c); ("random 7 resub", 42, 0x3a22caef836d);
-    ("random 8 balance", 62, 0x11a0d51f6a07); ("random 8 resub", 25, 0x1b6623de6cda);
+    ("random 7 balance", 57, 0x3dc257af905c);
+    ("random 7 resub", 42, 0x3a22caef836d);
+    ("random 8 balance", 62, 0x11a0d51f6a07);
+    ("random 8 resub", 25, 0x1b6623de6cda);
     ("I1 balance", 1441, 0x2fc2ddf576d); ("I1 resub", 0, 0x350d65f6edfa);
     ("C8 balance", 899, 0xa8c014254c7); ("C8 resub", 899, 0x9f519af51fc);
-    ("C6 balance", 18479, 0x2468e1ce25d8); ("C6 resub", 18479, 0x2c225fb91f0a);
+    ("C6 balance", 18479, 0x2468e1ce25d8);
+    ("C6 resub", 18479, 0x2c225fb91f0a);
   ]
 
 let pin_inputs () =
@@ -468,8 +471,11 @@ let pin_inputs () =
 let resub_pin g =
   let ands, h = structure_hash (Synth.Resub.run g) in
   let tried, proven, disproved = Synth.Resub.stats_last_run () in
-  let h = List.fold_left (fun h x -> (h * 1_000_003) lxor x) h
-      [ tried; proven; disproved ] in
+  let h =
+    List.fold_left
+      (fun h x -> (h * 1_000_003) lxor x)
+      h [ tried; proven; disproved ]
+  in
   (ands, h land 0x3FFF_FFFF_FFFF)
 
 let test_golden_sweeps () =
