@@ -157,6 +157,17 @@ let buf_of_string s : buf =
   done;
   b
 
+(* The CSR accumulators belong to the domain, so a parse allocates only
+   its two exact-size result arrays (fresh, since the [Flat.t] may move
+   to another domain).  Accumulators up to [max_retained_words] words
+   each (2 MB) stay with the domain between parses; a bigger input grows
+   its own and drops them. *)
+type scratch = { mutable lits : int array; mutable offs : int array }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { lits = [||]; offs = [||] })
+let max_retained_words = 1 lsl 18
+
 let parse_flat (b : buf) =
   let len = Bigarray.Array1.dim b in
   let sub_string st e =
@@ -264,14 +275,22 @@ let parse_flat (b : buf) =
      instances ("±dd "), so [len / 4] estimates the literal count —
      seeding capacity there skips nearly all the doubling copies
      without overshooting big inputs by more than ~2x. *)
-  let lits = ref (Array.make (max 1024 (min (len / 4) (1 lsl 24))) 0) in
+  let scratch = Domain.DLS.get scratch_key in
+  let at_least a n = if Array.length a >= n then a else Array.make n 0 in
+  let lits = ref (at_least scratch.lits (min (len / 4) (1 lsl 24))) in
   let nlits = ref 0 in
-  let cap = if num_clauses > 0 then min num_clauses (1 lsl 20) + 1 else 64 in
-  let offs = ref (Array.make cap 0) in
+  (* Every clause ends in a "0" token and a delimiter, so the input
+     bounds the clause count whatever the header claims. *)
+  let cap =
+    if num_clauses > 0 then min num_clauses (min (len / 2) (1 lsl 20)) + 1
+    else 64
+  in
+  let offs = ref (at_least scratch.offs cap) in
+  !offs.(0) <- 0;
   let noffs = ref 1 in
   let push_lit l =
     if !nlits >= Array.length !lits then begin
-      let d = Array.make (2 * !nlits) 0 in
+      let d = Array.make (max 64 (2 * !nlits)) 0 in
       Array.blit !lits 0 d 0 !nlits;
       lits := d
     end;
@@ -410,6 +429,8 @@ let parse_flat (b : buf) =
     end
   in
   scan !pos !bol !nlits !noffs;
+  if Array.length !lits <= max_retained_words then scratch.lits <- !lits;
+  if Array.length !offs <= max_retained_words then scratch.offs <- !offs;
   let nclauses = !noffs - 1 in
   if !nlits <> !offs.(nclauses) then
     raise (Parse_error "trailing unterminated clause");

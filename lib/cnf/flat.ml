@@ -64,6 +64,70 @@ let eval t assignment =
   let rec all i = if i >= nc then true else sat_clause i && all (i + 1) in
   all 0
 
+(* Clause normalization for the loaders: insertion sort up to
+   [insertion_max] values, where it beats anything with setup, and an
+   in-place heap sort above it, so one long clause costs O(k log k)
+   instead of O(k^2).  Neither allocates. *)
+let insertion_max = 24
+
+let sift (a : int array) pos n i0 =
+  let x = Array.unsafe_get a (pos + i0) in
+  let i = ref i0 in
+  let c = ref ((2 * i0) + 1) in
+  while !c < n do
+    let j =
+      if !c + 1 < n
+         && Array.unsafe_get a (pos + !c + 1) > Array.unsafe_get a (pos + !c)
+      then !c + 1
+      else !c
+    in
+    let y = Array.unsafe_get a (pos + j) in
+    if y > x then begin
+      Array.unsafe_set a (pos + !i) y;
+      i := j;
+      c := (2 * j) + 1
+    end
+    else c := n
+  done;
+  Array.unsafe_set a (pos + !i) x
+
+let sort_uniq_slice (a : int array) pos n =
+  if pos < 0 || n < 0 || pos + n > Array.length a then
+    invalid_arg "Flat.sort_uniq_slice";
+  if n <= insertion_max then
+    for k = pos + 1 to pos + n - 1 do
+      let x = Array.unsafe_get a k in
+      let j = ref k in
+      while !j > pos && Array.unsafe_get a (!j - 1) > x do
+        Array.unsafe_set a !j (Array.unsafe_get a (!j - 1));
+        decr j
+      done;
+      Array.unsafe_set a !j x
+    done
+  else begin
+    for i = (n / 2) - 1 downto 0 do
+      sift a pos n i
+    done;
+    for e = n - 1 downto 1 do
+      let top = Array.unsafe_get a pos in
+      Array.unsafe_set a pos (Array.unsafe_get a (pos + e));
+      Array.unsafe_set a (pos + e) top;
+      sift a pos e 0
+    done
+  end;
+  if n = 0 then 0
+  else begin
+    let w = ref (pos + 1) in
+    for k = pos + 1 to pos + n - 1 do
+      let x = Array.unsafe_get a k in
+      if x <> Array.unsafe_get a (!w - 1) then begin
+        Array.unsafe_set a !w x;
+        incr w
+      end
+    done;
+    !w - pos
+  end
+
 let pp ppf t =
   Format.fprintf ppf "p cnf %d %d@." t.num_vars (num_clauses t);
   for i = 0 to num_clauses t - 1 do

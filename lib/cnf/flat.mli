@@ -38,4 +38,13 @@ val eval : t -> bool array -> bool
 (** Same contract as {!Formula.eval}: [assignment] has exactly
     [num_vars] entries, result is whether every clause is satisfied. *)
 
+val sort_uniq_slice : int array -> int -> int -> int
+(** [sort_uniq_slice a pos n] sorts [a.(pos) .. a.(pos+n-1)] in
+    ascending order in place, moves the distinct values to the front of
+    that range and returns how many there are (the rest of the range is
+    left unspecified).  It does not allocate, and it costs O(n log n):
+    the loaders normalize each clause with it, so one clause of k
+    literals stays cheap at any k.
+    @raise Invalid_argument if the range is not inside [a]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1218,9 +1218,10 @@ let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
 type prepared = Ready of t * int list (* units *) | Trivially_unsat
 
 (* Load a flat CSR store ({!Cnf.Flat}) into a fresh solver: each clause
-   is normalized (internal encoding, sort + dedupe, tautology drop) in
-   one reusable scratch buffer, and long clauses are blitted straight
-   into the arena via [add_long_slice] — zero allocation per clause.
+   is normalized (internal encoding, sort + dedupe by
+   {!Cnf.Flat.sort_uniq_slice}, tautology drop) in one reusable scratch
+   buffer, and long clauses are blitted straight into the arena via
+   [add_long_slice] — zero allocation per clause.
    Every entry point that solves a whole formula loads through here.
    With [gauss], each normalized clause is also offered to that XOR
    collector, straight from the scratch buffer. *)
@@ -1240,30 +1241,13 @@ let prepare ?gauss (fl : Cnf.Flat.t) =
     if Array.length !buf < len then
       buf := Array.make (max len (2 * Array.length !buf)) 0;
     let b = !buf in
-    (* Sorted-insert each literal, skipping duplicates: clauses are
-       short, and the result matches [List.sort_uniq compare]. *)
-    let n = ref 0 in
+    (* The same order as [List.sort_uniq compare] on internal
+       literals, in O(len log len) however long the clause. *)
     for k = st to en - 1 do
       let dl = Array.unsafe_get lits k in
-      let l = lit_of_var (abs dl - 1) (dl < 0) in
-      let j = ref !n in
-      while !j > 0 && Array.unsafe_get b (!j - 1) > l do
-        Array.unsafe_set b !j (Array.unsafe_get b (!j - 1));
-        decr j
-      done;
-      if !j > 0 && Array.unsafe_get b (!j - 1) = l then begin
-        let k' = ref !j in
-        while !k' < !n do
-          Array.unsafe_set b !k' (Array.unsafe_get b (!k' + 1));
-          incr k'
-        done
-      end
-      else begin
-        Array.unsafe_set b !j l;
-        incr n
-      end
+      Array.unsafe_set b (k - st) (lit_of_var (abs dl - 1) (dl < 0))
     done;
-    let n = !n in
+    let n = Cnf.Flat.sort_uniq_slice b 0 len in
     let taut =
       let rec chk j = j + 1 < n && (b.(j) lxor b.(j + 1) = 1 || chk (j + 1)) in
       chk 0

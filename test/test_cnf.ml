@@ -827,3 +827,196 @@ let suite =
        test_flat_fingerprint_collision_smoke);
     ]
   @ qsuite [ prop_flat_differential ]
+
+(* --- Fingerprint: rewrite invariance, pool exactness, domains -------- *)
+
+(* The reference normal form, built the slow way: [fp a = fp b] must
+   hold exactly when [normal_form a = normal_form b]. *)
+let normal_form (f : Cnf.Formula.t) =
+  ( f.Cnf.Formula.num_vars,
+    List.sort_uniq compare
+      (List.filter_map
+         (fun c ->
+           let l = List.sort_uniq compare (Array.to_list c) in
+           if List.exists (fun x -> List.mem (-x) l) l then None else Some l)
+         (Array.to_list f.Cnf.Formula.clauses)) )
+
+let top_var = (1 lsl 30) - 1
+
+(* Variables from both ends of the range, so literals near
+   ±(2^30 - 1) occur whenever [num_vars] reaches there. *)
+let random_var rng nvars =
+  if Aig.Rng.bool rng then 1 + Aig.Rng.int rng (min nvars 12)
+  else max 1 (nvars - Aig.Rng.int rng 4)
+
+let random_formula rng ~nvars ~nclauses ~width =
+  let clauses =
+    List.init nclauses (fun _ ->
+        if nvars = 0 then [||]
+        else
+          Array.init (Aig.Rng.int rng (width + 1)) (fun _ ->
+              let v = random_var rng nvars in
+              if Aig.Rng.bool rng then v else -v))
+  in
+  Cnf.Formula.create ~num_vars:nvars clauses
+
+(* Everything the normal form forgets: clause order, literal order,
+   repeated literals, repeated clauses and added tautologies. *)
+let rewrite rng (f : Cnf.Formula.t) =
+  let nvars = f.Cnf.Formula.num_vars in
+  let clauses = Array.map Array.copy f.Cnf.Formula.clauses in
+  let extra = ref [] in
+  Array.iter
+    (fun c ->
+      if Array.length c > 0 && Aig.Rng.int rng 4 = 0 then
+        extra := Array.append c [| c.(Aig.Rng.int rng (Array.length c)) |]
+                 :: !extra;
+      if Aig.Rng.int rng 5 = 0 then extra := Array.copy c :: !extra)
+    clauses;
+  if nvars > 0 then
+    for _ = 1 to Aig.Rng.int rng 3 do
+      let v = random_var rng nvars in
+      let w = random_var rng nvars in
+      extra := [| v; w; -v |] :: !extra
+    done;
+  let all = Array.append clauses (Array.of_list !extra) in
+  Array.iter (Aig.Rng.shuffle rng) all;
+  Aig.Rng.shuffle rng all;
+  Cnf.Formula.create ~num_vars:nvars (Array.to_list all)
+
+let prop_fingerprint_rewrites =
+  QCheck.Test.make ~name:"fingerprint: invariant under normal-form rewrites"
+    ~count:500
+    QCheck.(pair (int_bound 10000000) (int_range 0 40))
+    (fun (seed, nclauses) ->
+      let rng = Aig.Rng.create seed in
+      let nvars =
+        match Aig.Rng.int rng 4 with
+        | 0 -> 0
+        | 1 -> top_var
+        | _ -> 1 + Aig.Rng.int rng 12
+      in
+      let a = random_formula rng ~nvars ~nclauses ~width:6 in
+      let b = rewrite rng a in
+      let fa = fp a and fb = fp b in
+      Cnf.Fingerprint.equal fa fb
+      && Cnf.Fingerprint.to_hex fa = Cnf.Fingerprint.to_hex fb
+      && fa.Cnf.Fingerprint.num_clauses = List.length (snd (normal_form a)))
+
+let test_fingerprint_pool_exact () =
+  (* Formulas of 300-600 clauses over few variables repeat many clauses,
+     so the dedupe table grows past its first size and its probes run
+     into occupied slots.  Each base comes with variants that keep the
+     normal form (a rewrite) and variants that change it or may not (a
+     flipped sign, a dropped clause, one more variable); the reference
+     normal form decides which pairs must match. *)
+  let rng = Aig.Rng.create 20261018 in
+  let pool = ref [] in
+  for _ = 1 to 12 do
+    let nvars = 6 + Aig.Rng.int rng 5 in
+    let nclauses = 300 + Aig.Rng.int rng 300 in
+    let a = random_formula rng ~nvars ~nclauses ~width:4 in
+    let cl = a.Cnf.Formula.clauses in
+    let flip =
+      let c = Array.map Array.copy cl in
+      let i = Aig.Rng.int rng (Array.length c) in
+      if Array.length c.(i) > 0 then c.(i).(0) <- - c.(i).(0);
+      { a with Cnf.Formula.clauses = c }
+    in
+    let drop =
+      let i = Aig.Rng.int rng (Array.length cl) in
+      { a with
+        Cnf.Formula.clauses =
+          Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list cl)) }
+    in
+    let wider = { a with Cnf.Formula.num_vars = nvars + 1 } in
+    pool := a :: rewrite rng a :: flip :: rewrite rng flip :: drop :: wider
+            :: !pool
+  done;
+  let pool = Array.of_list !pool in
+  let keys = Array.map normal_form pool and fps = Array.map fp pool in
+  let same = ref 0 in
+  Array.iteri
+    (fun i ki ->
+      Array.iteri
+        (fun j kj ->
+          let expect = ki = kj in
+          if expect then incr same;
+          if Cnf.Fingerprint.equal fps.(i) fps.(j) <> expect then
+            Alcotest.failf "pool %d vs %d: normal forms %s, fingerprints %s"
+              i j
+              (if expect then "equal" else "differ")
+              (if expect then "differ" else "equal"))
+        keys)
+    keys;
+  (* every formula matches itself, and each base and each flip its
+     rewrite, both ways round *)
+  check_bool "rewrites matched" true (!same >= Array.length pool + 48)
+
+let test_fingerprint_two_domains () =
+  (* Each domain normalizes in scratch of its own: two domains
+     fingerprinting at once give the sequential answers. *)
+  let rng = Aig.Rng.create 7 in
+  let formulas =
+    List.init 40 (fun i ->
+        Cnf.Flat.of_formula
+          (random_formula rng ~nvars:(1 + Aig.Rng.int rng 30)
+             ~nclauses:(10 * i) ~width:5))
+  in
+  let expect = List.map Cnf.Fingerprint.of_flat formulas in
+  let work () =
+    let ok = ref true in
+    for _ = 1 to 25 do
+      ok :=
+        !ok
+        && List.for_all2 Cnf.Fingerprint.equal expect
+             (List.map Cnf.Fingerprint.of_flat formulas)
+    done;
+    !ok
+  in
+  let others = List.init 2 (fun _ -> Domain.spawn work) in
+  List.iteri
+    (fun i d -> check_bool (Printf.sprintf "domain %d" i) true (Domain.join d))
+    others
+
+let suite =
+  suite
+  @ [
+      ("fingerprint pool exactness", `Quick, test_fingerprint_pool_exact);
+      ("fingerprint from two domains", `Quick, test_fingerprint_two_domains);
+    ]
+  @ qsuite [ prop_fingerprint_rewrites ]
+
+let test_flat_header_count_not_trusted () =
+  (* A header may claim a million clauses over a few bytes; the parser
+     must not size its clause index from the claim. *)
+  let s = "p cnf 3 1000000\n1 -2 0\n" in
+  let before = Gc.allocated_bytes () in
+  (match Cnf.Dimacs.read_flat_string s with
+   | _ -> Alcotest.fail "count mismatch accepted"
+   | exception Cnf.Dimacs.Parse_error m ->
+     Alcotest.(check string)
+       "error" "clause count mismatch: header 1000000, found 1" m);
+  check_bool "allocates by the input, not the header" true
+    (Gc.allocated_bytes () -. before < 65536.)
+
+let suite =
+  suite
+  @ [ ("flat parser ignores the header's clause count for sizing", `Quick,
+       test_flat_header_count_not_trusted) ]
+
+let prop_sort_uniq_slice =
+  QCheck.Test.make ~name:"flat: sort_uniq_slice == List.sort_uniq" ~count:500
+    QCheck.(triple (int_bound 10000000) (int_range 0 80) (int_range 0 5))
+    (fun (seed, n, pos) ->
+      let rng = Aig.Rng.create seed in
+      let range = 1 + Aig.Rng.int rng 100 in
+      let a = Array.init (pos + n + 2) (fun _ -> Aig.Rng.int rng range) in
+      let before = Array.copy a in
+      let expect = List.sort_uniq compare (Array.to_list (Array.sub a pos n)) in
+      let m = Cnf.Flat.sort_uniq_slice a pos n in
+      Array.to_list (Array.sub a pos m) = expect
+      && Array.sub a 0 pos = Array.sub before 0 pos
+      && Array.sub a (pos + n) 2 = Array.sub before (pos + n) 2)
+
+let suite = suite @ qsuite [ prop_sort_uniq_slice ]

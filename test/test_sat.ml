@@ -1311,3 +1311,36 @@ let suite =
        test_interrupted_snapshot_resumes);
     ]
   @ qsuite [ prop_warm_start_sound; prop_warm_start_flat_sound ]
+
+(* One long clause must load in O(k log k), in the fingerprint and in
+   the solver alike: insertion sort made a 200,000-literal clause take
+   minutes.  Descending order with a repeated literal is the worst
+   case for insertion; the sign alternates so no two literals clash. *)
+let test_long_clause_loads () =
+  let k = 200_000 in
+  let lit v = if v land 1 = 0 then v else -v in
+  let flat lits =
+    { Cnf.Flat.num_vars = k; offsets = [| 0; Array.length lits |]; lits }
+  in
+  let desc = Array.init (k + 1) (fun i -> lit (max 1 (k - i))) in
+  let asc = Array.init k (fun i -> lit (i + 1)) in
+  check_bool "fingerprint ignores literal order and repeats" true
+    (Cnf.Fingerprint.equal
+       (Cnf.Fingerprint.of_flat (flat desc))
+       (Cnf.Fingerprint.of_flat (flat asc)));
+  check "one clause" 1
+    (Cnf.Fingerprint.of_flat (flat desc)).Cnf.Fingerprint.num_clauses;
+  let taut = Array.append desc [| - lit 1 |] in
+  check "a tautology is dropped" 0
+    (Cnf.Fingerprint.of_flat (flat taut)).Cnf.Fingerprint.num_clauses;
+  let limits =
+    { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 1 }
+  in
+  let fl = flat desc in
+  match Sat.Solver.solve_flat ~limits fl with
+  | Sat.Solver.Sat m, _ ->
+    check_bool "model satisfies" true (Cnf.Flat.eval fl m)
+  | _ -> Alcotest.fail "one clause of distinct literals is satisfiable"
+
+let suite =
+  suite @ [ ("a 200,000-literal clause loads", `Quick, test_long_clause_loads) ]
