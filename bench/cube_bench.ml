@@ -55,7 +55,8 @@ let run_suite ~jobs ~cubes ~probe_limit ~limits instances =
       in
       let proof = Sat.Proof.create () in
       let cr =
-        Portfolio.Cuber.solve ~cubes ~probe_limit ~jobs ~limits ~proof f
+        Portfolio.Cuber.solve ~cubes ~probe_limit ~jobs ~limits ~proof
+          (Cnf.Flat.of_formula f)
       in
       (* A timed-out race (Unknown) may legitimately lose to a decisive
          cube answer; only two decisive, different verdicts are a bug. *)

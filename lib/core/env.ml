@@ -24,11 +24,16 @@ let default_config =
 
 let state_dim cfg = State.dim cfg.embed
 
+let decisions_or_max ~limits f =
+  let result, st = Sat.Solver.solve ~limits f in
+  match (result, limits.Sat.Solver.max_decisions) with
+  | Sat.Solver.Unknown, Some m -> max st.Sat.Solver.decisions m
+  | _ -> st.Sat.Solver.decisions
+
 let branching_of cfg g =
   let nl = Lutmap.Mapper.run ~config:cfg.mapper g in
   let enc = Lutmap.Encode.encode nl in
-  Sat.Solver.decisions_or_max ~limits:cfg.reward_limits
-    enc.Lutmap.Encode.formula
+  decisions_or_max ~limits:cfg.reward_limits enc.Lutmap.Encode.formula
 
 let make cfg instances =
   if Array.length instances = 0 then

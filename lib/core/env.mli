@@ -29,3 +29,7 @@ val make : config -> Aig.Graph.t array -> Rl.Dqn.env
 val branching_of : config -> Aig.Graph.t -> int
 (** Decisions needed to solve the cost-customized-mapped encoding of a
     netlist — the quantity the reward differences. *)
+
+val decisions_or_max : limits:Sat.Solver.limits -> Cnf.Formula.t -> int
+(** The decision count of a solve under [limits], or the decision cap
+    when the solve stopped at it — the reward's branching count. *)

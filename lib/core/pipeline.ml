@@ -294,11 +294,11 @@ let run_portfolio ?(limits = Sat.Solver.no_limits) ?(jobs = 4)
   (report, outcome)
 
 let solve_cube ?(limits = Sat.Solver.no_limits) ?cubes ?probe_limit ?jobs
-    ?proof ?interrupt ?log inst =
+    ?proof ?log inst =
   let f = Instance.direct_formula inst in
   let cr =
-    Portfolio.Cuber.solve ?cubes ?probe_limit ?jobs ~limits ?proof ?interrupt
-      ?log f
+    Portfolio.Cuber.solve ?cubes ?probe_limit ?jobs ~limits ?proof ?log
+      (Cnf.Flat.of_formula f)
   in
   let report =
     {

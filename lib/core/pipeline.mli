@@ -125,7 +125,6 @@ val solve_cube :
   ?probe_limit:int ->
   ?jobs:int ->
   ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t ->
   ?log:(string -> unit) ->
   Instance.t ->
   report * Portfolio.Cuber.report

@@ -146,35 +146,6 @@ let cut_width ~seeds =
     notes = [ "wider cuts see more restructurings but cost more per node" ];
   }
 
-let windowed_resub ~seeds =
-  let measure pass =
-    let stats =
-      List.map
-        (fun seed ->
-          let g = miter seed in
-          let g', t = timed (fun () -> pass g) in
-          (float_of_int (Aig.Graph.num_ands g'), t))
-        seeds
-    in
-    (avg (List.map fst stats), avg (List.map snd stats))
-  in
-  let fraig_size, fraig_time = measure Synth.Resub.run in
-  let both_size, both_time =
-    measure (fun g -> Synth.Resub_window.run (Synth.Resub.run g))
-  in
-  {
-    Table.title = "Ablation: FRAIG (0-resub) vs + windowed 1-resub";
-    header = [ "Setting"; "avg ANDs after"; "avg time (s)" ];
-    rows =
-      [
-        [ "resub (FRAIG only)"; fmt_f fraig_size; fmt_f fraig_time ];
-        [ "resub + windowed 1-resub"; fmt_f both_size; fmt_f both_time ];
-      ];
-    notes =
-      [ "1-resubstitution re-expresses nodes through divisor pairs; \
-         gains beyond equivalence merging cost extra SAT calls" ];
-  }
-
 let branching_heuristic () =
   let cases =
     [
@@ -215,6 +186,5 @@ let run_all () =
       Table.render (resub_budget ~seeds);
       Table.render (mapper_passes ~seeds);
       Table.render (cut_width ~seeds);
-      Table.render (windowed_resub ~seeds);
       Table.render (branching_heuristic ());
     ]

@@ -11,7 +11,6 @@ val rewrite_mffc : seeds:int list -> Table.t
 val resub_budget : seeds:int list -> Table.t
 val mapper_passes : seeds:int list -> Table.t
 val cut_width : seeds:int list -> Table.t
-val windowed_resub : seeds:int list -> Table.t
 val branching_heuristic : unit -> Table.t
 
 val run_all : unit -> string

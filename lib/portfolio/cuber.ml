@@ -27,32 +27,13 @@ type report = {
 let default_cubes = 8
 let default_probe_limit = 32
 
-let add_stats a b =
-  {
-    Sat.Solver.decisions = a.Sat.Solver.decisions + b.Sat.Solver.decisions;
-    conflicts = a.Sat.Solver.conflicts + b.Sat.Solver.conflicts;
-    propagations = a.Sat.Solver.propagations + b.Sat.Solver.propagations;
-    restarts = a.Sat.Solver.restarts + b.Sat.Solver.restarts;
-    learned = a.Sat.Solver.learned + b.Sat.Solver.learned;
-    reduces = a.Sat.Solver.reduces + b.Sat.Solver.reduces;
-    xors = a.Sat.Solver.xors + b.Sat.Solver.xors;
-    xor_derived = a.Sat.Solver.xor_derived + b.Sat.Solver.xor_derived;
-    max_decision_level =
-      max a.Sat.Solver.max_decision_level b.Sat.Solver.max_decision_level;
-    time = a.Sat.Solver.time +. b.Sat.Solver.time;
-    cpu_time = a.Sat.Solver.cpu_time +. b.Sat.Solver.cpu_time;
-    minor_words = a.Sat.Solver.minor_words +. b.Sat.Solver.minor_words;
-    major_collections =
-      a.Sat.Solver.major_collections + b.Sat.Solver.major_collections;
-  }
-
 let negate lits = Array.map (fun l -> -l) lits
 
 (* --- cube: BFS lookahead splitting ---------------------------------- *)
 
-let split ?(cubes = default_cubes) ?(probe_limit = default_probe_limit) f =
+let split ?(cubes = default_cubes) ?(probe_limit = default_probe_limit) fl =
   let target = max 1 cubes in
-  match Sat.Solver.prober f with
+  match Sat.Solver.prober fl with
   | `Unsat -> `Unsat
   | `Prober p -> (
     let exception Sat_found of bool array in
@@ -128,8 +109,7 @@ let stitch recorder cubes leaf_clauses =
 
 (* [exec] runs an array of worker bodies to completion (inline for the
    sequential path, [Runner.dispatch] for a pool). *)
-let conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
-    cubes =
+let conquer ~t0 ~limits ~proof ~log ~on_cube ~nworkers ~exec fl cubes =
   let n = Array.length cubes in
   let live =
     Array.of_list
@@ -150,11 +130,14 @@ let conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
     | None -> None
     | Some _ -> Some (Sat.Proof.create ~record_deletions:false ())
   in
+  (* The conquest's cancellation flag: the caller's [limits.interrupt]
+     when given, so setting it stops every cube job. *)
   let cancel =
-    match interrupt with
+    match limits.Sat.Solver.interrupt with
     | Some i -> i
     | None -> Sat.Solver.Interrupt.create ()
   in
+  let limits = { limits with Sat.Solver.interrupt = Some cancel } in
   let sat_model = Atomic.make None in
   let outright = Atomic.make false in
   let steals = Atomic.make 0 in
@@ -189,7 +172,7 @@ let conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
             else begin
               let result, st, core =
                 Sat.Solver.solve_assuming ~limits ?proof:recorder
-                  ~interrupt:cancel ~assumptions:c.lits f
+                  ~assumptions:c.lits fl
               in
               match result with
               | Sat.Solver.Sat m ->
@@ -227,7 +210,9 @@ let conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
         (match clause with
          | Some cl -> leaf_clause.(i) <- Some cl
          | None -> ());
-        (match stats with Some st -> agg := add_stats !agg st | None -> ());
+        (match stats with
+         | Some st -> agg := Sat.Solver.add_stats !agg st
+         | None -> ());
         Mutex.unlock sm
       end
     done
@@ -307,10 +292,9 @@ let trivial_report ~t0 ~result ~proof_sealed ~complete =
   }
 
 let solve_common ?(cubes = default_cubes) ?(probe_limit = default_probe_limit)
-    ?(limits = Sat.Solver.no_limits) ?proof ?interrupt ?log ?on_cube ~exec_for
-    f =
+    ?(limits = Sat.Solver.no_limits) ?proof ?log ?on_cube ~exec_for fl =
   let t0 = Sat.Wall.now () in
-  match split ~cubes ~probe_limit f with
+  match split ~cubes ~probe_limit fl with
   | `Sat m -> trivial_report ~t0 ~result:(Sat.Solver.Sat m) ~proof_sealed:false
                 ~complete:false
   | `Unsat ->
@@ -330,33 +314,28 @@ let solve_common ?(cubes = default_cubes) ?(probe_limit = default_probe_limit)
       Array.fold_left (fun acc c -> if c.dead then acc else acc + 1) 0 cube_arr
     in
     let nworkers, exec = exec_for nlive in
-    conquer ~t0 ~limits ~proof ~interrupt ~log ~on_cube ~nworkers ~exec f
-      cube_arr
+    conquer ~t0 ~limits ~proof ~log ~on_cube ~nworkers ~exec fl cube_arr
 
 let run_inline bodies = Array.iter (fun body -> body ()) bodies
 
-let solve_in ?cubes ?probe_limit ?limits ?proof ?interrupt ?log ?on_cube pool
-    f =
+let solve_in ?cubes ?probe_limit ?limits ?proof ?log ?on_cube pool fl =
   let exec_for nlive =
     let nworkers = max 1 (min (Runner.pool_size pool) nlive) in
     if nworkers = 1 then (1, run_inline)
     else (nworkers, Runner.dispatch pool)
   in
-  solve_common ?cubes ?probe_limit ?limits ?proof ?interrupt ?log ?on_cube
-    ~exec_for f
+  solve_common ?cubes ?probe_limit ?limits ?proof ?log ?on_cube ~exec_for fl
 
-let solve ?cubes ?probe_limit ?(jobs = 4) ?limits ?proof ?interrupt ?log
-    ?on_cube f =
+let solve ?cubes ?probe_limit ?(jobs = 4) ?limits ?proof ?log ?on_cube fl =
   let jobs = max 1 jobs in
   if jobs = 1 then
-    solve_common ?cubes ?probe_limit ?limits ?proof ?interrupt ?log ?on_cube
+    solve_common ?cubes ?probe_limit ?limits ?proof ?log ?on_cube
       ~exec_for:(fun _ -> (1, run_inline))
-      f
+      fl
   else begin
     let pool = Runner.create_pool ~jobs () in
     Fun.protect
       ~finally:(fun () -> Runner.shutdown_pool pool)
       (fun () ->
-        solve_in ?cubes ?probe_limit ?limits ?proof ?interrupt ?log ?on_cube
-          pool f)
+        solve_in ?cubes ?probe_limit ?limits ?proof ?log ?on_cube pool fl)
   end

@@ -68,9 +68,9 @@ type report = {
 }
 
 val split :
-  ?cubes:int -> ?probe_limit:int -> Cnf.Formula.t ->
+  ?cubes:int -> ?probe_limit:int -> Cnf.Flat.t ->
   [ `Cubes of cube array | `Sat of bool array | `Unsat ]
-(** Partition the formula into at most [cubes] (default 8) leaves,
+(** Partition the store into at most [cubes] (default 8) leaves,
     probing at most [probe_limit] (default 32) candidate variables per
     node.  [`Sat m] when lookahead propagation completed a model;
     [`Unsat] when the formula is refuted at level 0 (the empty clause
@@ -80,16 +80,17 @@ val solve_in :
   ?cubes:int -> ?probe_limit:int ->
   ?limits:Sat.Solver.limits ->
   ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t ->
   ?log:(string -> unit) ->
   ?on_cube:(int -> unit) ->
-  Runner.pool -> Cnf.Formula.t -> report
+  Runner.pool -> Cnf.Flat.t -> report
 (** Cube, conquer on the pool's workers, stitch.  [limits] apply to
     each cube job separately.  With [proof], the shared recorder is
     replayed into it only when sealed (the {!Runner.run}
     discipline), so a partial conquest never leaves a half-told proof
-    in the caller's recorder.  [interrupt] cancels the whole conquest
-    ([result = Unknown]).  [on_cube i] is a test hook invoked on the
+    in the caller's recorder.  A [limits.interrupt] flag is the
+    conquest's cancel flag: setting it cancels the whole conquest
+    ([result = Unknown]), and a SAT cube sets it.  Without one the
+    conquest creates its own.  [on_cube i] is a test hook invoked on the
     solving worker just before cube [i]'s job starts; an exception it
     raises fails that cube.  A one-worker pool conquers sequentially
     in cube order — bit-identical across runs. *)
@@ -98,10 +99,9 @@ val solve :
   ?cubes:int -> ?probe_limit:int -> ?jobs:int ->
   ?limits:Sat.Solver.limits ->
   ?proof:Sat.Proof.t ->
-  ?interrupt:Sat.Solver.Interrupt.t ->
   ?log:(string -> unit) ->
   ?on_cube:(int -> unit) ->
-  Cnf.Formula.t -> report
+  Cnf.Flat.t -> report
 (** [solve_in] on a transient pool of [jobs] (default 4) domains.
     [jobs = 1] runs the sequential deterministic path with no pool at
     all. *)

@@ -200,8 +200,15 @@ let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
     Clause_bus.create
       ~groups:(Array.map (fun s -> s.Strategy.share_group) strategies)
   in
-  (* The race's cancellation flag, set once the race is decided. *)
-  let cancel = Sat.Solver.Interrupt.create () in
+  (* The race's cancellation flag, set once the race is decided: the
+     caller's [limits.interrupt] when given, so setting it stops every
+     lane. *)
+  let cancel =
+    match limits.Sat.Solver.interrupt with
+    | Some i -> i
+    | None -> Sat.Solver.Interrupt.create ()
+  in
+  let limits = { limits with Sat.Solver.interrupt = Some cancel } in
   (* First decisive answer wins; the CAS arbitrates photo finishes. *)
   let race_winner = Atomic.make (-1) in
   (* Direct lanes log into one deletion-free shared recorder (see
@@ -232,15 +239,20 @@ let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
           if sharing then Some (fun () -> Clause_bus.drain bus ~worker:i)
           else None
         in
+        let config =
+          { Sat.Solver.default_config with
+            heuristic = st.Strategy.heuristic;
+            restarts = st.Strategy.restarts;
+            export;
+            export_lbd = (if share_lbd > 0 then share_lbd else max_int);
+            import }
+        in
         let wproof =
           if st.Strategy.share_group = Some 0 then shared_proof else None
         in
         let result, stats =
-          Sat.Solver.solve ~limits ?proof:wproof
-            ~heuristic:st.Strategy.heuristic
-            ~restarts:st.Strategy.restarts ~interrupt:cancel ?export
-            ~export_lbd:(if share_lbd > 0 then share_lbd else max_int)
-            ?import f
+          Sat.Solver.solve_flat ~config ~limits ?proof:wproof
+            (Cnf.Flat.of_formula f)
         in
         match result with
         | Sat.Solver.Sat _ | Sat.Solver.Unsat ->

@@ -2,9 +2,10 @@
 
     [run] races one worker domain per strategy.  Each worker builds
     its lane's CNF ([Strategy.prepare], or the input formula), then
-    drives {!Sat.Solver.solve} with the lane's heuristic and restart
-    schedule, a shared {!Sat.Solver.Interrupt} flag, and — within its
-    clause-sharing group — export/import hooks over a {!Clause_bus}.
+    drives {!Sat.Solver.solve_flat} with a {!Sat.Solver.config} of the
+    lane's heuristic and restart schedule and — within its
+    clause-sharing group — export/import hooks over a {!Clause_bus},
+    under a shared {!Sat.Solver.Interrupt} flag.
     The first worker to answer [Sat]/[Unsat] wins the race atomically
     and interrupts every other worker; losers stop within one budget
     tick of their solver.  A worker that raises is logged and treated
@@ -84,10 +85,13 @@ val run :
     number of worker domains: with [jobs = 1] the race is sequential
     (see above); otherwise the first [jobs] strategies race in
     parallel on a transient {!pool} that lives exactly as long as the
-    race.  [share_lbd] (default 4) is the maximum glue value a
-    learned clause may have to be exported to the lane's share group;
-    [0] disables sharing.  [log] receives human-readable race events
-    (serialized — safe to print). *)
+    race.  A [limits.interrupt] flag is the parallel race's cancel
+    flag: setting it stops every lane, and the race sets it once
+    decided.  Without one the race creates its own.  [share_lbd]
+    (default 4) is the maximum glue value a learned clause may have to
+    be exported to the lane's share group; [0] disables sharing.
+    [log] receives human-readable race events (serialized — safe to
+    print). *)
 
 (** {2 Reusable worker pools}
 

@@ -81,12 +81,22 @@ let empty_stats =
     major_collections = 0;
   }
 
-type limits = {
-  max_conflicts : int option;
-  max_decisions : int option;
-  max_seconds : float option;
-  deadline : float option;
-}
+let add_stats a b =
+  {
+    decisions = a.decisions + b.decisions;
+    conflicts = a.conflicts + b.conflicts;
+    propagations = a.propagations + b.propagations;
+    restarts = a.restarts + b.restarts;
+    learned = a.learned + b.learned;
+    reduces = a.reduces + b.reduces;
+    xors = a.xors + b.xors;
+    xor_derived = a.xor_derived + b.xor_derived;
+    max_decision_level = max a.max_decision_level b.max_decision_level;
+    time = a.time +. b.time;
+    cpu_time = a.cpu_time +. b.cpu_time;
+    minor_words = a.minor_words +. b.minor_words;
+    major_collections = a.major_collections + b.major_collections;
+  }
 
 (* Cooperative cancellation, after minisat's interrupt /
    clearInterrupt.  The flag is an [Atomic.t] so another domain can
@@ -101,9 +111,42 @@ module Interrupt = struct
   let is_set t = Atomic.get t
 end
 
+type limits = {
+  max_conflicts : int option;
+  max_decisions : int option;
+  max_seconds : float option;
+  deadline : float option;
+  interrupt : Interrupt.t option;
+}
+
 let no_limits =
   { max_conflicts = None; max_decisions = None; max_seconds = None;
-    deadline = None }
+    deadline = None; interrupt = None }
+
+type seed = {
+  seed_clauses : (int array * int) array;
+  seed_phases : bool array;
+  seed_order : int array;
+}
+
+(* The batch search settings.  Only [search] and [solve_flat] read
+   them, once at entry; none enters the solver record [t]. *)
+type config = {
+  heuristic : [ `Evsids | `Lrb ];
+  restarts : [ `Luby | `Glucose ];
+  reduce_base : int;
+  reduce_inc : int;
+  export : (int array -> int -> unit) option;
+  export_lbd : int;
+  import : (unit -> (int array * int) list) option;
+  seed : seed option;
+  snapshot : (seed -> unit) option;
+}
+
+let default_config =
+  { heuristic = `Evsids; restarts = `Luby; reduce_base = 2000;
+    reduce_inc = 512; export = None; export_lbd = max_int; import = None;
+    seed = None; snapshot = None }
 
 (* --- clause arena --------------------------------------------------
 
@@ -1011,17 +1054,19 @@ type search_outcome =
    racing, process CPU time advances N times faster than real time, so
    [max_seconds] must be measured against the wall.
 
-   [reduce_base]/[reduce_inc] set the initial learnt-database cap and
-   its growth per reduction (defaults preserve the historical 2000/512
-   schedule; tests shrink them to force many arena compactions).
+   [config.reduce_base]/[config.reduce_inc] set the initial
+   learnt-database cap and its growth per reduction.
 
-   [interrupt] is probed on every budget tick; [export] is called (in
-   DIMACS literals) for every learned clause whose LBD is at most
-   [export_lbd], after the clause has been logged to [proof]; [import]
-   is polled at every restart (and once on entry), at decision level 0,
-   and its clauses join the learnt database. *)
-let search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
-    ~assumption_lits ~interrupt ~export ~export_lbd ~import ~t0 =
+   [limits.interrupt] is probed on every budget tick; [export] is
+   called (in DIMACS literals) for every learned clause whose LBD is at
+   most [export_lbd], after the clause has been logged to [proof];
+   [import] is polled at every restart (and once on entry), at decision
+   level 0, and its clauses join the learnt database. *)
+let search s ~config ~limits ~proof ~assumption_lits ~t0 =
+  let { restarts; reduce_base; reduce_inc; export; export_lbd; import; _ } =
+    config
+  in
+  let interrupt = limits.interrupt in
   let nassum = Array.length assumption_lits in
   let conflicts_since_restart = ref 0 in
   let restart_num = ref 0 in
@@ -1268,12 +1313,6 @@ let prepare ?gauss (fl : Cnf.Flat.t) =
 
 (* --- warm-start snapshots ------------------------------------------ *)
 
-type seed = {
-  seed_clauses : (int array * int) array;
-  seed_phases : bool array;
-  seed_order : int array;
-}
-
 (* Capture policy: the snapshot is bounded — at most
    [snapshot_max_clauses] long learnt clauses, preferring the lowest
    LBDs (the threshold is tightened until the budget fits) while
@@ -1454,8 +1493,7 @@ let add_xor_consequences s g units =
         units clauses,
       List.length clauses )
 
-let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot flat =
+let solve_flat ?(config = default_config) ?(limits = no_limits) ?proof fl =
   let t0 = Wall.now () in
   let c0 = Sys.time () in
   let gc0 = gc_origin () in
@@ -1469,7 +1507,6 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
          ~minor_words ~major_collections)
       with xors = !xors; xor_derived = !xor_derived }
   in
-  let fl = flat () in
   (* Without a proof only: a GF(2) sum is not a RUP step. *)
   let gauss =
     if proof = None then Some (Cnf.Gauss.local (Cnf.Flat.num_clauses fl))
@@ -1480,12 +1517,12 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
     log_add proof [||];
     (Unsat, stats_of (create 0))
   | Ready (s, units) ->
-    s.lrb <- (heuristic = `Lrb);
+    s.lrb <- (config.heuristic = `Lrb);
     (* The snapshot is taken on every exit — Sat, Unsat, Unknown — so
        an interrupted or deadline-cut solve still donates its learnt
        clauses, phases and activity order to a later warm start. *)
     let finish r =
-      (match snapshot with None -> () | Some f -> f (capture_seed s));
+      (match config.snapshot with None -> () | Some f -> f (capture_seed s));
       (r, stats_of s)
     in
     let exception Done of result in
@@ -1513,7 +1550,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
          log_add proof [||];
          raise (Done Unsat)
        end;
-       (match seed with
+       (match config.seed with
         | None -> ()
         | Some sd ->
           apply_seed_heuristics s sd;
@@ -1525,8 +1562,7 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
        done;
        let r =
          match
-           search s ~limits ~proof ~restarts ~reduce_base ~reduce_inc
-             ~assumption_lits:[||] ~interrupt ~export ~export_lbd ~import ~t0
+           search s ~config ~limits ~proof ~assumption_lits:[||] ~t0
          with
          | S_sat m -> Sat m
          | S_unsat_final -> Unsat
@@ -1538,24 +1574,9 @@ let solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
      | Done r -> finish r
      | Unsat_at_level0 -> finish Unsat)
 
-let solve ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?interrupt
-    ?export ?(export_lbd = max_int) ?import ?seed ?snapshot f =
-  solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot (fun () ->
-      Cnf.Flat.of_formula f)
-
-let solve_flat ?(limits = no_limits) ?proof ?(heuristic = `Evsids)
-    ?(restarts = `Luby) ?(reduce_base = 2000) ?(reduce_inc = 512) ?interrupt
-    ?export ?(export_lbd = max_int) ?import ?seed ?snapshot fl =
-  solve_core ~limits ~proof ~heuristic ~restarts ~reduce_base ~reduce_inc
-    ~interrupt ~export ~export_lbd ~import ~seed ~snapshot (fun () -> fl)
-
-let decisions_or_max ?(limits = no_limits) f =
-  let result, st = solve ~limits f in
-  match (result, limits.max_decisions) with
-  | Unknown, Some m -> max st.decisions m
-  | _ -> st.decisions
+let solve ?limits ?proof ?(heuristic = `Evsids) ?(restarts = `Luby) f =
+  solve_flat ~config:{ default_config with heuristic; restarts } ?limits
+    ?proof (Cnf.Flat.of_formula f)
 
 let pp_stats ppf st =
   Format.fprintf ppf
@@ -1575,6 +1596,7 @@ module Incremental = struct
     mutable broken : bool;
     mutable core : int array; (* DIMACS assumption core of the last
                                  Unsat-under-assumptions answer *)
+    mutable buf : int array;  (* [add_slice]'s scratch *)
   }
 
   let ensure_capacity session n =
@@ -1610,7 +1632,8 @@ module Incremental = struct
       s.nvars <- n
     end
 
-  let create () = { s = create 0; broken = false; core = [||] }
+  let create () =
+    { s = create 0; broken = false; core = [||]; buf = Array.make 64 0 }
 
   (* A fresh copy: the stored core is solver-internal state and must
      not be mutable by the caller (see the aliasing regression tests). *)
@@ -1622,44 +1645,80 @@ module Incremental = struct
     ensure_capacity session (session.s.nvars + 1);
     session.s.nvars
 
-  (* Add a clause in DIMACS literals at decision level 0. *)
-  let add_clause session clause =
+  (* Add the clause [lits.(st) .. lits.(en - 1)] (DIMACS literals) at
+     decision level 0, normalized as [prepare] does: internal literals
+     in the session's scratch buffer, sorted and deduplicated by
+     {!Cnf.Flat.sort_uniq_slice}, tautologies dropped; then literals
+     false at level 0 are dropped and a clause true there is skipped. *)
+  let add_slice session lits st en =
     let s = session.s in
     if not session.broken then begin
       assert (s.ntrail_lim = 0);
-      Array.iter (fun l -> ensure_capacity session (abs l)) clause;
-      let lits =
-        Array.to_list clause
-        |> List.map (fun l -> lit_of_var (abs l - 1) (l < 0))
-        |> List.sort_uniq compare
+      let len = en - st in
+      if Array.length session.buf < len then
+        session.buf <- Array.make (max len (2 * Array.length session.buf)) 0;
+      let b = session.buf in
+      for k = st to en - 1 do
+        let dl = lits.(k) in
+        ensure_capacity session (abs dl);
+        b.(k - st) <- lit_of_var (abs dl - 1) (dl < 0)
+      done;
+      let n = Cnf.Flat.sort_uniq_slice b 0 len in
+      let rec taut j =
+        j + 1 < n && (b.(j) lxor b.(j + 1) = 1 || taut (j + 1))
       in
-      let taut =
-        let rec chk = function
-          | a :: (b :: _ as rest) -> a lxor b = 1 || chk rest
-          | _ -> false
-        in
-        chk lits
-      in
-      if not taut then begin
-        (* Evaluate under the level-0 assignment. *)
-        let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-        if List.exists (fun l -> lit_value s l = 1) lits then ()
-        else
-          match lits with
-          | [] -> session.broken <- true
-          | [ l ] ->
-            enqueue s l reason_none;
+      if not (taut 0) then begin
+        let m = ref 0 and satisfied = ref false in
+        for j = 0 to n - 1 do
+          match lit_value s b.(j) with
+          | 0 -> ()
+          | 1 -> satisfied := true
+          | _ ->
+            b.(!m) <- b.(j);
+            incr m
+        done;
+        if not !satisfied then
+          match !m with
+          | 0 -> session.broken <- true
+          | 1 ->
+            enqueue s b.(0) reason_none;
             if propagate s <> None then session.broken <- true
-          | [ a; b ] -> add_binary s a b
-          | lits -> ignore (add_long s (Array.of_list lits) false 0)
+          | 2 -> add_binary s b.(0) b.(1)
+          | m -> ignore (add_long_slice s b m false 0)
       end
     end
+
+  let add_clause session clause =
+    add_slice session clause 0 (Array.length clause)
 
   let add_formula session f =
     Array.iter (add_clause session) f.Cnf.Formula.clauses
 
-  let solve ?(limits = no_limits) ?proof ?(reduce_base = 2000)
-      ?(reduce_inc = 512) ?interrupt ?(assumptions = [||]) session =
+  (* The [config] fields that only the batch entry points read. *)
+  let batch_only c =
+    List.filter_map
+      (fun (name, set) -> if set then Some ("config." ^ name) else None)
+      [ ("heuristic", c.heuristic <> default_config.heuristic);
+        ("restarts", c.restarts <> default_config.restarts);
+        ("export", Option.is_some c.export);
+        ("export_lbd", c.export_lbd <> default_config.export_lbd);
+        ("import", Option.is_some c.import);
+        ("seed", Option.is_some c.seed);
+        ("snapshot", Option.is_some c.snapshot) ]
+
+  let solve ?config ?(limits = no_limits) ?proof ?(assumptions = [||])
+      session =
+    let config =
+      match config with
+      | None -> default_config
+      | Some c -> (
+        match batch_only c with
+        | [] -> c
+        | fields ->
+          invalid_arg
+            ("Sat.Solver.Incremental.solve: batch-only setting "
+             ^ String.concat ", " fields))
+    in
     let t0 = Wall.now () in
     let c0 = Sys.time () in
     let gc0 = gc_origin () in
@@ -1714,9 +1773,7 @@ module Incremental = struct
         if var_value s v = undef then heap_insert s v
       done;
       match
-        search s ~limits ~proof ~restarts:`Luby ~reduce_base ~reduce_inc
-          ~assumption_lits ~interrupt ~export:None ~export_lbd:max_int
-          ~import:None ~t0
+        search s ~config ~limits ~proof ~assumption_lits ~t0
       with
       | S_sat m -> finish (Sat m)
       | S_unknown -> finish Unknown
@@ -1734,8 +1791,7 @@ end
 
 type prober = { ps : t; order : int array }
 
-let prober f =
-  let fl = Cnf.Flat.of_formula f in
+let prober fl =
   match prepare fl with
   | Trivially_unsat -> `Unsat
   | Ready (s, units) -> (
@@ -1855,11 +1911,13 @@ let probe_split p ~prefix ~limit =
     cancel_until s 0;
     `Sat m
 
-let solve_assuming ?limits ?proof ?interrupt ~assumptions f =
+let solve_assuming ?limits ?proof ~assumptions (fl : Cnf.Flat.t) =
   let session = Incremental.create () in
-  Incremental.ensure_capacity session f.Cnf.Formula.num_vars;
-  Incremental.add_formula session f;
-  let result, stats =
-    Incremental.solve ?limits ?proof ?interrupt ~assumptions session
-  in
+  Incremental.ensure_capacity session fl.Cnf.Flat.num_vars;
+  let offsets = fl.Cnf.Flat.offsets in
+  for i = 0 to Array.length offsets - 2 do
+    Incremental.add_slice session fl.Cnf.Flat.lits offsets.(i)
+      offsets.(i + 1)
+  done;
+  let result, stats = Incremental.solve ?limits ?proof ~assumptions session in
   (result, stats, Incremental.last_core session)

@@ -80,28 +80,15 @@ val empty_stats : stats
     cache-side timeout, a race without a winner, a refutation found
     before search). *)
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum of two solves' stats ([max_decision_level] takes the
+    maximum): the total of a run of solves, such as a cube conquest. *)
+
 val check_num_vars : int -> unit
 (** Raise [Invalid_argument] naming the solver's [2^30 - 1] variable
     limit when the count exceeds it — the check every entry point makes
     before allocating.  Front ends call it at ingest, so an oversized
     [p cnf] header is rejected before any transform allocates. *)
-
-type limits = {
-  max_conflicts : int option;
-  max_decisions : int option;
-  max_seconds : float option;  (** wall-clock seconds, see {!stats.time} *)
-  deadline : float option;
-      (** absolute {!Wall.now} instant at which the search gives up
-          with [Unknown].  Unlike [max_seconds] — which measures from
-          solve entry — a deadline is a property of the {e job}: the
-          solve service stamps one deadline per submitted query, and
-          every solver call made on the job's behalf (a portfolio
-          lane starting late, a solve after an expensive preparation)
-          stops at the same instant.  Probed on the budget tick like
-          [max_seconds]. *)
-}
-
-val no_limits : limits
 
 (** Cooperative cancellation, mirroring minisat's [interrupt] /
     [clearInterrupt].  A flag is an [Atomic.t] under the hood: any
@@ -121,6 +108,30 @@ module Interrupt : sig
   val is_set : t -> bool
 end
 
+(** Every condition on which a solve stops with [Unknown].  They are
+    probed on the budget tick (one per conflict or decision), the two
+    wall-clock limits on every 256th. *)
+type limits = {
+  max_conflicts : int option;
+  max_decisions : int option;
+  max_seconds : float option;  (** wall-clock seconds, see {!stats.time} *)
+  deadline : float option;
+      (** absolute {!Wall.now} instant at which the search gives up.
+          Unlike [max_seconds] — which measures from solve entry — a
+          deadline is a property of the {e job}: the solve service
+          stamps one deadline per submitted query, and every solver
+          call made on the job's behalf (a portfolio lane starting
+          late, a solve after an expensive preparation) stops at the
+          same instant. *)
+  interrupt : Interrupt.t option;
+      (** cooperative cancellation from any domain ({!Interrupt}).  The
+          portfolio's race and the cuber's conquest use a set flag as
+          their own cancel flag, so setting it stops every lane or cube
+          job, and a decided race or a SAT cube sets it in turn. *)
+}
+
+val no_limits : limits
+
 (** A warm-start snapshot: the transferable part of a finished (or
     interrupted) solve's state.  [seed_clauses] are (DIMACS literals,
     LBD) pairs — level-0 units first, then the lowest-LBD long learnt
@@ -136,109 +147,97 @@ end
     shape (range, tautology, satisfaction at level 0) like a portfolio
     import, but implication is by construction, not re-checked —
     except under a DRAT recorder, where each seed clause is admitted
-    only if RUP (see {!solve}). *)
+    only if RUP (see {!config.seed}). *)
 type seed = {
   seed_clauses : (int array * int) array;
   seed_phases : bool array;
   seed_order : int array;
 }
 
-val solve :
-  ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
-  ?restarts:[ `Luby | `Glucose ] ->
-  ?reduce_base:int ->
-  ?reduce_inc:int ->
-  ?interrupt:Interrupt.t ->
-  ?export:(int array -> int -> unit) ->
-  ?export_lbd:int ->
-  ?import:(unit -> (int array * int) list) ->
-  ?seed:seed ->
-  ?snapshot:(seed -> unit) ->
-  Cnf.Formula.t -> result * stats
-(** Solve a formula from scratch.  When the result is [Sat m], [m]
-    satisfies the formula (checked cheaply by the caller via
-    {!Cnf.Formula.eval} if desired).  With [proof], every learned
-    clause and every learned-clause deletion is logged in DRAT; an
-    [Unsat] answer ends the log with the empty clause, and the whole
-    log validates under {!Proof.check}.  Without [proof], the loader
-    also recovers the XOR constraints the formula encodes as complete
-    clause sets and eliminates them over GF(2) ({!Cnf.Gauss}): an
-    inconsistent system answers [Unsat] before search, and the derived
-    units and binary equivalences the input lacks are added (see
-    [stats.xors], [stats.xor_derived]).  With fewer than two XORs, or
-    nothing new derived, the solver gets exactly the input clauses.
-    With [proof] the pass does not run: a GF(2) sum is not a RUP step.
-    [heuristic] selects the
-    branching scheme: exponential VSIDS (default) or the learning-rate
-    heuristic of Liang et al. 2016 — the paper's reference [23].
-    [restarts] selects the restart schedule: Luby with unit 100
-    (default) or Glucose-style, firing when the moving average of the
-    last 50 learned-clause LBDs exceeds 0.8 times the running mean.
-    [reduce_base] (default 2000) and [reduce_inc] (default 512) set
-    the initial learnt-database size cap and its growth after each
-    reduction; tests shrink them to force frequent arena compactions.
+(** The search settings of a batch solve ({!solve_flat}).
+    {!Incremental.solve} reads only [reduce_base] and [reduce_inc]. *)
+type config = {
+  heuristic : [ `Evsids | `Lrb ];
+      (** branching: exponential VSIDS (default) or the learning-rate
+          heuristic of Liang et al. 2016 — the paper's reference
+          [23]. *)
+  restarts : [ `Luby | `Glucose ];
+      (** Luby with unit 100 (default), or Glucose-style, firing when
+          the moving average of the last 50 learned-clause LBDs
+          exceeds 0.8 times the running mean. *)
+  reduce_base : int;
+      (** the initial learnt-database size cap (default 2000) *)
+  reduce_inc : int;
+      (** the cap's growth after each reduction (default 512); tests
+          shrink both to force frequent arena compactions *)
+  export : (int array -> int -> unit) option;
+      (** [export clause lbd] is invoked at learn time, before
+          backjumping, with {e DIMACS} literals (the asserting literal
+          first) and the glue stored for that clause, for every
+          learned clause whose glue is at most [export_lbd].  When a
+          shared proof is in use the clause is logged before it is
+          exported, so an importer can rely on finding it in the
+          recorder.  Runs in the solving domain, so it must be safe to
+          call from there (the portfolio's clause bus is
+          mutex-guarded). *)
+  export_lbd : int;
+      (** the glue bound of [export] (default [max_int]: everything) *)
+  import : (unit -> (int array * int) list) option;
+      (** polled at every restart (and once on entry), at decision
+          level 0; it returns [(clause, lbd)] pairs in DIMACS literals
+          which join the learnt database.  Imported clauses must be
+          implied by the formula (e.g. learned by another solver on
+          the same formula); they are {e not} re-logged to the proof,
+          because under the shared recorder discipline the exporting
+          worker already logged them.  Runs in the solving domain. *)
+  seed : seed option;
+      (** warm-start from a snapshot captured on an earlier solve of a
+          formula with the same canonical fingerprint: phases and
+          activity order are installed, and the snapshot clauses join
+          the learnt database at level 0 before the first decision.
+          Without a proof, seed clauses are attached as implied (the
+          fingerprint contract); with one, each is admitted only if
+          RUP against the current database — logged, then attached —
+          and silently dropped otherwise, so an UNSAT answer's DRAT
+          log still validates under {!Proof.check}. *)
+  snapshot : (seed -> unit) option;
+      (** invoked once, with the state captured at exit, on {e every}
+          outcome — including [Unknown] from an interrupt or deadline,
+          which is what lets a timed-out job resume on resubmission.
+          With [seed] and [snapshot] both [None] the trajectory is
+          bit-identical to the solver without this feature. *)
+}
 
-    The remaining hooks are the portfolio surface (see
-    [lib/portfolio]):
-
-    - [interrupt] cancels the search cooperatively; the answer is
-      [Unknown].
-    - [export clause lbd] is invoked at learn time, before
-      backjumping, with {e DIMACS} literals (the asserting literal
-      first) and the glue stored for that clause, for every learned
-      clause whose glue is at most [export_lbd] (default: export
-      everything when [export] is given).  When a shared [proof] is in use the clause is logged
-      before it is exported, so an importer can rely on finding it in
-      the recorder.
-    - [import] is polled at every restart (and once on entry), at
-      decision level 0; it returns [(clause, lbd)] pairs in DIMACS
-      literals which join the learnt database.  Imported clauses must
-      be implied by the formula (e.g. learned by another solver on the
-      same formula); they are {e not} re-logged to [proof], because
-      under the shared recorder discipline the exporting worker
-      already logged them.
-
-    The hooks run in the solving domain; [export]/[import] callbacks
-    must themselves be safe to call from that domain (the portfolio's
-    clause bus is mutex-guarded).
-
-    [seed] warm-starts the solve from a {!seed} snapshot captured on
-    an earlier solve of a formula with the same canonical fingerprint:
-    phases and activity order are installed, and the snapshot clauses
-    join the learnt database at level 0 before the first decision.
-    Without [proof], seed clauses are attached as implied (the
-    fingerprint contract); with [proof], each is admitted only if RUP
-    against the current database — logged, then attached — and
-    silently dropped otherwise, so an UNSAT answer's DRAT log still
-    validates under {!Proof.check}.  [snapshot] is invoked once, with
-    the state captured at exit, on {e every} outcome — including
-    [Unknown] from an interrupt or deadline, which is what lets a
-    timed-out job resume on resubmission.  With both absent the
-    trajectory is bit-identical to the solver without this feature. *)
+val default_config : config
+(** EVSIDS, Luby, the 2000/512 reduce schedule, and no hooks. *)
 
 val solve_flat :
-  ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
-  ?restarts:[ `Luby | `Glucose ] ->
-  ?reduce_base:int ->
-  ?reduce_inc:int ->
-  ?interrupt:Interrupt.t ->
-  ?export:(int array -> int -> unit) ->
-  ?export_lbd:int ->
-  ?import:(unit -> (int array * int) list) ->
-  ?seed:seed ->
-  ?snapshot:(seed -> unit) ->
+  ?config:config -> ?limits:limits -> ?proof:Proof.t ->
   Cnf.Flat.t -> result * stats
-(** {!solve} over a flat CSR store ({!Cnf.Flat}), loading clauses
+(** Solve a flat CSR store ({!Cnf.Flat}) from scratch, loading clauses
     straight from the CSR arrays into the clause arena with zero
-    per-clause allocation.  This is the one loader: [solve f] is
-    [solve_flat (Flat.of_formula f)], so both produce the same search
-    trajectory and stats.
+    per-clause allocation.  When the result is [Sat m], [m] satisfies
+    the store.  With [proof], every learned clause and every
+    learned-clause deletion is logged in DRAT; an [Unsat] answer ends
+    the log with the empty clause, and the whole log validates under
+    {!Proof.check}.  Without [proof], the loader also recovers the XOR
+    constraints the store encodes as complete clause sets and
+    eliminates them over GF(2) ({!Cnf.Gauss}): an inconsistent system
+    answers [Unsat] before search, and the derived units and binary
+    equivalences the input lacks are added (see [stats.xors],
+    [stats.xor_derived]).  With fewer than two XORs, or nothing new
+    derived, the solver gets exactly the input clauses.  With [proof]
+    the pass does not run: a GF(2) sum is not a RUP step.
     @raise Invalid_argument if [num_vars] exceeds [2^30 - 1], before
     anything is allocated. *)
 
-val decisions_or_max : ?limits:limits -> Cnf.Formula.t -> int
-(** Convenience for the RL reward: the decision count of a solve, or
-    the configured decision cap when the limit was hit. *)
+val solve :
+  ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->
+  ?restarts:[ `Luby | `Glucose ] ->
+  Cnf.Formula.t -> result * stats
+(** [solve_flat ~config:{ default_config with heuristic; restarts }
+    (Cnf.Flat.of_formula f)]: the same search trajectory and stats as
+    the flat entry point, for callers that hold a formula. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -258,20 +257,19 @@ module Incremental : sig
       Variables are also allocated implicitly by {!add_clause}. *)
 
   val add_clause : session -> int array -> unit
-  (** Add a clause (DIMACS literals) permanently.  Must not be called
-      while a solve is in progress. *)
+  (** Add a clause (DIMACS literals) permanently, normalized like the
+      batch loader's clauses.  Must not be called while a solve is in
+      progress. *)
 
   val add_formula : session -> Cnf.Formula.t -> unit
 
   val solve :
-    ?limits:limits -> ?proof:Proof.t ->
-    ?reduce_base:int -> ?reduce_inc:int ->
-    ?interrupt:Interrupt.t ->
+    ?config:config -> ?limits:limits -> ?proof:Proof.t ->
     ?assumptions:int array -> session ->
     result * stats
   (** Solve the accumulated clauses under the given assumption
-      literals.  [interrupt] cancels the query cooperatively (answer
-      [Unknown]), as in the batch {!solve}.
+      literals.  Of [config], only [reduce_base] and [reduce_inc] apply
+      here: the search runs EVSIDS with Luby restarts and no hooks.
       [Unsat] means unsatisfiable {e under the assumptions}
       (permanently unsatisfiable once it occurs with none).  Models
       cover all variables allocated so far.  Statistics are cumulative
@@ -291,7 +289,9 @@ module Incremental : sig
       {!Proof.sealed} when [solve] is called (a completed refutation
       reused across queries) is left untouched: logging for that call
       is an explicit no-op, so the sealed log stays exactly the
-      checkable refutation it was. *)
+      checkable refutation it was.
+      @raise Invalid_argument naming every other [config] field that
+      differs from {!default_config}. *)
 
   val last_core : session -> int array
   (** After an [Unsat] answer under assumptions: a subset of the
@@ -312,8 +312,8 @@ type prober
     (most-occurring variables first, ties on index).  Not thread-safe —
     one domain at a time. *)
 
-val prober : Cnf.Formula.t -> [ `Prober of prober | `Unsat ]
-(** Prepare a formula for probing.  [`Unsat] when the formula is
+val prober : Cnf.Flat.t -> [ `Prober of prober | `Unsat ]
+(** Prepare a store for probing.  [`Unsat] when the store is
     refuted by normalization or level-0 unit propagation alone (the
     empty clause is RUP against it). *)
 
@@ -340,11 +340,13 @@ val probe_split :
     in any prefix order. *)
 
 val solve_assuming :
-  ?limits:limits -> ?proof:Proof.t -> ?interrupt:Interrupt.t ->
-  assumptions:int array -> Cnf.Formula.t ->
+  ?limits:limits -> ?proof:Proof.t ->
+  assumptions:int array -> Cnf.Flat.t ->
   result * stats * int array
-(** Solve [f] under the assumption literals (DIMACS) in a fresh
-    one-shot session — the cube-job entry point.  Returns
+(** Solve a store under the assumption literals (DIMACS) in a fresh
+    one-shot session, loading each clause through
+    {!Incremental.add_clause}'s normalization — the cube-job entry
+    point.  Returns
     [(result, stats, core)] where [core] is {!Incremental.last_core}'s
     answer: on [Unsat] {e under the assumptions}, a subset of them
     sufficient for the contradiction; empty when the formula is

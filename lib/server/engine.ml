@@ -210,15 +210,21 @@ let deadline_passed job now =
    the warm snapshot captured at exit and the cube report when the job
    escalated. *)
 let direct_leg t pool (job : job) =
-  let limits = { t.cfg.limits with Sat.Solver.deadline = job.deadline } in
+  let limits =
+    { t.cfg.limits with
+      Sat.Solver.deadline = job.deadline; interrupt = Some job.interrupt }
+  in
   (match job.warm with
    | Some _ -> Metrics.add t.metrics Warm_seeded
    | None -> ());
   let snap = ref None in
-  let snapshot =
-    match t.warm with
-    | Some _ -> Some (fun sd -> snap := Some sd)
-    | None -> None
+  let config =
+    { Sat.Solver.default_config with
+      seed = job.warm;
+      snapshot =
+        (match t.warm with
+         | Some _ -> Some (fun sd -> snap := Some sd)
+         | None -> None) }
   in
   let cube = t.cfg.cube in
   (* With cubing configured, the first slice is capped at the
@@ -236,8 +242,7 @@ let direct_leg t pool (job : job) =
       { limits with Sat.Solver.max_conflicts = Some cap }
   in
   let result, stats =
-    Sat.Solver.solve_flat ~limits:trigger_limits ~interrupt:job.interrupt
-      ?seed:job.warm ?snapshot job.cnf
+    Sat.Solver.solve_flat ~config ~limits:trigger_limits job.cnf
   in
   match (result, cube) with
   | Sat.Solver.Unknown, Some cc
@@ -255,16 +260,13 @@ let direct_leg t pool (job : job) =
        cube solves bake assumption-local phases and activity into
        their state; see the warm-start soundness contract). *)
     let rep =
-      let f = Cnf.Flat.to_formula job.cnf in
       match pool with
       | Some p ->
         Portfolio.Cuber.solve_in ~cubes:cc.cube_count
-          ~probe_limit:cc.cube_probe_limit ~limits
-          ~interrupt:job.interrupt p f
+          ~probe_limit:cc.cube_probe_limit ~limits p job.cnf
       | None ->
         Portfolio.Cuber.solve ~cubes:cc.cube_count
-          ~probe_limit:cc.cube_probe_limit ~jobs:1 ~limits
-          ~interrupt:job.interrupt f
+          ~probe_limit:cc.cube_probe_limit ~jobs:1 ~limits job.cnf
     in
     Metrics.add t.metrics Cubed;
     Metrics.add t.metrics ~n:rep.Portfolio.Cuber.solved Cubes_solved;

@@ -266,12 +266,14 @@ let exec_solve t ~limits ~stopping ~deadline =
         (Array.map (intern_lit t) t.assumptions)
         (Array.of_list (List.rev_map (fun f -> f.act) t.frames))
     in
-    let limits = { limits with Sat.Solver.deadline } in
+    let limits =
+      { limits with Sat.Solver.deadline; interrupt = Some interrupt }
+    in
     let t0 = Sat.Wall.now () in
     (* A raising solve propagates to [run_one], which resolves the
        ticket [Failed] and clears the running marker. *)
     let result, stats =
-      Sat.Solver.Incremental.solve ~limits ~interrupt ~assumptions t.inc
+      Sat.Solver.Incremental.solve ~limits ~assumptions t.inc
     in
     let solve_wall = Sat.Wall.now () -. t0 in
     let timed_out = locked t (fun () -> t.running <- None; t.timed_out) in

@@ -701,22 +701,6 @@ let suite =
     ]
   @ qsuite [ prop_binary_roundtrip ]
 
-let test_dot_export () =
-  let g = Aig.Graph.create ~num_pis:2 in
-  Aig.Graph.add_po g
-    (Aig.Graph.lit_not (Aig.Graph.and_ g (Aig.Graph.pi g 0) (Aig.Graph.pi g 1)));
-  let s = Aig.Dot.of_graph g in
-  let contains sub =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "digraph" true (contains "digraph");
-  check_bool "pi node" true (contains "n1 [shape=triangle");
-  check_bool "dashed complement" true (contains "style=dashed");
-  check_bool "output node" true (contains "o0")
-
-let suite = suite @ [ ("dot export", `Quick, test_dot_export) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cut functions at every width, and factored-form record/replay *)

@@ -345,34 +345,6 @@ let suite =
       ("blif constants", `Quick, test_blif_constants);
     ]
 
-let test_verilog_writer () =
-  let g = random_graph ~seed:140 ~num_pis:4 ~num_ands:15 in
-  let nl = Lutmap.Mapper.run g in
-  let v = Lutmap.Blif.write_string nl in
-  ignore v;
-  let s = Lutmap.Verilog.write_string ~module_name:"m" nl in
-  let contains sub =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "module header" true (contains "module m(");
-  check_bool "endmodule" true (contains "endmodule");
-  check_bool "inputs declared" true (contains "input i0");
-  check_bool "assigns present" true (contains "assign");
-  (* Every LUT and output appears exactly once as an assign target. *)
-  let count_assigns =
-    List.length
-      (String.split_on_char '\n' s
-      |> List.filter (fun l ->
-             let l = String.trim l in
-             String.length l > 7 && String.sub l 0 7 = "assign "))
-  in
-  check "assign count" (Lutmap.Netlist.num_luts nl
-                        + Array.length nl.Lutmap.Netlist.outputs)
-    count_assigns
-
-let suite = suite @ [ ("verilog writer", `Quick, test_verilog_writer) ]
 
 (* ------------------------------------------------------------------ *)
 (* Netlist and clause pins: each LUT's table and fanins under both

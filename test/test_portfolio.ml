@@ -154,15 +154,36 @@ let test_cancellation_terminates () =
     outcome.Portfolio.Runner.workers
 
 let test_interrupt_hook () =
+  (* One pre-set [limits.interrupt] stops every entry point: the batch
+     and incremental solves, the assumption job and the race. *)
   let hard = Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7 in
+  let fl = Cnf.Flat.of_formula hard in
   let interrupt = Sat.Solver.Interrupt.create () in
   Sat.Solver.Interrupt.set interrupt;
-  let result, _ = Sat.Solver.solve ~interrupt hard in
-  (match result with
-   | Sat.Solver.Unknown -> ()
-   | _ -> Alcotest.fail "pre-set interrupt must yield Unknown");
+  let limits = { Sat.Solver.no_limits with interrupt = Some interrupt } in
+  let session = Sat.Solver.Incremental.create () in
+  Sat.Solver.Incremental.add_formula session hard;
+  List.iter
+    (fun (name, result) ->
+      match result with
+      | Sat.Solver.Unknown -> ()
+      | _ -> Alcotest.failf "%s: pre-set interrupt must yield Unknown" name)
+    [
+      ("solve_flat", fst (Sat.Solver.solve_flat ~limits fl));
+      ("Incremental.solve", fst (Sat.Solver.Incremental.solve ~limits session));
+      ( "solve_assuming",
+        let r, _, _ =
+          Sat.Solver.solve_assuming ~limits ~assumptions:[| 1 |] fl
+        in
+        r );
+      ( "Runner.run",
+        (Portfolio.Runner.run ~jobs:2 ~limits
+           (Portfolio.Strategy.default_pool ~jobs:2)
+           hard)
+          .Portfolio.Runner.result );
+    ];
   Sat.Solver.Interrupt.clear interrupt;
-  let result, _ = Sat.Solver.solve ~interrupt hard in
+  let result, _ = Sat.Solver.solve_flat ~limits fl in
   match result with
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "cleared interrupt must let the solve finish"
@@ -172,10 +193,17 @@ let test_export_import_hooks () =
      importing its peer's units/binaries must still answer correctly. *)
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
   let exported = ref [] in
+  let fl = Cnf.Flat.of_formula f in
   let r, _ =
-    Sat.Solver.solve
-      ~export:(fun c lbd -> exported := (Array.copy c, lbd) :: !exported)
-      ~export_lbd:3 f
+    Sat.Solver.solve_flat
+      ~config:
+        {
+          Sat.Solver.default_config with
+          export =
+            Some (fun c lbd -> exported := (Array.copy c, lbd) :: !exported);
+          export_lbd = 3;
+        }
+      fl
   in
   (match r with Sat.Solver.Unsat -> () | _ -> Alcotest.fail "php(6,5)");
   check_bool "something was exported" true (!exported <> []);
@@ -190,7 +218,11 @@ let test_export_import_hooks () =
     pending := [];
     batch
   in
-  let r2, _ = Sat.Solver.solve ~import f in
+  let r2, _ =
+    Sat.Solver.solve_flat
+      ~config:{ Sat.Solver.default_config with import = Some import }
+      fl
+  in
   (match r2 with Sat.Solver.Unsat -> () | _ -> Alcotest.fail "with imports");
   check_bool "imports consumed" true (!pending = [])
 
@@ -312,7 +344,9 @@ let suite =
 
 let cube_check_unsat_proof name f =
   let proof = Sat.Proof.create () in
-  let report = Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~proof f in
+  let report =
+    Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~proof (Cnf.Flat.of_formula f)
+  in
   check_bool (name ^ ": UNSAT") true
     (report.Portfolio.Cuber.result = Sat.Solver.Unsat);
   check_bool (name ^ ": refutation complete") true
@@ -330,7 +364,8 @@ let test_cuber_fuzz_differential () =
     let expected, _ = Sat.Solver.solve f in
     let proof = Sat.Proof.create () in
     let report =
-      Portfolio.Cuber.solve ~cubes:4 ~jobs:(1 + (i mod 3)) ~proof f
+      Portfolio.Cuber.solve ~cubes:4 ~jobs:(1 + (i mod 3)) ~proof
+        (Cnf.Flat.of_formula f)
     in
     (match (expected, report.Portfolio.Cuber.result) with
      | Sat.Solver.Sat _, Sat.Solver.Sat m ->
@@ -366,7 +401,9 @@ let test_cuber_jobs1_deterministic () =
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
   let run () =
     let proof = Sat.Proof.create () in
-    let report = Portfolio.Cuber.solve ~cubes:8 ~jobs:1 ~proof f in
+    let report =
+      Portfolio.Cuber.solve ~cubes:8 ~jobs:1 ~proof (Cnf.Flat.of_formula f)
+    in
     (report, Sat.Proof.steps proof)
   in
   let r1, p1 = run () in
@@ -386,7 +423,7 @@ let test_cuber_jobs1_deterministic () =
    runs on the one CSR loader now and must split exactly as before. *)
 let test_cuber_partition_pinned () =
   let cubes f =
-    match Portfolio.Cuber.split ~cubes:8 f with
+    match Portfolio.Cuber.split ~cubes:8 (Cnf.Flat.of_formula f) with
     | `Cubes cs ->
       Array.to_list
         (Array.map
@@ -426,7 +463,7 @@ let test_cuber_first_sat_cancels_siblings () =
     Cnf.Formula.create ~num_vars:12
       (List.init 6 (fun i -> [| (2 * i) + 1; (2 * i) + 2 |]))
   in
-  let report = Portfolio.Cuber.solve ~cubes:8 ~jobs:1 f in
+  let report = Portfolio.Cuber.solve ~cubes:8 ~jobs:1 (Cnf.Flat.of_formula f) in
   (match report.Portfolio.Cuber.result with
    | Sat.Solver.Sat m ->
      check_bool "model satisfies" true (Cnf.Formula.eval f m)
@@ -451,7 +488,7 @@ let test_cuber_partial_failure_is_not_unsat () =
       ~on_cube:(fun _ ->
         incr claimed;
         if !claimed = 2 then failwith "boom")
-      f
+      (Cnf.Flat.of_formula f)
   in
   check_bool "result is not UNSAT" true
     (report.Portfolio.Cuber.result <> Sat.Solver.Unsat);
@@ -475,7 +512,11 @@ let test_cuber_external_interrupt () =
   let interrupt = Sat.Solver.Interrupt.create () in
   Sat.Solver.Interrupt.set interrupt;
   let proof = Sat.Proof.create () in
-  let report = Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~proof ~interrupt f in
+  let limits = { Sat.Solver.no_limits with interrupt = Some interrupt } in
+  let report =
+    Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~limits ~proof
+      (Cnf.Flat.of_formula f)
+  in
   check_bool "interrupted conquest is Unknown" true
     (report.Portfolio.Cuber.result = Sat.Solver.Unknown);
   check_bool "proof left open" true (not (Sat.Proof.sealed proof))

@@ -17,6 +17,13 @@ let brute_force f =
 
 let solve f = fst (Sat.Solver.solve f)
 
+(* A batch solve of a formula under [config], the way a caller holding
+   a [Formula.t] reaches the settings [solve] does not take. *)
+let cfg = Sat.Solver.default_config
+
+let solve_cfg ?limits ?proof config f =
+  Sat.Solver.solve_flat ~config ?limits ?proof (Cnf.Flat.of_formula f)
+
 let test_trivial () =
   let empty = Cnf.Formula.create ~num_vars:0 [] in
   (match solve empty with
@@ -324,7 +331,7 @@ let test_stats_sanity () =
 
 let test_decisions_or_max () =
   let f = pigeonhole ~pigeons:3 ~holes:3 in
-  let d = Sat.Solver.decisions_or_max f in
+  let d = Eda4sat.Env.decisions_or_max ~limits:Sat.Solver.no_limits f in
   check_bool "nonnegative" true (d >= 0)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
@@ -507,6 +514,44 @@ let test_incremental_assumptions () =
     check_bool "x2 false" false m.(1)
   | _ -> Alcotest.fail "sat under ~x1"
 
+let test_incremental_rejects_batch_config () =
+  (* Incremental.solve reads only the reduce schedule of a config:
+     every other field set away from its default is refused by name,
+     and the reduce schedule alone is accepted. *)
+  let s = Sat.Solver.Incremental.create () in
+  Sat.Solver.Incremental.add_clause s [| 1; 2 |];
+  let sd =
+    { Sat.Solver.seed_clauses = [||]; seed_phases = [||]; seed_order = [||] }
+  in
+  List.iter
+    (fun (field, config) ->
+      match Sat.Solver.Incremental.solve ~config s with
+      | _ -> Alcotest.failf "config.%s was accepted" field
+      | exception Invalid_argument msg ->
+        let name = "config." ^ field in
+        let n = String.length name in
+        let rec mentions i =
+          i + n <= String.length msg
+          && (String.sub msg i n = name || mentions (i + 1))
+        in
+        check_bool (name ^ " named") true (mentions 0))
+    [
+      ("heuristic", { cfg with heuristic = `Lrb });
+      ("restarts", { cfg with restarts = `Glucose });
+      ("export", { cfg with export = Some (fun _ _ -> ()) });
+      ("export_lbd", { cfg with export_lbd = 3 });
+      ("import", { cfg with import = Some (fun () -> []) });
+      ("seed", { cfg with seed = Some sd });
+      ("snapshot", { cfg with snapshot = Some ignore });
+    ];
+  match
+    fst
+      (Sat.Solver.Incremental.solve
+         ~config:{ cfg with reduce_base = 8; reduce_inc = 4 } s)
+  with
+  | Sat.Solver.Sat _ -> ()
+  | _ -> Alcotest.fail "the reduce schedule must be accepted"
+
 let test_incremental_model_enumeration () =
   (* Enumerate all models of a small formula by blocking clauses; the
      count must match brute force. *)
@@ -622,6 +667,8 @@ let suite =
   @ [
       ("incremental basics", `Quick, test_incremental_basic);
       ("incremental assumptions", `Quick, test_incremental_assumptions);
+      ("incremental rejects batch-only config", `Quick,
+       test_incremental_rejects_batch_config);
       ("incremental model enumeration", `Quick,
        test_incremental_model_enumeration);
     ]
@@ -849,7 +896,7 @@ let test_lbd_computed_at_learn_time () =
     end
     else if lbd < 2 || lbd > Array.length lits then incr bad
   in
-  (match fst (Sat.Solver.solve ~export f) with
+  (match fst (solve_cfg { cfg with export = Some export } f) with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "php(6,5) unsat");
   check_bool "learnt clauses observed" true (!count > 0);
@@ -986,7 +1033,7 @@ let test_exported_clauses_are_fresh () =
     incr exported;
     Array.fill clause 0 (Array.length clause) 0
   in
-  (match fst (Sat.Solver.solve ~proof ~export f) with
+  (match fst (solve_cfg ~proof { cfg with export = Some export } f) with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "php(5,4) unsat");
   check_bool "clauses were exported" true (!exported > 0);
@@ -1000,7 +1047,7 @@ let test_allocation_telemetry () =
   check_bool "major_collections sane" true
     (st.Sat.Solver.major_collections >= 0);
   (* A tiny learnt cap must drive reductions (arena compactions). *)
-  let _, st' = Sat.Solver.solve ~reduce_base:8 ~reduce_inc:4 f in
+  let _, st' = solve_cfg { cfg with reduce_base = 8; reduce_inc = 4 } f in
   check_bool "reduces counted under low cap" true (st'.Sat.Solver.reduces > 0)
 
 let suite =
@@ -1091,8 +1138,7 @@ let test_golden_trajectories () =
       in
       check "solve" (Sat.Solver.solve ~limits ~heuristic ~restarts f);
       check "solve_flat"
-        (Sat.Solver.solve_flat ~limits ~heuristic ~restarts
-           (Cnf.Flat.of_formula f)))
+        (solve_cfg ~limits { cfg with heuristic; restarts } f))
     (golden_trajectories ())
 
 (* An incremental session that solves, then grows by fresh variables
@@ -1152,7 +1198,8 @@ let test_golden_proof_digests () =
 let test_snapshot_fires_and_seed_resumes () =
   let f = pigeonhole ~pigeons:7 ~holes:6 in
   let snap = ref None in
-  let r1, s1 = Sat.Solver.solve ~snapshot:(fun sd -> snap := Some sd) f in
+  let snapshot = Some (fun sd -> snap := Some sd) in
+  let r1, s1 = solve_cfg { cfg with snapshot } f in
   (match r1 with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "php(7,6) is unsat");
@@ -1163,7 +1210,7 @@ let test_snapshot_fires_and_seed_resumes () =
   check_bool "cold solve had conflicts" true (s1.Sat.Solver.conflicts > 0);
   (* Re-solving seeded with the full snapshot must be decisively
      cheaper: the learnt clauses carry the refutation. *)
-  let r2, s2 = Sat.Solver.solve ~seed:sd f in
+  let r2, s2 = solve_cfg { cfg with seed = Some sd } f in
   (match r2 with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "seeded solve changed the verdict");
@@ -1176,12 +1223,13 @@ let test_seeded_unsat_proof_checks () =
      logged, so the checker never sees an unjustified step. *)
   let f = pigeonhole ~pigeons:6 ~holes:5 in
   let snap = ref None in
-  (match fst (Sat.Solver.solve ~snapshot:(fun sd -> snap := Some sd) f) with
+  let snapshot = Some (fun sd -> snap := Some sd) in
+  (match fst (solve_cfg { cfg with snapshot } f) with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "php(6,5) is unsat");
   let sd = Option.get !snap in
   let proof = Sat.Proof.create () in
-  (match fst (Sat.Solver.solve ~proof ~seed:sd f) with
+  (match fst (solve_cfg ~proof { cfg with seed = Some sd } f) with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "seeded+proof solve changed the verdict");
   check_bool "seeded proof sealed" true (Sat.Proof.sealed proof);
@@ -1193,7 +1241,7 @@ let test_no_seed_no_snapshot_bit_identical () =
      a solve against itself with an ignored snapshot. *)
   let f = random_formula 7 14 58 4 in
   let r1, s1 = Sat.Solver.solve f in
-  let r2, s2 = Sat.Solver.solve ~snapshot:(fun _ -> ()) f in
+  let r2, s2 = solve_cfg { cfg with snapshot = Some (fun _ -> ()) } f in
   (match (r1, r2) with
    | Sat.Solver.Sat a, Sat.Solver.Sat b ->
      Alcotest.(check (array bool)) "same model" a b
@@ -1215,7 +1263,8 @@ let prop_warm_start_sound =
       let f = random_formula seed nvars nclauses maxlen in
       let expected = Option.is_some (brute_force f) in
       let snap = ref None in
-      let cold = fst (Sat.Solver.solve ~snapshot:(fun s -> snap := Some s) f)
+      let cold =
+        fst (solve_cfg { cfg with snapshot = Some (fun s -> snap := Some s) } f)
       in
       let cold_ok =
         match cold with
@@ -1229,7 +1278,7 @@ let prop_warm_start_sound =
         cold_ok
         &&
         let proof = Sat.Proof.create () in
-        match fst (Sat.Solver.solve ~proof ~seed:sd f) with
+        match fst (solve_cfg ~proof { cfg with seed = Some sd } f) with
         | Sat.Solver.Sat m -> expected && Cnf.Formula.eval f m
         | Sat.Solver.Unsat ->
           (not expected) && Sat.Proof.sealed proof
@@ -1249,12 +1298,15 @@ let prop_warm_start_flat_sound =
       let f = random_formula seed nvars nclauses maxlen in
       let expected = Option.is_some (brute_force f) in
       let snap = ref None in
-      ignore (Sat.Solver.solve ~snapshot:(fun s -> snap := Some s) f);
+      let snapshot = Some (fun s -> snap := Some s) in
+      ignore (solve_cfg { cfg with snapshot } f);
       match !snap with
       | None -> false
       | Some sd -> (
         match
-          fst (Sat.Solver.solve_flat ~seed:sd (Cnf.Flat.of_formula f))
+          fst
+            (Sat.Solver.solve_flat ~config:{ cfg with seed = Some sd }
+               (Cnf.Flat.of_formula f))
         with
         | Sat.Solver.Sat m -> expected && Cnf.Formula.eval f m
         | Sat.Solver.Unsat -> not expected
@@ -1268,14 +1320,16 @@ let test_interrupted_snapshot_resumes () =
   let snap = ref None in
   let limits = { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 60 } in
   (match
-     fst (Sat.Solver.solve ~limits ~snapshot:(fun s -> snap := Some s) f)
+     fst
+       (solve_cfg ~limits
+          { cfg with snapshot = Some (fun s -> snap := Some s) } f)
    with
    | Sat.Solver.Unknown -> ()
    | _ -> Alcotest.fail "expected the conflict limit to trip");
   let sd = Option.get !snap in
   check_bool "interrupted snapshot captured clauses" true
     (Array.length sd.Sat.Solver.seed_clauses > 0);
-  match fst (Sat.Solver.solve ~seed:sd f) with
+  match fst (solve_cfg { cfg with seed = Some sd } f) with
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "resumed solve lost the refutation"
 

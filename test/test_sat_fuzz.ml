@@ -222,11 +222,15 @@ let with_units f assumptions =
   Cnf.Formula.add_clauses f
     (Array.to_list (Array.map (fun l -> [| l |]) assumptions))
 
+(* A tiny learnt-database cap: reduce-DB rounds, and hence arena
+   compactions, every few conflicts. *)
+let tiny_reduce =
+  { Sat.Solver.default_config with reduce_base = 8; reduce_inc = 4 }
+
 let test_fuzz_arena_compaction () =
-  (* Incremental sessions driven with a tiny learnt-database cap
-     (reduce_base=8, reduce_inc=4), so queries trigger many reduce-DB
-     rounds and hence arena compactions; clauses arrive in two chunks
-     with a solve in between, so later clauses land in an
+  (* Incremental sessions driven with [tiny_reduce], so queries trigger
+     many reduce-DB rounds and hence arena compactions; clauses arrive
+     in two chunks with a solve in between, so later clauses land in an
      already-compacted arena.  Every answer is checked against brute
      force, one DRAT log spans the whole session, and when the final
      assumption-free solve answers Unsat the log must validate
@@ -246,8 +250,7 @@ let test_fuzz_arena_compaction () =
     let s = Sat.Solver.Incremental.create () in
     let proof = Sat.Proof.create () in
     let solve assumptions =
-      Sat.Solver.Incremental.solve ~proof ~reduce_base:8 ~reduce_inc:4
-        ~assumptions s
+      Sat.Solver.Incremental.solve ~config:tiny_reduce ~proof ~assumptions s
     in
     Array.iteri
       (fun k c -> if k < half then Sat.Solver.Incremental.add_clause s c)
@@ -319,8 +322,7 @@ let test_php_incremental_compaction_directed () =
   Sat.Solver.Incremental.add_formula s f;
   let proof = Sat.Proof.create () in
   let solve assumptions =
-    Sat.Solver.Incremental.solve ~proof ~reduce_base:8 ~reduce_inc:4
-      ~assumptions s
+    Sat.Solver.Incremental.solve ~config:tiny_reduce ~proof ~assumptions s
   in
   (* Pigeon 1 in hole 1 — still unsatisfiable overall. *)
   (match fst (solve [| 1 |]) with

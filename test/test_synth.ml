@@ -225,7 +225,7 @@ let suite =
   @ qsuite [ prop_recipes_preserve_function ]
 
 (* ------------------------------------------------------------------ *)
-(* CEC and windowed resubstitution *)
+(* CEC *)
 
 let test_cec_equivalent () =
   let g = random_graph ~seed:501 ~num_pis:7 ~num_ands:60 in
@@ -259,43 +259,12 @@ let test_cec_interface_mismatch () =
     Alcotest.fail "expected mismatch error"
   with Invalid_argument _ -> ()
 
-let test_resub_window_crafted () =
-  (* n3 = (a&c)&b can be re-expressed as n1&c where n1 = a&b is shared:
-     the (a&c) node dies, net gain 1. *)
-  let g = Aig.Graph.create ~num_pis:3 in
-  let a = Aig.Graph.pi g 0
-  and b = Aig.Graph.pi g 1
-  and c = Aig.Graph.pi g 2 in
-  let n1 = Aig.Graph.and_ g a b in
-  let n2 = Aig.Graph.and_ g a c in
-  let n3 = Aig.Graph.and_ g n2 b in
-  Aig.Graph.add_po g n1;
-  Aig.Graph.add_po g n3;
-  check "before" 3 (Aig.Graph.num_ands g);
-  let g' = Synth.Resub_window.run g in
-  check_bool "equivalent" true (exhaustive_equal g g');
-  check_bool "shrunk" true (Aig.Graph.num_ands g' <= 2);
-  let _, proven = Synth.Resub_window.stats_last_run () in
-  check_bool "substitution proven" true (proven > 0)
-
-let test_resub_window_preserves_random () =
-  for seed = 601 to 608 do
-    let g = random_graph ~seed ~num_pis:6 ~num_ands:50 in
-    let g' = Synth.Resub_window.run g in
-    check_bool "equivalent" true (exhaustive_equal g g');
-    check_bool "not larger" true
-      (Aig.Graph.num_ands g' <= Aig.Graph.num_ands (Aig.Graph.cleanup g))
-  done
-
 let suite =
   suite
   @ [
       ("cec equivalent", `Quick, test_cec_equivalent);
       ("cec different with cex", `Quick, test_cec_different_with_cex);
       ("cec interface mismatch", `Quick, test_cec_interface_mismatch);
-      ("windowed resub crafted gain", `Quick, test_resub_window_crafted);
-      ("windowed resub preserves (random)", `Quick,
-       test_resub_window_preserves_random);
     ]
 
 let test_refactor_wide_cone () =
