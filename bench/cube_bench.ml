@@ -48,15 +48,15 @@ type row = {
 let run_suite ~jobs ~cubes ~probe_limit ~limits instances =
   List.map
     (fun (name, f, check_proof) ->
+      let fl = Cnf.Flat.of_formula f in
       let race =
         Portfolio.Runner.run ~jobs ~limits
           (Portfolio.Strategy.default_pool ~jobs)
-          f
+          fl
       in
       let proof = Sat.Proof.create () in
       let cr =
-        Portfolio.Cuber.solve ~cubes ~probe_limit ~jobs ~limits ~proof
-          (Cnf.Flat.of_formula f)
+        Portfolio.Cuber.solve ~cubes ~probe_limit ~jobs ~limits ~proof fl
       in
       (* A timed-out race (Unknown) may legitimately lose to a decisive
          cube answer; only two decisive, different verdicts are a bug. *)

@@ -64,6 +64,7 @@ let run () =
     List.map
       (fun (name, inst) ->
         let f = Eda4sat.Instance.direct_formula inst in
+        let fl = Cnf.Flat.of_formula f in
         let lanes = Eda4sat.Pipeline.portfolio_strategies ~jobs cfg inst in
         if !lane_names = [] then
           lane_names := List.map (fun s -> s.Portfolio.Strategy.name) lanes;
@@ -72,7 +73,7 @@ let run () =
         let singles =
           List.map
             (fun lane ->
-              let o = Portfolio.Runner.run ~jobs:1 ~limits [ lane ] f in
+              let o = Portfolio.Runner.run ~jobs:1 ~limits [ lane ] fl in
               let w = lane_wall o in
               Printf.printf "   %-24s %-8s %7.3fs\n%!"
                 lane.Portfolio.Strategy.name
@@ -81,7 +82,7 @@ let run () =
               (lane.Portfolio.Strategy.name, w, o.Portfolio.Runner.result))
             lanes
         in
-        let o = Portfolio.Runner.run ~jobs ~limits lanes f in
+        let o = Portfolio.Runner.run ~jobs ~limits lanes fl in
         let pw = lane_wall o in
         Printf.printf "   %-24s %-8s %7.3fs (winner: %s)\n%!"
           (Printf.sprintf "portfolio(jobs=%d)" jobs)

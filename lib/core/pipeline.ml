@@ -227,13 +227,13 @@ let ours_conventional_mapper ?agent () =
 
 (* --- portfolio ------------------------------------------------------ *)
 
-(* The racing lanes.  Direct lanes (solving the instance's own CNF,
-   share group 0) interleave with EDA lanes that run Algorithm 1 first:
-   preprocessing itself is a portfolio member, paying its T_trans
-   inside its own lane while the direct lanes already solve.  A lane's
-   transformed CNF is equisatisfiable with — but different from — the
-   input, so EDA lanes never exchange clauses with direct lanes
-   (distinct share groups; see {!Portfolio.Strategy}). *)
+(* The racing lanes.  Direct lanes (solving the instance's own CNF)
+   interleave with EDA lanes that run Algorithm 1 first: preprocessing
+   itself is a portfolio member, paying its T_trans inside its own
+   lane while the direct lanes already solve.  A lane's transformed
+   CNF is equisatisfiable with — but different from — the input, so
+   EDA lanes, having a [prepare] step, never exchange clauses (see
+   {!Portfolio.Strategy}). *)
 let portfolio_strategies ?(jobs = 4) config inst =
   let open Portfolio.Strategy in
   let lane name cfg heuristic restarts =
@@ -269,17 +269,17 @@ let portfolio_strategies ?(jobs = 4) config inst =
 
 let run_portfolio ?(limits = Sat.Solver.no_limits) ?(jobs = 4)
     ?(share_lbd = 4) ?proof ?log config inst =
-  let f = Instance.direct_formula inst in
+  let fl = Cnf.Flat.of_formula (Instance.direct_formula inst) in
   let strategies = portfolio_strategies ~jobs config inst in
   let outcome =
-    Portfolio.Runner.run ~jobs ~share_lbd ~limits ?proof ?log strategies f
+    Portfolio.Runner.run ~jobs ~share_lbd ~limits ?proof ?log strategies fl
   in
   let report =
     {
       instance = inst.Instance.name;
       recipe_used = [];
-      vars = f.Cnf.Formula.num_vars;
-      clauses = Cnf.Formula.num_clauses f;
+      vars = fl.Cnf.Flat.num_vars;
+      clauses = Cnf.Flat.num_clauses fl;
       t_agent = 0.0;
       t_trans = 0.0;
       t_solve = outcome.Portfolio.Runner.wall;

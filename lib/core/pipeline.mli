@@ -114,8 +114,8 @@ val run_portfolio :
     wall-clock time and its solver fields are the winner's; [vars] and
     [clauses] describe the direct formula.  See {!Portfolio.Runner}
     for proof semantics ([proof] is completed only when a direct lane
-    refutes the input formula) and the [jobs = 1] deterministic
-    sequential fallback. *)
+    refutes the input formula) and the race rule, under which
+    [jobs = 1] runs the lanes in order, deterministically. *)
 
 (** {1 Cube-and-conquer} *)
 

@@ -4,7 +4,7 @@ type inbox = {
 }
 
 type t = {
-  groups : int option array;
+  sharing : bool array;
   inboxes : inbox array;
   published : int Atomic.t;
   delivered : int Atomic.t;
@@ -13,11 +13,11 @@ type t = {
 
 let capacity = 4096
 
-let create ~groups =
+let create ~sharing =
   {
-    groups = Array.copy groups;
+    sharing = Array.copy sharing;
     inboxes =
-      Array.init (Array.length groups) (fun _ ->
+      Array.init (Array.length sharing) (fun _ ->
           { lock = Mutex.create (); q = Queue.create () });
     published = Atomic.make 0;
     delivered = Atomic.make 0;
@@ -29,13 +29,11 @@ let locked inbox f =
   Fun.protect ~finally:(fun () -> Mutex.unlock inbox.lock) f
 
 let publish t ~worker clause lbd =
-  match t.groups.(worker) with
-  | None -> ()
-  | Some g ->
+  if t.sharing.(worker) then begin
     Atomic.incr t.published;
     Array.iteri
-      (fun i group ->
-        if i <> worker && group = Some g then begin
+      (fun i shares ->
+        if i <> worker && shares then begin
           let inbox = t.inboxes.(i) in
           let accepted =
             locked inbox (fun () ->
@@ -51,7 +49,8 @@ let publish t ~worker clause lbd =
           if accepted then Atomic.incr t.delivered
           else Atomic.incr t.dropped
         end)
-      t.groups
+      t.sharing
+  end
 
 let drain t ~worker =
   let inbox = t.inboxes.(worker) in

@@ -1,4 +1,4 @@
-(** Cube-and-conquer on the portfolio's worker pool.
+(** Cube-and-conquer on the portfolio's work loop.
 
     {2 Cube}
 
@@ -11,11 +11,11 @@
 
     {2 Conquer}
 
-    {!solve_in} submits the live cubes as assumption jobs
-    ({!Sat.Solver.solve_assuming}) onto a {!Runner.pool}.  Scheduling
-    is work stealing from a shared deque: cube [i] is owned by worker
-    [i mod workers], and any worker that exhausts its own share claims
-    the next unclaimed cube (a steal, counted in {!report.steals}).
+    {!solve} runs the live cubes as assumption jobs
+    ({!Sat.Solver.solve_assuming}) through {!Runner.spread}: its
+    workers claim cubes in order from one atomic cursor.  Live cube
+    [k] is owned by worker [k mod workers], so a claim by any other
+    worker is a steal, counted in {!report.steals}.
     The first SAT cube cancels every sibling through the shared
     {!Sat.Solver.Interrupt} flag; an UNSAT instance is refuted
     cube-by-cube.
@@ -76,32 +76,24 @@ val split :
     [`Unsat] when the formula is refuted at level 0 (the empty clause
     is RUP against it outright).  Deterministic. *)
 
-val solve_in :
-  ?cubes:int -> ?probe_limit:int ->
-  ?limits:Sat.Solver.limits ->
-  ?proof:Sat.Proof.t ->
-  ?log:(string -> unit) ->
-  ?on_cube:(int -> unit) ->
-  Runner.pool -> Cnf.Flat.t -> report
-(** Cube, conquer on the pool's workers, stitch.  [limits] apply to
-    each cube job separately.  With [proof], the shared recorder is
-    replayed into it only when sealed (the {!Runner.run}
-    discipline), so a partial conquest never leaves a half-told proof
-    in the caller's recorder.  A [limits.interrupt] flag is the
-    conquest's cancel flag: setting it cancels the whole conquest
-    ([result = Unknown]), and a SAT cube sets it.  Without one the
-    conquest creates its own.  [on_cube i] is a test hook invoked on the
-    solving worker just before cube [i]'s job starts; an exception it
-    raises fails that cube.  A one-worker pool conquers sequentially
-    in cube order — bit-identical across runs. *)
-
 val solve :
-  ?cubes:int -> ?probe_limit:int -> ?jobs:int ->
+  ?cubes:int -> ?probe_limit:int ->
+  ?pool:Runner.pool -> ?jobs:int ->
   ?limits:Sat.Solver.limits ->
   ?proof:Sat.Proof.t ->
   ?log:(string -> unit) ->
   ?on_cube:(int -> unit) ->
   Cnf.Flat.t -> report
-(** [solve_in] on a transient pool of [jobs] (default 4) domains.
-    [jobs = 1] runs the sequential deterministic path with no pool at
-    all. *)
+(** Cube, conquer with [min jobs live-cubes] workers ([jobs] defaults
+    to 4), stitch.  The workers run on [pool] when given, else on a
+    transient pool that lives as long as the conquest; one worker
+    conquers inline in cube order, spawns no domain and is
+    bit-identical across runs.  [limits] apply to each cube job
+    separately.  With [proof], the shared recorder is replayed into it
+    only when sealed ({!Runner.with_shared_proof}), so a partial
+    conquest never leaves a half-told proof in the caller's recorder.
+    A [limits.interrupt] flag is the conquest's cancel flag: setting it
+    cancels the whole conquest ([result = Unknown]), and a SAT cube
+    sets it.  Without one the conquest creates its own.  [on_cube i]
+    is a test hook invoked on the solving worker just before cube
+    [i]'s job starts; an exception it raises fails that cube. *)

@@ -25,84 +25,13 @@ let result_name = function
   | Sat.Solver.Unsat -> "UNSAT"
   | Sat.Solver.Unknown -> "UNKNOWN"
 
-let take n l = List.filteri (fun i _ -> i < n) l
-
-(* --- sequential race (jobs = 1) ------------------------------------- *)
-
-(* Deterministic: strategies run one after the other under the full
-   limits, no domains, no sharing, no interrupts.  The caller's proof
-   is threaded directly into the direct lanes, so the first lane is
-   bit-identical to a plain [Sat.Solver.solve]. *)
-let run_sequential ~limits ~proof ~log strategies formula =
-  let t0 = Sat.Wall.now () in
-  let strategies = Array.of_list strategies in
-  let reports =
-    Array.map (fun strategy -> { strategy; outcome = Cancelled }) strategies
-  in
-  let winner = ref None in
-  let i = ref 0 in
-  while !winner = None && !i < Array.length strategies do
-    let st = strategies.(!i) in
-    let outcome =
-      try
-        let f = match st.Strategy.prepare with
-          | None -> formula
-          | Some prep -> prep ~stop:(fun () -> false)
-        in
-        let wproof =
-          if st.Strategy.share_group = Some 0 then proof else None
-        in
-        let result, stats =
-          Sat.Solver.solve ~limits ?proof:wproof
-            ~heuristic:st.Strategy.heuristic ~restarts:st.Strategy.restarts f
-        in
-        match result with
-        | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
-          winner := Some !i;
-          Answered (result, stats)
-        | Sat.Solver.Unknown -> Limit stats
-      with e -> Failed (Printexc.to_string e)
-    in
-    (match outcome with
-     | Answered (r, st') ->
-       log (Printf.sprintf "lane %d (%s): %s in %.3fs" !i st.Strategy.name
-              (result_name r) st'.Sat.Solver.time)
-     | Limit _ ->
-       log (Printf.sprintf "lane %d (%s): limit" !i st.Strategy.name)
-     | Failed msg ->
-       log (Printf.sprintf "lane %d (%s) failed: %s" !i st.Strategy.name msg)
-     | Cancelled -> ());
-    reports.(!i) <- { strategy = st; outcome };
-    incr i
-  done;
-  let result, stats =
-    match !winner with
-    | Some w -> (
-      match reports.(w).outcome with
-      | Answered (r, s) -> (r, s)
-      | _ -> assert false)
-    | None -> (Sat.Solver.Unknown, Sat.Solver.empty_stats)
-  in
-  {
-    result;
-    winner = !winner;
-    stats;
-    wall = Sat.Wall.now () -. t0;
-    workers = reports;
-    shared_published = 0;
-    shared_delivered = 0;
-    shared_dropped = 0;
-  }
-
 (* --- reusable worker pool -------------------------------------------- *)
 
-(* A persistent set of worker domains consuming race tasks from one
-   queue.  Spawning a domain costs a thread plus a GC registration;
-   under the solve service every job runs a race, so the domains are
-   created once per server (or once per [run] call on the one-shot
-   path) instead of once per race. *)
+(* A persistent set of worker domains consuming tasks from one queue.
+   Spawning a domain costs a thread plus a GC registration; under the
+   solve service every hard job runs a conquest, so the domains are
+   created once per server worker instead of once per conquest. *)
 type pool = {
-  size : int;
   tasks : (unit -> unit) Queue.t;
   pm : Mutex.t;
   pc : Condition.t;
@@ -111,10 +40,8 @@ type pool = {
 }
 
 let create_pool ~jobs () =
-  let size = max 1 jobs in
   let pool =
     {
-      size;
       tasks = Queue.create ();
       pm = Mutex.create ();
       pc = Condition.create ();
@@ -131,26 +58,12 @@ let create_pool ~jobs () =
     else begin
       let task = Queue.pop pool.tasks in
       Mutex.unlock pool.pm;
-      (* Tasks are latch-wrapped race lanes that catch their own
-         exceptions; the guard here only protects the pool itself. *)
-      (try task () with _ -> ());
+      task ();
       worker ()
     end
   in
-  pool.domains <- Array.init size (fun _ -> Domain.spawn worker);
+  pool.domains <- Array.init (max 1 jobs) (fun _ -> Domain.spawn worker);
   pool
-
-let pool_size pool = pool.size
-
-let submit_task pool task =
-  Mutex.lock pool.pm;
-  if pool.stopped then begin
-    Mutex.unlock pool.pm;
-    invalid_arg "Runner: pool is shut down"
-  end;
-  Queue.push task pool.tasks;
-  Condition.signal pool.pc;
-  Mutex.unlock pool.pm
 
 let shutdown_pool pool =
   Mutex.lock pool.pm;
@@ -160,147 +73,160 @@ let shutdown_pool pool =
   Mutex.unlock pool.pm;
   if first then Array.iter Domain.join pool.domains
 
-(* Fan a batch of thunks onto the pool and wait for all of them — the
-   cube scheduler's dispatch primitive.  Thunk exceptions are swallowed
-   (each thunk is expected to record its own outcome); the latch always
-   reaches zero. *)
-let dispatch pool thunks =
-  let n = Array.length thunks in
-  if n > 0 then begin
-    let remaining = ref n in
-    let lm = Mutex.create () in
-    let lc = Condition.create () in
-    Array.iter
-      (fun thunk ->
-        submit_task pool (fun () ->
-            (try thunk () with _ -> ());
-            Mutex.lock lm;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast lc;
-            Mutex.unlock lm))
-      thunks;
-    Mutex.lock lm;
-    while !remaining > 0 do
-      Condition.wait lc lm
-    done;
-    Mutex.unlock lm
-  end
+(* Run every body on the pool and wait on a countdown latch.  A body's
+   exception is swallowed so the latch always reaches zero. *)
+let run_bodies pool bodies =
+  let remaining = ref (Array.length bodies) in
+  let lm = Mutex.create () in
+  let lc = Condition.create () in
+  Mutex.protect pool.pm (fun () ->
+      if pool.stopped then invalid_arg "Runner: pool is shut down";
+      Array.iter
+        (fun body ->
+          Queue.push
+            (fun () ->
+              (try body () with _ -> ());
+              Mutex.protect lm (fun () ->
+                  decr remaining;
+                  if !remaining = 0 then Condition.broadcast lc))
+            pool.tasks)
+        bodies;
+      Condition.broadcast pool.pc);
+  Mutex.protect lm (fun () ->
+      while !remaining > 0 do
+        Condition.wait lc lm
+      done)
 
-(* --- parallel race --------------------------------------------------- *)
+let spread ?pool ~workers n f =
+  let next = Atomic.make 0 in
+  let rec body worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      f ~worker i;
+      body worker ()
+    end
+  in
+  if workers <= 1 then body 0 ()
+  else
+    let bodies = Array.init workers body in
+    match pool with
+    | Some pool -> run_bodies pool bodies
+    | None ->
+      let pool = create_pool ~jobs:workers () in
+      Fun.protect
+        ~finally:(fun () -> shutdown_pool pool)
+        (fun () -> run_bodies pool bodies)
 
-(* Race the first [pool.size] strategies on the pool's workers.  A
-   one-worker pool still runs the parallel protocol (interrupts, clause
-   bus) on its single domain. *)
-let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
+(* --- steps shared by the race and the conquest ----------------------- *)
+
+let cancel_flag limits =
+  match limits.Sat.Solver.interrupt with
+  | Some i -> (i, limits)
+  | None ->
+    let i = Sat.Solver.Interrupt.create () in
+    (i, { limits with Sat.Solver.interrupt = Some i })
+
+let with_shared_proof proof f =
+  match proof with
+  | None -> f None
+  | Some into ->
+    let shared = Sat.Proof.create ~record_deletions:false () in
+    let r = f (Some shared) in
+    if Sat.Proof.sealed shared then Sat.Proof.replay ~into shared;
+    r
+
+let serialize = function
+  | None -> fun _ -> ()
+  | Some emit ->
+    let m = Mutex.create () in
+    fun msg -> Mutex.protect m (fun () -> try emit msg with _ -> ())
+
+(* --- the race -------------------------------------------------------- *)
+
+let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
+    ?log strategies flat =
+  if strategies = [] then invalid_arg "Runner.run: no strategies";
   let t0 = Sat.Wall.now () in
   let c0 = Sys.time () in
-  let strategies = Array.of_list (take pool.size strategies) in
+  let log = serialize log in
+  let strategies = Array.of_list strategies in
   let n = Array.length strategies in
-  let bus =
-    Clause_bus.create
-      ~groups:(Array.map (fun s -> s.Strategy.share_group) strategies)
+  let workers = min (max 1 jobs) n in
+  (* Only lanes solving the input itself may exchange clauses: a clause
+     learned from a transformed CNF is not in general implied by the
+     input. *)
+  let shares st =
+    workers > 1 && share_lbd > 0 && st.Strategy.prepare = None
   in
-  (* The race's cancellation flag, set once the race is decided: the
-     caller's [limits.interrupt] when given, so setting it stops every
-     lane. *)
-  let cancel =
-    match limits.Sat.Solver.interrupt with
-    | Some i -> i
-    | None -> Sat.Solver.Interrupt.create ()
-  in
-  let limits = { limits with Sat.Solver.interrupt = Some cancel } in
+  let bus = Clause_bus.create ~sharing:(Array.map shares strategies) in
+  let cancel, limits = cancel_flag limits in
+  let is_cancelled () = Sat.Solver.Interrupt.is_set cancel in
   (* First decisive answer wins; the CAS arbitrates photo finishes. *)
   let race_winner = Atomic.make (-1) in
-  (* Direct lanes log into one deletion-free shared recorder (see
-     Proof's documentation for why the merged log stays checkable);
-     it is replayed into the caller's recorder only if the race
-     refutes the formula via a direct lane. *)
-  let shared_proof =
-    match proof with
-    | None -> None
-    | Some _ -> Some (Sat.Proof.create ~record_deletions:false ())
-  in
-  let work i =
+  let lane proof i =
     let st = strategies.(i) in
     try
-      let f = match st.Strategy.prepare with
-        | None -> formula
-        | Some prep ->
-          prep ~stop:(fun () -> Sat.Solver.Interrupt.is_set cancel)
+      let fl =
+        match st.Strategy.prepare with
+        | None -> flat
+        | Some prep -> Cnf.Flat.of_formula (prep ~stop:is_cancelled)
       in
-      if Sat.Solver.Interrupt.is_set cancel then Cancelled
+      if is_cancelled () then Cancelled
       else begin
-        let sharing = share_lbd > 0 && st.Strategy.share_group <> None in
-        let export =
-          if sharing then
-            Some (fun clause lbd -> Clause_bus.publish bus ~worker:i clause lbd)
-          else None
-        and import =
-          if sharing then Some (fun () -> Clause_bus.drain bus ~worker:i)
-          else None
-        in
         let config =
           { Sat.Solver.default_config with
             heuristic = st.Strategy.heuristic;
-            restarts = st.Strategy.restarts;
-            export;
-            export_lbd = (if share_lbd > 0 then share_lbd else max_int);
-            import }
+            restarts = st.Strategy.restarts }
         in
-        let wproof =
-          if st.Strategy.share_group = Some 0 then shared_proof else None
+        let config =
+          if shares st then
+            { config with
+              export =
+                Some (fun clause lbd ->
+                    Clause_bus.publish bus ~worker:i clause lbd);
+              export_lbd = share_lbd;
+              import = Some (fun () -> Clause_bus.drain bus ~worker:i) }
+          else config
         in
-        let result, stats =
-          Sat.Solver.solve_flat ~config ~limits ?proof:wproof
-            (Cnf.Flat.of_formula f)
-        in
+        let proof = if st.Strategy.prepare = None then proof else None in
+        let result, stats = Sat.Solver.solve_flat ~config ~limits ?proof fl in
         match result with
         | Sat.Solver.Sat _ | Sat.Solver.Unsat ->
           if Atomic.compare_and_set race_winner (-1) i then begin
-            log (Printf.sprintf "worker %d (%s): %s in %.3fs — race won" i
+            log (Printf.sprintf "lane %d (%s): %s in %.3fs — race won" i
                    st.Strategy.name (result_name result)
                    stats.Sat.Solver.time);
             Sat.Solver.Interrupt.set cancel
           end;
           Answered (result, stats)
         | Sat.Solver.Unknown ->
-          if Sat.Solver.Interrupt.is_set cancel then Cancelled
-          else Limit stats
+          if is_cancelled () then Cancelled
+          else begin
+            log (Printf.sprintf "lane %d (%s): limit" i st.Strategy.name);
+            Limit stats
+          end
       end
     with
-    | _ when Sat.Solver.Interrupt.is_set cancel ->
+    | _ when is_cancelled () ->
       (* A preparation abandoned because the race is over raises out
          of its [stop] poll; that is a cancellation, not a failure. *)
       Cancelled
     | e ->
       let msg = Printexc.to_string e in
-      log (Printf.sprintf "worker %d (%s) failed: %s — racing on" i
-             st.Strategy.name msg);
+      log (Printf.sprintf "lane %d (%s) failed: %s" i st.Strategy.name msg);
       Failed msg
   in
-  (* Fan the lanes out to the pool and wait on a countdown latch.
-     With fewer workers than lanes the excess lanes start when a
-     worker frees up; a lane that starts after the race is decided
-     answers [Cancelled] from its entry interrupt check. *)
+  (* A lane claimed after the race is decided keeps [Cancelled]. *)
   let outcomes = Array.make n Cancelled in
-  let remaining = ref n in
-  let lm = Mutex.create () in
-  let lc = Condition.create () in
-  Array.iteri
-    (fun i _ ->
-      submit_task pool (fun () ->
-          let o = work i in
-          Mutex.lock lm;
-          outcomes.(i) <- o;
-          decr remaining;
-          if !remaining = 0 then Condition.broadcast lc;
-          Mutex.unlock lm))
-    strategies;
-  Mutex.lock lm;
-  while !remaining > 0 do
-    Condition.wait lc lm
-  done;
-  Mutex.unlock lm;
+  let race proof =
+    spread ~workers n (fun ~worker:_ i ->
+        if not (is_cancelled ()) then outcomes.(i) <- lane proof i)
+  in
+  (* One worker logs straight into the caller's recorder, which keeps
+     [jobs = 1] bit-identical to [Sat.Solver.solve]; concurrent direct
+     lanes share one deletion-free recorder (see Proof's documentation
+     for why the merged log stays checkable). *)
+  if workers = 1 then race proof else with_shared_proof proof race;
   let winner =
     match Atomic.get race_winner with -1 -> None | i -> Some i
   in
@@ -310,66 +236,35 @@ let run_in ~share_lbd ~limits ~proof ~log pool strategies formula =
      figure: it goes into the winner's stats, and the per-lane field
      is zeroed everywhere else (see [Sat.Solver.stats.cpu_time]). *)
   let race_cpu = Sys.time () -. c0 in
-  let outcomes =
+  let reports =
     Array.mapi
       (fun i o ->
         let cpu = if Some i = winner then race_cpu else 0.0 in
-        match o with
-        | Answered (r, s) ->
-          Answered (r, { s with Sat.Solver.cpu_time = cpu })
-        | Limit s -> Limit { s with Sat.Solver.cpu_time = cpu }
-        | o -> o)
+        let outcome =
+          match o with
+          | Answered (r, s) ->
+            Answered (r, { s with Sat.Solver.cpu_time = cpu })
+          | Limit s -> Limit { s with Sat.Solver.cpu_time = cpu }
+          | o -> o
+        in
+        { strategy = strategies.(i); outcome })
       outcomes
-  in
-  let workers =
-    Array.init n (fun i ->
-        { strategy = strategies.(i); outcome = outcomes.(i) })
   in
   let result, stats =
     match winner with
     | Some w -> (
-      match outcomes.(w) with
+      match reports.(w).outcome with
       | Answered (r, s) -> (r, s)
       | _ -> assert false)
     | None -> (Sat.Solver.Unknown, Sat.Solver.empty_stats)
   in
-  (match (result, proof, shared_proof) with
-   | Sat.Solver.Unsat, Some p, Some sp when Sat.Proof.sealed sp ->
-     Sat.Proof.replay ~into:p sp
-   | _ -> ());
   {
     result;
     winner;
     stats;
     wall = Sat.Wall.now () -. t0;
-    workers;
+    workers = reports;
     shared_published = Clause_bus.published bus;
     shared_delivered = Clause_bus.delivered bus;
     shared_dropped = Clause_bus.dropped bus;
   }
-
-(* --- one-shot entry point -------------------------------------------- *)
-
-let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
-    ?log strategies formula =
-  if strategies = [] then invalid_arg "Runner.run: no strategies";
-  let log_lock = Mutex.create () in
-  let log msg =
-    match log with
-    | None -> ()
-    | Some f ->
-      Mutex.lock log_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock log_lock) (fun () -> f msg)
-  in
-  let jobs = max 1 jobs in
-  if jobs = 1 then run_sequential ~limits ~proof ~log strategies formula
-  else begin
-    (* Race on a transient pool sized to the race: the domains live
-       exactly as long as the race. *)
-    let pool =
-      create_pool ~jobs:(min jobs (List.length strategies)) ()
-    in
-    Fun.protect
-      ~finally:(fun () -> shutdown_pool pool)
-      (fun () -> run_in ~share_lbd ~limits ~proof ~log pool strategies formula)
-  end

@@ -1,48 +1,50 @@
-(** Domain-based portfolio racing with first-wins cancellation.
+(** Domain-based portfolio racing with first-wins cancellation, and the
+    one work loop ({!spread}) that races and cube conquests run on.
 
-    [run] races one worker domain per strategy.  Each worker builds
-    its lane's CNF ([Strategy.prepare], or the input formula), then
-    drives {!Sat.Solver.solve_flat} with a {!Sat.Solver.config} of the
-    lane's heuristic and restart schedule and — within its
-    clause-sharing group — export/import hooks over a {!Clause_bus},
-    under a shared {!Sat.Solver.Interrupt} flag.
-    The first worker to answer [Sat]/[Unsat] wins the race atomically
-    and interrupts every other worker; losers stop within one budget
-    tick of their solver.  A worker that raises is logged and treated
-    as a lost lane — the race keeps going (robustness, not a crash).
-    All domains are joined before [run] returns: no worker outlives
-    the call.
+    [run] races the strategies on [min jobs lanes] workers.  Each
+    worker claims lanes in list order; a lane builds its CNF
+    ([Strategy.prepare], or the input store), then drives
+    {!Sat.Solver.solve_flat} with a {!Sat.Solver.config} of the lane's
+    heuristic and restart schedule under a shared
+    {!Sat.Solver.Interrupt} flag.  With more than one worker, the lanes
+    without a [prepare] step also exchange learned clauses over a
+    {!Clause_bus}.
+
+    {2 The one race rule}
+
+    The first lane to answer [Sat]/[Unsat] wins the race atomically
+    and sets the cancel flag; losers stop within one budget tick of
+    their solver, and any lane claimed after that answers [Cancelled].
+    With one worker this runs the lanes in order until one answers
+    (no domains, no sharing), which makes the anchor lane of
+    [Strategy.default_pool ~jobs:1] bit-identical to
+    {!Sat.Solver.solve} (same decisions, conflicts, proof log and
+    model).  A lane that raises is logged and treated as a lost lane —
+    the race keeps going (robustness, not a crash).  All domains are
+    joined before [run] returns: no worker outlives the call.
 
     {2 Proofs}
 
-    With [?proof], the direct lanes (share group 0) append their
-    learned clauses into one shared, deletion-free, mutex-guarded DRAT
-    recorder ({!Sat.Proof}); clauses imported over the bus are already
-    present in it, logged by their exporter, so the merged log is
-    RUP-checkable against the input formula.  When the race answers
-    [Unsat] {e and} the refutation was derived by a direct lane (the
-    shared recorder is sealed by its empty clause), the log is
-    replayed into the caller's [proof].  If a preprocessing lane wins
-    [Unsat], its refutation concerns a transformed CNF and no DRAT
-    trace for the input formula exists — the caller's recorder is left
-    open (and unsealed), which the caller can observe via
-    {!Sat.Proof.sealed}.
-
-    {2 Sequential fallback}
-
-    [~jobs:1] runs a deterministic sequential race: no domains, no
-    sharing, no interrupts — strategies run one after the other, each
-    under the full [limits], until one answers.  With the default pool
-    this makes the first lane bit-identical to {!Sat.Solver.solve}
-    (same decisions, conflicts, proof log and model). *)
+    With [?proof] and one worker, the lanes without a [prepare] step
+    log straight into the caller's recorder.  With more workers they
+    append their learned clauses into one shared, deletion-free,
+    mutex-guarded DRAT recorder ({!Sat.Proof}); clauses imported over
+    the bus are already present in it, logged by their exporter, so
+    the merged log is RUP-checkable against the input formula.  When
+    the refutation was derived by such a lane (the shared recorder is
+    sealed by its empty clause), the log is replayed into the caller's
+    [proof].  If a preprocessing lane wins [Unsat], its refutation
+    concerns a transformed CNF and no DRAT trace for the input formula
+    exists — the caller's recorder is left unsealed, which the caller
+    can observe via {!Sat.Proof.sealed}. *)
 
 type worker_outcome =
   | Answered of Sat.Solver.result * Sat.Solver.stats
       (** reached its own decisive answer (the winner, or a worker
           that crossed the line just after the winner) *)
   | Cancelled
-      (** interrupted — or, sequentially, never started — because the
-          race was already decided *)
+      (** interrupted — or never started — because the race was
+          already decided *)
   | Limit of Sat.Solver.stats
       (** hit [limits] on its own: a genuine [Unknown] *)
   | Failed of string  (** raised; the message is [Printexc.to_string] *)
@@ -60,11 +62,11 @@ type outcome = {
           necessarily the input formula — check [winner]. *)
   winner : int option;  (** index into [workers] *)
   stats : Sat.Solver.stats;
-      (** the winner's; zeros when no winner.  In a parallel race the
-          [cpu_time] field is the {e race-level} process-CPU delta
-          (every per-lane reading would over-attribute the other
-          domains' concurrent work, so the losing lanes' [cpu_time] is
-          zeroed instead — see {!Sat.Solver.stats.cpu_time}). *)
+      (** the winner's; zeros when no winner.  The [cpu_time] field is
+          the {e race-level} process-CPU delta (a per-lane reading
+          would over-attribute the other domains' concurrent work), so
+          the other lanes' [cpu_time] is zeroed — see
+          {!Sat.Solver.stats.cpu_time}. *)
   wall : float;  (** wall-clock seconds for the whole race *)
   workers : worker_report array;  (** one per strategy, in order *)
   shared_published : int;
@@ -79,43 +81,63 @@ val run :
   ?proof:Sat.Proof.t ->
   ?log:(string -> unit) ->
   Strategy.t list ->
-  Cnf.Formula.t ->
+  Cnf.Flat.t ->
   outcome
-(** Race the strategies on a formula.  [jobs] (default 4) caps the
-    number of worker domains: with [jobs = 1] the race is sequential
-    (see above); otherwise the first [jobs] strategies race in
-    parallel on a transient {!pool} that lives exactly as long as the
-    race.  A [limits.interrupt] flag is the parallel race's cancel
-    flag: setting it stops every lane, and the race sets it once
-    decided.  Without one the race creates its own.  [share_lbd]
-    (default 4) is the maximum glue value a learned clause may have to
-    be exported to the lane's share group; [0] disables sharing.
-    [log] receives human-readable race events (serialized — safe to
-    print). *)
+(** Race the strategies on a store.  [jobs] (default 4) caps the
+    number of workers at [min jobs (List.length strategies)]; more
+    than one race on a transient pool that lives exactly as long as
+    the race.  A [limits.interrupt] flag is the race's cancel flag:
+    setting it stops every lane, and the race sets it once decided.
+    Without one the race creates its own.  [share_lbd] (default 4) is
+    the maximum glue value a learned clause may have to be exported;
+    [0] disables sharing.  [log] receives human-readable race events
+    (serialized — safe to print).
+    @raise Invalid_argument on an empty strategy list. *)
 
-(** {2 Reusable worker pools}
+(** {2 The work loop}
 
     A {!pool} is a persistent set of worker domains that many cube
-    conquests dispatch onto ({!Cuber.solve_in}), amortizing domain
-    spawn/teardown — the regime a long-lived solve service runs in.
-    A parallel [run] races on a transient pool of its own. *)
+    conquests run on, amortizing domain spawn/teardown — the regime a
+    long-lived solve service runs in. *)
 
 type pool
 
 val create_pool : jobs:int -> unit -> pool
-(** Spawn [max 1 jobs] persistent worker domains, idle until a race
-    dispatches onto them. *)
-
-val pool_size : pool -> int
-
-val dispatch : pool -> (unit -> unit) array -> unit
-(** Submit every thunk onto the pool and block until all of them have
-    run — the cube scheduler's fan-out/join primitive.  A thunk's
-    exception is swallowed (each thunk records its own outcome), so
-    [dispatch] always returns.  Concurrent dispatches on one pool are
-    safe but share workers.
-    @raise Invalid_argument after {!shutdown_pool}. *)
+(** Spawn [max 1 jobs] persistent worker domains, idle until
+    {!spread} runs bodies on them. *)
 
 val shutdown_pool : pool -> unit
-(** Drain nothing, wake every idle worker and join the domains.
-    Outstanding dispatches must have returned; idempotent otherwise. *)
+(** Wake every idle worker and join the domains.  Outstanding
+    {!spread}s must have returned; idempotent otherwise. *)
+
+val spread :
+  ?pool:pool -> workers:int -> int -> (worker:int -> int -> unit) -> unit
+(** [spread ?pool ~workers n f] runs [workers] bodies that claim the
+    indices [0 .. n-1] from one atomic cursor, in order, and call
+    [f ~worker i] for each claim ([worker] is the body's number in
+    [0 .. workers-1]).  With [workers <= 1] it runs inline on the
+    calling domain in index order and spawns no domain.  Otherwise the
+    bodies run on [pool], or on a transient pool of [workers] domains
+    that is joined before [spread] returns.  [f] must handle its own
+    exceptions: on a pool, one that escapes ends its body silently.
+    Concurrent [spread]s on one pool are safe but share its domains.
+    @raise Invalid_argument on a pool after {!shutdown_pool}. *)
+
+(** {2 Steps shared by the race and the conquest} *)
+
+val cancel_flag :
+  Sat.Solver.limits -> Sat.Solver.Interrupt.t * Sat.Solver.limits
+(** The cancel flag of a race or conquest: [limits.interrupt] when
+    set, else a fresh flag, returned with limits that carry it. *)
+
+val with_shared_proof :
+  Sat.Proof.t option -> (Sat.Proof.t option -> 'a) -> 'a
+(** [with_shared_proof proof f] runs [f] on a fresh deletion-free
+    recorder when [proof] is given ([None] otherwise), then replays
+    that recorder into [proof] if it was sealed — so a caller's
+    recorder absorbs the shared log only when it tells the complete
+    story. *)
+
+val serialize : (string -> unit) option -> string -> unit
+(** A log callback safe to call from several domains: calls are
+    serialized and an exception from the callback is dropped. *)

@@ -2,21 +2,14 @@ type t = {
   name : string;
   heuristic : [ `Evsids | `Lrb ];
   restarts : [ `Luby | `Glucose ];
-  share_group : int option;
   prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
 }
 
 let direct ?(heuristic = `Evsids) ?(restarts = `Luby) name =
-  { name; heuristic; restarts; share_group = Some 0; prepare = None }
+  { name; heuristic; restarts; prepare = None }
 
-let check_group = function
-  | Some 0 -> invalid_arg "Strategy.prepared: share group 0 is direct-only"
-  | _ -> ()
-
-let prepared ?(heuristic = `Evsids) ?(restarts = `Luby) ?share_group name
-    prepare =
-  check_group share_group;
-  { name; heuristic; restarts; share_group; prepare = Some prepare }
+let prepared ?(heuristic = `Evsids) ?(restarts = `Luby) name prepare =
+  { name; heuristic; restarts; prepare = Some prepare }
 
 (* Anchor first, then alternate both axes at once (maximally different
    from the anchor), then the two mixed points. *)
@@ -39,10 +32,7 @@ let default_pool ~jobs =
     (grid (max 1 jobs))
 
 let pp ppf s =
-  Format.fprintf ppf "%s (%s, %s%s%s)" s.name
+  Format.fprintf ppf "%s (%s, %s%s)" s.name
     (match s.heuristic with `Evsids -> "evsids" | `Lrb -> "lrb")
     (match s.restarts with `Luby -> "luby" | `Glucose -> "glucose")
     (match s.prepare with None -> "" | Some _ -> ", prepared")
-    (match s.share_group with
-     | None -> ""
-     | Some g -> Printf.sprintf ", share:%d" g)

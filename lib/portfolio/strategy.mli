@@ -7,41 +7,35 @@
     itself races against direct solving, paying its transformation
     time inside its own lane's wall clock).
 
-    Lanes that solve the {e same} formula may exchange learned
-    clauses; lanes solving a transformed (equisatisfiable but
-    different) CNF must not — a clause learned from φ_out is not in
-    general implied by φ_in.  [share_group] encodes this: only
-    strategies with equal [Some g] exchange clauses, and only
-    share-group-[0] (direct) lanes contribute to a shared DRAT
-    recorder. *)
+    Lanes that solve the input formula may exchange learned clauses;
+    lanes solving a transformed (equisatisfiable but different) CNF
+    must not — a clause learned from φ_out is not in general implied
+    by φ_in.  So sharing follows [prepare]: a lane without one shares
+    clauses with every other such lane and logs into the race's shared
+    DRAT recorder, and a lane with one does neither. *)
 
 type t = {
   name : string;
   heuristic : [ `Evsids | `Lrb ];
   restarts : [ `Luby | `Glucose ];
-  share_group : int option;
-      (** clause-sharing partition; [None] never shares.  Group [0] is
-          reserved for lanes solving the input formula directly. *)
   prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
-      (** build this lane's CNF (run inside the lane's own domain);
+      (** build this lane's CNF (run by the worker that claims the lane);
           [None] solves the input formula.  A [Sat] answer carries the
           derived formula's model.  [stop] polls race cancellation — a
           preparation that honours it (by raising) lets a lost lane
-          abandon an expensive transformation early.
-          [prepare <> None] requires [share_group <> Some 0]. *)
+          abandon an expensive transformation early.  A lane with a
+          [prepare] step neither shares clauses nor logs a proof. *)
 }
 
 val direct : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
   -> string -> t
-(** A lane solving the input formula (share group 0).  Defaults:
+(** A lane solving the input formula; it shares clauses.  Defaults:
     EVSIDS, Luby — the exact configuration of {!Sat.Solver.solve},
     which makes [direct "x"] the deterministic anchor lane. *)
 
 val prepared : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
-  -> ?share_group:int -> string -> (stop:(unit -> bool) -> Cnf.Formula.t) -> t
-(** A lane that first derives its own CNF.  [share_group] defaults to
-    [None] (no sharing); groups [> 0] may be used for several lanes
-    known to solve the identical derived formula. *)
+  -> string -> (stop:(unit -> bool) -> Cnf.Formula.t) -> t
+(** A lane that first derives its own CNF; it never shares clauses. *)
 
 val grid : int -> (string * [ `Evsids | `Lrb ] * [ `Luby | `Glucose ]) list
 (** The first [n] points of the deterministic heuristic-by-restart

@@ -260,13 +260,9 @@ let direct_leg t pool (job : job) =
        cube solves bake assumption-local phases and activity into
        their state; see the warm-start soundness contract). *)
     let rep =
-      match pool with
-      | Some p ->
-        Portfolio.Cuber.solve_in ~cubes:cc.cube_count
-          ~probe_limit:cc.cube_probe_limit ~limits p job.cnf
-      | None ->
-        Portfolio.Cuber.solve ~cubes:cc.cube_count
-          ~probe_limit:cc.cube_probe_limit ~jobs:1 ~limits job.cnf
+      Portfolio.Cuber.solve ~cubes:cc.cube_count
+        ~probe_limit:cc.cube_probe_limit ?pool ~jobs:cc.cube_jobs ~limits
+        job.cnf
     in
     Metrics.add t.metrics Cubed;
     Metrics.add t.metrics ~n:rep.Portfolio.Cuber.solved Cubes_solved;

@@ -13,12 +13,9 @@ type config = {
   words : int;
   seed : int;
   conflict_limit : int;
-  max_cone : int; (* retained for compatibility; the incremental
-                     encoding covers the whole graph *)
 }
 
-let default_config =
-  { words = 4; seed = 0x5EED; conflict_limit = 1000; max_cone = 4000 }
+let default_config = { words = 4; seed = 0x5EED; conflict_limit = 1000 }
 
 let last_stats = ref (0, 0, 0)
 let stats_last_run () = !last_stats

@@ -3,8 +3,9 @@
     Replaces every node that is functionally equivalent (up to
     complement) to an already-built node with that existing "divisor" —
     0-resubstitution over the whole input space.  Candidates are found
-    by random-simulation signatures and proven with the CDCL solver on
-    a cone miter; disproved candidates contribute counterexample
+    by random-simulation signatures and proven by an assumption query
+    on one incremental CDCL session shared by the whole sweep (no cone
+    size limit); disproved candidates contribute counterexample
     patterns that refine the signatures.  This is the FRAIG construction
     of Mishchenko et al., and the workhorse that collapses equivalence-
     checking miters. *)
@@ -13,7 +14,6 @@ type config = {
   words : int;           (** 64-bit simulation words per node *)
   seed : int;
   conflict_limit : int;  (** SAT budget per equivalence proof *)
-  max_cone : int;        (** skip proofs whose miter cone is larger *)
 }
 
 val default_config : config

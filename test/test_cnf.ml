@@ -991,14 +991,30 @@ let test_flat_header_count_not_trusted () =
   (* A header may claim a million clauses over a few bytes; the parser
      must not size its clause index from the claim. *)
   let s = "p cnf 3 1000000\n1 -2 0\n" in
-  let before = Gc.allocated_bytes () in
-  (match Cnf.Dimacs.read_flat_string s with
-   | _ -> Alcotest.fail "count mismatch accepted"
-   | exception Cnf.Dimacs.Parse_error m ->
-     Alcotest.(check string)
-       "error" "clause count mismatch: header 1000000, found 1" m);
+  (* The smallest of three measured parses: anything else this domain
+     allocates in one window (the runtime, a previous test's leftovers)
+     must not be charged to the parser.  Only the parse is measured. *)
+  let parse () =
+    let before = Gc.allocated_bytes () in
+    let r =
+      match Cnf.Dimacs.read_flat_string s with
+      | _ -> None
+      | exception Cnf.Dimacs.Parse_error m -> Some m
+    in
+    (Gc.allocated_bytes () -. before, r)
+  in
+  let runs = List.init 3 (fun _ -> parse ()) in
+  List.iter
+    (fun (_, r) ->
+      match r with
+      | None -> Alcotest.fail "count mismatch accepted"
+      | Some m ->
+        Alcotest.(check string)
+          "error" "clause count mismatch: header 1000000, found 1" m)
+    runs;
   check_bool "allocates by the input, not the header" true
-    (Gc.allocated_bytes () -. before < 65536.)
+    (List.fold_left (fun acc (d, _) -> Float.min acc d) infinity runs
+     < 65536.)
 
 let suite =
   suite

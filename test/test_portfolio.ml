@@ -40,7 +40,7 @@ let test_fuzz_vs_brute_force () =
     let outcome =
       Portfolio.Runner.run ~jobs ~share_lbd:1000 ~proof
         (Portfolio.Strategy.default_pool ~jobs)
-        f
+        (Cnf.Flat.of_formula f)
     in
     match outcome.Portfolio.Runner.result with
     | Sat.Solver.Sat m ->
@@ -75,7 +75,7 @@ let test_sequential_bit_identity () =
     let outcome =
       Portfolio.Runner.run ~jobs:1 ~proof:proof_race
         (Portfolio.Strategy.default_pool ~jobs:1)
-        f
+        (Cnf.Flat.of_formula f)
     in
     let st_race = outcome.Portfolio.Runner.stats in
     (match (r_solo, outcome.Portfolio.Runner.result) with
@@ -106,7 +106,9 @@ let test_failed_worker_does_not_lose_race () =
           raise Not_found);
     ]
   in
-  let outcome = Portfolio.Runner.run ~jobs:3 strategies f in
+  let outcome =
+    Portfolio.Runner.run ~jobs:3 strategies (Cnf.Flat.of_formula f)
+  in
   (match outcome.Portfolio.Runner.result with
    | Sat.Solver.Unsat -> ()
    | _ -> Alcotest.fail "race lost to failing workers");
@@ -137,7 +139,9 @@ let test_cancellation_terminates () =
   let limits =
     { Sat.Solver.no_limits with Sat.Solver.max_seconds = Some 120.0 }
   in
-  let outcome = Portfolio.Runner.run ~jobs:4 ~limits strategies hard in
+  let outcome =
+    Portfolio.Runner.run ~jobs:4 ~limits strategies (Cnf.Flat.of_formula hard)
+  in
   (match outcome.Portfolio.Runner.result with
    | Sat.Solver.Sat _ -> ()
    | _ -> Alcotest.fail "easy lane should have won with SAT");
@@ -179,7 +183,7 @@ let test_interrupt_hook () =
       ( "Runner.run",
         (Portfolio.Runner.run ~jobs:2 ~limits
            (Portfolio.Strategy.default_pool ~jobs:2)
-           hard)
+           fl)
           .Portfolio.Runner.result );
     ];
   Sat.Solver.Interrupt.clear interrupt;
@@ -230,7 +234,7 @@ let test_clause_bus_copies_per_receiver () =
   (* Published clauses must be fresh per inbox: a publisher reusing its
      buffer, or one receiver scribbling on a drained clause, must never
      be visible to another receiver. *)
-  let bus = Portfolio.Clause_bus.create ~groups:[| Some 0; Some 0; Some 0 |] in
+  let bus = Portfolio.Clause_bus.create ~sharing:[| true; true; true |] in
   let clause = [| 1; -2; 3 |] in
   Portfolio.Clause_bus.publish bus ~worker:0 clause 2;
   (* Publisher reuses its buffer immediately. *)
@@ -276,18 +280,11 @@ let test_strategy_pool_shape () =
   in
   let pool = Eda4sat.Pipeline.portfolio_strategies ~jobs:10 cfg inst in
   check_bool "at least jobs strategies" true (List.length pool >= 10);
-  (* Anchor lane first, and prepared lanes never claim share group 0. *)
+  (* Anchor lane first. *)
   (match pool with
    | first :: _ ->
      check_bool "anchor is direct" true (first.Portfolio.Strategy.prepare = None)
    | [] -> Alcotest.fail "empty pool");
-  List.iter
-    (fun s ->
-      if
-        s.Portfolio.Strategy.prepare <> None
-        && s.Portfolio.Strategy.share_group = Some 0
-      then Alcotest.fail "prepared lane in the direct share group")
-    pool;
   let baseline_pool =
     Eda4sat.Pipeline.portfolio_strategies ~jobs:4 Eda4sat.Pipeline.baseline inst
   in
@@ -319,7 +316,8 @@ let test_race_cpu_reported_once () =
      and zeroes the field in every other lane's. *)
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
   let outcome =
-    Portfolio.Runner.run ~jobs:3 (Portfolio.Strategy.default_pool ~jobs:3) f
+    Portfolio.Runner.run ~jobs:3 (Portfolio.Strategy.default_pool ~jobs:3)
+      (Cnf.Flat.of_formula f)
   in
   let w = Option.get outcome.Portfolio.Runner.winner in
   check_bool "winner carries the race CPU figure" true
@@ -334,10 +332,36 @@ let test_race_cpu_reported_once () =
         | _ -> ())
     outcome.Portfolio.Runner.workers
 
+let test_one_race_rule () =
+  (* Lanes are claimed in list order and every lane runs until one
+     answers, whatever the worker count: two raising lanes ahead of the
+     direct one must not hide it, at one worker or at two. *)
+  let fl =
+    Cnf.Flat.of_formula (Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5)
+  in
+  let strategies =
+    [
+      Portfolio.Strategy.prepared "boom" (fun ~stop:_ -> failwith "boom");
+      Portfolio.Strategy.prepared "boom2" (fun ~stop:_ -> raise Not_found);
+      Portfolio.Strategy.direct "direct";
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      let outcome = Portfolio.Runner.run ~jobs strategies fl in
+      (match outcome.Portfolio.Runner.result with
+       | Sat.Solver.Unsat -> ()
+       | _ -> Alcotest.failf "jobs=%d: race must answer UNSAT" jobs);
+      check_int (Printf.sprintf "jobs=%d: direct lane wins" jobs) 2
+        (Option.value ~default:(-1) outcome.Portfolio.Runner.winner))
+    [ 1; 2 ]
+
 let suite =
   suite
   @ [
       ("race-level cpu reported once", `Quick, test_race_cpu_reported_once);
+      ("one race rule: lanes run in order until one answers", `Quick,
+       test_one_race_rule);
     ]
 
 (* --- cube-and-conquer ----------------------------------------------- *)
