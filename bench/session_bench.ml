@@ -105,7 +105,7 @@ let run_incremental engine suite ~queries =
       (fun (name, sid, solves) ->
         let res =
           List.map
-            (fun t -> (name, Server.session_await engine t))
+            (fun t -> (name, Server.Session.await t))
             solves
         in
         ignore (Harness.ok (Server.close_session engine sid));

@@ -73,12 +73,12 @@ let shutdown_pool pool =
   Mutex.unlock pool.pm;
   if first then Array.iter Domain.join pool.domains
 
-(* Run every body on the pool and wait on a countdown latch.  A body's
-   exception is swallowed so the latch always reaches zero. *)
+(* Run every body on the pool and wait until the last one to finish
+   fills the latch.  A body's exception is swallowed so the count always
+   reaches zero. *)
 let run_bodies pool bodies =
-  let remaining = ref (Array.length bodies) in
-  let lm = Mutex.create () in
-  let lc = Condition.create () in
+  let remaining = Atomic.make (Array.length bodies) in
+  let finished = Sat.Ivar.create () in
   Mutex.protect pool.pm (fun () ->
       if pool.stopped then invalid_arg "Runner: pool is shut down";
       Array.iter
@@ -86,16 +86,12 @@ let run_bodies pool bodies =
           Queue.push
             (fun () ->
               (try body () with _ -> ());
-              Mutex.protect lm (fun () ->
-                  decr remaining;
-                  if !remaining = 0 then Condition.broadcast lc))
+              if Atomic.fetch_and_add remaining (-1) = 1 then
+                ignore (Sat.Ivar.fill finished ()))
             pool.tasks)
         bodies;
       Condition.broadcast pool.pc);
-  Mutex.protect lm (fun () ->
-      while !remaining > 0 do
-        Condition.wait lc lm
-      done)
+  if Array.length bodies > 0 then Sat.Ivar.await finished
 
 let spread ?pool ~workers n f =
   let next = Atomic.make 0 in

@@ -75,6 +75,11 @@ type done_core = {
   d_done_at : float;
 }
 
+(* A job's phase moves queued -> running -> done, one way.  Whoever
+   moves it out of [Queued] owns the job's completion: the worker that
+   dequeues it, or the monitor timing it out before any worker did. *)
+type phase = Queued | Running | Done
+
 type job = {
   cnf : Cnf.Flat.t;
   fp : Cnf.Fingerprint.t;
@@ -82,21 +87,18 @@ type job = {
   deadline : float option;  (* absolute Wall.now instant *)
   submitted_at : float;
   interrupt : Sat.Solver.Interrupt.t;
-  jm : Mutex.t;
-  jc : Condition.t;
-  mutable state : done_core option;  (* None = waiting/running *)
-  mutable claimed : bool;  (* a resolver owns this job's completion *)
-  mutable running : bool;      (* set by the worker at dequeue (under jm) *)
-  mutable timed_out : bool;    (* set by the monitor with the interrupt *)
-  mutable join_subs : float list;  (* dedup joiners' submit times *)
-  mutable waiters : (done_core -> unit) list;
-      (* async-completion callbacks (under jm); run once, after
-         [publish] releases the job mutex, on the resolver's domain *)
+  phase : phase Atomic.t;
+  cell : done_core Sat.Ivar.t;
+  mutable join_subs : float list;  (* dedup joiners' submit times; [gm] *)
 }
 
-type ticket =
-  | T_ready of answer
-  | T_job of { job : job; source : source; t_submit : float }
+(* A cache hit is a ticket whose cell is already full. *)
+type ticket = {
+  cell : done_core Sat.Ivar.t;
+  source : source;
+  t_submit : float;
+  fingerprint : Cnf.Fingerprint.t;
+}
 
 module Fp_tbl = Hashtbl.Make (struct
   type t = Cnf.Fingerprint.t
@@ -134,70 +136,51 @@ type t = {
 
 (* --- job resolution -------------------------------------------------
 
-   Exactly one resolver wins [try_claim] (worker vs. deadline monitor
-   vs. shutdown drain); only the winner touches the cache, the
-   in-flight table and the metrics, and it does so {e before}
-   [publish] wakes the awaiters — an observer that holds an answer can
-   rely on the stats already accounting for it.  Lock order is
-   strictly job-then-global, never nested the other way. *)
-
-let try_claim job =
-  Mutex.lock job.jm;
-  let first = not job.claimed in
-  job.claimed <- true;
-  Mutex.unlock job.jm;
-  first
-
-let publish job core =
-  Mutex.lock job.jm;
-  job.state <- Some core;
-  Condition.broadcast job.jc;
-  let waiters = job.waiters in
-  job.waiters <- [];
-  Mutex.unlock job.jm;
-  (* Callbacks run outside every engine lock, so they may re-enter the
-     engine (submit a follow-up, read stats) without deadlocking.  A
-     raising callback must not take the resolver down with it — the
-     other waiters still deserve their wake-up. *)
-  List.iter (fun k -> try k core with _ -> ()) waiters
+   Claim -> side effects -> publish.  The caller of [finalize] has
+   claimed the job by moving it out of [Queued]; it alone touches the
+   cache, the in-flight table and the metrics, and it does so {e
+   before} the fill wakes the awaiters — an observer that holds an
+   answer can rely on the stats already accounting for it.  Each
+   counter of the ledger changes in the same [gm] section as the table
+   it pairs with, and [stats] reads both under [gm], so a snapshot
+   always reconciles.  Lock order: [gm] before the metrics mutex. *)
 
 let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
-  if try_claim job then begin
-    let core =
-      { d_verdict = verdict; d_stats = stats; d_solve_wall = solve_wall;
-        d_done_at = Sat.Wall.now () }
-    in
+  let core =
+    { d_verdict = verdict; d_stats = stats; d_solve_wall = solve_wall;
+      d_done_at = Sat.Wall.now () }
+  in
+  (match verdict with
+   | Sat m ->
+     Cache.add t.cache job.fp
+       { Cache.verdict = Cache.Sat m; stats; solve_wall }
+   | Unsat ->
+     Cache.add t.cache job.fp
+       { Cache.verdict = Cache.Unsat; stats; solve_wall }
+   | Timeout | Failed _ -> ());
+  (* The warm cache keeps snapshots for every outcome that produced
+     one — crucially including [Timeout], which the verdict cache
+     never stores: a resubmitted timed-out job resumes from the
+     interrupted state instead of restarting, and repeated deadline
+     slices accumulate progress. *)
+  (match (t.warm, snapshot) with
+   | Some w, Some sd -> Cache.Warm.add w job.fp sd
+   | _ -> ());
+  Mutex.lock t.gm;
+  Fp_tbl.remove t.inflight job.fp;
+  Metrics.add t.metrics
     (match verdict with
-     | Sat m ->
-       Cache.add t.cache job.fp
-         { Cache.verdict = Cache.Sat m; stats; solve_wall }
-     | Unsat ->
-       Cache.add t.cache job.fp
-         { Cache.verdict = Cache.Unsat; stats; solve_wall }
-     | Timeout | Failed _ -> ());
-    (* The warm cache keeps snapshots for every outcome that produced
-       one — crucially including [Timeout], which the verdict cache
-       never stores: a resubmitted timed-out job resumes from the
-       interrupted state instead of restarting, and repeated deadline
-       slices accumulate progress. *)
-    (match (t.warm, snapshot) with
-     | Some w, Some sd -> Cache.Warm.add w job.fp sd
-     | _ -> ());
-    Mutex.lock t.gm;
-    Fp_tbl.remove t.inflight job.fp;
-    let joins = job.join_subs in
-    Mutex.unlock t.gm;
-    Metrics.add t.metrics
-      (match verdict with
-       | Sat _ -> Solved_sat
-       | Unsat -> Solved_unsat
-       | Timeout -> Timeouts
-       | Failed _ -> Failures);
-    List.iter
-      (fun ts -> Metrics.observe t.metrics Latency (core.d_done_at -. ts))
-      (job.submitted_at :: joins);
-    publish job core
-  end
+     | Sat _ -> Solved_sat
+     | Unsat -> Solved_unsat
+     | Timeout -> Timeouts
+     | Failed _ -> Failures);
+  let joins = job.join_subs in
+  Mutex.unlock t.gm;
+  List.iter
+    (fun ts -> Metrics.observe t.metrics Latency (core.d_done_at -. ts))
+    (job.submitted_at :: joins);
+  Atomic.set job.phase Done;
+  ignore (Sat.Ivar.fill job.cell core)
 
 (* --- solving --------------------------------------------------------- *)
 
@@ -250,7 +233,6 @@ let direct_leg t pool (job : job) =
          && (match limits.Sat.Solver.max_conflicts with
              | Some m -> cc.cube_trigger < m
              | None -> true)
-         && (not job.timed_out)
          && (not (deadline_passed job (Sat.Wall.now ())))
          && (not (Sat.Solver.Interrupt.is_set job.interrupt))
          && not (Atomic.get t.stopping) ->
@@ -297,7 +279,7 @@ let classify t job result stats solve_wall snapshot ~cube =
       match cube with
       | Some rep
         when rep.Portfolio.Cuber.failure <> None
-             && not (job.timed_out || deadline_passed job (Sat.Wall.now ()))
+             && not (deadline_passed job (Sat.Wall.now ()))
         ->
         (* A cube race that died mid-way resolves FAILED, not a
            resource answer — and certainly not UNSAT. *)
@@ -305,7 +287,7 @@ let classify t job result stats solve_wall snapshot ~cube =
           (Printf.sprintf "cube job failed: %s"
              (Option.value ~default:"?" rep.Portfolio.Cuber.failure))
       | _ ->
-        if job.timed_out || deadline_passed job (Sat.Wall.now ()) then
+        if deadline_passed job (Sat.Wall.now ()) then
           Timeout
         else if Atomic.get t.stopping then Failed "server shutdown"
         else Timeout (* a configured base limit: still a resource answer *))
@@ -318,13 +300,12 @@ let classify t job result stats solve_wall snapshot ~cube =
 let retire_closed t s =
   let sid = Session.id s in
   Mutex.lock t.gm;
-  let was_live = Hashtbl.mem t.sessions sid in
-  if was_live then begin
+  if Hashtbl.mem t.sessions sid then begin
     Hashtbl.remove t.sessions sid;
-    Hashtbl.replace t.retired sid `Closed
+    Hashtbl.replace t.retired sid `Closed;
+    Metrics.add t.metrics Sessions_closed
   end;
-  Mutex.unlock t.gm;
-  if was_live then Metrics.add t.metrics Sessions_closed
+  Mutex.unlock t.gm
 
 let note_session_step t (step : Session.step) =
   match step.Session.executed with
@@ -366,11 +347,8 @@ let worker_loop t () =
       run_session_token t s;
       loop ()
     | Some (W_job job) ->
-      Mutex.lock job.jm;
-      let already_done = job.claimed in
-      if not already_done then job.running <- true;
-      Mutex.unlock job.jm;
-      (if already_done then () (* e.g. timed out while queued *)
+      (if not (Atomic.compare_and_set job.phase Queued Running) then
+         () (* timed out by the monitor while queued *)
        else if Atomic.get t.stopping then
          finalize t job ~verdict:(Failed "server shutdown")
            ~stats:Sat.Solver.empty_stats ~solve_wall:0.0 ()
@@ -396,8 +374,9 @@ let worker_loop t () =
 
 (* Idle-TTL sweep: evict sessions idle past the configured TTL.
    Re-checked under [gm] so a session that just accepted an op is
-   spared; the [Session.evict] call itself runs outside [gm] (lock
-   order is gm before the session mutex, and evict takes the latter). *)
+   spared; the [Session.evict] call itself runs outside [gm], since it
+   answers the session's pending ops and their callbacks may re-enter
+   the engine. *)
 let evict_expired_sessions t ~now =
   match t.cfg.session_ttl with
   | None -> ()
@@ -415,22 +394,21 @@ let evict_expired_sessions t ~now =
       List.iter
         (fun (sid, _) ->
           Hashtbl.remove t.sessions sid;
-          Hashtbl.replace t.retired sid `Evicted)
+          Hashtbl.replace t.retired sid `Evicted;
+          Metrics.add t.metrics Sessions_evicted)
         es;
       Mutex.unlock t.gm;
       es
     in
-    List.iter
-      (fun (_, s) ->
-        Session.evict s;
-        Metrics.add t.metrics Sessions_evicted)
-      expired
+    List.iter (fun (_, s) -> Session.evict s) expired
 
 (* The deadline monitor: a few-millisecond heartbeat that scans the
    in-flight table and the session table.  A queued job whose deadline
    passed resolves to [Timeout] immediately (it never waits for a
-   worker); a running one — one-shot or mid-session — gets its
-   interrupt set and resolves within one solver budget tick. *)
+   worker) — the monitor claims it by moving it out of [Queued]
+   itself, so a worker that dequeues it later skips it; a running one
+   — one-shot or mid-session — gets its interrupt set and resolves
+   within one solver budget tick. *)
 let monitor_loop t () =
   while not (Atomic.get t.monitor_stop) do
     Unix.sleepf 0.002;
@@ -444,18 +422,11 @@ let monitor_loop t () =
     let now = Sat.Wall.now () in
     List.iter
       (fun job ->
-        if deadline_passed job now then begin
-          Mutex.lock job.jm;
-          let queued = (not job.claimed) && not job.running in
-          Mutex.unlock job.jm;
-          if queued then
+        if deadline_passed job now then
+          if Atomic.compare_and_set job.phase Queued Done then
             finalize t job ~verdict:Timeout ~stats:Sat.Solver.empty_stats
               ~solve_wall:0.0 ()
-          else begin
-            job.timed_out <- true;
-            Sat.Solver.Interrupt.set job.interrupt
-          end
-        end)
+          else Sat.Solver.Interrupt.set job.interrupt)
       jobs;
     List.iter (fun s -> Session.interrupt_if_overdue s ~now) sessions;
     evict_expired_sessions t ~now
@@ -537,7 +508,8 @@ let enqueue t ~now ?deadline ~priority cnf fp =
       job.join_subs <- now :: job.join_subs;
       Mutex.unlock t.gm;
       Metrics.add t.metrics Dedup_joins;
-      Ok (T_job { job; source = Dedup_join; t_submit = now })
+      Ok { cell = job.cell; source = Dedup_join; t_submit = now;
+           fingerprint = fp }
     | None ->
       (* Warm lookup happens at submit time (not solve time) so the
          snapshot travels with the job even if the warm cache evicts
@@ -558,27 +530,23 @@ let enqueue t ~now ?deadline ~priority cnf fp =
              | None -> Option.map (fun s -> now +. s) t.cfg.default_deadline);
           submitted_at = now;
           interrupt = Sat.Solver.Interrupt.create ();
-          jm = Mutex.create ();
-          jc = Condition.create ();
-          state = None;
-          claimed = false;
-          running = false;
-          timed_out = false;
+          phase = Atomic.make Queued;
+          cell = Sat.Ivar.create ();
           join_subs = [];
-          waiters = [];
         }
       in
       (* In-flight before enqueue, so a concurrent identical submit
          joins this job even while it is still queued. *)
       Fp_tbl.replace t.inflight fp job;
       if Job_queue.push t.queue ~priority (W_job job) then begin
-        Mutex.unlock t.gm;
         (* A warm-started submit counts as [warm_hits], not
            [submitted] — the two are disjoint legs of the request
            reconciliation. *)
         Metrics.add t.metrics
           (match job.warm with Some _ -> Warm_hits | None -> Submitted);
-        Ok (T_job { job; source = Solved; t_submit = now })
+        Mutex.unlock t.gm;
+        Ok { cell = job.cell; source = Solved; t_submit = now;
+             fingerprint = fp }
       end
       else begin
         Fp_tbl.remove t.inflight fp;
@@ -594,19 +562,15 @@ let submit_live t ?deadline ~priority cnf =
   let fp = Cnf.Fingerprint.of_flat cnf in
   match lookup t fp cnf with
   | Some (verdict, e) ->
-    let wall = Sat.Wall.now () -. now in
+    let core =
+      { d_verdict = verdict; d_stats = e.Cache.stats;
+        d_solve_wall = e.Cache.solve_wall; d_done_at = Sat.Wall.now () }
+    in
     Metrics.add t.metrics Cache_hits;
-    Metrics.observe t.metrics Latency wall;
-    Ok
-      (T_ready
-         {
-           verdict;
-           source = Cache_hit;
-           wall;
-           solve_wall = e.Cache.solve_wall;
-           stats = e.Cache.stats;
-           fingerprint = fp;
-         })
+    Metrics.observe t.metrics Latency (core.d_done_at -. now);
+    let cell = Sat.Ivar.create () in
+    ignore (Sat.Ivar.fill cell core);
+    Ok { cell; source = Cache_hit; t_submit = now; fingerprint = fp }
   | None -> enqueue t ~now ?deadline ~priority cnf fp
 
 (* The stopping check comes before the cache lookup: a shut-down
@@ -624,49 +588,19 @@ let submit t ?deadline ?(priority = 0) cnf =
    a client wants a fresh model for a formula it already solved. *)
 let forget_verdict t fp = Cache.remove t.cache fp
 
-let answer_of_core job core ~source ~t_submit =
+let answer_of (tk : ticket) core =
   {
     verdict = core.d_verdict;
-    source;
-    wall = core.d_done_at -. t_submit;
+    source = tk.source;
+    wall = core.d_done_at -. tk.t_submit;
     solve_wall = core.d_solve_wall;
     stats = core.d_stats;
-    fingerprint = job.fp;
+    fingerprint = tk.fingerprint;
   }
 
-let await _t = function
-  | T_ready a -> a
-  | T_job { job; source; t_submit } ->
-    Mutex.lock job.jm;
-    while job.state = None do
-      Condition.wait job.jc job.jm
-    done;
-    let core = Option.get job.state in
-    Mutex.unlock job.jm;
-    answer_of_core job core ~source ~t_submit
-
-let poll _t = function
-  | T_ready a -> Some a
-  | T_job { job; source; t_submit } ->
-    Mutex.lock job.jm;
-    let core = job.state in
-    Mutex.unlock job.jm;
-    Option.map (fun c -> answer_of_core job c ~source ~t_submit) core
-
-let on_answer _t ticket k =
-  match ticket with
-  | T_ready a -> k a
-  | T_job { job; source; t_submit } ->
-    Mutex.lock job.jm;
-    (match job.state with
-     | Some core ->
-       Mutex.unlock job.jm;
-       k (answer_of_core job core ~source ~t_submit)
-     | None ->
-       job.waiters <-
-         (fun core -> k (answer_of_core job core ~source ~t_submit))
-         :: job.waiters;
-       Mutex.unlock job.jm)
+let await _t tk = answer_of tk (Sat.Ivar.await tk.cell)
+let poll _t tk = Option.map (answer_of tk) (Sat.Ivar.peek tk.cell)
+let on_answer _t tk k = Sat.Ivar.upon tk.cell (fun c -> k (answer_of tk c))
 
 let solve t ?deadline ?priority cnf =
   Result.map (await t) (submit t ?deadline ?priority cnf)
@@ -695,6 +629,7 @@ let open_session t =
         | Some (vsid, vs) ->
           Hashtbl.remove t.sessions vsid;
           Hashtbl.replace t.retired vsid `Evicted;
+          Metrics.add t.metrics Sessions_evicted;
           Some vs
         | None -> None
       end
@@ -708,19 +643,14 @@ let open_session t =
         t.next_sid <- sid + 1;
         let s = Session.create ~id:sid () in
         Hashtbl.replace t.sessions sid s;
+        Metrics.add t.metrics Sessions_opened;
         Some sid
       end
     in
     Mutex.unlock t.gm;
-    (match victim with
-     | Some vs ->
-       Session.evict vs;
-       Metrics.add t.metrics Sessions_evicted
-     | None -> ());
+    Option.iter Session.evict victim;
     match opened with
-    | Some sid ->
-      Metrics.add t.metrics Sessions_opened;
-      Ok sid
+    | Some sid -> Ok sid
     | None ->
       (* At capacity with every session busy — admission control at
          the session-table edge, same refusal shape as a full queue. *)
@@ -768,9 +698,6 @@ let session_submit t sid op =
         Ok ticket)
   end
 
-let session_await _t ticket = Session.await ticket
-let session_poll _t ticket = Session.poll ticket
-
 let session_op t sid op = Result.map (Session.await) (session_submit t sid op)
 let session_add t sid clauses = session_op t sid (Session.Add clauses)
 let session_assume t sid lits = session_op t sid (Session.Assume lits)
@@ -793,22 +720,18 @@ let sessions_live t =
   Mutex.unlock t.gm;
   n
 
+(* The table sizes and the counters paired with them are read in one
+   [gm] section: the ledger identities hold in every snapshot. *)
 let stats t =
-  let inflight, live =
-    Mutex.lock t.gm;
-    let n = Fp_tbl.length t.inflight in
-    let l = Hashtbl.length t.sessions in
-    Mutex.unlock t.gm;
-    (n, l)
-  in
-  Metrics.snapshot t.metrics
-    ~sampled:
-      [
-        (Queue_depth, Job_queue.length t.queue);
-        (Inflight, inflight);
-        (Cache_entries, Cache.length t.cache);
-        (Sessions_live, live);
-      ]
+  Mutex.protect t.gm (fun () ->
+      Metrics.snapshot t.metrics
+        ~sampled:
+          [
+            (Queue_depth, Job_queue.length t.queue);
+            (Inflight, Fp_tbl.length t.inflight);
+            (Cache_entries, Cache.length t.cache);
+            (Sessions_live, Hashtbl.length t.sessions);
+          ])
 
 let stats_json t = Metrics.to_json (stats t)
 let metrics t = t.metrics

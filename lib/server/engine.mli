@@ -159,8 +159,7 @@ val create : ?config:config -> unit -> t
 val submit :
   t -> ?deadline:float -> ?priority:int -> Cnf.Flat.t ->
   (ticket, string) result
-(** Submit a formula.  The cube path builds the {!Cnf.Formula.t}
-    view it needs at the point of use.  [deadline] is in seconds from now — a negative
+(** Submit a formula.  [deadline] is in seconds from now — a negative
     or non-finite value answers [Error "bad-deadline"] (a NaN deadline
     would otherwise compose into an absolute instant that never
     passes, i.e. an unkillable job); [priority] (default 0, higher
@@ -177,12 +176,10 @@ val poll : t -> ticket -> answer option
 
 val on_answer : t -> ticket -> (answer -> unit) -> unit
 (** Asynchronous [await]: run the callback once, when (or if already)
-    the ticket's job resolves.  An unresolved ticket's callback runs
-    on the resolving domain (a worker, the deadline monitor, or the
-    shutdown path) with {e no} engine lock held, so it may re-enter
-    the engine — but it must return quickly: it runs on the solve hot
-    path.  A resolved ticket's callback runs synchronously on the
-    calling domain before [on_answer] returns.  This is the completion
+    the ticket's job resolves, under the completion contract of
+    {!Sat.Ivar.upon}.  The resolving domain is a worker or the
+    deadline monitor; it holds no engine lock while the callback runs,
+    so the callback may re-enter the engine.  This is the completion
     hook the network front-end ({!Net.Event_loop}) uses to stream
     answers back without parking a domain per request. *)
 
@@ -212,9 +209,6 @@ val session_submit : t -> int -> Session.op -> (Session.ticket, string) result
     FIFO, or a shutting-down server.  A [Session.Solve] op's deadline
     must already be an absolute instant — prefer [solve_session],
     which validates and composes it. *)
-
-val session_await : t -> Session.ticket -> Session.answer
-val session_poll : t -> Session.ticket -> Session.answer option
 
 val session_add :
   t -> int -> int array list -> (Session.answer, string) result

@@ -116,9 +116,3 @@ let close t =
   t.closed <- true;
   Condition.broadcast t.c;
   Mutex.unlock t.m
-
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c

@@ -39,5 +39,3 @@ val pop : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Stop accepting pushes and wake every blocked popper. *)
-
-val is_closed : 'a t -> bool

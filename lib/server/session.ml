@@ -23,13 +23,8 @@ type answer = {
 
 type ticket = {
   op : op;
-  tm : Mutex.t;
-  tc : Condition.t;
-  mutable result : answer option;
   submitted_at : float;
-  mutable callbacks : (answer -> unit) list;
-      (* async-completion hooks (under tm); run once, after [resolve]
-         releases the ticket mutex, on the resolving domain *)
+  cell : answer Sat.Ivar.t;
 }
 
 (* A pushed frame: its activation variable (internal solver numbering,
@@ -52,7 +47,6 @@ type t = {
   mutable state : state;
   mutable last : float;
   mutable running : (float option * Sat.Solver.Interrupt.t) option;
-  mutable timed_out : bool;
   (* Solver state: touched only by the single executing worker (the
      token discipline is the lock), never under [m]. *)
   inc : Sat.Solver.Incremental.session;
@@ -75,7 +69,6 @@ let create ?(max_pending = 1024) ~id () =
     state = Live;
     last = Sat.Wall.now ();
     running = None;
-    timed_out = false;
     inc = Sat.Solver.Incremental.create ();
     int_of_user = Hashtbl.create 64;
     user_of_int = Hashtbl.create 64;
@@ -92,74 +85,25 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let resolve ticket outcome ~solve_wall ~stats =
-  Mutex.lock ticket.tm;
-  let run, answer =
-    if ticket.result = None then begin
-      let a =
-        {
-          outcome;
-          wall = Sat.Wall.now () -. ticket.submitted_at;
-          solve_wall;
-          stats;
-        }
-      in
-      ticket.result <- Some a;
-      Condition.broadcast ticket.tc;
-      let ks = ticket.callbacks in
-      ticket.callbacks <- [];
-      (ks, Some a)
-    end
-    else ([], None)
-  in
-  Mutex.unlock ticket.tm;
-  (* Outside the ticket mutex so a callback may await/poll freely; a
-     raising callback must not starve the rest. *)
-  match answer with
-  | Some a -> List.iter (fun k -> try k a with _ -> ()) run
-  | None -> ()
+  ignore
+    (Sat.Ivar.fill ticket.cell
+       { outcome; wall = Sat.Wall.now () -. ticket.submitted_at; solve_wall;
+         stats })
 
 let resolve_plain ticket outcome =
   resolve ticket outcome ~solve_wall:0.0 ~stats:Sat.Solver.empty_stats
 
 let fresh_ticket op =
-  {
-    op;
-    tm = Mutex.create ();
-    tc = Condition.create ();
-    result = None;
-    submitted_at = Sat.Wall.now ();
-    callbacks = [];
-  }
+  { op; submitted_at = Sat.Wall.now (); cell = Sat.Ivar.create () }
 
 let resolved_ticket op outcome =
   let ticket = fresh_ticket op in
   resolve_plain ticket outcome;
   ticket
 
-let await ticket =
-  Mutex.lock ticket.tm;
-  while ticket.result = None do
-    Condition.wait ticket.tc ticket.tm
-  done;
-  let a = Option.get ticket.result in
-  Mutex.unlock ticket.tm;
-  a
-
-let poll ticket =
-  Mutex.lock ticket.tm;
-  let r = ticket.result in
-  Mutex.unlock ticket.tm;
-  r
-
-let on_answer ticket k =
-  Mutex.lock ticket.tm;
-  match ticket.result with
-  | Some a ->
-    Mutex.unlock ticket.tm;
-    k a
-  | None ->
-    ticket.callbacks <- k :: ticket.callbacks;
-    Mutex.unlock ticket.tm
+let await ticket = Sat.Ivar.await ticket.cell
+let poll ticket = Sat.Ivar.peek ticket.cell
+let on_answer ticket k = Sat.Ivar.upon ticket.cell k
 
 let enqueue t op =
   let ticket = fresh_ticket op in
@@ -258,9 +202,7 @@ let exec_solve t ~limits ~stopping ~deadline =
     (Timeout, 0.0, Sat.Solver.empty_stats)
   else begin
     let interrupt = Sat.Solver.Interrupt.create () in
-    locked t (fun () ->
-        t.running <- Some (deadline, interrupt);
-        t.timed_out <- false);
+    locked t (fun () -> t.running <- Some (deadline, interrupt));
     let assumptions =
       Array.append
         (Array.map (intern_lit t) t.assumptions)
@@ -276,7 +218,7 @@ let exec_solve t ~limits ~stopping ~deadline =
       Sat.Solver.Incremental.solve ~limits ~assumptions t.inc
     in
     let solve_wall = Sat.Wall.now () -. t0 in
-    let timed_out = locked t (fun () -> t.running <- None; t.timed_out) in
+    locked t (fun () -> t.running <- None);
     t.assumptions <- [||];
     let outcome =
       match result with
@@ -287,7 +229,7 @@ let exec_solve t ~limits ~stopping ~deadline =
       | Sat.Solver.Unsat ->
         Unsat (user_core t (Sat.Solver.Incremental.last_core t.inc))
       | Sat.Solver.Unknown ->
-        if timed_out || deadline_passed deadline (Sat.Wall.now ()) then
+        if deadline_passed deadline (Sat.Wall.now ()) then
           Timeout
         else if stopping () then Failed "server shutdown"
         else Timeout (* a configured base limit: a resource answer *)
@@ -417,9 +359,7 @@ let kill t msg =
 let interrupt_if_overdue t ~now =
   locked t (fun () ->
       match t.running with
-      | Some (Some d, i) when now >= d ->
-        t.timed_out <- true;
-        Sat.Solver.Interrupt.set i
+      | Some (Some d, i) when now >= d -> Sat.Solver.Interrupt.set i
       | _ -> ())
 
 let is_idle t =

@@ -82,10 +82,10 @@ val poll : ticket -> answer option
 
 val on_answer : ticket -> (answer -> unit) -> unit
 (** Asynchronous [await]: run the callback once, when (or if already)
-    the ticket resolves.  Same contract as {!Engine.on_answer}: an
-    unresolved ticket's callback runs on the resolving domain with no
-    session lock held and must return quickly; a resolved ticket's
-    callback runs synchronously on the calling domain. *)
+    the ticket resolves, under the completion contract of
+    {!Sat.Ivar.upon}.  The resolving domain — the worker that runs the
+    op, or whichever domain evicts the session or shuts the server
+    down — holds no session or engine lock while the callback runs. *)
 
 val resolved_ticket : op -> outcome -> ticket
 (** A ticket already carrying [outcome] — the engine's deterministic
@@ -124,8 +124,8 @@ val kill : t -> string -> unit
     interrupt a running solve. *)
 
 val interrupt_if_overdue : t -> now:float -> unit
-(** Monitor hook: if a solve is running past its deadline, flag it
-    timed-out and set its interrupt. *)
+(** Monitor hook: if a solve is running past its deadline, set its
+    interrupt. *)
 
 val is_idle : t -> bool
 (** No pending ops and not checked out — the only state eligible for

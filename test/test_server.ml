@@ -530,7 +530,7 @@ let test_session_fuzz () =
       let sop sid op =
         Atomic.incr session_ops;
         match Server.session_submit e sid op with
-        | Ok ticket -> Server.session_await e ticket
+        | Ok ticket -> Server.Session.await ticket
         | Error r -> Alcotest.failf "session op rejected: %s" r
       in
       let worker d () =
@@ -1055,6 +1055,131 @@ let test_metrics_reconcile_reports () =
       "warm_seeded = 2 > warm_hits = 0" ]
     (reconcile (snapshot m ~sampled:[]))
 
+(* --- completion cells ------------------------------------------------ *)
+
+let test_ivar_contract () =
+  let c = Sat.Ivar.create () in
+  check_bool "empty" true (Sat.Ivar.peek c = None);
+  let seen = ref [] in
+  Sat.Ivar.upon c (fun v -> seen := ("a", v) :: !seen);
+  Sat.Ivar.upon c (fun _ -> failwith "boom");
+  Sat.Ivar.upon c (fun v -> seen := ("b", v) :: !seen);
+  let waiters =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> Sat.Ivar.await c))
+  in
+  (* Let both domains block before the fill. *)
+  Unix.sleepf 0.05;
+  check_bool "first fill wins" true (Sat.Ivar.fill c 7);
+  check_bool "second fill loses" false (Sat.Ivar.fill c 8);
+  check_bool "the first value stays" true (Sat.Ivar.peek c = Some 7);
+  List.iter (fun d -> check_int "both domains awaited" 7 (Domain.join d))
+    waiters;
+  Alcotest.(check (list (pair string int)))
+    "callbacks ran once, in order, past a raising one"
+    [ ("a", 7); ("b", 7) ] (List.rev !seen);
+  let here = ref None in
+  Sat.Ivar.upon c (fun v -> here := Some (v, Domain.self ()));
+  check_bool "upon a full cell runs at once, on the caller" true
+    (!here = Some (7, Domain.self ()))
+
+(* A callback may re-enter the engine: it runs with no engine lock
+   held, on the resolving domain when the ticket was pending and on the
+   caller when it was already answered. *)
+let test_on_answer_reenters () =
+  with_engine ~workers:1 (fun e ->
+      let me = Domain.self () in
+      let blocker = submit_ok e (php 9) in
+      let f = Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -2; 3 |] ] in
+      let g = Cnf.Formula.create ~num_vars:2 [ [| 1 |]; [| -1; 2 |] ] in
+      let pending = submit_ok e f in
+      check_bool "queued behind the blocker" true (Server.poll e pending = None);
+      let sid = open_ok e in
+      let op =
+        match Server.session_submit e sid (Server.Session.Add [ [| 1 |] ]) with
+        | Ok tk -> tk
+        | Error r -> Alcotest.failf "session op rejected: %s" r
+      in
+      check_bool "session op pending" true (Server.Session.poll op = None);
+      let fired = Atomic.make 0 in
+      let off_caller = Atomic.make true in
+      let verdict = Atomic.make None and outcome = Atomic.make None in
+      let followup = Atomic.make None in
+      let reenter () =
+        if Domain.self () = me then Atomic.set off_caller false;
+        ignore (Server.stats e);
+        Atomic.incr fired
+      in
+      Server.on_answer e pending (fun a ->
+          Atomic.set verdict (Some a.Server.verdict);
+          Atomic.set followup (Some (Server.submit e (flat g)));
+          reenter ());
+      Server.Session.on_answer op (fun a ->
+          Atomic.set outcome (Some a.Server.Session.outcome);
+          ignore (Server.session_submit e sid Server.Session.Push);
+          reenter ());
+      ignore (Server.await e blocker);
+      await_counter "both pending callbacks ran" (fun () -> Atomic.get fired) 2;
+      check_bool "pending callbacks ran on the resolving domain" true
+        (Atomic.get off_caller);
+      check_bool "the pending ticket answered SAT" true
+        (match Atomic.get verdict with Some (Server.Sat _) -> true | _ -> false);
+      check_bool "the session op answered OK" true
+        (Atomic.get outcome = Some Server.Session.Ok_done);
+      (match Atomic.get followup with
+       | Some (Ok tk) ->
+         check_bool "the re-entrant submit answers" true
+           (match (Server.await e tk).Server.verdict with
+            | Server.Sat _ -> true
+            | _ -> false)
+       | _ -> Alcotest.fail "the re-entrant submit was rejected");
+      let hit = submit_ok e f in
+      let ran = ref None in
+      Server.on_answer e hit (fun a ->
+          ignore (Server.stats e);
+          ran := Some (a.Server.source, Domain.self ()));
+      check_bool "a cache hit's callback runs at once, on the caller" true
+        (!ran = Some (Server.Cache_hit, me));
+      ignore (session_ok (Server.close_session e sid)))
+
+(* One domain drives one-shot solves and session open/close pairs
+   while this one takes paced snapshots: every snapshot must satisfy
+   the ledger, in flight or not. *)
+let test_stats_reconcile_under_traffic () =
+  with_engine ~workers:2 (fun e ->
+      let wanted = 1000 in
+      let taken = Atomic.make 0 in
+      let driver =
+        Domain.spawn (fun () ->
+            let rng = Aig.Rng.create 0x1ed6e7 in
+            let rounds = ref 0 in
+            while Atomic.get taken < wanted && !rounds < 20_000 do
+              incr rounds;
+              ignore (Server.solve e (flat (random_formula rng)));
+              match Server.open_session e with
+              | Ok sid -> ignore (Server.close_session e sid)
+              | Error r -> failwith r
+            done;
+            !rounds)
+      in
+      (* Paced: a snapshot holds the engine lock while it sorts the
+         latency window, and a tight loop would starve the driver. *)
+      let broken = ref [] in
+      while Atomic.get taken < wanted do
+        Atomic.incr taken;
+        (match Server.Metrics.reconcile (Server.stats e) with
+         | [] -> ()
+         | v -> broken := v :: !broken);
+        Unix.sleepf 0.0002
+      done;
+      let rounds = Domain.join driver in
+      check_bool (Printf.sprintf "traffic ran (%d rounds)" rounds) true
+        (rounds > 10);
+      match !broken with
+      | [] -> ()
+      | v :: _ ->
+        Alcotest.failf "%d of %d snapshots break the ledger, e.g. %s"
+          (List.length !broken) wanted (String.concat "; " v))
+
 (* --- job queue ------------------------------------------------------- *)
 
 let test_job_queue_ordering () =
@@ -1086,6 +1211,11 @@ let suite =
     ("full queue rejects", `Quick, test_queue_full_rejection);
     ("shutdown idempotent", `Quick, test_shutdown_idempotent);
     ("concurrent submit/await fuzz", `Quick, test_concurrent_fuzz);
+    ("stats snapshots reconcile under concurrent traffic", `Quick,
+     test_stats_reconcile_under_traffic);
+    ("ivar completion contract", `Quick, test_ivar_contract);
+    ("on_answer callbacks may re-enter the engine", `Quick,
+     test_on_answer_reenters);
     ("warm start resumes after forget", `Quick, test_warm_resume_after_forget);
     ("warm starts disabled at capacity 0", `Quick, test_warm_disabled_when_zero);
     ("timeout snapshot resumes warm", `Quick, test_warm_timeout_resume);
