@@ -10,4 +10,5 @@ let all =
     Net_bench.suite;
     Warm_bench.suite;
     Cube_bench.suite;
+    Synth_bench.suite;
   ]

@@ -54,8 +54,9 @@ let resub_budget ~seeds =
             { Synth.Resub.default_config with
               Synth.Resub.conflict_limit }
           in
-          let g', t = timed (fun () -> Synth.Resub.run ~config g) in
-          let _, proven, _ = Synth.Resub.stats_last_run () in
+          let (g', _, proven, _), t =
+            timed (fun () -> Synth.Resub.run_with_counts ~config g)
+          in
           (float_of_int (Aig.Graph.num_ands g'), float_of_int proven, t))
         seeds
     in

@@ -17,9 +17,6 @@ type config = {
 
 let default_config = { words = 4; seed = 0x5EED; conflict_limit = 1000 }
 
-let last_stats = ref (0, 0, 0)
-let stats_last_run () = !last_stats
-
 (* Simulation rows of the new graph in one flat unboxed store: node
    [id] owns [stride] words from byte [8 * id * stride], of which the
    first [width] are in use.  Refinement appends one word to every row
@@ -112,7 +109,7 @@ let add r t ~keep id =
   end
   else if not keep then t.slots.(i) <- id
 
-let run ?(config = default_config) g =
+let run_with_counts ?(config = default_config) g =
   let tried = ref 0 and proven = ref 0 and disproved = ref 0 in
   let rng = Aig.Rng.create config.seed in
   let n_old = Aig.Graph.num_nodes g in
@@ -332,5 +329,8 @@ let run ?(config = default_config) g =
             end);
         Array.map map_lit (Aig.Graph.pos g))
   in
-  last_stats := (!tried, !proven, !disproved);
-  Aig.Graph.cleanup result
+  (Aig.Graph.cleanup result, !tried, !proven, !disproved)
+
+let run ?config g =
+  let g', _, _, _ = run_with_counts ?config g in
+  g'

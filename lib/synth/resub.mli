@@ -20,6 +20,8 @@ val default_config : config
 
 val run : ?config:config -> Aig.Graph.t -> Aig.Graph.t
 
-val stats_last_run : unit -> int * int * int
-(** (candidates tried, proven equivalent, disproved) of the most recent
-    {!run} — observability for tests and logs. *)
+val run_with_counts :
+  ?config:config -> Aig.Graph.t -> Aig.Graph.t * int * int * int
+(** {!run}, also returning the sweep's own counts: (the swept graph,
+    candidates tried, proven equivalent, disproved).  A candidate that
+    is neither proven nor disproved hit [conflict_limit]. *)

@@ -110,11 +110,10 @@ let test_resub_merges_duplicates () =
       (Aig.Graph.and_ g (Aig.Graph.lit_not a) b)
   in
   Aig.Graph.add_po g (Aig.Graph.xor_ g x1 x2);
-  let g' = Synth.Resub.run g in
+  let g', _, proven, _ = Synth.Resub.run_with_counts g in
   check_bool "equivalent" true (exhaustive_equal g g');
   (* The miter collapses: output is the constant false literal. *)
   check "miter collapsed" Aig.Graph.const_false (Aig.Graph.po g' 0);
-  let _, proven, _ = Synth.Resub.stats_last_run () in
   check_bool "proved merges" true (proven > 0)
 
 let test_resub_collapses_equivalence_miter () =
@@ -316,9 +315,8 @@ let test_resub_noop_on_irredundant () =
   let g = Aig.Graph.create ~num_pis:8 in
   Aig.Graph.add_po g (Aig.Graph.and_list g (List.init 8 (Aig.Graph.pi g)));
   let before = Aig.Graph.num_ands g in
-  let g' = Synth.Resub.run g in
+  let g', _, proven, _ = Synth.Resub.run_with_counts g in
   check "size unchanged" before (Aig.Graph.num_ands g');
-  let _, proven, _ = Synth.Resub.stats_last_run () in
   check "nothing proven" 0 proven
 
 let suite =
@@ -438,8 +436,8 @@ let pin_inputs () =
     instance "I1"; instance "C8"; instance "C6" ]
 
 let resub_pin g =
-  let ands, h = structure_hash (Synth.Resub.run g) in
-  let tried, proven, disproved = Synth.Resub.stats_last_run () in
+  let g', tried, proven, disproved = Synth.Resub.run_with_counts g in
+  let ands, h = structure_hash g' in
   let h =
     List.fold_left
       (fun h x -> (h * 1_000_003) lxor x)
