@@ -1039,7 +1039,7 @@ let rec luby_simple i =
   else luby_simple (i + 1 - (1 lsl (k - 1)))
 
 type search_outcome =
-  | S_sat of bool array
+  | S_sat  (* every variable assigned; the trail is the model *)
   | S_unsat_final  (* conflict at level 0: unsatisfiable outright *)
   | S_unsat_assumptions of int array  (* DIMACS assumption core *)
   | S_unknown
@@ -1240,11 +1240,8 @@ let search s ~config ~limits ~proof ~assumption_lits ~t0 =
             let cand = heap_pop s in
             if var_value s cand = undef then v := cand
           done;
-          if !v < 0 then begin
-            (* All variables assigned: model found. *)
-            let model = Array.init s.nvars (fun v -> var_value s v = 1) in
-            raise (Out (S_sat model))
-          end;
+          (* All variables assigned: model found. *)
+          if !v < 0 then raise (Out S_sat);
           s.st_decisions <- s.st_decisions + 1;
           s.trail_lim.(s.ntrail_lim) <- s.trail_size;
           s.ntrail_lim <- s.ntrail_lim + 1;
@@ -1564,7 +1561,7 @@ let solve_flat ?(config = default_config) ?(limits = no_limits) ?proof fl =
          match
            search s ~config ~limits ~proof ~assumption_lits:[||] ~t0
          with
-         | S_sat m -> Sat m
+         | S_sat -> Sat (Array.init s.nvars (fun v -> var_value s v = 1))
          | S_unsat_final -> Unsat
          | S_unsat_assumptions _ -> assert false
          | S_unknown -> Unknown
@@ -1597,43 +1594,58 @@ module Incremental = struct
     mutable core : int array; (* DIMACS assumption core of the last
                                  Unsat-under-assumptions answer *)
     mutable buf : int array;  (* [add_slice]'s scratch *)
+    mutable queued : int;
+        (* variables [0 .. queued - 1] have been offered to the decision
+           heap: each one is in it, or assigned at level 0 *)
   }
+
+  (* Make room for [n] variables without allocating them. *)
+  let reserve session n =
+    let s = session.s in
+    let cap = Array.length s.level in
+    if n > cap then begin
+      check_num_vars n;
+      let vals = Bytes.make (2 * n) undef_byte in
+      Bytes.blit s.vals 0 vals 0 (Bytes.length s.vals);
+      s.vals <- vals;
+      s.level <- grow_array s.level n 0;
+      s.reason <- grow_array s.reason n reason_none;
+      s.trail <- grow_array s.trail n 0;
+      s.trail_lim <- grow_array s.trail_lim n 0;
+      s.var_activity <- grow_array s.var_activity n 0.0;
+      s.heap <- grow_array s.heap n 0;
+      s.heap_pos <- grow_array s.heap_pos n (-1);
+      s.polarity <- grow_array s.polarity n false;
+      s.seen <- grow_array s.seen n false;
+      s.assigned_at <- grow_array s.assigned_at n 0;
+      s.participated <- grow_array s.participated n 0;
+      s.watches <-
+        Array.init (2 * n) (fun i ->
+            if i < Array.length s.watches then s.watches.(i)
+            else wl_create ());
+      s.bin_watches <-
+        Array.init (2 * n) (fun i ->
+            if i < Array.length s.bin_watches then s.bin_watches.(i)
+            else vec_create 0)
+    end
 
   let ensure_capacity session n =
     let s = session.s in
     if n > s.nvars then begin
       check_num_vars n;
       let cap = Array.length s.level in
-      if n > cap then begin
-        let cap' = min max_vars (max n (2 * max 1 cap)) in
-        let vals = Bytes.make (2 * cap') undef_byte in
-        Bytes.blit s.vals 0 vals 0 (Bytes.length s.vals);
-        s.vals <- vals;
-        s.level <- grow_array s.level cap' 0;
-        s.reason <- grow_array s.reason cap' reason_none;
-        s.trail <- grow_array s.trail cap' 0;
-        s.trail_lim <- grow_array s.trail_lim cap' 0;
-        s.var_activity <- grow_array s.var_activity cap' 0.0;
-        s.heap <- grow_array s.heap cap' 0;
-        s.heap_pos <- grow_array s.heap_pos cap' (-1);
-        s.polarity <- grow_array s.polarity cap' false;
-        s.seen <- grow_array s.seen cap' false;
-        s.assigned_at <- grow_array s.assigned_at cap' 0;
-        s.participated <- grow_array s.participated cap' 0;
-        s.watches <-
-          Array.init (2 * cap') (fun i ->
-              if i < Array.length s.watches then s.watches.(i)
-              else wl_create ());
-        s.bin_watches <-
-          Array.init (2 * cap') (fun i ->
-              if i < Array.length s.bin_watches then s.bin_watches.(i)
-              else vec_create 0)
-      end;
+      if n > cap then
+        reserve session (min max_vars (max n (2 * max 1 cap)));
       s.nvars <- n
     end
 
-  let create () =
-    { s = create 0; broken = false; core = [||]; buf = Array.make 64 0 }
+  let create ?(capacity = 0) () =
+    let session =
+      { s = create 0; broken = false; core = [||]; buf = Array.make 64 0;
+        queued = 0 }
+    in
+    reserve session capacity;
+    session
 
   (* A fresh copy: the stored core is solver-internal state and must
      not be mutable by the caller (see the aliasing regression tests). *)
@@ -1706,7 +1718,7 @@ module Incremental = struct
         ("seed", Option.is_some c.seed);
         ("snapshot", Option.is_some c.snapshot) ]
 
-  let solve ?config ?(limits = no_limits) ?proof ?(assumptions = [||])
+  let check ?config ?(limits = no_limits) ?proof ?(assumptions = [||])
       session =
     let config =
       match config with
@@ -1761,29 +1773,48 @@ module Incremental = struct
          even when the breaking step predates this call.  A second seal
          of an already-sealed recorder is a no-op. *)
       log_add proof [||];
-      finish Unsat
+      finish `Unsat
     end
     else if propagate s <> None then begin
       session.broken <- true;
       log_add proof [||];
-      finish Unsat
+      finish `Unsat
     end
     else begin
-      for v = 0 to s.nvars - 1 do
+      (* Every older unassigned variable is already in the heap: the
+         [cancel_until 0] that ended the last call put back each one it
+         unassigned.  So only the variables added since are offered,
+         in the order a full pass over [0 .. nvars - 1] would offer
+         them. *)
+      for v = session.queued to s.nvars - 1 do
         if var_value s v = undef then heap_insert s v
       done;
+      session.queued <- s.nvars;
       match
         search s ~config ~limits ~proof ~assumption_lits ~t0
       with
-      | S_sat m -> finish (Sat m)
-      | S_unknown -> finish Unknown
+      | S_sat -> finish `Sat
+      | S_unknown -> finish `Unknown
       | S_unsat_final ->
         session.broken <- true;
-        finish Unsat
+        finish `Unsat
       | S_unsat_assumptions core ->
         session.core <- core;
-        finish Unsat
+        finish `Unsat
     end
+
+  (* Every enqueue saves its variable's phase, and [finish]'s
+     [cancel_until 0] leaves the phases alone: after a [`Sat] answer
+     they are the model. *)
+  let model_value session v = session.s.polarity.(v - 1)
+
+  let solve ?config ?limits ?proof ?assumptions session =
+    match check ?config ?limits ?proof ?assumptions session with
+    | `Sat, st ->
+      ( Sat (Array.init session.s.nvars (fun v -> model_value session (v + 1))),
+        st )
+    | `Unsat, st -> (Unsat, st)
+    | `Unknown, st -> (Unknown, st)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -247,8 +247,11 @@ val pp_stats : Format.formatter -> stats -> unit
 module Incremental : sig
   type session
 
-  val create : unit -> session
-  (** An empty session with no variables. *)
+  val create : ?capacity:int -> unit -> session
+  (** An empty session with no variables, with room for [capacity]
+      (default 0) before its per-variable tables grow.  A caller that
+      knows its final size reserves it here and saves the doubling
+      copies. *)
 
   val num_vars : session -> int
 
@@ -292,6 +295,23 @@ module Incremental : sig
       checkable refutation it was.
       @raise Invalid_argument naming every other [config] field that
       differs from {!default_config}. *)
+
+  val check :
+    ?config:config -> ?limits:limits -> ?proof:Proof.t ->
+    ?assumptions:int array -> session ->
+    [ `Sat | `Unsat | `Unknown ] * stats
+  (** {!solve} without building the model: the same search, the same
+      answer and stats, the same proof logging.  After [`Sat], read
+      the model with {!model_value}.  A call's setup costs the
+      variables added since the previous call, not the session's
+      size. *)
+
+  val model_value : session -> int -> bool
+  (** [model_value s v] after a [`Sat] answer of {!check}: the value
+      of DIMACS variable [v] in the model.  It reads the solver's
+      saved phase, which the search wrote when it assigned [v], so it
+      allocates nothing.  Valid until the next {!add_clause} or solve
+      on the session. *)
 
   val last_core : session -> int array
   (** After an [Unsat] answer under assumptions: a subset of the

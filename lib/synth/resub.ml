@@ -33,14 +33,6 @@ let get r id w = Bytes.get_int64_ne r.store (8 * ((id * r.stride) + w))
 let set r id w x = Bytes.set_int64_ne r.store (8 * ((id * r.stride) + w)) x
 let capacity r = Bytes.length r.store / (8 * r.stride)
 
-let reserve r id =
-  let cap = capacity r in
-  if id >= cap then begin
-    let s = Bytes.make (8 * r.stride * max (id + 1) (2 * cap)) '\000' in
-    Bytes.blit r.store 0 s 0 (Bytes.length r.store);
-    r.store <- s
-  end
-
 let widen r =
   if r.width = r.stride then begin
     let stride = 2 * r.stride in
@@ -117,16 +109,17 @@ let run_with_counts ?(config = default_config) g =
     Aig.Graph.compose g (fun g' new_pis ->
         let npis = Array.length new_pis in
         (* --- simulation rows for the new graph ---------------------- *)
+        (* Each AND of [g] makes at most one AND here, so [n_old] ids
+           cover the new graph and nothing below grows with it. *)
         let stride = max 1 config.words in
         let rows =
           {
-            store = Bytes.make (8 * stride * max 16 (2 * npis)) '\000';
+            store = Bytes.make (8 * stride * n_old) '\000';
             stride;
             width = config.words;
             nodes = npis + 1;
           }
         in
-        reserve rows npis;
         Array.iter
           (fun l ->
             let id = Aig.Graph.node_of_lit l in
@@ -135,26 +128,23 @@ let run_with_counts ?(config = default_config) g =
             done)
           new_pis;
         (* --- one shared incremental SAT session --------------------- *)
-        let session = Sat.Solver.Incremental.create () in
-        (* node id -> CNF variable (0 = not encoded). *)
-        let cnf_var = ref (Array.make (max 16 (2 * npis)) 0) in
-        let set_var id v =
-          if id >= Array.length !cnf_var then begin
-            let d =
-              Array.make (max (2 * Array.length !cnf_var) (id + 1)) 0
-            in
-            Array.blit !cnf_var 0 d 0 (Array.length !cnf_var);
-            cnf_var := d
-          end;
-          !cnf_var.(id) <- v
+        (* One variable per node, and one activation variable per
+           candidate tried: a quarter of the ANDs is room for most
+           sweeps. *)
+        let session =
+          Sat.Solver.Incremental.create
+            ~capacity:(n_old + ((n_old - npis) / 4))
+            ()
         in
+        (* node id -> CNF variable (0 = not encoded). *)
+        let cnf_var = Array.make n_old 0 in
         Array.iter
           (fun l ->
-            set_var (Aig.Graph.node_of_lit l)
-              (Sat.Solver.Incremental.new_var session))
+            cnf_var.(Aig.Graph.node_of_lit l) <-
+              Sat.Solver.Incremental.new_var session)
           new_pis;
         let dimacs_of l =
-          let v = !cnf_var.(Aig.Graph.node_of_lit l) in
+          let v = cnf_var.(Aig.Graph.node_of_lit l) in
           assert (v > 0);
           if Aig.Graph.is_compl l then -v else v
         in
@@ -162,7 +152,6 @@ let run_with_counts ?(config = default_config) g =
           let l = Aig.Graph.and_ g' a b in
           let id = Aig.Graph.node_of_lit l in
           if Aig.Graph.is_and g' id && id >= rows.nodes then begin
-            reserve rows id;
             let f0 = Aig.Graph.fanin0 g' id and f1 = Aig.Graph.fanin1 g' id in
             let n0 = Aig.Graph.node_of_lit f0
             and n1 = Aig.Graph.node_of_lit f1 in
@@ -177,7 +166,7 @@ let run_with_counts ?(config = default_config) g =
             rows.nodes <- id + 1;
             (* Encode the node once into the shared session. *)
             let o = Sat.Solver.Incremental.new_var session in
-            set_var id o;
+            cnf_var.(id) <- o;
             let da = dimacs_of f0 and db = dimacs_of f1 in
             Sat.Solver.Incremental.add_clause session [| -o; da |];
             Sat.Solver.Incremental.add_clause session [| -o; db |];
@@ -189,7 +178,7 @@ let run_with_counts ?(config = default_config) g =
         let reps = { slots = Array.make 1024 0; count = 0 } in
         (* Every node ever made a representative, oldest first. *)
         let rep_nodes = ref (Array.make 1024 0) and nreps = ref 0 in
-        let is_rep = ref (Bytes.make 1024 '\000') in
+        let is_rep = Bytes.make n_old '\000' in
         let add_rep id =
           add rows reps ~keep:false id;
           if !nreps = Array.length !rep_nodes then begin
@@ -199,13 +188,7 @@ let run_with_counts ?(config = default_config) g =
           end;
           !rep_nodes.(!nreps) <- id;
           incr nreps;
-          if id >= Bytes.length !is_rep then begin
-            let size = max (id + 1) (2 * Bytes.length !is_rep) in
-            let d = Bytes.make size '\000' in
-            Bytes.blit !is_rep 0 d 0 (Bytes.length !is_rep);
-            is_rep := d
-          end;
-          Bytes.set !is_rep id '\001'
+          Bytes.set is_rep id '\001'
         in
         let find_candidate id =
           match find_rep rows reps id with
@@ -218,24 +201,19 @@ let run_with_counts ?(config = default_config) g =
                  (complemented rows id <> complemented rows rep))
         in
         (* --- counterexample refinement ------------------------------ *)
-        let cex_buffer = ref [] in
+        (* Counterexamples are packed as they arrive, one bit per
+           counterexample in each PI's word: the [k]-th of a batch of
+           64 sets bit [63 - k], so the newest is bit 0. *)
+        let cex_words = Array.make npis 0L and ncex = ref 0 in
         let refine () =
-          let cexes = Array.of_list !cex_buffer in
-          cex_buffer := [];
-          let extra_of_pi i =
-            let w = ref 0L in
-            Array.iteri
-              (fun j assignment ->
-                if i < Array.length assignment && assignment.(i) then
-                  w := Int64.logor !w (Int64.shift_left 1L j))
-              cexes;
-            !w
-          in
+          ncex := 0;
           widen rows;
           let w = rows.width - 1 in
           set rows 0 w 0L;
           Array.iteri
-            (fun i l -> set rows (Aig.Graph.node_of_lit l) w (extra_of_pi i))
+            (fun i l ->
+              set rows (Aig.Graph.node_of_lit l) w cex_words.(i);
+              cex_words.(i) <- 0L)
             new_pis;
           Aig.Graph.iter_ands g' (fun id ->
               let v l =
@@ -268,21 +246,24 @@ let run_with_counts ?(config = default_config) g =
           in
           match
             fst
-              (Sat.Solver.Incremental.solve ~limits ~assumptions:[| x |]
+              (Sat.Solver.Incremental.check ~limits ~assumptions:[| x |]
                  session)
           with
-          | Sat.Solver.Unsat ->
+          | `Unsat ->
             (* Deactivate permanently so the clauses become vacuous. *)
             Sat.Solver.Incremental.add_clause session [| -x |];
             `Equal
-          | Sat.Solver.Unknown -> `Unknown
-          | Sat.Solver.Sat model ->
-            let assignment =
-              Array.init npis (fun i ->
-                  let v = !cnf_var.(Aig.Graph.node_of_lit new_pis.(i)) in
-                  v - 1 < Array.length model && model.(v - 1))
-            in
-            `Different assignment
+          | `Unknown -> `Unknown
+          | `Sat ->
+            let bit = Int64.shift_left 1L (63 - !ncex) in
+            Array.iteri
+              (fun i l ->
+                let v = cnf_var.(Aig.Graph.node_of_lit l) in
+                if Sat.Solver.Incremental.model_value session v then
+                  cex_words.(i) <- Int64.logor cex_words.(i) bit)
+              new_pis;
+            incr ncex;
+            `Different
         in
         (* --- main sweep ---------------------------------------------- *)
         let map = Array.make n_old Aig.Graph.const_false in
@@ -302,8 +283,7 @@ let run_with_counts ?(config = default_config) g =
             in
             let nid = Aig.Graph.node_of_lit nl in
             if not (Aig.Graph.is_and g' nid) then map.(id) <- nl
-            else if nid < Bytes.length !is_rep && Bytes.get !is_rep nid = '\001'
-            then map.(id) <- nl
+            else if Bytes.get is_rep nid = '\001' then map.(id) <- nl
             else begin
               match find_candidate nid with
               | None ->
@@ -317,10 +297,9 @@ let run_with_counts ?(config = default_config) g =
                    incr proven;
                    map.(id) <-
                      Aig.Graph.lit_not_cond cand_lit (Aig.Graph.is_compl nl)
-                 | `Different assignment ->
+                 | `Different ->
                    incr disproved;
-                   cex_buffer := assignment :: !cex_buffer;
-                   if List.length !cex_buffer >= 64 then refine ();
+                   if !ncex = 64 then refine ();
                    add_rep nid;
                    map.(id) <- nl
                  | `Unknown ->
