@@ -282,7 +282,10 @@ type t = {
   mutable var_activity : float array;
   mutable var_inc : float;
   mutable heap : int array;       (* binary max-heap of variables *)
-  mutable heap_pos : int array;   (* position in heap, -1 if absent *)
+  mutable heap_pos : int array;
+      (* position in the heap; -1 absent, -2 absent and never to be
+         inserted (not a decision variable, see
+         [Incremental.set_decision]) *)
   mutable heap_size : int;
   mutable polarity : bool array;  (* saved phases *)
   (* Learnt-clause index: crefs of long learnt clauses (learnt binaries
@@ -450,7 +453,7 @@ let rec heap_sift_down s i =
   end
 
 let heap_insert s v =
-  if s.heap_pos.(v) < 0 then begin
+  if s.heap_pos.(v) = -1 then begin
     s.heap.(s.heap_size) <- v;
     s.heap_pos.(v) <- s.heap_size;
     s.heap_size <- s.heap_size + 1;
@@ -467,6 +470,18 @@ let heap_pop s =
     heap_sift_down s 0
   end;
   v
+
+let heap_remove s v =
+  let i = s.heap_pos.(v) in
+  s.heap_size <- s.heap_size - 1;
+  s.heap_pos.(v) <- -1;
+  if i < s.heap_size then begin
+    let last = s.heap.(s.heap_size) in
+    s.heap.(i) <- last;
+    s.heap_pos.(last) <- i;
+    heap_sift_up s i;
+    heap_sift_down s s.heap_pos.(last)
+  end
 
 let bump_var s v =
   s.var_activity.(v) <- s.var_activity.(v) +. s.var_inc;
@@ -1807,6 +1822,23 @@ module Incremental = struct
      [cancel_until 0] leaves the phases alone: after a [`Sat] answer
      they are the model. *)
   let model_value session v = session.s.polarity.(v - 1)
+
+  (* A decision variable has [heap_pos] -1 or a heap position; any
+     other has -2, which [heap_insert] refuses.  The batch solver never
+     sets -2, so its [cancel_until] pays nothing for the flag. *)
+  let set_decision session v b =
+    ensure_capacity session v;
+    let s = session.s in
+    let v = v - 1 in
+    match (b, s.heap_pos.(v)) with
+    | true, -2 ->
+      s.heap_pos.(v) <- -1;
+      if v < session.queued && var_value s v = undef then heap_insert s v
+    | false, p when p >= 0 ->
+      heap_remove s v;
+      s.heap_pos.(v) <- -2
+    | false, _ -> s.heap_pos.(v) <- -2
+    | true, _ -> ()
 
   let solve ?config ?limits ?proof ?assumptions session =
     match check ?config ?limits ?proof ?assumptions session with

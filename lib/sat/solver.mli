@@ -311,7 +311,33 @@ module Incremental : sig
       of DIMACS variable [v] in the model.  It reads the solver's
       saved phase, which the search wrote when it assigned [v], so it
       allocates nothing.  Valid until the next {!add_clause} or solve
-      on the session. *)
+      on the session, and, when some variables are not decision
+      variables, only for the variables the search assigned (see
+      {!set_decision}). *)
+
+  val set_decision : session -> int -> bool -> unit
+  (** [set_decision s v b] (MiniSat's [setDecisionVar]): whether the
+      search may branch on DIMACS variable [v].  Every variable is a
+      decision variable until it is switched off; call between
+      solves.  Switching a variable costs O(log n) and a solve's setup
+      costs nothing per non-decision variable, so a caller can bound a
+      query by its cone: switch the cone's variables on, solve, and
+      switch them off again.
+
+      With non-decision variables, [`Sat] means less: unit
+      propagation reached a conflict-free fixpoint in which every
+      decision variable and every assumption is assigned, and the
+      other variables may be unassigned.  That is a model of the whole
+      clause set only when the caller knows that any such assignment
+      extends to one.  It does for a Tseitin encoding of a circuit
+      whose decision variables are closed under fan-in: the unassigned
+      gates take the values their inputs give them, and a variable
+      that occurs in the clauses with one sign only (an activation
+      literal) takes the value that satisfies them.  {!model_value}
+      is then exact on the decision variables and the variables
+      propagation assigned, and returns a stale phase for the rest;
+      {!solve}'s model carries those stale phases too.  [`Unsat] and
+      [`Unknown] mean what they always mean. *)
 
   val last_core : session -> int array
   (** After an [Unsat] answer under assumptions: a subset of the

@@ -136,12 +136,18 @@ let run_with_counts ?(config = default_config) g =
             ~capacity:(n_old + ((n_old - npis) / 4))
             ()
         in
+        (* Each query branches only on its own cone (see
+           [prove_equal]), so every variable starts as a non-decision
+           one. *)
+        let new_var () =
+          let v = Sat.Solver.Incremental.new_var session in
+          Sat.Solver.Incremental.set_decision session v false;
+          v
+        in
         (* node id -> CNF variable (0 = not encoded). *)
         let cnf_var = Array.make n_old 0 in
         Array.iter
-          (fun l ->
-            cnf_var.(Aig.Graph.node_of_lit l) <-
-              Sat.Solver.Incremental.new_var session)
+          (fun l -> cnf_var.(Aig.Graph.node_of_lit l) <- new_var ())
           new_pis;
         let dimacs_of l =
           let v = cnf_var.(Aig.Graph.node_of_lit l) in
@@ -165,7 +171,7 @@ let run_with_counts ?(config = default_config) g =
             done;
             rows.nodes <- id + 1;
             (* Encode the node once into the shared session. *)
-            let o = Sat.Solver.Incremental.new_var session in
+            let o = new_var () in
             cnf_var.(id) <- o;
             let da = dimacs_of f0 and db = dimacs_of f1 in
             Sat.Solver.Incremental.add_clause session [| -o; da |];
@@ -231,11 +237,58 @@ let run_with_counts ?(config = default_config) g =
             add rows reps ~keep:true !rep_nodes.(i)
           done
         in
+        (* --- the cone of a query ------------------------------------ *)
+        (* [in_cone.(id) = !stamp] marks the nodes of the current
+           query's transitive fan-in; [cone] lists their variables. *)
+        let in_cone = Array.make n_old 0 and stamp = ref 0 in
+        let cone = Array.make n_old 0 and cone_size = ref 0 in
+        let stack = Array.make n_old 0 in
+        let mark_cone roots =
+          incr stamp;
+          cone_size := 0;
+          let top = ref 0 in
+          let push id =
+            if in_cone.(id) <> !stamp then begin
+              in_cone.(id) <- !stamp;
+              cone.(!cone_size) <- cnf_var.(id);
+              incr cone_size;
+              stack.(!top) <- id;
+              incr top
+            end
+          in
+          List.iter push roots;
+          while !top > 0 do
+            decr top;
+            let id = stack.(!top) in
+            if Aig.Graph.is_and g' id then begin
+              push (Aig.Graph.node_of_lit (Aig.Graph.fanin0 g' id));
+              push (Aig.Graph.node_of_lit (Aig.Graph.fanin1 g' id))
+            end
+          done
+        in
+        (* In reverse discovery order: the nodes found last, nearest
+           the inputs, enter the heap first. *)
+        let set_cone_decision b =
+          for i = !cone_size - 1 downto 0 do
+            Sat.Solver.Incremental.set_decision session cone.(i) b
+          done
+        in
         (* --- SAT equivalence proof via an assumption query ----------- *)
+        (* The query branches only on the variables of the two nodes'
+           fan-in cones.  With Tseitin definitions, a conflict-free
+           assignment of a cone extends to the whole graph, and the
+           earlier activation variables, which occur only negatively,
+           extend by false; so a [`Sat] answer is a real counterexample
+           on the cone's PIs, whatever the other PIs are.  Propagation
+           never assigns a PI outside the cone (either value extends),
+           so its saved phase, which {!Sat.Solver.Incremental.
+           model_value} reads, is still its value in the last
+           counterexample that assigned it: the counterexample carries
+           those values forward. *)
         let prove_equal la lb =
           let da = dimacs_of la and db = dimacs_of lb in
           (* Activation variable: x -> (la <> lb). *)
-          let x = Sat.Solver.Incremental.new_var session in
+          let x = new_var () in
           Sat.Solver.Incremental.add_clause session [| -x; da; db |];
           Sat.Solver.Incremental.add_clause session [| -x; -da; -db |];
           let limits =
@@ -244,11 +297,15 @@ let run_with_counts ?(config = default_config) g =
               Sat.Solver.max_conflicts = Some config.conflict_limit;
             }
           in
-          match
+          mark_cone [ Aig.Graph.node_of_lit la; Aig.Graph.node_of_lit lb ];
+          set_cone_decision true;
+          let answer =
             fst
               (Sat.Solver.Incremental.check ~limits ~assumptions:[| x |]
                  session)
-          with
+          in
+          set_cone_decision false;
+          match answer with
           | `Unsat ->
             (* Deactivate permanently so the clauses become vacuous. *)
             Sat.Solver.Incremental.add_clause session [| -x |];
