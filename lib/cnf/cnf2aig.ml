@@ -182,14 +182,21 @@ let run ?(advanced = false) f =
     (fun _v cand -> List.iter (fun i -> absorbed.(i) <- true) cand.absorbed)
     chosen;
   let defined v = Hashtbl.mem chosen v in
+  (* Sized by the largest variable that occurs, not by the header,
+     which may declare a billion variables over one clause. *)
+  let num_vars =
+    Array.fold_left
+      (Array.fold_left (fun m l -> max m (abs l)))
+      0 clauses
+  in
   let pi_vars =
-    List.init f.Formula.num_vars (fun i -> i + 1)
+    List.init num_vars (fun i -> i + 1)
     |> List.filter (fun v -> not (defined v))
     |> Array.of_list
   in
   let g = Aig.Graph.create ~num_pis:(Array.length pi_vars) in
-  let var_lit = Array.make (f.Formula.num_vars + 1) Aig.Graph.const_false in
-  let built = Array.make (f.Formula.num_vars + 1) false in
+  let var_lit = Array.make (num_vars + 1) Aig.Graph.const_false in
+  let built = Array.make (num_vars + 1) false in
   Array.iteri
     (fun i v ->
       var_lit.(v) <- Aig.Graph.pi g i;

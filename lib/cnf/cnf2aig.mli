@@ -13,6 +13,10 @@
     variable renumbering.
 
     Variables without an accepted definition become primary inputs.
+    Only variables up to the largest one that occurs in a clause are
+    recovered: the header's count sizes nothing, and a declared
+    variable past the last one used is left out (it is unconstrained,
+    so any value of it extends a model).
     Among the clauses no definition absorbed, XOR constraints —
     complete parity clause sets of width 2–6 with no output, found by
     the solver's detector ({!Gauss}) — each become a balanced XOR tree,
@@ -30,10 +34,11 @@ type result = {
   graph : Aig.Graph.t;
   pi_vars : int array;        (** original variable of each PI *)
   var_lit : Aig.Graph.lit array;
-      (** the literal computing each original variable (index 0
-          unused): its PI, or its recovered gate's output.  Simulating
-          the graph under a model's PI values and reading these lifts
-          the model to the original formula. *)
+      (** the literal computing each original variable up to the
+          largest that occurs (index 0 unused): its PI, or its
+          recovered gate's output.  Simulating the graph under a
+          model's PI values and reading these lifts the model to the
+          original formula. *)
   gates_recovered : int;
   xors_recovered : int;       (** XOR constraints turned into outputs *)
   clauses_absorbed : int;     (** clauses held by a gate or an XOR *)

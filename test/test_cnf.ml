@@ -327,7 +327,9 @@ let parity_clauses = Test_sat.xor_clauses
    [f] holds exactly when every output of [Aig.Sim.eval] on its PI
    values is 1 and each variable equals its [var_lit] in the simulated
    graph (a gate variable off its definition violates the definition's
-   clauses).  Also equisatisfiability against [brute_force]. *)
+   clauses).  A variable past the largest one that occurs has no
+   [var_lit]: it is unconstrained.  Also equisatisfiability against
+   [brute_force]. *)
 let cnf2aig_agrees (r : Cnf.Cnf2aig.result) f =
   let n = f.Cnf.Formula.num_vars in
   let total = 1 lsl n in
@@ -351,7 +353,8 @@ let cnf2aig_agrees (r : Cnf.Cnf2aig.result) f =
   in
   let sigs = Aig.Sim.run r.Cnf.Cnf2aig.graph ~inputs in
   let rows =
-    Array.init n (fun v -> Aig.Sim.lit_row sigs r.Cnf.Cnf2aig.var_lit.(v + 1))
+    Array.init (Array.length r.Cnf.Cnf2aig.var_lit - 1) (fun v ->
+        Aig.Sim.lit_row sigs r.Cnf.Cnf2aig.var_lit.(v + 1))
   in
   let agree = ref true and circuit_sat = ref false in
   for m = 0 to total - 1 do
@@ -991,17 +994,21 @@ let test_flat_header_count_not_trusted () =
   (* A header may claim a million clauses over a few bytes; the parser
      must not size its clause index from the claim. *)
   let s = "p cnf 3 1000000\n1 -2 0\n" in
-  (* The smallest of three measured parses: anything else this domain
-     allocates in one window (the runtime, a previous test's leftovers)
-     must not be charged to the parser.  Only the parse is measured. *)
+  (* Each parse runs alone on a fresh domain.  The allocation counters
+     are per domain, and a fresh one has no finalisers or leftovers of
+     earlier tests to run inside the window, so the count is the
+     parser's own (about 250 bytes); the header's claim would cost
+     8 MB. *)
   let parse () =
-    let before = Gc.allocated_bytes () in
-    let r =
-      match Cnf.Dimacs.read_flat_string s with
-      | _ -> None
-      | exception Cnf.Dimacs.Parse_error m -> Some m
-    in
-    (Gc.allocated_bytes () -. before, r)
+    Domain.join
+      (Domain.spawn (fun () ->
+           let before = Gc.allocated_bytes () in
+           let r =
+             match Cnf.Dimacs.read_flat_string s with
+             | _ -> None
+             | exception Cnf.Dimacs.Parse_error m -> Some m
+           in
+           (Gc.allocated_bytes () -. before, r)))
   in
   let runs = List.init 3 (fun _ -> parse ()) in
   List.iter
@@ -1012,9 +1019,10 @@ let test_flat_header_count_not_trusted () =
         Alcotest.(check string)
           "error" "clause count mismatch: header 1000000, found 1" m)
     runs;
-  check_bool "allocates by the input, not the header" true
-    (List.fold_left (fun acc (d, _) -> Float.min acc d) infinity runs
-     < 65536.)
+  List.iter
+    (fun (d, _) ->
+      check_bool "allocates by the input, not the header" true (d < 16384.))
+    runs
 
 let suite =
   suite
