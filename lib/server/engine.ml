@@ -721,17 +721,20 @@ let sessions_live t =
   n
 
 (* The table sizes and the counters paired with them are read in one
-   [gm] section: the ledger identities hold in every snapshot. *)
+   [gm] section: the ledger identities hold in every snapshot.  Only
+   the copy is made there; the timing windows are sorted after both
+   locks are released, so a STATS loop does not hold up the workers. *)
 let stats t =
-  Mutex.protect t.gm (fun () ->
-      Metrics.snapshot t.metrics
-        ~sampled:
-          [
-            (Queue_depth, Job_queue.length t.queue);
-            (Inflight, Fp_tbl.length t.inflight);
-            (Cache_entries, Cache.length t.cache);
-            (Sessions_live, Hashtbl.length t.sessions);
-          ])
+  Metrics.of_reading
+    (Mutex.protect t.gm (fun () ->
+         Metrics.read t.metrics
+           ~sampled:
+             [
+               (Queue_depth, Job_queue.length t.queue);
+               (Inflight, Fp_tbl.length t.inflight);
+               (Cache_entries, Cache.length t.cache);
+               (Sessions_live, Hashtbl.length t.sessions);
+             ]))
 
 let stats_json t = Metrics.to_json (stats t)
 let metrics t = t.metrics

@@ -199,34 +199,58 @@ let percentile sorted q =
     let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) idx))
 
-let snapshot t ~sampled =
+(* What [snapshot] computes from, copied under the lock: the counters,
+   the sampled values, each window's observations in arrival order, its
+   count and max, and the client counters. *)
+type reading = {
+  r_counts : int array;
+  r_sampled : (counter * int) list;
+  r_windows : (timing * (float array * int * float)) list;
+  r_clients : (string * int array) list;
+}
+
+let read t ~sampled =
   locked t (fun () ->
-      let window timing = List.assoc timing t.windows in
-      let sorted =
-        List.map
-          (fun (timing, w) ->
-            let a = Array.sub w.ring 0 w.len in
-            Array.sort compare a;
-            (timing, a))
-          t.windows
-      in
-      let count k = t.counts.(slot k) in
-      let value = function
-        | Counted k -> Int (count k)
-        | Sum (_, legs) -> Int (List.fold_left (fun a k -> a + count k) 0 legs)
-        | Sampled k -> Int (Option.value (List.assoc_opt k sampled) ~default:0)
-        | Observed (_, timing) -> Int (window timing).count
-        | Rank (timing, q) ->
-          Ms (1000.0 *. percentile (List.assoc timing sorted) q)
-        | Max timing -> Ms (1000.0 *. (window timing).max)
-      in
       {
-        values = Array.map (fun (_, src) -> value src) fields;
-        client_counts =
+        r_counts = Array.copy t.counts;
+        r_sampled = sampled;
+        r_windows =
+          List.map
+            (fun (timing, w) -> (timing, (Array.sub w.ring 0 w.len, w.count, w.max)))
+            t.windows;
+        r_clients =
           Hashtbl.fold (fun name c acc -> (name, Array.copy c) :: acc)
-            t.clients []
-          |> List.sort (fun (a, _) (b, _) -> compare a b);
+            t.clients [];
       })
+
+let of_reading r =
+  let sorted =
+    List.map
+      (fun (timing, (a, _, _)) ->
+        Array.sort Float.compare a;
+        (timing, a))
+      r.r_windows
+  in
+  let window timing = List.assoc timing r.r_windows in
+  let count k = r.r_counts.(slot k) in
+  let value = function
+    | Counted k -> Int (count k)
+    | Sum (_, legs) -> Int (List.fold_left (fun a k -> a + count k) 0 legs)
+    | Sampled k -> Int (Option.value (List.assoc_opt k r.r_sampled) ~default:0)
+    | Observed (_, timing) ->
+      let _, n, _ = window timing in
+      Int n
+    | Rank (timing, q) -> Ms (1000.0 *. percentile (List.assoc timing sorted) q)
+    | Max timing ->
+      let _, _, m = window timing in
+      Ms (1000.0 *. m)
+  in
+  {
+    values = Array.map (fun (_, src) -> value src) fields;
+    client_counts = List.sort (fun (a, _) (b, _) -> compare a b) r.r_clients;
+  }
+
+let snapshot t ~sampled = of_reading (read t ~sampled)
 
 let get s k =
   match s.values.(slot k) with Int n -> n | Ms _ -> assert false

@@ -104,12 +104,25 @@ val count_client : t -> client:string -> client_leg -> unit
 
 (** {2 Reading} *)
 
+type reading
 type snapshot
 
 val snapshot : t -> sampled:(counter * int) list -> snapshot
-(** A consistent reading of every value.  [sampled] supplies the
-    values the accumulator cannot see ([Sessions_live], [Queue_depth],
-    [Inflight], [Cache_entries]); a missing one reads 0. *)
+(** A consistent reading of every value: [of_reading (read t
+    ~sampled)]. *)
+
+val read : t -> sampled:(counter * int) list -> reading
+(** A consistent copy of everything a snapshot is computed from: the
+    counters and the timing windows, copied under the accumulator's
+    lock without sorting.  [sampled] supplies the values the
+    accumulator cannot see ([Sessions_live], [Queue_depth],
+    [Inflight], [Cache_entries]); a missing one reads 0.  A caller
+    that pairs the counters with state of its own holds its own lock
+    across [read] only: the engine's STATS does. *)
+
+val of_reading : reading -> snapshot
+(** Every value of a reading.  Sorts the copied windows for the
+    percentiles, so it takes no lock. *)
 
 val get : snapshot -> counter -> int
 
