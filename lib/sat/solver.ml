@@ -1611,7 +1611,8 @@ module Incremental = struct
     mutable buf : int array;  (* [add_slice]'s scratch *)
     mutable queued : int;
         (* variables [0 .. queued - 1] have been offered to the decision
-           heap: each one is in it, or assigned at level 0 *)
+           heap: each one is in it, assigned at level 0, or not a
+           decision variable *)
   }
 
   (* Make room for [n] variables without allocating them. *)
@@ -1796,11 +1797,11 @@ module Incremental = struct
       finish `Unsat
     end
     else begin
-      (* Every older unassigned variable is already in the heap: the
-         [cancel_until 0] that ended the last call put back each one it
-         unassigned.  So only the variables added since are offered,
-         in the order a full pass over [0 .. nvars - 1] would offer
-         them. *)
+      (* Every older unassigned decision variable is already in the
+         heap: the [cancel_until 0] that ended the last call put back
+         each one it unassigned.  So only the variables added since
+         are offered, in the order a full pass over [0 .. nvars - 1]
+         would offer them. *)
       for v = session.queued to s.nvars - 1 do
         if var_value s v = undef then heap_insert s v
       done;
@@ -1830,15 +1831,15 @@ module Incremental = struct
     ensure_capacity session v;
     let s = session.s in
     let v = v - 1 in
-    match (b, s.heap_pos.(v)) with
-    | true, -2 ->
-      s.heap_pos.(v) <- -1;
-      if v < session.queued && var_value s v = undef then heap_insert s v
-    | false, p when p >= 0 ->
-      heap_remove s v;
+    if not b then begin
+      if s.heap_pos.(v) >= 0 then heap_remove s v;
       s.heap_pos.(v) <- -2
-    | false, _ -> s.heap_pos.(v) <- -2
-    | true, _ -> ()
+    end
+    else if s.heap_pos.(v) = -2 then begin
+      s.heap_pos.(v) <- -1;
+      (* A variable past [queued] is offered by the next solve. *)
+      if v < session.queued && var_value s v = undef then heap_insert s v
+    end
 
   let solve ?config ?limits ?proof ?assumptions session =
     match check ?config ?limits ?proof ?assumptions session with

@@ -4,10 +4,12 @@
     complement) to an already-built node with that existing "divisor" —
     0-resubstitution over the whole input space.  Candidates are found
     by random-simulation signatures and proven by an assumption query
-    on one incremental CDCL session shared by the whole sweep (no cone
-    size limit); disproved candidates contribute counterexample
-    patterns that refine the signatures.  This is the FRAIG construction
-    of Mishchenko et al., and the workhorse that collapses equivalence-
+    on one incremental CDCL session shared by the whole sweep; each
+    query branches only on the variables of the two nodes' transitive
+    fan-in cone, so it costs what its cone costs, not what the session
+    holds.  Disproved candidates contribute counterexample patterns
+    that refine the signatures.  This is the FRAIG construction of
+    Mishchenko et al., and the workhorse that collapses equivalence-
     checking miters. *)
 
 type config = {
