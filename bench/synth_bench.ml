@@ -111,7 +111,8 @@ let run () =
     List.map
       (fun inst ->
         let r = measure inst in
-        Printf.printf "  %-10s ands %6d ->%s  resub %d/%d/%d %.3fs %.0f major words\n%!"
+        Printf.printf
+          "  %-10s ands %6d ->%s  resub %d/%d/%d %.3fs %.0f major words\n%!"
           r.label r.ands_in
           (String.concat ""
              (List.map

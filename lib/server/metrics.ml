@@ -199,13 +199,13 @@ let percentile sorted q =
     let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) idx))
 
-(* What [snapshot] computes from, copied under the lock: the counters,
-   the sampled values, each window's observations in arrival order, its
-   count and max, and the client counters. *)
+(* What a snapshot is computed from, copied under the lock: the
+   counters, the sampled values, a copy of each window holding just
+   its observations, and the client counters. *)
 type reading = {
   r_counts : int array;
   r_sampled : (counter * int) list;
-  r_windows : (timing * (float array * int * float)) list;
+  r_windows : (timing * window) list;
   r_clients : (string * int array) list;
 }
 
@@ -216,7 +216,8 @@ let read t ~sampled =
         r_sampled = sampled;
         r_windows =
           List.map
-            (fun (timing, w) -> (timing, (Array.sub w.ring 0 w.len, w.count, w.max)))
+            (fun (timing, w) ->
+              (timing, { w with ring = Array.sub w.ring 0 w.len }))
             t.windows;
         r_clients =
           Hashtbl.fold (fun name c acc -> (name, Array.copy c) :: acc)
@@ -224,26 +225,16 @@ let read t ~sampled =
       })
 
 let of_reading r =
-  let sorted =
-    List.map
-      (fun (timing, (a, _, _)) ->
-        Array.sort Float.compare a;
-        (timing, a))
-      r.r_windows
-  in
   let window timing = List.assoc timing r.r_windows in
+  List.iter (fun (_, w) -> Array.sort Float.compare w.ring) r.r_windows;
   let count k = r.r_counts.(slot k) in
   let value = function
     | Counted k -> Int (count k)
     | Sum (_, legs) -> Int (List.fold_left (fun a k -> a + count k) 0 legs)
     | Sampled k -> Int (Option.value (List.assoc_opt k r.r_sampled) ~default:0)
-    | Observed (_, timing) ->
-      let _, n, _ = window timing in
-      Int n
-    | Rank (timing, q) -> Ms (1000.0 *. percentile (List.assoc timing sorted) q)
-    | Max timing ->
-      let _, _, m = window timing in
-      Ms (1000.0 *. m)
+    | Observed (_, timing) -> Int (window timing).count
+    | Rank (timing, q) -> Ms (1000.0 *. percentile (window timing).ring q)
+    | Max timing -> Ms (1000.0 *. (window timing).max)
   in
   {
     values = Array.map (fun (_, src) -> value src) fields;

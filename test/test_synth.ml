@@ -531,7 +531,8 @@ let test_cone_bounded_counterexamples () =
       pis;
     let lit l = value.(Aig.Graph.node_of_lit l) <> Aig.Graph.is_compl l in
     Aig.Graph.iter_ands m (fun id ->
-        value.(id) <- lit (Aig.Graph.fanin0 m id) && lit (Aig.Graph.fanin1 m id));
+        value.(id) <-
+          lit (Aig.Graph.fanin0 m id) && lit (Aig.Graph.fanin1 m id));
     value
   in
   let cone a b =
