@@ -589,6 +589,15 @@ let serve_cmd =
 
 (* --- preprocess ------------------------------------------------------ *)
 
+(* The lines 'preprocess' and 'map' both print: the recipe run and the
+   AND counts before and after it. *)
+let print_recipe ops before after =
+  Printf.printf "recipe: %s\n" (Synth.Recipe.to_string ops);
+  match (before, after) with
+  | Some b, Some a ->
+    Printf.printf "ands: %d -> %d\n" b.Aig.Stats.area a.Aig.Stats.area
+  | _ -> ()
+
 let preprocess_cmd =
   let run verbose input output mapper recipe agent_file =
     setup_logs verbose;
@@ -599,9 +608,10 @@ let preprocess_cmd =
     in
     Cnf.Dimacs.write_file f output;
     Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
-    Printf.printf "recipe: %s\nwrote %s (%d vars, %d clauses)\n"
-      (Synth.Recipe.to_string report.Eda4sat.Pipeline.recipe_used)
-      output f.Cnf.Formula.num_vars
+    print_recipe report.Eda4sat.Pipeline.recipe_used
+      report.Eda4sat.Pipeline.aig_before report.Eda4sat.Pipeline.aig_after;
+    Printf.printf "wrote %s (%d vars, %d clauses)\n" output
+      f.Cnf.Formula.num_vars
       (Cnf.Formula.num_clauses f)
   in
   let output_arg =
@@ -771,16 +781,18 @@ let map_cmd =
     let inst = read_instance input in
     let agent = load_agent agent_file in
     let cfg = pipeline_config ~agent ~mapper ~recipe in
-    let g0 = Eda4sat.Instance.to_aig inst in
-    let g =
-      match cfg.Eda4sat.Pipeline.recipe with
-      | Eda4sat.Pipeline.Fixed ops -> Synth.Recipe.apply_sequence ops g0
-      | _ -> Synth.Recipe.apply_sequence Synth.Recipe.compress2 g0
+    let g0 =
+      Eda4sat.Instance.to_aig ~advanced:cfg.Eda4sat.Pipeline.advanced_recovery
+        inst
     in
+    let g, ops, _, _ = Eda4sat.Pipeline.synthesize cfg g0 in
     let nl = Lutmap.Mapper.run ~config:cfg.Eda4sat.Pipeline.mapper g in
     Lutmap.Blif.write_file nl output;
     Format.printf "mapped: %a -> %a; wrote %s@." Aig.Graph.pp_stats g0
-      Lutmap.Netlist.pp_stats nl output
+      Lutmap.Netlist.pp_stats nl output;
+    print_recipe ops
+      (Some (Aig.Stats.snapshot g0))
+      (Some (Aig.Stats.snapshot g))
   in
   let output_arg =
     Arg.(

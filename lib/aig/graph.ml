@@ -234,46 +234,50 @@ let copy g =
     strash = Array.copy g.strash;
   }
 
-let compose g f =
-  let g' = create ~num_pis:g.npis in
-  let new_pis = Array.init g.npis (fun i -> pi g' i) in
-  let new_pos = f g' new_pis in
-  Array.iter (add_po g') new_pos;
-  g'
-
-let cleanup g =
-  let reachable = Array.make g.n false in
-  reachable.(0) <- true;
-  (* Explicit stack: constraint chains from CNF recovery can be tens of
-     thousands of levels deep. *)
+(* Explicit stack: constraint chains from CNF recovery can be tens of
+   thousands of levels deep.  A node is marked when pushed, so the stack
+   holds each node at most once. *)
+let reachable g =
+  let seen = Array.make g.n false in
   let stack = ref [] in
-  let visit id = stack := id :: !stack;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | id :: rest ->
-        stack := rest;
-        if not reachable.(id) then begin
-          reachable.(id) <- true;
-          if is_and g id then
-            stack :=
-              node_of_lit g.fan0.(id) :: node_of_lit g.fan1.(id) :: !stack
-        end
-    done
+  let push id =
+    if not seen.(id) then begin
+      seen.(id) <- true;
+      stack := id :: !stack
+    end
   in
   for i = 0 to g.nouts - 1 do
-    visit (node_of_lit g.outs.(i))
+    push (node_of_lit g.outs.(i))
   done;
-  compose g (fun g' new_pis ->
-      let map = Array.make g.n const_false in
-      for i = 0 to g.npis - 1 do
-        map.(i + 1) <- new_pis.(i)
-      done;
-      let map_lit l = lit_not_cond map.(node_of_lit l) (is_compl l) in
-      iter_ands g (fun id ->
-          if reachable.(id) then
-            map.(id) <- and_ g' (map_lit g.fan0.(id)) (map_lit g.fan1.(id)));
-      Array.map map_lit (pos g))
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | id :: rest ->
+      stack := rest;
+      if is_and g id then begin
+        push (node_of_lit g.fan0.(id));
+        push (node_of_lit g.fan1.(id))
+      end;
+      drain ()
+  in
+  drain ();
+  seen
+
+let cleanup g =
+  let keep = reachable g in
+  let g' = create ~num_pis:g.npis in
+  let map = Array.make g.n const_false in
+  for i = 1 to g.npis do
+    map.(i) <- pi g' (i - 1)
+  done;
+  let map_lit l = lit_not_cond map.(node_of_lit l) (is_compl l) in
+  iter_ands g (fun id ->
+      if keep.(id) then
+        map.(id) <- and_ g' (map_lit g.fan0.(id)) (map_lit g.fan1.(id)));
+  for i = 0 to g.nouts - 1 do
+    add_po g' (map_lit g.outs.(i))
+  done;
+  g'
 
 let equal_structure a b =
   a.npis = b.npis && a.n = b.n && a.nouts = b.nouts

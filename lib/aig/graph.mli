@@ -122,15 +122,14 @@ val rollback : t -> mark -> unit
 
 val copy : t -> t
 
+val reachable : t -> bool array
+(** [(reachable g).(id)] holds iff node [id] is in the transitive fan-in
+    of some output (an output's own node included).  The walk keeps an
+    explicit stack, so arbitrarily deep graphs are fine. *)
+
 val cleanup : t -> t
 (** Rebuild the AIG keeping only nodes reachable from the outputs (a
     "sweep"); PIs are preserved, node ids are renumbered compactly. *)
-
-val compose :
-  t -> (t -> lit array -> lit array) -> t
-(** [compose g f] rebuilds [g] through a fresh builder: [f] receives the
-    new builder and the new PI literals and must return the new PO
-    literals.  Used by synthesis passes. *)
 
 val equal_structure : t -> t -> bool
 (** Structural identity (same nodes, fanins and outputs) — not

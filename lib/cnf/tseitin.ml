@@ -8,31 +8,7 @@ let encode ?(assert_outputs = true) ?(plaisted_greenbaum = false) g =
   let n = Aig.Graph.num_nodes g in
   let npis = Aig.Graph.num_pis g in
   (* Only encode nodes in the transitive fanin of an output. *)
-  let reachable = Array.make n false in
-  (* Explicit stack: recovered constraint chains can be very deep. *)
-  let stack = ref [] in
-  let visit id = stack := id :: !stack;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | id :: rest ->
-        stack := rest;
-        if not reachable.(id) then begin
-          reachable.(id) <- true;
-          if Aig.Graph.is_and g id then begin
-            stack :=
-              Aig.Graph.node_of_lit (Aig.Graph.fanin0 g id)
-              :: Aig.Graph.node_of_lit (Aig.Graph.fanin1 g id)
-              :: !stack
-          end
-        end
-    done
-  in
-  Array.iter
-    (fun l ->
-      let id = Aig.Graph.node_of_lit l in
-      if id <> 0 then visit id)
-    (Aig.Graph.pos g);
+  let reachable = Aig.Graph.reachable g in
   let node_var = Array.make n 0 in
   (* PIs always get variables 1..npis, reachable or not, so models map
      back to input assignments uniformly. *)

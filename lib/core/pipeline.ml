@@ -42,36 +42,30 @@ let timed f =
   let x = f () in
   (x, Sat.Wall.now () -. t0)
 
-exception Interrupted
+let rec until_end = function
+  | [] | Synth.Recipe.End :: _ -> []
+  | op :: rest -> op :: until_end rest
 
-(* Apply a recipe one operation at a time, polling the cancellation
-   hook between operations so a portfolio lane that already lost the
-   race can abandon an expensive synthesis run. *)
-let apply_ops ~should_stop ops g0 =
-  List.fold_left
-    (fun g op ->
-      if should_stop () then raise Interrupted;
-      Synth.Recipe.apply op g)
-    g0 ops
-
-(* Select the synthesis recipe, charging Q-network/embedding time to
-   t_agent and synthesis time to t_trans. *)
-let run_recipe ~should_stop config g0 =
+(* Charges Q-network/embedding time to t_agent and synthesis time to
+   t_synth.  The operators poll the domain's stop scope on every node;
+   the agent loop polls it once per step as well, since a step's
+   inference runs no operator. *)
+let synthesize config g0 =
+  let fixed ops =
+    let ops = until_end ops in
+    let g, t_synth = timed (fun () -> Synth.Recipe.apply_sequence ops g0) in
+    (g, ops, 0.0, t_synth)
+  in
   match config.recipe with
   | No_preprocessing -> (g0, [], 0.0, 0.0)
-  | Fixed ops ->
-    let g, t_synth = timed (fun () -> apply_ops ~should_stop ops g0) in
-    (g, ops, 0.0, t_synth)
+  | Fixed ops -> fixed ops
   | Random_policy { seed; steps } ->
     let rng = Aig.Rng.create seed in
-    let ops =
-      List.init steps (fun _ ->
-          (* Random over the non-End operations, as in §4.3 (the random
-             agent always runs T operations). *)
-          Synth.Recipe.op_of_index (Aig.Rng.int rng 4))
-    in
-    let g, t_synth = timed (fun () -> apply_ops ~should_stop ops g0) in
-    (g, ops, 0.0, t_synth)
+    (* Random over the non-End operations, as in §4.3 (the random agent
+       always runs T operations). *)
+    fixed
+      (List.init steps (fun _ ->
+           Synth.Recipe.op_of_index (Aig.Rng.int rng 4)))
   | Agent (agent, max_steps) ->
     let st, t_embed =
       timed (fun () -> State.of_initial ~embed_config:config.embed g0)
@@ -80,7 +74,7 @@ let run_recipe ~should_stop config g0 =
     let g = ref g0 and ops = ref [] in
     (try
        for _t = 1 to max_steps do
-         if should_stop () then raise Interrupted;
+         Sat.Solver.Interrupt.poll ();
          let action, t_sel =
            timed (fun () ->
                Rl.Dqn.select_action agent (State.observe st !g))
@@ -96,8 +90,7 @@ let run_recipe ~should_stop config g0 =
      with Exit -> ());
     (!g, List.rev !ops, !t_agent, !t_synth)
 
-let transform ?(should_stop = fun () -> false) config inst =
-  let check () = if should_stop () then raise Interrupted in
+let transform config inst =
   match config.recipe with
   | No_preprocessing ->
     let f = Instance.direct_formula inst in
@@ -121,13 +114,13 @@ let transform ?(should_stop = fun () -> false) config inst =
     let g0, t_to_aig =
       timed (fun () -> Instance.to_aig ~advanced:config.advanced_recovery inst)
     in
-    check ();
+    Sat.Solver.Interrupt.poll ();
     let before = Aig.Stats.snapshot g0 in
     Log.debug (fun m ->
         m "%s: G0 has %d ANDs, depth %d (to_aig %.3fs)" inst.Instance.name
           before.Aig.Stats.area before.Aig.Stats.depth t_to_aig);
-    let g, recipe_used, t_agent, t_synth = run_recipe ~should_stop config g0 in
-    check ();
+    let g, recipe_used, t_agent, t_synth = synthesize config g0 in
+    Sat.Solver.Interrupt.poll ();
     let after = Aig.Stats.snapshot g in
     Log.debug (fun m ->
         m "%s: recipe [%s] -> %d ANDs, depth %d (synth %.3fs)"
@@ -137,7 +130,7 @@ let transform ?(should_stop = fun () -> false) config inst =
     let nl, t_map =
       timed (fun () -> Lutmap.Mapper.run ~config:config.mapper g)
     in
-    check ();
+    Sat.Solver.Interrupt.poll ();
     let enc, t_enc = timed (fun () -> Lutmap.Encode.encode nl) in
     let f = enc.Lutmap.Encode.formula in
     Log.debug (fun m ->
@@ -237,8 +230,7 @@ let ours_conventional_mapper ?agent () =
 let portfolio_strategies ?(jobs = 4) config inst =
   let open Portfolio.Strategy in
   let lane name cfg heuristic restarts =
-    prepared ~heuristic ~restarts name (fun ~stop ->
-        fst (transform ~should_stop:stop cfg inst))
+    prepared ~heuristic ~restarts name (fun () -> fst (transform cfg inst))
   in
   match config.recipe with
   | No_preprocessing -> default_pool ~jobs:(max 1 jobs)

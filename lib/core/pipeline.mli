@@ -52,20 +52,28 @@ val run :
     validates against that CNF (the transformed formula, or the
     direct formula under [No_preprocessing]). *)
 
-exception Interrupted
-(** Raised out of {!transform} when its [should_stop] poll answers
-    true — between synthesis operations and between pipeline phases. *)
+val synthesize :
+  config -> Aig.Graph.t ->
+  Aig.Graph.t * Synth.Recipe.op list * float * float
+(** The synthesis step of Algorithm 1: [synthesize config g0] runs the
+    recipe [config] selects on [g0] and returns the synthesized graph,
+    the operations actually run, T_agent and the synthesis time (s).
+    Every recipe stops at its first [End], as the agent's [end] action
+    does; [No_preprocessing] runs nothing. *)
 
-val transform :
-  ?should_stop:(unit -> bool) -> config -> Instance.t -> Cnf.Formula.t * report
+val transform : config -> Instance.t -> Cnf.Formula.t * report
 (** Algorithm 1 without the final solve: returns the simplified CNF
     \phi_out for an external solver.  The report's solver fields are
     zeroed and [result] is [Unknown].  With [No_preprocessing] the
-    instance's direct formula is returned unchanged.  [should_stop]
-    (default never) is polled between operations and phases; answering
-    true aborts the transformation with {!Interrupted} — the portfolio
-    uses this so a lane whose race is already lost stops preprocessing
-    early. *)
+    instance's direct formula is returned unchanged.
+
+    Run inside {!Sat.Solver.Interrupt.within} a flag, the
+    transformation stops with {!Sat.Solver.Interrupt.Stopped} soon
+    after the flag is set: every synthesis operator polls it on each
+    node ({!Synth.Pass}), the agent on each step, and [transform]
+    between its phases.  The portfolio runs its EDA lanes' [transform]
+    this way, so a lane whose race is lost stops within one node.
+    Outside a scope nothing polls true. *)
 
 (** {1 Experiment presets} *)
 

@@ -17,21 +17,7 @@ let run ?(config = default_config) g =
   let n = Aig.Graph.num_nodes g in
   let sets = Aig.Cut.enumerate g ~k:cfg.k ~limit:cfg.cut_limit in
   let refs = Aig.Graph.ref_counts g in
-  let reachable = Array.make n false in
-  let rec visit id =
-    if not reachable.(id) then begin
-      reachable.(id) <- true;
-      if Aig.Graph.is_and g id then begin
-        visit (Aig.Graph.node_of_lit (Aig.Graph.fanin0 g id));
-        visit (Aig.Graph.node_of_lit (Aig.Graph.fanin1 g id))
-      end
-    end
-  in
-  Array.iter
-    (fun l ->
-      let id = Aig.Graph.node_of_lit l in
-      if id <> 0 then visit id)
-    (Aig.Graph.pos g);
+  let reachable = Aig.Graph.reachable g in
   let arrival = Array.make n 0 in
   let flow = Array.make n 0.0 in
   let best : Aig.Cut.cut option array = Array.make n None in

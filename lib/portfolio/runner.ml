@@ -165,7 +165,8 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
       let fl =
         match st.Strategy.prepare with
         | None -> flat
-        | Some prep -> Cnf.Flat.of_formula (prep ~stop:is_cancelled)
+        | Some prep ->
+          Cnf.Flat.of_formula (Sat.Solver.Interrupt.within cancel prep)
       in
       if is_cancelled () then Cancelled
       else begin
@@ -204,8 +205,9 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
       end
     with
     | _ when is_cancelled () ->
-      (* A preparation abandoned because the race is over raises out
-         of its [stop] poll; that is a cancellation, not a failure. *)
+      (* A preparation abandoned because the race is over raises
+         [Interrupt.Stopped] out of its poll; that is a cancellation,
+         not a failure. *)
       Cancelled
     | e ->
       let msg = Printexc.to_string e in

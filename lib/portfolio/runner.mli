@@ -15,6 +15,10 @@
     The first lane to answer [Sat]/[Unsat] wins the race atomically
     and sets the cancel flag; losers stop within one budget tick of
     their solver, and any lane claimed after that answers [Cancelled].
+    A lane runs its [prepare] step inside
+    {!Sat.Solver.Interrupt.within} the cancel flag, so a lane still
+    preparing stops at its next poll (one synthesis node) with
+    [Cancelled].
     With one worker this runs the lanes in order until one answers
     (no domains, no sharing), which makes the anchor lane of
     [Strategy.default_pool ~jobs:1] bit-identical to

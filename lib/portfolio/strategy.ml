@@ -2,7 +2,7 @@ type t = {
   name : string;
   heuristic : [ `Evsids | `Lrb ];
   restarts : [ `Luby | `Glucose ];
-  prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
+  prepare : (unit -> Cnf.Formula.t) option;
 }
 
 let direct ?(heuristic = `Evsids) ?(restarts = `Luby) name =

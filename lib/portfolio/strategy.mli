@@ -18,12 +18,15 @@ type t = {
   name : string;
   heuristic : [ `Evsids | `Lrb ];
   restarts : [ `Luby | `Glucose ];
-  prepare : (stop:(unit -> bool) -> Cnf.Formula.t) option;
+  prepare : (unit -> Cnf.Formula.t) option;
       (** build this lane's CNF (run by the worker that claims the lane);
           [None] solves the input formula.  A [Sat] answer carries the
-          derived formula's model.  [stop] polls race cancellation — a
-          preparation that honours it (by raising) lets a lost lane
-          abandon an expensive transformation early.  A lane with a
+          derived formula's model.  The runner calls it inside
+          {!Sat.Solver.Interrupt.within} the race's cancel flag, so a
+          preparation that polls that scope (every synthesis operator
+          does, once per node) raises
+          {!Sat.Solver.Interrupt.Stopped} soon after the race is
+          decided, and the lane reads [Cancelled].  A lane with a
           [prepare] step neither shares clauses nor logs a proof. *)
 }
 
@@ -34,7 +37,7 @@ val direct : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
     which makes [direct "x"] the deterministic anchor lane. *)
 
 val prepared : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
-  -> string -> (stop:(unit -> bool) -> Cnf.Formula.t) -> t
+  -> string -> (unit -> Cnf.Formula.t) -> t
 (** A lane that first derives its own CNF; it never shares clauses. *)
 
 val grid : int -> (string * [ `Evsids | `Lrb ] * [ `Luby | `Glucose ]) list

@@ -109,6 +109,19 @@ module Interrupt = struct
   let set t = Atomic.set t true
   let clear t = Atomic.set t false
   let is_set t = Atomic.get t
+
+  exception Stopped
+
+  (* The flag of this domain's innermost [within]; outside every scope,
+     one flag that nothing can set. *)
+  let scope = Domain.DLS.new_key (let never = create () in fun () -> never)
+
+  let within t f =
+    let outer = Domain.DLS.get scope in
+    Domain.DLS.set scope t;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set scope outer) f
+
+  let poll () = if Atomic.get (Domain.DLS.get scope) then raise Stopped
 end
 
 type limits = {

@@ -106,11 +106,34 @@ module Interrupt : sig
 
   val clear : t -> unit
   val is_set : t -> bool
+
+  (** {2 A domain's stop scope}
+
+      Work that is not a solve (the synthesis operators' node loops,
+      the recipe agent's steps) reads a flag through a per-domain
+      scope instead of an argument: [within t f] runs [f] with [t] as
+      the calling domain's flag, and {!poll} inside it raises
+      {!Stopped} once [t] is set.  Outside every scope {!poll} reads a
+      flag nothing can set, so it never raises.  A poll is one
+      domain-local read and one [Atomic.get]; it allocates nothing. *)
+
+  exception Stopped
+
+  val within : t -> (unit -> 'a) -> 'a
+  (** [within t f] runs [f ()] with [t] as this domain's flag and
+      restores the enclosing scope when [f] returns or raises. *)
+
+  val poll : unit -> unit
+  (** @raise Stopped if the flag of this domain's innermost
+      {!within} is set. *)
 end
 
 (** Every condition on which a solve stops with [Unknown].  They are
     probed on the budget tick (one per conflict or decision), the two
-    wall-clock limits on every 256th. *)
+    wall-clock limits on every 256th.  On an {!Incremental} session,
+    [max_conflicts] and [max_decisions] are compared with the
+    session's cumulative counts, counted from its creation, not from
+    the start of the call. *)
 type limits = {
   max_conflicts : int option;
   max_decisions : int option;
@@ -276,7 +299,9 @@ module Incremental : sig
       [Unsat] means unsatisfiable {e under the assumptions}
       (permanently unsatisfiable once it occurs with none).  Models
       cover all variables allocated so far.  Statistics are cumulative
-      across the session's queries.
+      across the session's queries, and so are the conflict and
+      decision budgets of [limits]: a call stops once the session's
+      total since its creation reaches them.
 
       With [proof], clauses learned {e during this call} (and
       learned-clause deletions) are logged in DRAT.  Learned clauses

@@ -77,86 +77,70 @@ let run g =
     && (not complemented_use.(id))
     && not po_root.(id)
   in
-  let result =
-    Aig.Graph.compose g (fun g' new_pis ->
-        let map = Array.make n Aig.Graph.const_false in
-        for i = 0 to Aig.Graph.num_pis g - 1 do
-          map.(i + 1) <- new_pis.(i)
-        done;
-        (* Levels in the new graph. *)
-        let levels = ref (Array.make 1024 0) in
-        let level_of l =
-          let id = Aig.Graph.node_of_lit l in
-          if id < Array.length !levels then !levels.(id) else 0
+  Pass.rebuild g
+    ~select:(fun id -> not (interior id))
+    (fun p ->
+      (* Levels in the new graph. *)
+      let levels = ref (Array.make 1024 0) in
+      let level_of l =
+        let id = Aig.Graph.node_of_lit l in
+        if id < Array.length !levels then !levels.(id) else 0
+      in
+      let set_level id v =
+        if id >= Array.length !levels then begin
+          let d = Array.make (max (2 * Array.length !levels) (id + 1)) 0 in
+          Array.blit !levels 0 d 0 (Array.length !levels);
+          levels := d
+        end;
+        !levels.(id) <- v
+      in
+      let and_tracked a b =
+        let l = Aig.Graph.and_ p.Pass.dst a b in
+        let id = Aig.Graph.node_of_lit l in
+        if Aig.Graph.is_and p.Pass.dst id then
+          set_level id (1 + max (level_of a) (level_of b));
+        l
+      in
+      (* Operands of the maximal AND tree rooted at id (old graph). *)
+      let operands id =
+        let acc = ref [] in
+        let rec gather l =
+          let child = Aig.Graph.node_of_lit l in
+          if (not (Aig.Graph.is_compl l)) && interior child then begin
+            gather (Aig.Graph.fanin0 g child);
+            gather (Aig.Graph.fanin1 g child)
+          end
+          else acc := l :: !acc
         in
-        let set_level id v =
-          if id >= Array.length !levels then begin
-            let d = Array.make (max (2 * Array.length !levels) (id + 1)) 0 in
-            Array.blit !levels 0 d 0 (Array.length !levels);
-            levels := d
-          end;
-          !levels.(id) <- v
-        in
-        let and_tracked a b =
-          let l = Aig.Graph.and_ g' a b in
-          let id = Aig.Graph.node_of_lit l in
-          if Aig.Graph.is_and g' id then
-            set_level id (1 + max (level_of a) (level_of b));
-          l
-        in
-        let map_lit l =
-          Aig.Graph.lit_not_cond
-            map.(Aig.Graph.node_of_lit l)
-            (Aig.Graph.is_compl l)
-        in
-        (* Operands of the maximal AND tree rooted at id (old graph). *)
-        let operands id =
-          let acc = ref [] in
-          let rec gather l =
-            let child = Aig.Graph.node_of_lit l in
-            if (not (Aig.Graph.is_compl l)) && interior child then begin
-              gather (Aig.Graph.fanin0 g child);
-              gather (Aig.Graph.fanin1 g child)
-            end
-            else acc := l :: !acc
+        gather (Aig.Graph.fanin0 g id);
+        gather (Aig.Graph.fanin1 g id);
+        !acc
+      in
+      let lit = Pass.lit p in
+      fun id ->
+        let ops = List.map lit (operands id) in
+        (* Dedup; a complementary pair collapses to constant 0. *)
+        let ops = List.sort_uniq compare ops in
+        let contradictory =
+          let rec chk = function
+            | a :: (b :: _ as rest) -> (a lxor b) = 1 || chk rest
+            | _ -> false
           in
-          gather (Aig.Graph.fanin0 g id);
-          gather (Aig.Graph.fanin1 g id);
-          !acc
+          chk ops
         in
-        Aig.Graph.iter_ands g (fun id ->
-            if not (interior id) then begin
-              let ops = List.map map_lit (operands id) in
-              (* Dedup; a complementary pair collapses to constant 0. *)
-              let ops = List.sort_uniq compare ops in
-              let contradictory =
-                let rec chk = function
-                  | a :: (b :: _ as rest) ->
-                    (a lxor b) = 1 || chk rest
-                  | _ -> false
-                in
-                chk ops
-              in
-              let value =
-                if contradictory then Aig.Graph.const_false
-                else begin
-                  let h = Heap.create () in
-                  List.iter (fun l -> Heap.push h (level_of l, l)) ops;
-                  let rec combine () =
-                    if h.Heap.size = 1 then snd (Heap.pop h)
-                    else begin
-                      let _, a = Heap.pop h in
-                      let _, b = Heap.pop h in
-                      let l = and_tracked a b in
-                      Heap.push h (level_of l, l);
-                      combine ()
-                    end
-                  in
-                  if h.Heap.size = 0 then Aig.Graph.const_true else combine ()
-                end
-              in
-              map.(id) <- value
-            end);
-        Array.map map_lit (Aig.Graph.pos g))
-  in
-  Aig.Graph.cleanup result
+        if contradictory then Aig.Graph.const_false
+        else begin
+          let h = Heap.create () in
+          List.iter (fun l -> Heap.push h (level_of l, l)) ops;
+          let rec combine () =
+            if h.Heap.size = 1 then snd (Heap.pop h)
+            else begin
+              let _, a = Heap.pop h in
+              let _, b = Heap.pop h in
+              let l = and_tracked a b in
+              Heap.push h (level_of l, l);
+              combine ()
+            end
+          in
+          if h.Heap.size = 0 then Aig.Graph.const_true else combine ()
+        end)

@@ -16,12 +16,11 @@ let default_config =
       { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 200_000 };
   }
 
-(* Single-output miter of two circuits over shared PIs. *)
-let build_miter a b =
+let miter a b =
   if
     Aig.Graph.num_pis a <> Aig.Graph.num_pis b
     || Aig.Graph.num_pos a <> Aig.Graph.num_pos b
-  then invalid_arg "Cec.check: interface mismatch";
+  then invalid_arg "Cec.miter: interface mismatch";
   let g = Aig.Graph.create ~num_pis:(Aig.Graph.num_pis a) in
   let pis = Array.init (Aig.Graph.num_pis a) (Aig.Graph.pi g) in
   let copy src =
@@ -71,7 +70,7 @@ let find_cex_by_simulation cfg m =
   !found
 
 let check ?(config = default_config) a b =
-  let m = build_miter a b in
+  let m = miter a b in
   match find_cex_by_simulation config m with
   | Some cex -> Different cex
   | None ->

@@ -20,6 +20,11 @@ type config = {
 
 val default_config : config
 
+val miter : Aig.Graph.t -> Aig.Graph.t -> Aig.Graph.t
+(** Single-output miter over shared PIs: the OR of the pairwise output
+    XORs, every node of both circuits copied in id order.
+    @raise Invalid_argument on a PI or PO count mismatch. *)
+
 val check : ?config:config -> Aig.Graph.t -> Aig.Graph.t -> verdict
 (** [check a b] compares two circuits with identical PI/PO counts.
     @raise Invalid_argument on an interface mismatch. *)

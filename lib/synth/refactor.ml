@@ -81,63 +81,24 @@ let run ?(max_leaves = 10) ?(max_cone = 60) g =
   if max_leaves > 16 then invalid_arg "Refactor.run: max_leaves above 16";
   let refs = Aig.Graph.ref_counts g in
   let tapes = Aig.Factor.create_cache () in
-  let reachable = Array.make (Aig.Graph.num_nodes g) false in
-  let rec visit id =
-    if not reachable.(id) then begin
-      reachable.(id) <- true;
-      if Aig.Graph.is_and g id then begin
-        visit (Aig.Graph.node_of_lit (Aig.Graph.fanin0 g id));
-        visit (Aig.Graph.node_of_lit (Aig.Graph.fanin1 g id))
-      end
-    end
-  in
-  Array.iter
-    (fun l ->
-      let id = Aig.Graph.node_of_lit l in
-      if id <> 0 then visit id)
-    (Aig.Graph.pos g);
-  let result =
-    Aig.Graph.compose g (fun g' new_pis ->
-        let map = Array.make (Aig.Graph.num_nodes g) Aig.Graph.const_false in
-        for i = 0 to Aig.Graph.num_pis g - 1 do
-          map.(i + 1) <- new_pis.(i)
-        done;
-        let map_lit l =
-          Aig.Graph.lit_not_cond
-            map.(Aig.Graph.node_of_lit l)
-            (Aig.Graph.is_compl l)
-        in
-        Aig.Graph.iter_ands g (fun id ->
-            if reachable.(id) then begin
-              let default () =
-                Aig.Graph.and_ g'
-                  (map_lit (Aig.Graph.fanin0 g id))
-                  (map_lit (Aig.Graph.fanin1 g id))
-              in
-              let leaves = grow_cut g ~max_leaves ~max_cone id in
-              let lit =
-                if Array.length leaves < 3 || Array.mem id leaves then
-                  default ()
-                else begin
-                  let saved = Mffc.size_above_cut g refs id leaves in
-                  if saved < 2 then default ()
-                  else begin
-                    let tt = cone_tt g id leaves in
-                    let mapped = Array.map (fun n -> map.(n)) leaves in
-                    let m = Aig.Graph.mark g' in
-                    let build () =
-                      Aig.Factor.tt_to_aig_cached tapes g' ~leaves:mapped tt
-                    in
-                    let _cand = build () in
-                    let added = Aig.Graph.nodes_since g' m in
-                    Aig.Graph.rollback g' m;
-                    if added < saved then build ()
-                    else default ()
-                  end
-                end
-              in
-              map.(id) <- lit
-            end);
-        Array.map map_lit (Aig.Graph.pos g))
-  in
-  Aig.Graph.cleanup result
+  Pass.rebuild g
+    ~select:(Array.get (Aig.Graph.reachable g))
+    (fun p id ->
+      let leaves = grow_cut g ~max_leaves ~max_cone id in
+      if Array.length leaves < 3 || Array.mem id leaves then Pass.copy p id
+      else begin
+        let saved = Mffc.size_above_cut g refs id leaves in
+        if saved < 2 then Pass.copy p id
+        else begin
+          let tt = cone_tt g id leaves in
+          let mapped = Array.map (fun n -> p.Pass.map.(n)) leaves in
+          let m = Aig.Graph.mark p.Pass.dst in
+          let build () =
+            Aig.Factor.tt_to_aig_cached tapes p.Pass.dst ~leaves:mapped tt
+          in
+          let _cand = build () in
+          let added = Aig.Graph.nodes_since p.Pass.dst m in
+          Aig.Graph.rollback p.Pass.dst m;
+          if added < saved then build () else Pass.copy p id
+        end
+      end)

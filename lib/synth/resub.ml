@@ -106,8 +106,9 @@ let run_with_counts ?(config = default_config) g =
   let rng = Aig.Rng.create config.seed in
   let n_old = Aig.Graph.num_nodes g in
   let result =
-    Aig.Graph.compose g (fun g' new_pis ->
-        let npis = Array.length new_pis in
+    Pass.rebuild g (fun p ->
+        let g' = p.Pass.dst and npis = Aig.Graph.num_pis g in
+        let new_pis = Array.init npis (Aig.Graph.pi g') in
         (* --- simulation rows for the new graph ---------------------- *)
         (* Each AND of [g] makes at most one AND here, so [n_old] ids
            cover the new graph and nothing below grows with it. *)
@@ -323,49 +324,38 @@ let run_with_counts ?(config = default_config) g =
             `Different
         in
         (* --- main sweep ---------------------------------------------- *)
-        let map = Array.make n_old Aig.Graph.const_false in
-        for i = 0 to npis - 1 do
-          map.(i + 1) <- new_pis.(i)
-        done;
-        let map_lit l =
-          Aig.Graph.lit_not_cond
-            map.(Aig.Graph.node_of_lit l)
-            (Aig.Graph.is_compl l)
-        in
-        Aig.Graph.iter_ands g (fun id ->
-            let nl =
-              and_tracked
-                (map_lit (Aig.Graph.fanin0 g id))
-                (map_lit (Aig.Graph.fanin1 g id))
-            in
-            let nid = Aig.Graph.node_of_lit nl in
-            if not (Aig.Graph.is_and g' nid) then map.(id) <- nl
-            else if Bytes.get is_rep nid = '\001' then map.(id) <- nl
-            else begin
-              match find_candidate nid with
-              | None ->
-                add_rep nid;
-                map.(id) <- nl
-              | Some cand_lit ->
-                incr tried;
-                let target = Aig.Graph.lit_of_node nid false in
-                (match prove_equal target cand_lit with
-                 | `Equal ->
-                   incr proven;
-                   map.(id) <-
-                     Aig.Graph.lit_not_cond cand_lit (Aig.Graph.is_compl nl)
-                 | `Different ->
-                   incr disproved;
-                   if !ncex = 64 then refine ();
-                   add_rep nid;
-                   map.(id) <- nl
-                 | `Unknown ->
-                   add_rep nid;
-                   map.(id) <- nl)
-            end);
-        Array.map map_lit (Aig.Graph.pos g))
+        fun id ->
+          let nl =
+            and_tracked
+              (Pass.lit p (Aig.Graph.fanin0 g id))
+              (Pass.lit p (Aig.Graph.fanin1 g id))
+          in
+          let nid = Aig.Graph.node_of_lit nl in
+          if not (Aig.Graph.is_and g' nid) then nl
+          else if Bytes.get is_rep nid = '\001' then nl
+          else begin
+            match find_candidate nid with
+            | None ->
+              add_rep nid;
+              nl
+            | Some cand_lit ->
+              incr tried;
+              let target = Aig.Graph.lit_of_node nid false in
+              (match prove_equal target cand_lit with
+               | `Equal ->
+                 incr proven;
+                 Aig.Graph.lit_not_cond cand_lit (Aig.Graph.is_compl nl)
+               | `Different ->
+                 incr disproved;
+                 if !ncex = 64 then refine ();
+                 add_rep nid;
+                 nl
+               | `Unknown ->
+                 add_rep nid;
+                 nl)
+          end)
   in
-  (Aig.Graph.cleanup result, !tried, !proven, !disproved)
+  (result, !tried, !proven, !disproved)
 
 let run ?config g =
   let g', _, _, _ = run_with_counts ?config g in

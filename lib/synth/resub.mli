@@ -15,7 +15,11 @@
 type config = {
   words : int;           (** 64-bit simulation words per node *)
   seed : int;
-  conflict_limit : int;  (** SAT budget per equivalence proof *)
+  conflict_limit : int;
+      (** SAT conflict budget of the whole sweep: every proof runs on one
+          incremental session, whose conflict count is cumulative, so
+          once the sweep has made this many conflicts each later query
+          that needs a decision answers unknown *)
 }
 
 val default_config : config

@@ -51,34 +51,23 @@ let random_circuit ~seed ~num_pis ~num_ands ~num_pos =
   done;
   g
 
-let copy_into dst pis src =
-  let map = Array.make (Aig.Graph.num_nodes src) Aig.Graph.const_false in
-  for i = 0 to Aig.Graph.num_pis src - 1 do
-    map.(i + 1) <- pis.(i)
+(* A fresh copy of [g], node [id] built as [node g' map_lit id].  Unlike
+   the synthesis passes it does not sweep: generated structure is kept
+   node for node. *)
+let rebuilt g node =
+  let g' = Aig.Graph.create ~num_pis:(Aig.Graph.num_pis g) in
+  let map = Array.make (Aig.Graph.num_nodes g) Aig.Graph.const_false in
+  for i = 1 to Aig.Graph.num_pis g do
+    map.(i) <- Aig.Graph.pi g' (i - 1)
   done;
   let map_lit l =
     Aig.Graph.lit_not_cond map.(Aig.Graph.node_of_lit l) (Aig.Graph.is_compl l)
   in
-  Aig.Graph.iter_ands src (fun id ->
-      map.(id) <-
-        Aig.Graph.and_ dst
-          (map_lit (Aig.Graph.fanin0 src id))
-          (map_lit (Aig.Graph.fanin1 src id)));
-  Array.map map_lit (Aig.Graph.pos src)
+  Aig.Graph.iter_ands g (fun id -> map.(id) <- node g' map_lit id);
+  Array.iter (fun l -> Aig.Graph.add_po g' (map_lit l)) (Aig.Graph.pos g);
+  g'
 
-let miter a b =
-  if
-    Aig.Graph.num_pis a <> Aig.Graph.num_pis b
-    || Aig.Graph.num_pos a <> Aig.Graph.num_pos b
-  then invalid_arg "Lec.miter: interface mismatch";
-  let g = Aig.Graph.create ~num_pis:(Aig.Graph.num_pis a) in
-  let pis = Array.init (Aig.Graph.num_pis a) (Aig.Graph.pi g) in
-  let oa = copy_into g pis a and ob = copy_into g pis b in
-  let diffs =
-    Array.to_list (Array.mapi (fun i la -> Aig.Graph.xor_ g la ob.(i)) oa)
-  in
-  Aig.Graph.add_po g (Aig.Graph.or_list g diffs);
-  g
+let miter = Synth.Cec.miter
 
 let inject_fault ~seed g =
   let rng = Aig.Rng.create seed in
@@ -88,25 +77,16 @@ let inject_fault ~seed g =
       Aig.Graph.num_pis g + 1 + Aig.Rng.int rng (Aig.Graph.num_ands g)
     in
     let flip_first = Aig.Rng.bool rng in
-    Aig.Graph.compose g (fun g' pis ->
-        let map = Array.make (Aig.Graph.num_nodes g) Aig.Graph.const_false in
-        Array.iteri (fun i l -> map.(i + 1) <- l) pis;
-        let map_lit l =
-          Aig.Graph.lit_not_cond
-            map.(Aig.Graph.node_of_lit l)
-            (Aig.Graph.is_compl l)
+    rebuilt g (fun g' map_lit id ->
+        let f0 = map_lit (Aig.Graph.fanin0 g id)
+        and f1 = map_lit (Aig.Graph.fanin1 g id) in
+        let f0, f1 =
+          if id = victim then
+            if flip_first then (Aig.Graph.lit_not f0, f1)
+            else (f0, Aig.Graph.lit_not f1)
+          else (f0, f1)
         in
-        Aig.Graph.iter_ands g (fun id ->
-            let f0 = map_lit (Aig.Graph.fanin0 g id)
-            and f1 = map_lit (Aig.Graph.fanin1 g id) in
-            let f0, f1 =
-              if id = victim then
-                if flip_first then (Aig.Graph.lit_not f0, f1)
-                else (f0, Aig.Graph.lit_not f1)
-              else (f0, f1)
-            in
-            map.(id) <- Aig.Graph.and_ g' f0 f1);
-        Array.map map_lit (Aig.Graph.pos g))
+        Aig.Graph.and_ g' f0 f1)
   end
 
 (* Function-preserving structural diversification: rebuild the circuit
@@ -117,36 +97,30 @@ let inject_fault ~seed g =
 let perturb ~seed g =
   let rng = Aig.Rng.create seed in
   let sets = Aig.Cut.enumerate g ~k:4 ~limit:6 in
-  Aig.Graph.compose g (fun g' pis ->
-      let map = Array.make (Aig.Graph.num_nodes g) Aig.Graph.const_false in
-      Array.iteri (fun i l -> map.(i + 1) <- l) pis;
-      let map_lit l =
-        Aig.Graph.lit_not_cond
-          map.(Aig.Graph.node_of_lit l)
-          (Aig.Graph.is_compl l)
+  rebuilt g (fun g' map_lit id ->
+      let default () =
+        Aig.Graph.and_ g'
+          (map_lit (Aig.Graph.fanin0 g id))
+          (map_lit (Aig.Graph.fanin1 g id))
       in
-      Aig.Graph.iter_ands g (fun id ->
-          let default () =
-            Aig.Graph.and_ g'
-              (map_lit (Aig.Graph.fanin0 g id))
-              (map_lit (Aig.Graph.fanin1 g id))
-          in
-          let candidates =
-            List.filter
-              (fun c ->
-                Array.length c.Aig.Cut.leaves >= 3
-                && not (Array.mem id c.Aig.Cut.leaves))
-              (Aig.Cut.cuts sets id)
-          in
-          map.(id) <-
-            (match candidates with
-             | [] -> default ()
-             | cs when Aig.Rng.float rng < 0.4 ->
-               let c = List.nth cs (Aig.Rng.int rng (List.length cs)) in
-               let leaves = Array.map (fun n -> map.(n)) c.Aig.Cut.leaves in
-               Aig.Factor.tt_to_aig g' ~leaves (Aig.Cut.cut_tt c)
-             | _ -> default ()));
-      Array.map map_lit (Aig.Graph.pos g))
+      let candidates =
+        List.filter
+          (fun c ->
+            Array.length c.Aig.Cut.leaves >= 3
+            && not (Array.mem id c.Aig.Cut.leaves))
+          (Aig.Cut.cuts sets id)
+      in
+      match candidates with
+      | [] -> default ()
+      | cs when Aig.Rng.float rng < 0.4 ->
+        let c = List.nth cs (Aig.Rng.int rng (List.length cs)) in
+        let leaves =
+          Array.map
+            (fun n -> map_lit (Aig.Graph.lit_of_node n false))
+            c.Aig.Cut.leaves
+        in
+        Aig.Factor.tt_to_aig g' ~leaves (Aig.Cut.cut_tt c)
+      | _ -> default ())
 
 let generate ?(buggy = false) ~seed ~num_pis ~num_ands () =
   let golden = random_circuit ~seed ~num_pis ~num_ands ~num_pos:2 in

@@ -542,22 +542,10 @@ let prop_compose_identity =
   QCheck.Test.make ~name:"graph: identity compose preserves function"
     ~count:50 (QCheck.int_bound 100000) (fun seed ->
       let g = random_graph_for_props seed in
-      let g' =
-        Aig.Graph.compose g (fun dst pis ->
-            let map = Array.make (Aig.Graph.num_nodes g) 0 in
-            Array.iteri (fun i l -> map.(i + 1) <- l) pis;
-            let ml l =
-              Aig.Graph.lit_not_cond
-                map.(Aig.Graph.node_of_lit l)
-                (Aig.Graph.is_compl l)
-            in
-            Aig.Graph.iter_ands g (fun id ->
-                map.(id) <-
-                  Aig.Graph.and_ dst
-                    (ml (Aig.Graph.fanin0 g id))
-                    (ml (Aig.Graph.fanin1 g id)));
-            Array.map ml (Aig.Graph.pos g))
-      in
+      (* The synthesis passes' rebuild loop, copying every node. *)
+      let g' = Synth.Pass.rebuild g Synth.Pass.copy in
+      Aig.Graph.equal_structure g' (Aig.Graph.cleanup g)
+      &&
       Aig.Sim.equal_outputs g g' ~words:4 ~seed:(seed + 1))
 
 let prop_cut_dominance =

@@ -126,6 +126,31 @@ let test_solve_xor_pass () =
   | Some n -> check_bool "xors > 0" true (n > 0)
   | None -> Alcotest.fail "no xors= on the stats line"
 
+(* 'map' and 'preprocess' run one synthesis step: the same recipe, cut
+   at its first [end], and the same AND counts. *)
+let test_map_agrees_with_preprocess () =
+  let aag = file "lec300.aag" in
+  check_int "generate exits 0" 0
+    (run_cli [ "gen"; "--family"; "lec"; "--size"; "300"; "--out"; aag ]);
+  let report cmd recipe =
+    let out = file (cmd ^ ".out") in
+    let dst = file (cmd ^ (if cmd = "map" then ".blif" else ".cnf")) in
+    check_int (cmd ^ " exits 0") 0
+      (run_cli ~stdout_file:out
+         [ cmd; "-i"; aag; "--recipe"; recipe; "-o"; dst ]);
+    List.filter
+      (fun l ->
+        String.starts_with ~prefix:"recipe: " l
+        || String.starts_with ~prefix:"ands: " l)
+      (read_lines out)
+  in
+  let map = report "map" "rw;end;rs" in
+  let pre = report "preprocess" "rw;end;rs" in
+  Alcotest.(check (list string)) "same recipe and AND counts" map pre;
+  check_bool "the recipe stops at end" true (List.mem "recipe: rewrite" map);
+  check_bool "resub would have changed the count" false
+    (List.equal String.equal pre (report "preprocess" "rw;rs"))
+
 let test_portfolio_exit_codes () =
   let sat = write_cnf "tiny_sat2.cnf" tiny_sat in
   let unsat = write_cnf "tiny_unsat2.cnf" tiny_unsat in
@@ -861,4 +886,5 @@ let suite =
     ("serve socket multi-client", `Quick, test_serve_socket_multiclient);
     ("serve SIGTERM graceful drain", `Quick, test_serve_sigterm_drain);
     ("solve reports the XOR pass", `Quick, test_solve_xor_pass);
+    ("map agrees with preprocess", `Quick, test_map_agrees_with_preprocess);
   ]

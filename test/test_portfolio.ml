@@ -99,10 +99,10 @@ let test_failed_worker_does_not_lose_race () =
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
   let strategies =
     [
-      Portfolio.Strategy.prepared "boom" (fun ~stop:_ ->
+      Portfolio.Strategy.prepared "boom" (fun () ->
           failwith "prepare blew up");
       Portfolio.Strategy.direct "direct";
-      Portfolio.Strategy.prepared ~heuristic:`Lrb "boom-late" (fun ~stop:_ ->
+      Portfolio.Strategy.prepared ~heuristic:`Lrb "boom-late" (fun () ->
           raise Not_found);
     ]
   in
@@ -132,7 +132,7 @@ let test_cancellation_terminates () =
      Limit, and well before the budget. *)
   let hard = Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7 in
   let strategies =
-    Portfolio.Strategy.prepared "easy" (fun ~stop:_ ->
+    Portfolio.Strategy.prepared "easy" (fun () ->
         Cnf.Formula.create ~num_vars:1 [ [| 1 |] ])
     :: Portfolio.Strategy.default_pool ~jobs:3
   in
@@ -341,8 +341,8 @@ let test_one_race_rule () =
   in
   let strategies =
     [
-      Portfolio.Strategy.prepared "boom" (fun ~stop:_ -> failwith "boom");
-      Portfolio.Strategy.prepared "boom2" (fun ~stop:_ -> raise Not_found);
+      Portfolio.Strategy.prepared "boom" (fun () -> failwith "boom");
+      Portfolio.Strategy.prepared "boom2" (fun () -> raise Not_found);
       Portfolio.Strategy.direct "direct";
     ]
   in
@@ -562,4 +562,44 @@ let suite =
        test_cuber_partial_failure_is_not_unsat);
       ("cuber: external interrupt cancels the conquest", `Quick,
        test_cuber_external_interrupt);
+    ]
+
+(* --- a decided race stops a preparing lane ---------------------------- *)
+
+(* The prepared lane runs its [prepare] inside the race's stop scope, so
+   once the direct lane wins, the refactor it is in stops at its next
+   node instead of running to the end. *)
+let test_race_stops_a_preparing_lane () =
+  let g = Workloads.Lec.generate ~seed:17 ~num_pis:24 ~num_ands:2000 () in
+  let t0 = Sat.Wall.now () in
+  ignore (Synth.Refactor.run g);
+  let standalone = Sat.Wall.now () -. t0 in
+  let f = Cnf.Formula.create ~num_vars:2 [ [| 1 |]; [| -1; 2 |] ] in
+  let strategies =
+    [
+      Portfolio.Strategy.prepared "refactor" (fun () ->
+          ignore (Synth.Refactor.run g);
+          f);
+      Portfolio.Strategy.direct "direct";
+    ]
+  in
+  let t0 = Sat.Wall.now () in
+  let outcome =
+    Portfolio.Runner.run ~jobs:2 strategies (Cnf.Flat.of_formula f)
+  in
+  let wall = Sat.Wall.now () -. t0 in
+  check_bool "the direct lane wins" true
+    (outcome.Portfolio.Runner.winner = Some 1);
+  check_bool "the preparing lane is cancelled" true
+    (outcome.Portfolio.Runner.workers.(0).Portfolio.Runner.outcome
+     = Portfolio.Runner.Cancelled);
+  if wall >= standalone /. 4.0 then
+    Alcotest.failf "race took %.3f s, the refactor alone %.3f s" wall
+      standalone
+
+let suite =
+  suite
+  @ [
+      ("a decided race stops a preparing lane", `Quick,
+       test_race_stops_a_preparing_lane);
     ]

@@ -630,3 +630,67 @@ let suite =
       ("cone-bounded counterexamples separate their nodes", `Quick,
        test_cone_bounded_counterexamples);
     ]
+
+(* --- the stop scope --------------------------------------------------- *)
+
+module Interrupt = Sat.Solver.Interrupt
+
+(* Every operator polls the scope on each node, so under a set flag it
+   raises at its first node; a clear flag and no scope leave its output
+   unchanged. *)
+let test_operators_poll_the_scope () =
+  let g = Workloads.Lec.generate ~seed:31 ~num_pis:24 ~num_ands:600 () in
+  check_bool "at least 1,000 ANDs" true (Aig.Graph.num_ands g >= 1000);
+  let set = Interrupt.create () and clear = Interrupt.create () in
+  Interrupt.set set;
+  List.iter
+    (fun op ->
+      let name = Synth.Recipe.op_to_string op in
+      (match Interrupt.within set (fun () -> Synth.Recipe.apply op g) with
+       | _ -> Alcotest.failf "%s ran to the end under a set flag" name
+       | exception Interrupt.Stopped -> ());
+      Interrupt.poll ();
+      check_bool (name ^ ": a clear flag changes nothing") true
+        (Aig.Graph.equal_structure
+           (Interrupt.within clear (fun () -> Synth.Recipe.apply op g))
+           (Synth.Recipe.apply op g)))
+    Synth.Recipe.[ Balance; Rewrite; Refactor; Resub ]
+
+let r3sat_easy_aig () =
+  Eda4sat.Instance.to_aig
+    (Eda4sat.Instance.of_cnf ~name:"r3sat-easy"
+       (Workloads.Satcomp.random_ksat ~seed:3 ~num_vars:6000
+          ~num_clauses:18000 ~k:3))
+
+(* A flag set from another domain partway through a refactor stops it
+   within a node, far sooner than the refactor would end. *)
+let test_refactor_stops_from_another_domain () =
+  let g = r3sat_easy_aig () in
+  let t0 = Sat.Wall.now () in
+  ignore (Synth.Refactor.run g);
+  let standalone = Sat.Wall.now () -. t0 in
+  let flag = Interrupt.create () in
+  let t0 = Sat.Wall.now () in
+  let setter =
+    Domain.spawn (fun () ->
+        Unix.sleepf (standalone /. 20.0);
+        Interrupt.set flag)
+  in
+  let stopped =
+    match Interrupt.within flag (fun () -> Synth.Refactor.run g) with
+    | _ -> false
+    | exception Interrupt.Stopped -> true
+  in
+  let took = Sat.Wall.now () -. t0 in
+  Domain.join setter;
+  check_bool "the refactor stopped" true stopped;
+  if took >= standalone /. 4.0 then
+    Alcotest.failf "stopped after %.3f s, standalone %.3f s" took standalone
+
+let suite =
+  suite
+  @ [
+      ("operators poll the stop scope", `Quick, test_operators_poll_the_scope);
+      ("a refactor stops from another domain", `Quick,
+       test_refactor_stops_from_another_domain);
+    ]
