@@ -152,6 +152,28 @@ let write_proof path proof =
       (if Sat.Proof.sealed p then "" else "; incomplete — answer not UNSAT")
   | _ -> ()
 
+(* The verdict of 'solve', 'portfolio' and 'cube': the "s" line, then
+   the stats line, answering the exit code.  An UNSAT writes the proof
+   first when one was asked for; a SAT prints its model with [model]. *)
+let finish ?(model = false) ?proof_file ?proof report =
+  let code =
+    match report.Eda4sat.Pipeline.result with
+    | Sat.Solver.Sat m ->
+      print_endline "s SATISFIABLE";
+      if model then print_model m;
+      exit_sat
+    | Sat.Solver.Unsat ->
+      write_proof proof_file proof;
+      print_endline "s UNSATISFIABLE";
+      exit_unsat
+    | Sat.Solver.Unknown ->
+      print_endline "s UNKNOWN";
+      exit_unknown
+  in
+  Format.printf "c %a@." Sat.Solver.pp_stats
+    report.Eda4sat.Pipeline.solver_stats;
+  code
+
 (* --- solve ---------------------------------------------------------- *)
 
 let solve_cmd =
@@ -169,22 +191,7 @@ let solve_cmd =
     let proof = Option.map (fun _ -> Sat.Proof.create ()) proof_file in
     let report = Eda4sat.Pipeline.run ~limits ?proof cfg inst in
     Format.printf "%a@." Eda4sat.Pipeline.pp_report report;
-    let code =
-      match report.Eda4sat.Pipeline.result with
-      | Sat.Solver.Sat _ ->
-        print_endline "s SATISFIABLE";
-        exit_sat
-      | Sat.Solver.Unsat ->
-        write_proof proof_file proof;
-        print_endline "s UNSATISFIABLE";
-        exit_unsat
-      | Sat.Solver.Unknown ->
-        print_endline "s UNKNOWN";
-        exit_unknown
-    in
-    Format.printf "c %a@." Sat.Solver.pp_stats
-      report.Eda4sat.Pipeline.solver_stats;
-    code
+    finish ?proof_file ?proof report
   in
   let no_preprocess =
     Arg.(
@@ -237,21 +244,7 @@ let portfolio_cmd =
       outcome.Portfolio.Runner.shared_delivered
       outcome.Portfolio.Runner.shared_dropped;
     Printf.printf "c race wall time: %.3fs\n" outcome.Portfolio.Runner.wall;
-    let code =
-      match report.Eda4sat.Pipeline.result with
-      | Sat.Solver.Sat _ ->
-        print_endline "s SATISFIABLE";
-        exit_sat
-      | Sat.Solver.Unsat ->
-        print_endline "s UNSATISFIABLE";
-        exit_unsat
-      | Sat.Solver.Unknown ->
-        print_endline "s UNKNOWN";
-        exit_unknown
-    in
-    Format.printf "c %a@." Sat.Solver.pp_stats
-      report.Eda4sat.Pipeline.solver_stats;
-    code
+    finish report
   in
   let jobs =
     Arg.(value & opt int 4
@@ -304,26 +297,10 @@ let cube_cmd =
     (match cr.Portfolio.Cuber.failure with
      | Some msg -> Printf.printf "c cube failure: %s\n" msg
      | None -> ());
-    let code =
-      match cr.Portfolio.Cuber.result with
-      | Sat.Solver.Sat m ->
-        print_endline "s SATISFIABLE";
-        print_model m;
-        exit_sat
-      | Sat.Solver.Unsat ->
-        (* solve_cube publishes Unsat only when every cube is refuted;
-           with --proof the stitched stream is sealed through the empty
-           clause. *)
-        write_proof proof_file proof;
-        print_endline "s UNSATISFIABLE";
-        exit_unsat
-      | Sat.Solver.Unknown ->
-        print_endline "s UNKNOWN";
-        exit_unknown
-    in
-    Format.printf "c %a@." Sat.Solver.pp_stats
-      report.Eda4sat.Pipeline.solver_stats;
-    code
+    (* solve_cube publishes Unsat only when every cube is refuted;
+       with --proof the stitched stream is sealed through the empty
+       clause. *)
+    finish ~model:true ?proof_file ?proof report
   in
   let cubes =
     Arg.(value & opt int 8

@@ -58,12 +58,6 @@ let write_binary_string g =
       write_varint buf (rhs0 - rhs1));
   Buffer.contents buf
 
-let write_binary_file g path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write_binary_string g))
-
 let read_binary_string s =
   (* Header and output lines are newline-terminated ASCII; the AND
      section is raw bytes. *)

@@ -25,4 +25,3 @@ val read_file : string -> Graph.t
     industrial AIG collections are distributed in. *)
 
 val write_binary_string : Graph.t -> string
-val write_binary_file : Graph.t -> string -> unit

@@ -29,10 +29,3 @@ let literals c =
     else loop (i + 1) acc
   in
   loop 0 []
-
-let pp ppf c =
-  if c.mask = 0 then Format.pp_print_string ppf "1"
-  else
-    List.iter
-      (fun (v, pos) -> Format.fprintf ppf "%sx%d" (if pos then "" else "~") v)
-      (literals c)

@@ -22,5 +22,3 @@ val to_tt : int -> t -> Tt.t
 
 val literals : t -> (int * bool) list
 (** [(var, positive)] pairs, ascending by variable. *)
-
-val pp : Format.formatter -> t -> unit

@@ -162,11 +162,6 @@ let iter_ands g f =
     f id
   done
 
-let fold_ands g ~init ~f =
-  let acc = ref init in
-  iter_ands g (fun id -> acc := f !acc id);
-  !acc
-
 let levels g =
   let lv = Array.make g.n 0 in
   iter_ands g (fun id ->

@@ -83,8 +83,6 @@ val is_pi : t -> int -> bool
 val iter_ands : t -> (int -> unit) -> unit
 (** Iterate AND node ids in topological (increasing-id) order. *)
 
-val fold_ands : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 (** {1 Derived information} *)
 
 val levels : t -> int array

@@ -44,7 +44,3 @@ let features ~initial g =
     ratio s.nots total_gates;
     s.balance;
   |]
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf "area=%d depth=%d wires=%d nots=%d balance=%.3f" s.area
-    s.depth s.wires s.nots s.balance

@@ -23,5 +23,3 @@ val features : initial:snapshot -> Graph.t -> float array
 (** The six-dimensional state feature vector of §3.2.2: area, depth and
     wire ratios w.r.t. the initial snapshot, AND and NOT proportions,
     and the balance ratio. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

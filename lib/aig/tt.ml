@@ -175,5 +175,4 @@ let hash t =
       lxor Int64.to_int x
       lxor Int64.to_int (Int64.shift_right_logical x 32))
     t.n t.w
-let compare a b = Stdlib.compare (a.n, a.w) (b.n, b.w)
 let pp ppf t = Format.fprintf ppf "tt%d:%s" t.n (to_hex t)

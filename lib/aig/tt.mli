@@ -75,6 +75,4 @@ val to_hex : t -> string
 
 val hash : t -> int
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit

@@ -168,7 +168,3 @@ let compare a b =
 let hash t = Int64.to_int t.h1 land max_int
 
 let to_hex t = Printf.sprintf "%016Lx%016Lx" t.h1 t.h2
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%d vars, %d clauses)" (to_hex t) t.num_vars
-    t.num_clauses

@@ -66,5 +66,3 @@ val hash : t -> int
 val to_hex : t -> string
 (** 32 hex digits: [h1] then [h2] — stable across runs, suitable for
     logs and the serve protocol's [c fingerprint=...] comments. *)
-
-val pp : Format.formatter -> t -> unit

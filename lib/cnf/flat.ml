@@ -127,12 +127,3 @@ let sort_uniq_slice (a : int array) pos n =
     done;
     !w - pos
   end
-
-let pp ppf t =
-  Format.fprintf ppf "p cnf %d %d@." t.num_vars (num_clauses t);
-  for i = 0 to num_clauses t - 1 do
-    for k = t.offsets.(i) to t.offsets.(i + 1) - 1 do
-      Format.fprintf ppf "%d " t.lits.(k)
-    done;
-    Format.fprintf ppf "0@."
-  done

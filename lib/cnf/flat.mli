@@ -46,5 +46,3 @@ val sort_uniq_slice : int array -> int -> int -> int
     the loaders normalize each clause with it, so one clause of k
     literals stays cheap at any k.
     @raise Invalid_argument if the range is not inside [a]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,11 +40,3 @@ let map_vars f ~f:rename ~num_vars =
     if l > 0 then v else -v
   in
   { num_vars; clauses = Array.map (Array.map rename_lit) f.clauses }
-
-let pp ppf f =
-  Format.fprintf ppf "p cnf %d %d@." f.num_vars (num_clauses f);
-  Array.iter
-    (fun c ->
-      Array.iter (fun l -> Format.fprintf ppf "%d " l) c;
-      Format.fprintf ppf "0@.")
-    f.clauses

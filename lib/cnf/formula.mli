@@ -26,5 +26,3 @@ val is_trivially_unsat : t -> bool
 
 val map_vars : t -> f:(int -> int) -> num_vars:int -> t
 (** Renames variables ([f] acts on variable indices, preserving sign). *)
-
-val pp : Format.formatter -> t -> unit

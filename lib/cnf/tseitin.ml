@@ -92,6 +92,3 @@ let encode ?(assert_outputs = true) ?(plaisted_greenbaum = false) g =
     node_var;
     output_lits;
   }
-
-let input_assignment _enc g model =
-  Array.init (Aig.Graph.num_pis g) (fun i -> model.(i))

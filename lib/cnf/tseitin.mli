@@ -25,6 +25,3 @@ val encode :
     the full encoding (and smaller), but gate variables in a model are
     no longer guaranteed to equal the gate's simulated value — only
     input variables are meaningful. *)
-
-val input_assignment : encoding -> Aig.Graph.t -> bool array -> bool array
-(** Restrict a model (array of [num_vars] booleans) to PI values. *)

@@ -33,6 +33,24 @@ type report = {
 
 let t_all r = r.t_agent +. r.t_trans +. r.t_solve
 
+(* A report of an instance that is yet to be transformed or solved. *)
+let blank_report inst ~vars ~clauses =
+  {
+    instance = inst.Instance.name;
+    recipe_used = [];
+    vars;
+    clauses;
+    t_agent = 0.0;
+    t_trans = 0.0;
+    t_solve = 0.0;
+    result = Unknown;
+    solver_stats = Sat.Solver.empty_stats;
+    aig_before = None;
+    aig_after = None;
+    netlist_luts = 0;
+    netlist_levels = 0;
+  }
+
 (* Wall-clock timing (monotonic): the paper's T_agent/T_trans/T_solve
    decomposition is about elapsed time, and under the portfolio several
    domains share the process, so [Sys.time] (process CPU) would
@@ -95,21 +113,8 @@ let transform config inst =
   | No_preprocessing ->
     let f = Instance.direct_formula inst in
     ( f,
-      {
-        instance = inst.Instance.name;
-        recipe_used = [];
-        vars = f.Cnf.Formula.num_vars;
-        clauses = Cnf.Formula.num_clauses f;
-        t_agent = 0.0;
-        t_trans = 0.0;
-        t_solve = 0.0;
-        result = Unknown;
-        solver_stats = Sat.Solver.empty_stats;
-        aig_before = None;
-        aig_after = None;
-        netlist_luts = 0;
-        netlist_levels = 0;
-      } )
+      blank_report inst ~vars:f.Cnf.Formula.num_vars
+        ~clauses:(Cnf.Formula.num_clauses f) )
   | Fixed _ | Random_policy _ | Agent _ ->
     let g0, t_to_aig =
       timed (fun () -> Instance.to_aig ~advanced:config.advanced_recovery inst)
@@ -142,15 +147,12 @@ let transform config inst =
           (Cnf.Formula.num_clauses f) t_map t_enc);
     ( f,
       {
-        instance = inst.Instance.name;
+        (blank_report inst ~vars:f.Cnf.Formula.num_vars
+           ~clauses:(Cnf.Formula.num_clauses f))
+        with
         recipe_used;
-        vars = f.Cnf.Formula.num_vars;
-        clauses = Cnf.Formula.num_clauses f;
         t_agent;
         t_trans = t_to_aig +. t_synth +. t_map +. t_enc;
-        t_solve = 0.0;
-        result = Unknown;
-        solver_stats = Sat.Solver.empty_stats;
         aig_before = Some before;
         aig_after = Some after;
         netlist_luts = Lutmap.Netlist.num_luts nl;
@@ -268,19 +270,12 @@ let run_portfolio ?(limits = Sat.Solver.no_limits) ?(jobs = 4)
   in
   let report =
     {
-      instance = inst.Instance.name;
-      recipe_used = [];
-      vars = fl.Cnf.Flat.num_vars;
-      clauses = Cnf.Flat.num_clauses fl;
-      t_agent = 0.0;
-      t_trans = 0.0;
+      (blank_report inst ~vars:fl.Cnf.Flat.num_vars
+         ~clauses:(Cnf.Flat.num_clauses fl))
+      with
       t_solve = outcome.Portfolio.Runner.wall;
       result = outcome.Portfolio.Runner.result;
       solver_stats = outcome.Portfolio.Runner.stats;
-      aig_before = None;
-      aig_after = None;
-      netlist_luts = 0;
-      netlist_levels = 0;
     }
   in
   (report, outcome)
@@ -294,19 +289,12 @@ let solve_cube ?(limits = Sat.Solver.no_limits) ?cubes ?probe_limit ?jobs
   in
   let report =
     {
-      instance = inst.Instance.name;
-      recipe_used = [];
-      vars = f.Cnf.Formula.num_vars;
-      clauses = Cnf.Formula.num_clauses f;
-      t_agent = 0.0;
-      t_trans = 0.0;
+      (blank_report inst ~vars:f.Cnf.Formula.num_vars
+         ~clauses:(Cnf.Formula.num_clauses f))
+      with
       t_solve = cr.Portfolio.Cuber.wall;
       result = cr.Portfolio.Cuber.result;
       solver_stats = cr.Portfolio.Cuber.stats;
-      aig_before = None;
-      aig_after = None;
-      netlist_luts = 0;
-      netlist_levels = 0;
     }
   in
   (report, cr)

@@ -232,11 +232,3 @@ let read_string s =
   in
   Netlist.validate nl;
   nl
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      read_string (really_input_string ic len))

@@ -15,5 +15,3 @@ val write_file : ?model_name:string -> Netlist.t -> string -> unit
 val read_string : string -> Netlist.t
 (** @raise Parse_error on malformed input, combinational loops,
     multi-model files or covers wider than 16 inputs. *)
-
-val read_file : string -> Netlist.t

@@ -109,7 +109,7 @@ let stitch recorder cubes leaf_clauses =
 
 (* Conquer the live cubes with [jobs] workers claiming them through
    [Runner.spread], then stitch; the report's [wall] is set by [solve]. *)
-let conquer ?pool ~jobs ~limits ~proof ~log ~on_cube fl cubes =
+let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
   let n = Array.length cubes in
   let live =
     Array.of_list
@@ -183,7 +183,7 @@ let conquer ?pool ~jobs ~limits ~proof ~log ~on_cube fl cubes =
         Option.iter (fun st -> agg := Sat.Solver.add_stats !agg st) stats)
   in
   Runner.with_shared_proof proof (fun recorder ->
-      Runner.spread ?pool ~workers (Array.length live) (claim recorder);
+      Runner.spread ~workers (Array.length live) (claim recorder);
       let solved =
         Array.fold_left
           (fun acc o ->
@@ -249,7 +249,7 @@ let trivial_report ~result ~proof_sealed ~complete =
     stats = Sat.Solver.empty_stats;
   }
 
-let solve ?(cubes = default_cubes) ?(probe_limit = default_probe_limit) ?pool
+let solve ?(cubes = default_cubes) ?(probe_limit = default_probe_limit)
     ?(jobs = 4) ?(limits = Sat.Solver.no_limits) ?proof ?log ?on_cube fl =
   let t0 = Sat.Wall.now () in
   let report =
@@ -270,6 +270,6 @@ let solve ?(cubes = default_cubes) ?(probe_limit = default_probe_limit) ?pool
       trivial_report ~result:Sat.Solver.Unsat ~proof_sealed:sealed
         ~complete:true
     | `Cubes cube_arr ->
-      conquer ?pool ~jobs ~limits ~proof ~log ~on_cube fl cube_arr
+      conquer ~jobs ~limits ~proof ~log ~on_cube fl cube_arr
   in
   { report with wall = Sat.Wall.now () -. t0 }

@@ -78,18 +78,18 @@ val split :
 
 val solve :
   ?cubes:int -> ?probe_limit:int ->
-  ?pool:Runner.pool -> ?jobs:int ->
+  ?jobs:int ->
   ?limits:Sat.Solver.limits ->
   ?proof:Sat.Proof.t ->
   ?log:(string -> unit) ->
   ?on_cube:(int -> unit) ->
   Cnf.Flat.t -> report
 (** Cube, conquer with [min jobs live-cubes] workers ([jobs] defaults
-    to 4), stitch.  The workers run on [pool] when given, else on a
-    transient pool that lives as long as the conquest; one worker
-    conquers inline in cube order, spawns no domain and is
-    bit-identical across runs.  [limits] apply to each cube job
-    separately.  With [proof], the shared recorder is replayed into it
+    to 4), stitch.  The calling domain is one worker and the others
+    run on domains spawned for the conquest and joined before it
+    returns ({!Runner.spread}); one worker conquers inline in cube
+    order, spawns no domain and is bit-identical across runs.
+    [limits] apply to each cube job separately.  With [proof], the shared recorder is replayed into it
     only when sealed ({!Runner.with_shared_proof}), so a partial
     conquest never leaves a half-told proof in the caller's recorder.
     A [limits.interrupt] flag is the conquest's cancel flag: setting it

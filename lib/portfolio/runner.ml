@@ -25,75 +25,11 @@ let result_name = function
   | Sat.Solver.Unsat -> "UNSAT"
   | Sat.Solver.Unknown -> "UNKNOWN"
 
-(* --- reusable worker pool -------------------------------------------- *)
+(* --- the work loop ---------------------------------------------------- *)
 
-(* A persistent set of worker domains consuming tasks from one queue.
-   Spawning a domain costs a thread plus a GC registration; under the
-   solve service every hard job runs a conquest, so the domains are
-   created once per server worker instead of once per conquest. *)
-type pool = {
-  tasks : (unit -> unit) Queue.t;
-  pm : Mutex.t;
-  pc : Condition.t;
-  mutable stopped : bool;
-  mutable domains : unit Domain.t array;
-}
-
-let create_pool ~jobs () =
-  let pool =
-    {
-      tasks = Queue.create ();
-      pm = Mutex.create ();
-      pc = Condition.create ();
-      stopped = false;
-      domains = [||];
-    }
-  in
-  let rec worker () =
-    Mutex.lock pool.pm;
-    while Queue.is_empty pool.tasks && not pool.stopped do
-      Condition.wait pool.pc pool.pm
-    done;
-    if Queue.is_empty pool.tasks then Mutex.unlock pool.pm (* stopped *)
-    else begin
-      let task = Queue.pop pool.tasks in
-      Mutex.unlock pool.pm;
-      task ();
-      worker ()
-    end
-  in
-  pool.domains <- Array.init (max 1 jobs) (fun _ -> Domain.spawn worker);
-  pool
-
-let shutdown_pool pool =
-  Mutex.lock pool.pm;
-  let first = not pool.stopped in
-  pool.stopped <- true;
-  Condition.broadcast pool.pc;
-  Mutex.unlock pool.pm;
-  if first then Array.iter Domain.join pool.domains
-
-(* Run every body on the pool and wait until the last one to finish
-   fills the latch.  A body's exception is swallowed so the count always
-   reaches zero. *)
-let run_bodies pool bodies =
-  let remaining = Atomic.make (Array.length bodies) in
-  let finished = Sat.Ivar.create () in
-  Mutex.protect pool.pm (fun () ->
-      if pool.stopped then invalid_arg "Runner: pool is shut down";
-      Array.iter
-        (fun body ->
-          Queue.push
-            (fun () ->
-              (try body () with _ -> ());
-              if Atomic.fetch_and_add remaining (-1) = 1 then
-                ignore (Sat.Ivar.fill finished ()))
-            pool.tasks)
-        bodies;
-      Condition.broadcast pool.pc);
-  if Array.length bodies > 0 then Sat.Ivar.await finished
-
-let spread ?pool ~workers n f =
+(* A failed spawn is not an error: the bodies already running, the
+   caller's among them, claim every index. *)
+let spread ~workers n f =
   let next = Atomic.make 0 in
   let rec body worker () =
     let i = Atomic.fetch_and_add next 1 in
@@ -103,15 +39,17 @@ let spread ?pool ~workers n f =
     end
   in
   if workers <= 1 then body 0 ()
-  else
-    let bodies = Array.init workers body in
-    match pool with
-    | Some pool -> run_bodies pool bodies
-    | None ->
-      let pool = create_pool ~jobs:workers () in
-      Fun.protect
-        ~finally:(fun () -> shutdown_pool pool)
-        (fun () -> run_bodies pool bodies)
+  else begin
+    let run worker () = try body worker () with _ -> () in
+    let spawned = ref [] in
+    (try
+       for w = 1 to workers - 1 do
+         spawned := Domain.spawn (run w) :: !spawned
+       done
+     with _ -> ());
+    run 0 ();
+    List.iter Domain.join !spawned
+  end
 
 (* --- steps shared by the race and the conquest ----------------------- *)
 

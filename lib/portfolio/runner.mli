@@ -89,43 +89,29 @@ val run :
   outcome
 (** Race the strategies on a store.  [jobs] (default 4) caps the
     number of workers at [min jobs (List.length strategies)]; more
-    than one race on a transient pool that lives exactly as long as
-    the race.  A [limits.interrupt] flag is the race's cancel flag:
-    setting it stops every lane, and the race sets it once decided.
-    Without one the race creates its own.  [share_lbd] (default 4) is
-    the maximum glue value a learned clause may have to be exported;
-    [0] disables sharing.  [log] receives human-readable race events
-    (serialized — safe to print).
+    than one race on {!spread}: the caller plus domains spawned for
+    the race and joined before it returns.  A [limits.interrupt] flag
+    is the race's cancel flag: setting it stops every lane, and the
+    race sets it once decided.  Without one the race creates its own.
+    [share_lbd] (default 4) is the maximum glue value a learned clause
+    may have to be exported; [0] disables sharing.  [log] receives
+    human-readable race events (serialized — safe to print).
     @raise Invalid_argument on an empty strategy list. *)
 
-(** {2 The work loop}
+(** {2 The work loop} *)
 
-    A {!pool} is a persistent set of worker domains that many cube
-    conquests run on, amortizing domain spawn/teardown — the regime a
-    long-lived solve service runs in. *)
-
-type pool
-
-val create_pool : jobs:int -> unit -> pool
-(** Spawn [max 1 jobs] persistent worker domains, idle until
-    {!spread} runs bodies on them. *)
-
-val shutdown_pool : pool -> unit
-(** Wake every idle worker and join the domains.  Outstanding
-    {!spread}s must have returned; idempotent otherwise. *)
-
-val spread :
-  ?pool:pool -> workers:int -> int -> (worker:int -> int -> unit) -> unit
-(** [spread ?pool ~workers n f] runs [workers] bodies that claim the
-    indices [0 .. n-1] from one atomic cursor, in order, and call
-    [f ~worker i] for each claim ([worker] is the body's number in
+val spread : workers:int -> int -> (worker:int -> int -> unit) -> unit
+(** [spread ~workers n f] runs [workers] bodies that claim the indices
+    [0 .. n-1] from one atomic cursor, in order, and call [f ~worker i]
+    for each claim ([worker] is the body's number in
     [0 .. workers-1]).  With [workers <= 1] it runs inline on the
-    calling domain in index order and spawns no domain.  Otherwise the
-    bodies run on [pool], or on a transient pool of [workers] domains
-    that is joined before [spread] returns.  [f] must handle its own
-    exceptions: on a pool, one that escapes ends its body silently.
-    Concurrent [spread]s on one pool are safe but share its domains.
-    @raise Invalid_argument on a pool after {!shutdown_pool}. *)
+    calling domain in index order and spawns no domain.  Otherwise
+    body 0 runs on the calling domain and bodies [1 .. workers-1] on
+    domains spawned for the call; every spawned domain is joined
+    before [spread] returns.  If a spawn fails, the bodies already
+    running still claim every index.  [f] must handle its own
+    exceptions: with more than one worker, one that escapes ends its
+    body alone and [spread] returns once the others are done. *)
 
 (** {2 Steps shared by the race and the conquest} *)
 

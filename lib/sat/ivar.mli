@@ -2,10 +2,9 @@
 
     Every asynchronous answer of the solve service travels through one
     of these: a one-shot job's result ({!Server.await},
-    {!Server.on_answer}), a session operation's answer
-    ({!Server.Session.on_answer}) and the portfolio pool's "all bodies
-    finished" latch.  The cell starts empty; the first {!fill} stores
-    its value for good and wakes every waiter.
+    {!Server.on_answer}) and a session operation's answer
+    ({!Server.Session.on_answer}).  The cell starts empty; the first
+    {!fill} stores its value for good and wakes every waiter.
 
     {2 Completion contract}
 

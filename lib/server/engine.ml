@@ -20,12 +20,13 @@ type answer = {
 
 (* Hardness-triggered cube-and-conquer: a job whose first solve slice
    hits [cube_trigger] conflicts without an answer escalates to
-   [Portfolio.Cuber] on the worker's cube pool.  Small jobs answer
-   inside the slice and never pay for the machinery. *)
+   [Portfolio.Cuber]: the worker conquers beside [cube_jobs - 1]
+   domains spawned for that job.  Small jobs answer inside the slice
+   and never pay for the machinery. *)
 type cube_config = {
   cube_trigger : int;     (* conflicts before a job escalates *)
   cube_count : int;       (* max cubes per escalated job *)
-  cube_jobs : int;        (* cube pool domains per worker *)
+  cube_jobs : int;        (* conquest bodies, the worker included *)
   cube_probe_limit : int; (* lookahead probes per split node *)
 }
 
@@ -192,7 +193,7 @@ let deadline_passed job now =
    cube-and-conquer escalation.  Returns the solve result, its stats,
    the warm snapshot captured at exit and the cube report when the job
    escalated. *)
-let direct_leg t pool (job : job) =
+let direct_leg t (job : job) =
   let limits =
     { t.cfg.limits with
       Sat.Solver.deadline = job.deadline; interrupt = Some job.interrupt }
@@ -243,7 +244,7 @@ let direct_leg t pool (job : job) =
        their state; see the warm-start soundness contract). *)
     let rep =
       Portfolio.Cuber.solve ~cubes:cc.cube_count
-        ~probe_limit:cc.cube_probe_limit ?pool ~jobs:cc.cube_jobs ~limits
+        ~probe_limit:cc.cube_probe_limit ~jobs:cc.cube_jobs ~limits
         job.cnf
     in
     Metrics.add t.metrics Cubed;
@@ -334,12 +335,6 @@ let run_session_token t s =
   | `Closed -> retire_closed t s
 
 let worker_loop t () =
-  (* The worker's cube pool: idle until a job crosses the cube
-     hardness trigger, so small-job throughput is untouched. *)
-  let pool =
-    let jobs = match t.cfg.cube with Some cc -> cc.cube_jobs | None -> 1 in
-    if jobs > 1 then Some (Portfolio.Runner.create_pool ~jobs ()) else None
-  in
   let rec loop () =
     match Job_queue.pop t.queue with
     | None -> ()
@@ -357,7 +352,7 @@ let worker_loop t () =
            ~solve_wall:0.0 ()
        else begin
          let t0 = Sat.Wall.now () in
-         match direct_leg t pool job with
+         match direct_leg t job with
          | result, stats, snapshot, cube ->
            classify t job result stats (Sat.Wall.now () -. t0) snapshot ~cube
          | exception e ->
@@ -369,8 +364,7 @@ let worker_loop t () =
        end);
       loop ()
   in
-  loop ();
-  Option.iter Portfolio.Runner.shutdown_pool pool
+  loop ()
 
 (* Idle-TTL sweep: evict sessions idle past the configured TTL.
    Re-checked under [gm] so a session that just accepted an op is

@@ -101,11 +101,12 @@ type answer = {
 
 (** Hardness-triggered cube-and-conquer.  A job whose first solve
     slice hits [cube_trigger] conflicts without an answer escalates to
-    {!Portfolio.Cuber} on the worker's private cube pool ([cube_jobs]
-    domains, idle otherwise): the formula is
-    split into up to [cube_count] cubes by propagation lookahead
+    {!Portfolio.Cuber}: the formula is split into up to [cube_count]
+    cubes by propagation lookahead
     ([cube_probe_limit] probes per split node) and conquered with work
-    stealing.  Small jobs answer inside the slice and take exactly the
+    stealing by [cube_jobs] bodies: the worker itself plus
+    [cube_jobs - 1] domains spawned for that job and joined before it
+    answers.  No domain is kept for cubing between jobs.  Small jobs answer inside the slice and take exactly the
     path they would without cubing.
 
     Soundness guards on the escalated path (see DESIGN.md):
@@ -117,7 +118,7 @@ type answer = {
 type cube_config = {
   cube_trigger : int;     (** conflicts before a job escalates *)
   cube_count : int;       (** max cubes per escalated job *)
-  cube_jobs : int;        (** cube pool domains per worker *)
+  cube_jobs : int;        (** conquest bodies, the worker included *)
   cube_probe_limit : int; (** lookahead probes per split node *)
 }
 

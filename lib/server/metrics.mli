@@ -58,7 +58,7 @@ type counter =
           cube-and-conquer (orthogonal to the request ledger: a cubed
           job still completes exactly once) *)
   | Cubes_solved  (** cubes refuted or satisfied across those jobs *)
-  | Cube_steals  (** cube claims by a non-owner pool worker *)
+  | Cube_steals  (** cube claims by a non-owner conquest worker *)
   | Dedup_joins
   | Session_ops  (** session operations accepted *)
   | Sessions_opened

@@ -28,34 +28,24 @@ let scratch g =
   s.stamp <- s.stamp + 1;
   s
 
-let rec deref s g refs bounded visit nid =
-  visit nid;
-  fanin s g refs bounded visit (Aig.Graph.fanin0 g nid);
-  fanin s g refs bounded visit (Aig.Graph.fanin1 g nid)
+(* Count the ANDs [nid] owns above the cut: a fanin whose dereference
+   count reaches its reference count joins the cone. *)
+let rec deref s g refs nid =
+  let n0 = fanin s g refs (Aig.Graph.fanin0 g nid) in
+  let n1 = fanin s g refs (Aig.Graph.fanin1 g nid) in
+  1 + n0 + n1
 
-and fanin s g refs bounded visit l =
+and fanin s g refs l =
   let fid = Aig.Graph.node_of_lit l in
-  if Aig.Graph.is_and g fid && not (bounded && s.leaf.(fid) = s.stamp)
-  then begin
+  if Aig.Graph.is_and g fid && s.leaf.(fid) <> s.stamp then begin
     let d = if s.seen.(fid) = s.stamp then s.delta.(fid) + 1 else 1 in
     s.seen.(fid) <- s.stamp;
     s.delta.(fid) <- d;
-    if refs.(fid) = d then deref s g refs bounded visit fid
+    if refs.(fid) = d then deref s g refs fid else 0
   end
+  else 0
 
 let size_above_cut g refs id leaves =
   let s = scratch g in
   Array.iter (fun l -> s.leaf.(l) <- s.stamp) leaves;
-  let count = ref 0 in
-  deref s g refs true (fun _ -> incr count) id;
-  !count
-
-let size g refs id =
-  let count = ref 0 in
-  deref (scratch g) g refs false (fun _ -> incr count) id;
-  !count
-
-let members g refs id =
-  let acc = ref [] in
-  deref (scratch g) g refs false (fun nid -> acc := nid :: !acc) id;
-  !acc
+  deref s g refs id

@@ -7,9 +7,3 @@ val size_above_cut : Aig.Graph.t -> int array -> int -> int array -> int
 (** [size_above_cut g refs id leaves]: MFFC node count of [id] bounded
     below by the cut [leaves] (ascending node ids); [refs] are the
     graph's reference counts. *)
-
-val size : Aig.Graph.t -> int array -> int -> int
-(** Unbounded MFFC size (recursion stops at PIs and shared nodes). *)
-
-val members : Aig.Graph.t -> int array -> int -> int list
-(** Unbounded MFFC member ids, the node included. *)

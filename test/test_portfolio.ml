@@ -603,3 +603,51 @@ let suite =
       ("a decided race stops a preparing lane", `Quick,
        test_race_stops_a_preparing_lane);
     ]
+
+(* --- the work loop ----------------------------------------------------- *)
+
+(* [spread ~workers:3] claims every index once, runs body 0 on the
+   calling domain and the other two elsewhere, and a body whose [f]
+   raises ends alone while [spread] waits for the others.  Each body
+   holds its first claim until all three have one, so every body
+   claims something. *)
+let test_spread_contract () =
+  let n = 64 in
+  let me = Domain.self () in
+  let run ~raise_in =
+    let claimed = Array.init n (fun _ -> Atomic.make 0) in
+    let owner = Array.make n (-1) in
+    let home = Array.make 3 None in
+    let arrived = Atomic.make 0 in
+    Portfolio.Runner.spread ~workers:3 n (fun ~worker i ->
+        Atomic.incr claimed.(i);
+        owner.(i) <- worker;
+        if home.(worker) = None then begin
+          home.(worker) <- Some (Domain.self ());
+          Atomic.incr arrived;
+          while Atomic.get arrived < 3 do
+            Domain.cpu_relax ()
+          done
+        end;
+        if Some worker = raise_in then failwith "body raised");
+    check_bool "every index claimed once" true
+      (Array.for_all (fun c -> Atomic.get c = 1) claimed);
+    check_bool "body 0 ran on the caller" true (home.(0) = Some me);
+    Array.iteri
+      (fun w d ->
+        if w > 0 && d = Some me then
+          Alcotest.failf "body %d ran on the caller" w)
+      home;
+    let claims w =
+      Array.fold_left (fun k o -> if o = w then k + 1 else k) 0 owner
+    in
+    Option.iter
+      (fun w -> check_int "the raising body stopped at its claim" 1 (claims w))
+      raise_in
+  in
+  run ~raise_in:None;
+  run ~raise_in:(Some 0);
+  run ~raise_in:(Some 2)
+
+let suite =
+  suite @ [ ("spread runs body 0 on the caller", `Quick, test_spread_contract) ]

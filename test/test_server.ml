@@ -1245,3 +1245,54 @@ let suite =
     ("model line clamps/pads", `Quick, test_model_line_clamps);
     ("concurrent session fuzz", `Quick, test_session_fuzz);
   ]
+
+(* --- no domains kept for cubing ---------------------------------------- *)
+
+(* The OS threads of this process, from [Threads:] in /proc/self/status,
+   read once two readings 20 ms apart agree: a joined domain's threads
+   take a moment to exit. *)
+let stable_threads () =
+  let read () =
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> Alcotest.fail "no Threads: line"
+          | Some l when String.starts_with ~prefix:"Threads:" l ->
+            int_of_string
+              (String.trim (String.sub l 8 (String.length l - 8)))
+          | Some _ -> scan ()
+        in
+        scan ())
+  in
+  let rec settle prev tries =
+    Unix.sleepf 0.02;
+    let now = read () in
+    if now = prev || tries = 0 then now else settle now (tries - 1)
+  in
+  settle (read ()) 100
+
+(* An idle engine runs as many threads with cubing configured as
+   without it: a conquest spawns its domains when a job escalates. *)
+let test_cubing_keeps_no_idle_domains () =
+  if Sys.file_exists "/proc/self/status" then begin
+    let delta cube =
+      let before = stable_threads () in
+      let e = Server.create ~config:(config ~workers:2 ?cube ()) () in
+      let during = stable_threads () in
+      Server.shutdown e;
+      during - before
+    in
+    (* A domain's first spawn also starts its own backup thread: take
+       that thread out of both readings. *)
+    Domain.join (Domain.spawn ignore);
+    let plain = delta None in
+    let cubing = delta (Some (cube_cc ~jobs:4 ())) in
+    check_int "threads of an idle engine, cubing vs not" plain cubing
+  end
+
+let suite =
+  suite
+  @ [
+      ("cubing keeps no idle domains", `Quick,
+       test_cubing_keeps_no_idle_domains);
+    ]
