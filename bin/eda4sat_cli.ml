@@ -406,7 +406,10 @@ let serve_cmd =
         tenant_limits;
       }
     in
-    let engine = Server.create ~config () in
+    let engine =
+      try Server.create ~config ()
+      with Invalid_argument msg -> input_error "serve" msg
+    in
     Fun.protect
       ~finally:(fun () -> Server.shutdown engine)
       (fun () ->

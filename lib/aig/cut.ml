@@ -143,6 +143,7 @@ let enumerate g ~k ~limit =
     }
   in
   Graph.iter_ands g (fun id ->
+      Interrupt.poll ();
       let f0 = Graph.fanin0 g id and f1 = Graph.fanin1 g id in
       let n0 = Graph.node_of_lit f0 and n1 = Graph.node_of_lit f1 in
       let c0 = Graph.is_compl f0 and c1 = Graph.is_compl f1 in

@@ -29,7 +29,8 @@ type sets
 
 val enumerate : Graph.t -> k:int -> limit:int -> sets
 (** Bottom-up enumeration keeping at most [limit] nontrivial cuts per
-    node (smallest first), plus the trivial cut. *)
+    node (smallest first), plus the trivial cut.
+    @raise Interrupt.Stopped within a node of a stop. *)
 
 val cuts : sets -> int -> cut list
 (** Cuts of a node (PIs have only the trivial cut). *)

@@ -27,7 +27,8 @@ let sorted_key c =
 
 (* Scan the clause set for AND and XOR definition patterns.  Every
    (clause, output literal) pair is examined; callers filter and rank
-   the returned candidates. *)
+   the returned candidates.  The scan is most of [run]'s time, so it
+   polls the stop scope once per clause. *)
 let collect_candidates clauses clause_index =
   let mem_clause lits =
     Hashtbl.find_opt clause_index (sorted_key (Array.of_list lits))
@@ -35,6 +36,7 @@ let collect_candidates clauses clause_index =
   let candidates = ref [] in
   Array.iteri
     (fun ci c ->
+      Aig.Interrupt.poll ();
       let len = Array.length c in
       if len >= 2 then begin
         let vars = Array.map abs c in

@@ -45,6 +45,7 @@ type result = {
 }
 
 val run : ?advanced:bool -> Formula.t -> result
+(** @raise Aig.Interrupt.Stopped within a clause of a stop. *)
 
 val stats : result -> string
 (** Human-readable one-liner for logs. *)

@@ -92,7 +92,7 @@ let synthesize config g0 =
     let g = ref g0 and ops = ref [] in
     (try
        for _t = 1 to max_steps do
-         Sat.Solver.Interrupt.poll ();
+         Aig.Interrupt.poll ();
          let action, t_sel =
            timed (fun () ->
                Rl.Dqn.select_action agent (State.observe st !g))
@@ -119,13 +119,11 @@ let transform config inst =
     let g0, t_to_aig =
       timed (fun () -> Instance.to_aig ~advanced:config.advanced_recovery inst)
     in
-    Sat.Solver.Interrupt.poll ();
     let before = Aig.Stats.snapshot g0 in
     Log.debug (fun m ->
         m "%s: G0 has %d ANDs, depth %d (to_aig %.3fs)" inst.Instance.name
           before.Aig.Stats.area before.Aig.Stats.depth t_to_aig);
     let g, recipe_used, t_agent, t_synth = synthesize config g0 in
-    Sat.Solver.Interrupt.poll ();
     let after = Aig.Stats.snapshot g in
     Log.debug (fun m ->
         m "%s: recipe [%s] -> %d ANDs, depth %d (synth %.3fs)"
@@ -135,7 +133,6 @@ let transform config inst =
     let nl, t_map =
       timed (fun () -> Lutmap.Mapper.run ~config:config.mapper g)
     in
-    Sat.Solver.Interrupt.poll ();
     let enc, t_enc = timed (fun () -> Lutmap.Encode.encode nl) in
     let f = enc.Lutmap.Encode.formula in
     Log.debug (fun m ->

@@ -67,13 +67,12 @@ val transform : config -> Instance.t -> Cnf.Formula.t * report
     zeroed and [result] is [Unknown].  With [No_preprocessing] the
     instance's direct formula is returned unchanged.
 
-    Run inside {!Sat.Solver.Interrupt.within} a flag, the
-    transformation stops with {!Sat.Solver.Interrupt.Stopped} soon
-    after the flag is set: every synthesis operator polls it on each
-    node ({!Synth.Pass}), the agent on each step, and [transform]
-    between its phases.  The portfolio runs its EDA lanes' [transform]
-    this way, so a lane whose race is lost stops within one node.
-    Outside a scope nothing polls true. *)
+    Run inside {!Aig.Interrupt.within} a flag, the transformation
+    stops with {!Aig.Interrupt.Stopped} within one clause, node or LUT
+    of the flag being set: cnf2aig, every synthesis operator
+    ({!Synth.Pass}), the mapper and the encoder poll it, and the agent
+    polls on each step.  The portfolio runs its EDA lanes' [transform]
+    this way.  Outside a scope nothing polls true. *)
 
 (** {1 Experiment presets} *)
 

@@ -28,6 +28,7 @@ let encode ?(assert_outputs = true) nl =
   in
   Array.iteri
     (fun j lut ->
+      Aig.Interrupt.poll ();
       let o = lut_var.(j) in
       let fanin_lit (v, positive) =
         let base = var_of_source lut.Netlist.fanins.(v) in

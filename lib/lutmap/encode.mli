@@ -14,4 +14,5 @@ type encoding = {
 
 val encode : ?assert_outputs:bool -> Netlist.t -> encoding
 (** When [assert_outputs] (default true), every output is forced to 1
-    (a constant-false output yields an empty clause). *)
+    (a constant-false output yields an empty clause).
+    @raise Aig.Interrupt.Stopped within a LUT of a stop. *)

@@ -21,20 +21,26 @@ let run ?(config = default_config) g =
   let arrival = Array.make n 0 in
   let flow = Array.make n 0.0 in
   let best : Aig.Cut.cut option array = Array.make n None in
+  (* Every pass visits the reachable ANDs, polling for a stop on each. *)
+  let iter_reachable f =
+    Aig.Graph.iter_ands g (fun id ->
+        if reachable.(id) then begin
+          Aig.Interrupt.poll ();
+          f id
+        end)
+  in
   (* Each reachable AND's nontrivial cuts, in enumeration order, and
      their costs, computed once. *)
   let cands = Array.make n [||] and costs = Array.make n [||] in
-  Aig.Graph.iter_ands g (fun id ->
-      if reachable.(id) then begin
-        let cs =
-          List.filter
-            (fun c -> not (Array.exists (Int.equal id) c.Aig.Cut.leaves))
-            (Aig.Cut.cuts sets id)
-          |> Array.of_list
-        in
-        cands.(id) <- cs;
-        costs.(id) <- Array.map (fun c -> float_of_int (cut_cost cfg c)) cs
-      end);
+  iter_reachable (fun id ->
+      let cs =
+        List.filter
+          (fun c -> not (Array.exists (Int.equal id) c.Aig.Cut.leaves))
+          (Aig.Cut.cuts sets id)
+        |> Array.of_list
+      in
+      cands.(id) <- cs;
+      costs.(id) <- Array.map (fun c -> float_of_int (cut_cost cfg c)) cs);
   let cut_arrival c =
     let a = ref 0 in
     Array.iter (fun leaf -> a := max !a arrival.(leaf)) c.Aig.Cut.leaves;
@@ -51,22 +57,20 @@ let run ?(config = default_config) g =
     best.(id) <- Some c
   in
   (* Delay-optimal pass: least arrival, then least flow. *)
-  Aig.Graph.iter_ands g (fun id ->
-      if reachable.(id) then begin
-        let cs = cands.(id) and cost = costs.(id) in
-        let bi = ref (-1) and ba = ref max_int and bf = ref infinity in
-        Array.iteri
-          (fun i c ->
-            let a = cut_arrival c and f = cut_flow c cost.(i) in
-            if a < !ba || (a = !ba && f < !bf) then begin
-              bi := i;
-              ba := a;
-              bf := f
-            end)
-          cs;
-        assert (!bi >= 0);
-        select id cs.(!bi) !ba !bf
-      end);
+  iter_reachable (fun id ->
+      let cs = cands.(id) and cost = costs.(id) in
+      let bi = ref (-1) and ba = ref max_int and bf = ref infinity in
+      Array.iteri
+        (fun i c ->
+          let a = cut_arrival c and f = cut_flow c cost.(i) in
+          if a < !ba || (a = !ba && f < !bf) then begin
+            bi := i;
+            ba := a;
+            bf := f
+          end)
+        cs;
+      assert (!bi >= 0);
+      select id cs.(!bi) !ba !bf);
   (* Area-recovery passes under the delay constraint. *)
   let required = Array.make n max_int in
   for _pass = 1 to cfg.area_passes do
@@ -99,33 +103,31 @@ let run ?(config = default_config) g =
     (* Re-select cuts: least flow, then least arrival, among the cuts
        within the required time; failing that, least arrival, then
        least flow. *)
-    Aig.Graph.iter_ands g (fun id ->
-        if reachable.(id) then begin
-          let req = if required.(id) = max_int then target else required.(id) in
-          let cs = cands.(id) and cost = costs.(id) in
-          let fi = ref (-1) and fa = ref 0 and ff = ref 0.0 in
-          let ii = ref (-1) and ia = ref 0 and iff = ref 0.0 in
-          Array.iteri
-            (fun i c ->
-              let a = cut_arrival c and f = cut_flow c cost.(i) in
-              if a <= req then begin
-                if !fi < 0 || f < !ff || (f = !ff && a < !fa) then begin
-                  fi := i;
-                  fa := a;
-                  ff := f
-                end
+    iter_reachable (fun id ->
+        let req = if required.(id) = max_int then target else required.(id) in
+        let cs = cands.(id) and cost = costs.(id) in
+        let fi = ref (-1) and fa = ref 0 and ff = ref 0.0 in
+        let ii = ref (-1) and ia = ref 0 and iff = ref 0.0 in
+        Array.iteri
+          (fun i c ->
+            let a = cut_arrival c and f = cut_flow c cost.(i) in
+            if a <= req then begin
+              if !fi < 0 || f < !ff || (f = !ff && a < !fa) then begin
+                fi := i;
+                fa := a;
+                ff := f
               end
-              else if !ii < 0 || a < !ia || (a = !ia && f < !iff) then begin
-                ii := i;
-                ia := a;
-                iff := f
-              end)
-            cs;
-          if !fi >= 0 then select id cs.(!fi) !fa !ff
-          else begin
-            assert (!ii >= 0);
-            select id cs.(!ii) !ia !iff
-          end
+            end
+            else if !ii < 0 || a < !ia || (a = !ia && f < !iff) then begin
+              ii := i;
+              ia := a;
+              iff := f
+            end)
+          cs;
+        if !fi >= 0 then select id cs.(!fi) !fa !ff
+        else begin
+          assert (!ii >= 0);
+          select id cs.(!ii) !ia !iff
         end)
   done;
   (* Derivation: collect the nodes actually used by the mapping. *)

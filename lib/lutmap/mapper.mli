@@ -22,7 +22,8 @@ val cost_customized_config : config
 (** Same shape but with the branching-complexity cost. *)
 
 val run : ?config:config -> Aig.Graph.t -> Netlist.t
-(** Maps the AIG into a LUT netlist computing the same outputs. *)
+(** Maps the AIG into a LUT netlist computing the same outputs.
+    @raise Aig.Interrupt.Stopped within a node of a stop. *)
 
 val total_cost : Cost.t -> Netlist.t -> int
 (** Sum of the cost metric over all LUTs of a netlist. *)

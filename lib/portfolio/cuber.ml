@@ -125,7 +125,10 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
   Array.iteri
     (fun i c -> if c.dead then leaf_clause.(i) <- Some (negate c.lits))
     cubes;
-  let cancel, limits = Runner.cancel_flag limits in
+  (* The caller's scope flag, else a fresh one; every claim runs in it. *)
+  let cancel =
+    Option.value (Aig.Interrupt.current ()) ~default:(Aig.Interrupt.create ())
+  in
   let log_line = Runner.serialize log in
   let sat_model = Atomic.make None in
   let outright = Atomic.make false in
@@ -142,7 +145,7 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
     let outcome, clause, stats =
       try
         (match on_cube with Some hook -> hook i | None -> ());
-        if Sat.Solver.Interrupt.is_set cancel then (Cube_cancelled, None, None)
+        if Aig.Interrupt.is_set cancel then (Cube_cancelled, None, None)
         else begin
           let result, st, core =
             Sat.Solver.solve_assuming ~limits ?proof:recorder
@@ -152,7 +155,7 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
           | Sat.Solver.Sat m ->
             if Atomic.compare_and_set sat_model None (Some m) then begin
               log_line (Printf.sprintf "cube %d: SAT — cancelling siblings" i);
-              Sat.Solver.Interrupt.set cancel
+              Aig.Interrupt.set cancel
             end;
             (Cube_sat, None, Some st)
           | Sat.Solver.Unsat ->
@@ -163,7 +166,7 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
                  needed. *)
               Atomic.set outright true;
               log_line (Printf.sprintf "cube %d: formula UNSAT outright" i);
-              Sat.Solver.Interrupt.set cancel;
+              Aig.Interrupt.set cancel;
               (Cube_refuted, None, Some st)
             end
             else begin
@@ -171,7 +174,7 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
               (Cube_refuted, Some (negate core), Some st)
             end
           | Sat.Solver.Unknown ->
-            if Sat.Solver.Interrupt.is_set cancel then
+            if Aig.Interrupt.is_set cancel then
               (Cube_cancelled, None, Some st)
             else (Cube_open, None, Some st)
         end
@@ -183,7 +186,8 @@ let conquer ~jobs ~limits ~proof ~log ~on_cube fl cubes =
         Option.iter (fun st -> agg := Sat.Solver.add_stats !agg st) stats)
   in
   Runner.with_shared_proof proof (fun recorder ->
-      Runner.spread ~workers (Array.length live) (claim recorder);
+      Runner.spread ~workers (Array.length live) (fun ~worker k ->
+          Aig.Interrupt.within cancel (fun () -> claim recorder ~worker k));
       let solved =
         Array.fold_left
           (fun acc o ->

@@ -16,9 +16,9 @@
     workers claim cubes in order from one atomic cursor.  Live cube
     [k] is owned by worker [k mod workers], so a claim by any other
     worker is a steal, counted in {!report.steals}.
-    The first SAT cube cancels every sibling through the shared
-    {!Sat.Solver.Interrupt} flag; an UNSAT instance is refuted
-    cube-by-cube.
+    Every claim runs inside {!Aig.Interrupt.within} the conquest's
+    cancel flag, and the first SAT cube sets it, which cancels every
+    sibling; an UNSAT instance is refuted cube-by-cube.
 
     {2 Stitch}
 
@@ -92,8 +92,9 @@ val solve :
     [limits] apply to each cube job separately.  With [proof], the shared recorder is replayed into it
     only when sealed ({!Runner.with_shared_proof}), so a partial
     conquest never leaves a half-told proof in the caller's recorder.
-    A [limits.interrupt] flag is the conquest's cancel flag: setting it
-    cancels the whole conquest ([result = Unknown]), and a SAT cube
-    sets it.  Without one the conquest creates its own.  [on_cube i]
-    is a test hook invoked on the solving worker just before cube
-    [i]'s job starts; an exception it raises fails that cube. *)
+    The flag of the caller's stop scope ({!Aig.Interrupt.current}) is
+    the conquest's cancel flag: setting it cancels the whole conquest
+    ([result = Unknown]), and a SAT cube sets it.  Outside a scope the
+    conquest creates its own.  [on_cube i] is a test hook invoked on
+    the solving worker just before cube [i]'s job starts; an exception
+    it raises fails that cube. *)

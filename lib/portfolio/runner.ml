@@ -53,13 +53,6 @@ let spread ~workers n f =
 
 (* --- steps shared by the race and the conquest ----------------------- *)
 
-let cancel_flag limits =
-  match limits.Sat.Solver.interrupt with
-  | Some i -> (i, limits)
-  | None ->
-    let i = Sat.Solver.Interrupt.create () in
-    (i, { limits with Sat.Solver.interrupt = Some i })
-
 let with_shared_proof proof f =
   match proof with
   | None -> f None
@@ -93,8 +86,11 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
     workers > 1 && share_lbd > 0 && st.Strategy.prepare = None
   in
   let bus = Clause_bus.create ~sharing:(Array.map shares strategies) in
-  let cancel, limits = cancel_flag limits in
-  let is_cancelled () = Sat.Solver.Interrupt.is_set cancel in
+  (* The race's cancel flag: the caller's scope flag, else a fresh one. *)
+  let cancel =
+    Option.value (Aig.Interrupt.current ()) ~default:(Aig.Interrupt.create ())
+  in
+  let is_cancelled () = Aig.Interrupt.is_set cancel in
   (* First decisive answer wins; the CAS arbitrates photo finishes. *)
   let race_winner = Atomic.make (-1) in
   let lane proof i =
@@ -103,8 +99,7 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
       let fl =
         match st.Strategy.prepare with
         | None -> flat
-        | Some prep ->
-          Cnf.Flat.of_formula (Sat.Solver.Interrupt.within cancel prep)
+        | Some prep -> Cnf.Flat.of_formula (prep ())
       in
       if is_cancelled () then Cancelled
       else begin
@@ -131,7 +126,7 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
             log (Printf.sprintf "lane %d (%s): %s in %.3fs — race won" i
                    st.Strategy.name (result_name result)
                    stats.Sat.Solver.time);
-            Sat.Solver.Interrupt.set cancel
+            Aig.Interrupt.set cancel
           end;
           Answered (result, stats)
         | Sat.Solver.Unknown ->
@@ -144,7 +139,7 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
     with
     | _ when is_cancelled () ->
       (* A preparation abandoned because the race is over raises
-         [Interrupt.Stopped] out of its poll; that is a cancellation,
+         [Aig.Interrupt.Stopped] out of its poll; that is a cancellation,
          not a failure. *)
       Cancelled
     | e ->
@@ -152,11 +147,13 @@ let run ?(jobs = 4) ?(share_lbd = 4) ?(limits = Sat.Solver.no_limits) ?proof
       log (Printf.sprintf "lane %d (%s) failed: %s" i st.Strategy.name msg);
       Failed msg
   in
-  (* A lane claimed after the race is decided keeps [Cancelled]. *)
+  (* A lane claimed after the race is decided keeps [Cancelled].  Each
+     lane, preparation and solve, runs in the race's stop scope. *)
   let outcomes = Array.make n Cancelled in
   let race proof =
     spread ~workers n (fun ~worker:_ i ->
-        if not (is_cancelled ()) then outcomes.(i) <- lane proof i)
+        if not (is_cancelled ()) then
+          outcomes.(i) <- Aig.Interrupt.within cancel (fun () -> lane proof i))
   in
   (* One worker logs straight into the caller's recorder, which keeps
      [jobs = 1] bit-identical to [Sat.Solver.solve]; concurrent direct

@@ -5,8 +5,8 @@
     worker claims lanes in list order; a lane builds its CNF
     ([Strategy.prepare], or the input store), then drives
     {!Sat.Solver.solve_flat} with a {!Sat.Solver.config} of the lane's
-    heuristic and restart schedule under a shared
-    {!Sat.Solver.Interrupt} flag.  With more than one worker, the lanes
+    heuristic and restart schedule, all inside {!Aig.Interrupt.within}
+    one cancel flag.  With more than one worker, the lanes
     without a [prepare] step also exchange learned clauses over a
     {!Clause_bus}.
 
@@ -15,10 +15,8 @@
     The first lane to answer [Sat]/[Unsat] wins the race atomically
     and sets the cancel flag; losers stop within one budget tick of
     their solver, and any lane claimed after that answers [Cancelled].
-    A lane runs its [prepare] step inside
-    {!Sat.Solver.Interrupt.within} the cancel flag, so a lane still
-    preparing stops at its next poll (one synthesis node) with
-    [Cancelled].
+    A lane still preparing stops at its next poll (one clause, node or
+    LUT of the transformation) with [Cancelled].
     With one worker this runs the lanes in order until one answers
     (no domains, no sharing), which makes the anchor lane of
     [Strategy.default_pool ~jobs:1] bit-identical to
@@ -90,9 +88,10 @@ val run :
 (** Race the strategies on a store.  [jobs] (default 4) caps the
     number of workers at [min jobs (List.length strategies)]; more
     than one race on {!spread}: the caller plus domains spawned for
-    the race and joined before it returns.  A [limits.interrupt] flag
-    is the race's cancel flag: setting it stops every lane, and the
-    race sets it once decided.  Without one the race creates its own.
+    the race and joined before it returns.  The flag of the caller's
+    stop scope ({!Aig.Interrupt.current}) is the race's cancel flag:
+    setting it stops every lane, and the race sets it once decided.
+    Outside a scope the race creates its own.
     [share_lbd] (default 4) is the maximum glue value a learned clause
     may have to be exported; [0] disables sharing.  [log] receives
     human-readable race events (serialized — safe to print).
@@ -111,14 +110,11 @@ val spread : workers:int -> int -> (worker:int -> int -> unit) -> unit
     before [spread] returns.  If a spawn fails, the bodies already
     running still claim every index.  [f] must handle its own
     exceptions: with more than one worker, one that escapes ends its
-    body alone and [spread] returns once the others are done. *)
+    body alone and [spread] returns once the others are done.  A
+    spawned body starts outside every stop scope, so an [f] that must
+    stop enters one ({!Aig.Interrupt.within}). *)
 
 (** {2 Steps shared by the race and the conquest} *)
-
-val cancel_flag :
-  Sat.Solver.limits -> Sat.Solver.Interrupt.t * Sat.Solver.limits
-(** The cancel flag of a race or conquest: [limits.interrupt] when
-    set, else a fresh flag, returned with limits that carry it. *)
 
 val with_shared_proof :
   Sat.Proof.t option -> (Sat.Proof.t option -> 'a) -> 'a

@@ -22,11 +22,11 @@ type t = {
       (** build this lane's CNF (run by the worker that claims the lane);
           [None] solves the input formula.  A [Sat] answer carries the
           derived formula's model.  The runner calls it inside
-          {!Sat.Solver.Interrupt.within} the race's cancel flag, so a
-          preparation that polls that scope (every synthesis operator
-          does, once per node) raises
-          {!Sat.Solver.Interrupt.Stopped} soon after the race is
-          decided, and the lane reads [Cancelled].  A lane with a
+          {!Aig.Interrupt.within} the race's cancel flag, so a
+          preparation that polls that scope (cnf2aig, the synthesis
+          operators, the mapper and the encoder do, once per clause,
+          node or LUT) raises {!Aig.Interrupt.Stopped} soon after the
+          race is decided, and the lane reads [Cancelled].  A lane with a
           [prepare] step neither shares clauses nor logs a proof. *)
 }
 

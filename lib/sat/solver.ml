@@ -98,43 +98,16 @@ let add_stats a b =
     major_collections = a.major_collections + b.major_collections;
   }
 
-(* Cooperative cancellation, after minisat's interrupt /
-   clearInterrupt.  The flag is an [Atomic.t] so another domain can
-   raise it asynchronously; the search probes it on every budget tick
-   (one per conflict or decision) and gives up with [Unknown]. *)
-module Interrupt = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-  let set t = Atomic.set t true
-  let clear t = Atomic.set t false
-  let is_set t = Atomic.get t
-
-  exception Stopped
-
-  (* The flag of this domain's innermost [within]; outside every scope,
-     one flag that nothing can set. *)
-  let scope = Domain.DLS.new_key (let never = create () in fun () -> never)
-
-  let within t f =
-    let outer = Domain.DLS.get scope in
-    Domain.DLS.set scope t;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set scope outer) f
-
-  let poll () = if Atomic.get (Domain.DLS.get scope) then raise Stopped
-end
-
 type limits = {
   max_conflicts : int option;
   max_decisions : int option;
   max_seconds : float option;
   deadline : float option;
-  interrupt : Interrupt.t option;
 }
 
 let no_limits =
   { max_conflicts = None; max_decisions = None; max_seconds = None;
-    deadline = None; interrupt = None }
+    deadline = None }
 
 type seed = {
   seed_clauses : (int array * int) array;
@@ -1085,16 +1058,16 @@ type search_outcome =
    [config.reduce_base]/[config.reduce_inc] set the initial
    learnt-database cap and its growth per reduction.
 
-   [limits.interrupt] is probed on every budget tick; [export] is
-   called (in DIMACS literals) for every learned clause whose LBD is at
-   most [export_lbd], after the clause has been logged to [proof];
+   The flag of the caller's stop scope is probed on every budget tick;
+   [export] is called (in DIMACS literals) for every learned clause
+   whose LBD is at most [export_lbd], after it is logged to [proof];
    [import] is polled at every restart (and once on entry), at decision
    level 0, and its clauses join the learnt database. *)
 let search s ~config ~limits ~proof ~assumption_lits ~t0 =
   let { restarts; reduce_base; reduce_inc; export; export_lbd; import; _ } =
     config
   in
-  let interrupt = limits.interrupt in
+  let interrupt = Aig.Interrupt.current () in
   let nassum = Array.length assumption_lits in
   let conflicts_since_restart = ref 0 in
   let restart_num = ref 0 in
@@ -1186,7 +1159,7 @@ let search s ~config ~limits ~proof ~assumption_lits ~t0 =
   let out_of_budget () =
     incr budget_ticks;
     (match interrupt with
-     | Some i when Interrupt.is_set i -> true
+     | Some i when Aig.Interrupt.is_set i -> true
      | _ -> false)
     || (match limits.max_conflicts with
         | Some m when s.st_conflicts >= m -> true

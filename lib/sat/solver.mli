@@ -90,47 +90,14 @@ val check_num_vars : int -> unit
     before allocating.  Front ends call it at ingest, so an oversized
     [p cnf] header is rejected before any transform allocates. *)
 
-(** Cooperative cancellation, mirroring minisat's [interrupt] /
-    [clearInterrupt].  A flag is an [Atomic.t] under the hood: any
-    domain may {!Interrupt.set} it while a solve is running; the search
-    probes it on every budget tick (one per conflict or decision) and
-    returns [Unknown] within one tick.  The flag is not cleared by the
-    solver — {!Interrupt.clear} re-arms it for reuse. *)
-module Interrupt : sig
-  type t
-
-  val create : unit -> t
-
-  val set : t -> unit
-  (** Request cancellation; may be called from any domain. *)
-
-  val clear : t -> unit
-  val is_set : t -> bool
-
-  (** {2 A domain's stop scope}
-
-      Work that is not a solve (the synthesis operators' node loops,
-      the recipe agent's steps) reads a flag through a per-domain
-      scope instead of an argument: [within t f] runs [f] with [t] as
-      the calling domain's flag, and {!poll} inside it raises
-      {!Stopped} once [t] is set.  Outside every scope {!poll} reads a
-      flag nothing can set, so it never raises.  A poll is one
-      domain-local read and one [Atomic.get]; it allocates nothing. *)
-
-  exception Stopped
-
-  val within : t -> (unit -> 'a) -> 'a
-  (** [within t f] runs [f ()] with [t] as this domain's flag and
-      restores the enclosing scope when [f] returns or raises. *)
-
-  val poll : unit -> unit
-  (** @raise Stopped if the flag of this domain's innermost
-      {!within} is set. *)
-end
-
 (** Every condition on which a solve stops with [Unknown].  They are
     probed on the budget tick (one per conflict or decision), the two
-    wall-clock limits on every 256th.  On an {!Incremental} session,
+    wall-clock limits on every 256th.  A solve also stops on the tick
+    after the flag of the caller's stop scope is set: it reads
+    {!Aig.Interrupt.current} once at entry, so every entry point —
+    batch, incremental, assumption and cube solves — run inside
+    {!Aig.Interrupt.within} a flag stops when the flag is set, and the
+    flag is not cleared.  On an {!Incremental} session,
     [max_conflicts] and [max_decisions] are compared with the
     session's cumulative counts, counted from its creation, not from
     the start of the call. *)
@@ -146,11 +113,6 @@ type limits = {
           call made on the job's behalf (a portfolio lane starting
           late, a solve after an expensive preparation) stops at the
           same instant. *)
-  interrupt : Interrupt.t option;
-      (** cooperative cancellation from any domain ({!Interrupt}).  The
-          portfolio's race and the cuber's conquest use a set flag as
-          their own cancel flag, so setting it stops every lane or cube
-          job, and a decided race or a SAT cube sets it in turn. *)
 }
 
 val no_limits : limits

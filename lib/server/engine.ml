@@ -87,7 +87,7 @@ type job = {
   warm : Sat.Solver.seed option;  (* snapshot found at submit time *)
   deadline : float option;  (* absolute Wall.now instant *)
   submitted_at : float;
-  interrupt : Sat.Solver.Interrupt.t;
+  interrupt : Aig.Interrupt.t;
   phase : phase Atomic.t;
   cell : done_core Sat.Ivar.t;
   mutable join_subs : float list;  (* dedup joiners' submit times; [gm] *)
@@ -195,8 +195,7 @@ let deadline_passed job now =
    escalated. *)
 let direct_leg t (job : job) =
   let limits =
-    { t.cfg.limits with
-      Sat.Solver.deadline = job.deadline; interrupt = Some job.interrupt }
+    { t.cfg.limits with Sat.Solver.deadline = job.deadline }
   in
   (match job.warm with
    | Some _ -> Metrics.add t.metrics Warm_seeded
@@ -235,7 +234,7 @@ let direct_leg t (job : job) =
              | Some m -> cc.cube_trigger < m
              | None -> true)
          && (not (deadline_passed job (Sat.Wall.now ())))
-         && (not (Sat.Solver.Interrupt.is_set job.interrupt))
+         && (not (Aig.Interrupt.is_set job.interrupt))
          && not (Atomic.get t.stopping) ->
     (* Hardness trigger crossed: escalate to cube-and-conquer under
        the job's own deadline and interrupt.  The slice's snapshot
@@ -352,7 +351,9 @@ let worker_loop t () =
            ~solve_wall:0.0 ()
        else begin
          let t0 = Sat.Wall.now () in
-         match direct_leg t job with
+         match
+           Aig.Interrupt.within job.interrupt (fun () -> direct_leg t job)
+         with
          | result, stats, snapshot, cube ->
            classify t job result stats (Sat.Wall.now () -. t0) snapshot ~cube
          | exception e ->
@@ -420,7 +421,7 @@ let monitor_loop t () =
           if Atomic.compare_and_set job.phase Queued Done then
             finalize t job ~verdict:Timeout ~stats:Sat.Solver.empty_stats
               ~solve_wall:0.0 ()
-          else Sat.Solver.Interrupt.set job.interrupt)
+          else Aig.Interrupt.set job.interrupt)
       jobs;
     List.iter (fun s -> Session.interrupt_if_overdue s ~now) sessions;
     evict_expired_sessions t ~now
@@ -523,7 +524,7 @@ let enqueue t ~now ?deadline ~priority cnf fp =
              | Some s -> Some (now +. s)
              | None -> Option.map (fun s -> now +. s) t.cfg.default_deadline);
           submitted_at = now;
-          interrupt = Sat.Solver.Interrupt.create ();
+          interrupt = Aig.Interrupt.create ();
           phase = Atomic.make Queued;
           cell = Sat.Ivar.create ();
           join_subs = [];
@@ -744,7 +745,7 @@ let shutdown t =
     let jobs = Fp_tbl.fold (fun _ j acc -> j :: acc) t.inflight [] in
     let sessions = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
     Mutex.unlock t.gm;
-    List.iter (fun job -> Sat.Solver.Interrupt.set job.interrupt) jobs;
+    List.iter (fun job -> Aig.Interrupt.set job.interrupt) jobs;
     List.iter (fun s -> Session.kill s "server shutdown") sessions;
     Job_queue.close t.queue;
     let domains = t.domains in

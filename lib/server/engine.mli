@@ -28,10 +28,10 @@
       {!cube_config} is set;
     + the job's {b deadline} is enforced twice: as an absolute
       {!Sat.Solver.limits.deadline} probed on the solver's budget
-      tick, and by a monitor domain that interrupts a running job
-      ({!Sat.Solver.Interrupt}) and fails a still-queued one the
-      moment its deadline passes — a deadline answers [Timeout], never
-      a hang;
+      tick, and by a monitor domain that sets the flag of the job's
+      stop scope ({!Aig.Interrupt}, its cubes included) and fails a
+      still-queued one the moment its deadline passes — a deadline
+      answers [Timeout], never a hang;
     + decisive answers (a verified model, or [Unsat]) enter the LRU
       cache; [await] wakes every ticket attached to the job.
 

@@ -46,7 +46,7 @@ type t = {
   mutable checked_out : bool; (* a worker is executing an op right now *)
   mutable state : state;
   mutable last : float;
-  mutable running : (float option * Sat.Solver.Interrupt.t) option;
+  mutable running : (float option * Aig.Interrupt.t) option;
   (* Solver state: touched only by the single executing worker (the
      token discipline is the lock), never under [m]. *)
   inc : Sat.Solver.Incremental.session;
@@ -201,21 +201,20 @@ let exec_solve t ~limits ~stopping ~deadline =
   if deadline_passed deadline (Sat.Wall.now ()) then
     (Timeout, 0.0, Sat.Solver.empty_stats)
   else begin
-    let interrupt = Sat.Solver.Interrupt.create () in
+    let interrupt = Aig.Interrupt.create () in
     locked t (fun () -> t.running <- Some (deadline, interrupt));
     let assumptions =
       Array.append
         (Array.map (intern_lit t) t.assumptions)
         (Array.of_list (List.rev_map (fun f -> f.act) t.frames))
     in
-    let limits =
-      { limits with Sat.Solver.deadline; interrupt = Some interrupt }
-    in
+    let limits = { limits with Sat.Solver.deadline } in
     let t0 = Sat.Wall.now () in
     (* A raising solve propagates to [run_one], which resolves the
        ticket [Failed] and clears the running marker. *)
     let result, stats =
-      Sat.Solver.Incremental.solve ~limits ~assumptions t.inc
+      Aig.Interrupt.within interrupt (fun () ->
+          Sat.Solver.Incremental.solve ~limits ~assumptions t.inc)
     in
     let solve_wall = Sat.Wall.now () -. t0 in
     locked t (fun () -> t.running <- None);
@@ -350,7 +349,7 @@ let kill t msg =
   let ps =
     locked t (fun () ->
         (match t.running with
-         | Some (_, i) -> Sat.Solver.Interrupt.set i
+         | Some (_, i) -> Aig.Interrupt.set i
          | None -> ());
         drain_pending t)
   in
@@ -359,7 +358,7 @@ let kill t msg =
 let interrupt_if_overdue t ~now =
   locked t (fun () ->
       match t.running with
-      | Some (Some d, i) when now >= d -> Sat.Solver.Interrupt.set i
+      | Some (Some d, i) when now >= d -> Aig.Interrupt.set i
       | _ -> ())
 
 let is_idle t =

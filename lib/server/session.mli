@@ -110,9 +110,10 @@ val run_one :
     checkout flag guarantees exclusive access to the solver state; the
     token discipline guarantees a single caller.  [limits] is the
     engine's base per-op limit record; a [Solve] op's deadline is
-    layered on top.  [stopping] is probed before running an op — a
-    stopping server answers [Failed "server shutdown"] without
-    solving. *)
+    layered on top, and the solve runs inside {!Aig.Interrupt.within}
+    a flag of its own, which {!kill} and {!interrupt_if_overdue} set.
+    [stopping] is probed before running an op — a stopping server
+    answers [Failed "server shutdown"] without solving. *)
 
 val evict : t -> unit
 (** Mark the session evicted and resolve every pending op with
@@ -125,7 +126,7 @@ val kill : t -> string -> unit
 
 val interrupt_if_overdue : t -> now:float -> unit
 (** Monitor hook: if a solve is running past its deadline, set its
-    interrupt. *)
+    flag. *)
 
 val is_idle : t -> bool
 (** No pending ops and not checked out — the only state eligible for

@@ -27,7 +27,7 @@ let rebuild ?(select = fun _ -> true) g visit =
   let visit = visit p in
   Aig.Graph.iter_ands g (fun id ->
       if select id then begin
-        Sat.Solver.Interrupt.poll ();
+        Aig.Interrupt.poll ();
         p.map.(id) <- visit id
       end);
   for i = 0 to Aig.Graph.num_pos g - 1 do

@@ -6,9 +6,9 @@
     operator supplies only its per-node choice.
 
     The loop is also where a stop is read: before each node it calls
-    {!Sat.Solver.Interrupt.poll}, so an operator run inside
-    {!Sat.Solver.Interrupt.within} a flag that gets set raises
-    {!Sat.Solver.Interrupt.Stopped} within one node.  Outside a scope
+    {!Aig.Interrupt.poll}, so an operator run inside
+    {!Aig.Interrupt.within} a flag that gets set raises
+    {!Aig.Interrupt.Stopped} within one node.  Outside a scope
     the poll never raises and the rebuild is exactly the unpolled
     one. *)
 
@@ -38,4 +38,4 @@ val rebuild :
     that is not selected keeps the constant-false literal, so [select]
     must keep every node that a visited node or an output reads
     through [map].
-    @raise Sat.Solver.Interrupt.Stopped as above. *)
+    @raise Aig.Interrupt.Stopped as above. *)

@@ -17,8 +17,8 @@ val op_of_string : string -> op option
 
 val apply : op -> Aig.Graph.t -> Aig.Graph.t
 (** Applies one operation ([End] is the identity).  Every operator runs
-    {!Pass.rebuild}, so inside {!Sat.Solver.Interrupt.within} a set flag
-    it raises {!Sat.Solver.Interrupt.Stopped} within one node. *)
+    {!Pass.rebuild}, so inside {!Aig.Interrupt.within} a set flag it
+    raises {!Aig.Interrupt.Stopped} within one node. *)
 
 val apply_sequence : op list -> Aig.Graph.t -> Aig.Graph.t
 (** Applies operations left to right, stopping at the first [End]. *)

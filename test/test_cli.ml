@@ -875,6 +875,18 @@ let suite =
      serve_arg_error "listen" [ "--listen"; "nohost" ]);
     ("serve --tenant zzz is a CLI error", `Quick,
      serve_arg_error "tenant" [ "--tenant"; "zzz"; "--stdio" ]);
+    ("serve --workers 0 is a CLI error", `Quick,
+     serve_arg_error "workers" [ "--workers"; "0"; "--stdio" ]);
+    ("serve --queue 0 is a CLI error", `Quick,
+     serve_arg_error "queue" [ "--queue"; "0"; "--stdio" ]);
+    ("serve --cache 0 is a CLI error", `Quick,
+     serve_arg_error "cache" [ "--cache"; "0"; "--stdio" ]);
+    ("serve --sessions 0 is a CLI error", `Quick,
+     serve_arg_error "sessions" [ "--sessions"; "0"; "--stdio" ]);
+    ("serve --warm=-1 is a CLI error", `Quick,
+     serve_arg_error "warm" [ "--warm=-1"; "--stdio" ]);
+    ("serve --deadline-ms=-1 is a CLI error", `Quick,
+     serve_arg_error "deadline-ms" [ "--deadline-ms=-1"; "--stdio" ]);
     ("solve --cnf-simplify is a CLI error", `Quick,
      arg_error "cnf-simplify" [ "solve"; "--cnf-simplify" ]);
     ("pipe: AIGER operand and load error", `Quick, test_pipe_aiger_operand);

@@ -158,36 +158,37 @@ let test_cancellation_terminates () =
     outcome.Portfolio.Runner.workers
 
 let test_interrupt_hook () =
-  (* One pre-set [limits.interrupt] stops every entry point: the batch
-     and incremental solves, the assumption job and the race. *)
+  (* One pre-set scope flag stops every entry point: the batch and
+     incremental solves, the assumption job and the race. *)
   let hard = Workloads.Satcomp.pigeonhole ~pigeons:8 ~holes:7 in
   let fl = Cnf.Flat.of_formula hard in
-  let interrupt = Sat.Solver.Interrupt.create () in
-  Sat.Solver.Interrupt.set interrupt;
-  let limits = { Sat.Solver.no_limits with interrupt = Some interrupt } in
+  let interrupt = Aig.Interrupt.create () in
+  Aig.Interrupt.set interrupt;
+  let within f = Aig.Interrupt.within interrupt f in
   let session = Sat.Solver.Incremental.create () in
   Sat.Solver.Incremental.add_formula session hard;
   List.iter
     (fun (name, result) ->
-      match result with
+      match within result with
       | Sat.Solver.Unknown -> ()
       | _ -> Alcotest.failf "%s: pre-set interrupt must yield Unknown" name)
     [
-      ("solve_flat", fst (Sat.Solver.solve_flat ~limits fl));
-      ("Incremental.solve", fst (Sat.Solver.Incremental.solve ~limits session));
+      ("solve_flat", fun () -> fst (Sat.Solver.solve_flat fl));
+      ("Incremental.solve",
+       fun () -> fst (Sat.Solver.Incremental.solve session));
       ( "solve_assuming",
-        let r, _, _ =
-          Sat.Solver.solve_assuming ~limits ~assumptions:[| 1 |] fl
-        in
-        r );
+        fun () ->
+          let r, _, _ = Sat.Solver.solve_assuming ~assumptions:[| 1 |] fl in
+          r );
       ( "Runner.run",
-        (Portfolio.Runner.run ~jobs:2 ~limits
-           (Portfolio.Strategy.default_pool ~jobs:2)
-           fl)
-          .Portfolio.Runner.result );
+        fun () ->
+          (Portfolio.Runner.run ~jobs:2
+             (Portfolio.Strategy.default_pool ~jobs:2)
+             fl)
+            .Portfolio.Runner.result );
     ];
-  Sat.Solver.Interrupt.clear interrupt;
-  let result, _ = Sat.Solver.solve_flat ~limits fl in
+  Aig.Interrupt.clear interrupt;
+  let result, _ = within (fun () -> Sat.Solver.solve_flat fl) in
   match result with
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "cleared interrupt must let the solve finish"
@@ -533,13 +534,12 @@ let test_cuber_external_interrupt () =
   (* A pre-set external interrupt cancels the whole conquest before any
      cube solves: Unknown, nothing refuted, proof left open. *)
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in
-  let interrupt = Sat.Solver.Interrupt.create () in
-  Sat.Solver.Interrupt.set interrupt;
+  let interrupt = Aig.Interrupt.create () in
+  Aig.Interrupt.set interrupt;
   let proof = Sat.Proof.create () in
-  let limits = { Sat.Solver.no_limits with interrupt = Some interrupt } in
   let report =
-    Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~limits ~proof
-      (Cnf.Flat.of_formula f)
+    Aig.Interrupt.within interrupt (fun () ->
+        Portfolio.Cuber.solve ~cubes:4 ~jobs:2 ~proof (Cnf.Flat.of_formula f))
   in
   check_bool "interrupted conquest is Unknown" true
     (report.Portfolio.Cuber.result = Sat.Solver.Unknown);
@@ -651,3 +651,45 @@ let test_spread_contract () =
 
 let suite =
   suite @ [ ("spread runs body 0 on the caller", `Quick, test_spread_contract) ]
+
+(* The caller sets the conquest's flag from its hook while the domain
+   [spread] spawned is deep in a cube of php(11,10) that takes seconds
+   on its own; that search must stop within a tick, so the conquest
+   comes back cancelled, not refuted or open, well inside one cube. *)
+let test_cuber_stop_reaches_spawned_domains () =
+  let f = Workloads.Satcomp.pigeonhole ~pigeons:11 ~holes:10 in
+  let caller = Domain.self () in
+  let claims = Atomic.make 0 in
+  let set_at = ref 0.0 in
+  let on_cube _ =
+    Atomic.incr claims;
+    if Domain.self () = caller then begin
+      let t0 = Sat.Wall.now () in
+      while Atomic.get claims < 2 && Sat.Wall.now () -. t0 < 5.0 do
+        Domain.cpu_relax ()
+      done;
+      Unix.sleepf 0.1;
+      set_at := Sat.Wall.now ();
+      Aig.Interrupt.set (Option.get (Aig.Interrupt.current ()))
+    end
+  in
+  let proof = Sat.Proof.create () in
+  let report =
+    Portfolio.Cuber.solve ~cubes:2 ~jobs:2 ~proof ~on_cube
+      (Cnf.Flat.of_formula f)
+  in
+  let lag = Sat.Wall.now () -. !set_at in
+  check_int "both workers claimed a cube" 2 (Atomic.get claims);
+  check_bool "stopped conquest is Unknown" true
+    (report.Portfolio.Cuber.result = Sat.Solver.Unknown);
+  check_bool "no cube open" true
+    (not (Array.mem Portfolio.Cuber.Cube_open report.Portfolio.Cuber.outcomes));
+  check_bool "proof left open" true (not (Sat.Proof.sealed proof));
+  if lag > 1.0 then Alcotest.failf "returned %.3f s after the stop" lag
+
+let suite =
+  suite
+  @ [
+      ("cuber: a stop reaches cube jobs on spawned domains", `Quick,
+       test_cuber_stop_reaches_spawned_domains);
+    ]
