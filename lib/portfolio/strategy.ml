@@ -5,19 +5,21 @@ type t = {
   prepare : (unit -> Cnf.Formula.t) option;
 }
 
-let direct ?(heuristic = `Evsids) ?(restarts = `Luby) name =
+let direct ?(heuristic = Sat.Solver.default_config.heuristic)
+    ?(restarts = Sat.Solver.default_config.restarts) name =
   { name; heuristic; restarts; prepare = None }
 
-let prepared ?(heuristic = `Evsids) ?(restarts = `Luby) name prepare =
+let prepared ?(heuristic = Sat.Solver.default_config.heuristic)
+    ?(restarts = Sat.Solver.default_config.restarts) name prepare =
   { name; heuristic; restarts; prepare = Some prepare }
 
 (* Anchor first, then alternate both axes at once (maximally different
    from the anchor), then the two mixed points. *)
 let cycle =
-  [| ("evsids/luby", `Evsids, `Luby);
-     ("lrb/glucose", `Lrb, `Glucose);
-     ("evsids/glucose", `Evsids, `Glucose);
-     ("lrb/luby", `Lrb, `Luby) |]
+  [| ("evsids/glucose", `Evsids, `Glucose);
+     ("lrb/luby", `Lrb, `Luby);
+     ("evsids/luby", `Evsids, `Luby);
+     ("lrb/glucose", `Lrb, `Glucose) |]
 
 let grid n =
   List.init n (fun i ->

@@ -130,7 +130,7 @@ type config = {
 }
 
 let default_config =
-  { heuristic = `Evsids; restarts = `Luby; reduce_base = 2000;
+  { heuristic = `Evsids; restarts = `Glucose; reduce_base = 2000;
     reduce_inc = 512; export = None; export_lbd = max_int; import = None;
     seed = None; snapshot = None }
 
@@ -1572,7 +1572,8 @@ let solve_flat ?(config = default_config) ?(limits = no_limits) ?proof fl =
      | Done r -> finish r
      | Unsat_at_level0 -> finish Unsat)
 
-let solve ?limits ?proof ?(heuristic = `Evsids) ?(restarts = `Luby) f =
+let solve ?limits ?proof ?(heuristic = default_config.heuristic)
+    ?(restarts = default_config.restarts) f =
   solve_flat ~config:{ default_config with heuristic; restarts } ?limits
     ?proof (Cnf.Flat.of_formula f)
 

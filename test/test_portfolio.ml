@@ -65,10 +65,10 @@ let test_fuzz_vs_brute_force () =
 let test_sequential_bit_identity () =
   (* jobs = 1 with the default pool must reproduce Sat.Solver.solve
      exactly: same answer, same model, same search trajectory, same
-     proof log. *)
-  let rng = Aig.Rng.create 31337 in
-  for i = 1 to 40 do
-    let f = random_formula rng in
+     proof log.  The random formulas never restart, so two that do
+     (php(7,6) UNSAT, a 150-variable random 3-SAT that is SAT) also
+     hold the anchor lane to the default restart policy. *)
+  let same label f =
     let proof_solo = Sat.Proof.create () in
     let r_solo, st_solo = Sat.Solver.solve ~proof:proof_solo f in
     let proof_race = Sat.Proof.create () in
@@ -80,20 +80,35 @@ let test_sequential_bit_identity () =
     let st_race = outcome.Portfolio.Runner.stats in
     (match (r_solo, outcome.Portfolio.Runner.result) with
      | Sat.Solver.Sat m1, Sat.Solver.Sat m2 ->
-       if m1 <> m2 then Alcotest.failf "case %d: models differ" i
+       if m1 <> m2 then Alcotest.failf "%s: models differ" label
      | Sat.Solver.Unsat, Sat.Solver.Unsat -> ()
-     | _ -> Alcotest.failf "case %d: results differ" i);
+     | _ -> Alcotest.failf "%s: results differ" label);
     if
       st_solo.Sat.Solver.decisions <> st_race.Sat.Solver.decisions
       || st_solo.Sat.Solver.conflicts <> st_race.Sat.Solver.conflicts
       || st_solo.Sat.Solver.propagations <> st_race.Sat.Solver.propagations
       || st_solo.Sat.Solver.restarts <> st_race.Sat.Solver.restarts
       || st_solo.Sat.Solver.learned <> st_race.Sat.Solver.learned
-    then Alcotest.failf "case %d: search trajectories differ" i;
+    then Alcotest.failf "%s: search trajectories differ" label;
     if Sat.Proof.num_steps proof_solo <> Sat.Proof.num_steps proof_race then
-      Alcotest.failf "case %d: proof logs differ" i
+      Alcotest.failf "%s: proof logs differ" label;
+    st_solo
+  in
+  let rng = Aig.Rng.create 31337 in
+  for i = 1 to 40 do
+    ignore (same (Printf.sprintf "case %d" i) (random_formula rng))
   done;
-  check_bool "sequential identity 40/40" true true
+  List.iter
+    (fun (label, f) ->
+      let st = same label f in
+      check_bool (label ^ " restarts") true (st.Sat.Solver.restarts > 0))
+    [ ("php(7,6)", Workloads.Satcomp.pigeonhole ~pigeons:7 ~holes:6);
+      ("r3sat 150",
+       Workloads.Satcomp.random_ksat ~seed:4 ~num_vars:150 ~num_clauses:639
+         ~k:3) ];
+  check_bool "direct defaults to the anchor lane" true
+    (Portfolio.Strategy.direct "direct/evsids/glucose"
+     = List.hd (Portfolio.Strategy.default_pool ~jobs:1))
 
 let test_failed_worker_does_not_lose_race () =
   let f = Workloads.Satcomp.pigeonhole ~pigeons:6 ~holes:5 in

@@ -537,7 +537,7 @@ let test_incremental_rejects_batch_config () =
         check_bool (name ^ " named") true (mentions 0))
     [
       ("heuristic", { cfg with heuristic = `Lrb });
-      ("restarts", { cfg with restarts = `Glucose });
+      ("restarts", { cfg with restarts = `Luby });
       ("export", { cfg with export = Some (fun _ _ -> ()) });
       ("export_lbd", { cfg with export_lbd = 3 });
       ("import", { cfg with import = Some (fun () -> []) });
@@ -1086,13 +1086,16 @@ let stats_triple (s : Sat.Solver.stats) =
 (* (decisions, conflicts, propagations) recorded when [solve] still had
    its own array-of-arrays loader beside [solve_flat]'s CSR loader.
    Both entry points now share one loader; these pins keep the search
-   trajectory bit-identical to the two-loader solver.  The rows with
-   LRB branching and Glucose restarts reach the option paths the
-   defaults do not; they were recorded against the solver
-   whose assignments were one int per variable and whose watchers were
-   two-word (cref, blocker) pairs.  The C5 row, the CNF-XOR family, was
-   recorded with the level-0 Gauss–Jordan pass, which every other row
-   passes through without finding two XORs. *)
+   trajectory bit-identical to the two-loader solver.  The EVSIDS +
+   Luby rows were the default configuration then; the rows with LRB
+   branching and Glucose restarts reach the option paths the defaults
+   did not; they were recorded against the solver whose assignments
+   were one int per variable and whose watchers were two-word (cref,
+   blocker) pairs.  The C5 row, the CNF-XOR family, was recorded with
+   the level-0 Gauss–Jordan pass, which every other row passes through
+   without finding two XORs.  The [None] rows pin the default
+   configuration (EVSIDS + Glucose), reached with no search argument:
+   [solve f] and [solve_flat ~config:default_config]. *)
 let golden_trajectories () =
   let instances = Workloads.Suites.i_suite () @ Workloads.Suites.c_suite () in
   let suite name =
@@ -1101,32 +1104,38 @@ let golden_trajectories () =
   let capped =
     { Sat.Solver.no_limits with Sat.Solver.max_conflicts = Some 20_000 }
   in
-  let default = (`Evsids, `Luby) in
-  let lrb_glucose = (`Lrb, `Glucose) in
+  let evsids_luby = Some (`Evsids, `Luby) in
+  let lrb_glucose = Some (`Lrb, `Glucose) in
   [
     ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6, Sat.Solver.no_limits,
-     default, `Unsat, (898, 727, 9459));
-    ("random 42", random_formula 42 12 50 4, Sat.Solver.no_limits, default,
-     `Unsat, (0, 0, 0));
+     evsids_luby, `Unsat, (898, 727, 9459));
+    ("random 42", random_formula 42 12 50 4, Sat.Solver.no_limits,
+     evsids_luby, `Unsat, (0, 0, 0));
     ("empty clause",
      Cnf.Formula.create ~num_vars:3 [ [| 1; -1 |]; [||]; [| 2 |] ],
-     Sat.Solver.no_limits, default, `Unsat, (0, 0, 0));
+     Sat.Solver.no_limits, evsids_luby, `Unsat, (0, 0, 0));
     ("duplicate literals",
      Cnf.Formula.create ~num_vars:2 [ [| 1; 1 |]; [| -1; 2; 2 |] ],
-     Sat.Solver.no_limits, default, `Sat, (0, 0, 2));
-    ("I5", suite "I5", capped, default, `Unsat, (5131, 3863, 1128224));
-    ("C8-php", suite "C8-php", capped, default, `Unknown,
+     Sat.Solver.no_limits, evsids_luby, `Sat, (0, 0, 2));
+    ("I5", suite "I5", capped, evsids_luby, `Unsat, (5131, 3863, 1128224));
+    ("C8-php", suite "C8-php", capped, evsids_luby, `Unknown,
      (25066, 20000, 279795));
     ("php(7,6) lrb+glucose", pigeonhole ~pigeons:7 ~holes:6,
      Sat.Solver.no_limits, lrb_glucose, `Unsat, (1524, 1252, 15020));
     ("C8-php lrb+glucose", suite "C8-php", capped, lrb_glucose, `Unknown,
      (26042, 20000, 322800));
-    ("C5-cnfxor", suite "C5-cnfxor", capped, default, `Sat, (29, 13, 592));
+    ("C5-cnfxor", suite "C5-cnfxor", capped, evsids_luby, `Sat,
+     (29, 13, 592));
+    ("php(7,6) default", pigeonhole ~pigeons:7 ~holes:6,
+     Sat.Solver.no_limits, None, `Unsat, (776, 634, 7556));
+    ("I5 default", suite "I5", capped, None, `Unsat, (4512, 3264, 933390));
+    ("C8-php default", suite "C8-php", capped, None, `Unknown,
+     (24279, 20000, 260502));
   ]
 
 let test_golden_trajectories () =
   List.iter
-    (fun (name, f, limits, (heuristic, restarts), verdict, triple) ->
+    (fun (name, f, limits, search, verdict, triple) ->
       let check entry (r, st) =
         let label = Printf.sprintf "%s via %s" name entry in
         (match (r, verdict) with
@@ -1136,9 +1145,14 @@ let test_golden_trajectories () =
          | _ -> Alcotest.failf "%s: unexpected verdict" label);
         Alcotest.(check (triple int int int)) label triple (stats_triple st)
       in
-      check "solve" (Sat.Solver.solve ~limits ~heuristic ~restarts f);
-      check "solve_flat"
-        (solve_cfg ~limits { cfg with heuristic; restarts } f))
+      match search with
+      | None ->
+        check "solve" (Sat.Solver.solve ~limits f);
+        check "solve_flat" (solve_cfg ~limits cfg f)
+      | Some (heuristic, restarts) ->
+        check "solve" (Sat.Solver.solve ~limits ~heuristic ~restarts f);
+        check "solve_flat"
+          (solve_cfg ~limits { cfg with heuristic; restarts } f))
     (golden_trajectories ())
 
 (* An incremental session that solves, then grows by fresh variables
@@ -1175,7 +1189,8 @@ let test_golden_incremental_growth () =
     (160, 88, 1348)
 
 (* DRAT streams are part of the trajectory: every learned clause and
-   every deletion must come out in the same order. *)
+   every deletion must come out in the same order.  Each pinned stream
+   must also be a refutation the checker accepts. *)
 let test_golden_proof_digests () =
   let i5 =
     Eda4sat.Instance.direct_formula
@@ -1188,11 +1203,12 @@ let test_golden_proof_digests () =
        | Sat.Solver.Unsat -> ()
        | _ -> Alcotest.failf "%s: expected Unsat" name);
       Alcotest.(check string) name digest
-        (Digest.to_hex (Digest.string (Sat.Proof.to_string proof))))
+        (Digest.to_hex (Digest.string (Sat.Proof.to_string proof)));
+      check_bool (name ^ ": proof checks") true (Sat.Proof.check f proof))
     [
       ("php(7,6)", pigeonhole ~pigeons:7 ~holes:6,
-       "232dd6ab6e18693b84c3add5f088ecc1");
-      ("I5", i5, "b614b0c66fe9c00b6e2c42327fdee9c9");
+       "c20ac8c67a8d7228c56f471fcb2a3dfe");
+      ("I5", i5, "ba22dbea5e39327f20940bbc5874e33c");
     ]
 
 let test_snapshot_fires_and_seed_resumes () =
