@@ -412,7 +412,10 @@ let test_golden_structure () =
 (* Balance and FRAIG outputs on the same kind of inputs; the FRAIG pin
    also covers its (tried, proven, disproved) counts, so a change in
    which candidates the simulation rows propose fails it even where the
-   swept graph comes out the same.  C8 and C6 refine the rows. *)
+   swept graph comes out the same.  C8 and C6 refine the rows.  The C8
+   FRAIG pin moved when the solver's default restarts became Glucose:
+   two of its budgeted queries end undecided rather than disproved
+   (377 -> 375), and the swept graph is the same. *)
 let golden_sweeps =
   [
     ("random 7 balance", 57, 0x3dc257af905c);
@@ -420,7 +423,7 @@ let golden_sweeps =
     ("random 8 balance", 62, 0x11a0d51f6a07);
     ("random 8 resub", 25, 0x1b6623de6cda);
     ("I1 balance", 1441, 0x2fc2ddf576d); ("I1 resub", 0, 0x350d65f6edfa);
-    ("C8 balance", 899, 0xa8c014254c7); ("C8 resub", 899, 0x9f519af5109);
+    ("C8 balance", 899, 0xa8c014254c7); ("C8 resub", 899, 0x9f519af5107);
     ("C6 balance", 18479, 0x2468e1ce25d8);
     ("C6 resub", 18479, 0x3b8014456aa8);
   ]
