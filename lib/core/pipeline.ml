@@ -225,7 +225,9 @@ let ours_conventional_mapper ?agent () =
    lane while the direct lanes already solve.  A lane's transformed
    CNF is equisatisfiable with — but different from — the input, so
    EDA lanes, having a [prepare] step, never exchange clauses (see
-   {!Portfolio.Strategy}). *)
+   {!Portfolio.Strategy}).  Every lane names its restart policy: the
+   "eda/evsids/luby" lane is Algorithm 1 with Luby restarts, not the
+   solver default (Glucose) that [run] uses. *)
 let portfolio_strategies ?(jobs = 4) config inst =
   let open Portfolio.Strategy in
   let lane name cfg heuristic restarts =

@@ -19,10 +19,11 @@
     LUT of the transformation) with [Cancelled].
     With one worker this runs the lanes in order until one answers
     (no domains, no sharing), which makes the anchor lane of
-    [Strategy.default_pool ~jobs:1] bit-identical to
-    {!Sat.Solver.solve} (same decisions, conflicts, proof log and
-    model).  A lane that raises is logged and treated as a lost lane —
-    the race keeps going (robustness, not a crash).  All domains are
+    [Strategy.default_pool ~jobs:1] (EVSIDS with Glucose restarts,
+    the solver's default) bit-identical to {!Sat.Solver.solve} (same
+    decisions, conflicts, restarts, proof log and model).  A lane that
+    raises is logged and treated as a lost lane — the race keeps going
+    (robustness, not a crash).  All domains are
     joined before [run] returns: no worker outlives the call.
 
     {2 Proofs}

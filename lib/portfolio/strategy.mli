@@ -33,17 +33,21 @@ type t = {
 val direct : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
   -> string -> t
 (** A lane solving the input formula; it shares clauses.  Defaults:
-    EVSIDS, Luby — the exact configuration of {!Sat.Solver.solve},
-    which makes [direct "x"] the deterministic anchor lane. *)
+    those of {!Sat.Solver.default_config} (EVSIDS, Glucose) — the exact
+    configuration of {!Sat.Solver.solve}, which makes [direct "x"] the
+    deterministic anchor lane. *)
 
 val prepared : ?heuristic:[ `Evsids | `Lrb ] -> ?restarts:[ `Luby | `Glucose ]
   -> string -> (unit -> Cnf.Formula.t) -> t
-(** A lane that first derives its own CNF; it never shares clauses. *)
+(** A lane that first derives its own CNF; it never shares clauses.
+    Defaults as for {!direct}. *)
 
 val grid : int -> (string * [ `Evsids | `Lrb ] * [ `Luby | `Glucose ]) list
 (** The first [n] points of the deterministic heuristic-by-restart
-    diversification cycle: evsids/luby, lrb/glucose, evsids/glucose,
-    lrb/luby, then repeating.  The anchor configuration comes first. *)
+    diversification cycle: evsids/glucose, lrb/luby, evsids/luby,
+    lrb/glucose, then repeating.  The anchor configuration (the
+    solver's default) comes first, then both axes flipped, then the
+    two mixed points. *)
 
 val default_pool : jobs:int -> t list
 (** [jobs] direct lanes over {!grid} — the pure-solver portfolio used

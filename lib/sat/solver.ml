@@ -28,7 +28,8 @@
      then compacts the arena with a copying collector, relocating
      every live reference (watchers, reasons, learnt index) through
      forwarding pointers written into the old arena;
-   - Luby or Glucose (LBD moving-average) restarts;
+   - Glucose (LBD moving-average) restarts by default, Luby restarts
+     on request;
    - a level-0 XOR pass before search ({!Cnf.Gauss}), on the
      whole-formula entry points and only without a proof: [prepare]
      offers each normalized clause of width <= 6 to a collector that

@@ -3,10 +3,10 @@
     Implements the standard modern architecture: two-watched-literal
     propagation with blocker literals and specialized binary-clause
     watch lists, EVSIDS decision heuristic with phase saving, first-UIP
-    clause learning with recursive minimization, Luby or Glucose
-    (LBD moving-average) restarts and LBD-driven
-    learned-clause-database reduction.  The solver does not rewrite
-    its clause database at restarts.
+    clause learning with recursive minimization, Glucose (LBD
+    moving-average) restarts by default or Luby restarts on request,
+    and LBD-driven learned-clause-database reduction.  The solver does
+    not rewrite its clause database at restarts.
 
     Long clauses live in a single flat {e arena} (one growable
     [int array]; a clause reference is an offset, a one-word header
@@ -147,9 +147,10 @@ type config = {
           heuristic of Liang et al. 2016 — the paper's reference
           [23]. *)
   restarts : [ `Luby | `Glucose ];
-      (** Luby with unit 100 (default), or Glucose-style, firing when
-          the moving average of the last 50 learned-clause LBDs
-          exceeds 0.8 times the running mean. *)
+      (** Glucose-style (default), firing when the moving average of
+          the last 50 learned-clause LBDs exceeds 0.8 times the
+          running mean, at least 50 conflicts after the last restart;
+          or Luby with unit 100. *)
   reduce_base : int;
       (** the initial learnt-database size cap (default 2000) *)
   reduce_inc : int;
@@ -194,7 +195,8 @@ type config = {
 }
 
 val default_config : config
-(** EVSIDS, Luby, the 2000/512 reduce schedule, and no hooks. *)
+(** EVSIDS, Glucose restarts, the 2000/512 reduce schedule, and no
+    hooks. *)
 
 val solve_flat :
   ?config:config -> ?limits:limits -> ?proof:Proof.t ->
@@ -222,7 +224,8 @@ val solve :
   Cnf.Formula.t -> result * stats
 (** [solve_flat ~config:{ default_config with heuristic; restarts }
     (Cnf.Flat.of_formula f)]: the same search trajectory and stats as
-    the flat entry point, for callers that hold a formula. *)
+    the flat entry point, for callers that hold a formula.  The two
+    search arguments default to [default_config]'s. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -257,7 +260,7 @@ module Incremental : sig
     result * stats
   (** Solve the accumulated clauses under the given assumption
       literals.  Of [config], only [reduce_base] and [reduce_inc] apply
-      here: the search runs EVSIDS with Luby restarts and no hooks.
+      here: the search runs EVSIDS with Glucose restarts and no hooks.
       [Unsat] means unsatisfiable {e under the assumptions}
       (permanently unsatisfiable once it occurs with none).  Models
       cover all variables allocated so far.  Statistics are cumulative
