@@ -47,6 +47,38 @@ let ok = function
   | Ok v -> v
   | Error r -> failwith ("rejected: " ^ r)
 
+(* The middle element, or the mean of the two middle ones. *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n = 0 then nan
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* --- the machine --------------------------------------------------------- *)
+
+(* The first "model name" line of /proc/cpuinfo, or "unknown" where
+   there is none. *)
+let cpu_model () =
+  let prefix = "model name" in
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> "unknown"
+      | line ->
+        let n = String.length prefix in
+        if String.length line > n && String.sub line 0 n = prefix then
+          match String.index_opt line ':' with
+          | Some i ->
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          | None -> scan ()
+        else scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
 (* A fresh directory under $TMPDIR, removed with the files in it once
    [f] returns or raises. *)
 let with_temp_dir prefix f =
@@ -70,6 +102,13 @@ type json =
 
 let int n = Num (string_of_int n)
 let fixed digits x = Num (Printf.sprintf "%.*f" digits x)
+
+(* The machine a committed figure was measured on. *)
+let host () =
+  [
+    ("nproc", int (Domain.recommended_domain_count ()));
+    ("cpu_model", Str (cpu_model ()));
+  ]
 
 let rec render buf indent = function
   | Num s | Raw s -> Buffer.add_string buf s

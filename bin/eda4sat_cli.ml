@@ -453,10 +453,14 @@ let serve_cmd =
   let warm =
     Arg.(value & opt int 256
          & info [ "warm" ] ~docv:"N"
-             ~doc:"Warm-start snapshot cache capacity (LRU): resubmitted \
-                   formulas resume from the previous solve's learnt \
-                   clauses, phases and activity order instead of \
-                   restarting (0 disables).")
+             ~doc:"Warm-start snapshot cache capacity (LRU): a \
+                   resubmitted formula whose last solve timed out \
+                   resumes from that solve's learnt clauses, phases and \
+                   activity order instead of restarting (0 disables).  \
+                   A decided formula leaves no snapshot: once its \
+                   verdict leaves the result cache (with $(b,--cache) 1, \
+                   at the next decided job), a resubmission re-solves \
+                   cold.")
   in
   let deadline_ms =
     Arg.(value & opt (some float) None

@@ -1268,10 +1268,16 @@ type prepared = Ready of t * int list (* units *) | Trivially_unsat
    [add_long_slice] — zero allocation per clause.
    Every entry point that solves a whole formula loads through here.
    With [gauss], each normalized clause is also offered to that XOR
-   collector, straight from the scratch buffer. *)
-let prepare ?gauss (fl : Cnf.Flat.t) =
+   collector, straight from the scratch buffer; with [arena], the
+   solver takes that pair as its arena and compaction twin. *)
+let prepare ?gauss ?arena (fl : Cnf.Flat.t) =
   let nvars = fl.Cnf.Flat.num_vars in
   let s = create nvars in
+  Option.iter
+    (fun (a, spare) ->
+      s.arena <- a;
+      s.arena_spare <- spare)
+    arena;
   let units = ref [] in
   let ok = ref true in
   let offsets = fl.Cnf.Flat.offsets in
@@ -1492,6 +1498,43 @@ let add_xor_consequences s g units =
         units clauses,
       List.length clauses )
 
+(* The per-domain arena.  [solve_flat] borrows its arena and
+   compaction twin from the calling domain's slot and hands them back
+   when it returns, so a stream of solves on one domain reuses one
+   pair instead of regrowing a fresh arena by doubling: every array of
+   that chain past 256 words is allocated straight in the major heap,
+   and on a serving worker those allocations pace the major collector.
+   Reuse cannot change a trajectory: every cref points below
+   [arena_size], every word below it is written before it is read, and
+   the stale words past it are never read.  The slot is empty while a
+   solve holds the pair, so a solve nested in a hook allocates its
+   own; a solve that raises never hands its pair back, and neither
+   does one whose arena or twin outgrew [max_pooled_arena_words].
+   Incremental sessions and the cube prober keep arenas of their own:
+   they outlive the call that made them.  The cap is small because a
+   pooled pair is live data that every major GC cycle marks word by
+   word; solver.mli gives the measurement that chose it. *)
+let max_pooled_arena_words = 1 lsl 16
+
+let pooled_arena : (int array * int array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let borrow_arena () =
+  let pair = Domain.DLS.get pooled_arena in
+  Domain.DLS.set pooled_arena None;
+  pair
+
+let return_arena ((arena, spare) as pair) =
+  if
+    Array.length arena <= max_pooled_arena_words
+    && Array.length spare <= max_pooled_arena_words
+  then Domain.DLS.set pooled_arena (Some pair)
+
+let pooled_arena_words () =
+  match Domain.DLS.get pooled_arena with
+  | Some (arena, spare) -> Array.length arena + Array.length spare
+  | None -> 0
+
 let solve_flat ?(config = default_config) ?(limits = no_limits) ?proof fl =
   let t0 = Wall.now () in
   let c0 = Sys.time () in
@@ -1511,17 +1554,21 @@ let solve_flat ?(config = default_config) ?(limits = no_limits) ?proof fl =
     if proof = None then Some (Cnf.Gauss.local (Cnf.Flat.num_clauses fl))
     else None
   in
-  match prepare ?gauss fl with
+  let arena = borrow_arena () in
+  match prepare ?gauss ?arena fl with
   | Trivially_unsat ->
+    Option.iter return_arena arena;
     log_add proof [||];
     (Unsat, stats_of (create 0))
   | Ready (s, units) ->
     s.lrb <- (config.heuristic = `Lrb);
     (* The snapshot is taken on every exit — Sat, Unsat, Unknown — so
        an interrupted or deadline-cut solve still donates its learnt
-       clauses, phases and activity order to a later warm start. *)
+       clauses, phases and activity order to a later warm start.  The
+       arena goes back to the domain after it, on these exits only. *)
     let finish r =
       (match config.snapshot with None -> () | Some f -> f (capture_seed s));
+      return_arena (s.arena, s.arena_spare);
       (r, stats_of s)
     in
     let exception Done of result in

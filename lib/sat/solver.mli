@@ -215,8 +215,32 @@ val solve_flat :
     [stats.xor_derived]).  With fewer than two XORs, or nothing new
     derived, the solver gets exactly the input clauses.  With [proof]
     the pass does not run: a GF(2) sum is not a RUP step.
+
+    The clause arena and its compaction twin come from a per-domain
+    slot and go back to it when the call returns, so a stream of
+    solves on one domain reuses one pair instead of regrowing an arena
+    by doubling straight into the major heap.  A call that raises
+    keeps nothing, and a pair of which either array outgrew
+    {!max_pooled_arena_words} is dropped.  Reuse is invisible: results
+    and stats are those of a solve on a fresh domain.  {!Incremental}
+    sessions and {!prober} keep arenas of their own.
     @raise Invalid_argument if [num_vars] exceeds [2^30 - 1], before
     anything is allocated. *)
+
+val max_pooled_arena_words : int
+(** [2^16] (512 KB): the largest arena, and the largest twin, that
+    {!solve_flat} hands back to its domain's slot.  A pooled pair is
+    live data every major GC cycle marks word by word.  Measured with
+    perfbench on a 2-core x86-64 VM: at [2^20] the pair [eda_suite]'s
+    solves leave ([2^18] words each) raised its peak RSS from 56 to
+    91 MB; at [2^16] it stayed flat, while [serve_light]'s arenas and
+    [serve_heavy]'s php(8,7) and 400-AND miter arenas still fit, and
+    [serve_heavy] read the same peak RSS as at [2^20] (40 MB) for
+    33-34 major collections per 20 s run instead of 21-22. *)
+
+val pooled_arena_words : unit -> int
+(** Words held by the calling domain's slot: the lengths of the pooled
+    arena and twin, [0] when the slot is empty. *)
 
 val solve :
   ?limits:limits -> ?proof:Proof.t -> ?heuristic:[ `Evsids | `Lrb ] ->

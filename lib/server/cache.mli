@@ -7,8 +7,8 @@
     deadline, not of the formula.  The {!Warm} cache is the
     complement: it keeps bounded {!Sat.Solver.seed} snapshots of
     solver {e state} (low-LBD learnt clauses, saved phases, activity
-    order) for every solve — including interrupted and timed-out ones
-    — so a resubmitted formula resumes instead of restarting.
+    order) for the solves that stopped undecided, so a resubmitted
+    timed-out formula resumes instead of restarting.
 
     Keys are {!Cnf.Fingerprint.t}, so a resubmitted formula hits even
     when its clauses are permuted, duplicated or carry repeated
@@ -48,7 +48,11 @@ val remove : t -> Cnf.Fingerprint.t -> unit
 val length : t -> int
 
 (** LRU of warm-start snapshots, same recency/eviction discipline and
-    the same key type as the verdict cache.  A snapshot is only sound
+    the same key type as the verdict cache.  The engine stores one for
+    a fingerprint only when its solve answers [Timeout], and removes
+    it when a later solve of the fingerprint decides or fails: a
+    decided formula is answered by the verdict cache, so its snapshot
+    would hold memory that is never read.  A snapshot is only sound
     to seed into a formula with the {e same} fingerprint (equal
     fingerprints mean equal model sets, so the captured clauses are
     implied); the engine guarantees this by construction — it looks

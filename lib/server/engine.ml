@@ -159,14 +159,19 @@ let finalize t job ?snapshot ~verdict ~stats ~solve_wall () =
      Cache.add t.cache job.fp
        { Cache.verdict = Cache.Unsat; stats; solve_wall }
    | Timeout | Failed _ -> ());
-  (* The warm cache keeps snapshots for every outcome that produced
-     one — crucially including [Timeout], which the verdict cache
-     never stores: a resubmitted timed-out job resumes from the
-     interrupted state instead of restarting, and repeated deadline
-     slices accumulate progress. *)
-  (match (t.warm, snapshot) with
-   | Some w, Some sd -> Cache.Warm.add w job.fp sd
-   | _ -> ());
+  (* The warm cache holds a fingerprint's snapshot only while its
+     last outcome is [Timeout], the one answer the verdict cache never
+     stores: a resubmitted timed-out job resumes from the interrupted
+     state instead of restarting, and repeated deadline slices
+     accumulate progress.  A decided job's snapshot would never be
+     read — its verdict answers first — so it is dropped, with any
+     older one; a [Failed] job's state, or the seed it started from,
+     must not seed the next attempt.  A timeout that made no snapshot
+     (cut while queued, or escalated to cubes) keeps the older one. *)
+  (match (t.warm, verdict, snapshot) with
+   | None, _, _ | Some _, Timeout, None -> ()
+   | Some w, Timeout, Some sd -> Cache.Warm.add w job.fp sd
+   | Some w, (Sat _ | Unsat | Failed _), _ -> Cache.Warm.remove w job.fp);
   Mutex.lock t.gm;
   Fp_tbl.remove t.inflight job.fp;
   Metrics.add t.metrics
@@ -576,11 +581,10 @@ let submit t ?deadline ?(priority = 0) cnf =
   else if not (valid_deadline deadline) then reject t "bad-deadline"
   else submit_live t ?deadline ~priority cnf
 
-(* Drop a fingerprint's {e verdict} while keeping its warm snapshot —
-   the next identical submit re-solves, seeded.  This is the knob the
-   warm-start bench turns to measure resume-vs-restart without the
-   verdict cache short-circuiting the resubmit; it is also useful when
-   a client wants a fresh model for a formula it already solved. *)
+(* Drop a fingerprint's verdict: the next identical submit re-solves
+   fresh, since a decided formula leaves no warm snapshot.  Useful
+   when a client wants a fresh model for a formula it already
+   solved. *)
 let forget_verdict t fp = Cache.remove t.cache fp
 
 let answer_of (tk : ticket) core =
@@ -729,6 +733,8 @@ let stats t =
                (Inflight, Fp_tbl.length t.inflight);
                (Cache_entries, Cache.length t.cache);
                (Sessions_live, Hashtbl.length t.sessions);
+               ( Warm_entries,
+                 match t.warm with Some w -> Cache.Warm.length w | None -> 0 );
              ]))
 
 let stats_json t = Metrics.to_json (stats t)

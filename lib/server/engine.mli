@@ -39,12 +39,15 @@
 
     The engine also keeps a bounded LRU of
     {!Sat.Solver.seed} snapshots ({!Cache.Warm}), keyed by the same
-    canonical fingerprint as the verdict cache.  Every finished solve
-    — including one that timed out — snapshots its low-LBD learnt
-    clauses, saved phases and activity order; a later submit of the
-    same canonical formula that misses the verdict cache {e resumes}
-    from the snapshot instead of restarting ([warm_hits] in
-    {!Metrics}).  Soundness is by construction: equal fingerprints
+    canonical fingerprint as the verdict cache.  Only a job that stops
+    undecided ([Timeout]: its deadline or a configured limit) leaves
+    one: its low-LBD learnt clauses, saved phases and activity order.
+    A later submit of the same canonical formula {e resumes} from the
+    snapshot instead of restarting ([warm_hits] in {!Metrics}), and
+    repeated slices accumulate progress.  A decided job leaves nothing
+    and drops any snapshot its fingerprint held, since its verdict
+    answers first; a [Failed] job drops it too, so a failure never
+    seeds the next attempt.  Soundness is by construction: equal fingerprints
     mean equal model sets, so the snapshot's learnt clauses are
     implied by the resubmitted formula; and a warm answer is never
     trusted blind — models are re-verified and UNSAT proofs (when
@@ -190,11 +193,11 @@ val solve :
 (** [submit] then [await]. *)
 
 val forget_verdict : t -> Cnf.Fingerprint.t -> unit
-(** Drop the fingerprint's verdict-cache entry (if any) while keeping
-    its warm snapshot: the next identical submit re-solves, seeded.
-    For clients that want a fresh solve of a known formula — and for
-    benchmarking resume-vs-restart without the verdict cache
-    short-circuiting the resubmit. *)
+(** Drop the fingerprint's verdict-cache entry (if any): the next
+    identical submit re-solves fresh, since a decided formula leaves
+    no warm snapshot.  For clients that want a fresh solve of a known
+    formula.  A timed-out formula has no verdict to drop, and its
+    snapshot stays. *)
 
 (** {2 Session API} *)
 

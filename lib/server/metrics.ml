@@ -24,6 +24,7 @@ type counter =
   | Cache_entries
   | Latency_count
   | Parse_count
+  | Warm_entries
 
 type timing = Latency | Parse
 
@@ -74,6 +75,7 @@ let fields =
     ("parse_p50_ms", Rank (Parse, 0.50));
     ("parse_p95_ms", Rank (Parse, 0.95));
     ("parse_max_ms", Max Parse);
+    ("warm_entries", Sampled Warm_entries);
   |]
 
 let client_fields =

@@ -9,7 +9,8 @@
 
     - keys appear in registry order, which is a contract: flat
       ["key": N] scanners (the perfbench STATS reader among them)
-      resolve each key to its first occurrence;
+      resolve each key to its first occurrence, and a new key is
+      appended after the others, directly before ["clients"];
     - counts render as [%d], milliseconds as [%.3f];
     - the per-client object ["clients"] comes last, so a client's
       [requests]/[answered]/[rejected] never shadow a top-level key.
@@ -72,6 +73,9 @@ type counter =
   | Cache_entries  (** sampled at snapshot time *)
   | Latency_count  (** [Latency] observations ever recorded *)
   | Parse_count  (** [Parse] observations ever recorded *)
+  | Warm_entries
+      (** sampled: warm-start snapshots held, one per fingerprint
+          whose last solve timed out *)
 
 type timing =
   | Latency
@@ -116,7 +120,8 @@ val read : t -> sampled:(counter * int) list -> reading
     counters and the timing windows, copied under the accumulator's
     lock without sorting.  [sampled] supplies the values the
     accumulator cannot see ([Sessions_live], [Queue_depth],
-    [Inflight], [Cache_entries]); a missing one reads 0.  A caller
+    [Inflight], [Cache_entries], [Warm_entries]); a missing one reads
+    0.  A caller
     that pairs the counters with state of its own holds its own lock
     across [read] only: the engine's STATS does. *)
 

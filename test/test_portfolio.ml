@@ -708,3 +708,26 @@ let suite =
       ("cuber: a stop reaches cube jobs on spawned domains", `Quick,
        test_cuber_stop_reaches_spawned_domains);
     ]
+
+(* Two domains solve the same jobs at once, in opposite orders, each
+   on the arenas its own earlier solves left: every result and stats
+   triple equals a solve on a fresh domain, so no arena is shared
+   across domains. *)
+let test_arena_reuse_across_domains () =
+  let jobs = Test_sat.arena_jobs () in
+  let expected = Test_sat.fresh_domain_traces jobs in
+  let run order = Domain.spawn (fun () -> List.map Test_sat.arena_trace order) in
+  let d1 = run (jobs @ jobs) and d2 = run (List.rev (jobs @ jobs)) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Test_sat.check_traces "domain 1" (jobs @ jobs) (expected @ expected) r1;
+  Test_sat.check_traces "domain 2"
+    (List.rev (jobs @ jobs))
+    (List.rev (expected @ expected))
+    r2
+
+let suite =
+  suite
+  @ [
+      ("arena reuse is invisible across concurrent domains", `Quick,
+       test_arena_reuse_across_domains);
+    ]

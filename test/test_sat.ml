@@ -1412,5 +1412,114 @@ let test_long_clause_loads () =
     check_bool "model satisfies" true (Cnf.Flat.eval fl m)
   | _ -> Alcotest.fail "one clause of distinct literals is satisfiable"
 
+(* --- the per-domain arena ------------------------------------------- *)
+
+(* Random 3-SAT with [m] clauses over [n] variables. *)
+let random_3sat ~seed n m =
+  let rng = Aig.Rng.create seed in
+  Cnf.Formula.create ~num_vars:n
+    (List.init m (fun _ ->
+         Array.init 3 (fun _ ->
+             let v = 1 + Aig.Rng.int rng n in
+             if Aig.Rng.bool rng then v else -v)))
+
+(* Solves whose arenas differ in size, php(8,7)'s the largest, and one
+   config that compacts the arena every few conflicts, so the pooled
+   twin is written over too.  Used by the portfolio suite as well. *)
+let arena_jobs () =
+  let compacting =
+    { Sat.Solver.default_config with reduce_base = 8; reduce_inc = 4 }
+  in
+  List.map
+    (fun (name, config, f) -> (name, config, Cnf.Flat.of_formula f))
+    [
+      ("php(8,7)", Sat.Solver.default_config, pigeonhole ~pigeons:8 ~holes:7);
+      ("php(5,4)", Sat.Solver.default_config, pigeonhole ~pigeons:5 ~holes:4);
+      ("r3sat 60/255", Sat.Solver.default_config, random_3sat ~seed:3 60 255);
+      ("php(7,6) compacting", compacting, pigeonhole ~pigeons:7 ~holes:6);
+      ("r3sat 80/340 compacting", compacting, random_3sat ~seed:5 80 340);
+      ("php(6,5)", Sat.Solver.default_config, pigeonhole ~pigeons:6 ~holes:5);
+    ]
+
+(* What a solve must reproduce whatever arena it was handed: the
+   result, model included, and the decision, conflict and propagation
+   counts. *)
+let arena_trace (_, config, fl) =
+  let r, st = Sat.Solver.solve_flat ~config fl in
+  (r, (st.Sat.Solver.decisions, st.conflicts, st.propagations))
+
+(* Each job alone on a domain of its own, whose slot starts empty. *)
+let fresh_domain_traces jobs =
+  List.map (fun job -> Domain.join (Domain.spawn (fun () -> arena_trace job))) jobs
+
+let check_traces what jobs expected got =
+  List.iter2
+    (fun ((name, _, _), (r, triple)) (r', triple') ->
+      check_bool (Printf.sprintf "%s: %s result" what name) true (r = r');
+      check_bool (Printf.sprintf "%s: %s stats triple" what name) true
+        (triple = triple'))
+    (List.combine jobs expected) got
+
+(* One domain solves the jobs in both orders, so a small solve runs on
+   the arena a large one left, with its stale words past
+   [arena_size]: every result and stats triple equals a solve on a
+   fresh domain. *)
+let test_arena_reuse_invisible () =
+  let jobs = arena_jobs () in
+  let expected = fresh_domain_traces jobs in
+  let forward, backward, held =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let largest = arena_trace (List.hd jobs) in
+           let held = Sat.Solver.pooled_arena_words () in
+           let forward = largest :: List.map arena_trace (List.tl jobs) in
+           let backward = List.rev_map arena_trace (List.rev jobs) in
+           (forward, backward, held)))
+  in
+  check_bool "the largest arena is pooled for the next solve" true (held > 0);
+  check_traces "large then small" jobs expected forward;
+  check_traces "small then large" jobs expected backward
+
+(* A solve hands its arena back only when it returns, and only while
+   both arrays are within [max_pooled_arena_words]. *)
+let test_arena_hand_back () =
+  let small = Cnf.Flat.of_formula (pigeonhole ~pigeons:5 ~holes:4) in
+  let words = Sat.Solver.pooled_arena_words in
+  (* Identical 62-literal clauses, one more than the cap holds. *)
+  let over_cap =
+    let width = 62 in
+    let n = (Sat.Solver.max_pooled_arena_words / (width + 2)) + 1 in
+    {
+      Cnf.Flat.num_vars = width;
+      offsets = Array.init (n + 1) (fun i -> i * width);
+      lits = Array.init (n * width) (fun i -> (i mod width) + 1);
+    }
+  in
+  let raising =
+    { Sat.Solver.default_config with export = Some (fun _ _ -> raise Exit) }
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         check "a fresh domain holds no arena" 0 (words ());
+         ignore (Sat.Solver.solve_flat small);
+         check_bool "a returning solve hands its arena back" true
+           (words () > 0);
+         (match Sat.Solver.solve_flat ~config:raising small with
+          | _ -> Alcotest.fail "the export hook raises"
+          | exception Exit -> ());
+         check "a solve that raised handed nothing back" 0 (words ());
+         ignore (Sat.Solver.solve_flat small);
+         check_bool "the next solve refills the slot" true (words () > 0);
+         (match Sat.Solver.solve_flat over_cap with
+          | Sat.Solver.Sat m, _ ->
+            check_bool "model satisfies" true (Cnf.Flat.eval over_cap m)
+          | _ -> Alcotest.fail "the over-cap formula is satisfiable");
+         check "an arena over the cap is dropped" 0 (words ())))
+
 let suite =
-  suite @ [ ("a 200,000-literal clause loads", `Quick, test_long_clause_loads) ]
+  suite
+  @ [
+      ("a 200,000-literal clause loads", `Quick, test_long_clause_loads);
+      ("arena reuse is invisible", `Quick, test_arena_reuse_invisible);
+      ("arena handed back only within the cap", `Quick, test_arena_hand_back);
+    ]

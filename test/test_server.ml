@@ -15,24 +15,26 @@ let check_ledger s =
     (Server.Metrics.reconcile s)
 
 let config ?(workers = 2) ?(queue = 64) ?(cache = 64) ?(warm = 64)
-    ?(sessions = 64) ?session_ttl ?cube () =
+    ?(sessions = 64) ?session_ttl ?cube ?(limits = Sat.Solver.no_limits) () =
   {
     Server.workers;
     queue_capacity = queue;
     cache_capacity = cache;
     warm_capacity = warm;
-    limits = Sat.Solver.no_limits;
+    limits;
     default_deadline = None;
     session_capacity = sessions;
     session_ttl;
     cube;
   }
 
-let with_engine ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube f =
+let with_engine ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube
+    ?limits f =
   let e =
     Server.create
       ~config:
-        (config ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube ())
+        (config ?workers ?queue ?cache ?warm ?sessions ?session_ttl ?cube
+           ?limits ())
       ()
   in
   Fun.protect ~finally:(fun () -> Server.shutdown e) (fun () -> f e)
@@ -60,6 +62,18 @@ let random_formula rng =
          Array.init
            (1 + Aig.Rng.int rng 4)
            (fun _ ->
+             let v = 1 + Aig.Rng.int rng nvars in
+             if Aig.Rng.bool rng then v else -v)))
+
+(* Random 3-SAT on 10-14 variables at 4.5-5.5 clauses per variable:
+   around the threshold, so most need a few conflicts, and small
+   enough for [brute_force_sat]. *)
+let random_3sat rng =
+  let nvars = 10 + Aig.Rng.int rng 5 in
+  let nclauses = (9 * nvars / 2) + Aig.Rng.int rng nvars in
+  Cnf.Formula.create ~num_vars:nvars
+    (List.init nclauses (fun _ ->
+         Array.init 3 (fun _ ->
              let v = 1 + Aig.Rng.int rng nvars in
              if Aig.Rng.bool rng then v else -v)))
 
@@ -624,25 +638,53 @@ let test_session_fuzz () =
 
 (* --- warm starts ----------------------------------------------------- *)
 
+(* Every solve capped at [n] conflicts: a job that needs more stops
+   undecided, deterministically, and answers [Timeout]. *)
+let max_conflicts n = { Sat.Solver.no_limits with max_conflicts = Some n }
+
+let solve_ok e f =
+  match Server.solve e (flat f) with
+  | Ok a -> a
+  | Error r -> Alcotest.failf "solve rejected: %s" r
+
 let test_warm_resume_after_forget () =
-  with_engine ~workers:1 (fun e ->
-      let f = php 8 in
-      let cold =
-        match Server.solve e (flat f) with
-        | Ok a -> a
-        | Error r -> Alcotest.failf "cold solve rejected: %s" r
-      in
-      check_bool "php(8,7) UNSAT" true (cold.Server.verdict = Server.Unsat);
-      check_bool "cold answer is fresh" true
-        (cold.Server.source = Server.Solved);
-      (* Drop the verdict but keep the snapshot: the resubmission must
-         miss the result cache and resume from the warm seed instead. *)
-      Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f));
-      let warm =
-        match Server.solve e (flat f) with
-        | Ok a -> a
-        | Error r -> Alcotest.failf "warm solve rejected: %s" r
-      in
+  let f = php 8 in
+  let fp = Cnf.Fingerprint.of_flat (flat f) in
+  let cold =
+    with_engine ~workers:1 (fun e ->
+        let cold = solve_ok e f in
+        check_bool "php(8,7) UNSAT" true (cold.Server.verdict = Server.Unsat);
+        check_bool "cold answer is fresh" true
+          (cold.Server.source = Server.Solved);
+        (* A decided formula leaves no snapshot: with its verdict
+           forgotten, the resubmission re-solves fresh, on the cold
+           trajectory. *)
+        Server.forget_verdict e fp;
+        let again = solve_ok e f in
+        check_bool "re-solve is fresh" true
+          (again.Server.source = Server.Solved
+          && again.Server.verdict = Server.Unsat);
+        check_int "re-solve replays the cold conflicts"
+          cold.Server.stats.Sat.Solver.conflicts
+          again.Server.stats.Sat.Solver.conflicts;
+        let s = Server.stats e in
+        check_int "no warm hit from a decided job" 0 (get s Warm_hits);
+        check_int "no snapshot kept" 0 (get s Warm_entries);
+        check_int "both solves were cold" 2 (get s Submitted);
+        cold)
+  in
+  (* Capped at half the cold conflicts, the first solve stops undecided
+     and its snapshot stays: the resubmission resumes from it. *)
+  let budget = cold.Server.stats.Sat.Solver.conflicts / 2 in
+  with_engine ~workers:1 ~limits:(max_conflicts budget) (fun e ->
+      let first = solve_ok e f in
+      check_bool "the capped solve stops undecided" true
+        (first.Server.verdict = Server.Timeout);
+      check_int "at the cap" budget first.Server.stats.Sat.Solver.conflicts;
+      (* A timeout is never in the verdict cache, and forgetting drops
+         no snapshot. *)
+      Server.forget_verdict e fp;
+      let warm = solve_ok e f in
       check_bool "warm answer is fresh, not cached" true
         (warm.Server.source = Server.Solved);
       check_bool "warm verdict agrees" true
@@ -650,11 +692,45 @@ let test_warm_resume_after_forget () =
       let s = Server.stats e in
       check_int "one warm hit" 1 (get s Warm_hits);
       check_int "the hit was seeded into a solver" 1 (get s Warm_seeded);
-      check_int "only the cold pass counted as submitted" 1 (get s Submitted);
+      check_int "only the first pass counted as submitted" 1 (get s Submitted);
       check_int "both passes completed" 2 (get s Completed);
+      check_int "the decided resume left no snapshot" 0 (get s Warm_entries);
       check_bool "seeded resume refutes with fewer conflicts" true
         (warm.Server.stats.Sat.Solver.conflicts
          < cold.Server.stats.Sat.Solver.conflicts))
+
+(* The warm cache holds state only for jobs that stopped undecided:
+   decided jobs leave nothing, a timeout leaves exactly one snapshot,
+   and a failed job keeps none, not even the one it was seeded from. *)
+let test_warm_keeps_only_timeouts () =
+  with_engine ~workers:1 (fun e ->
+      let easy = Cnf.Formula.create ~num_vars:3 [ [| 1; 2 |]; [| -1; 3 |] ] in
+      check_bool "SAT decided" true
+        (match (solve_ok e easy).Server.verdict with
+         | Server.Sat _ -> true
+         | _ -> false);
+      check_bool "UNSAT decided" true
+        ((solve_ok e (php 6)).Server.verdict = Server.Unsat);
+      check_int "decided solves keep no snapshot" 0 (stat e Warm_entries);
+      let hard = php 11 in
+      (match Server.solve e ~deadline:0.2 (flat hard) with
+       | Ok { Server.verdict = Server.Timeout; stats; _ } ->
+         check_bool "the timed-out job ran" true
+           (stats.Sat.Solver.conflicts > 0)
+       | Ok _ -> Alcotest.fail "php(11,10) must time out in 0.2 s"
+       | Error r -> Alcotest.failf "rejected: %s" r);
+      check_int "a timeout keeps one snapshot" 1 (stat e Warm_entries);
+      let t = submit_ok e hard in
+      await_counter "the resume started seeded"
+        (fun () -> stat e Warm_seeded)
+        1;
+      Server.shutdown e;
+      (match (Server.await e t).Server.verdict with
+       | Server.Failed _ -> ()
+       | _ -> Alcotest.fail "the interrupted resume must answer FAILED");
+      let s = Server.stats e in
+      check_int "a failed job keeps no snapshot" 0 (get s Warm_entries);
+      check_ledger s)
 
 let test_warm_disabled_when_zero () =
   with_engine ~warm:0 (fun e ->
@@ -735,39 +811,56 @@ let test_flat_bridges_verdict_cache () =
             ()
           | _ -> Alcotest.fail "in-memory twin should hit the file's entry"))
 
-(* Two passes over a random batch with every verdict forgotten in
-   between: the second pass runs on warm resumes, and the ledger still
-   reconciles to the request count exactly. *)
+(* Two passes over a random batch under a conflict cap that stops the
+   harder formulas (most of the 3-SAT half) undecided, with every verdict forgotten in between:
+   the decided ones re-solve fresh, the timed-out ones resume warm, and
+   the ledger still reconciles to the request count exactly. *)
 let test_warm_fuzz () =
-  with_engine ~workers:3 ~cache:256 ~warm:256 (fun e ->
+  with_engine ~workers:3 ~cache:256 ~warm:256 ~limits:(max_conflicts 2)
+    (fun e ->
       let rng = Aig.Rng.create 20260808 in
-      let formulas = List.init 40 (fun _ -> random_formula rng) in
+      let formulas =
+        List.init 20 (fun _ -> random_formula rng)
+        @ List.init 20 (fun _ -> random_3sat rng)
+      in
       let pass () =
         List.map (fun f -> (f, submit_ok e f)) formulas
         |> List.map (fun (f, t) -> (f, Server.await e t))
       in
+      let verify (f, (a : Server.answer)) =
+        match a.Server.verdict with
+        | Server.Sat m ->
+          check_bool "model satisfies" true (Cnf.Formula.eval f m)
+        | Server.Unsat ->
+          check_bool "brute force agrees UNSAT" false (brute_force_sat f)
+        | Server.Timeout -> ()
+        | Server.Failed r -> Alcotest.failf "unexpected failure: %s" r
+      in
       let first = pass () in
+      List.iter verify first;
+      let undecided l =
+        List.length
+          (List.filter
+             (fun (_, (a : Server.answer)) -> a.Server.verdict = Server.Timeout)
+             l)
+      in
+      check_bool "the cap stopped some formulas undecided" true
+        (undecided first > 0);
       List.iter
-        (fun (f, (a : Server.answer)) ->
-          match a.Server.verdict with
-          | Server.Sat m ->
-            check_bool "model satisfies" true (Cnf.Formula.eval f m)
-          | Server.Unsat ->
-            check_bool "brute force agrees UNSAT" false (brute_force_sat f)
-          | _ -> Alcotest.fail "unexpected cold verdict")
-        first;
-      List.iter
-        (fun f -> Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f)))
+        (fun f ->
+          Server.forget_verdict e (Cnf.Fingerprint.of_flat (Cnf.Flat.of_formula f)))
         formulas;
       let second = pass () in
+      List.iter verify second;
       List.iter2
         (fun (_, (a : Server.answer)) (_, (b : Server.answer)) ->
           check_bool "warm verdict agrees with cold" true
             (match (a.Server.verdict, b.Server.verdict) with
-             | Server.Sat _, Server.Sat _ -> true
-             | Server.Unsat, Server.Unsat -> true
-             | _ -> false))
+             | Server.Sat _, Server.Unsat | Server.Unsat, Server.Sat _ -> false
+             | _ -> true))
         first second;
+      check_bool "the resumes decided formulas the cap had stopped" true
+        (undecided second < undecided first);
       let s = Server.stats e in
       check_int "every request accounted" 80 (Server.Metrics.requests s);
       check_ledger s;
@@ -998,7 +1091,7 @@ let test_metrics_json_pinned () =
     snapshot m
       ~sampled:
         [ (Queue_depth, 2); (Inflight, 3); (Cache_entries, 4);
-          (Sessions_live, 1) ]
+          (Sessions_live, 1); (Warm_entries, 5) ]
   in
   Alcotest.(check string) "STATS layout"
     "{\"submitted\": 9, \"completed\": 5, \"solved_sat\": 2, \
@@ -1012,7 +1105,8 @@ let test_metrics_json_pinned () =
      \"inflight\": 3, \"cache_entries\": 4, \"latency_count\": 8, \
      \"p50_ms\": 8.100, \"p95_ms\": 1500.000, \"max_ms\": 1500.000, \
      \"parse_count\": 3, \"parse_p50_ms\": 2.000, \"parse_p95_ms\": 3.100, \
-     \"parse_max_ms\": 3.100, \"clients\": {\"alice\": {\"requests\": 3, \
+     \"parse_max_ms\": 3.100, \"warm_entries\": 5, \
+     \"clients\": {\"alice\": {\"requests\": 3, \
      \"answered\": 2, \"rejected\": 1}, \"b\\\"o\\\\b\": {\"requests\": 1, \
      \"answered\": 1, \"rejected\": 1}}}"
     (to_json s);
@@ -1217,6 +1311,7 @@ let suite =
     ("on_answer callbacks may re-enter the engine", `Quick,
      test_on_answer_reenters);
     ("warm start resumes after forget", `Quick, test_warm_resume_after_forget);
+    ("warm cache keeps only timeouts", `Quick, test_warm_keeps_only_timeouts);
     ("warm starts disabled at capacity 0", `Quick, test_warm_disabled_when_zero);
     ("timeout snapshot resumes warm", `Quick, test_warm_timeout_resume);
     ("flat and formula share the cache", `Quick, test_flat_bridges_verdict_cache);
