@@ -47,37 +47,31 @@ let ok = function
   | Ok v -> v
   | Error r -> failwith ("rejected: " ^ r)
 
-(* The middle element, or the mean of the two middle ones. *)
+(* The middle element; the upper of the two middle ones for an even
+   count. *)
 let median xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
-  let n = Array.length a in
-  if n = 0 then nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  a.(Array.length a / 2)
 
 (* --- the machine --------------------------------------------------------- *)
 
-(* The first "model name" line of /proc/cpuinfo, or "unknown" where
-   there is none. *)
+(* What follows "model name :" on the first such line of /proc/cpuinfo,
+   or "unknown" where there is none. *)
 let cpu_model () =
-  let prefix = "model name" in
-  match open_in "/proc/cpuinfo" with
+  let model line =
+    if String.starts_with ~prefix:"model name" line then
+      Option.map
+        (fun i ->
+          String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+        (String.index_opt line ':')
+    else None
+  in
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
   | exception Sys_error _ -> "unknown"
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> "unknown"
-      | line ->
-        let n = String.length prefix in
-        if String.length line > n && String.sub line 0 n = prefix then
-          match String.index_opt line ':' with
-          | Some i ->
-            String.trim (String.sub line (i + 1) (String.length line - i - 1))
-          | None -> scan ()
-        else scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
+  | text ->
+    Option.value ~default:"unknown"
+      (List.find_map model (String.split_on_char '\n' text))
 
 (* A fresh directory under $TMPDIR, removed with the files in it once
    [f] returns or raises. *)
