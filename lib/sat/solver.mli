@@ -221,8 +221,9 @@ val solve_flat :
     solves on one domain reuses one pair instead of regrowing an arena
     by doubling straight into the major heap.  A call that raises
     keeps nothing, and a pair of which either array outgrew
-    {!max_pooled_arena_words} is dropped.  Reuse is invisible: results
-    and stats are those of a solve on a fresh domain.  {!Incremental}
+    {!max_pooled_arena_words} is dropped.  Reuse is invisible to the
+    search: the result and every counter but the time and allocation
+    telemetry equal those of a solve on a fresh domain.  {!Incremental}
     sessions and {!prober} keep arenas of their own.
     @raise Invalid_argument if [num_vars] exceeds [2^30 - 1], before
     anything is allocated. *)
