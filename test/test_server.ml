@@ -713,11 +713,11 @@ let test_warm_keeps_only_timeouts () =
         ((solve_ok e (php 6)).Server.verdict = Server.Unsat);
       check_int "decided solves keep no snapshot" 0 (stat e Warm_entries);
       let hard = php 11 in
-      (match Server.solve e ~deadline:0.2 (flat hard) with
+      (match Server.solve e ~deadline:0.5 (flat hard) with
        | Ok { Server.verdict = Server.Timeout; stats; _ } ->
          check_bool "the timed-out job ran" true
            (stats.Sat.Solver.conflicts > 0)
-       | Ok _ -> Alcotest.fail "php(11,10) must time out in 0.2 s"
+       | Ok _ -> Alcotest.fail "php(11,10) must time out in 0.5 s"
        | Error r -> Alcotest.failf "rejected: %s" r);
       check_int "a timeout keeps one snapshot" 1 (stat e Warm_entries);
       let t = submit_ok e hard in
